@@ -1,32 +1,38 @@
-//! Durable engine snapshots: a versioned, checksummed envelope over the
-//! vendored `serde_json` [`Value`] tree, plus a generation store with
-//! keep-last-K retention.
+//! Durable engine snapshots: a versioned, checksummed envelope around
+//! a canonical JSON payload, plus a generation store with keep-last-K
+//! retention.
 //!
 //! This crate deliberately depends on nothing but the JSON shim, so
 //! every layer of the platform (sim primitives, edge serving state,
-//! ingest queues, mobility tracks) can encode itself to a [`Value`]
-//! without dependency cycles.
+//! ingest queues, mobility tracks) can stream itself into a
+//! [`JsonWriter`] without dependency cycles. Decoding goes the other
+//! way: the text parses into a [`Value`] tree, and each layer reads its
+//! fields back with the accessors below.
 //!
 //! ## Encoding conventions
 //!
-//! The JSON shim stores every number as an `f64`, which round-trips
+//! The JSON shim parses every number as an `f64`, which round-trips
 //! integers only up to `2^53`. Deterministic engine state contains
 //! values outside that range — xoshiro RNG words, `u64::MAX` sentinel
-//! times, `u128` fixed-point histogram sums — so this crate encodes:
+//! times, `u128` fixed-point histogram sums — so payload writers encode:
 //!
 //! * `u64` / `u128` that may exceed `2^53` → lower-case hex strings
-//!   ([`u64_hex`] / [`u128_hex`]);
+//!   ([`JsonWriter::hex`] / [`JsonWriter::hex128`], read back with
+//!   [`get_u64_hex`] / [`get_u128_hex`]);
 //! * `f64` that may be non-finite (empty-histogram min/max are ±∞,
-//!   which the shim would serialize as `null`) → bit-pattern hex
-//!   strings ([`f64_bits`]);
+//!   which JSON cannot carry) → the hex of its bit pattern
+//!   (`hex(v.to_bits())`, read back with [`get_f64_bits`]);
 //! * everything else → plain JSON numbers.
 //!
 //! ## Envelope
 //!
-//! [`Snapshot::encode`] wraps a payload as
-//! `{"magic","version","generation","checksum","payload"}` where the
-//! checksum is FNV-1a 64 over `"{version}|{generation}|{payload}"` with
-//! the payload in the shim's canonical (key-sorted, compact) form.
+//! [`encode`] wraps a payload as
+//! `{"checksum","generation","magic","payload","version"}` — the keys
+//! in sorted order, as every canonical object is — where the checksum
+//! is FNV-1a 64 over `"{version}|{generation}|{payload}"` with the
+//! payload in the shim's canonical (key-sorted, compact) form. The
+//! payload text is hashed and spliced in as written: no tree, no copy
+//! into a checksum buffer, no second serialization.
 //! [`Snapshot::decode`] rejects bad magic, unknown versions, and any
 //! checksum mismatch — a torn write or a flipped bit either fails to
 //! parse or re-serializes to a different canonical form, and both paths
@@ -37,7 +43,7 @@ use std::fmt;
 use std::path::PathBuf;
 
 pub use serde_json as json;
-use serde_json::Value;
+use serde_json::{JsonWriter, Value};
 
 /// Version tag written into every snapshot envelope.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -74,33 +80,8 @@ impl From<serde_json::Error> for CkptError {
 }
 
 // ---------------------------------------------------------------------
-// Value encoding helpers
+// Field accessors
 // ---------------------------------------------------------------------
-
-/// Encodes a `u64` as a lower-case hex string (exact at any magnitude).
-#[must_use]
-pub fn u64_hex(v: u64) -> Value {
-    Value::String(format!("{v:x}"))
-}
-
-/// Encodes a `u128` as a lower-case hex string.
-#[must_use]
-pub fn u128_hex(v: u128) -> Value {
-    Value::String(format!("{v:x}"))
-}
-
-/// Encodes an `f64` by bit pattern, so non-finite values (±∞ sentinels
-/// in empty histograms) survive the JSON round trip exactly.
-#[must_use]
-pub fn f64_bits(v: f64) -> Value {
-    Value::String(format!("{:x}", v.to_bits()))
-}
-
-/// Builds an object from key/value pairs.
-#[must_use]
-pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
 
 /// Member lookup that reports the missing key by name.
 ///
@@ -212,10 +193,10 @@ pub fn get_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], CkptError> 
 // Checksum + envelope
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash (the checksum every envelope carries).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64 hash.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -223,8 +204,43 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One decoded (or to-be-encoded) snapshot: a generation number and the
-/// engine-defined payload tree.
+/// FNV-1a 64-bit hash (the checksum every envelope carries).
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// The envelope checksum: FNV-1a over `"{version}|{generation}|"`
+/// followed by the canonical payload text, hashed in place.
+fn checksum(generation: u64, payload_text: &str) -> u64 {
+    let prefix = format!("{SNAPSHOT_VERSION}|{generation}|");
+    fnv1a64_extend(fnv1a64(prefix.as_bytes()), payload_text.as_bytes())
+}
+
+/// Wraps a canonical payload text in the durable envelope, in one
+/// pass: hash the payload where it lies, then write the envelope keys
+/// in their fixed sorted order with the payload spliced in verbatim.
+///
+/// `payload_text` must be canonical — compact, with every object's keys
+/// strictly ascending, as a [`JsonWriter`] in debug builds enforces —
+/// because [`Snapshot::decode`] re-serializes the parsed payload and
+/// checksums *that*. A non-canonical payload would encode fine and then
+/// fail every decode.
+#[must_use]
+pub fn encode(generation: u64, payload_text: &str) -> String {
+    let mut w = JsonWriter::with_capacity(payload_text.len() + 128);
+    w.begin_object();
+    w.key("checksum").hex(checksum(generation, payload_text));
+    w.key("generation").hex(generation);
+    w.key("magic").str(SNAPSHOT_MAGIC);
+    w.key("payload").raw(payload_text);
+    w.key("version").u32(SNAPSHOT_VERSION);
+    w.end_object();
+    w.into_string()
+}
+
+/// One decoded snapshot: a generation number and the engine-defined
+/// payload tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Monotonic generation (the fleet engine uses the barrier index).
@@ -243,32 +259,22 @@ impl Snapshot {
         }
     }
 
-    /// The canonical checksum input for a payload under this envelope's
-    /// version and generation.
-    fn checksum_input(generation: u64, payload_text: &str) -> String {
-        format!("{SNAPSHOT_VERSION}|{generation}|{payload_text}")
-    }
-
-    /// Serializes the snapshot to its durable text form.
+    /// Serializes the snapshot to its durable text form (the same bytes
+    /// [`encode`] writes for the payload's canonical text).
     #[must_use]
     pub fn encode(&self) -> String {
-        let payload_text = self.payload.to_string();
-        let checksum = fnv1a64(Self::checksum_input(self.generation, &payload_text).as_bytes());
-        let mut map = BTreeMap::new();
-        map.insert("magic".to_string(), Value::from(SNAPSHOT_MAGIC));
-        map.insert("version".to_string(), Value::from(SNAPSHOT_VERSION));
-        map.insert("generation".to_string(), u64_hex(self.generation));
-        map.insert("checksum".to_string(), u64_hex(checksum));
-        map.insert("payload".to_string(), self.payload.clone());
-        Value::Object(map).to_string()
+        let mut w = JsonWriter::new();
+        w.value(&self.payload);
+        encode(self.generation, w.as_str())
     }
 
     /// Parses and validates a durable snapshot text.
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON, wrong magic, an unknown version, or a
-    /// checksum mismatch (torn writes and bit flips land here).
+    /// Fails on malformed or too deeply nested JSON, wrong magic, an
+    /// unknown version, or a checksum mismatch (torn writes and bit
+    /// flips land here).
     pub fn decode(text: &str) -> Result<Snapshot, CkptError> {
         let v = serde_json::from_str(text)?;
         let magic = get_str(&v, "magic")?;
@@ -281,9 +287,15 @@ impl Snapshot {
         }
         let generation = get_u64_hex(&v, "generation")?;
         let stored = get_u64_hex(&v, "checksum")?;
-        let payload = get(&v, "payload")?.clone();
-        let payload_text = payload.to_string();
-        let computed = fnv1a64(Self::checksum_input(generation, &payload_text).as_bytes());
+        let Value::Object(mut fields) = v else {
+            unreachable!("fields were just read from an object");
+        };
+        let payload = fields
+            .remove("payload")
+            .ok_or_else(|| CkptError::new("missing field 'payload'"))?;
+        let mut canonical = JsonWriter::with_capacity(text.len());
+        canonical.value(&payload);
+        let computed = checksum(generation, canonical.as_str());
         if stored != computed {
             return Err(CkptError::new(format!(
                 "checksum mismatch: stored {stored:x}, computed {computed:x}"
@@ -446,14 +458,21 @@ impl SnapshotStore {
 mod tests {
     use super::*;
 
+    /// A payload streamed the way engine encoders write theirs.
+    fn sample_text() -> String {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("count").u64(12);
+        w.key("label").str("region0/lte");
+        w.key("min").hex(f64::INFINITY.to_bits());
+        w.key("rng").begin_array().hex(u64::MAX).hex(7).end_array();
+        w.key("sum").hex128(u128::MAX / 3);
+        w.end_object();
+        w.into_string()
+    }
+
     fn sample_payload() -> Value {
-        obj(vec![
-            ("rng", Value::Array(vec![u64_hex(u64::MAX), u64_hex(7)])),
-            ("sum", u128_hex(u128::MAX / 3)),
-            ("min", f64_bits(f64::INFINITY)),
-            ("count", Value::from(12u64)),
-            ("label", Value::from("region0/lte")),
-        ])
+        serde_json::from_str(&sample_text()).expect("writer output parses")
     }
 
     #[test]
@@ -466,12 +485,45 @@ mod tests {
     }
 
     #[test]
+    fn streamed_payload_encodes_like_the_tree() {
+        let text = encode(16, &sample_text());
+        assert_eq!(text, Snapshot::new(16, sample_payload()).encode());
+        assert!(text.starts_with("{\"checksum\":\""));
+        assert!(text.ends_with(",\"version\":1}"));
+        let back = Snapshot::decode(&text).expect("valid snapshot");
+        assert_eq!(back.payload, sample_payload());
+    }
+
+    #[test]
+    fn non_canonical_payload_never_decodes() {
+        // The checksum covers the canonical re-serialization, so a
+        // payload written with keys out of order (or with whitespace)
+        // is rejected even though it is valid JSON.
+        for payload in ["{\"b\":1,\"a\":2}", "{\"a\": 2}"] {
+            let err = Snapshot::decode(&encode(4, payload)).expect_err("non-canonical");
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_rejected_not_a_crash() {
+        let bomb = "[".repeat(100_000);
+        assert!(Snapshot::decode(&bomb).is_err());
+        let mut store = SnapshotStore::in_memory();
+        store.put(8, &encode(8, "null")).unwrap();
+        store.put(16, &bomb).unwrap();
+        let (found, rejected) = store.newest_valid();
+        assert_eq!(found.expect("generation 8 still valid").generation, 8);
+        assert_eq!(rejected, vec![16]);
+    }
+
+    #[test]
     fn hex_helpers_round_trip_extremes() {
         let v = sample_payload();
         assert_eq!(get_u128_hex(&v, "sum").unwrap(), u128::MAX / 3);
         assert!(get_f64_bits(&v, "min").unwrap().is_infinite());
         let rng = get_array(&v, "rng").unwrap();
-        let words = obj(vec![("w", rng[0].clone())]);
+        let words = Value::Object([("w".to_string(), rng[0].clone())].into());
         assert_eq!(get_u64_hex(&words, "w").unwrap(), u64::MAX);
     }
 

@@ -7,10 +7,16 @@
 //!
 //! * **Exactness over readability.** Any `u64` that may exceed 2^53
 //!   (RNG words, `SimTime`/`SimDuration` nanos, counters) is hex-coded
-//!   via [`vdap_ckpt::u64_hex`]; any `f64` that may be non-finite
-//!   (empty-histogram min/max sentinels) travels by bit pattern via
-//!   [`vdap_ckpt::f64_bits`]. Finite sample values also travel by bit
-//!   pattern so a restore is bit-identical, not merely close.
+//!   via [`JsonWriter::hex`]; any `f64` that may be non-finite
+//!   (empty-histogram min/max sentinels) travels as the hex of its bit
+//!   pattern. Finite sample values also travel by bit pattern so a
+//!   restore is bit-identical, not merely close.
+//! * **Stream out, parse in.** Encoders write straight into a
+//!   [`JsonWriter`] — no intermediate `Value` tree — and must write
+//!   each object's keys in ascending byte order, because the envelope
+//!   checksum covers the canonical (key-sorted) text that decoding
+//!   re-serializes. Debug builds assert the order. Decoders read the
+//!   parsed [`Value`] tree back.
 //! * **One codec per owner.** Each subsystem encodes its own private
 //!   state (`XEdgeServer` in `edge.rs`, `IngestPass` in `ingest.rs`,
 //!   vehicles in `shard.rs`, the mobility pass in `engine.rs`); this
@@ -24,8 +30,8 @@
 
 use std::fmt;
 
-use vdap_ckpt::json::Value;
-use vdap_ckpt::{f64_bits, get, obj, u128_hex, u64_hex, CkptError};
+use vdap_ckpt::json::{JsonWriter, Value};
+use vdap_ckpt::{get, CkptError};
 use vdap_ddi::UploadBatch;
 use vdap_sim::{
     ReliabilityState, ReliabilityStats, RngStream, SimDuration, SimTime, StreamingHistogram,
@@ -66,12 +72,6 @@ pub(crate) fn val_str(v: &Value) -> Result<&str, CkptError> {
     v.as_str().ok_or_else(|| CkptError::new("expected string"))
 }
 
-/// Encodes an `i64` exactly (hex of the two's-complement bit pattern,
-/// so negative tile coordinates survive the `f64`-backed number shim).
-pub(crate) fn enc_i64(v: i64) -> Value {
-    u64_hex(v as u64)
-}
-
 /// Decodes an `i64` array element from its bit pattern.
 pub(crate) fn dec_i64(v: &Value) -> Result<i64, CkptError> {
     Ok(val_u64_hex(v)? as i64)
@@ -105,19 +105,24 @@ pub(crate) fn val_pair(v: &Value) -> Result<(&Value, &Value), CkptError> {
 
 // --- time ------------------------------------------------------------
 
-/// Encodes a `SimTime` (hex nanos — exact at any magnitude).
-pub(crate) fn enc_time(t: SimTime) -> Value {
-    u64_hex(t.as_nanos())
+// `SimTime` and `SimDuration` travel as hex nanos (exact at any
+// magnitude): `w.hex(t.as_nanos())`.
+
+/// Writes `v` with `enc`, or `null` when absent.
+pub(crate) fn enc_opt<T>(w: &mut JsonWriter, v: Option<T>, enc: impl FnOnce(&mut JsonWriter, T)) {
+    match v {
+        Some(v) => enc(w, v),
+        None => {
+            w.null();
+        }
+    }
 }
 
-/// Encodes a `SimDuration` (hex nanos).
-pub(crate) fn enc_dur(d: SimDuration) -> Value {
-    u64_hex(d.as_nanos())
-}
-
-/// Encodes an optional `SimTime` (`null` when absent).
-pub(crate) fn enc_opt_time(t: Option<SimTime>) -> Value {
-    t.map_or(Value::Null, enc_time)
+/// Writes an optional `SimTime` (`null` when absent).
+pub(crate) fn enc_opt_time(w: &mut JsonWriter, t: Option<SimTime>) {
+    enc_opt(w, t, |w, t| {
+        w.hex(t.as_nanos());
+    });
 }
 
 /// Reads a `SimTime` field.
@@ -140,9 +145,18 @@ pub(crate) fn opt_time_field(v: &Value, key: &str) -> Result<Option<SimTime>, Ck
 
 // --- RNG streams -----------------------------------------------------
 
-/// Encodes an RNG stream's full xoshiro256++ state (4 hex words).
-pub(crate) fn enc_rng(rng: &RngStream) -> Value {
-    Value::Array(rng.state().iter().copied().map(u64_hex).collect())
+/// Writes an RNG stream's full xoshiro256++ state (4 hex words).
+pub(crate) fn enc_rng(w: &mut JsonWriter, rng: &RngStream) {
+    enc_words(w, &rng.state());
+}
+
+/// Writes a list of hex words.
+pub(crate) fn enc_words(w: &mut JsonWriter, words: &[u64]) {
+    w.begin_array();
+    for &word in words {
+        w.hex(word);
+    }
+    w.end_array();
 }
 
 /// Reads an RNG stream field back from its 4-word state.
@@ -166,26 +180,22 @@ pub(crate) fn rng_field(v: &Value, key: &str) -> Result<RngStream, CkptError> {
 
 // --- histograms ------------------------------------------------------
 
-/// Encodes a streaming histogram sparsely (only non-zero buckets).
-pub(crate) fn enc_hist(h: &StreamingHistogram) -> Value {
+/// Writes a streaming histogram sparsely (only non-zero buckets).
+pub(crate) fn enc_hist(w: &mut JsonWriter, h: &StreamingHistogram) {
     let s = h.state();
-    obj(vec![
-        ("name", Value::String(s.name)),
-        (
-            "buckets",
-            Value::Array(
-                s.sparse_buckets
-                    .into_iter()
-                    .map(|(i, c)| Value::Array(vec![Value::Number(f64::from(i)), u64_hex(c)]))
-                    .collect(),
-            ),
-        ),
-        ("count", u64_hex(s.count)),
-        ("sum_micro", u128_hex(s.sum_micro)),
-        // min/max are ±∞ sentinels while empty — bit patterns survive.
-        ("min", f64_bits(s.min)),
-        ("max", f64_bits(s.max)),
-    ])
+    w.begin_object();
+    w.key("buckets").begin_array();
+    for (i, c) in s.sparse_buckets {
+        w.begin_array().u32(i).hex(c).end_array();
+    }
+    w.end_array();
+    w.key("count").hex(s.count);
+    // min/max are ±∞ sentinels while empty — bit patterns survive.
+    w.key("max").hex(s.max.to_bits());
+    w.key("min").hex(s.min.to_bits());
+    w.key("name").str(&s.name);
+    w.key("sum_micro").hex128(s.sum_micro);
+    w.end_object();
 }
 
 /// Reads a streaming-histogram field.
@@ -208,12 +218,12 @@ pub(crate) fn hist_field(v: &Value, key: &str) -> Result<StreamingHistogram, Ckp
 
 // --- reliability ledger ----------------------------------------------
 
-fn enc_labeled_nanos<'a>(entries: impl Iterator<Item = (&'a String, u64)>) -> Value {
-    Value::Array(
-        entries
-            .map(|(label, nanos)| Value::Array(vec![Value::String(label.clone()), u64_hex(nanos)]))
-            .collect(),
-    )
+fn enc_labeled_nanos<'a>(w: &mut JsonWriter, entries: impl Iterator<Item = (&'a String, u64)>) {
+    w.begin_array();
+    for (label, nanos) in entries {
+        w.begin_array().str(label).hex(nanos).end_array();
+    }
+    w.end_array();
 }
 
 fn dec_labeled_nanos(v: &Value, key: &str) -> Result<Vec<(String, u64)>, CkptError> {
@@ -225,8 +235,12 @@ fn dec_labeled_nanos(v: &Value, key: &str) -> Result<Vec<(String, u64)>, CkptErr
     Ok(out)
 }
 
-fn enc_samples(samples: &[f64]) -> Value {
-    Value::Array(samples.iter().copied().map(f64_bits).collect())
+fn enc_samples(w: &mut JsonWriter, samples: &[f64]) {
+    w.begin_array();
+    for &x in samples {
+        w.hex(x.to_bits());
+    }
+    w.end_array();
 }
 
 fn dec_samples(v: &Value, key: &str) -> Result<Vec<f64>, CkptError> {
@@ -236,32 +250,28 @@ fn dec_samples(v: &Value, key: &str) -> Result<Vec<f64>, CkptError> {
         .collect()
 }
 
-/// Encodes the full reliability ledger (MTTR samples, open outages,
+/// Writes the full reliability ledger (MTTR samples, open outages,
 /// per-component downtime/degraded time, retry counters).
-pub(crate) fn enc_reliability(r: &ReliabilityStats) -> Value {
+pub(crate) fn enc_reliability(w: &mut JsonWriter, r: &ReliabilityStats) {
     let s = r.state();
-    obj(vec![
-        ("mttr_samples", enc_samples(&s.mttr_samples)),
-        ("failover_samples", enc_samples(&s.failover_samples)),
-        ("retries", u64_hex(s.retries)),
-        ("retry_successes", u64_hex(s.retry_successes)),
-        ("retry_exhausted", u64_hex(s.retry_exhausted)),
-        ("faults_injected", u64_hex(s.faults_injected)),
-        (
-            "down_since",
-            enc_labeled_nanos(s.down_since.iter().map(|(c, t)| (c, t.as_nanos()))),
-        ),
-        (
-            "downtime",
-            enc_labeled_nanos(s.downtime.iter().map(|(c, d)| (c, d.as_nanos()))),
-        ),
-        (
-            "degraded",
-            enc_labeled_nanos(s.degraded.iter().map(|(c, d)| (c, d.as_nanos()))),
-        ),
-        ("cache_ttl_evictions", u64_hex(s.cache_ttl_evictions)),
-        ("disk_spills", u64_hex(s.disk_spills)),
-    ])
+    w.begin_object();
+    w.key("cache_ttl_evictions").hex(s.cache_ttl_evictions);
+    w.key("degraded");
+    enc_labeled_nanos(w, s.degraded.iter().map(|(c, d)| (c, d.as_nanos())));
+    w.key("disk_spills").hex(s.disk_spills);
+    w.key("down_since");
+    enc_labeled_nanos(w, s.down_since.iter().map(|(c, t)| (c, t.as_nanos())));
+    w.key("downtime");
+    enc_labeled_nanos(w, s.downtime.iter().map(|(c, d)| (c, d.as_nanos())));
+    w.key("failover_samples");
+    enc_samples(w, &s.failover_samples);
+    w.key("faults_injected").hex(s.faults_injected);
+    w.key("mttr_samples");
+    enc_samples(w, &s.mttr_samples);
+    w.key("retries").hex(s.retries);
+    w.key("retry_exhausted").hex(s.retry_exhausted);
+    w.key("retry_successes").hex(s.retry_successes);
+    w.end_object();
 }
 
 /// Reads a reliability-ledger field.
@@ -293,57 +303,50 @@ pub(crate) fn reliability_field(v: &Value, key: &str) -> Result<ReliabilityStats
 
 // --- fleet metrics ---------------------------------------------------
 
-/// Encodes the merged, shard-count-independent `FleetMetrics`.
-pub(crate) fn enc_metrics(m: &FleetMetrics) -> Value {
-    obj(vec![
-        ("e2e_latency_ms", enc_hist(&m.e2e_latency_ms)),
-        ("energy_per_request_j", enc_hist(&m.energy_per_request_j)),
-        ("queue_depth", enc_hist(&m.queue_depth)),
-        ("elastic_lanes", enc_hist(&m.elastic_lanes)),
-        (
-            "by_class",
-            Value::Array(
-                m.by_class
-                    .iter()
-                    .map(|c| {
-                        obj(vec![
-                            ("e2e_latency_ms", enc_hist(&c.e2e_latency_ms)),
-                            ("requests", u64_hex(c.requests)),
-                            ("edge_served", u64_hex(c.edge_served)),
-                            ("collab_hits", u64_hex(c.collab_hits)),
-                            ("failovers", u64_hex(c.failovers)),
-                            ("rejected", u64_hex(c.rejected)),
-                            ("local_fallbacks", u64_hex(c.local_fallbacks)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "work_units_by_tenant",
-            Value::Array(
-                m.work_units_by_tenant
-                    .iter()
-                    .map(|(&t, &w)| Value::Array(vec![Value::Number(f64::from(t)), u64_hex(w)]))
-                    .collect(),
-            ),
-        ),
-        ("requests", u64_hex(m.requests)),
-        ("edge_served", u64_hex(m.edge_served)),
-        ("collab_hits", u64_hex(m.collab_hits)),
-        ("failovers", u64_hex(m.failovers)),
-        ("rejected", u64_hex(m.rejected)),
-        ("requeued", u64_hex(m.requeued)),
-        ("retry_rescued", u64_hex(m.retry_rescued)),
-        ("handoffs", u64_hex(m.handoffs)),
-        ("local_fallbacks", u64_hex(m.local_fallbacks)),
-        (
-            "training_rounds_skipped",
-            u64_hex(m.training_rounds_skipped),
-        ),
-        ("scale_ups", u64_hex(m.scale_ups)),
-        ("scale_downs", u64_hex(m.scale_downs)),
-    ])
+/// Writes the merged, shard-count-independent `FleetMetrics`.
+pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
+    w.begin_object();
+    w.key("by_class").begin_array();
+    for c in &m.by_class {
+        w.begin_object();
+        w.key("collab_hits").hex(c.collab_hits);
+        w.key("e2e_latency_ms");
+        enc_hist(w, &c.e2e_latency_ms);
+        w.key("edge_served").hex(c.edge_served);
+        w.key("failovers").hex(c.failovers);
+        w.key("local_fallbacks").hex(c.local_fallbacks);
+        w.key("rejected").hex(c.rejected);
+        w.key("requests").hex(c.requests);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("collab_hits").hex(m.collab_hits);
+    w.key("e2e_latency_ms");
+    enc_hist(w, &m.e2e_latency_ms);
+    w.key("edge_served").hex(m.edge_served);
+    w.key("elastic_lanes");
+    enc_hist(w, &m.elastic_lanes);
+    w.key("energy_per_request_j");
+    enc_hist(w, &m.energy_per_request_j);
+    w.key("failovers").hex(m.failovers);
+    w.key("handoffs").hex(m.handoffs);
+    w.key("local_fallbacks").hex(m.local_fallbacks);
+    w.key("queue_depth");
+    enc_hist(w, &m.queue_depth);
+    w.key("rejected").hex(m.rejected);
+    w.key("requests").hex(m.requests);
+    w.key("requeued").hex(m.requeued);
+    w.key("retry_rescued").hex(m.retry_rescued);
+    w.key("scale_downs").hex(m.scale_downs);
+    w.key("scale_ups").hex(m.scale_ups);
+    w.key("training_rounds_skipped")
+        .hex(m.training_rounds_skipped);
+    w.key("work_units_by_tenant").begin_array();
+    for (&t, &units) in &m.work_units_by_tenant {
+        w.begin_array().u32(t).hex(units).end_array();
+    }
+    w.end_array();
+    w.end_object();
 }
 
 /// Reads a `FleetMetrics` field.
@@ -392,18 +395,18 @@ pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptEr
 
 // --- ingest batches --------------------------------------------------
 
-/// Encodes one in-flight DDI upload batch.
-pub(crate) fn enc_batch(b: &UploadBatch) -> Value {
-    obj(vec![
-        ("vehicle", u64_hex(b.vehicle)),
-        ("region", Value::Number(f64::from(b.region))),
-        ("seq", Value::Number(f64::from(b.seq))),
-        ("records", Value::Number(f64::from(b.records))),
-        ("bytes", u64_hex(b.bytes)),
-        ("sent_at", enc_time(b.sent_at)),
-        ("deadline", enc_time(b.deadline)),
-        ("priority", Value::Number(f64::from(b.priority))),
-    ])
+/// Writes one in-flight DDI upload batch.
+pub(crate) fn enc_batch(w: &mut JsonWriter, b: &UploadBatch) {
+    w.begin_object();
+    w.key("bytes").hex(b.bytes);
+    w.key("deadline").hex(b.deadline.as_nanos());
+    w.key("priority").u32(u32::from(b.priority));
+    w.key("records").u32(b.records);
+    w.key("region").u32(b.region);
+    w.key("sent_at").hex(b.sent_at.as_nanos());
+    w.key("seq").u32(b.seq);
+    w.key("vehicle").hex(b.vehicle);
+    w.end_object();
 }
 
 /// Decodes one in-flight DDI upload batch.
@@ -430,40 +433,41 @@ pub(crate) fn dec_batch(v: &Value) -> Result<UploadBatch, CkptError> {
 /// silently produce garbage. `shards` is deliberately **excluded**:
 /// restoring into a different shard count is a supported (and tested)
 /// operation, because the canonical snapshot is shard-count free.
-pub(crate) fn config_fingerprint(cfg: &FleetConfig) -> Value {
-    obj(vec![
-        ("seed", u64_hex(cfg.seed)),
-        ("vehicles", Value::Number(f64::from(cfg.vehicles))),
-        ("tenants", Value::Number(f64::from(cfg.tenants))),
-        ("regions", Value::Number(f64::from(cfg.regions))),
-        ("epoch_ns", u64_hex(cfg.epoch.as_nanos())),
-        ("duration_ns", u64_hex(cfg.duration.as_nanos())),
-        ("elastic", Value::Bool(cfg.elastic.is_some())),
-        ("ingest", Value::Bool(cfg.ingest.is_some())),
-        ("mobility", Value::Bool(cfg.mobility.is_some())),
-        ("telemetry", Value::Bool(cfg.telemetry)),
-        // Sink knobs that change what the telemetry *contains* (the
-        // budget drives rollup/auto-sampling, the sample rate drives
-        // the kept set). The spill *directory* is deliberately
-        // excluded: it names an export location, not state — restoring
-        // under a different spill dir is legitimate.
-        (
-            "telemetry_budget",
-            u64_hex(cfg.telemetry_budget.unwrap_or(0)),
-        ),
-        ("span_sample", u64_hex(cfg.span_sample.map_or(0, u64::from))),
-    ])
+pub(crate) fn config_fingerprint(w: &mut JsonWriter, cfg: &FleetConfig) {
+    w.begin_object();
+    w.key("duration_ns").hex(cfg.duration.as_nanos());
+    w.key("elastic").bool(cfg.elastic.is_some());
+    w.key("epoch_ns").hex(cfg.epoch.as_nanos());
+    w.key("ingest").bool(cfg.ingest.is_some());
+    w.key("mobility").bool(cfg.mobility.is_some());
+    w.key("regions").u32(cfg.regions);
+    w.key("seed").hex(cfg.seed);
+    w.key("span_sample")
+        .hex(cfg.span_sample.map_or(0, u64::from));
+    w.key("telemetry").bool(cfg.telemetry);
+    // Sink knobs that change what the telemetry *contains* (the budget
+    // drives rollup/auto-sampling, the sample rate drives the kept
+    // set). The spill *directory* is deliberately excluded: it names an
+    // export location, not state — restoring under a different spill
+    // dir is legitimate.
+    w.key("telemetry_budget")
+        .hex(cfg.telemetry_budget.unwrap_or(0));
+    w.key("tenants").u32(cfg.tenants);
+    w.key("vehicles").u32(cfg.vehicles);
+    w.end_object();
 }
 
 /// Rejects a snapshot taken under a different scenario config.
 pub(crate) fn check_fingerprint(cfg: &FleetConfig, payload: &Value) -> Result<(), CkptError> {
-    let want = config_fingerprint(cfg);
-    let got = get(payload, "config")?;
-    if *got == want {
+    let mut want = JsonWriter::new();
+    config_fingerprint(&mut want, cfg);
+    let got = get(payload, "config")?.to_string();
+    if got == want.as_str() {
         Ok(())
     } else {
         Err(CkptError::new(format!(
-            "snapshot config mismatch: snapshot {got}, engine {want}"
+            "snapshot config mismatch: snapshot {got}, engine {}",
+            want.as_str()
         )))
     }
 }
@@ -565,19 +569,31 @@ mod tests {
     use super::*;
     use vdap_sim::SeedFactory;
 
+    /// Writes one object through `fields` (keys ascending) and parses
+    /// it back, the way a snapshot payload travels.
+    fn written(fields: impl FnOnce(&mut JsonWriter)) -> Value {
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        fields(&mut w);
+        w.end_object();
+        vdap_ckpt::json::from_str(w.as_str()).expect("encoder output parses")
+    }
+
     #[test]
     fn time_and_duration_round_trip_at_full_range() {
         let t = SimTime::from_nanos(u64::MAX - 7);
-        let v = obj(vec![
-            ("t", enc_time(t)),
-            ("d", enc_dur(SimDuration::from_nanos(3))),
-        ]);
+        let v = written(|w| {
+            w.key("d").hex(SimDuration::from_nanos(3).as_nanos());
+            w.key("t").hex(t.as_nanos());
+        });
         assert_eq!(time_field(&v, "t").unwrap(), t);
         assert_eq!(dur_field(&v, "d").unwrap(), SimDuration::from_nanos(3));
-        let opt = obj(vec![
-            ("a", enc_opt_time(None)),
-            ("b", enc_opt_time(Some(t))),
-        ]);
+        let opt = written(|w| {
+            w.key("a");
+            enc_opt_time(w, None);
+            w.key("b");
+            enc_opt_time(w, Some(t));
+        });
         assert_eq!(opt_time_field(&opt, "a").unwrap(), None);
         assert_eq!(opt_time_field(&opt, "b").unwrap(), Some(t));
     }
@@ -589,7 +605,10 @@ mod tests {
         for _ in 0..17 {
             rng.uniform();
         }
-        let v = obj(vec![("rng", enc_rng(&rng))]);
+        let v = written(|w| {
+            w.key("rng");
+            enc_rng(w, &rng);
+        });
         let mut restored = rng_field(&v, "rng").unwrap();
         let mut orig = rng;
         for _ in 0..64 {
@@ -599,10 +618,10 @@ mod tests {
 
     #[test]
     fn rng_rejects_all_zero_state() {
-        let v = obj(vec![(
-            "rng",
-            Value::Array(vec![u64_hex(0), u64_hex(0), u64_hex(0), u64_hex(0)]),
-        )]);
+        let v = written(|w| {
+            w.key("rng");
+            enc_words(w, &[0; 4]);
+        });
         assert!(rng_field(&v, "rng").is_err());
     }
 
@@ -612,10 +631,12 @@ mod tests {
         for i in 0..500 {
             h.record(0.001 * f64::from(i) * f64::from(i));
         }
-        let v = obj(vec![
-            ("h", enc_hist(&h)),
-            ("empty", enc_hist(&StreamingHistogram::new("e"))),
-        ]);
+        let v = written(|w| {
+            w.key("empty");
+            enc_hist(w, &StreamingHistogram::new("e"));
+            w.key("h");
+            enc_hist(w, &h);
+        });
         let back = hist_field(&v, "h").unwrap();
         assert_eq!(back.state(), h.state());
         assert_eq!(format!("{back}"), format!("{h}"));
@@ -631,7 +652,10 @@ mod tests {
         r.record_fault("engine", SimTime::from_secs(20));
         r.record_retry();
         r.record_disk_spills(4);
-        let v = obj(vec![("rel", enc_reliability(&r))]);
+        let v = written(|w| {
+            w.key("rel");
+            enc_reliability(w, &r);
+        });
         let back = reliability_field(&v, "rel").unwrap();
         assert_eq!(back.state(), r.state());
         assert!(back.is_down("engine"));
@@ -646,7 +670,10 @@ mod tests {
         m.by_class[1].rejected = 7;
         m.by_class[1].e2e_latency_ms.record(11.0);
         m.work_units_by_tenant.insert(3, u64::MAX - 1);
-        let v = obj(vec![("m", enc_metrics(&m))]);
+        let v = written(|w| {
+            w.key("m");
+            enc_metrics(w, &m);
+        });
         let back = metrics_field(&v, "m").unwrap();
         assert_eq!(back, m);
     }
@@ -663,14 +690,20 @@ mod tests {
             deadline: SimTime::from_secs(14),
             priority: 3,
         };
-        let v = enc_batch(&b);
-        assert_eq!(dec_batch(&v).unwrap(), b);
+        let v = written(|w| {
+            w.key("b");
+            enc_batch(w, &b);
+        });
+        assert_eq!(dec_batch(get(&v, "b").unwrap()).unwrap(), b);
     }
 
     #[test]
     fn fingerprint_guards_against_foreign_snapshots() {
         let cfg = FleetConfig::sized(64, 2);
-        let payload = obj(vec![("config", config_fingerprint(&cfg))]);
+        let payload = written(|w| {
+            w.key("config");
+            config_fingerprint(w, &cfg);
+        });
         assert!(check_fingerprint(&cfg, &payload).is_ok());
         let mut other = cfg.clone();
         other.seed ^= 1;

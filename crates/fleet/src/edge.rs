@@ -975,11 +975,9 @@ impl XEdgeServer {
 
 // --- snapshot codec --------------------------------------------------
 
-use crate::ckpt::{dur_field, enc_dur, enc_time, time_field, val_array, val_bool, val_u64_hex};
-use vdap_ckpt::json::Value;
-use vdap_ckpt::{
-    f64_bits, get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, obj, u64_hex, CkptError,
-};
+use crate::ckpt::{dur_field, enc_opt, time_field, val_array, val_bool, val_u64_hex};
+use vdap_ckpt::json::{JsonWriter, Value};
+use vdap_ckpt::{get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, CkptError};
 
 /// Decodes a workload class stored as its dense `ALL` index.
 fn class_field(v: &Value, key: &str) -> Result<WorkloadClass, CkptError> {
@@ -990,17 +988,17 @@ fn class_field(v: &Value, key: &str) -> Result<WorkloadClass, CkptError> {
         .ok_or_else(|| CkptError::new(format!("workload class index {idx} out of range")))
 }
 
-fn enc_req(r: &EdgeRequest) -> Value {
-    obj(vec![
-        ("vehicle", Value::Number(f64::from(r.vehicle))),
-        ("seq", Value::Number(f64::from(r.seq))),
-        ("tenant", Value::Number(f64::from(r.tenant))),
-        ("region", Value::Number(f64::from(r.region))),
-        ("class", Value::Number(r.class.index() as f64)),
-        ("arrival", enc_time(r.arrival)),
-        ("attempts", Value::Number(f64::from(r.attempts))),
-        ("handoff", enc_dur(r.handoff)),
-    ])
+fn enc_req(w: &mut JsonWriter, r: &EdgeRequest) {
+    w.begin_object();
+    w.key("arrival").hex(r.arrival.as_nanos());
+    w.key("attempts").u32(r.attempts);
+    w.key("class").u64(r.class.index() as u64);
+    w.key("handoff").hex(r.handoff.as_nanos());
+    w.key("region").u32(r.region);
+    w.key("seq").u32(r.seq);
+    w.key("tenant").u32(r.tenant);
+    w.key("vehicle").u32(r.vehicle);
+    w.end_object();
 }
 
 fn dec_req(v: &Value) -> Result<EdgeRequest, CkptError> {
@@ -1016,23 +1014,23 @@ fn dec_req(v: &Value) -> Result<EdgeRequest, CkptError> {
     })
 }
 
-fn enc_served(s: &ServedRequest) -> Value {
-    obj(vec![
-        ("vehicle", Value::Number(f64::from(s.vehicle))),
-        ("seq", Value::Number(f64::from(s.seq))),
-        ("tenant", Value::Number(f64::from(s.tenant))),
-        ("region", Value::Number(f64::from(s.region))),
-        ("class", Value::Number(s.class.index() as f64)),
-        ("work", u64_hex(s.work)),
-        ("arrival", enc_time(s.arrival)),
-        ("admitted", enc_time(s.admitted)),
-        ("serve_start", enc_time(s.serve_start)),
-        ("e2e", enc_dur(s.e2e)),
-        ("energy_j", f64_bits(s.energy_j)),
-        ("retries", Value::Number(f64::from(s.retries))),
-        ("requeues", Value::Number(f64::from(s.requeues))),
-        ("handoff", Value::Bool(s.handoff)),
-    ])
+fn enc_served(w: &mut JsonWriter, s: &ServedRequest) {
+    w.begin_object();
+    w.key("admitted").hex(s.admitted.as_nanos());
+    w.key("arrival").hex(s.arrival.as_nanos());
+    w.key("class").u64(s.class.index() as u64);
+    w.key("e2e").hex(s.e2e.as_nanos());
+    w.key("energy_j").hex(s.energy_j.to_bits());
+    w.key("handoff").bool(s.handoff);
+    w.key("region").u32(s.region);
+    w.key("requeues").u32(s.requeues);
+    w.key("retries").u32(s.retries);
+    w.key("seq").u32(s.seq);
+    w.key("serve_start").hex(s.serve_start.as_nanos());
+    w.key("tenant").u32(s.tenant);
+    w.key("vehicle").u32(s.vehicle);
+    w.key("work").hex(s.work);
+    w.end_object();
 }
 
 fn dec_served(v: &Value) -> Result<ServedRequest, CkptError> {
@@ -1054,49 +1052,30 @@ fn dec_served(v: &Value) -> Result<ServedRequest, CkptError> {
     })
 }
 
-fn enc_admission(a: &TenantAdmission) -> Value {
+/// Writes `(tenant, count)` pairs as `[tenant, "hex count"]`.
+fn enc_pairs(w: &mut JsonWriter, entries: impl IntoIterator<Item = (u32, u64)>) {
+    w.begin_array();
+    for (t, n) in entries {
+        w.begin_array().u32(t).hex(n).end_array();
+    }
+    w.end_array();
+}
+
+fn enc_admission(w: &mut JsonWriter, a: &TenantAdmission) {
     let s = a.state();
-    let pairs = |entries: &[(u32, u64)]| -> Value {
-        Value::Array(
-            entries
-                .iter()
-                .map(|&(t, n)| Value::Array(vec![Value::Number(f64::from(t)), u64_hex(n)]))
-                .collect(),
-        )
-    };
-    obj(vec![
-        ("queue_cap", u64_hex(s.queue_cap as u64)),
-        (
-            "cap_overrides",
-            pairs(
-                &s.cap_overrides
-                    .iter()
-                    .map(|&(t, c)| (t, c as u64))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        (
-            "depth",
-            pairs(
-                &s.depth
-                    .iter()
-                    .map(|&(t, d)| (t, d as u64))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-        ("admitted", u64_hex(s.admitted)),
-        ("rejected", u64_hex(s.rejected)),
-        ("rejected_by_tenant", pairs(&s.rejected_by_tenant)),
-        (
-            "registrations",
-            pairs(
-                &s.registrations
-                    .iter()
-                    .map(|&(t, n)| (t, u64::from(n)))
-                    .collect::<Vec<_>>(),
-            ),
-        ),
-    ])
+    w.begin_object();
+    w.key("admitted").hex(s.admitted);
+    w.key("cap_overrides");
+    enc_pairs(w, s.cap_overrides.iter().map(|&(t, c)| (t, c as u64)));
+    w.key("depth");
+    enc_pairs(w, s.depth.iter().map(|&(t, d)| (t, d as u64)));
+    w.key("queue_cap").hex(s.queue_cap as u64);
+    w.key("registrations");
+    enc_pairs(w, s.registrations.iter().map(|&(t, n)| (t, u64::from(n))));
+    w.key("rejected").hex(s.rejected);
+    w.key("rejected_by_tenant");
+    enc_pairs(w, s.rejected_by_tenant.iter().copied());
+    w.end_object();
 }
 
 fn dec_admission(v: &Value) -> Result<TenantAdmission, CkptError> {
@@ -1140,82 +1119,72 @@ impl XEdgeServer {
     /// observe-at-`k`/actuate-at-`k+1` queue-depth latch. The rest of
     /// the server is a pure function of `FleetConfig` and is rebuilt on
     /// restore.
-    pub(crate) fn ckpt(&self) -> Value {
-        obj(vec![
-            (
-                "lanes",
-                Value::Array(
-                    self.lanes
-                        .iter()
-                        .map(|l| {
-                            obj(vec![
-                                ("node", Value::Number(f64::from(l.node))),
-                                ("free", enc_time(l.free)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "in_flight",
-                Value::Array(
-                    self.in_flight
-                        .iter()
-                        .map(|f| {
-                            obj(vec![
-                                ("finish", enc_time(f.finish)),
-                                ("node", Value::Number(f64::from(f.node))),
-                                ("served", enc_served(&f.served)),
-                                ("req", enc_req(&f.req)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "requeued",
-                Value::Array(self.requeued.iter().map(enc_req).collect()),
-            ),
-            (
-                "node_down",
-                Value::Array(self.node_down.iter().map(|&b| Value::Bool(b)).collect()),
-            ),
-            (
-                "crash_history",
-                Value::Array(
-                    self.crash_history
-                        .iter()
-                        .map(|h| Value::Array(h.iter().map(|&t| enc_time(t)).collect()))
-                        .collect(),
-                ),
-            ),
-            (
-                "crash_looped",
-                Value::Array(self.crash_looped.iter().map(|&b| Value::Bool(b)).collect()),
-            ),
-            ("admission", enc_admission(&self.admission)),
-            (
-                "region_admission",
-                match &self.region_admission {
-                    Some(gates) => Value::Array(gates.iter().map(enc_admission).collect()),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "scaler",
-                match &self.scaler {
-                    Some(s) => {
-                        let (ups, downs) = s.counters();
-                        obj(vec![
-                            ("scale_ups", u64_hex(ups)),
-                            ("scale_downs", u64_hex(downs)),
-                        ])
-                    }
-                    None => Value::Null,
-                },
-            ),
-            ("last_depth", u64_hex(self.last_depth as u64)),
-        ])
+    pub(crate) fn ckpt(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("admission");
+        enc_admission(w, &self.admission);
+        w.key("crash_history").begin_array();
+        for history in &self.crash_history {
+            w.begin_array();
+            for t in history {
+                w.hex(t.as_nanos());
+            }
+            w.end_array();
+        }
+        w.end_array();
+        w.key("crash_looped").begin_array();
+        for &b in &self.crash_looped {
+            w.bool(b);
+        }
+        w.end_array();
+        w.key("in_flight").begin_array();
+        for f in &self.in_flight {
+            w.begin_object();
+            w.key("finish").hex(f.finish.as_nanos());
+            w.key("node").u32(f.node);
+            w.key("req");
+            enc_req(w, &f.req);
+            w.key("served");
+            enc_served(w, &f.served);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("lanes").begin_array();
+        for l in &self.lanes {
+            w.begin_object();
+            w.key("free").hex(l.free.as_nanos());
+            w.key("node").u32(l.node);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("last_depth").hex(self.last_depth as u64);
+        w.key("node_down").begin_array();
+        for &b in &self.node_down {
+            w.bool(b);
+        }
+        w.end_array();
+        w.key("region_admission");
+        enc_opt(w, self.region_admission.as_ref(), |w, gates| {
+            w.begin_array();
+            for gate in gates {
+                enc_admission(w, gate);
+            }
+            w.end_array();
+        });
+        w.key("requeued").begin_array();
+        for r in &self.requeued {
+            enc_req(w, r);
+        }
+        w.end_array();
+        w.key("scaler");
+        enc_opt(w, self.scaler.as_ref(), |w, scaler| {
+            let (ups, downs) = scaler.counters();
+            w.begin_object();
+            w.key("scale_downs").hex(downs);
+            w.key("scale_ups").hex(ups);
+            w.end_object();
+        });
+        w.end_object();
     }
 
     /// Rebuilds the server from config (everything derivable) plus the

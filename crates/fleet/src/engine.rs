@@ -27,10 +27,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vdap_ckpt::json::Value;
+use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
-    f64_bits, get, get_array, get_bool, get_f64_bits, get_str, get_u32, get_u64_hex, obj, u64_hex,
-    CkptError, Snapshot, SnapshotStore,
+    get, get_array, get_bool, get_f64_bits, get_str, get_u32, get_u64_hex, CkptError, Snapshot,
+    SnapshotStore,
 };
 use vdap_edgeos::WorkloadClass;
 use vdap_fault::{FaultEdge, FaultInjector, FaultKind};
@@ -47,8 +47,8 @@ use vdap_offload::Tile;
 use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
 use crate::ckpt::{
-    check_fingerprint, config_fingerprint, dur_field, enc_dur, enc_hist, enc_metrics, enc_opt_time,
-    enc_reliability, enc_rng, enc_time, hist_field, metrics_field, opt_time_field,
+    check_fingerprint, config_fingerprint, dur_field, enc_hist, enc_metrics, enc_opt, enc_opt_time,
+    enc_reliability, enc_rng, enc_words, hist_field, metrics_field, opt_time_field,
     reliability_field, rng_field, time_field, val_array, val_f64_bits, val_pair, val_str, val_u32,
     val_u64_hex, SnapshotDiagnostics, SnapshotWrite,
 };
@@ -613,7 +613,11 @@ fn write_snapshot(
 ) {
     let started = Instant::now();
     let generation = state.epoch_index;
-    let mut encoded = Snapshot::new(generation, snapshot_payload(&ctx.cfg, state)).encode();
+    let mut encoded = {
+        let mut payload = JsonWriter::new();
+        snapshot_payload(&mut payload, &ctx.cfg, state);
+        vdap_ckpt::encode(generation, payload.as_str())
+    };
     let mut chaos = None;
     if let Some(inj) = ctx.injector.as_deref() {
         if inj.snapshot_torn(CKPT_STORE_LABEL, end) {
@@ -645,14 +649,14 @@ fn write_snapshot(
     });
 }
 
-/// The complete deterministic engine state as a canonical JSON value.
+/// Streams the complete deterministic engine state as canonical JSON.
 ///
 /// Shard-local metrics and event counts are folded into the engine
 /// totals before encoding and vehicles are listed in id order, so a
 /// snapshot is *canonical*: every shard count serializes the same
 /// scenario at the same barrier to the same payload — which is what
 /// lets a snapshot restore into a different shard count.
-fn snapshot_payload(cfg: &FleetConfig, state: &EngineState) -> Value {
+fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) {
     let mut metrics = state.engine_metrics.clone();
     let mut events = state.events_base;
     for shard in &state.shards {
@@ -665,37 +669,34 @@ fn snapshot_payload(cfg: &FleetConfig, state: &EngineState) -> Value {
         .flat_map(|s| s.vehicles.values())
         .collect();
     vehicles.sort_unstable_by_key(|v| v.id);
+    w.begin_object();
+    w.key("collab");
     // Post-barrier, every shard holds the same collab Arc.
-    let collab: &CollabSnapshot = &state.shards[0].snapshot;
-    obj(vec![
-        ("config", config_fingerprint(cfg)),
-        ("epoch", u64_hex(state.epoch_index)),
-        ("events_base", u64_hex(events)),
-        ("ladder_rng", enc_rng(&state.ladder_rng)),
-        ("metrics", enc_metrics(&metrics)),
-        ("reliability", enc_reliability(&state.reliability)),
-        (
-            "vehicles",
-            Value::Array(vehicles.into_iter().map(enc_vehicle).collect()),
-        ),
-        ("collab", enc_collab(collab)),
-        ("edge", state.edge.ckpt()),
-        (
-            "ingest",
-            state.ingest.as_ref().map_or(Value::Null, IngestPass::ckpt),
-        ),
-        (
-            "mobility",
-            state
-                .mobility
-                .as_ref()
-                .map_or(Value::Null, MobilityPass::ckpt),
-        ),
-        (
-            "telemetry",
-            state.telemetry.as_ref().map_or(Value::Null, enc_telemetry),
-        ),
-    ])
+    enc_collab(w, &state.shards[0].snapshot);
+    w.key("config");
+    config_fingerprint(w, cfg);
+    w.key("edge");
+    state.edge.ckpt(w);
+    w.key("epoch").hex(state.epoch_index);
+    w.key("events_base").hex(events);
+    w.key("ingest");
+    enc_opt(w, state.ingest.as_ref(), |w, ingest| ingest.ckpt(w));
+    w.key("ladder_rng");
+    enc_rng(w, &state.ladder_rng);
+    w.key("metrics");
+    enc_metrics(w, &metrics);
+    w.key("mobility");
+    enc_opt(w, state.mobility.as_ref(), |w, mobility| mobility.ckpt(w));
+    w.key("reliability");
+    enc_reliability(w, &state.reliability);
+    w.key("telemetry");
+    enc_opt(w, state.telemetry.as_ref(), enc_telemetry);
+    w.key("vehicles").begin_array();
+    for v in vehicles {
+        enc_vehicle(w, v);
+    }
+    w.end_array();
+    w.end_object();
 }
 
 /// Rebuilds a complete [`EngineState`] from a decoded snapshot payload.
@@ -815,23 +816,25 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
 
 // ---- telemetry codec ------------------------------------------------
 
-fn enc_span(s: &RequestSpan) -> Value {
-    obj(vec![
-        ("vehicle", Value::Number(f64::from(s.vehicle))),
-        ("seq", Value::Number(f64::from(s.seq))),
-        ("tenant", Value::Number(f64::from(s.tenant))),
-        ("region", Value::Number(f64::from(s.region))),
-        ("shard", Value::Number(f64::from(s.shard))),
-        ("class", Value::String(s.class.to_string())),
-        ("generated", enc_time(s.generated)),
-        ("admitted", enc_opt_time(s.admitted)),
-        ("serve_start", enc_opt_time(s.serve_start)),
-        ("completed", enc_time(s.completed)),
-        ("outcome", Value::String(s.outcome.label().to_string())),
-        ("retries", Value::Number(f64::from(s.retries))),
-        ("requeues", Value::Number(f64::from(s.requeues))),
-        ("handoff", Value::Bool(s.handoff)),
-    ])
+fn enc_span(w: &mut JsonWriter, s: &RequestSpan) {
+    w.begin_object();
+    w.key("admitted");
+    enc_opt_time(w, s.admitted);
+    w.key("class").str(s.class);
+    w.key("completed").hex(s.completed.as_nanos());
+    w.key("generated").hex(s.generated.as_nanos());
+    w.key("handoff").bool(s.handoff);
+    w.key("outcome").str(s.outcome.label());
+    w.key("region").u32(s.region);
+    w.key("requeues").u32(s.requeues);
+    w.key("retries").u32(s.retries);
+    w.key("seq").u32(s.seq);
+    w.key("serve_start");
+    enc_opt_time(w, s.serve_start);
+    w.key("shard").u32(s.shard);
+    w.key("tenant").u32(s.tenant);
+    w.key("vehicle").u32(s.vehicle);
+    w.end_object();
 }
 
 fn dec_span(v: &Value) -> Result<RequestSpan, CkptError> {
@@ -856,124 +859,72 @@ fn dec_span(v: &Value) -> Result<RequestSpan, CkptError> {
     })
 }
 
-/// Serializes the full telemetry surface: the span log in its current
+/// Writes the full telemetry surface: the span log in its current
 /// order (the final `sort_canonical` has unique keys, so order here is
 /// immaterial), counters, gauges, and every per-epoch series.
-fn enc_telemetry(tel: &FleetTelemetry) -> Value {
-    obj(vec![
-        (
-            "spans",
-            Value::Array(tel.spans.iter().map(enc_span).collect()),
-        ),
-        (
-            "counters",
-            Value::Array(
-                tel.registry
-                    .counters()
-                    .map(|(name, v)| {
-                        Value::Array(vec![Value::String(name.to_string()), u64_hex(v)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Value::Array(
-                tel.registry
-                    .gauges()
-                    .map(|(name, v)| {
-                        Value::Array(vec![Value::String(name.to_string()), f64_bits(v)])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "series",
-            Value::Array(
-                tel.registry
-                    .all_series()
-                    .map(|(name, pts)| {
-                        Value::Array(vec![
-                            Value::String(name.to_string()),
-                            Value::Array(
-                                pts.iter()
-                                    .map(|p| {
-                                        Value::Array(vec![
-                                            u64_hex(p.epoch),
-                                            enc_time(p.at),
-                                            f64_bits(p.value),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "hists",
-            Value::Array(
-                tel.registry
-                    .all_histograms()
-                    .map(|h| {
-                        let st = h.state();
-                        Value::Array(vec![
-                            Value::String(h.name().to_string()),
-                            obj(vec![
-                                ("count", u64_hex(st.count)),
-                                ("sum_hi", u64_hex((st.sum_ticks >> 64) as u64)),
-                                ("sum_lo", u64_hex(st.sum_ticks as u64)),
-                                ("min", u64_hex(st.min_ticks)),
-                                ("max", u64_hex(st.max_ticks)),
-                                (
-                                    "buckets",
-                                    Value::Array(
-                                        st.buckets
-                                            .iter()
-                                            .map(|&(i, n)| {
-                                                Value::Array(vec![
-                                                    u64_hex(u64::from(i)),
-                                                    u64_hex(n),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ]),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "sink",
-            obj(vec![
-                // 0 encodes "sampling off" (a configured rate is never
-                // zero — validation rejects it).
-                ("sample", u64_hex(tel.sample.map_or(0, u64::from))),
-                ("sampled_out", u64_hex(tel.sampled_out)),
-                ("rolled", Value::Bool(tel.rolled)),
-                ("peak_bytes", u64_hex(tel.peak_bytes)),
-                (
-                    "spilled",
-                    u64_hex(tel.spill.as_ref().map_or(0, JsonlSpillSink::spilled)),
-                ),
-                (
-                    "spill_index",
-                    u64_hex(
-                        tel.spill
-                            .as_ref()
-                            .map_or(0, |s| u64::from(s.current_index())),
-                    ),
-                ),
-                (
-                    "spill_bytes",
-                    u64_hex(tel.spill.as_ref().map_or(0, JsonlSpillSink::current_bytes)),
-                ),
-            ]),
-        ),
-    ])
+fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
+    w.begin_object();
+    w.key("counters").begin_array();
+    for (name, v) in tel.registry.counters() {
+        w.begin_array().str(name).hex(v).end_array();
+    }
+    w.end_array();
+    w.key("gauges").begin_array();
+    for (name, v) in tel.registry.gauges() {
+        w.begin_array().str(name).hex(v.to_bits()).end_array();
+    }
+    w.end_array();
+    w.key("hists").begin_array();
+    for h in tel.registry.all_histograms() {
+        let st = h.state();
+        w.begin_array().str(h.name()).begin_object();
+        w.key("buckets").begin_array();
+        for &(i, n) in &st.buckets {
+            w.begin_array().hex(u64::from(i)).hex(n).end_array();
+        }
+        w.end_array();
+        w.key("count").hex(st.count);
+        w.key("max").hex(st.max_ticks);
+        w.key("min").hex(st.min_ticks);
+        w.key("sum_hi").hex((st.sum_ticks >> 64) as u64);
+        w.key("sum_lo").hex(st.sum_ticks as u64);
+        w.end_object().end_array();
+    }
+    w.end_array();
+    w.key("series").begin_array();
+    for (name, points) in tel.registry.all_series() {
+        w.begin_array().str(name).begin_array();
+        for p in points {
+            w.begin_array()
+                .hex(p.epoch)
+                .hex(p.at.as_nanos())
+                .hex(p.value.to_bits())
+                .end_array();
+        }
+        w.end_array().end_array();
+    }
+    w.end_array();
+    let spill = tel.spill.as_ref();
+    w.key("sink").begin_object();
+    w.key("peak_bytes").hex(tel.peak_bytes);
+    w.key("rolled").bool(tel.rolled);
+    // 0 encodes "sampling off" (a configured rate is never zero —
+    // validation rejects it).
+    w.key("sample").hex(tel.sample.map_or(0, u64::from));
+    w.key("sampled_out").hex(tel.sampled_out);
+    w.key("spill_bytes")
+        .hex(spill.map_or(0, JsonlSpillSink::current_bytes));
+    w.key("spill_index")
+        .hex(spill.map_or(0, |s| u64::from(s.current_index())));
+    w.key("spilled")
+        .hex(spill.map_or(0, JsonlSpillSink::spilled));
+    w.end_object();
+    w.key("spans").begin_array();
+    for span in tel.spans.iter() {
+        enc_span(w, span);
+    }
+    w.end_array();
+    w.end_object();
 }
 
 type SpillState = (u64, u32, u64);
@@ -1053,53 +1004,55 @@ fn dec_telemetry(v: &Value) -> Result<(FleetTelemetry, SpillState), CkptError> {
 
 // ---- mobility codec -------------------------------------------------
 
-fn enc_track(t: &TrackSnapshot) -> Value {
+fn enc_track(w: &mut JsonWriter, t: &TrackSnapshot) {
     let profile = match t.profile {
-        RouteProfile::Commute => 0.0,
-        RouteProfile::Roam => 1.0,
-        RouteProfile::RushHour => 2.0,
+        RouteProfile::Commute => 0,
+        RouteProfile::Roam => 1,
+        RouteProfile::RushHour => 2,
     };
     let leg = match t.leg {
-        TrackLeg::BeforeOutbound => 0.0,
-        TrackLeg::AtWork => 1.0,
-        TrackLeg::Done => 2.0,
+        TrackLeg::BeforeOutbound => 0,
+        TrackLeg::AtWork => 1,
+        TrackLeg::Done => 2,
     };
-    let motion = match &t.motion {
-        TrackMotion::Parked => obj(vec![("kind", Value::String("parked".to_string()))]),
-        TrackMotion::Dwell(until) => obj(vec![
-            ("kind", Value::String("dwell".to_string())),
-            ("until", enc_time(*until)),
-        ]),
+    w.begin_object();
+    w.key("dwell_mean").hex(t.dwell_mean.as_nanos());
+    w.key("home").u32(t.home);
+    w.key("id").u32(t.id);
+    w.key("leg").u32(leg);
+    w.key("motion").begin_object();
+    match &t.motion {
+        TrackMotion::Parked => {
+            w.key("kind").str("parked");
+        }
+        TrackMotion::Dwell(until) => {
+            w.key("kind").str("dwell");
+            w.key("until").hex(until.as_nanos());
+        }
         TrackMotion::Drive {
             edge,
             remaining,
             path,
-        } => obj(vec![
-            ("kind", Value::String("drive".to_string())),
-            ("edge", Value::Number(*edge as f64)),
-            ("remaining", enc_dur(*remaining)),
-            (
-                "path",
-                Value::Array(path.iter().map(|&r| Value::Number(f64::from(r))).collect()),
-            ),
-        ]),
-    };
-    obj(vec![
-        ("id", Value::Number(f64::from(t.id))),
-        ("profile", Value::Number(profile)),
-        ("region", Value::Number(f64::from(t.region))),
-        ("home", Value::Number(f64::from(t.home))),
-        ("work", Value::Number(f64::from(t.work))),
-        ("outbound_at", enc_time(t.outbound_at)),
-        ("return_at", enc_time(t.return_at)),
-        ("dwell_mean", enc_dur(t.dwell_mean)),
-        ("leg", Value::Number(leg)),
-        ("motion", motion),
-        (
-            "rng",
-            Value::Array(t.rng.iter().copied().map(u64_hex).collect()),
-        ),
-    ])
+        } => {
+            w.key("edge").u64(*edge as u64);
+            w.key("kind").str("drive");
+            w.key("path").begin_array();
+            for &r in path {
+                w.u32(r);
+            }
+            w.end_array();
+            w.key("remaining").hex(remaining.as_nanos());
+        }
+    }
+    w.end_object();
+    w.key("outbound_at").hex(t.outbound_at.as_nanos());
+    w.key("profile").u32(profile);
+    w.key("region").u32(t.region);
+    w.key("return_at").hex(t.return_at.as_nanos());
+    w.key("rng");
+    enc_words(w, &t.rng);
+    w.key("work").u32(t.work);
+    w.end_object();
 }
 
 fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
@@ -1152,18 +1105,20 @@ fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
     })
 }
 
-fn enc_mobility_metrics(m: &MobilityMetrics) -> Value {
-    obj(vec![
-        ("crossings", u64_hex(m.crossings)),
-        ("migrations", u64_hex(m.migrations)),
-        ("same_shard_crossings", u64_hex(m.same_shard_crossings)),
-        ("storm_crossings", u64_hex(m.storm_crossings)),
-        ("stale_cache_hits", u64_hex(m.stale_cache_hits)),
-        ("readdressed_batches", u64_hex(m.readdressed_batches)),
-        ("handoff_seconds", f64_bits(m.handoff_seconds)),
-        ("handoff_ms", enc_hist(&m.handoff_ms)),
-        ("crossing_speed_mph", enc_hist(&m.crossing_speed_mph)),
-    ])
+fn enc_mobility_metrics(w: &mut JsonWriter, m: &MobilityMetrics) {
+    w.begin_object();
+    w.key("crossing_speed_mph");
+    enc_hist(w, &m.crossing_speed_mph);
+    w.key("crossings").hex(m.crossings);
+    w.key("handoff_ms");
+    enc_hist(w, &m.handoff_ms);
+    w.key("handoff_seconds").hex(m.handoff_seconds.to_bits());
+    w.key("migrations").hex(m.migrations);
+    w.key("readdressed_batches").hex(m.readdressed_batches);
+    w.key("same_shard_crossings").hex(m.same_shard_crossings);
+    w.key("stale_cache_hits").hex(m.stale_cache_hits);
+    w.key("storm_crossings").hex(m.storm_crossings);
+    w.end_object();
 }
 
 fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
@@ -1241,20 +1196,17 @@ impl MobilityPass {
     /// host table is *not* stored — it is recomputable from each
     /// track's current region, and storing it would pin the writer's
     /// shard count.
-    fn ckpt(&self) -> Value {
-        obj(vec![
-            (
-                "tracks",
-                Value::Array(
-                    self.tracks
-                        .iter()
-                        .map(|t| enc_track(&t.snapshot()))
-                        .collect(),
-                ),
-            ),
-            ("metrics", enc_mobility_metrics(&self.metrics)),
-            ("physical_migrations", u64_hex(self.physical_migrations)),
-        ])
+    fn ckpt(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("metrics");
+        enc_mobility_metrics(w, &self.metrics);
+        w.key("physical_migrations").hex(self.physical_migrations);
+        w.key("tracks").begin_array();
+        for t in &self.tracks {
+            enc_track(w, &t.snapshot());
+        }
+        w.end_array();
+        w.end_object();
     }
 
     /// Rebuilds the pass for this engine's shard count: the region

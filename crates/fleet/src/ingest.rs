@@ -530,31 +530,34 @@ impl IngestPass {
 // --- snapshot codec --------------------------------------------------
 
 use crate::ckpt::{
-    enc_batch, enc_hist, enc_opt_time, enc_rng, enc_time, hist_field, opt_time_field, rng_field,
-    time_field, val_array, val_pair, val_u64_hex,
+    enc_batch, enc_hist, enc_opt_time, enc_rng, hist_field, opt_time_field, rng_field, time_field,
+    val_array, val_pair, val_u64_hex,
 };
-use vdap_ckpt::json::Value;
-use vdap_ckpt::{get, get_array, get_bool, get_u32, get_u64_hex, obj, u64_hex, CkptError};
+use vdap_ckpt::json::{JsonWriter, Value};
+use vdap_ckpt::{get, get_array, get_bool, get_u32, get_u64_hex, CkptError};
 
-fn enc_ingest_metrics(m: &IngestMetrics) -> Value {
-    obj(vec![
-        ("batches_sent", u64_hex(m.batches_sent)),
-        ("records_sent", u64_hex(m.records_sent)),
-        ("batches_written", u64_hex(m.batches_written)),
-        ("records_written", u64_hex(m.records_written)),
-        ("deadline_misses", u64_hex(m.deadline_misses)),
-        ("outage_bounces", u64_hex(m.outage_bounces)),
-        ("queue_bounces", u64_hex(m.queue_bounces)),
-        ("retries", u64_hex(m.retries)),
-        ("deferrals", u64_hex(m.deferrals)),
-        ("disk_spills", u64_hex(m.disk_spills)),
-        ("cache_evictions", u64_hex(m.cache_evictions)),
-        ("records_shed", u64_hex(m.records_shed)),
-        ("backlog_records", u64_hex(m.backlog_records)),
-        ("storage_rho", enc_hist(&m.storage_rho)),
-        ("uplink_ms", enc_hist(&m.uplink_ms)),
-        ("ingest_latency_ms", enc_hist(&m.ingest_latency_ms)),
-    ])
+fn enc_ingest_metrics(w: &mut JsonWriter, m: &IngestMetrics) {
+    w.begin_object();
+    w.key("backlog_records").hex(m.backlog_records);
+    w.key("batches_sent").hex(m.batches_sent);
+    w.key("batches_written").hex(m.batches_written);
+    w.key("cache_evictions").hex(m.cache_evictions);
+    w.key("deadline_misses").hex(m.deadline_misses);
+    w.key("deferrals").hex(m.deferrals);
+    w.key("disk_spills").hex(m.disk_spills);
+    w.key("ingest_latency_ms");
+    enc_hist(w, &m.ingest_latency_ms);
+    w.key("outage_bounces").hex(m.outage_bounces);
+    w.key("queue_bounces").hex(m.queue_bounces);
+    w.key("records_sent").hex(m.records_sent);
+    w.key("records_shed").hex(m.records_shed);
+    w.key("records_written").hex(m.records_written);
+    w.key("retries").hex(m.retries);
+    w.key("storage_rho");
+    enc_hist(w, &m.storage_rho);
+    w.key("uplink_ms");
+    enc_hist(w, &m.uplink_ms);
+    w.end_object();
 }
 
 fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
@@ -578,12 +581,12 @@ fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
     })
 }
 
-fn enc_used(map: &BTreeMap<u64, u64>) -> Value {
-    Value::Array(
-        map.iter()
-            .map(|(&vehicle, &records)| Value::Array(vec![u64_hex(vehicle), u64_hex(records)]))
-            .collect(),
-    )
+fn enc_used(w: &mut JsonWriter, map: &BTreeMap<u64, u64>) {
+    w.begin_array();
+    for (&vehicle, &records) in map {
+        w.begin_array().hex(vehicle).hex(records).end_array();
+    }
+    w.end_array();
 }
 
 fn dec_used(v: &Value, key: &str) -> Result<BTreeMap<u64, u64>, CkptError> {
@@ -605,54 +608,49 @@ impl IngestPass {
     ///
     /// Deliberately does **not** call [`IngestPass::finish`] — that
     /// closes the backlog ledger, which only happens at the horizon.
-    pub(crate) fn ckpt(&self) -> Value {
-        obj(vec![
-            ("rng", enc_rng(&self.rng)),
-            (
-                "pending",
-                Value::Array(
-                    self.pending
-                        .iter()
-                        .map(|p| {
-                            obj(vec![
-                                ("due", enc_time(p.due)),
-                                ("attempts", Value::Number(f64::from(p.attempts))),
-                                ("expires", enc_opt_time(p.expires)),
-                                ("batch", enc_batch(&p.batch)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cached",
-                Value::Array(
-                    self.cached
-                        .iter()
-                        .map(|c| {
-                            obj(vec![
-                                ("expires", enc_time(c.expires)),
-                                ("attempts", Value::Number(f64::from(c.attempts))),
-                                ("disk", Value::Bool(c.disk)),
-                                ("batch", enc_batch(&c.batch)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("mem_used", enc_used(&self.mem_used)),
-            ("disk_used", enc_used(&self.disk_used)),
-            ("metrics", enc_ingest_metrics(&self.metrics)),
-            (
-                "collectors",
-                Value::Array(
-                    self.collectors
-                        .iter()
-                        .map(|c| Value::Array(c.batches().map(enc_batch).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
+    pub(crate) fn ckpt(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.key("cached").begin_array();
+        for c in &self.cached {
+            w.begin_object();
+            w.key("attempts").u32(c.attempts);
+            w.key("batch");
+            enc_batch(w, &c.batch);
+            w.key("disk").bool(c.disk);
+            w.key("expires").hex(c.expires.as_nanos());
+            w.end_object();
+        }
+        w.end_array();
+        w.key("collectors").begin_array();
+        for c in &self.collectors {
+            w.begin_array();
+            for batch in c.batches() {
+                enc_batch(w, batch);
+            }
+            w.end_array();
+        }
+        w.end_array();
+        w.key("disk_used");
+        enc_used(w, &self.disk_used);
+        w.key("mem_used");
+        enc_used(w, &self.mem_used);
+        w.key("metrics");
+        enc_ingest_metrics(w, &self.metrics);
+        w.key("pending").begin_array();
+        for p in &self.pending {
+            w.begin_object();
+            w.key("attempts").u32(p.attempts);
+            w.key("batch");
+            enc_batch(w, &p.batch);
+            w.key("due").hex(p.due.as_nanos());
+            w.key("expires");
+            enc_opt_time(w, p.expires);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("rng");
+        enc_rng(w, &self.rng);
+        w.end_object();
     }
 
     /// Rebuilds the pass from config plus the serialized barrier state.

@@ -523,38 +523,37 @@ pub(crate) fn region_label_table(regions: u32) -> Vec<String> {
 // --- snapshot codec --------------------------------------------------
 
 use crate::ckpt::{
-    dur_field, enc_dur, enc_opt_time, enc_rng, opt_time_field, rng_field, val_array,
+    dur_field, enc_opt, enc_opt_time, enc_rng, opt_time_field, rng_field, val_array,
 };
-use vdap_ckpt::json::Value;
-use vdap_ckpt::{get, get_array, get_bool, get_u32, obj, CkptError};
+use vdap_ckpt::json::{JsonWriter, Value};
+use vdap_ckpt::{get, get_array, get_bool, get_u32, CkptError};
 
-/// Serializes one vehicle's complete private state: both RNG stream
+/// Writes one vehicle's complete private state: both RNG stream
 /// positions, sequence counters, migration generation, the stored
 /// next-event times (which the next epoch advance resumes from on
 /// restore), handoff debt, and the stale collab-cache flag.
-pub(crate) fn enc_vehicle(v: &VehicleState) -> Value {
-    obj(vec![
-        ("id", Value::Number(f64::from(v.id))),
-        ("tenant", Value::Number(f64::from(v.tenant))),
-        ("region", Value::Number(f64::from(v.region))),
-        ("rng", enc_rng(&v.rng)),
-        ("seq", Value::Number(f64::from(v.seq))),
-        (
-            "ddi",
-            match &v.ddi {
-                Some(ddi) => obj(vec![
-                    ("rng", enc_rng(&ddi.rng)),
-                    ("seq", Value::Number(f64::from(ddi.seq))),
-                ]),
-                None => Value::Null,
-            },
-        ),
-        ("generation", Value::Number(f64::from(v.generation))),
-        ("next_tick", enc_opt_time(v.next_tick)),
-        ("next_ingest", enc_opt_time(v.next_ingest)),
-        ("pending_handoff", enc_dur(v.pending_handoff)),
-        ("cache_stale", Value::Bool(v.cache_stale)),
-    ])
+pub(crate) fn enc_vehicle(w: &mut JsonWriter, v: &VehicleState) {
+    w.begin_object();
+    w.key("cache_stale").bool(v.cache_stale);
+    w.key("ddi");
+    enc_opt(w, v.ddi.as_ref(), |w, ddi| {
+        w.begin_object().key("rng");
+        enc_rng(w, &ddi.rng);
+        w.key("seq").u32(ddi.seq).end_object();
+    });
+    w.key("generation").u32(v.generation);
+    w.key("id").u32(v.id);
+    w.key("next_ingest");
+    enc_opt_time(w, v.next_ingest);
+    w.key("next_tick");
+    enc_opt_time(w, v.next_tick);
+    w.key("pending_handoff").hex(v.pending_handoff.as_nanos());
+    w.key("region").u32(v.region);
+    w.key("rng");
+    enc_rng(w, &v.rng);
+    w.key("seq").u32(v.seq);
+    w.key("tenant").u32(v.tenant);
+    w.end_object();
 }
 
 /// Decodes one vehicle, checking the stored DDI uplink against the
@@ -587,19 +586,15 @@ pub(crate) fn dec_vehicle(cfg: &FleetConfig, v: &Value) -> Result<VehicleState, 
     })
 }
 
-/// Serializes the shared V2V snapshot (tile → producer).
-pub(crate) fn enc_collab(snapshot: &CollabSnapshot) -> Value {
-    Value::Array(
-        snapshot
-            .iter()
-            .map(|(tile, &producer)| {
-                Value::Array(vec![
-                    crate::ckpt::enc_i64(tile.0),
-                    Value::Number(f64::from(producer)),
-                ])
-            })
-            .collect(),
-    )
+/// Writes the shared V2V snapshot (tile → producer). Tile coordinates
+/// travel as the hex of their two's-complement bits, so negative
+/// tiles survive the `f64`-backed number parser.
+pub(crate) fn enc_collab(w: &mut JsonWriter, snapshot: &CollabSnapshot) {
+    w.begin_array();
+    for (tile, &producer) in snapshot {
+        w.begin_array().hex(tile.0 as u64).u32(producer).end_array();
+    }
+    w.end_array();
 }
 
 /// Decodes the shared V2V snapshot.

@@ -10,13 +10,17 @@
 //! Everything is built on the vendored `serde_json` shim, whose
 //! `BTreeMap`-backed objects serialize key-sorted — so the exported
 //! bytes are a deterministic function of the (already deterministic)
-//! span log and registry.
+//! span log and registry. The JSONL span dump skips the tree: it
+//! streams each line through the shim's `JsonWriter` in the same
+//! key-sorted order.
 //!
 //! [trace-event format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use std::collections::BTreeMap;
 
-use serde_json::Value;
+use serde_json::{JsonWriter, Value};
+
+use vdap_sim::SimTime;
 
 use crate::registry::MetricsRegistry;
 use crate::span::{RequestSpan, SpanLog};
@@ -114,53 +118,50 @@ pub fn chrome_trace(spans: &SpanLog, registry: &MetricsRegistry) -> Value {
     ])
 }
 
-/// One span as a flat JSON object (nanosecond-precision timestamps) —
-/// the JSONL dump's line format.
-#[must_use]
-pub fn span_json(span: &RequestSpan) -> Value {
-    object(vec![
-        ("vehicle", Value::from(span.vehicle)),
-        ("seq", Value::from(span.seq)),
-        ("tenant", Value::from(span.tenant)),
-        ("region", Value::from(span.region)),
-        ("shard", Value::from(span.shard)),
-        ("class", Value::from(span.class)),
-        ("outcome", Value::from(span.outcome.label())),
-        ("generated_ns", Value::from(span.generated.as_nanos())),
-        (
-            "admitted_ns",
-            span.admitted
-                .map_or(Value::Null, |t| Value::from(t.as_nanos())),
-        ),
-        (
-            "serve_start_ns",
-            span.serve_start
-                .map_or(Value::Null, |t| Value::from(t.as_nanos())),
-        ),
-        ("completed_ns", Value::from(span.completed.as_nanos())),
-        ("retries", Value::from(span.retries)),
-        ("requeues", Value::from(span.requeues)),
-        ("handoff", Value::from(span.handoff)),
-    ])
-}
+/// Output bytes reserved per span line: a typical line is about 250
+/// bytes. A capacity hint only; longer lines just grow the buffer.
+const SPAN_LINE_BYTES: usize = 256;
 
-/// The whole log as JSON Lines: one span object per line, canonical
-/// span order, trailing newline.
+/// The whole log as JSON Lines: one flat span object per line
+/// (nanosecond-precision timestamps, keys sorted), canonical span
+/// order, trailing newline. This is also the block format
+/// [`crate::JsonlSpillSink`] appends to its segments.
 #[must_use]
 pub fn spans_jsonl(spans: &SpanLog) -> String {
-    let mut out = String::new();
+    let mut w = JsonWriter::with_capacity(spans.len() * SPAN_LINE_BYTES);
+    let opt_nanos = |w: &mut JsonWriter, t: Option<SimTime>| {
+        match t {
+            Some(t) => w.u64(t.as_nanos()),
+            None => w.null(),
+        };
+    };
     for span in spans.iter() {
-        out.push_str(&span_json(span).to_string());
-        out.push('\n');
+        w.begin_object();
+        w.key("admitted_ns");
+        opt_nanos(&mut w, span.admitted);
+        w.key("class").str(span.class);
+        w.key("completed_ns").u64(span.completed.as_nanos());
+        w.key("generated_ns").u64(span.generated.as_nanos());
+        w.key("handoff").bool(span.handoff);
+        w.key("outcome").str(span.outcome.label());
+        w.key("region").u32(span.region);
+        w.key("requeues").u32(span.requeues);
+        w.key("retries").u32(span.retries);
+        w.key("seq").u32(span.seq);
+        w.key("serve_start_ns");
+        opt_nanos(&mut w, span.serve_start);
+        w.key("shard").u32(span.shard);
+        w.key("tenant").u32(span.tenant);
+        w.key("vehicle").u32(span.vehicle);
+        w.end_object().end_line();
     }
-    out
+    w.into_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::SpanOutcome;
-    use vdap_sim::SimTime;
 
     fn sample_log() -> (SpanLog, MetricsRegistry) {
         let mut log = SpanLog::new();

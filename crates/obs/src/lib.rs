@@ -50,7 +50,7 @@ mod registry;
 mod sink;
 mod span;
 
-pub use chrome::{chrome_trace, span_event, span_json, spans_jsonl};
+pub use chrome::{chrome_trace, span_event, spans_jsonl};
 pub use histogram::{HistogramState, StreamingHistogram};
 pub use profile::{BarrierProfiler, EngineProfile, WorkerSample};
 pub use registry::{intern_name, MetricsRegistry, SeriesPoint};

@@ -9,8 +9,8 @@
 //! - [`JsonlSpillSink`] — a segment-rotating spill-to-disk writer:
 //!   buffered spans are sorted into canonical `(generated, vehicle,
 //!   seq)` order and appended to `spans-NNNNN.jsonl` segments at epoch
-//!   barriers, freeing the memory. Each line is the same
-//!   [`crate::span_json`] object `spans_jsonl` emits.
+//!   barriers, freeing the memory. Each block is exactly what
+//!   [`crate::spans_jsonl`] emits for the buffered spans.
 //! - [`SamplingSpanSink`] — deterministic head sampling: every
 //!   non-OK-path span (rejected / degraded / failed) is kept, OK spans
 //!   (edge-served, collab hits) are kept one-in-N by a seeded hash of
@@ -27,7 +27,7 @@ use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::chrome::span_json;
+use crate::chrome::spans_jsonl;
 use crate::span::{RequestSpan, SpanLog};
 
 /// Bytes one resident span is accounted as (struct size; the `class`
@@ -316,11 +316,7 @@ impl SpanSink for JsonlSpillSink {
             return;
         }
         self.buf.sort_canonical();
-        let mut block = String::new();
-        for span in self.buf.iter() {
-            block.push_str(&span_json(span).to_string());
-            block.push('\n');
-        }
+        let block = spans_jsonl(&self.buf);
         let spans = self.buf.len() as u64;
         self.buf = SpanLog::new();
         self.write_block(block, spans);

@@ -8,8 +8,8 @@
 use vdap_ddi::{DdiService, DriverStyle, ObdCollector, Query, RecordKind};
 use vdap_edgeos::Objective;
 use vdap_fleet::{
-    FleetConfig, FleetEngine, IngestConfig, JsonlSpillSink, MobilityConfig, ObsHistogram,
-    SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
+    FleetConfig, FleetEngine, FleetReport, IngestConfig, JsonlSpillSink, MobilityConfig,
+    ObsHistogram, SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
 };
 use vdap_hw::{catalog, Battery, ComputeWorkload, TaskClass};
 use vdap_models::zoo;
@@ -700,14 +700,40 @@ pub fn infotainment(seed: u64) -> TextTable {
     t
 }
 
-/// E14 — fleet-scale sharded simulation: 1,000 vehicles for 60 simulated
+/// The header of every E14–E23 table that compares the two run layouts:
+/// one executor worker (the serial reference) and the machine's
+/// default executor width.
+const LAYOUT_HEADER: [&str; 3] = ["metric", "1 worker", "default width"];
+
+/// Runs `cfg` on one executor worker and at the default width, in that
+/// order. The determinism contract makes the two summaries
+/// byte-identical; callers assert it.
+fn run_layouts(cfg: &FleetConfig) -> (FleetReport, FleetReport) {
+    let serial = FleetEngine::new(cfg.clone().with_executor_threads(1)).run();
+    (serial, FleetEngine::new(cfg.clone()).run())
+}
+
+/// Asserts the determinism contract between the two run layouts of one
+/// experiment, showing both summaries when it breaks.
+fn assert_same_summary(what: &str, serial: &FleetReport, wide: &FleetReport) {
+    assert!(
+        serial.summary() == wide.summary(),
+        "{what} determinism violated: the one-worker and default-width summaries \
+         diverged\n--- 1 worker ---\n{}\n--- default width ---\n{}",
+        serial.summary(),
+        wide.summary()
+    );
+}
+
+/// E14 — fleet-scale simulation: 1,000 vehicles for 60 simulated
 /// seconds against the shared multi-tenant XEdge deployment, run once on
-/// a single shard and once on 8 shards. The table reports the aggregate
-/// fleet metrics per shard count; the final row asserts the engine's
-/// determinism contract (byte-identical summaries).
+/// one executor worker and once at the machine's default width. The
+/// table reports the aggregate fleet metrics per run; the final row
+/// asserts the engine's determinism contract (byte-identical
+/// summaries).
 #[must_use]
 pub fn fleet(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(1000, 1);
+    let mut cfg = FleetConfig::sized(1000);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     // A 12-second LTE outage in region 0 exercises the failover path.
@@ -715,20 +741,14 @@ pub fn fleet(seed: u64) -> TextTable {
     fleet_table(cfg)
 }
 
-/// Runs `cfg` at 1 and 8 shards and renders the comparison table.
+/// Runs `cfg` in both run layouts and renders the comparison table.
 fn fleet_table(cfg: FleetConfig) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
+    let (single, wide) = run_layouts(&cfg);
     let mut t = TextTable::new(
-        "E14 — fleet-scale sharded simulation (1 shard vs 8 shards, same seed)",
-        &["metric", "1 shard", "8 shards"],
+        "E14 — fleet-scale simulation (1 worker vs default executor width, same seed)",
+        &LAYOUT_HEADER,
     );
-    type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
+    type ReportCol = fn(&FleetReport) -> String;
     let rows: [(&str, ReportCol); 8] = [
         ("requests", |r| r.metrics.requests.to_string()),
         ("edge served", |r| r.metrics.edge_served.to_string()),
@@ -744,16 +764,9 @@ fn fleet_table(cfg: FleetConfig) -> TextTable {
         ("events processed", |r| r.events_processed.to_string()),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&single), get(&wide)]);
     }
-    let identical = single.summary() == sharded.summary();
-    assert!(
-        identical,
-        "fleet determinism contract violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
+    assert_same_summary("fleet", &single, &wide);
     t.row(&[
         "summaries byte-identical".into(),
         "yes".into(),
@@ -766,28 +779,22 @@ fn fleet_table(cfg: FleetConfig) -> TextTable {
 /// storm ([`openvdap::chaos::fleet_chaos_config`]) — XEdge node 1
 /// crashes for 8 s, tenant 0's admission quota flaps to 30 % for 10 s,
 /// and region 2 rides a 6 s handoff storm. The table reports the
-/// degradation-ladder outcomes and per-component availability per shard
-/// count; the final row asserts the determinism contract holds under
+/// degradation-ladder outcomes and per-component availability per run
+/// layout; the final row asserts the determinism contract holds under
 /// chaos too.
 #[must_use]
 pub fn fleet_chaos(seed: u64) -> TextTable {
     fleet_chaos_table(
-        "E15 — fleet-scale chaos: node crash + quota flap + handoff storm (1 vs 8 shards)",
+        "E15 — fleet-scale chaos: node crash + quota flap + handoff storm (1 worker vs default width)",
         openvdap::chaos::fleet_chaos_config(seed),
     )
 }
 
-/// Runs the chaos `cfg` at 1 and 8 shards and renders the comparison.
+/// Runs the chaos `cfg` in both run layouts and renders the comparison.
 fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    let mut t = TextTable::new(title, &["metric", "1 shard", "8 shards"]);
-    type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
+    let (single, wide) = run_layouts(&cfg);
+    let mut t = TextTable::new(title, &LAYOUT_HEADER);
+    type ReportCol = fn(&FleetReport) -> String;
     let rows: [(&str, ReportCol); 12] = [
         ("requests", |r| r.metrics.requests.to_string()),
         ("edge served", |r| r.metrics.edge_served.to_string()),
@@ -817,23 +824,16 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
         }),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&single), get(&wide)]);
     }
     for (i, (component, avail)) in single.region_availability.iter().enumerate() {
         t.row(&[
             format!("availability[{component}]"),
             format!("{avail:.6}"),
-            format!("{:.6}", sharded.region_availability[i].1),
+            format!("{:.6}", wide.region_availability[i].1),
         ]);
     }
-    let identical = single.summary() == sharded.summary();
-    assert!(
-        identical,
-        "fleet chaos determinism violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
+    assert_same_summary("fleet chaos", &single, &wide);
     t.row(&[
         "summaries byte-identical".into(),
         "yes".into(),
@@ -848,7 +848,8 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
 /// only at epoch barriers from the previous barrier's queue depth, so
 /// the pool grows with backlog and drains back toward the floor — and
 /// because the decisions live on the barrier clock, every load level is
-/// also run at 4 shards and asserted byte-identical to 1 shard.
+/// run on one worker and at the default width and asserted
+/// byte-identical.
 #[must_use]
 pub fn fleet_elastic(seed: u64) -> TextTable {
     fleet_elastic_table(seed, 256, SimDuration::from_secs(30))
@@ -857,7 +858,7 @@ pub fn fleet_elastic(seed: u64) -> TextTable {
 /// Runs the elastic load sweep over `vehicles` for `duration` per level.
 fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTable {
     let mut t = TextTable::new(
-        "E16 — elastic XEdge lanes track queue depth (mixed classes, 1 vs 4 shards)",
+        "E16 — elastic XEdge lanes track queue depth (mixed classes, 1 worker vs default width)",
         &[
             "req period (ms)",
             "requests",
@@ -872,24 +873,12 @@ fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextT
     );
     let mut lane_means = Vec::new();
     for period_ms in [4000u64, 2000, 1000, 500] {
-        let mut cfg = FleetConfig::sized(vehicles, 1).with_elastic_capacity();
+        let mut cfg = FleetConfig::sized(vehicles).with_elastic_capacity();
         cfg.seed = seed;
         cfg.duration = duration;
         cfg.request_period = SimDuration::from_millis(period_ms);
-        let run = |shards: u32| {
-            let mut c = cfg.clone();
-            c.shards = shards;
-            FleetEngine::new(c).run()
-        };
-        let single = run(1);
-        let sharded = run(4);
-        assert!(
-            single.summary() == sharded.summary(),
-            "elastic determinism violated at period {period_ms} ms\n\
-             --- 1 shard ---\n{}\n--- 4 shards ---\n{}",
-            single.summary(),
-            sharded.summary()
-        );
+        let (single, wide) = run_layouts(&cfg);
+        assert_same_summary(&format!("elastic at {period_ms} ms"), &single, &wide);
         let m = &single.metrics;
         lane_means.push(m.elastic_lanes.mean());
         t.row(&[
@@ -933,43 +922,34 @@ fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextT
 #[must_use]
 pub fn fleet_storm(seed: u64) -> TextTable {
     fleet_chaos_table(
-        "E17 — randomized fleet storm: seeded Poisson faults over the edge tier (1 vs 8 shards)",
+        "E17 — randomized fleet storm: seeded Poisson faults over the edge tier (1 worker vs default width)",
         openvdap::chaos::fleet_storm_config(seed),
     )
 }
 
 /// E18 — fleet telemetry and barrier profiling: the E14 fleet (1,000
 /// vehicles, 60 s, a 12 s LTE outage in region 0) with telemetry
-/// enabled, run at 1 and 8 shards. Asserts telemetry costs no
-/// determinism (byte-identical summaries), writes a Perfetto-loadable
-/// Chrome trace (`target/fleet-trace/trace.json`) plus a JSONL span
-/// dump, and reports the per-shard wall-clock busy / barrier-idle
-/// breakdown the profiler measured.
+/// enabled, run on one worker and at the default width. Asserts
+/// telemetry costs no determinism (byte-identical summaries), writes a
+/// Perfetto-loadable Chrome trace (`target/fleet-trace/trace.json`)
+/// plus a JSONL span dump, and reports the per-worker wall-clock busy /
+/// barrier-idle breakdown the profiler measured.
 #[must_use]
 pub fn fleet_trace(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(1000, 1).with_telemetry();
+    let mut cfg = FleetConfig::sized(1000).with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     let cfg = cfg.with_regional_outage(0, SimTime::from_secs(20), SimDuration::from_secs(12));
     fleet_trace_table(cfg, std::path::Path::new("target/fleet-trace"))
 }
 
-/// Runs `cfg` at 1 and 8 shards with telemetry, writes the trace
-/// artifacts into `dir`, and renders the telemetry/profile table.
+/// Runs `cfg` in both run layouts with telemetry, writes the default
+/// width's trace artifacts into `dir`, and renders the
+/// telemetry/profile table.
 fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    assert_eq!(
-        single.summary(),
-        sharded.summary(),
-        "telemetry is derived data: enabling it must not perturb the run"
-    );
-    let tel = sharded.telemetry.as_ref().expect("telemetry enabled");
+    let (single, wide) = run_layouts(&cfg);
+    assert_same_summary("fleet telemetry", &single, &wide);
+    let tel = wide.telemetry.as_ref().expect("telemetry enabled");
     let trace = vdap_obs::chrome_trace(&tel.spans, &tel.registry);
     std::fs::create_dir_all(dir).expect("create trace output dir");
     let trace_path = dir.join("trace.json");
@@ -979,7 +959,7 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
     std::fs::write(&spans_path, vdap_obs::spans_jsonl(&tel.spans)).expect("write spans.jsonl");
 
     let mut t = TextTable::new(
-        "E18 — fleet telemetry: spans, epoch series, trace export, barrier profile (8 shards)",
+        "E18 — fleet telemetry: spans, epoch series, trace export, barrier profile (default width)",
         &["metric", "value"],
     );
     t.row(&["requests spanned".into(), tel.spans.len().to_string()]);
@@ -1006,7 +986,7 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
     t.row(&["spans.jsonl".into(), spans_path.display().to_string()]);
     // The wall-clock barrier profile is nondeterministic by nature —
     // these rows are diagnostics, never part of the summary contract.
-    let p = &sharded.profile;
+    let p = &wide.profile;
     t.row(&[
         "barrier serial ms (wall-clock)".into(),
         f3(p.barrier.as_secs_f64() * 1e3),
@@ -1027,12 +1007,6 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
             ),
         ]);
     }
-    for i in 0..p.shard_busy.len() {
-        t.row(&[
-            format!("shard[{i}] busy ms"),
-            f3(p.shard_busy[i].as_secs_f64() * 1e3),
-        ]);
-    }
     t
 }
 
@@ -1042,7 +1016,8 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
 /// mid-run. The table reports the full ingestion ledger — deadline-miss
 /// rate, the degradation ladder (retry → defer-to-cache → shed), cache
 /// churn, and storage pressure (write utilisation ρ) — and asserts the
-/// 1-shard and 8-shard runs stay byte-identical through all of it.
+/// one-worker and default-width runs stay byte-identical through all of
+/// it.
 #[must_use]
 pub fn fleet_ingest(seed: u64) -> TextTable {
     fleet_ingest_table(seed, 10_000, SimDuration::from_secs(24))
@@ -1056,7 +1031,7 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
     // storage throughput is 1.25x the offered record rate, and each
     // regional collector queue holds three epochs of its arrivals.
     let mut ing = IngestConfig::default();
-    let mut cfg = FleetConfig::sized(vehicles, 1);
+    let mut cfg = FleetConfig::sized(vehicles);
     let offered =
         f64::from(vehicles) * f64::from(ing.records_per_batch) / ing.upload_period.as_secs_f64();
     ing.storage_records_per_sec = offered * 1.25;
@@ -1069,20 +1044,8 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
         .with_ingest_config(ing)
         .with_collector_outage(0, SimTime::from_secs(4), SimDuration::from_secs(3))
         .with_storage_brownout(0.4, SimTime::from_secs(8), SimDuration::from_secs(4));
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    assert!(
-        single.summary() == sharded.summary(),
-        "ingestion determinism violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
+    let (single, wide) = run_layouts(&cfg);
+    assert_same_summary("ingestion", &single, &wide);
     let m = single.ingest.as_ref().expect("ingest enabled");
     // Non-vacuity: both fault windows must actually bite, and the
     // ingestion ledger must partition every record sent.
@@ -1098,11 +1061,11 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
         "ingestion ledger does not partition"
     );
     let mut t = TextTable::new(
-        "E19 — fleet DDI ingestion under pressure: collector outage + storage brownout (1 vs 8 shards)",
-        &["metric", "1 shard", "8 shards"],
+        "E19 — fleet DDI ingestion under pressure: collector outage + storage brownout (1 worker vs default width)",
+        &LAYOUT_HEADER,
     );
-    type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
-    let ing_of = |r: &vdap_fleet::FleetReport| r.ingest.as_ref().expect("ingest enabled").clone();
+    type ReportCol = fn(&FleetReport) -> String;
+    let ing_of = |r: &FleetReport| r.ingest.as_ref().expect("ingest enabled").clone();
     let rows: [(&str, ReportCol); 16] = [
         ("batches sent", |r| {
             r.ingest.as_ref().unwrap().batches_sent.to_string()
@@ -1154,9 +1117,9 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
         }),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&single), get(&wide)]);
     }
-    assert_eq!(ing_of(&single), ing_of(&sharded), "ingest metrics diverged");
+    assert_eq!(ing_of(&single), ing_of(&wide), "ingest metrics diverged");
     t.row(&[
         "summaries byte-identical".into(),
         "yes".into(),
@@ -1173,8 +1136,8 @@ fn fleet_ingest_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTa
 /// destination-region admission gates absorb the registration wave and
 /// reject the overflow, and in-flight ingest batches re-address to the
 /// destination collectors mid-retry. The table reports the full
-/// mobility ledger and asserts the 1-shard and 8-shard runs stay
-/// byte-identical through every crossing and migration.
+/// mobility ledger and asserts the one-worker and default-width runs
+/// stay byte-identical through every crossing and migration.
 #[must_use]
 pub fn fleet_mobility(seed: u64) -> TextTable {
     fleet_mobility_table(seed, 10_000, SimDuration::from_secs(24))
@@ -1183,26 +1146,14 @@ pub fn fleet_mobility(seed: u64) -> TextTable {
 /// Runs the rush-hour mobility scenario over `vehicles` for `duration`
 /// (needs enough epochs that the rush window spans several barriers).
 fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextTable {
-    let mut cfg = FleetConfig::sized(vehicles, 1).with_telemetry();
+    let mut cfg = FleetConfig::sized(vehicles).with_telemetry();
     cfg.seed = seed;
     cfg.duration = duration;
     let cfg = cfg
         .with_ingest()
         .with_mobility_config(MobilityConfig::rush_hour());
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        FleetEngine::new(c).run()
-    };
-    let single = run(1);
-    let sharded = run(8);
-    assert!(
-        single.summary() == sharded.summary(),
-        "mobility determinism violated: 1-shard and 8-shard \
-         summaries diverged\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
+    let (single, wide) = run_layouts(&cfg);
+    assert_same_summary("mobility", &single, &wide);
     assert_eq!(
         single.reliability.faults_injected(),
         0,
@@ -1221,7 +1172,7 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
     assert_eq!(mob.storm_crossings, 0, "no injected handoff storm");
     // The organic storm: per-epoch crossings must spike well above the
     // run mean when the rush window opens.
-    let epoch_stats = |r: &vdap_fleet::FleetReport| {
+    let epoch_stats = |r: &FleetReport| {
         let series = r
             .telemetry
             .as_ref()
@@ -1259,7 +1210,7 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
         "rush hour never concentrated downtown: {downtown_registered} registered \
          across {downtown} downtown regions"
     );
-    let gate_sums = |r: &vdap_fleet::FleetReport, range: std::ops::Range<usize>| {
+    let gate_sums = |r: &FleetReport, range: std::ops::Range<usize>| {
         let adm = r.region_admission.as_ref().expect("gates active");
         let off: u64 = adm[range.clone()].iter().map(|a| a.offered).sum();
         let rej: u64 = adm[range].iter().map(|a| a.rejected).sum();
@@ -1267,11 +1218,11 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
     };
 
     let mut t = TextTable::new(
-        "E20 — geo-mobility rush hour: organic handoff storm, zero injected faults (1 vs 8 shards)",
-        &["metric", "1 shard", "8 shards"],
+        "E20 — geo-mobility rush hour: organic handoff storm, zero injected faults (1 worker vs default width)",
+        &LAYOUT_HEADER,
     );
-    type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
-    fn mob_of(r: &vdap_fleet::FleetReport) -> &vdap_fleet::MobilityMetrics {
+    type ReportCol = fn(&FleetReport) -> String;
+    fn mob_of(r: &FleetReport) -> &vdap_fleet::MobilityMetrics {
         r.mobility.as_ref().expect("mobility enabled")
     }
     let rows: [(&str, ReportCol); 8] = [
@@ -1305,9 +1256,9 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
         }),
     ];
     for (label, get) in rows {
-        t.row(&[label.into(), get(&single), get(&sharded)]);
+        t.row(&[label.into(), get(&single), get(&wide)]);
     }
-    let (speak, smean) = epoch_stats(&sharded);
+    let (speak, smean) = epoch_stats(&wide);
     t.row(&[
         "peak-epoch crossings (organic storm)".into(),
         f3(peak),
@@ -1322,35 +1273,24 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
         ),
     ] {
         let (o1, r1) = gate_sums(&single, range.clone());
-        let (o8, r8) = gate_sums(&sharded, range);
-        t.row(&[label.into(), format!("{o1}/{r1}"), format!("{o8}/{r8}")]);
+        let (ow, rw) = gate_sums(&wide, range);
+        t.row(&[label.into(), format!("{o1}/{r1}"), format!("{ow}/{rw}")]);
     }
     t.row(&[
         "downtown registered at horizon".into(),
         downtown_registered.to_string(),
-        sharded.region_admission.as_ref().unwrap()[..downtown]
+        wide.region_admission.as_ref().unwrap()[..downtown]
             .iter()
             .map(|a| u64::from(a.registered))
             .sum::<u64>()
             .to_string(),
     ]);
-    // Physical cross-shard moves are the one shard-count-dependent
-    // number here — a diagnostic, deliberately outside the summary.
-    t.row(&[
-        "physical cross-shard moves (diagnostic)".into(),
-        single.physical_migrations.to_string(),
-        sharded.physical_migrations.to_string(),
-    ]);
     t.row(&[
         "faults injected".into(),
         single.reliability.faults_injected().to_string(),
-        sharded.reliability.faults_injected().to_string(),
+        wide.reliability.faults_injected().to_string(),
     ]);
-    assert_eq!(
-        mob_of(&single),
-        mob_of(&sharded),
-        "mobility ledger diverged"
-    );
+    assert_eq!(mob_of(&single), mob_of(&wide), "mobility ledger diverged");
     t.row(&[
         "summaries byte-identical".into(),
         "yes".into(),
@@ -1360,8 +1300,8 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
 }
 
 /// E21 — durable barrier checkpoint/restore under snapshot-store
-/// chaos: a 256-vehicle, 4-shard full-stack run (ingest + mobility +
-/// telemetry) checkpoints every 8 epochs with keep-last-3 retention. A
+/// chaos: a 256-vehicle full-stack run (ingest + mobility + telemetry)
+/// checkpoints every 8 epochs with keep-last-3 retention. A
 /// torn write lands on the epoch-16 snapshot and the engine crashes at
 /// epoch 20, so the supervisor must reject generation 16 by checksum,
 /// fall back to generation 8, and finish the run — byte-identical to
@@ -1369,7 +1309,7 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
 /// visible in MTTR and engine availability.
 #[must_use]
 pub fn fleet_resume(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(256, 4).with_telemetry();
+    let mut cfg = FleetConfig::sized(256).with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(30);
     let cfg = cfg
@@ -1418,7 +1358,7 @@ pub fn fleet_resume(seed: u64) -> TextTable {
         "E21 — durable checkpoint/restore: crash at epoch 20, torn epoch-16 snapshot (straight vs resumed)",
         &["metric", "straight run", "crash + resume"],
     );
-    type ReportCol = fn(&vdap_fleet::FleetReport) -> String;
+    type ReportCol = fn(&FleetReport) -> String;
     let rows: [(&str, ReportCol); 6] = [
         ("requests", |r| r.metrics.requests.to_string()),
         ("edge served", |r| r.metrics.edge_served.to_string()),
@@ -1473,73 +1413,75 @@ pub fn fleet_resume(seed: u64) -> TextTable {
     t
 }
 
-/// The pre-refactor barrier-idle fraction at the E14 configuration, as
-/// measured by E18 when one scoped thread advanced one whole shard and
-/// the join idled every other worker (~40 % of shard wall-clock).
-const PRE_STEAL_IDLE_FRACTION: f64 = 0.40;
-
 /// E22 — work-stealing epoch executor: the E14 fleet (1,000 vehicles,
 /// 60 s, a 12 s regional LTE outage) with each epoch's vehicle-tick
 /// phase split into stealable fixed-size vehicle batches on the
-/// persistent executor, instead of one scoped thread per shard. The
-/// table reports the executor shape (threads, batch size), how many
-/// batches idle workers stole, the mean barrier-idle fraction against
-/// the pinned pre-refactor baseline from E18 (~40 %), wall-clock
-/// throughput, and asserts the 1-shard and 8-shard runs remain
-/// byte-identical — the steal schedule must never reach a report.
+/// persistent executor. The same binary runs on one worker and at the
+/// machine's default width; the table reports the host's cores and,
+/// per run, the executor width, how many batches idle workers stole,
+/// the mean barrier-idle fraction and wall-clock throughput, and
+/// asserts the two summaries are byte-identical — the steal schedule
+/// must never reach a report.
 #[must_use]
 pub fn fleet_steal(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(1000, 8);
+    let mut cfg = FleetConfig::sized(1000);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(60);
     let cfg = cfg.with_regional_outage(0, SimTime::from_secs(20), SimDuration::from_secs(12));
     fleet_steal_table(cfg)
 }
 
-/// Runs `cfg` at 1 and 8 shards and renders the executor profile.
+/// Runs `cfg` in both run layouts and renders the executor profiles.
 fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
-    let run = |shards: u32| {
-        let mut c = cfg.clone();
-        c.shards = shards;
+    let run = |c: FleetConfig| {
         let started = std::time::Instant::now();
         let report = FleetEngine::new(c).run();
         (report, started.elapsed())
     };
-    let (single, _) = run(1);
-    let (sharded, wall) = run(8);
-    assert!(
-        single.summary() == sharded.summary(),
-        "fleet determinism contract violated under the work-stealing \
-         executor\n--- 1 shard ---\n{}\n--- 8 shards ---\n{}",
-        single.summary(),
-        sharded.summary()
-    );
-    let p = &sharded.profile;
+    let (single, single_wall) = run(cfg.clone().with_executor_threads(1));
+    let (wide, wide_wall) = run(cfg.clone());
+    assert_same_summary("work-stealing executor", &single, &wide);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut t = TextTable::new(
-        "E22 — work-stealing epoch executor: stealable vehicle batches vs the scoped-join baseline (8 shards)",
-        &["metric", "value"],
+        "E22 — work-stealing epoch executor: one worker vs the default width, same binary",
+        &LAYOUT_HEADER,
     );
-    t.row(&["executor threads".into(), p.worker_busy.len().to_string()]);
-    t.row(&["batch size (vehicles)".into(), cfg.batch_size.to_string()]);
-    t.row(&["epochs profiled".into(), p.epochs.to_string()]);
-    t.row(&["batches stolen".into(), p.total_steals().to_string()]);
-    t.row(&["mean idle fraction".into(), f3(p.mean_idle_fraction())]);
-    t.row(&[
-        "pre-refactor idle fraction (E18 baseline)".into(),
-        f3(PRE_STEAL_IDLE_FRACTION),
-    ]);
-    t.row(&[
-        "barrier serial ms (wall-clock)".into(),
-        f3(p.barrier.as_secs_f64() * 1e3),
-    ]);
-    t.row(&[
-        "events/sec (wall-clock, 8 shards)".into(),
-        format!(
-            "{:.0}",
-            sharded.events_processed as f64 / wall.as_secs_f64()
-        ),
-    ]);
-    t.row(&["summaries byte-identical".into(), "yes".into()]);
+    let both = |f: &dyn Fn(&FleetReport, std::time::Duration) -> String| {
+        [f(&single, single_wall), f(&wide, wide_wall)]
+    };
+    let mut row = |label: &str, [a, b]: [String; 2]| t.row(&[label.into(), a, b]);
+    row("host cores", [cores.to_string(), cores.to_string()]);
+    row(
+        "executor threads",
+        both(&|r, _| r.profile.worker_busy.len().to_string()),
+    );
+    row(
+        "batch size (vehicles)",
+        both(&|_, _| cfg.batch_size.to_string()),
+    );
+    row(
+        "epochs profiled",
+        both(&|r, _| r.profile.epochs.to_string()),
+    );
+    row(
+        "batches stolen",
+        both(&|r, _| r.profile.total_steals().to_string()),
+    );
+    row(
+        "barrier serial ms (wall-clock)",
+        both(&|r, _| f3(r.profile.barrier.as_secs_f64() * 1e3)),
+    );
+    row(
+        "events/sec (wall-clock)",
+        both(&|r, wall| format!("{:.0}", r.events_processed as f64 / wall.as_secs_f64())),
+    );
+    // CI reads this row's last column (the default width) against its
+    // idle-fraction gate.
+    row(
+        "mean idle fraction",
+        both(&|r, _| f3(r.profile.mean_idle_fraction())),
+    );
+    row("summaries byte-identical", ["yes".into(), "yes".into()]);
     t
 }
 
@@ -1551,9 +1493,9 @@ fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
 /// pins the observability contract: peak post-enforcement resident
 /// bytes stay under the budget, every spilled segment line re-parses,
 /// the sampled span stream and the deterministic summary are
-/// byte-identical at 1 and 8 shards, and the streaming-histogram
-/// quantiles stay within the documented ≈1.6% relative error of the
-/// exact sorted quantiles.
+/// byte-identical on one worker and at the default width, and the
+/// streaming-histogram quantiles stay within the documented ≈1.6%
+/// relative error of the exact sorted quantiles.
 #[must_use]
 pub fn fleet_obs(seed: u64) -> TextTable {
     fleet_obs_table(
@@ -1597,9 +1539,10 @@ fn spilled_span_keys(sink: &JsonlSpillSink) -> Vec<(u64, u64, u64, String)> {
     keys
 }
 
-/// Runs `cfg`-sized fleets unbounded (8 shards) and bounded (8 and 1
-/// shards, `budget` bytes + spill under `dir` + 1-in-8 OK sampling),
-/// asserts the bounded-telemetry contract, and renders the comparison.
+/// Runs `cfg`-sized fleets unbounded (default width) and bounded
+/// (default width and one worker, `budget` bytes + spill under `dir` +
+/// 1-in-8 OK sampling), asserts the bounded-telemetry contract, and
+/// renders the comparison.
 fn fleet_obs_table(
     seed: u64,
     vehicles: u32,
@@ -1608,7 +1551,7 @@ fn fleet_obs_table(
     dir: &std::path::Path,
 ) -> TextTable {
     let base = {
-        let mut c = FleetConfig::sized(vehicles, 8);
+        let mut c = FleetConfig::sized(vehicles);
         c.seed = seed;
         c.duration = duration;
         c
@@ -1619,20 +1562,22 @@ fn fleet_obs_table(
     let unbounded = FleetEngine::new(base.clone().with_telemetry()).run();
     let base_tel = unbounded.telemetry.as_ref().expect("telemetry enabled");
 
-    // (b)/(c) Bounded at 8 and 1 shards, each spilling into its own
-    // segment directory (wiped first so stale segments cannot leak in).
-    let bounded_run = |shards: u32, segments: &std::path::Path| {
+    // (b)/(c) Bounded at the default width and on one worker, each
+    // spilling into its own segment directory (wiped first so stale
+    // segments cannot leak in).
+    let bounded_run = |c: FleetConfig, segments: &std::path::Path| {
         let _ = std::fs::remove_dir_all(segments);
-        let mut c = base
-            .clone()
+        let c = c
             .with_telemetry_budget(budget)
             .with_span_spill(segments)
             .with_span_sampling(8);
-        c.shards = shards;
         FleetEngine::new(c).run()
     };
-    let bounded = bounded_run(8, &dir.join("segments-8shard"));
-    let single = bounded_run(1, &dir.join("segments-1shard"));
+    let bounded = bounded_run(base.clone(), &dir.join("segments-default"));
+    let single = bounded_run(
+        base.clone().with_executor_threads(1),
+        &dir.join("segments-1worker"),
+    );
 
     assert_eq!(
         unbounded.summary(),
@@ -1642,13 +1587,13 @@ fn fleet_obs_table(
     assert_eq!(
         bounded.summary(),
         single.summary(),
-        "bounded telemetry must preserve shard-count invariance"
+        "bounded telemetry must preserve run-layout invariance"
     );
     let tel = bounded.telemetry.as_ref().expect("telemetry enabled");
     let tel1 = single.telemetry.as_ref().expect("telemetry enabled");
     assert_eq!(
         tel.registry, tel1.registry,
-        "registries must match 1 vs 8 shards"
+        "registries must match in both run layouts"
     );
     assert_eq!(tel.sampled_out, tel1.sampled_out);
     assert_eq!(
@@ -1663,8 +1608,8 @@ fn fleet_obs_table(
     );
 
     // The spilled JSONL stream must re-parse line by line, account for
-    // every kept span, and carry the same span identities at any shard
-    // count (canonical per-block order + count-based drain epochs).
+    // every kept span, and carry the same span identities in any run
+    // layout (canonical per-block order + count-based drain epochs).
     let spill = tel.spill.as_ref().expect("spill configured");
     let spill1 = tel1.spill.as_ref().expect("spill configured");
     assert_eq!(spill.io_errors(), 0, "spill writes must succeed");
@@ -1677,7 +1622,7 @@ fn fleet_obs_table(
     assert_eq!(
         keys,
         spilled_span_keys(spill1),
-        "spilled span stream must be shard-count invariant"
+        "spilled span stream must be run-layout invariant"
     );
     assert_eq!(
         spill.spilled() + tel.sampled_out,
@@ -1716,7 +1661,7 @@ fn fleet_obs_table(
     }
 
     let mut t = TextTable::new(
-        "E23 — bounded-memory streaming telemetry: spill + sampling + histogram rollup vs the unbounded baseline (8 shards)",
+        "E23 — bounded-memory streaming telemetry: spill + sampling + histogram rollup vs the unbounded baseline (default width)",
         &["metric", "value"],
     );
     t.row(&["vehicles".into(), vehicles.to_string()]);
@@ -1874,12 +1819,21 @@ mod tests {
         // Scaled-down E14: the full 1,000×60 s run belongs to the repro
         // binary; here a small fleet proves the table asserts the
         // byte-identical contract and renders every metric row.
-        let mut cfg = FleetConfig::sized(96, 1);
+        let mut cfg = FleetConfig::sized(96);
         cfg.duration = SimDuration::from_secs(6);
         let cfg = cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
-        let rendered = fleet_table(cfg).render();
+        let rendered = fleet_table(cfg.clone()).render();
         assert!(rendered.contains("summaries byte-identical"), "{rendered}");
         assert!(rendered.contains("events processed"), "{rendered}");
+        // The table compares one worker with the default width; single-
+        // vehicle batches and two workers on an odd batch size match too.
+        let base = FleetEngine::new(cfg.clone()).run().summary();
+        for relaid in [
+            cfg.clone().with_executor_threads(1).with_batch_size(1),
+            cfg.with_executor_threads(2).with_batch_size(7),
+        ] {
+            assert_eq!(base, FleetEngine::new(relaid).run().summary());
+        }
     }
 
     #[test]
@@ -1888,15 +1842,27 @@ mod tests {
         // binary; a small fleet proves the table asserts byte-identity
         // under the work-stealing executor and renders the executor
         // shape, steal count and idle-fraction rows.
-        let mut cfg = FleetConfig::sized(96, 1);
+        let mut cfg = FleetConfig::sized(96);
         cfg.duration = SimDuration::from_secs(6);
         let cfg = cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
         let rendered = fleet_steal_table(cfg).render();
+        assert!(rendered.contains("host cores"), "{rendered}");
         assert!(rendered.contains("executor threads"), "{rendered}");
         assert!(rendered.contains("batch size (vehicles)"), "{rendered}");
         assert!(rendered.contains("batches stolen"), "{rendered}");
         assert!(rendered.contains("mean idle fraction"), "{rendered}");
+        assert!(
+            !rendered.contains("baseline"),
+            "no pinned baseline: {rendered}"
+        );
         assert!(rendered.contains("summaries byte-identical"), "{rendered}");
+        // The CI gate reads the last field of the only idle-fraction
+        // line: the default-width run's value.
+        let idle: Vec<&str> = rendered
+            .lines()
+            .filter(|l| l.contains("mean idle fraction"))
+            .collect();
+        assert_eq!(idle.len(), 1, "{rendered}");
     }
 
     #[test]
@@ -1905,7 +1871,7 @@ mod tests {
         // repro binary; a small fleet with a deliberately tiny budget
         // exercises the whole enforcement ladder — mid-run over-budget
         // spill drains, series rollup, sampling — plus the in-table
-        // assertions (peak ≤ budget, shard-invariant spilled stream,
+        // assertions (peak ≤ budget, layout-invariant spilled stream,
         // quantile fidelity) and renders every contract row.
         let rendered = fleet_obs_table(
             7,
@@ -1933,7 +1899,7 @@ mod tests {
         // trace.json that parses back through the vendored serde shim
         // and a per-line-valid spans.jsonl, and the table must render
         // the profile rows.
-        let mut cfg = FleetConfig::sized(96, 1).with_telemetry();
+        let mut cfg = FleetConfig::sized(96).with_telemetry();
         cfg.duration = SimDuration::from_secs(6);
         let cfg = cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
         let dir = std::path::Path::new("target/fleet-trace-test");
@@ -1966,7 +1932,7 @@ mod tests {
         // Scaled-down E15: all three edge-tier fault kinds on a small
         // fleet; the table must render the ladder rows, per-component
         // availability, and assert the byte-identical contract.
-        let mut cfg = FleetConfig::sized(96, 1);
+        let mut cfg = FleetConfig::sized(96);
         cfg.duration = SimDuration::from_secs(10);
         cfg.edge_nodes = 2;
         let cfg = cfg
@@ -2019,7 +1985,7 @@ mod tests {
     #[test]
     fn fleet_mobility_table_pins_storm_and_invariance() {
         // Scaled-down E20: 96 vehicles on the same rush-hour mix. The
-        // table itself asserts 1-vs-8-shard byte-identity, zero injected
+        // table itself asserts run-layout byte-identity, zero injected
         // faults, the crossing partition invariant, the organic rush
         // spike, and downtown registration pressure.
         let rendered = fleet_mobility_table(7, 96, SimDuration::from_secs(16)).render();

@@ -45,8 +45,10 @@ use std::path::PathBuf;
 pub use serde_json as json;
 use serde_json::{JsonWriter, Value};
 
-/// Version tag written into every snapshot envelope.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version tag written into every snapshot envelope. Version 2 dropped
+/// the fleet's per-vehicle migration generation and physical-migration
+/// counter from the payload.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";
@@ -489,7 +491,7 @@ mod tests {
         let text = encode(16, &sample_text());
         assert_eq!(text, Snapshot::new(16, sample_payload()).encode());
         assert!(text.starts_with("{\"checksum\":\""));
-        assert!(text.ends_with(",\"version\":1}"));
+        assert!(text.ends_with(&format!(",\"version\":{SNAPSHOT_VERSION}}}")));
         let back = Snapshot::decode(&text).expect("valid snapshot");
         assert_eq!(back.payload, sample_payload());
     }
@@ -561,8 +563,13 @@ mod tests {
     fn wrong_magic_and_version_are_rejected() {
         let text = Snapshot::new(1, Value::Null).encode();
         assert!(Snapshot::decode(&text.replace("vdap-ckpt", "vdap-oops")).is_err());
-        // A forged version also breaks the checksum input.
-        assert!(Snapshot::decode(&text.replace("\"version\":1", "\"version\":2")).is_err());
+        // An older version is refused outright, and a forged one also
+        // breaks the checksum input.
+        let current = format!("\"version\":{SNAPSHOT_VERSION}");
+        for other in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            let forged = text.replace(&current, &format!("\"version\":{other}"));
+            assert!(Snapshot::decode(&forged).is_err());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! adaptation timeline (E5), and the §III-C V2V collaboration study
 //! (E10). A worker-pool [`sweep`] runs parameter points in parallel for
 //! the benches, and [`ScenarioConfig::fleet`] lifts a scenario onto the
-//! sharded fleet engine (E14).
+//! fleet engine (E14).
 
 use serde::{Deserialize, Serialize};
 use vdap_edgeos::{Objective, ServiceState};
@@ -72,15 +72,14 @@ impl ScenarioConfig {
     }
 
     /// Builds the fleet-scale version of this scenario: same seed,
-    /// fleet size, duration and request cadence, run on the sharded
+    /// fleet size, duration and request cadence, run on the
     /// [`vdap_fleet::FleetEngine`] instead of the per-vehicle loop.
     /// `edge_load > 1` carries over as a slower base XEdge service time
-    /// (standing shared-tenancy load). The shard count only picks the
-    /// thread layout — fleet metrics are shard-count invariant.
+    /// (standing shared-tenancy load).
     #[must_use]
-    pub fn fleet(&self, shards: u32) -> vdap_fleet::FleetConfig {
+    pub fn fleet(&self) -> vdap_fleet::FleetConfig {
         let vehicles = self.vehicles.max(1) as u32;
-        let mut cfg = vdap_fleet::FleetConfig::sized(vehicles, shards.clamp(1, vehicles));
+        let mut cfg = vdap_fleet::FleetConfig::sized(vehicles);
         cfg.seed = self.seed;
         cfg.duration = self.duration;
         cfg.request_period = self.request_period;
@@ -530,10 +529,9 @@ mod tests {
             edge_load: 2.0,
             ..ScenarioConfig::default()
         };
-        let fleet = cfg.fleet(4);
+        let fleet = cfg.fleet();
         assert_eq!(fleet.seed, 7);
         assert_eq!(fleet.vehicles, 200);
-        assert_eq!(fleet.shards, 4);
         assert_eq!(fleet.duration, cfg.duration);
         assert_eq!(fleet.request_period, cfg.request_period);
         // edge_load doubles every class's base XEdge service time.
@@ -545,15 +543,13 @@ mod tests {
                 "{class}"
             );
         }
-        // Shards never exceed the fleet size.
-        assert_eq!(cfg.fleet(1000).shards, 200);
         let report = vdap_fleet::FleetEngine::new({
             let mut f = ScenarioConfig {
                 vehicles: 32,
                 duration: SimDuration::from_secs(4),
                 ..ScenarioConfig::default()
             }
-            .fleet(2);
+            .fleet();
             f.request_period = SimDuration::from_secs(1);
             f
         })

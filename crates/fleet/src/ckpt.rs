@@ -19,14 +19,13 @@
 //!   parsed [`Value`] tree back.
 //! * **One codec per owner.** Each subsystem encodes its own private
 //!   state (`XEdgeServer` in `edge.rs`, `IngestPass` in `ingest.rs`,
-//!   vehicles in `shard.rs`, the mobility pass in `engine.rs`); this
+//!   vehicles in `vehicle.rs`, the mobility pass in `engine.rs`); this
 //!   module only provides the leaf helpers they compose and the
 //!   top-level config fingerprint that guards restore.
 //! * **Rebuild what is pure.** Anything derivable from `FleetConfig`
 //!   plus the master seed (route graphs, contention models, retry
-//!   policies, label tables) is *not* serialized — restore rebuilds it,
-//!   which is also what makes restoring into a different shard count
-//!   possible.
+//!   policies, label tables) is *not* serialized — restore rebuilds
+//!   it.
 
 use std::fmt;
 
@@ -303,7 +302,7 @@ pub(crate) fn reliability_field(v: &Value, key: &str) -> Result<ReliabilityStats
 
 // --- fleet metrics ---------------------------------------------------
 
-/// Writes the merged, shard-count-independent `FleetMetrics`.
+/// Writes the fleet's merged `FleetMetrics`.
 pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
     w.begin_object();
     w.key("by_class").begin_array();
@@ -430,9 +429,10 @@ pub(crate) fn dec_batch(v: &Value) -> Result<UploadBatch, CkptError> {
 ///
 /// Restore refuses a snapshot whose fingerprint disagrees with the
 /// restoring engine's config — resuming a *different* scenario would
-/// silently produce garbage. `shards` is deliberately **excluded**:
-/// restoring into a different shard count is a supported (and tested)
-/// operation, because the canonical snapshot is shard-count free.
+/// silently produce garbage. The executor width and batch size are
+/// deliberately **excluded**: restoring under a different run layout
+/// is a supported (and tested) operation, because the snapshot is
+/// layout free.
 pub(crate) fn config_fingerprint(w: &mut JsonWriter, cfg: &FleetConfig) {
     w.begin_object();
     w.key("duration_ns").hex(cfg.duration.as_nanos());
@@ -699,7 +699,7 @@ mod tests {
 
     #[test]
     fn fingerprint_guards_against_foreign_snapshots() {
-        let cfg = FleetConfig::sized(64, 2);
+        let cfg = FleetConfig::sized(64);
         let payload = written(|w| {
             w.key("config");
             config_fingerprint(w, &cfg);
@@ -708,10 +708,9 @@ mod tests {
         let mut other = cfg.clone();
         other.seed ^= 1;
         assert!(check_fingerprint(&other, &payload).is_err());
-        // Shard count is NOT part of the fingerprint: cross-shard-count
+        // The run layout is NOT part of the fingerprint: cross-layout
         // restore is supported.
-        let mut resharded = cfg;
-        resharded.shards = 8;
-        assert!(check_fingerprint(&resharded, &payload).is_ok());
+        let relaid = cfg.with_executor_threads(1).with_batch_size(7);
+        assert!(check_fingerprint(&relaid, &payload).is_ok());
     }
 }

@@ -1,11 +1,10 @@
-//! Fleet scenario configuration and the vehicle → shard/tenant/region
-//! partition.
+//! Fleet scenario configuration and the vehicle → tenant/region
+//! mapping.
 //!
 //! Every mapping here is a pure function of the vehicle id and the
-//! fleet-wide counts — never of the shard count — which is the root of
-//! the engine's shard-count invariance: re-partitioning the same fleet
-//! across a different number of worker shards reassigns *where* each
-//! vehicle's events execute, but not *what* they compute.
+//! fleet-wide counts — never of the executor width or batch size, which
+//! only decide *where* each vehicle's events execute, not *what* they
+//! compute.
 //!
 //! Since the workload-class refactor the cost model is per
 //! [`WorkloadClass`]: each class carries its own bytes, service times,
@@ -254,7 +253,8 @@ impl IngestConfig {
 /// queues, mobility tracks, every ledger — into a versioned, checksummed
 /// snapshot every `interval_epochs` barriers, keeping the last `retain`
 /// generations. `FleetEngine::restore` resumes a run from any surviving
-/// snapshot, byte-identically and even into a different shard count.
+/// snapshot, byte-identically and even under a different executor width
+/// or batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Barriers between snapshots: a snapshot is written at every epoch
@@ -282,15 +282,6 @@ impl Default for CheckpointConfig {
 pub enum FleetConfigError {
     /// `vehicles == 0`.
     NoVehicles,
-    /// `shards == 0`.
-    NoShards,
-    /// `shards > vehicles`: some shards would own no vehicles.
-    MoreShardsThanVehicles {
-        /// Configured shard count.
-        shards: u32,
-        /// Configured fleet size.
-        vehicles: u32,
-    },
     /// `tenants == 0`.
     NoTenants,
     /// `tenants > vehicles`: some tenants would have no traffic and
@@ -342,15 +333,6 @@ pub enum FleetConfigError {
     BadIngest(String),
     /// Mobility needs at least two regions to cross between.
     MobilityNeedsRegions,
-    /// With mobility on, vehicles live on the shard of their *current*
-    /// region (`shard_of_region`), so every shard must own at least one
-    /// region.
-    MoreShardsThanRegions {
-        /// Configured shard count.
-        shards: u32,
-        /// Configured region count.
-        regions: u32,
-    },
     /// The mobility config carries an unusable value.
     BadMobility(String),
     /// `checkpoint.interval_epochs == 0`: a snapshot at every zeroth
@@ -388,11 +370,6 @@ impl fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetConfigError::NoVehicles => write!(f, "fleet needs at least one vehicle"),
-            FleetConfigError::NoShards => write!(f, "fleet needs at least one shard"),
-            FleetConfigError::MoreShardsThanVehicles { shards, vehicles } => write!(
-                f,
-                "{shards} shards over {vehicles} vehicles: more shards than vehicles is meaningless"
-            ),
             FleetConfigError::NoTenants => write!(f, "fleet needs at least one tenant"),
             FleetConfigError::MoreTenantsThanVehicles { tenants, vehicles } => write!(
                 f,
@@ -425,11 +402,6 @@ impl fmt::Display for FleetConfigError {
             FleetConfigError::MobilityNeedsRegions => {
                 write!(f, "mobility needs at least two regions to cross between")
             }
-            FleetConfigError::MoreShardsThanRegions { shards, regions } => write!(
-                f,
-                "{shards} shards over {regions} regions: with mobility on, vehicles are \
-                 sharded by current region, so every shard needs at least one region"
-            ),
             FleetConfigError::BadMobility(what) => write!(f, "mobility: {what}"),
             FleetConfigError::ZeroCheckpointInterval => {
                 write!(f, "checkpoint interval must be at least one epoch")
@@ -481,8 +453,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Fleet size.
     pub vehicles: u32,
-    /// Worker shards the fleet is partitioned into (threads used).
-    pub shards: u32,
     /// Service tenants sharing the XEdge servers.
     pub tenants: u32,
     /// Geographic LTE regions (cell coverage areas).
@@ -523,10 +493,9 @@ pub struct FleetConfig {
     /// disables the ingestion pipeline entirely.
     pub ingest: Option<IngestConfig>,
     /// Geo-mobility: when set, vehicles follow seeded route plans over
-    /// a region graph, pay a cellular handoff at every region-boundary
-    /// crossing, and migrate their shard-side state to the destination
-    /// region's shard at epoch barriers. `None` pins every vehicle to
-    /// its initial region (the pre-mobility fleet).
+    /// a region graph and pay a cellular handoff at every
+    /// region-boundary crossing, applied at epoch barriers. `None` pins
+    /// every vehicle to its initial region (the pre-mobility fleet).
     pub mobility: Option<MobilityConfig>,
     /// Capture sim-time telemetry (one request span per request plus
     /// per-epoch registry samples) during the run. Spans are derived
@@ -535,7 +504,7 @@ pub struct FleetConfig {
     pub telemetry: bool,
     /// Resident-byte budget for sim-time telemetry. When the estimated
     /// resident telemetry bytes (span buffer + registry, a count-based
-    /// and therefore shard-invariant estimate) cross the budget at an
+    /// and therefore deterministic estimate) cross the budget at an
     /// epoch barrier, the engine enforces it: buffered spans spill to
     /// `span_spill` (when set), per-epoch series roll up into streaming
     /// histograms behind a retention window, and — when neither spill
@@ -551,7 +520,7 @@ pub struct FleetConfig {
     pub span_spill: Option<std::path::PathBuf>,
     /// Deterministic span sampling: keep all non-OK spans, and one in
     /// `N` OK spans chosen by a seeded hash of `(vehicle, seq)` — the
-    /// kept set is shard-count- and executor-width-free. `None` keeps
+    /// kept set is executor-width- and batch-size-free. `None` keeps
     /// every span (unless a crossed budget auto-activates sampling, see
     /// `telemetry_budget`).
     pub span_sample: Option<u32>,
@@ -579,7 +548,6 @@ impl Default for FleetConfig {
         FleetConfig {
             seed: 42,
             vehicles: 1000,
-            shards: 1,
             tenants: 4,
             regions: 8,
             duration: SimDuration::from_secs(60),
@@ -611,13 +579,11 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config with the given fleet size and shard count, defaults
-    /// elsewhere.
+    /// A config with the given fleet size, defaults elsewhere.
     #[must_use]
-    pub fn sized(vehicles: u32, shards: u32) -> Self {
+    pub fn sized(vehicles: u32) -> Self {
         FleetConfig {
             vehicles,
-            shards,
             ..FleetConfig::default()
         }
     }
@@ -837,8 +803,8 @@ impl FleetConfig {
     }
 
     /// Enables geo-mobility with the default traffic mix (commute /
-    /// roam / rush-hour). Vehicles cross region boundaries, pay
-    /// cellular handoffs, and migrate between shards at barriers.
+    /// roam / rush-hour). Vehicles cross region boundaries and pay
+    /// cellular handoffs, applied at epoch barriers.
     #[must_use]
     pub fn with_mobility(self) -> Self {
         self.with_mobility_config(MobilityConfig::default())
@@ -1019,15 +985,6 @@ impl FleetConfig {
         if self.vehicles == 0 {
             return Err(FleetConfigError::NoVehicles);
         }
-        if self.shards == 0 {
-            return Err(FleetConfigError::NoShards);
-        }
-        if self.shards > self.vehicles {
-            return Err(FleetConfigError::MoreShardsThanVehicles {
-                shards: self.shards,
-                vehicles: self.vehicles,
-            });
-        }
         if self.tenants == 0 {
             return Err(FleetConfigError::NoTenants);
         }
@@ -1079,7 +1036,7 @@ impl FleetConfig {
             ingest.validate()?;
         }
         if let Some(mobility) = &self.mobility {
-            validate_mobility(mobility, self.shards, self.regions)?;
+            validate_mobility(mobility, self.regions)?;
         }
         if let Some(ckpt) = &self.checkpoint {
             if ckpt.interval_epochs == 0 {
@@ -1136,54 +1093,10 @@ impl FleetConfig {
         vehicle % self.tenants
     }
 
-    /// The LTE region a vehicle drives in (contiguous blocks, so a
-    /// region aligns with whole shards whenever `shards == regions`).
+    /// The LTE region a vehicle drives in (contiguous id blocks).
     #[must_use]
     pub fn region_of(&self, vehicle: u32) -> u32 {
         ((u64::from(vehicle) * u64::from(self.regions)) / u64::from(self.vehicles)) as u32
-    }
-
-    /// The id range shard `shard` owns: `[lo, hi)`, contiguous, covering
-    /// all vehicles across shards.
-    #[must_use]
-    pub fn shard_range(&self, shard: u32) -> std::ops::Range<u32> {
-        let v = u64::from(self.vehicles);
-        let s = u64::from(self.shards);
-        let lo = (v * u64::from(shard) / s) as u32;
-        let hi = (v * (u64::from(shard) + 1) / s) as u32;
-        lo..hi
-    }
-
-    /// The shard that owns a vehicle — the inverse of
-    /// [`FleetConfig::shard_range`]. Telemetry uses it to stamp spans
-    /// with a shard attribute without threading shard indices through
-    /// the serving path.
-    #[must_use]
-    pub fn shard_of(&self, vehicle: u32) -> u32 {
-        ((u64::from(vehicle) + 1) * u64::from(self.shards)).div_ceil(u64::from(self.vehicles))
-            as u32
-            - 1
-    }
-
-    /// The shard that owns a *region* when mobility is on: contiguous
-    /// region blocks, the region-space analogue of
-    /// [`FleetConfig::shard_range`]. A vehicle lives on the shard of
-    /// its current region, so a boundary crossing can physically move
-    /// its state between worker threads at the next barrier.
-    #[must_use]
-    pub fn shard_of_region(&self, region: u32) -> u32 {
-        ((u64::from(region) * u64::from(self.shards)) / u64::from(self.regions)) as u32
-    }
-
-    /// The home shard a vehicle starts on: its initial region's shard
-    /// when mobility is on, the contiguous id-range shard otherwise.
-    #[must_use]
-    pub fn initial_shard_of(&self, vehicle: u32) -> u32 {
-        if self.mobility.is_some() {
-            self.shard_of_region(self.region_of(vehicle))
-        } else {
-            self.shard_of(vehicle)
-        }
     }
 
     /// End of simulated time for this run.
@@ -1194,18 +1107,10 @@ impl FleetConfig {
 }
 
 /// Mobility-specific validation (the traffic model lives in
-/// `vdap-mobility`, the shard/region coupling it must respect lives
-/// here).
-fn validate_mobility(
-    mobility: &MobilityConfig,
-    shards: u32,
-    regions: u32,
-) -> Result<(), FleetConfigError> {
+/// `vdap-mobility`, the region count it needs lives here).
+fn validate_mobility(mobility: &MobilityConfig, regions: u32) -> Result<(), FleetConfigError> {
     if regions < 2 {
         return Err(FleetConfigError::MobilityNeedsRegions);
-    }
-    if shards > regions {
-        return Err(FleetConfigError::MoreShardsThanRegions { shards, regions });
     }
     let reject = |what: &str| Err(FleetConfigError::BadMobility(what.to_string()));
     if mobility.total_weight() == 0 {
@@ -1282,52 +1187,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_ranges_partition_the_fleet() {
-        for shards in [1u32, 2, 3, 7, 8] {
-            let cfg = FleetConfig::sized(1000, shards);
-            let mut covered = 0u32;
-            let mut next = 0u32;
-            for s in 0..shards {
-                let r = cfg.shard_range(s);
-                assert_eq!(r.start, next, "ranges must be contiguous");
-                next = r.end;
-                covered += r.end - r.start;
-            }
-            assert_eq!(covered, 1000);
-            assert_eq!(next, 1000);
-        }
-    }
-
-    #[test]
-    fn shard_of_inverts_shard_range() {
-        for (vehicles, shards) in [(10u32, 3u32), (1000, 8), (1000, 7), (7, 7), (5, 1)] {
-            let cfg = FleetConfig::sized(vehicles, shards);
-            for s in 0..shards {
-                for v in cfg.shard_range(s) {
-                    assert_eq!(cfg.shard_of(v), s, "vehicle {v} of {vehicles}/{shards}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn regions_align_with_shards_when_counts_match() {
-        let cfg = FleetConfig::sized(1000, 8);
-        for s in 0..8 {
-            let r = cfg.shard_range(s);
-            let regions: std::collections::BTreeSet<u32> = r.map(|v| cfg.region_of(v)).collect();
-            assert_eq!(regions.len(), 1, "shard {s} spans one region");
-        }
-    }
-
-    #[test]
     fn mappings_ignore_shard_count() {
-        let a = FleetConfig::sized(500, 1);
-        let b = FleetConfig::sized(500, 8);
+        // The vehicle mappings read only the id and the fleet-wide
+        // counts, never the run layout.
+        let a = FleetConfig::sized(500);
+        let b = FleetConfig::sized(500)
+            .with_executor_threads(1)
+            .with_batch_size(7);
         for v in 0..500 {
             assert_eq!(a.tenant_of(v), b.tenant_of(v));
             assert_eq!(a.region_of(v), b.region_of(v));
         }
+        // Regions are contiguous id blocks covering every region.
+        let regions: Vec<u32> = (0..500).map(|v| a.region_of(v)).collect();
+        assert!(regions.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!((regions[0], regions[499]), (0, a.regions - 1));
     }
 
     #[test]
@@ -1352,31 +1226,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_rejected_with_reason() {
-        let cfg = FleetConfig {
-            shards: 0,
-            ..FleetConfig::default()
-        };
-        assert_eq!(cfg.validate(), Err(FleetConfigError::NoShards));
-        assert!(cfg.validate().unwrap_err().to_string().contains("shard"));
-    }
-
-    #[test]
-    fn more_shards_than_vehicles_rejected_with_reason() {
-        let err = FleetConfig::sized(2, 4).validate().unwrap_err();
-        assert_eq!(
-            err,
-            FleetConfigError::MoreShardsThanVehicles {
-                shards: 4,
-                vehicles: 2
-            }
-        );
-        assert!(err.to_string().contains("more shards than vehicles"));
-    }
-
-    #[test]
     fn more_tenants_than_vehicles_rejected_with_reason() {
-        let mut cfg = FleetConfig::sized(8, 1);
+        let mut cfg = FleetConfig::sized(8);
         cfg.tenants = 9;
         let err = cfg.validate().unwrap_err();
         assert_eq!(
@@ -1449,46 +1300,21 @@ mod tests {
 
     #[test]
     fn mobility_validation_couples_shards_to_regions() {
-        let cfg = FleetConfig::sized(256, 8).with_mobility();
+        // Mobility needs regions to cross between, and nothing about the
+        // run layout.
+        let cfg = FleetConfig::sized(256).with_mobility();
         assert!(cfg.validate().is_ok());
-        let mut wide = FleetConfig::sized(256, 16).with_mobility();
-        assert_eq!(
-            wide.validate(),
-            Err(FleetConfigError::MoreShardsThanRegions {
-                shards: 16,
-                regions: 8
-            })
-        );
-        wide.regions = 16;
-        assert!(wide.validate().is_ok());
-        let mut solo = FleetConfig::sized(64, 1).with_mobility();
+        let mut two = cfg.clone().with_executor_threads(1).with_batch_size(1);
+        two.regions = 2;
+        assert!(two.validate().is_ok());
+        let mut solo = FleetConfig::sized(64).with_mobility();
         solo.regions = 1;
         assert_eq!(solo.validate(), Err(FleetConfigError::MobilityNeedsRegions));
-        let mut bad = FleetConfig::sized(64, 1).with_mobility();
+        let mut bad = FleetConfig::sized(64).with_mobility();
         bad.mobility.as_mut().unwrap().rush_window = (0.5, 0.4);
         let err = bad.validate().unwrap_err();
         assert!(matches!(err, FleetConfigError::BadMobility(_)));
         assert!(err.to_string().contains("rush window"), "{err}");
-    }
-
-    #[test]
-    fn shard_of_region_partitions_regions_and_tracks_initial_shard() {
-        let cfg = FleetConfig::sized(1000, 3).with_mobility();
-        let mut last = 0;
-        for r in 0..cfg.regions {
-            let s = cfg.shard_of_region(r);
-            assert!(s >= last && s < cfg.shards, "monotone onto [0, shards)");
-            last = s;
-        }
-        assert_eq!(cfg.shard_of_region(cfg.regions - 1), cfg.shards - 1);
-        for v in [0u32, 17, 499, 999] {
-            assert_eq!(
-                cfg.initial_shard_of(v),
-                cfg.shard_of_region(cfg.region_of(v))
-            );
-        }
-        let fixed = FleetConfig::sized(1000, 3);
-        assert_eq!(fixed.initial_shard_of(999), fixed.shard_of(999));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! caps from the queue depth observed at the *previous* barrier —
 //! observe at barrier `k`, actuate at barrier `k + 1`. Decisions are
 //! integer functions of (lane count, queue depth), both of which are
-//! globally determined, so elasticity composes with the N-shard vs
-//! 1-shard byte-identity invariant. Grown lanes join round-robin
+//! globally determined, so elasticity composes with the engine's
+//! byte-identity across run layouts. Grown lanes join round-robin
 //! (`node = index % edge_nodes`, preserving the homing rule); shrinks
 //! remove only *idle* tail lanes and never drop a node's last lane, so
 //! a busy pool defers its shrink to a later barrier instead of
@@ -730,11 +730,11 @@ impl XEdgeServer {
     }
 
     /// Serves one barrier's batch. The engine passes requests from all
-    /// shards; this method sorts them canonically, so input order (and
-    /// therefore shard count) cannot influence the outcome. `barrier`
-    /// is the global epoch-boundary instant — the only time at which
-    /// fault state and elastic decisions are sampled — and `rng` is the
-    /// engine-owned ladder stream, consumed in canonical order.
+    /// vehicle batches; this method sorts them canonically, so input
+    /// order cannot influence the outcome. `barrier` is the global
+    /// epoch-boundary instant — the only time at which fault state and
+    /// elastic decisions are sampled — and `rng` is the engine-owned
+    /// ladder stream, consumed in canonical order.
     pub fn serve_epoch(
         &mut self,
         mut batch: Vec<EdgeRequest>,

@@ -1,31 +1,28 @@
-//! The sharded fleet engine: epoch loop, barriers, and the run report.
+//! The fleet engine: epoch loop, barriers, and the run report.
 //!
-//! ## Why an N-shard run is bit-identical to a 1-shard run
+//! The fleet lives in one array indexed by vehicle id. Each epoch has
+//! two phases:
 //!
-//! 1. **Partition is id-keyed.** Tenant, region, route cohort and RNG
-//!    stream derive from the vehicle id alone ([`crate::FleetConfig`]),
-//!    so re-sharding moves vehicles between threads without changing
-//!    any vehicle's behaviour.
-//! 2. **Epochs are conservative.** During an epoch a vehicle reads only
-//!    time-determined inputs (the fault timeline, the *previous*
-//!    barrier's V2V snapshot). Vehicles never observe same-epoch state
-//!    of any other vehicle — not even shard-mates — so the tick phase
-//!    can split each shard into fixed-size vehicle batches and fan them
-//!    out across the work-stealing [`WorkerPool`]: which worker runs a
-//!    batch, and in what order, is unobservable.
-//! 3. **Barriers are canonical.** All cross-vehicle coupling (XEdge
-//!    admission, fair queueing, contention, snapshot union, failover
-//!    reliability samples) happens single-threaded on globally sorted
-//!    data, so shard count, batch size, executor width and buffer
-//!    interleaving cannot leak in.
-//! 4. **Aggregation is order-free.** Per-shard metrics are integer
-//!    counters and [`vdap_sim::StreamingHistogram`]s whose merge is
-//!    associative and commutative bit-for-bit, and batch outputs are
-//!    folded back in canonical `(shard, vehicle id)` order regardless
-//!    of the steal schedule that produced them.
+//! 1. **Tick.** The array is cut into `batch_size` chunks
+//!    (`chunks_mut`), each paired with fresh output buffers, and the
+//!    chunks run on the work-stealing [`WorkerPool`]. During an epoch a
+//!    vehicle reads only time-determined inputs (the fault timeline,
+//!    the *previous* barrier's V2V snapshot) and its own RNG streams,
+//!    and it never observes same-epoch state of any other vehicle — so
+//!    which worker runs a chunk, and in what order, is unobservable.
+//! 2. **Barrier.** Chunk outputs fold back in chunk order (that is, id
+//!    order), then every cross-vehicle coupling (XEdge admission, fair
+//!    queueing, contention, snapshot union, failover reliability
+//!    samples, DDI ingest, mobility) runs single-threaded on globally
+//!    sorted data. Metrics merge exactly: integer counters, min/max,
+//!    and [`vdap_sim::StreamingHistogram`]s with integer sums.
+//!
+//! Together these make a run byte-identical at any executor width and
+//! batch size. No vehicle ever moves: mobility rewrites `vehicles[id]`
+//! in place, and a snapshot lists the array in id order.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
@@ -53,19 +50,19 @@ use crate::ckpt::{
     val_u64_hex, SnapshotDiagnostics, SnapshotWrite,
 };
 use crate::config::{
-    handoff_label, tenant_label, CheckpointConfig, FleetConfig, FleetConfigError, CKPT_STORE_LABEL,
-    ENGINE_LABEL,
+    handoff_label, region_label, tenant_label, CheckpointConfig, FleetConfig, FleetConfigError,
+    CKPT_STORE_LABEL, ENGINE_LABEL,
 };
 use crate::edge::{EpochOutcome, XEdgeServer};
 use crate::ingest::IngestPass;
 use crate::metrics::{FleetMetrics, FleetReport, FleetTelemetry};
 use crate::pool::WorkerPool;
-use crate::shard::{
-    dec_collab, dec_vehicle, enc_collab, enc_vehicle, region_label_table, CollabSnapshot, Shard,
+use crate::vehicle::{
+    dec_collab, dec_vehicle, enc_collab, enc_vehicle, CollabSnapshot, VehicleBatch, VehicleState,
+    BOARD_W, RADIO_W,
 };
-use crate::vehicle::{VehicleState, BOARD_W, RADIO_W};
 
-/// Deterministic sharded fleet simulation engine.
+/// Deterministic fleet simulation engine.
 ///
 /// # Examples
 ///
@@ -73,7 +70,7 @@ use crate::vehicle::{VehicleState, BOARD_W, RADIO_W};
 /// use vdap_fleet::{FleetConfig, FleetEngine};
 /// use vdap_sim::SimDuration;
 ///
-/// let mut cfg = FleetConfig::sized(64, 2);
+/// let mut cfg = FleetConfig::sized(64);
 /// cfg.duration = SimDuration::from_secs(5);
 /// let report = FleetEngine::new(cfg).run();
 /// assert!(report.metrics.requests > 0);
@@ -85,7 +82,7 @@ pub struct FleetEngine {
 
 impl FleetEngine {
     /// Creates an engine for the given scenario, rejecting unusable
-    /// configurations (zero counts, more shards than vehicles, an epoch
+    /// configurations (zero counts, more tenants than vehicles, an epoch
     /// past the horizon, an empty class mix) with a descriptive
     /// [`FleetConfigError`] instead of a downstream panic or hang.
     pub fn try_new(cfg: FleetConfig) -> Result<Self, FleetConfigError> {
@@ -185,10 +182,13 @@ impl FleetEngine {
     /// Resumes a run from `snapshot` and drives it to the horizon.
     ///
     /// The snapshot must come from a scenario with the same fingerprint
-    /// (seed, fleet shape, subsystem toggles). The *shard count* is
-    /// deliberately not fingerprinted: a snapshot taken by an 8-shard
-    /// run restores into a 1-shard engine and vice versa, and the
-    /// resumed report's summary stays byte-identical either way.
+    /// (seed, fleet shape, subsystem toggles). The executor width and
+    /// batch size are deliberately not fingerprinted: a snapshot taken
+    /// by a wide run restores into a one-worker engine and vice versa,
+    /// and the resumed report's summary stays byte-identical either
+    /// way. A payload whose checksum matches but whose vehicles are
+    /// impossible (foreign ids, tenants or regions, next events outside
+    /// the remaining run) is rejected.
     pub fn restore(&self, snapshot: &Snapshot) -> Result<FleetReport, CkptError> {
         let ctx = RunCtx::new(&self.cfg);
         let started = Instant::now();
@@ -214,7 +214,7 @@ struct RunCtx {
     cfg: Arc<FleetConfig>,
     seeds: SeedFactory,
     injector: Option<Arc<FaultInjector>>,
-    region_labels: Arc<Vec<String>>,
+    region_labels: Vec<String>,
     tenant_labels: Vec<String>,
     horizon: SimTime,
 }
@@ -224,7 +224,7 @@ impl RunCtx {
         let cfg = Arc::new(cfg.clone());
         let seeds = SeedFactory::new(cfg.seed);
         let injector = cfg.chaos.as_ref().map(|plan| Arc::new(plan.compile()));
-        let region_labels = Arc::new(region_label_table(cfg.regions));
+        let region_labels = (0..cfg.regions).map(region_label).collect();
         let tenant_labels = (0..cfg.tenants).map(tenant_label).collect();
         let horizon = cfg.horizon();
         RunCtx {
@@ -241,18 +241,22 @@ impl RunCtx {
 /// The complete mutable engine state carried across epoch barriers —
 /// exactly the set a snapshot serializes and a restore rebuilds.
 struct EngineState {
-    shards: Vec<Shard>,
+    /// The fleet, indexed by vehicle id.
+    vehicles: Vec<VehicleState>,
+    /// The V2V snapshot the next epoch's ticks read.
+    collab: CollabSnapshot,
     edge: XEdgeServer,
-    engine_metrics: FleetMetrics,
+    /// Fleet metrics: the barrier records engine-side outcomes here
+    /// and folds every batch's vehicle-side metrics in.
+    metrics: FleetMetrics,
     reliability: ReliabilityStats,
     telemetry: Option<FleetTelemetry>,
     ingest: Option<IngestPass>,
     mobility: Option<MobilityPass>,
     ladder_rng: RngStream,
     epoch_index: u64,
-    /// Net events already accounted by pre-crash legs (0 on a fresh
-    /// run; a restore folds the writing run's shard ledgers into it).
-    events_base: u64,
+    /// Per-vehicle events (request ticks + ingest uploads) so far.
+    events: u64,
     /// Wall-clock snapshot diagnostics, carried across supervised legs.
     snapshots: SnapshotDiagnostics,
 }
@@ -262,9 +266,6 @@ impl EngineState {
     /// already written.
     fn fresh(ctx: &RunCtx) -> Self {
         let cfg = &ctx.cfg;
-        let shards: Vec<Shard> = (0..cfg.shards)
-            .map(|i| Shard::new(i, cfg, &ctx.seeds))
-            .collect();
         let mut reliability = ReliabilityStats::new();
 
         // The fault timeline is a pure function of the plan, so the
@@ -293,9 +294,12 @@ impl EngineState {
         }
 
         EngineState {
-            shards,
+            vehicles: (0..cfg.vehicles)
+                .map(|id| VehicleState::new(id, cfg, &ctx.seeds))
+                .collect(),
+            collab: CollabSnapshot::new(),
             edge: XEdgeServer::new(cfg),
-            engine_metrics: FleetMetrics::new(),
+            metrics: FleetMetrics::new(),
             reliability,
             telemetry: cfg.telemetry.then(|| {
                 FleetTelemetry::configured(
@@ -314,11 +318,11 @@ impl EngineState {
                 .as_ref()
                 .map(|mob| MobilityPass::new(mob, cfg, &ctx.seeds)),
             // Ladder randomness is engine-owned and consumed in
-            // canonical batch order at barriers, so it is shard-count
-            // invariant.
+            // canonical batch order at barriers, so no schedule can
+            // reach it.
             ladder_rng: ctx.seeds.stream("fleet-ladder"),
             epoch_index: 0,
-            events_base: 0,
+            events: 0,
             snapshots: SnapshotDiagnostics::default(),
         }
     }
@@ -342,7 +346,7 @@ enum RunEnd {
 ///
 /// With a `store` wired and a checkpoint config present, the complete
 /// state is snapshotted at every interval barrier — after the barrier's
-/// canonical exchange, when every cross-shard queue is drained and all
+/// canonical exchange, when every cross-vehicle queue is drained and all
 /// scheduled events lie strictly beyond the barrier. `crashes` lists
 /// epoch barriers at which a supervised leg dies (empty on unsupervised
 /// paths).
@@ -359,52 +363,47 @@ fn run_core(
     let batch_size = cfg.batch_size as usize;
     // The profiler measures this leg's wall clock only — diagnostics,
     // so a resumed run legitimately reports a shorter profile.
-    let mut profiler = BarrierProfiler::new(pool.threads(), cfg.shards as usize);
+    let mut profiler = BarrierProfiler::new(pool.threads());
     loop {
         let end_raw = SimTime::ZERO + cfg.epoch * (state.epoch_index + 1);
         let end = if end_raw > horizon { horizon } else { end_raw };
 
         // ---- tick phase: stealable vehicle batches, fork/join ----
-        // Split every shard's fleet into fixed-size batches and fan
-        // them out across the work-stealing pool. Each batch advances
-        // its vehicles to the barrier against the previous epoch's
-        // collab snapshot; the steal schedule is unobservable because
-        // every vehicle owns its RNG streams and every batch output is
-        // merged back in canonical order below.
-        let mut batches = Vec::new();
-        for (i, shard) in state.shards.iter_mut().enumerate() {
-            batches.extend(shard.batches(i, batch_size));
-        }
+        // Each chunk of the fleet array advances its vehicles to the
+        // barrier against the previous epoch's collab snapshot; the
+        // steal schedule is unobservable because every vehicle owns its
+        // RNG streams and every batch output is folded back in chunk
+        // order below.
+        let mut batches: Vec<VehicleBatch<'_>> = state
+            .vehicles
+            .chunks_mut(batch_size)
+            .map(VehicleBatch::new)
+            .collect();
+        let collab = &state.collab;
         let wall_started = Instant::now();
         let samples = pool.for_each_mut(&mut batches, |_, b| {
-            b.advance(cfg, injector, &ctx.region_labels, end);
+            b.advance(cfg, injector, &ctx.region_labels, collab, end);
         });
         let wall = wall_started.elapsed();
 
         // ---- barrier: single-threaded, canonical-order exchange ----
-        // The canonical merge is serial barrier work: shards ascending,
-        // batches in vehicle-id order within each shard.
         let barrier_started = Instant::now();
-        let mut shard_busy = vec![Duration::ZERO; state.shards.len()];
-        for b in &batches {
-            shard_busy[b.shard] += b.busy;
-        }
-        for b in batches {
-            let shard = b.shard;
-            state.shards[shard].merge(b);
-        }
-        profiler.record_epoch(wall, &samples, &shard_busy);
-        let mut batch = Vec::new();
-        let mut ingest_batches = Vec::new();
+        profiler.record_epoch(wall, &samples);
+        let mut requests = Vec::new();
+        let mut uploads = Vec::new();
         let mut publications: Vec<(Tile, u32)> = Vec::new();
         let mut failovers: Vec<(u32, u32, f64)> = Vec::new();
-        for shard in &mut state.shards {
-            batch.append(&mut shard.outbox);
-            ingest_batches.append(&mut shard.ingest_outbox);
-            publications.append(&mut shard.publications);
-            failovers.append(&mut shard.failover_samples);
+        let mut stale_hits = 0;
+        for out in batches.into_iter().map(|b| b.out) {
+            requests.extend(out.outbox);
+            uploads.extend(out.ingest_outbox);
+            publications.extend(out.publications);
+            failovers.extend(out.failover_samples);
+            stale_hits += out.stale_hits;
+            state.events += out.events;
+            state.metrics.merge(&out.metrics);
             if let Some(tel) = state.telemetry.as_mut() {
-                for span in shard.spans.drain(..) {
+                for span in out.spans {
                     tel.registry.inc(
                         match span.outcome {
                             SpanOutcome::CollabHit => "fleet.collab_hits",
@@ -420,7 +419,7 @@ fn run_core(
         // Failover latencies feed an exact (order-sensitive) Summary,
         // so sort them canonically before recording.
         failovers.sort_unstable_by_key(|&(vehicle, seq, _)| (vehicle, seq));
-        for &(_, _, ms) in &failovers {
+        for (_, _, ms) in failovers {
             state
                 .reliability
                 .record_failover(SimDuration::from_millis_f64(ms));
@@ -428,23 +427,17 @@ fn run_core(
 
         let outcome = state
             .edge
-            .serve_epoch(batch, end, injector, &mut state.ladder_rng);
-        state
-            .engine_metrics
-            .queue_depth
-            .record(outcome.queue_depth as f64);
-        state
-            .engine_metrics
-            .elastic_lanes
-            .record(f64::from(outcome.lanes));
+            .serve_epoch(requests, end, injector, &mut state.ladder_rng);
+        state.metrics.queue_depth.record(outcome.queue_depth as f64);
+        state.metrics.elastic_lanes.record(f64::from(outcome.lanes));
         if outcome.scaled_up {
-            state.engine_metrics.scale_ups += 1;
+            state.metrics.scale_ups += 1;
         }
         if outcome.scaled_down {
-            state.engine_metrics.scale_downs += 1;
+            state.metrics.scale_downs += 1;
         }
         record_outcome(
-            &mut state.engine_metrics,
+            &mut state.metrics,
             &mut state.reliability,
             &outcome,
             cfg,
@@ -461,7 +454,7 @@ fn run_core(
         if let Some(ing) = state.ingest.as_mut() {
             let epoch_start = SimTime::ZERO + cfg.epoch * state.epoch_index;
             ing.barrier(
-                std::mem::take(&mut ingest_batches),
+                uploads,
                 end - epoch_start,
                 end,
                 state.epoch_index,
@@ -472,13 +465,13 @@ fn run_core(
         }
 
         // The geo-mobility pass: advance every seeded track across
-        // the epoch just completed, price region crossings, and
-        // migrate vehicles whose new region is homed on another
-        // shard — all single-threaded, in canonical vehicle order.
+        // the epoch just completed and price region crossings —
+        // single-threaded, in canonical vehicle order.
         if let Some(mob) = state.mobility.as_mut() {
             let epoch_start = SimTime::ZERO + cfg.epoch * state.epoch_index;
+            mob.metrics.stale_cache_hits += stale_hits;
             mob.barrier(
-                &mut state.shards,
+                &mut state.vehicles,
                 &mut state.edge,
                 state.ingest.as_mut(),
                 injector,
@@ -494,9 +487,10 @@ fn run_core(
 
         // Union this epoch's publications into the next snapshot;
         // ties go to the smallest vehicle id (order-independent).
-        let mut snapshot = CollabSnapshot::new();
+        state.collab.clear();
         for (tile, producer) in publications {
-            snapshot
+            state
+                .collab
                 .entry(tile)
                 .and_modify(|p| {
                     if producer < *p {
@@ -504,10 +498,6 @@ fn run_core(
                     }
                 })
                 .or_insert(producer);
-        }
-        let snapshot = Arc::new(snapshot);
-        for shard in &mut state.shards {
-            shard.snapshot = Arc::clone(&snapshot);
         }
 
         // Telemetry budget enforcement is the last barrier step, after
@@ -546,7 +536,7 @@ fn run_core(
     // telemetry counters and spans but adds no epoch samples.
     let tail = state.edge.flush(horizon);
     record_outcome(
-        &mut state.engine_metrics,
+        &mut state.metrics,
         &mut state.reliability,
         &tail,
         cfg,
@@ -554,23 +544,15 @@ fn run_core(
         state.telemetry.as_mut(),
     );
 
-    // Merge shard-local metrics (associative + commutative). Events
-    // are per-vehicle tick/upload fires, so the ledger is independent
-    // of which shard (or worker) a vehicle happened to run on.
-    let mut metrics = state.engine_metrics;
-    let mut events_processed = state.events_base;
-    for shard in &state.shards {
-        events_processed += shard.events;
-        metrics.merge(&shard.metrics);
-    }
+    let metrics = state.metrics;
     if let Some(tel) = state.telemetry.as_mut() {
         tel.registry.inc("fleet.requests", metrics.requests);
         // With spill configured, the horizon tail goes to disk too, so
         // the JSONL segments hold the complete post-sampling stream.
         tel.final_flush(state.epoch_index);
         // Insertion order interleaves vehicle-side and edge-side
-        // resolutions arbitrarily; canonical order restores a
-        // shard-count-invariant log.
+        // resolutions; canonical order makes the log independent of
+        // it.
         tel.spans.sort_canonical();
     }
     let region_availability = state
@@ -585,14 +567,12 @@ fn run_core(
         reliability: state.reliability,
         region_availability,
         vehicles: cfg.vehicles,
-        shards: cfg.shards,
         duration: cfg.duration,
-        events_processed,
+        events_processed: state.events,
         admission_offered: state.edge.offered(),
         admission_rejected: state.edge.rejected(),
         mobility: state.mobility.as_ref().map(|m| m.metrics.clone()),
         region_admission: state.edge.region_admission_table(),
-        physical_migrations: state.mobility.as_ref().map_or(0, |m| m.physical_migrations),
         ingest: state.ingest.as_mut().map(IngestPass::finish),
         telemetry: state.telemetry,
         profile: profiler.finish(),
@@ -651,40 +631,26 @@ fn write_snapshot(
 
 /// Streams the complete deterministic engine state as canonical JSON.
 ///
-/// Shard-local metrics and event counts are folded into the engine
-/// totals before encoding and vehicles are listed in id order, so a
-/// snapshot is *canonical*: every shard count serializes the same
+/// Nothing in it depends on executor width or batch size, and vehicles
+/// are listed in id order, so every run layout serializes the same
 /// scenario at the same barrier to the same payload — which is what
-/// lets a snapshot restore into a different shard count.
+/// lets a snapshot restore under a different layout.
 fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) {
-    let mut metrics = state.engine_metrics.clone();
-    let mut events = state.events_base;
-    for shard in &state.shards {
-        events += shard.events;
-        metrics.merge(&shard.metrics);
-    }
-    let mut vehicles: Vec<&VehicleState> = state
-        .shards
-        .iter()
-        .flat_map(|s| s.vehicles.values())
-        .collect();
-    vehicles.sort_unstable_by_key(|v| v.id);
     w.begin_object();
     w.key("collab");
-    // Post-barrier, every shard holds the same collab Arc.
-    enc_collab(w, &state.shards[0].snapshot);
+    enc_collab(w, &state.collab);
     w.key("config");
     config_fingerprint(w, cfg);
     w.key("edge");
     state.edge.ckpt(w);
     w.key("epoch").hex(state.epoch_index);
-    w.key("events_base").hex(events);
+    w.key("events_base").hex(state.events);
     w.key("ingest");
     enc_opt(w, state.ingest.as_ref(), |w, ingest| ingest.ckpt(w));
     w.key("ladder_rng");
     enc_rng(w, &state.ladder_rng);
     w.key("metrics");
-    enc_metrics(w, &metrics);
+    enc_metrics(w, &state.metrics);
     w.key("mobility");
     enc_opt(w, state.mobility.as_ref(), |w, mobility| mobility.ckpt(w));
     w.key("reliability");
@@ -692,7 +658,7 @@ fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) 
     w.key("telemetry");
     enc_opt(w, state.telemetry.as_ref(), enc_telemetry);
     w.key("vehicles").begin_array();
-    for v in vehicles {
+    for v in &state.vehicles {
         enc_vehicle(w, v);
     }
     w.end_array();
@@ -702,10 +668,9 @@ fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) 
 /// Rebuilds a complete [`EngineState`] from a decoded snapshot payload.
 ///
 /// Everything that is a pure function of the scenario — the region
-/// graph, contention curves, retry policies, label tables, and the
-/// vehicle → shard residency map — is *recomputed*, never deserialized,
-/// which is exactly why the restoring engine's shard count is free to
-/// differ from the writing run's.
+/// graph, contention curves, retry policies, label tables — is
+/// *recomputed*, never deserialized. Each decoded vehicle lands in its
+/// id slot after [`dec_vehicle`]'s semantic checks.
 fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, CkptError> {
     let cfg = &ctx.cfg;
     check_fingerprint(cfg, payload)?;
@@ -716,11 +681,11 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             "snapshot epoch {epoch_index} outside the run's open interval"
         )));
     }
-    let events_base = get_u64_hex(payload, "events_base")?;
+    let events = get_u64_hex(payload, "events_base")?;
     let ladder_rng = rng_field(payload, "ladder_rng")?;
-    let engine_metrics = metrics_field(payload, "metrics")?;
+    let metrics = metrics_field(payload, "metrics")?;
     let reliability = reliability_field(payload, "reliability")?;
-    let collab = Arc::new(dec_collab(payload, "collab")?);
+    let collab = dec_collab(payload, "collab")?;
 
     let mobility = match (get(payload, "mobility")?, cfg.mobility.is_some()) {
         (Value::Null, false) => None,
@@ -740,25 +705,15 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             cfg.vehicles
         )));
     }
-    let mut buckets: Vec<Vec<VehicleState>> = (0..cfg.shards).map(|_| Vec::new()).collect();
-    for enc in vehicles_enc {
-        let v = dec_vehicle(cfg, enc)?;
-        if v.id >= cfg.vehicles {
-            return Err(CkptError::new(format!("vehicle id {} out of range", v.id)));
-        }
-        // The host shard is an invariant of the vehicle's *current*
-        // region under THIS engine's partition, not the writer's.
-        let host = match mobility.as_ref() {
-            Some(mob) => cfg.shard_of_region(mob.tracks[v.id as usize].region()),
-            None => cfg.initial_shard_of(v.id),
-        };
-        buckets[host as usize].push(v);
+    let mut vehicles = Vec::with_capacity(vehicles_enc.len());
+    for (id, enc) in (0..).zip(vehicles_enc) {
+        // Under mobility a vehicle drives in its track's current
+        // region; without it, in its home region.
+        let region = mobility
+            .as_ref()
+            .map_or(cfg.region_of(id), |mob| mob.tracks[id as usize].region());
+        vehicles.push(dec_vehicle(cfg, enc, id, region, t_snap)?);
     }
-    let shards: Vec<Shard> = buckets
-        .into_iter()
-        .enumerate()
-        .map(|(i, vehicles)| Shard::restore(i as u32, cfg, vehicles, Arc::clone(&collab)))
-        .collect();
 
     let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?)?;
     let ingest = match (get(payload, "ingest")?, cfg.ingest.is_some()) {
@@ -800,16 +755,17 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
     };
 
     Ok(EngineState {
-        shards,
+        vehicles,
+        collab,
         edge,
-        engine_metrics,
+        metrics,
         reliability,
         telemetry,
         ingest,
         mobility,
         ladder_rng,
         epoch_index,
-        events_base,
+        events,
         snapshots: SnapshotDiagnostics::default(),
     })
 }
@@ -1137,22 +1093,16 @@ fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
 
 /// The engine-owned geo-mobility pass.
 ///
-/// All mobility state — the seeded region graph, every vehicle's route
-/// track, and the vehicle → shard residency table — lives on the engine
-/// thread and advances only at barriers, so crossings are a pure
-/// function of `(seed, vehicle, epoch)` and never of shard count. The
-/// pass runs in canonical vehicle-id order; only the *physical* evict/
-/// adopt moves depend on how many shards this run happens to use, and
-/// those feed diagnostics, never the deterministic ledger.
+/// All mobility state — the seeded region graph and every vehicle's
+/// route track — lives on the engine thread and advances only at
+/// barriers, in canonical vehicle-id order, so crossings are a pure
+/// function of `(seed, vehicle, epoch)`.
 struct MobilityPass {
     graph: RegionGraph,
     tracks: Vec<VehicleTrack>,
-    /// Which shard currently hosts each vehicle.
-    host: Vec<u32>,
     channel: CellularChannel,
     handoff_labels: Vec<String>,
     metrics: MobilityMetrics,
-    physical_migrations: u64,
     crossings_buf: Vec<Crossing>,
 }
 
@@ -1180,27 +1130,19 @@ impl MobilityPass {
         MobilityPass {
             graph,
             tracks,
-            host: (0..cfg.vehicles)
-                .map(|id| cfg.initial_shard_of(id))
-                .collect(),
             channel: CellularChannel::calibrated(),
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: MobilityMetrics::new(),
-            physical_migrations: 0,
             crossings_buf: Vec::new(),
         }
     }
 
-    /// Serializes the pass: every route track (in vehicle-id order),
-    /// the mobility ledger, and the physical-migration diagnostic. The
-    /// host table is *not* stored — it is recomputable from each
-    /// track's current region, and storing it would pin the writer's
-    /// shard count.
+    /// Serializes the pass: every route track (in vehicle-id order) and
+    /// the mobility ledger.
     fn ckpt(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("metrics");
         enc_mobility_metrics(w, &self.metrics);
-        w.key("physical_migrations").hex(self.physical_migrations);
         w.key("tracks").begin_array();
         for t in &self.tracks {
             enc_track(w, &t.snapshot());
@@ -1209,10 +1151,8 @@ impl MobilityPass {
         w.end_object();
     }
 
-    /// Rebuilds the pass for this engine's shard count: the region
-    /// graph and channel are re-derived from the seed, the tracks come
-    /// from the snapshot, and the host table is recomputed from each
-    /// track's current region.
+    /// Rebuilds the pass: the region graph and channel are re-derived
+    /// from the seed, the tracks and ledger come from the snapshot.
     fn restore_ckpt(
         cfg: &FleetConfig,
         seeds: &SeedFactory,
@@ -1249,28 +1189,22 @@ impl MobilityPass {
             }
             tracks.push(VehicleTrack::from_snapshot(snap));
         }
-        let host = tracks
-            .iter()
-            .map(|t| cfg.shard_of_region(t.region()))
-            .collect();
         Ok(MobilityPass {
             graph,
             tracks,
-            host,
             channel: CellularChannel::calibrated(),
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: dec_mobility_metrics(get(v, "metrics")?)?,
-            physical_migrations: get_u64_hex(v, "physical_migrations")?,
             crossings_buf: Vec::new(),
         })
     }
 
     /// One barrier's mobility step, covering the epoch
-    /// `[epoch_start, end]` the shards just finished.
+    /// `[epoch_start, end]` the vehicles just finished.
     #[allow(clippy::too_many_arguments)]
     fn barrier(
         &mut self,
-        shards: &mut [Shard],
+        vehicles: &mut [VehicleState],
         edge: &mut XEdgeServer,
         mut ingest: Option<&mut IngestPass>,
         injector: Option<&FaultInjector>,
@@ -1283,14 +1217,10 @@ impl MobilityPass {
         epoch_index: u64,
     ) {
         // Vehicles that crossed at the *previous* barrier spent the
-        // epoch with a cold collab cache: drain the suppressed-hit
-        // counters and clear every flag before marking this barrier's
-        // crossers.
-        for shard in shards.iter_mut() {
-            self.metrics.stale_cache_hits += std::mem::take(&mut shard.stale_hits);
-            for v in shard.vehicles.values_mut() {
-                v.cache_stale = false;
-            }
+        // epoch with a cold collab cache: clear every flag before
+        // marking this barrier's crossers.
+        for v in vehicles.iter_mut() {
+            v.cache_stale = false;
         }
 
         // Congestion multipliers from pre-advance occupancy: every
@@ -1313,7 +1243,7 @@ impl MobilityPass {
 
         let mut epoch_crossings = 0u64;
         let mut epoch_migrations = 0u64;
-        for id in 0..cfg.vehicles {
+        for (id, v) in (0..).zip(vehicles.iter_mut()) {
             self.crossings_buf.clear();
             self.tracks[id as usize].advance(
                 epoch_start,
@@ -1344,9 +1274,9 @@ impl MobilityPass {
                 self.metrics.handoff_seconds += cost.as_secs_f64();
                 self.metrics.handoff_ms.record_duration(cost);
                 self.metrics.crossing_speed_mph.record(c.speed.0);
-                // `migrations` counts home-node *domain* changes — the
-                // canonical placement function — so the ledger is
-                // byte-identical at any shard count.
+                // `migrations` counts home-node *domain* changes: a
+                // crossing between regions homed on different XEdge
+                // nodes.
                 if c.from % cfg.edge_nodes != c.to % cfg.edge_nodes {
                     self.metrics.migrations += 1;
                     epoch_migrations += 1;
@@ -1358,33 +1288,15 @@ impl MobilityPass {
                 handoff += cost;
             }
 
-            // The vehicle's shard-side state: handoff debt lands on its
-            // next request, the region moves, the collab cache goes
-            // stale for one epoch.
+            // The vehicle's own state, rewritten in place: handoff debt
+            // lands on its next request, the region moves, the collab
+            // cache goes stale for one epoch.
             let dest = self.tracks[id as usize].region();
-            let host = self.host[id as usize] as usize;
-            {
-                let v = shards[host]
-                    .vehicles
-                    .get_mut(&id)
-                    .expect("host table tracks residency");
-                v.pending_handoff += handoff;
-                v.region = dest;
-                v.cache_stale = true;
-            }
+            v.pending_handoff += handoff;
+            v.region = dest;
+            v.cache_stale = true;
             if let Some(ing) = ingest.as_deref_mut() {
                 self.metrics.readdressed_batches += ing.readdress(u64::from(id), dest);
-            }
-
-            // Physical migration: move the whole vehicle to the shard
-            // owning its new region. Shard-count dependent, so it only
-            // feeds diagnostics.
-            let target = cfg.shard_of_region(dest);
-            if target != self.host[id as usize] {
-                let v = shards[host].evict(id).expect("resident vehicle");
-                shards[target as usize].adopt(v);
-                self.host[id as usize] = target;
-                self.physical_migrations += 1;
             }
         }
 
@@ -1425,7 +1337,7 @@ const fn rejected_series(class: WorkloadClass) -> &'static str {
 
 /// Samples the per-epoch time series at one barrier. Every sampled
 /// value is an output of the canonical single-threaded serving pass,
-/// so the series are shard-count invariant by construction.
+/// so no schedule can reach the series.
 fn sample_epoch(tel: &mut FleetTelemetry, outcome: &EpochOutcome, epoch: u64, at: SimTime) {
     tel.registry
         .sample("xedge.queue_depth", epoch, at, outcome.queue_depth as f64);
@@ -1472,7 +1384,7 @@ fn record_outcome(
                 seq: served.seq,
                 tenant: served.tenant,
                 region: served.region,
-                shard: cfg.shard_of(served.vehicle),
+                shard: 0,
                 class: served.class.label(),
                 generated: served.arrival,
                 admitted: Some(served.admitted),
@@ -1500,7 +1412,7 @@ fn record_outcome(
                 seq: rejected.seq,
                 tenant: rejected.tenant,
                 region: rejected.region,
-                shard: cfg.shard_of(rejected.vehicle),
+                shard: 0,
                 class: rejected.class.label(),
                 generated: rejected.arrival,
                 admitted: None,
@@ -1531,7 +1443,7 @@ fn record_outcome(
                 seq: fallback.seq,
                 tenant: fallback.tenant,
                 region: fallback.region,
-                shard: cfg.shard_of(fallback.vehicle),
+                shard: 0,
                 class: fallback.class.label(),
                 generated: fallback.arrival,
                 admitted: Some(fallback.decided),
@@ -1633,23 +1545,35 @@ fn record_tenant_ledger(
 mod tests {
     use super::*;
 
-    fn small(shards: u32) -> FleetConfig {
-        let mut cfg = FleetConfig::sized(96, shards);
+    fn small() -> FleetConfig {
+        let mut cfg = FleetConfig::sized(96);
         cfg.duration = SimDuration::from_secs(10);
         cfg
     }
 
+    /// `cfg` under the two non-default run layouts every invariance
+    /// test checks: one worker with single-vehicle batches, and two
+    /// workers with an odd batch size.
+    fn relaid(cfg: &FleetConfig) -> [FleetConfig; 2] {
+        [
+            cfg.clone().with_executor_threads(1).with_batch_size(1),
+            cfg.clone().with_executor_threads(2).with_batch_size(7),
+        ]
+    }
+
     #[test]
     fn shard_counts_produce_identical_summaries() {
-        let one = FleetEngine::new(small(1)).run();
-        let four = FleetEngine::new(small(4)).run();
-        assert_eq!(one.summary(), four.summary());
-        assert_eq!(one.metrics, four.metrics);
+        let base = FleetEngine::new(small()).run();
+        for cfg in relaid(&small()) {
+            let r = FleetEngine::new(cfg).run();
+            assert_eq!(base.summary(), r.summary());
+            assert_eq!(base.metrics, r.metrics);
+        }
     }
 
     #[test]
     fn requests_split_across_outcomes() {
-        let report = FleetEngine::new(small(2)).run();
+        let report = FleetEngine::new(small()).run();
         let m = &report.metrics;
         assert!(m.requests >= 96 * 9, "~1 request/vehicle/second");
         assert_eq!(
@@ -1665,7 +1589,7 @@ mod tests {
     #[test]
     fn regional_outage_causes_failovers_and_lowers_availability() {
         let mut cfg =
-            small(2).with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(4));
+            small().with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(4));
         cfg.duration = SimDuration::from_secs(10);
         let report = FleetEngine::new(cfg).run();
         assert!(report.metrics.failovers > 0);
@@ -1679,13 +1603,10 @@ mod tests {
 
     #[test]
     fn node_crash_walks_the_degradation_ladder() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards);
-            cfg.edge_nodes = 1;
-            let cfg = cfg.with_edge_node_crash(0, SimTime::from_secs(2), SimDuration::from_secs(4));
-            FleetEngine::new(cfg).run()
-        };
-        let report = build(2);
+        let mut cfg = small();
+        cfg.edge_nodes = 1;
+        let cfg = cfg.with_edge_node_crash(0, SimTime::from_secs(2), SimDuration::from_secs(4));
+        let report = FleetEngine::new(cfg.clone()).run();
         let m = &report.metrics;
         assert!(
             m.retry_rescued > 0,
@@ -1714,19 +1635,17 @@ mod tests {
         assert!(report.reliability.mttr().mean() > 0.0);
         assert!(report.reliability.retry_count() > 0);
         assert!(report.reliability.total_degraded_time() > SimDuration::ZERO);
-        // The whole chaos story is still byte-identical across shard
-        // counts.
-        assert_eq!(build(1).summary(), build(4).summary());
+        // The whole chaos story is still byte-identical across run
+        // layouts.
+        for relaid in relaid(&cfg) {
+            assert_eq!(report.summary(), FleetEngine::new(relaid).run().summary());
+        }
     }
 
     #[test]
     fn ingest_runs_healthy_and_stays_shard_invariant() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards).with_ingest();
-            cfg.duration = SimDuration::from_secs(10);
-            FleetEngine::new(cfg).run()
-        };
-        let report = build(2);
+        let cfg = small().with_ingest();
+        let report = FleetEngine::new(cfg.clone()).run();
         let ing = report.ingest.as_ref().expect("ingest ledger present");
         assert!(ing.batches_sent > 0, "vehicles uploaded batches");
         assert_eq!(
@@ -1735,24 +1654,21 @@ mod tests {
             "every record is written, shed, evicted, or backlog"
         );
         assert_eq!(ing.deadline_misses, 0, "healthy run misses nothing");
-        let one = build(1);
-        let four = build(4);
-        assert_eq!(one.summary(), four.summary());
-        assert_eq!(one.ingest, four.ingest);
+        for relaid in relaid(&cfg) {
+            let r = FleetEngine::new(relaid).run();
+            assert_eq!(report.summary(), r.summary());
+            assert_eq!(report.ingest, r.ingest);
+        }
     }
 
     #[test]
     fn storage_chaos_degrades_ingest_through_the_ladder() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards)
-                .with_ingest()
-                .with_collector_outage(0, SimTime::from_secs(1), SimDuration::from_secs(6))
-                .with_storage_brownout(0.02, SimTime::from_secs(2), SimDuration::from_secs(6));
-            cfg.duration = SimDuration::from_secs(10);
-            cfg.ingest.as_mut().unwrap().storage_records_per_sec = 400.0;
-            FleetEngine::new(cfg).run()
-        };
-        let report = build(2);
+        let mut cfg = small()
+            .with_ingest()
+            .with_collector_outage(0, SimTime::from_secs(1), SimDuration::from_secs(6))
+            .with_storage_brownout(0.02, SimTime::from_secs(2), SimDuration::from_secs(6));
+        cfg.ingest.as_mut().unwrap().storage_records_per_sec = 400.0;
+        let report = FleetEngine::new(cfg.clone()).run();
         let ing = report.ingest.as_ref().expect("ingest ledger present");
         assert!(ing.outage_bounces > 0, "collector outage bounced uploads");
         assert!(ing.retries > 0, "rung 1 retried with seeded backoff");
@@ -1771,34 +1687,34 @@ mod tests {
             ing.records_written + ing.records_shed + ing.cache_evictions + ing.backlog_records,
             "the ledger still partitions under chaos"
         );
-        assert_eq!(build(1).summary(), build(4).summary());
+        for relaid in relaid(&cfg) {
+            assert_eq!(report.summary(), FleetEngine::new(relaid).run().summary());
+        }
     }
 
     #[test]
     fn mobility_crossings_stay_shard_invariant() {
-        let build = |shards: u32| {
-            let mut cfg = small(shards).with_mobility();
-            cfg.duration = SimDuration::from_secs(10);
-            FleetEngine::new(cfg).run()
-        };
-        let one = build(1);
-        let four = build(4);
-        let mob = one.mobility.as_ref().expect("mobility ledger present");
+        let cfg = small().with_mobility();
+        let base = FleetEngine::new(cfg.clone()).run();
+        let mob = base.mobility.as_ref().expect("mobility ledger present");
         assert!(mob.crossings > 0, "vehicles cross region boundaries");
         assert!(mob.migrations > 0, "some crossings change home-node domain");
         assert!(
             mob.partitions(),
             "crossings partition into migrations + same-domain moves"
         );
-        assert_eq!(one.summary(), four.summary());
-        assert_eq!(one.mobility, four.mobility);
-        assert_eq!(one.region_admission, four.region_admission);
+        for relaid in relaid(&cfg) {
+            let r = FleetEngine::new(relaid).run();
+            assert_eq!(base.summary(), r.summary());
+            assert_eq!(base.mobility, r.mobility);
+            assert_eq!(base.region_admission, r.region_admission);
+        }
     }
 
     #[test]
     fn handoff_storm_multiplies_crossing_cost_without_double_counting() {
         let build = |storm: bool| {
-            let mut cfg = small(2).with_mobility();
+            let mut cfg = small().with_mobility();
             if storm {
                 cfg = cfg.with_handoff_storm(1, SimTime::from_secs(2), SimDuration::from_secs(6));
             }
@@ -1843,14 +1759,10 @@ mod tests {
 
     #[test]
     fn chaos_summary_is_shard_invariant_too() {
-        let build = |shards| {
-            let cfg = small(shards).with_regional_outage(
-                1,
-                SimTime::from_secs(3),
-                SimDuration::from_secs(3),
-            );
-            FleetEngine::new(cfg).run().summary()
-        };
-        assert_eq!(build(1), build(3));
+        let cfg = small().with_regional_outage(1, SimTime::from_secs(3), SimDuration::from_secs(3));
+        let base = FleetEngine::new(cfg.clone()).run().summary();
+        for relaid in relaid(&cfg) {
+            assert_eq!(base, FleetEngine::new(relaid).run().summary());
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! # vdap-fleet — deterministic sharded fleet-scale simulation
+//! # vdap-fleet — deterministic fleet-scale simulation
 //!
 //! OpenVDAP's architecture is fleet-shaped: every vehicle streams
 //! heterogeneous work to shared XEdge servers (§III): real-time
@@ -33,34 +33,30 @@
 //! only at epoch barriers; a region-boundary crossing pays the cellular
 //! handoff cost on the vehicle's next request, re-registers its tenant
 //! with the destination region's admission gate, invalidates its V2V
-//! collaboration cache for one epoch, re-addresses its in-flight ingest
-//! batches, and — when the destination is homed on a different shard —
-//! migrates the vehicle's full state between worker shards, preserving
-//! byte-identity (see [`MobilityMetrics`]).
+//! collaboration cache for one epoch, and re-addresses its in-flight
+//! ingest batches (see [`MobilityMetrics`]).
 //!
-//! Vehicles are partitioned into shards; each epoch, every shard's
-//! fleet is split into fixed-size vehicle batches
-//! ([`FleetConfig::with_batch_size`]) and fanned out across a
-//! persistent work-stealing executor ([`WorkerPool`], sized by
-//! [`FleetConfig::with_executor_threads`]). Cross-shard interactions —
-//! XEdge admission control and per-(tenant, class) fair queueing, V2V
+//! The fleet is one array indexed by vehicle id. Each epoch the array
+//! is cut into fixed-size vehicle batches
+//! ([`FleetConfig::with_batch_size`]) that run on a persistent
+//! work-stealing executor ([`WorkerPool`], sized by
+//! [`FleetConfig::with_executor_threads`]). Cross-vehicle interactions
+//! — XEdge admission control and per-(tenant, class) fair queueing, V2V
 //! result sharing, regional LTE outages — are exchanged at epoch
 //! barriers with conservative synchronization on canonically ordered
-//! data, so a run with N shards, any executor width and any batch size
-//! produces **byte-identical** aggregate metrics to a single-shard,
-//! single-thread run of the same seed (see `FleetReport::summary` and
-//! `tests/props.rs`).
+//! data, so a run at any executor width and any batch size produces
+//! **byte-identical** aggregate metrics to a single-thread run of the
+//! same seed (see `FleetReport::summary` and `tests/props.rs`).
 //!
 //! ```
 //! use vdap_fleet::{FleetConfig, FleetEngine};
 //! use vdap_sim::SimDuration;
 //!
-//! let mut cfg = FleetConfig::sized(128, 4).with_elastic_capacity();
+//! let mut cfg = FleetConfig::sized(128).with_elastic_capacity();
 //! cfg.duration = SimDuration::from_secs(10);
-//! let sharded = FleetEngine::new(cfg.clone()).run();
-//! cfg.shards = 1;
-//! let single = FleetEngine::new(cfg).run();
-//! assert_eq!(sharded.summary(), single.summary());
+//! let wide = FleetEngine::new(cfg.clone()).run();
+//! let serial = FleetEngine::new(cfg.with_executor_threads(1).with_batch_size(7)).run();
+//! assert_eq!(wide.summary(), serial.summary());
 //! ```
 
 #![warn(missing_docs)]
@@ -73,7 +69,6 @@ mod engine;
 mod ingest;
 mod metrics;
 mod pool;
-mod shard;
 mod vehicle;
 
 pub use ckpt::{SnapshotDiagnostics, SnapshotWrite};

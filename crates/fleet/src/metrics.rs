@@ -1,10 +1,10 @@
-//! Fleet observability: mergeable per-shard metrics and the run report.
+//! Fleet observability: mergeable metrics and the run report.
 //!
-//! Shards keep local [`FleetMetrics`]; the engine merges them with the
-//! engine-side metrics at the end of a run. Every field is either an
+//! Every vehicle batch fills its own [`FleetMetrics`], which the engine
+//! folds into the fleet's at each barrier. Every field is either an
 //! integer counter, a [`StreamingHistogram`], or a key-summed map, so
 //! the merge is associative and commutative bit-for-bit — the property
-//! the shard-count-invariance test (`tests/props.rs`) pins down.
+//! the run-layout invariance tests (`tests/props.rs`) pin down.
 //!
 //! Since the workload-class refactor the request stream is accounted
 //! twice: fleet-wide (the legacy counters and histograms) and per
@@ -174,8 +174,8 @@ impl FleetMetrics {
     //
     // Every request outcome is accounted twice — fleet-wide and per
     // class — and both views must stay in lock-step. These helpers are
-    // the only place the double bookkeeping happens: callers (the shard
-    // tick and the engine's barrier pass) record an outcome exactly
+    // the only place the double bookkeeping happens: callers (the
+    // vehicle tick and the engine's barrier pass) record an outcome exactly
     // once and cannot drift the two views apart.
 
     /// Records a request being issued.
@@ -258,7 +258,7 @@ impl FleetMetrics {
         cm.e2e_latency_ms.record_duration(e2e);
     }
 
-    /// Merges another shard's metrics into this one (order-independent).
+    /// Merges another batch's metrics into this one (order-independent).
     pub fn merge(&mut self, other: &FleetMetrics) {
         self.e2e_latency_ms.merge(&other.e2e_latency_ms);
         self.energy_per_request_j.merge(&other.energy_per_request_j);
@@ -300,10 +300,9 @@ impl FleetMetrics {
 ///
 /// Both halves are derived from values the deterministic serving path
 /// already computes: spans carry the canonical per-request lifecycle,
-/// the registry holds per-epoch samples taken at barriers. Modulo the
-/// explicit `shard` span attribute, the telemetry of an N-shard run is
-/// identical to a 1-shard run of the same seed (pinned by
-/// `tests/telemetry.rs`).
+/// the registry holds per-epoch samples taken at barriers. The
+/// telemetry of a run is identical at any executor width and batch size
+/// (pinned by `tests/telemetry.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct FleetTelemetry {
     /// One span per request, in canonical `(generated, vehicle, seq)`
@@ -360,8 +359,8 @@ impl FleetTelemetry {
 
     /// Accepts one drained span, applying the sampling decision. The
     /// decision reads only `(seed, vehicle, seq, outcome)` — never the
-    /// shard, worker, or arrival order — so what survives is identical
-    /// across shard counts and executor widths.
+    /// worker, batch, or arrival order — so what survives is identical
+    /// across executor widths and batch sizes.
     pub fn absorb(&mut self, span: RequestSpan) {
         if let Some(keep_one_in) = self.sample {
             if span.outcome.is_ok_path()
@@ -376,7 +375,8 @@ impl FleetTelemetry {
 
     /// Estimated resident telemetry bytes: buffered spans plus the
     /// registry estimate. Count-based on purpose — the estimate, and
-    /// every budget decision derived from it, is shard-count invariant.
+    /// every budget decision derived from it, is independent of the run
+    /// layout.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.spans.len() as u64 * SPAN_RESIDENT_BYTES + self.registry.approx_bytes()
@@ -456,7 +456,7 @@ pub struct RegionAdmission {
 /// The result of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Merged fleet metrics (all shards + engine).
+    /// Merged fleet metrics (vehicle side + engine side).
     pub metrics: FleetMetrics,
     /// Fleet-level reliability accounting (regional outages, node
     /// crashes, per-tenant MTTR, failovers, degraded-mode seconds).
@@ -466,32 +466,25 @@ pub struct FleetReport {
     pub region_availability: Vec<(String, f64)>,
     /// Vehicles simulated.
     pub vehicles: u32,
-    /// Shards the run used (excluded from [`FleetReport::summary`]).
-    pub shards: u32,
     /// Simulated duration.
     pub duration: SimDuration,
-    /// Total discrete events processed across shards.
+    /// Total discrete events (request ticks + ingest uploads) processed.
     pub events_processed: u64,
     /// Requests offered to the XEdge admission gate.
     pub admission_offered: u64,
     /// Requests rejected at the admission gate.
     pub admission_rejected: u64,
     /// Geo-mobility ledger, when the run used
-    /// [`crate::FleetConfig::with_mobility`]. Every field is
-    /// shard-count invariant (see [`MobilityMetrics`]).
+    /// [`crate::FleetConfig::with_mobility`] (see [`MobilityMetrics`]).
     pub mobility: Option<MobilityMetrics>,
     /// Per-region admission accounting, present only under mobility
     /// (indexed by region id).
     pub region_admission: Option<Vec<RegionAdmission>>,
-    /// Vehicles physically moved between worker shards at barriers.
-    /// Depends on the shard count, so it appears only in
-    /// [`FleetReport::diagnostics`], never in the summary.
-    pub physical_migrations: u64,
     /// DDI ingestion accounting, when the ingestion pipeline ran.
     pub ingest: Option<IngestMetrics>,
     /// Sim-time telemetry (spans + registry), when enabled.
     pub telemetry: Option<FleetTelemetry>,
-    /// Wall-clock engine profile: per-shard busy and barrier-idle time.
+    /// Wall-clock engine profile: per-worker busy and barrier-idle time.
     /// Always captured; reported only via [`FleetReport::diagnostics`],
     /// never in the deterministic [`FleetReport::summary`].
     pub profile: EngineProfile,
@@ -516,8 +509,8 @@ impl FleetReport {
     /// A canonical multi-line text summary of the run's aggregate
     /// metrics.
     ///
-    /// Deliberately excludes the shard count and any wall-clock figure:
-    /// same-seed runs with different shard counts must produce
+    /// Deliberately excludes the run layout and any wall-clock figure:
+    /// same-seed runs at any executor width and batch size must produce
     /// **byte-identical** summaries, which is the fleet engine's
     /// determinism contract (and is enforced by `repro -- fleet` and the
     /// property tests).
@@ -691,29 +684,16 @@ impl FleetReport {
         out
     }
 
-    /// The wall-clock diagnostics block: shard count, per-shard busy and
+    /// The wall-clock diagnostics block: per-worker busy and
     /// barrier-idle time, serial barrier time, and telemetry volume.
     ///
     /// This is the *nondeterministic* counterpart of
-    /// [`FleetReport::summary`] — wall-clock readings differ run to run
-    /// and shard count legitimately appears here, so nothing in this
-    /// block may ever feed a byte-identity comparison.
+    /// [`FleetReport::summary`] — wall-clock readings differ run to run,
+    /// so nothing in this block may ever feed a byte-identity
+    /// comparison.
     #[must_use]
     pub fn diagnostics(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "diagnostics: shards={} (wall-clock; excluded from the deterministic summary)",
-            self.shards
-        );
-        out.push_str(&self.profile.render());
-        if self.mobility.is_some() {
-            let _ = writeln!(
-                out,
-                "mobility_physical: cross_shard_moves={} (depends on shard count)",
-                self.physical_migrations
-            );
-        }
+        let mut out = self.profile.render();
         if let Some(tel) = &self.telemetry {
             let series = tel.registry.all_series().count();
             let _ = writeln!(
@@ -842,14 +822,12 @@ mod tests {
             reliability: ReliabilityStats::new(),
             region_availability: Vec::new(),
             vehicles: 10,
-            shards: 2,
             duration: SimDuration::from_secs(1),
             events_processed: 0,
             admission_offered: 0,
             admission_rejected: 0,
             mobility: None,
             region_admission: None,
-            physical_migrations: 0,
             ingest: None,
             telemetry: Some(FleetTelemetry::default()),
             profile: EngineProfile {
@@ -860,16 +838,14 @@ mod tests {
                     std::time::Duration::from_millis(1),
                     std::time::Duration::ZERO,
                 ],
-                shard_busy: vec![std::time::Duration::from_millis(5); 2],
                 barrier: std::time::Duration::from_millis(2),
                 epochs: 4,
             },
             snapshots: SnapshotDiagnostics::default(),
         };
         let d = report.diagnostics();
-        assert!(d.contains("shards=2"));
+        assert!(d.contains("profile: epochs=4"));
         assert!(d.contains("worker[0]:"));
-        assert!(d.contains("shard[0]:"));
         assert!(d.contains("barrier_idle_ms="));
         assert!(d.contains("steals="));
         assert!(d.contains("telemetry: spans=0"));
@@ -911,14 +887,12 @@ mod tests {
             reliability: ReliabilityStats::new(),
             region_availability: vec![("region0/lte".to_string(), 0.9)],
             vehicles: 10,
-            shards: 2,
             duration: SimDuration::from_secs(60),
             events_processed: 0,
             admission_offered: 0,
             admission_rejected: 0,
             mobility: None,
             region_admission: None,
-            physical_migrations: 0,
             ingest: None,
             telemetry: None,
             profile: EngineProfile::default(),
@@ -932,7 +906,10 @@ mod tests {
         assert!(s.contains("class[pbeam-training]:"));
         assert!(s.contains("elastic: lanes_mean="));
         assert!(s.contains("rounds_skipped=0"));
-        assert!(!s.contains("shards"), "summary must not leak shard count");
+        assert!(
+            !s.contains("worker"),
+            "summary must not leak the run layout"
+        );
         assert!(
             !s.contains("ingest:"),
             "no ingest lines unless the pipeline ran"

@@ -1,5 +1,5 @@
-//! Persistent work-stealing executor for shard advancement and
-//! parameter sweeps.
+//! Persistent work-stealing executor for the fleet's vehicle batches
+//! and parameter sweeps.
 //!
 //! The fleet engine needs "run these N independent chunks of work on at
 //! most K OS threads, return results in input order" — but it needs it
@@ -25,9 +25,16 @@
 //! batch results in canonical order). Results of [`WorkerPool::map`]
 //! are returned in input order regardless of which worker ran them, so
 //! pool size never affects determinism.
+//!
+//! A task that panics does not take its worker down: the worker catches
+//! the unwind, still counts the task as finished, and the submission
+//! re-raises the first panic on the submitting thread once every task
+//! has run.
 
+use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
@@ -129,6 +136,11 @@ impl WorkerPool {
     /// are handed to workers by disjoint index — no per-item locks —
     /// and each item is visited exactly once. Returns one
     /// [`WorkerSample`] per pool thread for this submission.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of any `f` call, after every other
+    /// item has been visited.
     pub fn for_each_mut<S: Send>(
         &self,
         items: &mut [S],
@@ -233,6 +245,8 @@ struct Shared {
     injector: Mutex<VecDeque<usize>>,
     /// Tasks of the current submission not yet completed.
     pending: AtomicUsize,
+    /// The first panic payload of the current submission.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     done: Mutex<()>,
     done_cv: Condvar,
     stats: Vec<WorkerStat>,
@@ -258,6 +272,7 @@ impl Inner {
             deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Mutex::new(VecDeque::new()),
             pending: AtomicUsize::new(0),
+            panic: Mutex::new(None),
             done: Mutex::new(()),
             done_cv: Condvar::new(),
             stats: (0..threads).map(|_| WorkerStat::default()).collect(),
@@ -279,7 +294,7 @@ impl Inner {
     }
 
     fn submit(&self, n: usize, task: &(dyn Fn(usize, usize) + Sync)) -> Vec<WorkerSample> {
-        let _serial = self.submit_lock.lock().expect("pool submit lock");
+        let serial = self.submit_lock.lock().expect("pool submit lock");
         let shared = &self.shared;
         let threads = shared.deques.len();
         {
@@ -324,7 +339,7 @@ impl Inner {
             }
         }
         shared.job.lock().expect("pool job lock").task = None;
-        shared
+        let samples = shared
             .stats
             .iter()
             .map(|stat| WorkerSample {
@@ -332,7 +347,15 @@ impl Inner {
                 steals: stat.steals.load(Ordering::Relaxed),
                 stolen: Duration::from_nanos(stat.stolen_ns.load(Ordering::Relaxed)),
             })
-            .collect()
+            .collect();
+        let panicked = shared.panic.lock().expect("pool panic slot").take();
+        // Re-raised only after the submit lock is released, so the pool
+        // stays usable for the next submission.
+        drop(serial);
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
+        samples
     }
 }
 
@@ -406,7 +429,15 @@ fn worker_loop(w: usize, shared: &Shared) {
                 .task
                 .expect("claimed task implies an installed job");
             let started = Instant::now();
-            task(w, i);
+            // A panicking task must still count as finished, or the
+            // submitter would wait on `pending` forever.
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(w, i))) {
+                shared
+                    .panic
+                    .lock()
+                    .expect("pool panic slot")
+                    .get_or_insert(payload);
+            }
             let elapsed = started.elapsed().as_nanos() as u64;
             let stat = &shared.stats[w];
             stat.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
@@ -497,6 +528,42 @@ mod tests {
         for s in &samples {
             assert!(s.stolen <= s.busy);
         }
+    }
+
+    #[test]
+    fn a_panicking_task_panics_the_caller_instead_of_hanging() {
+        // Run on a helper thread, so a submission that never returns
+        // fails the test at the timeout instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let pool = WorkerPool::new(2);
+            let mut items = vec![0u32; 16];
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.for_each_mut(&mut items, |i, x| {
+                    assert!(i != 5, "task 5 failed");
+                    *x += 1;
+                });
+            }));
+            let message = outcome
+                .err()
+                .map(|payload| match payload.downcast::<&str>() {
+                    Ok(text) => (*text).to_string(),
+                    Err(payload) => payload
+                        .downcast::<String>()
+                        .map_or_else(|_| "?".into(), |t| *t),
+                });
+            // Every other item still ran, and the pool serves the next
+            // submission.
+            let visited = items.iter().filter(|&&x| x == 1).count();
+            pool.for_each_mut(&mut items, |_, x| *x += 1);
+            let _ = tx.send((message, visited, items.iter().all(|&x| x >= 1)));
+        });
+        let (message, visited, reusable) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a panicking task hung the submission");
+        assert_eq!(message.as_deref(), Some("task 5 failed"));
+        assert_eq!(visited, 15);
+        assert!(reusable);
     }
 
     #[test]

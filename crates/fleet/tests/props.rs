@@ -1,10 +1,11 @@
 //! Property tests for the fleet engine's two determinism contracts:
 //! streaming-histogram merges are associative and commutative
-//! bit-for-bit, and fleet metrics are invariant to the shard count.
+//! bit-for-bit, and fleet metrics are invariant to the run layout
+//! (executor width and batch size).
 
 use proptest::prelude::*;
 use vdap_edgeos::{ClassQueueKey, FairQueue, TenantId};
-use vdap_fleet::{FleetConfig, FleetEngine, WorkloadClass};
+use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, WorkloadClass};
 use vdap_sim::{SeedFactory, SimDuration, SimTime, StreamingHistogram};
 
 /// Fills a histogram with `n` samples from a seeded stream.
@@ -56,10 +57,29 @@ proptest! {
     }
 }
 
+/// `cfg` under the run layouts every invariance property compares: the
+/// default (machine-wide executor, default batch), one worker with
+/// single-vehicle batches, and two workers with an odd batch size.
+fn layouts(cfg: FleetConfig) -> [FleetConfig; 3] {
+    [
+        cfg.clone(),
+        cfg.clone().with_executor_threads(1).with_batch_size(1),
+        cfg.with_executor_threads(2).with_batch_size(7),
+    ]
+}
+
+/// Runs `cfg` under every layout of [`layouts`].
+fn run_layouts(cfg: FleetConfig) -> Vec<FleetReport> {
+    layouts(cfg)
+        .into_iter()
+        .map(|c| FleetEngine::new(c).run())
+        .collect()
+}
+
 /// A fleet small enough to run many times under proptest but big enough
 /// to exercise every outcome path (edge, collab, reject, failover).
-fn quick_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards);
+fn quick_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(3))
@@ -69,20 +89,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
     fn same_seed_shard_count_invariance(seed in any::<u64>()) {
-        let summaries: Vec<String> = [1u32, 2, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(quick_config(seed, shards)).run().summary())
-            .collect();
-        prop_assert_eq!(&summaries[0], &summaries[1], "1 vs 2 shards diverged");
-        prop_assert_eq!(&summaries[0], &summaries[2], "1 vs 8 shards diverged");
+        let reports = run_layouts(quick_config(seed));
+        for r in &reports[1..] {
+            prop_assert_eq!(reports[0].summary(), r.summary(), "run layouts diverged");
+        }
     }
 }
 
 /// A chaos plan exercising all three edge-tier fault kinds at once on a
 /// fleet with two XEdge nodes (so node 0's crash leaves a live failover
 /// target for rung 2).
-fn edge_chaos_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards);
+fn edge_chaos_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.edge_nodes = 2;
@@ -97,12 +115,9 @@ proptest! {
     fn edge_tier_chaos_is_shard_invariant(seed in any::<u64>()) {
         // Full degradation-ladder chaos (node crash + quota flap +
         // handoff storm): metrics, summary, AND the reliability ledger
-        // (per-tenant MTTR, degraded seconds) must be identical at
-        // 1, 2, 4 and 8 shards.
-        let reports: Vec<_> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(edge_chaos_config(seed, shards)).run())
-            .collect();
+        // (per-tenant MTTR, degraded seconds) must be identical in
+        // every run layout.
+        let reports = run_layouts(edge_chaos_config(seed));
         for r in &reports[1..] {
             prop_assert_eq!(&reports[0].reliability, &r.reliability);
             prop_assert_eq!(&reports[0].metrics, &r.metrics);
@@ -173,8 +188,8 @@ proptest! {
 /// The acceptance-criteria configuration: the full three-class mix AND
 /// elastic lane scaling, saturating enough that the scaler really
 /// grows and shrinks the pool.
-fn elastic_mixed_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards).with_elastic_capacity();
+fn elastic_mixed_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64).with_elastic_capacity();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.request_period = SimDuration::from_millis(400);
@@ -188,12 +203,8 @@ proptest! {
         // Elastic decisions are sampled only at epoch barriers from the
         // previous barrier's queue depth, so they must not cost any
         // determinism: metrics (including the per-tenant work ledger
-        // inside the summary) stay byte-identical at 1, 2, 4 and
-        // 8 shards.
-        let reports: Vec<_> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(elastic_mixed_config(seed, shards)).run())
-            .collect();
+        // inside the summary) stay byte-identical in every run layout.
+        let reports = run_layouts(elastic_mixed_config(seed));
         for r in &reports[1..] {
             prop_assert_eq!(&reports[0].metrics, &r.metrics);
             prop_assert_eq!(reports[0].summary(), r.summary());
@@ -211,8 +222,8 @@ proptest! {
 
 /// The ingestion pipeline on a healthy fleet: every vehicle batches
 /// telemetry through its regional collector into the storage tier.
-fn ingest_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards).with_ingest();
+fn ingest_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64).with_ingest();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg
@@ -224,12 +235,9 @@ proptest! {
     fn ingest_enabled_runs_are_shard_invariant(seed in any::<u64>()) {
         // The ingest pass is engine-owned and consumes only canonically
         // sorted barrier data, so the full report — metrics, summary,
-        // AND the ingestion ledger — must be identical at 1, 2, 4 and
-        // 8 shards.
-        let reports: Vec<_> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(ingest_config(seed, shards)).run())
-            .collect();
+        // AND the ingestion ledger — must be identical in every run
+        // layout.
+        let reports = run_layouts(ingest_config(seed));
         for r in &reports[1..] {
             prop_assert_eq!(&reports[0].metrics, &r.metrics);
             prop_assert_eq!(&reports[0].ingest, &r.ingest);
@@ -243,8 +251,8 @@ proptest! {
 /// DDI/storage chaos on top of ingestion: a collector outage, a deep
 /// storage brownout and a hard write-error window, with a storage tier
 /// sized tight enough that the brownout genuinely backs queues up.
-fn ingest_chaos_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards)
+fn ingest_chaos_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_collector_outage(0, SimTime::from_secs(1), SimDuration::from_secs(3))
         .with_storage_brownout(0.05, SimTime::from_secs(2), SimDuration::from_secs(4))
@@ -263,11 +271,8 @@ proptest! {
         // defer-to-cache → shed) draws from an engine-owned stream in
         // canonical batch order, so even under collector outages,
         // brownouts and write errors the ledger replays byte-for-byte
-        // at any shard count.
-        let reports: Vec<_> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(ingest_chaos_config(seed, shards)).run())
-            .collect();
+        // in any run layout.
+        let reports = run_layouts(ingest_chaos_config(seed));
         for r in &reports[1..] {
             prop_assert_eq!(&reports[0].metrics, &r.metrics);
             prop_assert_eq!(&reports[0].ingest, &r.ingest);
@@ -287,10 +292,10 @@ proptest! {
 
 /// Geo-mobility on top of ingestion plus a seeded handoff storm: the
 /// full interaction surface — crossings re-addressing in-flight ingest
-/// batches, storm-multiplied handoff costs, per-region admission
-/// re-registration, and physical vehicle migration between shards.
-fn mobility_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards)
+/// batches, storm-multiplied handoff costs, and per-region admission
+/// re-registration.
+fn mobility_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_handoff_storm(1, SimTime::from_secs(3), SimDuration::from_secs(3));
@@ -307,12 +312,8 @@ proptest! {
         // at barriers in canonical vehicle order, so the full mobility
         // ledger — crossings, domain migrations, storm crossings, stale
         // cache hits, re-addressed batches, handoff histograms — must
-        // replay byte-for-byte at 1, 2, 4 and 8 shards, even though the
-        // *physical* evict/adopt moves differ per shard count.
-        let reports: Vec<_> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(mobility_config(seed, shards)).run())
-            .collect();
+        // replay byte-for-byte in every run layout.
+        let reports = run_layouts(mobility_config(seed));
         for r in &reports[1..] {
             prop_assert_eq!(&reports[0].metrics, &r.metrics);
             prop_assert_eq!(&reports[0].mobility, &r.mobility);
@@ -341,8 +342,8 @@ proptest! {
 /// outage — pinned to an explicit executor width and batch size. The
 /// executor knobs are pure performance knobs: any (threads, batch)
 /// point must replay the reference run byte-for-byte.
-fn steal_config(seed: u64, shards: u32, threads: u32, batch: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards)
+fn steal_config(seed: u64, threads: u32, batch: u32) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(3))
@@ -363,9 +364,9 @@ proptest! {
         // steal schedules — none of which may reach the report.
         let hw = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get) as u32;
-        let base = FleetEngine::new(steal_config(seed, 4, 1, 16)).run();
+        let base = FleetEngine::new(steal_config(seed, 1, 16)).run();
         for threads in [2, 4, hw] {
-            let r = FleetEngine::new(steal_config(seed, 4, threads, 16)).run();
+            let r = FleetEngine::new(steal_config(seed, threads, 16)).run();
             prop_assert_eq!(&base.metrics, &r.metrics, "threads={}", threads);
             prop_assert_eq!(&base.mobility, &r.mobility, "threads={}", threads);
             prop_assert_eq!(&base.ingest, &r.ingest, "threads={}", threads);
@@ -377,16 +378,16 @@ proptest! {
     #[test]
     fn batch_size_cannot_reach_any_report(seed in any::<u64>()) {
         // Batch size only regroups which vehicles share a deque slot:
-        // one vehicle per batch, a prime that straddles shard
-        // boundaries, and one batch per whole shard must all match the
-        // default grouping — across different shard counts at once.
-        let base = FleetEngine::new(steal_config(seed, 1, 4, 32)).run();
-        for (shards, batch) in [(2u32, 1u32), (4, 7), (4, 64)] {
-            let r = FleetEngine::new(steal_config(seed, shards, 4, batch)).run();
-            prop_assert_eq!(&base.metrics, &r.metrics, "shards={} batch={}", shards, batch);
-            prop_assert_eq!(&base.mobility, &r.mobility, "shards={} batch={}", shards, batch);
-            prop_assert_eq!(&base.ingest, &r.ingest, "shards={} batch={}", shards, batch);
-            prop_assert_eq!(base.summary(), r.summary(), "shards={} batch={}", shards, batch);
+        // one vehicle per batch, a prime that leaves a ragged last
+        // chunk, and the whole fleet in one batch must all match the
+        // default grouping.
+        let base = FleetEngine::new(steal_config(seed, 4, 32)).run();
+        for batch in [1u32, 7, 64] {
+            let r = FleetEngine::new(steal_config(seed, 4, batch)).run();
+            prop_assert_eq!(&base.metrics, &r.metrics, "batch={}", batch);
+            prop_assert_eq!(&base.mobility, &r.mobility, "batch={}", batch);
+            prop_assert_eq!(&base.ingest, &r.ingest, "batch={}", batch);
+            prop_assert_eq!(base.summary(), r.summary(), "batch={}", batch);
         }
     }
 }
@@ -394,15 +395,14 @@ proptest! {
 #[test]
 fn full_scale_shard_invariance_smoke() {
     // The acceptance-criteria configuration at reduced duration: 1,000
-    // vehicles, default tenants/regions, 1 vs 8 shards byte-identical.
-    let build = |shards| {
-        let mut cfg = FleetConfig::sized(1000, shards);
-        cfg.duration = SimDuration::from_secs(5);
-        FleetEngine::new(cfg).run()
-    };
-    let one = build(1);
-    let eight = build(8);
-    assert_eq!(one.summary(), eight.summary());
-    assert_eq!(one.metrics, eight.metrics);
-    assert_eq!(one.events_processed, eight.events_processed);
+    // vehicles, default tenants/regions, byte-identical in every run
+    // layout.
+    let mut cfg = FleetConfig::sized(1000);
+    cfg.duration = SimDuration::from_secs(5);
+    let reports = run_layouts(cfg);
+    for r in &reports[1..] {
+        assert_eq!(reports[0].summary(), r.summary());
+        assert_eq!(reports[0].metrics, r.metrics);
+        assert_eq!(reports[0].events_processed, r.events_processed);
+    }
 }

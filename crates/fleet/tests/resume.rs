@@ -2,24 +2,36 @@
 //! barrier and resumes from a durable snapshot must reproduce the
 //! straight run's report byte-for-byte — through snapshot-store chaos
 //! (torn writes, bit rot) and even when the restoring engine uses a
-//! different shard count than the writer.
+//! different executor width and batch size than the writer. A snapshot
+//! whose checksum matches but whose vehicles are impossible is refused.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use serde_json::Value;
 use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, Snapshot, SnapshotStore};
 use vdap_sim::{SimDuration, SimTime};
 
 /// The full-stack scenario: ingest + mobility + telemetry, snapshots
 /// every 4 epochs (the 8 s run has 16), keep-last-3 retention.
-fn full_stack_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards)
+fn full_stack_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.with_checkpoint(4, 3)
+}
+
+/// `cfg` under the default run layout, one worker with single-vehicle
+/// batches, and two workers with an odd batch size.
+fn layouts(cfg: FleetConfig) -> [FleetConfig; 3] {
+    [
+        cfg.clone(),
+        cfg.clone().with_executor_threads(1).with_batch_size(1),
+        cfg.with_executor_threads(2).with_batch_size(7),
+    ]
 }
 
 /// Straight run vs. supervised crash-at-`epoch` run, on every report
@@ -54,8 +66,8 @@ fn assert_reports_identical(straight: &FleetReport, resumed: &FleetReport) {
 
 #[test]
 fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
-    for shards in [1u32, 2, 4, 8] {
-        let cfg = full_stack_config(11, shards).with_engine_crash(10, SimDuration::from_secs(1));
+    for cfg in layouts(full_stack_config(11).with_engine_crash(10, SimDuration::from_secs(1))) {
+        let layout = (cfg.executor_threads, cfg.batch_size);
         // run() ignores crash faults (they are still preambled into the
         // availability ledger), so it is the deterministic baseline.
         let straight = FleetEngine::new(cfg.clone()).run();
@@ -63,10 +75,10 @@ fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
         let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
         assert_reports_identical(&straight, &resumed);
         // The crash really happened and really resumed …
-        assert_eq!(resumed.snapshots.resumes, 1, "at {shards} shards");
+        assert_eq!(resumed.snapshots.resumes, 1, "layout {layout:?}");
         assert!(
             !resumed.snapshots.writes.is_empty(),
-            "no snapshot written at {shards} shards"
+            "no snapshot written in layout {layout:?}"
         );
         // … and the scripted downtime is on the availability ledger of
         // both runs (the resume window flows into MTTR either way).
@@ -86,7 +98,7 @@ fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
 
 #[test]
 fn double_crash_resumes_twice() {
-    let cfg = full_stack_config(23, 4)
+    let cfg = full_stack_config(23)
         .with_engine_crash(6, SimDuration::from_millis(500))
         .with_engine_crash(13, SimDuration::from_millis(500));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -101,7 +113,7 @@ fn torn_write_on_newest_snapshot_falls_back_one_generation() {
     // Writes land at epochs 4, 8, 12 (sim times 2 s, 4 s, 6 s). The
     // torn-write window covers the epoch-8 write, so the crash at
     // epoch 10 must fall back to generation 4.
-    let cfg = full_stack_config(5, 4)
+    let cfg = full_stack_config(5)
         .with_engine_crash(10, SimDuration::from_secs(1))
         .with_snapshot_torn_write(SimTime::from_secs(4), SimDuration::from_millis(100));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -121,7 +133,7 @@ fn torn_write_on_newest_snapshot_falls_back_one_generation() {
 
 #[test]
 fn corrupted_snapshot_is_rejected_by_checksum() {
-    let cfg = full_stack_config(7, 2)
+    let cfg = full_stack_config(7)
         .with_engine_crash(10, SimDuration::from_secs(1))
         .with_snapshot_corruption(SimTime::from_secs(4), SimDuration::from_millis(100));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -135,7 +147,7 @@ fn corrupted_snapshot_is_rejected_by_checksum() {
 fn all_snapshots_corrupt_restarts_from_scratch() {
     // Corruption covers the whole run: every write is damaged, so the
     // supervisor finds no valid generation and replays from epoch 0.
-    let cfg = full_stack_config(3, 4)
+    let cfg = full_stack_config(3)
         .with_engine_crash(10, SimDuration::from_secs(1))
         .with_snapshot_corruption(SimTime::ZERO, SimDuration::from_secs(8));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -156,7 +168,7 @@ fn crash_resume_round_trips_budget_sampling_and_histogram_state() {
     // sampling. The snapshot at epoch 68 therefore carries every piece
     // of new sink state: histograms, the auto-activated sample rate,
     // the sampled-out count, and the rolled flag.
-    let mut cfg = FleetConfig::sized(64, 2)
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_telemetry_budget(4 * 1024);
     cfg.seed = 23;
@@ -194,7 +206,7 @@ fn crash_resume_round_trips_budget_sampling_and_histogram_state() {
 fn supervised_without_checkpoint_config_replays_from_scratch() {
     // No checkpoint config: the supervisor has nothing to restore from,
     // so a crash costs a full replay — and nothing else.
-    let mut cfg = FleetConfig::sized(64, 2).with_ingest().with_telemetry();
+    let mut cfg = FleetConfig::sized(64).with_ingest().with_telemetry();
     cfg.duration = SimDuration::from_secs(8);
     let cfg = cfg.with_engine_crash(10, SimDuration::from_secs(1));
     let straight = FleetEngine::new(cfg.clone()).run();
@@ -205,68 +217,44 @@ fn supervised_without_checkpoint_config_replays_from_scratch() {
     assert_eq!(straight.summary(), resumed.summary());
 }
 
-/// Takes the newest snapshot a supervised run of `from_shards` left
-/// behind, restores it into an engine with `to_shards`, and checks the
-/// finished report against the straight `to_shards` run.
-fn cross_shard_restore(from_shards: u32, to_shards: u32) {
+/// Takes the newest snapshot a supervised run under the `from` layout
+/// left behind, restores it under the `to` layout, and checks the
+/// finished report against the straight `to` run.
+fn cross_layout_restore(from: FleetConfig, to: FleetConfig) {
     let mut store = SnapshotStore::in_memory();
-    let writer = FleetEngine::new(full_stack_config(41, from_shards)).run_supervised(&mut store);
+    let writer = FleetEngine::new(from).run_supervised(&mut store);
     assert!(!writer.snapshots.writes.is_empty());
     let (snap, rejected) = store.newest_valid();
     let snap = snap.expect("a clean run leaves valid snapshots");
     assert!(rejected.is_empty());
 
-    let straight = FleetEngine::new(full_stack_config(41, to_shards)).run();
-    let resumed = FleetEngine::new(full_stack_config(41, to_shards))
+    let straight = FleetEngine::new(to.clone()).run();
+    let resumed = FleetEngine::new(to)
         .restore(&snap)
-        .expect("snapshot restores across shard counts");
-    assert_eq!(straight.summary(), resumed.summary());
-    assert_eq!(straight.metrics, resumed.metrics);
-    assert_eq!(straight.reliability, resumed.reliability);
-    assert_eq!(straight.events_processed, resumed.events_processed);
-    assert_eq!(straight.ingest, resumed.ingest);
-    assert_eq!(straight.mobility, resumed.mobility);
-    assert_eq!(straight.region_admission, resumed.region_admission);
-    // Spans written before the snapshot carry the *writer's* shard
-    // attribute — the one field re-partitioning legitimately changes —
-    // so the cross-shard-count comparison normalizes it away, exactly
-    // like the shard-invariance telemetry tests do.
-    let (s, r) = (
-        straight.telemetry.as_ref().expect("telemetry on"),
-        resumed.telemetry.as_ref().expect("telemetry on"),
-    );
-    let norm = |t: &vdap_fleet::FleetTelemetry| {
-        t.spans.iter().map(|sp| sp.normalized()).collect::<Vec<_>>()
-    };
-    assert_eq!(norm(s), norm(r));
-    assert_eq!(
-        s.registry.counters().collect::<Vec<_>>(),
-        r.registry.counters().collect::<Vec<_>>()
-    );
-    assert_eq!(
-        s.registry.all_series().collect::<Vec<_>>(),
-        r.registry.all_series().collect::<Vec<_>>()
-    );
+        .expect("snapshot restores across run layouts");
+    assert_reports_identical(&straight, &resumed);
 }
 
 #[test]
 fn snapshot_written_by_8_shards_restores_into_1() {
-    cross_shard_restore(8, 1);
+    let [_, serial, wide] = layouts(full_stack_config(41));
+    cross_layout_restore(wide, serial);
 }
 
 #[test]
 fn snapshot_written_by_1_shard_restores_into_8() {
-    cross_shard_restore(1, 8);
+    let [_, serial, wide] = layouts(full_stack_config(41));
+    cross_layout_restore(serial, wide);
 }
 
 #[test]
 fn restore_rejects_foreign_fingerprint() {
     let mut store = SnapshotStore::in_memory();
-    let _ = FleetEngine::new(full_stack_config(41, 2)).run_supervised(&mut store);
+    let _ = FleetEngine::new(full_stack_config(41)).run_supervised(&mut store);
     let (snap, _) = store.newest_valid();
     let snap = snap.expect("valid snapshot");
     // Same shape, different seed: the fingerprint must refuse it.
-    let err = FleetEngine::new(full_stack_config(42, 2))
+    let err = FleetEngine::new(full_stack_config(42))
         .restore(&snap)
         .expect_err("foreign seed must be rejected");
     assert!(err.to_string().contains("config mismatch"), "got: {err}");
@@ -276,17 +264,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
     fn crash_resume_is_byte_identical_for_any_seed(seed in any::<u64>()) {
-        // The flagship property at 1, 2, 4 and 8 shards: kill at epoch
-        // 10, resume from the epoch-8 snapshot, finish — the summary,
-        // the ledgers and the telemetry all replay byte-for-byte.
-        for shards in [1u32, 2, 4, 8] {
-            let cfg = full_stack_config(seed, shards)
-                .with_engine_crash(10, SimDuration::from_secs(1));
+        // The flagship property in every run layout: kill at epoch 10,
+        // resume from the epoch-8 snapshot, finish — the summary, the
+        // ledgers and the telemetry all replay byte-for-byte.
+        let crashing = full_stack_config(seed).with_engine_crash(10, SimDuration::from_secs(1));
+        for cfg in layouts(crashing) {
+            let layout = (cfg.executor_threads, cfg.batch_size);
             let straight = FleetEngine::new(cfg.clone()).run();
             let mut store = SnapshotStore::in_memory();
             let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
             prop_assert_eq!(resumed.snapshots.resumes, 1);
-            prop_assert_eq!(straight.summary(), resumed.summary(), "{} shards diverged", shards);
+            prop_assert_eq!(straight.summary(), resumed.summary(), "layout {:?} diverged", layout);
             prop_assert_eq!(&straight.metrics, &resumed.metrics);
             prop_assert_eq!(&straight.reliability, &resumed.reliability);
             prop_assert_eq!(&straight.ingest, &resumed.ingest);
@@ -309,13 +297,13 @@ proptest! {
         let hw = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get) as u32;
         let serial = {
-            let cfg = full_stack_config(seed, 1)
+            let cfg = full_stack_config(seed)
                 .with_engine_crash(10, SimDuration::from_secs(1))
                 .with_executor_threads(1)
                 .with_batch_size(64);
             FleetEngine::new(cfg).run()
         };
-        let cfg = full_stack_config(seed, 4)
+        let cfg = full_stack_config(seed)
             .with_engine_crash(10, SimDuration::from_secs(1))
             .with_executor_threads(hw)
             .with_batch_size(1);
@@ -331,17 +319,89 @@ proptest! {
     }
 }
 
+/// `snap` with one field of the vehicle in `slot` replaced, re-encoded
+/// with a valid checksum and decoded again: a well-formed write of an
+/// impossible state.
+fn with_vehicle_field(snap: &Snapshot, slot: usize, key: &str, value: Value) -> Snapshot {
+    let mut payload = snap.payload.clone();
+    let Value::Object(fields) = &mut payload else {
+        panic!("payload is an object");
+    };
+    let Some(Value::Array(vehicles)) = fields.get_mut("vehicles") else {
+        panic!("payload lists vehicles");
+    };
+    let Value::Object(vehicle) = &mut vehicles[slot] else {
+        panic!("vehicle is an object");
+    };
+    vehicle.insert(key.to_string(), value);
+    Snapshot::decode(&Snapshot::new(snap.generation, payload).encode())
+        .expect("a re-encoded snapshot carries a valid checksum")
+}
+
+#[test]
+fn restore_rejects_impossible_vehicles_with_a_valid_checksum() {
+    // Without mobility a vehicle must be in its home region; with it, in
+    // its route track's region.
+    let stationary = {
+        let mut cfg = FleetConfig::sized(64).with_ingest();
+        cfg.seed = 3;
+        cfg.duration = SimDuration::from_secs(8);
+        cfg.with_checkpoint(4, 3)
+    };
+    for cfg in [stationary, full_stack_config(41)] {
+        let mut store = SnapshotStore::in_memory();
+        let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+        let snap = store.newest_valid().0.expect("valid snapshot");
+        let engine = FleetEngine::new(cfg.clone());
+        let region = snap
+            .payload
+            .get("vehicles")
+            .and_then(Value::as_array)
+            .expect("vehicles")[4]
+            .get("region")
+            .and_then(Value::as_u64)
+            .expect("region") as u32;
+        // Rewriting a field with its own value keeps the snapshot valid.
+        let same = with_vehicle_field(&snap, 4, "region", Value::from(region));
+        assert!(engine.restore(&same).is_ok());
+
+        let hex = |ns: u64| Value::from(format!("{ns:x}"));
+        let barrier = snap.generation * cfg.epoch.as_nanos();
+        let horizon = cfg.horizon().as_nanos();
+        for (key, value) in [
+            ("id", Value::from(3u32)),
+            ("tenant", Value::from(999u32)),
+            ("tenant", Value::from(cfg.tenant_of(5))),
+            ("region", Value::from(999u32)),
+            ("region", Value::from((region + 1) % cfg.regions)),
+            ("next_tick", hex(1)),
+            ("next_tick", hex(barrier)),
+            ("next_tick", hex(horizon + 1)),
+            ("next_ingest", hex(1)),
+        ] {
+            let tampered = with_vehicle_field(&snap, 4, key, value.clone());
+            let err = engine
+                .restore(&tampered)
+                .expect_err("an impossible vehicle must be refused");
+            assert!(
+                err.to_string().contains("vehicle slot 4"),
+                "{key} = {value}: {err}"
+            );
+        }
+    }
+}
+
 /// One real encoded snapshot plus the summary its clean restore yields,
 /// computed once for the tamper property below.
 fn reference_snapshot() -> &'static (String, String) {
     static REF: OnceLock<(String, String)> = OnceLock::new();
     REF.get_or_init(|| {
         let mut store = SnapshotStore::in_memory();
-        let _ = FleetEngine::new(full_stack_config(41, 2)).run_supervised(&mut store);
+        let _ = FleetEngine::new(full_stack_config(41)).run_supervised(&mut store);
         let generation = *store.generations().last().expect("snapshots written");
         let encoded = store.get(generation).expect("newest generation present");
         let snap = Snapshot::decode(&encoded).expect("clean snapshot decodes");
-        let summary = FleetEngine::new(full_stack_config(41, 2))
+        let summary = FleetEngine::new(full_stack_config(41))
             .restore(&snap)
             .expect("clean snapshot restores")
             .summary();
@@ -379,7 +439,7 @@ proptest! {
         bytes[at] ^= mask;
         let tampered = String::from_utf8(bytes).expect("ascii stays utf-8");
         if let Ok(snap) = Snapshot::decode(&tampered) {
-            if let Ok(report) = FleetEngine::new(full_stack_config(41, 2)).restore(&snap) {
+            if let Ok(report) = FleetEngine::new(full_stack_config(41)).restore(&snap) {
                 prop_assert_eq!(&report.summary(), expected_summary);
             }
         }

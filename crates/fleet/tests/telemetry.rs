@@ -4,11 +4,10 @@
 //!    exactly the way `FleetMetrics`' outcome counters do: one closed
 //!    span per request, per-outcome span counts equal to the served /
 //!    collab / failover / rejected / fallback counters.
-//! 2. **Shard-count invariance** — with telemetry enabled, the
-//!    deterministic summary is still byte-identical across shard
-//!    counts, and the normalized span log and metrics registry are
-//!    identical too (the `shard` span attribute is the only field
-//!    re-partitioning may change).
+//! 2. **Run-layout invariance** — with telemetry enabled, the
+//!    deterministic summary is still byte-identical at any executor
+//!    width and batch size, and so are the span log and the metrics
+//!    registry.
 
 use proptest::prelude::*;
 use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, SpanOutcome};
@@ -18,14 +17,27 @@ use vdap_sim::{SimDuration, SimTime};
 /// six span outcomes: a regional outage (failovers), a node crash on a
 /// two-node deployment (retries, handoffs, fallbacks, skipped pBEAM
 /// rounds), and tight quotas under load (rejections).
-fn chaos_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards).with_telemetry();
+fn chaos_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64).with_telemetry();
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
     cfg.edge_nodes = 2;
     cfg.with_regional_outage(0, SimTime::from_secs(1), SimDuration::from_secs(2))
         .with_edge_node_crash(0, SimTime::from_secs(3), SimDuration::from_secs(3))
         .with_tenant_quota_flap(1, 0.25, SimTime::from_secs(4), SimDuration::from_secs(2))
+}
+
+/// `cfg` under the default run layout, one worker with single-vehicle
+/// batches, and two workers with an odd batch size.
+fn run_layouts(cfg: FleetConfig) -> Vec<FleetReport> {
+    [
+        cfg.clone(),
+        cfg.clone().with_executor_threads(1).with_batch_size(1),
+        cfg.with_executor_threads(2).with_batch_size(7),
+    ]
+    .into_iter()
+    .map(|c| FleetEngine::new(c).run())
+    .collect()
 }
 
 /// Asserts every span/metrics reconciliation invariant on one report.
@@ -79,23 +91,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn spans_reconcile_with_metrics_at_every_shard_count(seed in any::<u64>()) {
-        let reports: Vec<FleetReport> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(chaos_config(seed, shards)).run())
-            .collect();
+        let reports = run_layouts(chaos_config(seed));
         for report in &reports {
             assert_reconciles(report);
         }
 
-        // Telemetry must not cost determinism: summaries byte-identical,
-        // and the telemetry itself invariant modulo the shard attribute.
+        // Telemetry must not cost determinism: summaries, span logs and
+        // registries are byte-identical in every run layout.
         let base = reports[0].telemetry.as_ref().expect("telemetry enabled");
-        let base_spans: Vec<_> = base.spans.iter().map(|s| s.normalized()).collect();
         for r in &reports[1..] {
             prop_assert_eq!(reports[0].summary(), r.summary());
             let tel = r.telemetry.as_ref().expect("telemetry enabled");
-            let spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
-            prop_assert_eq!(&base_spans, &spans, "normalized span logs diverged");
+            prop_assert_eq!(base.spans.spans(), tel.spans.spans(), "span logs diverged");
             prop_assert_eq!(&base.registry, &tel.registry, "registries diverged");
         }
     }
@@ -104,9 +111,9 @@ proptest! {
 /// The full interaction surface with the bounded-memory sinks on:
 /// ingest + mobility + a telemetry budget + explicit deterministic
 /// sampling. The sampled span set, histogram series, and deterministic
-/// summary must stay byte-identical across shard counts.
-fn sampled_config(seed: u64, shards: u32) -> FleetConfig {
-    let mut cfg = FleetConfig::sized(64, shards)
+/// summary must stay byte-identical in every run layout.
+fn sampled_config(seed: u64) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64)
         .with_ingest()
         .with_mobility()
         .with_telemetry_budget(16 * 1024)
@@ -120,20 +127,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn sampled_telemetry_with_budget_is_shard_invariant(seed in any::<u64>()) {
-        let reports: Vec<FleetReport> = [1u32, 2, 4, 8]
-            .iter()
-            .map(|&shards| FleetEngine::new(sampled_config(seed, shards)).run())
-            .collect();
+        let reports = run_layouts(sampled_config(seed));
         let base = reports[0].telemetry.as_ref().expect("telemetry enabled");
-        let base_spans: Vec<_> = base.spans.iter().map(|s| s.normalized()).collect();
         for r in &reports[1..] {
             // Sampling and budget enforcement must not cost determinism.
             prop_assert_eq!(reports[0].summary(), r.summary());
             let tel = r.telemetry.as_ref().expect("telemetry enabled");
-            let spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
-            prop_assert_eq!(&base_spans, &spans, "sampled span sets diverged");
+            prop_assert_eq!(base.spans.spans(), tel.spans.spans(), "sampled span sets diverged");
             // Registry equality covers series, histograms, counters and
-            // the telemetry_bytes gauge — all shard-invariant because
+            // the telemetry_bytes gauge — all layout-invariant because
             // the byte estimate is count-based.
             prop_assert_eq!(&base.registry, &tel.registry, "registries diverged");
             prop_assert_eq!(base.sampled_out, tel.sampled_out, "sampler drop counts diverged");
@@ -160,14 +162,11 @@ fn crossed_budget_auto_activates_deterministic_sampling() {
     // No spill, no explicit sampling, and a budget far below what 64
     // vehicles over 8 s produce: the engine's last resort is switching
     // OK-span sampling on retroactively.
-    let run = |shards: u32| {
-        let mut cfg = FleetConfig::sized(64, shards).with_telemetry_budget(4 * 1024);
-        cfg.seed = 7;
-        cfg.duration = SimDuration::from_secs(8);
-        FleetEngine::new(cfg).run()
-    };
-    let one = run(1);
-    let eight = run(8);
+    let mut cfg = FleetConfig::sized(64).with_telemetry_budget(4 * 1024);
+    cfg.seed = 7;
+    cfg.duration = SimDuration::from_secs(8);
+    let reports = run_layouts(cfg);
+    let one = &reports[0];
     let tel = one.telemetry.as_ref().expect("telemetry enabled");
     assert_eq!(
         tel.sample,
@@ -179,14 +178,14 @@ fn crossed_budget_auto_activates_deterministic_sampling() {
         tel.sampled_out > 0,
         "retroactive sampling must drop OK spans"
     );
-    // Auto-activation happens at a barrier from a shard-invariant byte
-    // estimate, so the surviving set is still shard-invariant.
-    assert_eq!(one.summary(), eight.summary());
-    let tel8 = eight.telemetry.as_ref().expect("telemetry enabled");
-    let one_spans: Vec<_> = tel.spans.iter().map(|s| s.normalized()).collect();
-    let eight_spans: Vec<_> = tel8.spans.iter().map(|s| s.normalized()).collect();
-    assert_eq!(one_spans, eight_spans);
-    assert_eq!(tel.sampled_out, tel8.sampled_out);
+    // Auto-activation happens at a barrier from a count-based byte
+    // estimate, so the surviving set is the same in every run layout.
+    for r in &reports[1..] {
+        assert_eq!(one.summary(), r.summary());
+        let other = r.telemetry.as_ref().expect("telemetry enabled");
+        assert_eq!(tel.spans.spans(), other.spans.spans());
+        assert_eq!(tel.sampled_out, other.sampled_out);
+    }
     // Non-OK spans are never sampled out: every metrics-side failure
     // outcome still has its span.
     assert_eq!(
@@ -205,7 +204,7 @@ fn span_spill_streams_every_span_to_parseable_segments() {
     let _ = std::fs::remove_dir_all(&dir);
     // No budget: with a spill dir configured, every barrier flushes —
     // pure streaming export, nothing retained in memory.
-    let mut cfg = FleetConfig::sized(64, 2).with_span_spill(&dir);
+    let mut cfg = FleetConfig::sized(64).with_span_spill(&dir);
     cfg.seed = 11;
     cfg.duration = SimDuration::from_secs(8);
     let report = FleetEngine::new(cfg).run();
@@ -240,7 +239,7 @@ fn span_spill_streams_every_span_to_parseable_segments() {
 #[test]
 fn telemetry_off_means_no_spans_and_an_unchanged_summary() {
     let with = |telemetry: bool| {
-        let mut cfg = FleetConfig::sized(64, 2);
+        let mut cfg = FleetConfig::sized(64);
         cfg.telemetry = telemetry;
         cfg.duration = SimDuration::from_secs(6);
         FleetEngine::new(cfg).run()
@@ -258,7 +257,7 @@ fn telemetry_off_means_no_spans_and_an_unchanged_summary() {
 
 #[test]
 fn epoch_series_cover_every_barrier() {
-    let mut cfg = FleetConfig::sized(64, 2).with_telemetry();
+    let mut cfg = FleetConfig::sized(64).with_telemetry();
     cfg.duration = SimDuration::from_secs(6);
     let epochs = cfg.duration.as_nanos().div_ceil(cfg.epoch.as_nanos());
     let report = FleetEngine::new(cfg).run();

@@ -26,9 +26,9 @@
 //! graph is built from one seeded stream, and positions advance in
 //! whole epoch windows — so the sequence of [`Crossing`]s is a pure
 //! function of `(seed, vehicle, epoch)` and never depends on how the
-//! fleet is sharded. Congestion is barrier-quantized the same way:
-//! segment occupancy is sampled at the barrier and locks a traversal
-//! multiplier when a vehicle *enters* the segment.
+//! fleet engine schedules vehicles. Congestion is barrier-quantized the
+//! same way: segment occupancy is sampled at the barrier and locks a
+//! traversal multiplier when a vehicle *enters* the segment.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -5,22 +5,18 @@ use vdap_sim::StreamingHistogram;
 /// Mergeable mobility accounting, filled by the fleet engine's barrier
 /// mobility pass in canonical `(epoch, vehicle)` order.
 ///
-/// Every field is shard-count independent by construction: crossings
-/// are a pure function of each vehicle's seeded track, and `migrations`
-/// counts crossings whose destination region is homed on a *different
-/// XEdge node domain* than the source (`region % edge_nodes`) — the
-/// canonical placement function — rather than physical cross-thread
-/// moves, which depend on how many worker shards this particular run
-/// happened to use (those are diagnostics, see
-/// `FleetReport::diagnostics`). Hence the ledger invariant:
-/// `crossings == migrations + same_shard_crossings` holds at any shard
-/// count, with byte-identical values.
+/// Crossings are a pure function of each vehicle's seeded track, and
+/// `migrations` counts crossings whose destination region is homed on
+/// a *different XEdge node domain* than the source
+/// (`region % edge_nodes`). Hence the ledger invariant:
+/// `crossings == migrations + same_shard_crossings`, where
+/// `same_shard_crossings` counts the crossings that stay in the same
+/// home-node domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MobilityMetrics {
     /// Region-boundary crossings.
     pub crossings: u64,
-    /// Crossings that migrate the vehicle's shard-side state to a
-    /// different XEdge home-node domain.
+    /// Crossings into a different XEdge home-node domain.
     pub migrations: u64,
     /// Crossings that stay inside the same home-node domain.
     pub same_shard_crossings: u64,
@@ -66,8 +62,7 @@ impl MobilityMetrics {
 
     /// Merges another mobility ledger (associative and commutative for
     /// the integer fields; `handoff_seconds` is a float sum, so merge
-    /// order must be canonical — the engine only ever merges in
-    /// ascending shard order).
+    /// order must be canonical — merge in a fixed order).
     pub fn merge(&mut self, other: &MobilityMetrics) {
         self.crossings += other.crossings;
         self.migrations += other.migrations;

@@ -5,7 +5,8 @@
 //! (timestamps in microseconds of sim time), each registry time series
 //! becomes a stream of `ph: "C"` counter events, and `ph: "M"` metadata
 //! events name the processes. Spans are grouped with `pid = shard + 1`
-//! and `tid = tenant`; counters live under `pid = 0`.
+//! (the span's `shard` attribute) and `tid = tenant`; counters live
+//! under `pid = 0`.
 //!
 //! Everything is built on the vendored `serde_json` shim, whose
 //! `BTreeMap`-backed objects serialize key-sorted — so the exported

@@ -1,4 +1,4 @@
-//! Wall-clock barrier profiling for the sharded fleet engine.
+//! Wall-clock barrier profiling for the fleet engine.
 //!
 //! The engine's epoch loop is a two-phase fork/join: the vehicle-tick
 //! phase fans stealable vehicle batches out across a persistent
@@ -9,8 +9,7 @@
 //! exactly that: per-worker busy time, per-worker barrier-idle time
 //! (`tick-phase wall - busy_w` per epoch), how many batches each worker
 //! stole from a sibling's deque and how long it spent running stolen
-//! work, plus per-shard busy attribution (summed from each shard's
-//! batches, wherever they ran) and the serial barrier time itself.
+//! work, and the serial barrier time itself.
 //!
 //! Wall-clock readings are inherently nondeterministic, so this module
 //! is **excluded from the deterministic summary**: the engine reports
@@ -40,60 +39,42 @@ pub struct BarrierProfiler {
     worker_idle: Vec<Duration>,
     worker_steals: Vec<u64>,
     worker_stolen: Vec<Duration>,
-    shard_busy: Vec<Duration>,
     barrier: Duration,
     epochs: u64,
 }
 
 impl BarrierProfiler {
-    /// A profiler for `workers` executor workers advancing `shards`
-    /// shards.
+    /// A profiler for `workers` executor workers.
     #[must_use]
-    pub fn new(workers: usize, shards: usize) -> Self {
+    pub fn new(workers: usize) -> Self {
         BarrierProfiler {
             worker_busy: vec![Duration::ZERO; workers],
             worker_idle: vec![Duration::ZERO; workers],
             worker_steals: vec![0; workers],
             worker_stolen: vec![Duration::ZERO; workers],
-            shard_busy: vec![Duration::ZERO; shards],
             barrier: Duration::ZERO,
             epochs: 0,
         }
     }
 
     /// Records one epoch's tick phase: the fork/join wall-clock of the
-    /// whole submission, each worker's sample, and each shard's busy
-    /// time (the sum of its batches' run times, wherever they ran). A
-    /// worker's idle time for the epoch is the gap to the join point.
+    /// whole submission and each worker's sample. A worker's idle time
+    /// for the epoch is the gap to the join point.
     ///
     /// # Panics
     ///
-    /// Panics when `workers` / `shard_busy` do not have one entry per
-    /// worker / shard.
-    pub fn record_epoch(
-        &mut self,
-        wall: Duration,
-        workers: &[WorkerSample],
-        shard_busy: &[Duration],
-    ) {
+    /// Panics when `workers` does not have one entry per worker.
+    pub fn record_epoch(&mut self, wall: Duration, workers: &[WorkerSample]) {
         assert_eq!(
             workers.len(),
             self.worker_busy.len(),
             "one sample per worker"
-        );
-        assert_eq!(
-            shard_busy.len(),
-            self.shard_busy.len(),
-            "one busy reading per shard"
         );
         for (w, s) in workers.iter().enumerate() {
             self.worker_busy[w] += s.busy;
             self.worker_idle[w] += wall.saturating_sub(s.busy);
             self.worker_steals[w] += s.steals;
             self.worker_stolen[w] += s.stolen;
-        }
-        for (i, &b) in shard_busy.iter().enumerate() {
-            self.shard_busy[i] += b;
         }
         self.epochs += 1;
     }
@@ -111,7 +92,6 @@ impl BarrierProfiler {
             worker_idle: self.worker_idle,
             worker_steals: self.worker_steals,
             worker_stolen: self.worker_stolen,
-            shard_busy: self.shard_busy,
             barrier: self.barrier,
             epochs: self.epochs,
         }
@@ -131,8 +111,6 @@ pub struct EngineProfile {
     pub worker_steals: Vec<u64>,
     /// Time each worker spent executing stolen batches.
     pub worker_stolen: Vec<Duration>,
-    /// Cumulative busy time attributed per shard (sum of its batches).
-    pub shard_busy: Vec<Duration>,
     /// Cumulative single-threaded barrier time.
     pub barrier: Duration,
     /// Epochs profiled.
@@ -239,9 +217,6 @@ impl EngineProfile {
                 self.worker_stolen[w].as_secs_f64() * 1e3
             );
         }
-        for (i, busy) in self.shard_busy.iter().enumerate() {
-            let _ = writeln!(out, "shard[{i}]: busy_ms={:.3}", busy.as_secs_f64() * 1e3);
-        }
         out
     }
 }
@@ -260,16 +235,14 @@ mod tests {
 
     #[test]
     fn idle_is_the_gap_to_the_join() {
-        let mut p = BarrierProfiler::new(3, 2);
+        let mut p = BarrierProfiler::new(3);
         p.record_epoch(
             Duration::from_millis(10),
             &[sample(10, 0, 0), sample(4, 1, 2), sample(7, 0, 0)],
-            &[Duration::from_millis(12), Duration::from_millis(9)],
         );
         p.record_epoch(
             Duration::from_millis(8),
             &[sample(2, 0, 0), sample(8, 2, 3), sample(8, 0, 0)],
-            &[Duration::from_millis(10), Duration::from_millis(8)],
         );
         p.record_barrier(Duration::from_millis(3));
         let profile = p.finish();
@@ -282,19 +255,16 @@ mod tests {
         assert_eq!(profile.worker_steals, vec![0, 3, 0]);
         assert_eq!(profile.total_steals(), 3);
         assert_eq!(profile.worker_stolen[1], Duration::from_millis(5));
-        assert_eq!(profile.shard_busy[0], Duration::from_millis(22));
-        assert_eq!(profile.shard_busy[1], Duration::from_millis(17));
         assert_eq!(profile.barrier, Duration::from_millis(3));
     }
 
     #[test]
     fn mean_idle_fraction_pools_all_workers() {
-        let mut p = BarrierProfiler::new(2, 1);
+        let mut p = BarrierProfiler::new(2);
         // Wall 10: worker 0 busy 10 (idle 0), worker 1 busy 5 (idle 5).
         p.record_epoch(
             Duration::from_millis(10),
             &[sample(10, 0, 0), sample(5, 0, 0)],
-            &[Duration::from_millis(15)],
         );
         let profile = p.finish();
         let expect = 5.0 / 20.0;
@@ -303,26 +273,26 @@ mod tests {
 
     #[test]
     fn render_names_every_worker_and_shard() {
-        let mut p = BarrierProfiler::new(2, 2);
+        let mut p = BarrierProfiler::new(2);
         p.record_epoch(
             Duration::from_millis(5),
             &[sample(5, 0, 0), sample(5, 1, 1)],
-            &[Duration::from_millis(5), Duration::from_millis(5)],
         );
         let text = p.finish().render();
         assert!(text.contains("profile: epochs=1"));
         assert!(text.contains("mean_idle_frac="));
         assert!(text.contains("worker[0]:"));
         assert!(text.contains("worker[1]:"));
-        assert!(text.contains("shard[0]:"));
-        assert!(text.contains("shard[1]:"));
+        // Workers are the only unit of busy time: no other per-unit
+        // lines.
+        assert_eq!(text.lines().count(), 3, "{text}");
         assert!(text.contains("barrier_idle_ms="));
         assert!(text.contains("stolen_ms="));
     }
 
     #[test]
     fn idle_fraction_handles_empty_profiles() {
-        let profile = BarrierProfiler::new(1, 1).finish();
+        let profile = BarrierProfiler::new(1).finish();
         assert_eq!(profile.idle_fraction(0), 0.0);
         assert_eq!(profile.mean_idle_fraction(), 0.0);
         assert_eq!(profile.total_steals(), 0);
@@ -331,7 +301,7 @@ mod tests {
     #[test]
     fn every_ratio_accessor_is_finite_on_empty_and_zero_duration_profiles() {
         // Never ran at all.
-        let empty = BarrierProfiler::new(2, 1).finish();
+        let empty = BarrierProfiler::new(2).finish();
         for accessor in [
             empty.idle_fraction(0),
             empty.mean_idle_fraction(),
@@ -343,12 +313,8 @@ mod tests {
         }
         // Ran, but every measured duration was zero (instant epochs on
         // a coarse clock) — busy + idle == 0 per worker.
-        let mut p = BarrierProfiler::new(2, 1);
-        p.record_epoch(
-            Duration::ZERO,
-            &[sample(0, 0, 0), sample(0, 0, 0)],
-            &[Duration::ZERO],
-        );
+        let mut p = BarrierProfiler::new(2);
+        p.record_epoch(Duration::ZERO, &[sample(0, 0, 0), sample(0, 0, 0)]);
         p.record_barrier(Duration::ZERO);
         let zero = p.finish();
         assert_eq!(zero.epochs, 1);
@@ -369,12 +335,11 @@ mod tests {
 
     #[test]
     fn steal_fractions_attribute_stolen_time() {
-        let mut p = BarrierProfiler::new(2, 1);
+        let mut p = BarrierProfiler::new(2);
         // Worker 1: 8ms busy of which 2ms on stolen batches.
         p.record_epoch(
             Duration::from_millis(10),
             &[sample(10, 0, 0), sample(8, 1, 2)],
-            &[Duration::from_millis(18)],
         );
         p.record_barrier(Duration::from_millis(4));
         let profile = p.finish();

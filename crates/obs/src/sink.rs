@@ -14,10 +14,10 @@
 //! - [`SamplingSpanSink`] — deterministic head sampling: every
 //!   non-OK-path span (rejected / degraded / failed) is kept, OK spans
 //!   (edge-served, collab hits) are kept one-in-N by a seeded hash of
-//!   `(vehicle, seq)`. The hash reads nothing about the run's
-//!   partitioning, so the kept set is **shard-count- and
-//!   executor-width-free** — an N-shard run samples exactly the same
-//!   spans as a 1-shard run of the same seed.
+//!   `(vehicle, seq)`. The hash reads nothing about how the run was
+//!   scheduled, so the kept set is **executor-width- and
+//!   batch-size-free** — a wide run samples exactly the same spans as a
+//!   one-worker run of the same seed.
 //!
 //! Disk I/O is wall-clock territory: write failures are counted
 //! (`io_errors`), never panicked on, and nothing about *what* was
@@ -42,9 +42,9 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 ///
 /// A span is kept when the seeded [splitmix64] finalizer of
 /// `seed ^ (vehicle << 32 | seq)` is `0 (mod keep_one_in)`. The inputs
-/// are request identity only — no shard, worker, batch, or insertion
-/// order — which is exactly why the sampled set survives any
-/// re-partitioning of the fleet. `keep_one_in <= 1` keeps everything.
+/// are request identity only — no worker, batch, or insertion order —
+/// which is exactly why the sampled set survives any re-scheduling of
+/// the fleet. `keep_one_in <= 1` keeps everything.
 ///
 /// [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 #[must_use]
@@ -416,7 +416,7 @@ mod tests {
             })
             .collect();
         // One sink sees everything in order; four sinks see an
-        // interleaved partition (as shards would).
+        // interleaved partition (as parallel producers would).
         let mut whole = SamplingSpanSink::new(42, 4);
         for s in &spans {
             whole.accept(s.clone());

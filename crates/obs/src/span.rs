@@ -5,11 +5,8 @@
 //! the engine already computed on the deterministic serving path
 //! (request arrival, the epoch barrier that admitted it, the lane start
 //! instant, the completion instant). Spans therefore inherit the
-//! platform's shard-count invariance — the only field that depends on
-//! how the fleet was partitioned is the explicit `shard` attribute,
-//! which exists precisely so traces can show which worker ran the
-//! vehicle. Comparisons across shard counts must normalize it away
-//! (see [`RequestSpan::normalized`]).
+//! engine's invariance to executor width and batch size: the same seed
+//! yields the same spans, field for field.
 
 use vdap_sim::{SimDuration, SimTime};
 
@@ -108,8 +105,8 @@ pub struct RequestSpan {
     pub tenant: u32,
     /// LTE region the vehicle was driving in.
     pub region: u32,
-    /// Worker shard that executed the vehicle (the one attribute that
-    /// depends on the run's shard count).
+    /// Trace process group. The fleet engine stamps 0; the field names
+    /// the Chrome trace process the span is drawn under.
     pub shard: u32,
     /// Workload-class label (interned).
     pub class: &'static str,
@@ -140,21 +137,11 @@ impl RequestSpan {
     }
 
     /// The canonical sort key: `(generated, vehicle, seq)` — unique per
-    /// request, so sorting by it is total and shard-count invariant.
+    /// request, so sorting by it is total and independent of the order
+    /// spans were produced in.
     #[must_use]
     pub fn key(&self) -> (SimTime, u32, u32) {
         (self.generated, self.vehicle, self.seq)
-    }
-
-    /// A copy with the shard attribute zeroed — what cross-shard-count
-    /// equality tests compare, since the shard a vehicle lands on is
-    /// the one field re-partitioning legitimately changes.
-    #[must_use]
-    pub fn normalized(&self) -> RequestSpan {
-        RequestSpan {
-            shard: 0,
-            ..self.clone()
-        }
     }
 }
 
@@ -201,7 +188,7 @@ impl SpanLog {
 
     /// Sorts the log into canonical `(generated, vehicle, seq)` order.
     /// The key is unique per request, so the result is independent of
-    /// insertion order — and therefore of shard count.
+    /// insertion order.
     pub fn sort_canonical(&mut self) {
         self.spans.sort_unstable_by_key(RequestSpan::key);
     }
@@ -423,14 +410,5 @@ mod tests {
         let total: u64 = SpanOutcome::ALL.iter().map(|&o| log.outcome_count(o)).sum();
         assert_eq!(total, log.len() as u64);
         assert_eq!(log.outcome_count(SpanOutcome::EdgeServed), 2);
-    }
-
-    #[test]
-    fn normalization_erases_only_the_shard() {
-        let s = span(5, 3, 10, SpanOutcome::EdgeServed);
-        let n = s.normalized();
-        assert_eq!(n.shard, 0);
-        assert_eq!(n.vehicle, s.vehicle);
-        assert_eq!(n.e2e(), s.e2e());
     }
 }

@@ -15,8 +15,7 @@ use crate::time::{SimDuration, SimTime};
 /// An event body: invoked exactly once at its scheduled time.
 ///
 /// Events are `Send` so a `Simulation` over `Send` state can itself move
-/// between threads — the sharded fleet engine advances one simulation
-/// per worker thread.
+/// between threads.
 pub type EventFn<S> = Box<dyn FnOnce(&mut Ctx<'_, S>) + Send>;
 
 struct Scheduled<S> {

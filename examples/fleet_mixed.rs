@@ -3,7 +3,7 @@
 //! (detection offload, infotainment streaming, pBEAM training rounds),
 //! then 1,024 vehicles drive the weighted class mix against a shared
 //! XEdge deployment whose lane pool grows and shrinks with observed
-//! queue depth. Finishes with a single-shard rerun to demonstrate that
+//! queue depth. Finishes with a one-worker rerun to demonstrate that
 //! elasticity costs nothing in determinism.
 //!
 //! ```text
@@ -23,8 +23,8 @@ fn main() {
         println!("  {:>24} -> {}", svc.name(), apps::workload_class_of(&svc));
     }
 
-    let shards = WorkerPool::with_default_size().threads() as u32;
-    let mut cfg = FleetConfig::sized(1024, shards).with_elastic_capacity();
+    let threads = WorkerPool::with_default_size().threads();
+    let mut cfg = FleetConfig::sized(1024).with_elastic_capacity();
     cfg.seed = 42;
     cfg.duration = SimDuration::from_secs(60);
     cfg.request_period = SimDuration::from_millis(500);
@@ -64,15 +64,14 @@ fn main() {
     );
 
     // Determinism contract: elastic decisions are sampled only at
-    // epoch barriers, so the same seed on one shard reproduces the
-    // sharded run's aggregate metrics byte for byte.
-    cfg.shards = 1;
-    let single = FleetEngine::new(cfg).run();
+    // epoch barriers, so the same seed on one worker reproduces the
+    // parallel run's aggregate metrics byte for byte.
+    let single = FleetEngine::new(cfg.with_executor_threads(1)).run();
     assert_eq!(
         single.summary(),
         report.summary(),
-        "1-shard and {shards}-shard summaries must be byte-identical"
+        "1-worker and {threads}-worker summaries must be byte-identical"
     );
     println!();
-    println!("determinism: 1-shard rerun matches the {shards}-shard summary byte for byte");
+    println!("determinism: 1-worker rerun matches the {threads}-worker summary byte for byte");
 }

@@ -8,9 +8,8 @@
 //! re-address to the destination collector, and the vehicle's V2V
 //! result cache goes stale. All mobility state advances only at epoch
 //! barriers in canonical vehicle order, so the run finishes with a
-//! single-shard rerun that matches the sharded summary byte for byte —
-//! even though the sharded run physically migrated vehicles between
-//! worker shards at every domain crossing.
+//! one-worker rerun that matches the parallel run's summary byte for
+//! byte.
 //!
 //! ```text
 //! cargo run --release --example fleet_mobility
@@ -21,18 +20,16 @@ use vdap_sim::SimDuration;
 
 fn main() {
     let vehicles = 10_000;
-    // At least two shards even on a single-core box, so the closing
-    // byte-identity assertion actually crosses a shard boundary.
-    let shards = (WorkerPool::with_default_size().threads() as u32).max(2);
-    let mut cfg = FleetConfig::sized(vehicles, shards);
+    let threads = WorkerPool::with_default_size().threads();
+    let mut cfg = FleetConfig::sized(vehicles);
     cfg.seed = 42;
     cfg.duration = SimDuration::from_secs(24);
     let mobility = MobilityConfig::rush_hour();
     let downtown = mobility.downtown_regions(cfg.regions);
-    let mut cfg = cfg.with_ingest().with_mobility_config(mobility);
+    let cfg = cfg.with_ingest().with_mobility_config(mobility);
 
     println!(
-        "{vehicles} vehicles, {} regions ({downtown} downtown), {shards} shards; \
+        "{vehicles} vehicles, {} regions ({downtown} downtown), {threads} executor workers; \
          rush-dominated route mix, zero injected faults",
         cfg.regions
     );
@@ -82,20 +79,15 @@ fn main() {
     );
 
     // Determinism contract: routes advance only at barriers in vehicle
-    // order, so one shard reproduces the sharded run byte for byte even
-    // though the sharded run evicted/adopted vehicles across threads.
-    println!();
-    println!(
-        "physical cross-shard moves at {shards} shards: {} (diagnostic only)",
-        report.physical_migrations
-    );
-    cfg.shards = 1;
-    let single = FleetEngine::new(cfg).run();
+    // order, so one worker with an odd batch size reproduces the
+    // parallel run byte for byte.
+    let single = FleetEngine::new(cfg.with_executor_threads(1).with_batch_size(7)).run();
     assert_eq!(
         single.summary(),
         report.summary(),
-        "1-shard and {shards}-shard summaries must be byte-identical"
+        "1-worker and {threads}-worker summaries must be byte-identical"
     );
     assert_eq!(single.mobility, report.mobility, "mobility ledger diverged");
-    println!("determinism: 1-shard rerun matches the {shards}-shard summary byte for byte");
+    println!();
+    println!("determinism: 1-worker rerun matches the {threads}-worker summary byte for byte");
 }

@@ -1,8 +1,8 @@
-//! Fleet-scale offloading study on the sharded fleet engine: 1,200
-//! vehicles stream detection work to the shared multi-tenant XEdge
-//! deployment for 90 simulated seconds, under three levels of edge
-//! load, with a regional LTE outage thrown in. Finishes by re-running
-//! the heaviest point on a single shard to demonstrate the engine's
+//! Fleet-scale offloading study on the fleet engine: 1,200 vehicles
+//! stream detection work to the shared multi-tenant XEdge deployment
+//! for 90 simulated seconds, under three levels of edge load, with a
+//! regional LTE outage thrown in. Finishes by re-running the heaviest
+//! point on a single executor worker to demonstrate the engine's
 //! byte-identical determinism contract.
 //!
 //! ```text
@@ -14,7 +14,7 @@ use vdap_fleet::{FleetEngine, WorkerPool};
 use vdap_sim::{SimDuration, SimTime};
 
 fn main() {
-    let shards = WorkerPool::with_default_size().threads() as u32;
+    let threads = WorkerPool::with_default_size().threads();
     let scenario = ScenarioConfig {
         seed: 42,
         vehicles: 1200,
@@ -32,7 +32,7 @@ fn main() {
             edge_load,
             ..base.clone()
         }
-        .fleet(shards)
+        .fleet()
         .with_regional_outage(0, SimTime::from_secs(30), SimDuration::from_secs(15));
         (edge_load, FleetEngine::new(cfg).run())
     });
@@ -56,27 +56,24 @@ fn main() {
 
     let (_, heaviest) = results.last().expect("three load points");
     println!();
-    println!("heaviest point (shards={}):", heaviest.shards);
+    println!("heaviest point ({threads} executor workers):");
     print!("{}", heaviest.summary());
 
-    // Determinism contract: the same seed on a single shard reproduces
-    // the sharded run's aggregate metrics byte for byte.
+    // Determinism contract: the same seed on a single worker reproduces
+    // the parallel run's aggregate metrics byte for byte.
     let single_cfg = ScenarioConfig {
         edge_load: loads[2],
         ..scenario
     }
-    .fleet(1)
-    .with_regional_outage(0, SimTime::from_secs(30), SimDuration::from_secs(15));
+    .fleet()
+    .with_regional_outage(0, SimTime::from_secs(30), SimDuration::from_secs(15))
+    .with_executor_threads(1);
     let single = FleetEngine::new(single_cfg).run();
     assert_eq!(
         single.summary(),
         heaviest.summary(),
-        "1-shard and {}-shard summaries must be byte-identical",
-        heaviest.shards
+        "1-worker and {threads}-worker summaries must be byte-identical"
     );
     println!();
-    println!(
-        "determinism: 1-shard rerun matches the {}-shard summary byte for byte",
-        heaviest.shards
-    );
+    println!("determinism: 1-worker rerun matches the {threads}-worker summary byte for byte");
 }

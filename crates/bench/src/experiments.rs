@@ -9,7 +9,7 @@ use vdap_ddi::{DdiService, DriverStyle, ObdCollector, Query, RecordKind};
 use vdap_edgeos::Objective;
 use vdap_fleet::{
     FleetConfig, FleetEngine, FleetReport, IngestConfig, JsonlSpillSink, MobilityConfig,
-    ObsHistogram, SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
+    SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
 };
 use vdap_hw::{catalog, Battery, ComputeWorkload, TaskClass};
 use vdap_models::zoo;
@@ -1630,20 +1630,22 @@ fn fleet_obs_table(
         "kept + sampled-out must account for every request"
     );
 
-    // Quantile fidelity: the streaming histogram summarises the
-    // unbounded run's end-to-end latencies in O(buckets) memory; its
-    // quantiles must sit within the documented relative-error bound of
-    // the exact (sorted, nearest-rank) quantiles.
+    // Quantile fidelity: the fleet's own end-to-end latency histogram
+    // summarises the unbounded run in O(buckets) memory; its quantiles
+    // must sit within the documented relative-error bound of the exact
+    // (sorted, nearest-rank) span quantiles.
     let mut e2e: Vec<f64> = base_tel
         .spans
         .iter()
         .map(|s| s.e2e().as_secs_f64() * 1e3)
         .collect();
     e2e.sort_by(f64::total_cmp);
-    let mut hist = ObsHistogram::new("fleet.e2e_ms");
-    for ms in &e2e {
-        hist.record(*ms);
-    }
+    let hist = &unbounded.metrics.e2e_latency_ms;
+    assert_eq!(
+        hist.count(),
+        e2e.len() as u64,
+        "one latency sample per span"
+    );
     let quantiles = [(0.50, "p50"), (0.95, "p95"), (0.99, "p99")];
     let mut max_rel_err = 0.0f64;
     let mut quantile_rows: Vec<[String; 2]> = Vec::new();

@@ -2,25 +2,25 @@
 //! a canonical JSON payload, plus a generation store with keep-last-K
 //! retention.
 //!
-//! This crate deliberately depends on nothing but the JSON shim, so
-//! every layer of the platform (sim primitives, edge serving state,
-//! ingest queues, mobility tracks) can stream itself into a
-//! [`JsonWriter`] without dependency cycles. Decoding goes the other
-//! way: the text parses into a [`Value`] tree, and each layer reads its
-//! fields back with the accessors below.
+//! This crate depends on nothing but the JSON shim and the simulation
+//! kernel (for its FNV-1a hash), so every layer above the kernel (edge
+//! serving state, ingest queues, mobility tracks) can stream itself
+//! into a [`JsonWriter`] without dependency cycles. Decoding goes the
+//! other way: the text parses into a [`Value`] tree, and each layer
+//! reads its fields back with the accessors below.
 //!
 //! ## Encoding conventions
 //!
 //! The JSON shim parses every number as an `f64`, which round-trips
 //! integers only up to `2^53`. Deterministic engine state contains
 //! values outside that range — xoshiro RNG words, `u64::MAX` sentinel
-//! times, `u128` fixed-point histogram sums — so payload writers encode:
+//! times, `u128` histogram tick sums — so payload writers encode:
 //!
 //! * `u64` / `u128` that may exceed `2^53` → lower-case hex strings
 //!   ([`JsonWriter::hex`] / [`JsonWriter::hex128`], read back with
 //!   [`get_u64_hex`] / [`get_u128_hex`]);
-//! * `f64` that may be non-finite (empty-histogram min/max are ±∞,
-//!   which JSON cannot carry) → the hex of its bit pattern
+//! * `f64` that must round-trip bit-exactly or may be non-finite (which
+//!   JSON cannot carry) → the hex of its bit pattern
 //!   (`hex(v.to_bits())`, read back with [`get_f64_bits`]);
 //! * everything else → plain JSON numbers.
 //!
@@ -44,11 +44,14 @@ use std::path::PathBuf;
 
 pub use serde_json as json;
 use serde_json::{JsonWriter, Value};
+pub use vdap_sim::fnv1a64;
+use vdap_sim::fnv1a64_extend;
 
 /// Version tag written into every snapshot envelope. Version 2 dropped
 /// the fleet's per-vehicle migration generation and physical-migration
-/// counter from the payload.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// counter from the payload; version 3 writes every histogram as
+/// integer ticks (`buckets`, `count`, `max`, `min`, `sum`).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";
@@ -194,23 +197,6 @@ pub fn get_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], CkptError> 
 // ---------------------------------------------------------------------
 // Checksum + envelope
 // ---------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into a running FNV-1a 64 hash.
-fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a 64-bit hash (the checksum every envelope carries).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV_OFFSET, bytes)
-}
 
 /// The envelope checksum: FNV-1a over `"{version}|{generation}|"`
 /// followed by the canonical payload text, hashed in place.
@@ -563,10 +549,10 @@ mod tests {
     fn wrong_magic_and_version_are_rejected() {
         let text = Snapshot::new(1, Value::Null).encode();
         assert!(Snapshot::decode(&text.replace("vdap-ckpt", "vdap-oops")).is_err());
-        // An older version is refused outright, and a forged one also
-        // breaks the checksum input.
+        // Every older version is refused outright, and a forged one
+        // also breaks the checksum input.
         let current = format!("\"version\":{SNAPSHOT_VERSION}");
-        for other in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+        for other in (1..SNAPSHOT_VERSION).chain([SNAPSHOT_VERSION + 1]) {
             let forged = text.replace(&current, &format!("\"version\":{other}"));
             assert!(Snapshot::decode(&forged).is_err());
         }

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use vdap_sim::{SimDuration, SimTime};
+use vdap_sim::{splitmix64, SimDuration, SimTime};
 
 /// A vehicle's long-term identity (never sent over the air).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -66,7 +66,9 @@ impl PseudonymManager {
     /// The pseudonym `vehicle` uses at `now` (recorded for resolution).
     pub fn pseudonym_for(&mut self, vehicle: VehicleId, now: SimTime) -> Pseudonym {
         let epoch = self.epoch(now);
-        let p = Pseudonym(mix(self.secret, vehicle.0, epoch));
+        let p = Pseudonym(splitmix64(
+            self.secret ^ vehicle.0.rotate_left(17) ^ epoch.rotate_left(41),
+        ));
         self.issued.insert(p, (vehicle, epoch));
         p
     }
@@ -85,15 +87,6 @@ impl PseudonymManager {
     pub fn linkable(a: Pseudonym, b: Pseudonym) -> bool {
         a == b
     }
-}
-
-/// SplitMix-style mixing of (secret, vehicle, epoch) into a pseudonym.
-fn mix(secret: u64, vehicle: u64, epoch: u64) -> u64 {
-    let mut x = secret ^ vehicle.rotate_left(17) ^ epoch.rotate_left(41);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

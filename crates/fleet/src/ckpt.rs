@@ -6,11 +6,10 @@
 //! shared encoding vocabulary every subsystem codec speaks:
 //!
 //! * **Exactness over readability.** Any `u64` that may exceed 2^53
-//!   (RNG words, `SimTime`/`SimDuration` nanos, counters) is hex-coded
-//!   via [`JsonWriter::hex`]; any `f64` that may be non-finite
-//!   (empty-histogram min/max sentinels) travels as the hex of its bit
-//!   pattern. Finite sample values also travel by bit pattern so a
-//!   restore is bit-identical, not merely close.
+//!   (RNG words, `SimTime`/`SimDuration` nanos, counters, histogram
+//!   ticks) is hex-coded via [`JsonWriter::hex`]; every `f64` travels
+//!   as the hex of its bit pattern, so a restore is bit-identical, not
+//!   merely close.
 //! * **Stream out, parse in.** Encoders write straight into a
 //!   [`JsonWriter`] — no intermediate `Value` tree — and must write
 //!   each object's keys in ascending byte order, because the envelope
@@ -33,8 +32,8 @@ use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{get, CkptError};
 use vdap_ddi::UploadBatch;
 use vdap_sim::{
-    ReliabilityState, ReliabilityStats, RngStream, SimDuration, SimTime, StreamingHistogram,
-    StreamingHistogramState,
+    HistogramState, ReliabilityState, ReliabilityStats, RngStream, SimDuration, SimTime,
+    StreamingHistogram,
 };
 
 use crate::config::FleetConfig;
@@ -179,40 +178,50 @@ pub(crate) fn rng_field(v: &Value, key: &str) -> Result<RngStream, CkptError> {
 
 // --- histograms ------------------------------------------------------
 
-/// Writes a streaming histogram sparsely (only non-zero buckets).
+/// Writes a streaming histogram: its sparse `[index, count]` buckets
+/// and its exact aggregates in ticks. The name is not written; the
+/// owner of the field supplies it on decode.
 pub(crate) fn enc_hist(w: &mut JsonWriter, h: &StreamingHistogram) {
     let s = h.state();
     w.begin_object();
     w.key("buckets").begin_array();
-    for (i, c) in s.sparse_buckets {
+    for (i, c) in s.buckets {
         w.begin_array().u32(i).hex(c).end_array();
     }
     w.end_array();
     w.key("count").hex(s.count);
-    // min/max are ±∞ sentinels while empty — bit patterns survive.
-    w.key("max").hex(s.max.to_bits());
-    w.key("min").hex(s.min.to_bits());
-    w.key("name").str(&s.name);
-    w.key("sum_micro").hex128(s.sum_micro);
+    w.key("max").hex(s.max_ticks);
+    w.key("min").hex(s.min_ticks);
+    w.key("sum").hex128(s.sum_ticks);
     w.end_object();
 }
 
-/// Reads a streaming-histogram field.
-pub(crate) fn hist_field(v: &Value, key: &str) -> Result<StreamingHistogram, CkptError> {
-    let h = get(v, key)?;
-    let mut sparse_buckets = Vec::new();
-    for pair in vdap_ckpt::get_array(h, "buckets")? {
+/// Reads a histogram written by [`enc_hist`] back under `name`,
+/// refusing any state no sequence of samples could produce.
+pub(crate) fn dec_hist(v: &Value, name: &'static str) -> Result<StreamingHistogram, CkptError> {
+    let mut buckets = Vec::new();
+    for pair in vdap_ckpt::get_array(v, "buckets")? {
         let (i, c) = val_pair(pair)?;
-        sparse_buckets.push((val_u32(i)?, val_u64_hex(c)?));
+        buckets.push((val_u32(i)?, val_u64_hex(c)?));
     }
-    Ok(StreamingHistogram::from_state(StreamingHistogramState {
-        name: vdap_ckpt::get_str(h, "name")?.to_string(),
-        sparse_buckets,
-        count: vdap_ckpt::get_u64_hex(h, "count")?,
-        sum_micro: vdap_ckpt::get_u128_hex(h, "sum_micro")?,
-        min: vdap_ckpt::get_f64_bits(h, "min")?,
-        max: vdap_ckpt::get_f64_bits(h, "max")?,
-    }))
+    let state = HistogramState {
+        buckets,
+        count: vdap_ckpt::get_u64_hex(v, "count")?,
+        sum_ticks: vdap_ckpt::get_u128_hex(v, "sum")?,
+        min_ticks: vdap_ckpt::get_u64_hex(v, "min")?,
+        max_ticks: vdap_ckpt::get_u64_hex(v, "max")?,
+    };
+    StreamingHistogram::from_state(name, state)
+        .map_err(|e| CkptError::new(format!("histogram '{name}': {e}")))
+}
+
+/// Reads the histogram field `key`, named like the empty `like`.
+pub(crate) fn hist_field(
+    v: &Value,
+    key: &str,
+    like: &StreamingHistogram,
+) -> Result<StreamingHistogram, CkptError> {
+    dec_hist(get(v, key)?, like.name())
 }
 
 // --- reliability ledger ----------------------------------------------
@@ -352,10 +361,10 @@ pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
 pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptError> {
     let enc = get(v, key)?;
     let mut m = FleetMetrics::new();
-    m.e2e_latency_ms = hist_field(enc, "e2e_latency_ms")?;
-    m.energy_per_request_j = hist_field(enc, "energy_per_request_j")?;
-    m.queue_depth = hist_field(enc, "queue_depth")?;
-    m.elastic_lanes = hist_field(enc, "elastic_lanes")?;
+    m.e2e_latency_ms = hist_field(enc, "e2e_latency_ms", &m.e2e_latency_ms)?;
+    m.energy_per_request_j = hist_field(enc, "energy_per_request_j", &m.energy_per_request_j)?;
+    m.queue_depth = hist_field(enc, "queue_depth", &m.queue_depth)?;
+    m.elastic_lanes = hist_field(enc, "elastic_lanes", &m.elastic_lanes)?;
     let classes = vdap_ckpt::get_array(enc, "by_class")?;
     if classes.len() != m.by_class.len() {
         return Err(CkptError::new(format!(
@@ -365,7 +374,7 @@ pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptEr
         )));
     }
     for (slot, c) in m.by_class.iter_mut().zip(classes) {
-        slot.e2e_latency_ms = hist_field(c, "e2e_latency_ms")?;
+        slot.e2e_latency_ms = hist_field(c, "e2e_latency_ms", &slot.e2e_latency_ms)?;
         slot.requests = vdap_ckpt::get_u64_hex(c, "requests")?;
         slot.edge_served = vdap_ckpt::get_u64_hex(c, "edge_served")?;
         slot.collab_hits = vdap_ckpt::get_u64_hex(c, "collab_hits")?;
@@ -637,11 +646,11 @@ mod tests {
             w.key("h");
             enc_hist(w, &h);
         });
-        let back = hist_field(&v, "h").unwrap();
-        assert_eq!(back.state(), h.state());
+        let back = hist_field(&v, "h", &h).unwrap();
+        assert_eq!(back, h);
         assert_eq!(format!("{back}"), format!("{h}"));
-        let empty = hist_field(&v, "empty").unwrap();
-        assert_eq!(empty.state(), StreamingHistogram::new("e").state());
+        let empty = StreamingHistogram::new("e");
+        assert_eq!(hist_field(&v, "empty", &empty).unwrap(), empty);
     }
 
     #[test]

@@ -503,16 +503,14 @@ impl XEdgeServer {
     }
 
     /// Pops completions (`finish <= barrier`) into `outcome.served`.
+    /// The list is filtered in place, so its buffer — megabytes under a
+    /// backlog — is reused across barriers instead of re-grown.
     fn emit_completions(&mut self, barrier: SimTime, outcome: &mut EpochOutcome) {
-        let mut kept = Vec::with_capacity(self.in_flight.len());
-        for inf in self.in_flight.drain(..) {
-            if inf.finish <= barrier {
-                outcome.served.push(inf.served);
-            } else {
-                kept.push(inf);
-            }
-        }
-        self.in_flight = kept;
+        outcome.served.extend(
+            self.in_flight
+                .extract_if(.., |inf| inf.finish <= barrier)
+                .map(|inf| inf.served),
+        );
     }
 
     /// Syncs per-tenant admission caps with the quota-flap state at
@@ -835,6 +833,11 @@ impl XEdgeServer {
         }
         outcome.queue_depth = queue.len();
         self.last_depth = outcome.queue_depth;
+        // Every in-flight push below pops from `queue`. The list
+        // outlives the barrier, so an amortized doubling would leave up
+        // to half its buffer never written, and whether those pages end
+        // up resident depends on where later allocations land.
+        self.in_flight.reserve_exact(queue.len());
 
         // Load-dependent service time: each class's queued share
         // contributes its own fractional concurrency
@@ -959,11 +962,9 @@ impl XEdgeServer {
     pub fn flush(&mut self, horizon: SimTime) -> EpochOutcome {
         let mut outcome = EpochOutcome {
             lanes: self.lanes.len() as u32,
+            served: self.in_flight.drain(..).map(|inf| inf.served).collect(),
             ..EpochOutcome::default()
         };
-        for inf in self.in_flight.drain(..) {
-            outcome.served.push(inf.served);
-        }
         for req in std::mem::take(&mut self.requeued) {
             outcome
                 .local_fallbacks

@@ -14,8 +14,9 @@
 //!    order), then every cross-vehicle coupling (XEdge admission, fair
 //!    queueing, contention, snapshot union, failover reliability
 //!    samples, DDI ingest, mobility) runs single-threaded on globally
-//!    sorted data. Metrics merge exactly: integer counters, min/max,
-//!    and [`vdap_sim::StreamingHistogram`]s with integer sums.
+//!    sorted data. Metrics merge exactly: integer counters and
+//!    [`vdap_sim::StreamingHistogram`]s, whose buckets, sums and
+//!    min/max are all integer ticks.
 //!
 //! Together these make a run byte-identical at any executor width and
 //! batch size. No vehicle ever moves: mobility rewrites `vehicles[id]`
@@ -36,16 +37,13 @@ use vdap_mobility::{
     VehicleTrack,
 };
 use vdap_net::CellularChannel;
-use vdap_obs::{
-    intern_name, BarrierProfiler, HistogramState, JsonlSpillSink, RequestSpan, SpanOutcome,
-    StreamingHistogram,
-};
+use vdap_obs::{intern_name, BarrierProfiler, JsonlSpillSink, RequestSpan, SpanOutcome};
 use vdap_offload::Tile;
 use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
 use crate::ckpt::{
-    check_fingerprint, config_fingerprint, dur_field, enc_hist, enc_metrics, enc_opt, enc_opt_time,
-    enc_reliability, enc_rng, enc_words, hist_field, metrics_field, opt_time_field,
+    check_fingerprint, config_fingerprint, dec_hist, dur_field, enc_hist, enc_metrics, enc_opt,
+    enc_opt_time, enc_reliability, enc_rng, enc_words, hist_field, metrics_field, opt_time_field,
     reliability_field, rng_field, time_field, val_array, val_f64_bits, val_pair, val_str, val_u32,
     val_u64_hex, SnapshotDiagnostics, SnapshotWrite,
 };
@@ -389,8 +387,11 @@ fn run_core(
         // ---- barrier: single-threaded, canonical-order exchange ----
         let barrier_started = Instant::now();
         profiler.record_epoch(wall, &samples);
-        let mut requests = Vec::new();
-        let mut uploads = Vec::new();
+        // Sized exactly: these reach megabytes, and a doubling Vec's
+        // unwritten tail makes peak RSS depend on heap layout.
+        let mut requests = Vec::with_capacity(batches.iter().map(|b| b.out.outbox.len()).sum());
+        let mut uploads =
+            Vec::with_capacity(batches.iter().map(|b| b.out.ingest_outbox.len()).sum());
         let mut publications: Vec<(Tile, u32)> = Vec::new();
         let mut failovers: Vec<(u32, u32, f64)> = Vec::new();
         let mut stale_hits = 0;
@@ -402,6 +403,13 @@ fn run_core(
             stale_hits += out.stale_hits;
             state.events += out.events;
             state.metrics.merge(&out.metrics);
+            for (class, outcome, e2e, energy_j) in out.resolved {
+                if outcome == SpanOutcome::CollabHit {
+                    state.metrics.record_collab(class, e2e, energy_j);
+                } else {
+                    state.metrics.record_failover(class, e2e, energy_j);
+                }
+            }
             if let Some(tel) = state.telemetry.as_mut() {
                 for span in out.spans {
                     tel.registry.inc(
@@ -832,19 +840,9 @@ fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
     w.end_array();
     w.key("hists").begin_array();
     for h in tel.registry.all_histograms() {
-        let st = h.state();
-        w.begin_array().str(h.name()).begin_object();
-        w.key("buckets").begin_array();
-        for &(i, n) in &st.buckets {
-            w.begin_array().hex(u64::from(i)).hex(n).end_array();
-        }
+        w.begin_array().str(h.name());
+        enc_hist(w, h);
         w.end_array();
-        w.key("count").hex(st.count);
-        w.key("max").hex(st.max_ticks);
-        w.key("min").hex(st.min_ticks);
-        w.key("sum_hi").hex((st.sum_ticks >> 64) as u64);
-        w.key("sum_lo").hex(st.sum_ticks as u64);
-        w.end_object().end_array();
     }
     w.end_array();
     w.key("series").begin_array();
@@ -918,26 +916,7 @@ fn dec_telemetry(v: &Value) -> Result<(FleetTelemetry, SpillState), CkptError> {
     for entry in get_array(v, "hists")? {
         let (name, body) = val_pair(entry)?;
         let name = intern_name(val_str(name)?);
-        let mut buckets = Vec::new();
-        for pair in get_array(body, "buckets")? {
-            let (index, count) = val_pair(pair)?;
-            let index = u32::try_from(val_u64_hex(index)?)
-                .map_err(|_| CkptError::new("histogram bucket index out of range"))?;
-            buckets.push((index, val_u64_hex(count)?));
-        }
-        let sum_ticks = (u128::from(get_u64_hex(body, "sum_hi")?) << 64)
-            | u128::from(get_u64_hex(body, "sum_lo")?);
-        tel.registry
-            .restore_histogram(StreamingHistogram::from_state(
-                name,
-                HistogramState {
-                    buckets,
-                    count: get_u64_hex(body, "count")?,
-                    sum_ticks,
-                    min_ticks: get_u64_hex(body, "min")?,
-                    max_ticks: get_u64_hex(body, "max")?,
-                },
-            ));
+        tel.registry.restore_histogram(dec_hist(body, name)?);
     }
     let sink = get(v, "sink")?;
     let sample = get_u64_hex(sink, "sample")?;
@@ -1078,6 +1057,7 @@ fn enc_mobility_metrics(w: &mut JsonWriter, m: &MobilityMetrics) {
 }
 
 fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
+    let empty = MobilityMetrics::new();
     Ok(MobilityMetrics {
         crossings: get_u64_hex(v, "crossings")?,
         migrations: get_u64_hex(v, "migrations")?,
@@ -1086,8 +1066,8 @@ fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
         stale_cache_hits: get_u64_hex(v, "stale_cache_hits")?,
         readdressed_batches: get_u64_hex(v, "readdressed_batches")?,
         handoff_seconds: get_f64_bits(v, "handoff_seconds")?,
-        handoff_ms: hist_field(v, "handoff_ms")?,
-        crossing_speed_mph: hist_field(v, "crossing_speed_mph")?,
+        handoff_ms: hist_field(v, "handoff_ms", &empty.handoff_ms)?,
+        crossing_speed_mph: hist_field(v, "crossing_speed_mph", &empty.crossing_speed_mph)?,
     })
 }
 

@@ -257,14 +257,15 @@ impl IngestPass {
             self.metrics.batches_sent += 1;
             self.metrics.records_sent += u64::from(b.records);
         }
-        let mut offers: Vec<Offer> = fresh
-            .into_iter()
-            .map(|batch| Offer {
-                attempts: 0,
-                expires: None,
-                batch,
-            })
-            .collect();
+        // Room for every re-offer too, so the multi-MB list never
+        // doubles (see the engine's barrier buffers).
+        let mut offers: Vec<Offer> =
+            Vec::with_capacity(fresh.len() + self.pending.len() + self.cached.len());
+        offers.extend(fresh.into_iter().map(|batch| Offer {
+            attempts: 0,
+            expires: None,
+            batch,
+        }));
 
         // Wake rung-1 retries whose backoff has elapsed.
         let mut still_pending = Vec::new();
@@ -560,6 +561,7 @@ fn enc_ingest_metrics(w: &mut JsonWriter, m: &IngestMetrics) {
 }
 
 fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
+    let empty = IngestMetrics::new();
     Ok(IngestMetrics {
         batches_sent: get_u64_hex(v, "batches_sent")?,
         records_sent: get_u64_hex(v, "records_sent")?,
@@ -574,9 +576,9 @@ fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
         cache_evictions: get_u64_hex(v, "cache_evictions")?,
         records_shed: get_u64_hex(v, "records_shed")?,
         backlog_records: get_u64_hex(v, "backlog_records")?,
-        storage_rho: hist_field(v, "storage_rho")?,
-        uplink_ms: hist_field(v, "uplink_ms")?,
-        ingest_latency_ms: hist_field(v, "ingest_latency_ms")?,
+        storage_rho: hist_field(v, "storage_rho", &empty.storage_rho)?,
+        uplink_ms: hist_field(v, "uplink_ms", &empty.uplink_ms)?,
+        ingest_latency_ms: hist_field(v, "ingest_latency_ms", &empty.ingest_latency_ms)?,
     })
 }
 

@@ -94,7 +94,7 @@ pub use vdap_mobility::{MobilityConfig, MobilityMetrics, RegionGraph, RouteProfi
 // callers can consume spans, registries, and profiles directly.
 pub use vdap_obs::{
     sample_keeps, EngineProfile, JsonlSpillSink, MemorySpanSink, MetricsRegistry, RequestSpan,
-    SamplingSpanSink, SpanLog, SpanOutcome, SpanSink, StreamingHistogram as ObsHistogram,
+    SamplingSpanSink, SpanLog, SpanOutcome, SpanSink,
 };
 // The snapshot vocabulary lives in vdap-ckpt; re-exported so fleet
 // callers can drive checkpoint/restore without a direct dependency.

@@ -175,8 +175,9 @@ impl FleetMetrics {
     // Every request outcome is accounted twice — fleet-wide and per
     // class — and both views must stay in lock-step. These helpers are
     // the only place the double bookkeeping happens: callers (the
-    // vehicle tick and the engine's barrier pass) record an outcome exactly
-    // once and cannot drift the two views apart.
+    // vehicle tick for issued requests, the engine's barrier pass for
+    // outcomes) record each exactly once and cannot drift the two views
+    // apart.
 
     /// Records a request being issued.
     pub(crate) fn record_request(&mut self, class: WorkloadClass) {

@@ -160,6 +160,13 @@ pub(crate) struct BatchOut {
     /// Failover latency samples `(vehicle, seq, ms)`, recorded
     /// fleet-wide in canonical order at the barrier.
     pub failover_samples: Vec<(u32, u32, f64)>,
+    /// Requests resolved on the vehicle side — `(class, outcome, e2e,
+    /// energy J)` of collab hits and failovers — recorded into the
+    /// fleet's histograms at the barrier. Workers never allocate
+    /// histogram buckets: when they did, peak RSS varied with the
+    /// thread interleaving (the rush-4k benchmark on a 2-vCPU Linux
+    /// host: 43–56 MiB across identical runs).
+    pub resolved: Vec<(WorkloadClass, SpanOutcome, SimDuration, f64)>,
     /// Spans for requests resolved on the vehicle side (collab hits,
     /// regional-outage failovers). Empty unless telemetry is on.
     pub spans: Vec<RequestSpan>,
@@ -168,7 +175,7 @@ pub(crate) struct BatchOut {
     pub stale_hits: u64,
     /// Per-vehicle events (request ticks + ingest uploads) processed.
     pub events: u64,
-    /// Vehicle-side metrics, merged exactly into the fleet's.
+    /// Vehicle-side request counters, merged exactly into the fleet's.
     pub metrics: FleetMetrics,
 }
 
@@ -184,6 +191,7 @@ impl BatchOut {
             ingest_outbox: Vec::with_capacity(vehicles),
             publications: Vec::with_capacity(vehicles),
             failover_samples: Vec::with_capacity(vehicles),
+            resolved: Vec::with_capacity(vehicles),
             spans: Vec::new(),
             stale_hits: 0,
             events: 0,
@@ -287,8 +295,12 @@ fn tick(
         let failover = cfg.failover_penalty.mul_f64(1.0 + 0.2 * jitter);
         let service = spec.vehicle_service.mul_f64(1.0 + 0.1 * jitter);
         let e2e = handoff + failover + service;
-        out.metrics
-            .record_failover(class, e2e, service.as_secs_f64() * BOARD_W);
+        out.resolved.push((
+            class,
+            SpanOutcome::Failover,
+            e2e,
+            service.as_secs_f64() * BOARD_W,
+        ));
         out.failover_samples
             .push((v.id, seq, failover.as_millis_f64()));
         if cfg.telemetry {
@@ -326,8 +338,12 @@ fn tick(
             let fetch = dsrc.transfer_time(Direction::Downlink, spec.download_bytes);
             let merge = SimDuration::from_millis_f64(2.0 + jitter);
             let e2e = handoff + dsrc.latency() + fetch + merge;
-            out.metrics
-                .record_collab(class, e2e, fetch.as_secs_f64() * DSRC_W);
+            out.resolved.push((
+                class,
+                SpanOutcome::CollabHit,
+                e2e,
+                fetch.as_secs_f64() * DSRC_W,
+            ));
             if cfg.telemetry {
                 out.spans.push(vehicle_span(
                     cfg,

@@ -12,18 +12,18 @@ use vdap_sim::{SimDuration, SimTime};
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// supervised run, the torn generation 8 included.
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0x8357_e8a5_6588_4f33),
-    (8, 0x2ac2_1221_5fc7_6eb3),
-    (12, 0x14e3_2a72_d9d3_abe8),
+    (4, 0x909d_b4da_dfec_c4b6),
+    (8, 0x1402_1080_8293_70a3),
+    (12, 0xc9c8_192c_61a1_2dca),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
 /// series rollup into histograms and spill counters in the payload.
 const BUDGET_SNAPSHOT_PINS: [(u64, u64); 4] = [
-    (17, 0x48ac_88e0_7ac8_378e),
-    (34, 0x5828_01fd_2239_66e8),
-    (51, 0x868d_28f7_8e83_b96d),
-    (68, 0x2527_b6d8_9e73_8e8a),
+    (17, 0xd519_5b4d_2a09_75d3),
+    (34, 0xfe12_dbce_0adb_019c),
+    (51, 0xc570_bece_44a5_fba5),
+    (68, 0x33b6_5e8a_df1e_250b),
 ];
 
 /// FNV-1a of each spill segment of the spill run, in segment order.

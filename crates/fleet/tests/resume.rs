@@ -3,7 +3,8 @@
 //! straight run's report byte-for-byte — through snapshot-store chaos
 //! (torn writes, bit rot) and even when the restoring engine uses a
 //! different executor width and batch size than the writer. A snapshot
-//! whose checksum matches but whose vehicles are impossible is refused.
+//! whose checksum matches but whose vehicles or histograms are
+//! impossible is refused.
 
 use std::sync::OnceLock;
 
@@ -319,23 +320,39 @@ proptest! {
     }
 }
 
-/// `snap` with one field of the vehicle in `slot` replaced, re-encoded
-/// with a valid checksum and decoded again: a well-formed write of an
-/// impossible state.
-fn with_vehicle_field(snap: &Snapshot, slot: usize, key: &str, value: Value) -> Snapshot {
+/// The value at `path` inside `v`: object keys, or array indices in
+/// decimal.
+fn value_at<'a>(mut v: &'a Value, path: &[&str]) -> &'a Value {
+    for step in path {
+        v = match v {
+            Value::Array(items) => &items[step.parse::<usize>().expect("array index")],
+            _ => v.get(step).expect("path key present"),
+        };
+    }
+    v
+}
+
+/// `snap` with the payload value at `path` replaced (see [`value_at`]),
+/// re-encoded with a valid checksum and decoded again: a well-formed
+/// write of a possibly impossible state.
+fn with_value_at(snap: &Snapshot, path: &[&str], value: Value) -> Snapshot {
     let mut payload = snap.payload.clone();
-    let Value::Object(fields) = &mut payload else {
-        panic!("payload is an object");
-    };
-    let Some(Value::Array(vehicles)) = fields.get_mut("vehicles") else {
-        panic!("payload lists vehicles");
-    };
-    let Value::Object(vehicle) = &mut vehicles[slot] else {
-        panic!("vehicle is an object");
-    };
-    vehicle.insert(key.to_string(), value);
+    let mut at = &mut payload;
+    for step in path {
+        at = match at {
+            Value::Object(fields) => fields.get_mut(*step).expect("path key present"),
+            Value::Array(items) => &mut items[step.parse::<usize>().expect("array index")],
+            _ => panic!("path step {step:?} into a leaf"),
+        };
+    }
+    *at = value;
     Snapshot::decode(&Snapshot::new(snap.generation, payload).encode())
         .expect("a re-encoded snapshot carries a valid checksum")
+}
+
+/// `snap` with one field of the vehicle in `slot` replaced.
+fn with_vehicle_field(snap: &Snapshot, slot: usize, key: &str, value: Value) -> Snapshot {
+    with_value_at(snap, &["vehicles", &slot.to_string(), key], value)
 }
 
 #[test]
@@ -387,6 +404,131 @@ fn restore_rejects_impossible_vehicles_with_a_valid_checksum() {
                 err.to_string().contains("vehicle slot 4"),
                 "{key} = {value}: {err}"
             );
+        }
+    }
+}
+
+/// `body`, a histogram object, with `key` set to `value`.
+fn with_key(body: &Value, key: &str, value: Value) -> Value {
+    let mut body = body.clone();
+    let Value::Object(fields) = &mut body else {
+        panic!("histogram is an object");
+    };
+    fields.insert(key.to_string(), value);
+    body
+}
+
+/// Named impossible variants of `body`, a histogram object with at
+/// least two occupied buckets.
+fn impossible_histograms(body: &Value) -> Vec<(&'static str, Value)> {
+    let hex = |x: u64| Value::from(format!("{x:x}"));
+    let pairs: Vec<(u64, u64)> = body
+        .get("buckets")
+        .and_then(Value::as_array)
+        .expect("buckets")
+        .iter()
+        .map(|pair| {
+            let pair = pair.as_array().expect("bucket pair");
+            let count = pair[1].as_str().expect("hex count");
+            (
+                pair[0].as_u64().expect("bucket index"),
+                u64::from_str_radix(count, 16).expect("hex count"),
+            )
+        })
+        .collect();
+    assert!(pairs.len() >= 2, "two occupied buckets");
+    let buckets = |pairs: &[(u64, u64)]| {
+        Value::Array(
+            pairs
+                .iter()
+                .map(|&(i, n)| Value::Array(vec![Value::from(i), hex(n)]))
+                .collect(),
+        )
+    };
+    let last = pairs.len() - 1;
+    let mut high = pairs.clone();
+    high[last].0 = 5000;
+    let mut top = pairs.clone();
+    top[last].0 = u64::from(u32::MAX);
+    let mut wrap = pairs.clone();
+    wrap[0].1 = u64::MAX;
+    let wrapped = wrap.iter().fold(0u64, |sum, &(_, n)| sum.wrapping_add(n));
+    vec![
+        (
+            "bucket index 5000",
+            with_key(body, "buckets", buckets(&high)),
+        ),
+        (
+            "bucket index u32::MAX",
+            with_key(body, "buckets", buckets(&top)),
+        ),
+        ("count 1", with_key(body, "count", hex(1))),
+        (
+            "min above max",
+            with_key(body, "min", hex(1_000_000_000_000_000)),
+        ),
+        (
+            "counts wrap past u64::MAX",
+            with_key(
+                &with_key(body, "buckets", buckets(&wrap)),
+                "count",
+                hex(wrapped),
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn restore_rejects_impossible_histograms_with_a_valid_checksum() {
+    // 100 ms epochs over 8 s under a small budget roll the registry's
+    // series into histograms before the last snapshot.
+    let budgeted = {
+        let mut cfg = FleetConfig::sized(64)
+            .with_ingest()
+            .with_telemetry_budget(4 * 1024);
+        cfg.seed = 23;
+        cfg.duration = SimDuration::from_secs(8);
+        cfg.epoch = SimDuration::from_millis(100);
+        cfg.with_checkpoint(17, 3)
+    };
+    for (cfg, rolled) in [(full_stack_config(41), false), (budgeted, true)] {
+        let mut store = SnapshotStore::in_memory();
+        let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+        let snap = store.newest_valid().0.expect("valid snapshot");
+        let engine = FleetEngine::new(cfg);
+        // A registry histogram with two occupied buckets, when rolled.
+        let registry = rolled.then(|| {
+            value_at(&snap.payload, &["telemetry", "hists"])
+                .as_array()
+                .expect("registry histograms")
+                .iter()
+                .position(|entry| {
+                    value_at(entry, &["1", "buckets"])
+                        .as_array()
+                        .is_some_and(|b| b.len() >= 2)
+                })
+                .expect("a rolled-up registry histogram with two buckets")
+                .to_string()
+        });
+        let mut paths = vec![vec!["metrics", "e2e_latency_ms"]];
+        if let Some(i) = &registry {
+            paths.push(vec!["telemetry", "hists", i, "1"]);
+        }
+        for path in paths {
+            let body = value_at(&snap.payload, &path);
+            // Rewriting a histogram with itself keeps the snapshot valid.
+            assert!(engine
+                .restore(&with_value_at(&snap, &path, body.clone()))
+                .is_ok());
+            for (what, tampered) in impossible_histograms(body) {
+                let err = engine
+                    .restore(&with_value_at(&snap, &path, tampered))
+                    .expect_err("an impossible histogram must be refused");
+                assert!(
+                    err.to_string().contains("histogram"),
+                    "{path:?}, {what}: {err}"
+                );
+            }
         }
     }
 }

@@ -3,14 +3,16 @@
 //! 1. **Reconciliation** — the span log partitions the request stream
 //!    exactly the way `FleetMetrics`' outcome counters do: one closed
 //!    span per request, per-outcome span counts equal to the served /
-//!    collab / failover / rejected / fallback counters.
+//!    collab / failover / rejected / fallback counters, and latency
+//!    histograms whose counts, tick sums, min/max and quantiles match
+//!    the spans' own end-to-end times.
 //! 2. **Run-layout invariance** — with telemetry enabled, the
 //!    deterministic summary is still byte-identical at any executor
 //!    width and batch size, and so are the span log and the metrics
 //!    registry.
 
 use proptest::prelude::*;
-use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, SpanOutcome};
+use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, SpanOutcome, WorkloadClass};
 use vdap_sim::{SimDuration, SimTime};
 
 /// A fleet small enough for proptest but chaotic enough to produce all
@@ -72,6 +74,39 @@ fn assert_reconciles(report: &FleetReport) {
     assert_eq!(r.counter("fleet.rejected"), m.rejected);
     assert_eq!(r.counter("fleet.local_fallbacks"), m.local_fallbacks);
     assert_eq!(r.counter("fleet.handoffs"), m.handoffs);
+    // The latency histograms against the spans as independent truth:
+    // per-class counts, exact tick aggregates (in a millisecond
+    // histogram one tick is one nanosecond), and nearest-rank quantiles
+    // within the 1/64 bound (1e-9 absorbs float rounding).
+    for class in WorkloadClass::ALL {
+        let spans_of_class = spans.iter().filter(|s| s.class == class.label()).count();
+        assert_eq!(
+            m.class(class).e2e_latency_ms.count(),
+            spans_of_class as u64,
+            "{class}: one latency sample per span"
+        );
+    }
+    let mut e2e: Vec<u64> = spans.iter().map(|s| s.e2e().as_nanos()).collect();
+    e2e.sort_unstable();
+    let h = &m.e2e_latency_ms;
+    assert_eq!(h.count(), e2e.len() as u64, "one latency sample per span");
+    if let (Some(&min), Some(&max)) = (e2e.first(), e2e.last()) {
+        let st = h.state();
+        assert_eq!(
+            st.sum_ticks,
+            e2e.iter().map(|&ns| u128::from(ns)).sum::<u128>()
+        );
+        assert_eq!((st.min_ticks, st.max_ticks), (min, max));
+        for q in [0.50, 0.95, 0.99] {
+            let rank = ((q * e2e.len() as f64).ceil() as usize).max(1);
+            let exact = e2e[rank - 1] as f64 / 1e6;
+            let est = h.quantile(q);
+            assert!(
+                (est - exact).abs() <= exact / 64.0 + 1e-9,
+                "q={q}: histogram {est} ms vs exact nearest-rank {exact} ms"
+            );
+        }
+    }
     // Span timestamps are internally consistent. Note `serve_start`
     // may precede `admitted`: the serving pass runs at the barrier but
     // models lane occupancy starting at arrival + uplink.
@@ -84,6 +119,13 @@ fn assert_reconciles(report: &FleetReport) {
             assert!(serve_start >= s.generated, "lane starts after generation");
             assert!(s.completed >= serve_start, "completion follows lane start");
         }
+    }
+}
+
+#[test]
+fn histograms_reconcile_with_spans_on_pinned_seeds() {
+    for seed in [1, 2, 3, 99, 12345] {
+        assert_reconciles(&FleetEngine::new(chaos_config(seed)).run());
     }
 }
 

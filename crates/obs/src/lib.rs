@@ -2,7 +2,8 @@
 //!
 //! The measurement vocabulary for the OpenVDAP reproduction: typed
 //! request spans ([`RequestSpan`], [`SpanLog`]), a registry of named
-//! counters/gauges/per-epoch time series ([`MetricsRegistry`]), a
+//! counters/gauges/per-epoch time series that rolls over-long series
+//! into [`StreamingHistogram`]s ([`MetricsRegistry`]), a
 //! Chrome trace-event JSON exporter ([`chrome_trace`], loadable in
 //! `about://tracing` and Perfetto), and a wall-clock barrier profiler
 //! for the fleet engine ([`BarrierProfiler`]).
@@ -44,14 +45,12 @@
 #![warn(missing_debug_implementations)]
 
 mod chrome;
-mod histogram;
 mod profile;
 mod registry;
 mod sink;
 mod span;
 
 pub use chrome::{chrome_trace, span_event, spans_jsonl};
-pub use histogram::{HistogramState, StreamingHistogram};
 pub use profile::{BarrierProfiler, EngineProfile, WorkerSample};
 pub use registry::{intern_name, MetricsRegistry, SeriesPoint};
 pub use sink::{
@@ -59,3 +58,7 @@ pub use sink::{
     DEFAULT_SEGMENT_BYTES, SPAN_RESIDENT_BYTES,
 };
 pub use span::{RequestSpan, SpanLog, SpanOutcome};
+// The histogram behind every registry rollup is the workspace's one
+// streaming histogram; re-exported so registry callers need not depend
+// on vdap-sim.
+pub use vdap_sim::StreamingHistogram;

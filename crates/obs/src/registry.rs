@@ -10,9 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use vdap_sim::SimTime;
-
-use crate::histogram::StreamingHistogram;
+use vdap_sim::{SimTime, StreamingHistogram};
 
 /// Interns a metric name into a `&'static str`.
 ///

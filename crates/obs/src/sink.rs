@@ -27,6 +27,8 @@ use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use vdap_sim::splitmix64;
+
 use crate::chrome::spans_jsonl;
 use crate::span::{RequestSpan, SpanLog};
 
@@ -40,24 +42,18 @@ pub const DEFAULT_SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Deterministic keep/drop decision for an OK-path span.
 ///
-/// A span is kept when the seeded [splitmix64] finalizer of
+/// A span is kept when the [`splitmix64`] finalizer of
 /// `seed ^ (vehicle << 32 | seq)` is `0 (mod keep_one_in)`. The inputs
 /// are request identity only — no worker, batch, or insertion order —
 /// which is exactly why the sampled set survives any re-scheduling of
 /// the fleet. `keep_one_in <= 1` keeps everything.
-///
-/// [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 #[must_use]
 pub fn sample_keeps(seed: u64, vehicle: u32, seq: u32, keep_one_in: u32) -> bool {
     if keep_one_in <= 1 {
         return true;
     }
-    let mut x = seed ^ ((u64::from(vehicle) << 32) | u64::from(seq));
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x.is_multiple_of(u64::from(keep_one_in))
+    splitmix64(seed ^ ((u64::from(vehicle) << 32) | u64::from(seq)))
+        .is_multiple_of(u64::from(keep_one_in))
 }
 
 /// A destination for drained request spans.

@@ -1,0 +1,530 @@
+//! The workspace's one streaming histogram: sparse log2 buckets over
+//! integer ticks, with an exact merge.
+//!
+//! Every latency, energy, utilization and handoff distribution of the
+//! fleet engine, and every rolled-up registry series, is one of these.
+//! State is O(occupied buckets) regardless of sample volume, and every
+//! count and sum is an integer, so merging is exact: associative and
+//! commutative bit-for-bit. That is what lets the engine fold per-batch
+//! metrics in any grouping and still report byte-identical results.
+//!
+//! ## Bucket scheme and error bound
+//!
+//! A sample is first quantized to integer **ticks** of 1e-6 value units
+//! (`round(value * 1e6)`). In a millisecond histogram one tick is one
+//! nanosecond, so [`StreamingHistogram::record_duration`] is exact. Ticks
+//! below `SUBS` (32) each get their own exact bucket; above that, every
+//! power-of-two octave is split into `SUBS` linear sub-buckets of width
+//! `2^shift`. A bucket covering `[lo, lo + 2^shift)` has
+//! `lo >= SUBS << shift`, so its midpoint is within `2^shift / 2` of
+//! every tick in it: a quantile is within a **relative error of
+//! `1/(2·SUBS) = 1/64`** of the exact nearest-rank sample, plus the
+//! half-tick (5e-7 units) quantization floor. Estimates are also clamped
+//! to the exact observed `[min, max]`.
+//!
+//! Non-finite samples are ignored (a NaN is not a 0 ms request).
+//! Negative samples clamp to 0 ticks, and samples past `u64::MAX` ticks
+//! saturate.
+
+use std::collections::BTreeMap;
+use std::fmt;
+
+use crate::time::SimDuration;
+
+/// Sub-buckets per octave; also the size of the exact low range.
+const SUBS: u64 = 32;
+/// `log2(SUBS)`.
+const SUB_BITS: u32 = 5;
+/// Ticks per value unit (fixed-point quantum).
+const TICKS_PER_UNIT: f64 = 1e6;
+/// The largest bucket index: the one `u64::MAX` ticks land in (1919).
+const MAX_INDEX: u32 = bucket_index(u64::MAX);
+
+/// Quantizes a finite sample to integer ticks: negatives clamp to zero,
+/// values beyond `u64::MAX` ticks saturate.
+fn to_ticks(value: f64) -> u64 {
+    let scaled = (value * TICKS_PER_UNIT).round();
+    if scaled <= 0.0 {
+        0
+    } else if scaled >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        scaled as u64
+    }
+}
+
+fn from_ticks(ticks: u64) -> f64 {
+    ticks as f64 / TICKS_PER_UNIT
+}
+
+/// The bucket index holding `ticks`.
+const fn bucket_index(ticks: u64) -> u32 {
+    if ticks < SUBS {
+        ticks as u32
+    } else {
+        let exp = 63 - ticks.leading_zeros(); // floor(log2 ticks) >= SUB_BITS
+        let shift = exp - SUB_BITS;
+        shift * SUBS as u32 + (ticks >> shift) as u32
+    }
+}
+
+/// The inclusive lower edge and width (both in ticks) of a bucket.
+/// `index` must not exceed [`MAX_INDEX`].
+fn bucket_range(index: u32) -> (u64, u64) {
+    let index = u64::from(index);
+    if index < SUBS {
+        (index, 1)
+    } else {
+        let shift = index / SUBS - 1;
+        let sub = index - shift * SUBS; // in [SUBS, 2*SUBS)
+        (sub << shift, 1 << shift)
+    }
+}
+
+/// A histogram's complete state: sparse bucket pairs plus exact integer
+/// aggregates, for checkpoint codecs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistogramState {
+    /// `(bucket index, count)` pairs, strictly ascending by index, with
+    /// non-zero counts.
+    pub buckets: Vec<(u32, u64)>,
+    /// Total samples recorded.
+    pub count: u64,
+    /// Exact sum of all samples, in ticks.
+    pub sum_ticks: u128,
+    /// Smallest recorded sample, in ticks (`u64::MAX` when empty).
+    pub min_ticks: u64,
+    /// Largest recorded sample, in ticks (0 when empty).
+    pub max_ticks: u64,
+}
+
+/// Why a [`HistogramState`] is not the state of any histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramStateError(&'static str);
+
+impl fmt::Display for HistogramStateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "impossible histogram state: {}", self.0)
+    }
+}
+
+impl std::error::Error for HistogramStateError {}
+
+/// A sparse log2-bucketed histogram with exact integer merge.
+///
+/// # Examples
+///
+/// ```
+/// use vdap_sim::{SimDuration, StreamingHistogram};
+///
+/// let mut a = StreamingHistogram::new("latency_ms");
+/// let mut b = StreamingHistogram::new("latency_ms");
+/// a.record(2.0);
+/// b.record_duration(SimDuration::from_millis(4));
+/// b.record(f64::NAN); // ignored
+/// let mut ab = a.clone();
+/// ab.merge(&b);
+/// let mut ba = b.clone();
+/// ba.merge(&a);
+/// assert_eq!(ab, ba); // merge is commutative, bit-for-bit
+/// assert_eq!(ab.count(), 2);
+/// assert_eq!(ab.max(), 4.0);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamingHistogram {
+    name: &'static str,
+    buckets: BTreeMap<u32, u64>,
+    count: u64,
+    sum_ticks: u128,
+    min_ticks: u64,
+    max_ticks: u64,
+}
+
+impl StreamingHistogram {
+    /// An empty histogram tracking the metric `name`.
+    #[must_use]
+    pub fn new(name: &'static str) -> Self {
+        StreamingHistogram {
+            name,
+            buckets: BTreeMap::new(),
+            count: 0,
+            sum_ticks: 0,
+            min_ticks: u64::MAX,
+            max_ticks: 0,
+        }
+    }
+
+    /// The metric name this histogram tracks.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Records one sample; non-finite samples are ignored.
+    pub fn record(&mut self, value: f64) {
+        if value.is_finite() {
+            self.record_ticks(to_ticks(value));
+        }
+    }
+
+    /// Records a duration in milliseconds, exactly: one tick per
+    /// nanosecond.
+    pub fn record_duration(&mut self, d: SimDuration) {
+        self.record_ticks(d.as_nanos());
+    }
+
+    fn record_ticks(&mut self, ticks: u64) {
+        *self.buckets.entry(bucket_index(ticks)).or_insert(0) += 1;
+        self.count += 1;
+        self.sum_ticks += u128::from(ticks);
+        self.min_ticks = self.min_ticks.min(ticks);
+        self.max_ticks = self.max_ticks.max(ticks);
+    }
+
+    /// Samples recorded.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Exact mean, to the tick (0 when empty).
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_ticks as f64 / TICKS_PER_UNIT / self.count as f64
+        }
+    }
+
+    /// Exact minimum, to the tick (0 when empty).
+    #[must_use]
+    pub fn min(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            from_ticks(self.min_ticks)
+        }
+    }
+
+    /// Exact maximum, to the tick (0 when empty).
+    #[must_use]
+    pub fn max(&self) -> f64 {
+        from_ticks(self.max_ticks)
+    }
+
+    /// The nearest-rank `q` quantile, within `1/64` relative error plus
+    /// the half-tick floor (see the module docs). `q` is clamped to
+    /// `[0, 1]`; returns 0 when empty.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let target = ((q * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (&index, &n) in &self.buckets {
+            seen += n;
+            if seen >= target {
+                let (lo, width) = bucket_range(index);
+                let mid = lo + width / 2;
+                return from_ticks(mid.clamp(self.min_ticks, self.max_ticks));
+            }
+        }
+        self.max()
+    }
+
+    /// Median estimate.
+    #[must_use]
+    pub fn p50(&self) -> f64 {
+        self.quantile(0.50)
+    }
+
+    /// 95th-percentile estimate.
+    #[must_use]
+    pub fn p95(&self) -> f64 {
+        self.quantile(0.95)
+    }
+
+    /// 99th-percentile estimate.
+    #[must_use]
+    pub fn p99(&self) -> f64 {
+        self.quantile(0.99)
+    }
+
+    /// Absorbs another histogram: bucket-count addition plus integer
+    /// aggregate folds, so the merge is exact, associative, and
+    /// commutative bit-for-bit.
+    pub fn merge(&mut self, other: &StreamingHistogram) {
+        for (&index, &n) in &other.buckets {
+            *self.buckets.entry(index).or_insert(0) += n;
+        }
+        self.count += other.count;
+        self.sum_ticks += other.sum_ticks;
+        self.min_ticks = self.min_ticks.min(other.min_ticks);
+        self.max_ticks = self.max_ticks.max(other.max_ticks);
+    }
+
+    /// Approximate resident bytes (sparse bucket entries + header).
+    #[must_use]
+    pub fn resident_bytes(&self) -> u64 {
+        64 + self.buckets.len() as u64 * 16
+    }
+
+    /// Snapshots the complete state for a checkpoint codec.
+    #[must_use]
+    pub fn state(&self) -> HistogramState {
+        HistogramState {
+            buckets: self.buckets.iter().map(|(&i, &n)| (i, n)).collect(),
+            count: self.count,
+            sum_ticks: self.sum_ticks,
+            min_ticks: self.min_ticks,
+            max_ticks: self.max_ticks,
+        }
+    }
+
+    /// Rebuilds a histogram from a state taken by
+    /// [`StreamingHistogram::state`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when no sequence of samples yields `state`: a bucket index
+    /// past the one `u64::MAX` ticks land in, indices that do not
+    /// strictly ascend, an empty bucket, bucket counts that overflow or
+    /// do not sum to `count`, min above max, min or max outside the
+    /// first or last occupied bucket, a sum outside
+    /// `[count·min, count·max]`, or an empty histogram without the empty
+    /// sentinels (min `u64::MAX`, max 0, sum 0).
+    pub fn from_state(
+        name: &'static str,
+        state: HistogramState,
+    ) -> Result<Self, HistogramStateError> {
+        let HistogramState {
+            buckets,
+            count,
+            sum_ticks,
+            min_ticks,
+            max_ticks,
+        } = state;
+        let mut total = 0u64;
+        let mut prev = None;
+        for &(index, n) in &buckets {
+            if index > MAX_INDEX {
+                return Err(HistogramStateError("bucket index out of range"));
+            }
+            if prev.is_some_and(|p| index <= p) {
+                return Err(HistogramStateError("bucket indices not strictly ascending"));
+            }
+            if n == 0 {
+                return Err(HistogramStateError("empty bucket"));
+            }
+            total = total
+                .checked_add(n)
+                .ok_or(HistogramStateError("bucket counts overflow"))?;
+            prev = Some(index);
+        }
+        if total != count {
+            return Err(HistogramStateError("bucket counts do not sum to count"));
+        }
+        match (buckets.first(), buckets.last()) {
+            (Some(&(first, _)), Some(&(last, _))) => {
+                if min_ticks > max_ticks {
+                    return Err(HistogramStateError("min above max"));
+                }
+                if bucket_index(min_ticks) != first || bucket_index(max_ticks) != last {
+                    return Err(HistogramStateError(
+                        "min or max outside the first or last occupied bucket",
+                    ));
+                }
+                let count = u128::from(count);
+                if sum_ticks < count * u128::from(min_ticks)
+                    || sum_ticks > count * u128::from(max_ticks)
+                {
+                    return Err(HistogramStateError("sum outside [count·min, count·max]"));
+                }
+            }
+            _ => {
+                if min_ticks != u64::MAX || max_ticks != 0 || sum_ticks != 0 {
+                    return Err(HistogramStateError(
+                        "empty histogram without the empty sentinels",
+                    ));
+                }
+            }
+        }
+        Ok(StreamingHistogram {
+            name,
+            buckets: buckets.into_iter().collect(),
+            count,
+            sum_ticks,
+            min_ticks,
+            max_ticks,
+        })
+    }
+}
+
+impl fmt::Display for StreamingHistogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: n={} mean={:.3} p50={:.3} p95={:.3} p99={:.3} max={:.3}",
+            self.name,
+            self.count,
+            self.mean(),
+            self.p50(),
+            self.p95(),
+            self.p99(),
+            self.max()
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn buckets_are_contiguous_and_invertible() {
+        let mut prev = None;
+        for ticks in (0..4096).chain([u64::MAX / 3, u64::MAX - 1, u64::MAX]) {
+            let index = bucket_index(ticks);
+            let (lo, width) = bucket_range(index);
+            assert!(
+                lo <= ticks && ticks - lo < width,
+                "ticks {ticks} outside bucket {index} [{lo}, {lo}+{width})"
+            );
+            if let Some(p) = prev {
+                assert!(index >= p, "bucket index must be monotone in ticks");
+            }
+            prev = Some(index);
+        }
+        assert_eq!(MAX_INDEX, 1919);
+    }
+
+    #[test]
+    fn quantiles_stay_within_the_documented_relative_error() {
+        let mut h = StreamingHistogram::new("lat");
+        let mut values: Vec<f64> = (1..=5000).map(|i| (i as f64) * 0.37 + 0.9).collect();
+        for &v in &values {
+            h.record(v);
+        }
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for q in [0.5, 0.95, 0.99] {
+            let exact = values[((q * values.len() as f64).ceil() as usize).max(1) - 1];
+            let est = h.quantile(q);
+            let rel = (est - exact).abs() / exact;
+            assert!(
+                rel <= 1.0 / (2.0 * SUBS as f64) + 1e-6,
+                "q={q}: est {est} vs exact {exact} (rel {rel})"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_is_exact_and_commutative() {
+        let mut a = StreamingHistogram::new("x");
+        let mut b = StreamingHistogram::new("x");
+        for i in 0..100 {
+            a.record(f64::from(i) * 1.5);
+            b.record(f64::from(i) * 40.0 + 3.0);
+        }
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab.count(), 200);
+        let mut all = StreamingHistogram::new("x");
+        for i in 0..100 {
+            all.record(f64::from(i) * 1.5);
+            all.record(f64::from(i) * 40.0 + 3.0);
+        }
+        assert_eq!(ab, all, "merge must equal recording the union directly");
+    }
+
+    #[test]
+    fn empty_and_degenerate_inputs_are_safe() {
+        let h = StreamingHistogram::new("empty");
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.quantile(0.99), 0.0);
+        assert_eq!(h.min(), 0.0);
+        assert_eq!(h.max(), 0.0);
+        let mut d = StreamingHistogram::new("degenerate");
+        d.record(f64::NAN);
+        d.record(f64::INFINITY);
+        d.record(f64::NEG_INFINITY);
+        assert_eq!(d.state(), h.state(), "non-finite samples are ignored");
+        d.record(-5.0);
+        d.record(0.0);
+        assert_eq!(d.count(), 2);
+        assert_eq!(d.max(), 0.0, "negatives clamp to zero ticks");
+        d.record(1e300);
+        assert_eq!(
+            d.max(),
+            u64::MAX as f64 / TICKS_PER_UNIT,
+            "huge samples saturate"
+        );
+    }
+
+    #[test]
+    fn state_round_trips() {
+        let mut h = StreamingHistogram::new("rt");
+        for i in 1..=257 {
+            h.record(f64::from(i) * 12.5);
+        }
+        let restored = StreamingHistogram::from_state("rt", h.state()).unwrap();
+        assert_eq!(restored, h);
+        assert_eq!(restored.p95().to_bits(), h.p95().to_bits());
+        let empty = StreamingHistogram::new("none");
+        assert_eq!(
+            StreamingHistogram::from_state("none", empty.state()),
+            Ok(empty)
+        );
+    }
+
+    #[test]
+    fn impossible_states_are_refused() {
+        let mut h = StreamingHistogram::new("lat");
+        for v in [0.5, 3.0, 3.0, 900.0] {
+            h.record(v);
+        }
+        let good = h.state();
+        type Tamper = fn(&mut HistogramState);
+        let tampered: [(&str, Tamper); 11] = [
+            ("index past the top bucket", |s| {
+                s.buckets[2].0 = MAX_INDEX + 1
+            }),
+            ("index u32::MAX", |s| s.buckets[2].0 = u32::MAX),
+            ("indices out of order", |s| s.buckets.swap(0, 1)),
+            ("zero-count bucket", |s| s.buckets.push((MAX_INDEX, 0))),
+            ("count below the buckets", |s| s.count = 1),
+            ("counts wrap past u64::MAX", |s| {
+                s.buckets[0].1 = u64::MAX;
+                s.count = u64::MAX.wrapping_add(4);
+            }),
+            ("min above max", |s| s.min_ticks = 1_000_000_000),
+            ("min outside the first bucket", |s| s.min_ticks = 2_000_000),
+            ("max outside the last bucket", |s| s.max_ticks = 100_000_000),
+            ("sum above count·max", |s| s.sum_ticks = u128::MAX),
+            ("sum below count·min", |s| s.sum_ticks = 1),
+        ];
+        for (what, tamper) in tampered {
+            let mut s = good.clone();
+            tamper(&mut s);
+            assert!(StreamingHistogram::from_state("lat", s).is_err(), "{what}");
+        }
+        let mut empty = StreamingHistogram::new("e").state();
+        empty.max_ticks = 7;
+        assert!(StreamingHistogram::from_state("e", empty).is_err());
+        assert!(StreamingHistogram::from_state("lat", good).is_ok());
+    }
+
+    #[test]
+    fn min_max_clamp_the_estimate() {
+        let mut h = StreamingHistogram::new("clamp");
+        h.record(1000.0);
+        assert_eq!(h.p50(), 1000.0, "single sample estimates exactly");
+        assert_eq!(h.p99(), 1000.0);
+    }
+}

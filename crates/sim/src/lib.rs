@@ -33,6 +33,8 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
+mod hash;
+mod histogram;
 mod metrics;
 mod reliability;
 mod rng;
@@ -40,9 +42,9 @@ mod time;
 mod trace;
 
 pub use event::{Ctx, EventFn, RunReport, Simulation, StopReason};
-pub use metrics::{
-    Counter, Histogram, StreamingHistogram, StreamingHistogramState, Summary, TimeSeries,
-};
+pub use hash::{fnv1a64, fnv1a64_extend, splitmix64};
+pub use histogram::{HistogramState, HistogramStateError, StreamingHistogram};
+pub use metrics::{Counter, Summary, TimeSeries};
 pub use reliability::{ReliabilityState, ReliabilityStats};
 pub use rng::{RngStream, SeedFactory};
 pub use time::{SimDuration, SimTime};

@@ -1,12 +1,9 @@
 //! Measurement primitives shared by every experiment harness.
 //!
-//! [`Histogram`] is a log-bucketed latency histogram (HDR-style, base-10
-//! decades split into 90 linear sub-buckets) good enough for the quantile
-//! shapes the paper reports. [`Summary`] is an exact small-sample summary
-//! used when the full sample set fits in memory. [`Counter`] and
-//! [`TimeSeries`] support rate and trend reporting.
-
-use std::fmt;
+//! [`Summary`] is an exact small-sample summary used when the full
+//! sample set fits in memory; unbounded streams go to the mergeable
+//! [`crate::StreamingHistogram`]. [`Counter`] and [`TimeSeries`] support
+//! rate and trend reporting.
 
 use serde::{Deserialize, Serialize};
 
@@ -227,416 +224,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// Log-bucketed histogram for unbounded latency-like values.
-///
-/// Values are bucketed into base-10 decades, each split into 90 linear
-/// sub-buckets, giving a worst-case quantile error of ~1.1% — comparable
-/// to HDR histograms at far less code. Values are expected non-negative;
-/// negatives clamp to bucket 0.
-///
-/// # Examples
-///
-/// ```
-/// use vdap_sim::Histogram;
-///
-/// let mut h = Histogram::new("latency_ms");
-/// for v in [1.0, 2.0, 3.0, 100.0] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.count(), 4);
-/// let p50 = h.quantile(0.5);
-/// assert!(p50 >= 2.0 && p50 <= 3.1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    name: String,
-    /// buckets[decade][sub] — decade d covers [10^(d-4), 10^(d-3)).
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-const SUBS: usize = 90;
-const DECADES: usize = 16; // 1e-4 .. 1e12
-const FLOOR: f64 = 1e-4;
-
-fn bucket_index(value: f64) -> usize {
-    if value <= FLOOR || value.is_nan() {
-        return 0;
-    }
-    let decade = value.log10().floor();
-    let d = ((decade - FLOOR.log10()) as isize).clamp(0, DECADES as isize - 1) as usize;
-    let lo = 10f64.powf(FLOOR.log10() + d as f64);
-    let frac = (value / lo - 1.0) / 9.0; // [1,10) -> [0,1)
-    let sub = ((frac * SUBS as f64) as usize).min(SUBS - 1);
-    d * SUBS + sub
-}
-
-fn bucket_value(index: usize) -> f64 {
-    let d = index / SUBS;
-    let sub = index % SUBS;
-    let lo = 10f64.powf(FLOOR.log10() + d as f64);
-    // Midpoint of the linear sub-bucket.
-    lo * (1.0 + 9.0 * (sub as f64 + 0.5) / SUBS as f64)
-}
-
-impl Histogram {
-    /// Creates an empty histogram with a diagnostic name.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Histogram {
-            name: name.into(),
-            buckets: vec![0; SUBS * DECADES],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one non-negative sample (non-finite samples are ignored).
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let value = value.max(0.0);
-        let idx = bucket_index(value);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Records a duration in milliseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Approximate quantile (worst-case ~1.1% relative error).
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64 - 1.0) * q).round() as u64;
-        let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c > target {
-                return bucket_value(idx).clamp(self.min, self.max);
-            }
-            seen += c;
-        }
-        self.max
-    }
-
-    /// Diagnostic name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Merges another histogram's samples into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: n={} mean={:.3} p50={:.3} p95={:.3} p99={:.3} max={:.3}",
-            self.name,
-            self.count,
-            self.mean(),
-            self.quantile(0.5),
-            self.quantile(0.95),
-            self.quantile(0.99),
-            self.max()
-        )
-    }
-}
-
-/// Fixed-point quantum for [`StreamingHistogram`] sums: one microunit.
-const MICRO: f64 = 1e6;
-
-/// An order-independent, mergeable streaming histogram.
-///
-/// Same log-bucket layout as [`Histogram`], but the running sum is kept
-/// in fixed-point integer microunits instead of an `f64`. Integer
-/// addition is associative and commutative, so merging per-shard
-/// histograms in *any* order or grouping produces a bit-identical
-/// result — the property that lets a sharded fleet run report the same
-/// aggregate metrics as a single-threaded run of the same seed. (An
-/// `f64` sum would pick up grouping-dependent rounding.)
-///
-/// The price is quantization: each sample is rounded to the nearest
-/// 1e-6 before being added to the sum, so `mean()` is exact to ±0.5e-6
-/// per sample. Quantiles come from the buckets and are unaffected.
-///
-/// # Examples
-///
-/// ```
-/// use vdap_sim::StreamingHistogram;
-///
-/// let mut a = StreamingHistogram::new("latency_ms");
-/// let mut b = StreamingHistogram::new("latency_ms");
-/// a.record(2.0);
-/// b.record(4.0);
-/// let mut ab = a.clone();
-/// ab.merge(&b);
-/// let mut ba = b.clone();
-/// ba.merge(&a);
-/// assert_eq!(ab, ba); // merge is commutative, bit-for-bit
-/// assert_eq!(ab.count(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StreamingHistogram {
-    name: String,
-    buckets: Vec<u64>,
-    count: u64,
-    /// Sum of `round(value * 1e6)` — exact integer accumulation.
-    sum_micro: u128,
-    min: f64,
-    max: f64,
-}
-
-impl StreamingHistogram {
-    /// Creates an empty histogram with a diagnostic name.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        StreamingHistogram {
-            name: name.into(),
-            buckets: vec![0; SUBS * DECADES],
-            count: 0,
-            sum_micro: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one non-negative sample (non-finite samples are ignored).
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let value = value.max(0.0);
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum_micro += (value * MICRO).round() as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Records a duration in milliseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
-    /// Number of recorded samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded samples (0 when empty; quantized to 1e-6).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_micro as f64 / MICRO / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Approximate quantile (worst-case ~1.1% relative error).
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64 - 1.0) * q).round() as u64;
-        let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c > target {
-                return bucket_value(idx).clamp(self.min, self.max);
-            }
-            seen += c;
-        }
-        self.max
-    }
-
-    /// Diagnostic name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Merges another histogram's samples into this one. Associative and
-    /// commutative bit-for-bit (the merge-order-independence every
-    /// sharded aggregation relies on).
-    pub fn merge(&mut self, other: &StreamingHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_micro += other.sum_micro;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// The complete internal state of a [`StreamingHistogram`], exposed for
-/// checkpoint/restore. Buckets are sparse `(index, count)` pairs; the
-/// min/max fields carry the raw values, which are non-finite sentinels
-/// (±∞) while the histogram is empty.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingHistogramState {
-    /// Diagnostic name.
-    pub name: String,
-    /// Non-zero buckets as `(index, count)` pairs, ascending by index.
-    pub sparse_buckets: Vec<(u32, u64)>,
-    /// Total recorded samples.
-    pub count: u64,
-    /// Fixed-point sample sum in microunits.
-    pub sum_micro: u128,
-    /// Raw running minimum (`+∞` when empty).
-    pub min: f64,
-    /// Raw running maximum (`-∞` when empty).
-    pub max: f64,
-}
-
-impl StreamingHistogram {
-    /// Captures the full internal state for checkpointing.
-    #[must_use]
-    pub fn state(&self) -> StreamingHistogramState {
-        StreamingHistogramState {
-            name: self.name.clone(),
-            sparse_buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c != 0)
-                .map(|(i, &c)| (i as u32, c))
-                .collect(),
-            count: self.count,
-            sum_micro: self.sum_micro,
-            min: self.min,
-            max: self.max,
-        }
-    }
-
-    /// Rebuilds a histogram from captured state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a sparse bucket index is out of range.
-    #[must_use]
-    pub fn from_state(state: StreamingHistogramState) -> Self {
-        let mut buckets = vec![0u64; SUBS * DECADES];
-        for (idx, c) in state.sparse_buckets {
-            buckets[idx as usize] = c;
-        }
-        StreamingHistogram {
-            name: state.name,
-            buckets,
-            count: state.count,
-            sum_micro: state.sum_micro,
-            min: state.min,
-            max: state.max,
-        }
-    }
-}
-
-impl fmt::Display for StreamingHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: n={} mean={:.3} p50={:.3} p95={:.3} p99={:.3} max={:.3}",
-            self.name,
-            self.count,
-            self.mean(),
-            self.quantile(0.5),
-            self.quantile(0.95),
-            self.quantile(0.99),
-            self.max()
-        )
-    }
-}
-
 /// A `(time, value)` series for trend plots (e.g. utilization over time).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -701,27 +288,7 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streaming_histogram_tracks_quantiles_like_histogram() {
-        let mut s = StreamingHistogram::new("lat");
-        let mut h = Histogram::new("lat");
-        for i in 1..=1000 {
-            let v = i as f64 * 0.1;
-            s.record(v);
-            h.record(v);
-        }
-        assert_eq!(s.count(), 1000);
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            let a = s.quantile(q);
-            let b = h.quantile(q);
-            assert!(
-                (a - b).abs() <= 1e-9,
-                "q={q}: streaming {a} vs exact-bucket {b}"
-            );
-        }
-        assert!((s.mean() - h.mean()).abs() < 1e-5);
-    }
+    use crate::StreamingHistogram;
 
     #[test]
     fn streaming_histogram_merge_is_grouping_independent() {
@@ -756,13 +323,13 @@ mod tests {
         for i in 0..500 {
             s.record(0.05 + (i as f64) * 1.37);
         }
-        let back = StreamingHistogram::from_state(s.state());
+        let back = StreamingHistogram::from_state("lat", s.state()).expect("a recorded state");
         assert_eq!(back, s);
-        // Empty histograms round-trip their ±∞ sentinels too.
+        // Empty histograms round-trip their empty sentinels too.
         let empty = StreamingHistogram::new("none");
         let st = empty.state();
-        assert!(st.min.is_infinite() && st.max.is_infinite());
-        assert_eq!(StreamingHistogram::from_state(st), empty);
+        assert_eq!((st.min_ticks, st.max_ticks, st.sum_ticks), (u64::MAX, 0, 0));
+        assert_eq!(StreamingHistogram::from_state("none", st), Ok(empty));
     }
 
     #[test]
@@ -784,6 +351,12 @@ mod tests {
         s.record_duration(SimDuration::from_millis(250));
         assert!((s.mean() - 250.0).abs() < 1e-6);
         assert_eq!(s.name(), "lat");
+        // One tick per nanosecond, exact at any magnitude.
+        s.record_duration(SimDuration::from_nanos(250_000_001));
+        s.record_duration(SimDuration::from_nanos(u64::MAX));
+        let st = s.state();
+        assert_eq!((st.min_ticks, st.max_ticks), (250_000_000, u64::MAX));
+        assert_eq!(st.sum_ticks, 500_000_001 + u128::from(u64::MAX));
     }
 
     #[test]
@@ -838,7 +411,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_within_error() {
-        let mut h = Histogram::new("lat");
+        let mut h = StreamingHistogram::new("lat");
         for i in 1..=10_000 {
             h.record(i as f64 / 10.0); // 0.1 .. 1000.0
         }
@@ -851,20 +424,20 @@ mod tests {
 
     #[test]
     fn histogram_handles_extremes() {
-        let mut h = Histogram::new("x");
+        let mut h = StreamingHistogram::new("x");
         h.record(0.0);
         h.record(-5.0); // clamps to 0
-        h.record(1e15); // clamps to top decade
+        h.record(1e15); // saturates at u64::MAX ticks
         h.record(f64::NAN); // ignored
         assert_eq!(h.count(), 3);
         assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 1e15);
+        assert_eq!(h.max(), u64::MAX as f64 / 1e6);
     }
 
     #[test]
     fn histogram_merge_combines() {
-        let mut a = Histogram::new("a");
-        let mut b = Histogram::new("b");
+        let mut a = StreamingHistogram::new("a");
+        let mut b = StreamingHistogram::new("b");
         a.record(1.0);
         b.record(100.0);
         a.merge(&b);
@@ -893,9 +466,11 @@ mod tests {
 
     #[test]
     fn histogram_display_nonempty() {
-        let mut h = Histogram::new("d");
+        let mut h = StreamingHistogram::new("d");
         h.record(5.0);
-        let s = h.to_string();
-        assert!(s.contains("n=1"));
+        assert_eq!(
+            h.to_string(),
+            "d: n=1 mean=5.000 p50=5.000 p95=5.000 p99=5.000 max=5.000"
+        );
     }
 }

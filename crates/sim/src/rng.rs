@@ -12,6 +12,8 @@
 // kernel has no external RNG dependency and sequences are stable across
 // toolchains.
 
+use crate::hash::{fnv1a64, splitmix64};
+
 /// A factory that derives independent, reproducible RNG streams from one
 /// master seed.
 ///
@@ -57,7 +59,7 @@ impl SeedFactory {
     /// streams such as one per vehicle.
     #[must_use]
     pub fn indexed_stream(&self, label: &str, index: u64) -> RngStream {
-        let mixed = splitmix64(self.master ^ fnv1a(label.as_bytes()) ^ splitmix64(index));
+        let mixed = splitmix64(self.master ^ fnv1a64(label.as_bytes()) ^ splitmix64(index));
         RngStream::from_raw_seed(mixed)
     }
 }
@@ -86,7 +88,7 @@ impl RngStream {
     /// Creates a stream from a master seed and component label.
     #[must_use]
     pub fn from_seed_label(master: u64, label: &str) -> Self {
-        Self::from_raw_seed(master ^ fnv1a(label.as_bytes()))
+        Self::from_raw_seed(master ^ fnv1a64(label.as_bytes()))
     }
 
     /// The raw xoshiro256++ state words, for checkpointing a stream
@@ -213,25 +215,6 @@ impl RngStream {
             items.swap(i, j);
         }
     }
-}
-
-/// SplitMix64 finalizer: cheap, high-quality seed mixing.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a hash for label-to-seed derivation.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use vdap_sim::{Histogram, RngStream, SimDuration, SimTime, Simulation, Summary};
+use vdap_sim::{RngStream, SimDuration, SimTime, Simulation, StreamingHistogram, Summary};
 
 proptest! {
     #[test]
@@ -43,7 +43,7 @@ proptest! {
         q1 in 0.0f64..1.0,
         q2 in 0.0f64..1.0,
     ) {
-        let mut h = Histogram::new("p");
+        let mut h = StreamingHistogram::new("p");
         for &s in &samples {
             h.record(s);
         }
@@ -52,6 +52,19 @@ proptest! {
         let v_hi = h.quantile(hi);
         prop_assert!(v_lo <= v_hi, "quantiles must be monotone: {} > {}", v_lo, v_hi);
         prop_assert!(v_lo >= h.min() && v_hi <= h.max());
+        // Nearest-rank bound: within 1/64 of the sample's tick value,
+        // plus the half-tick (5e-7) quantization floor.
+        let mut sorted = samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        for q in [lo, hi, 0.5, 0.95, 0.99] {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+            let exact = sorted[rank - 1];
+            let est = h.quantile(q);
+            prop_assert!(
+                (est - exact).abs() <= (exact + 5e-7) / 64.0 + 5e-7,
+                "q={}: estimate {} vs exact nearest-rank {}", q, est, exact
+            );
+        }
     }
 
     #[test]

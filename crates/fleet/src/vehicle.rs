@@ -306,7 +306,7 @@ fn tick(
         if cfg.telemetry {
             out.spans.push(vehicle_span(
                 cfg,
-                v.id,
+                v,
                 seq,
                 class,
                 now,
@@ -347,7 +347,7 @@ fn tick(
             if cfg.telemetry {
                 out.spans.push(vehicle_span(
                     cfg,
-                    v.id,
+                    v,
                     seq,
                     class,
                     now,
@@ -412,10 +412,12 @@ fn ingest_tick(cfg: &FleetConfig, v: &mut VehicleState, out: &mut BatchOut, now:
 
 /// Builds a span for a request resolved entirely on the vehicle side
 /// (collab hits and regional-outage failovers never reach the edge, so
-/// `admitted` and `serve_start` stay empty).
+/// `admitted` and `serve_start` stay empty). The span names the region
+/// the vehicle was driving in at the tick, the one whose outage the
+/// failover decision read.
 fn vehicle_span(
     cfg: &FleetConfig,
-    vehicle: u32,
+    v: &VehicleState,
     seq: u32,
     class: WorkloadClass,
     generated: SimTime,
@@ -423,10 +425,10 @@ fn vehicle_span(
     outcome: SpanOutcome,
 ) -> RequestSpan {
     RequestSpan {
-        vehicle,
+        vehicle: v.id,
         seq,
-        tenant: cfg.tenant_of(vehicle),
-        region: cfg.region_of(vehicle),
+        tenant: cfg.tenant_of(v.id),
+        region: v.region,
         shard: 0,
         class: class.label(),
         generated,

@@ -14,7 +14,7 @@ use vdap_sim::{SimDuration, SimTime};
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
     (4, 0x909d_b4da_dfec_c4b6),
     (8, 0x1402_1080_8293_70a3),
-    (12, 0xc9c8_192c_61a1_2dca),
+    (12, 0x6a0f_1c1d_8b74_b531),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
@@ -31,8 +31,8 @@ const SPILL_PINS: [u64; 1] = [0xef61_3c68_7b39_5099];
 
 /// FNV-1a of `spans_jsonl` and of the Chrome trace text of the
 /// supervised run's telemetry.
-const SPANS_JSONL_PIN: u64 = 0x2e1b_c3fa_2223_55f0;
-const CHROME_TRACE_PIN: u64 = 0x6655_8f8b_3c3f_6242;
+const SPANS_JSONL_PIN: u64 = 0x0f65_83e7_f98c_d92c;
+const CHROME_TRACE_PIN: u64 = 0xca2e_4576_beab_9e14;
 
 /// Full stack (ingest + mobility + telemetry) at 64 vehicles: snapshots
 /// every 4 epochs with every generation retained, a torn write on the

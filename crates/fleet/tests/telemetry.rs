@@ -327,3 +327,32 @@ fn epoch_series_cover_every_barrier() {
         "per-class served series should see traffic"
     );
 }
+
+#[test]
+fn failover_spans_name_the_region_the_vehicle_was_in() {
+    // Under mobility vehicles drive out of their home regions, so only
+    // the region read at the tick can explain a failover: every one of
+    // them must name the region whose LTE was down.
+    let mut cfg = FleetConfig::sized(256)
+        .with_mobility()
+        .with_telemetry()
+        .with_regional_outage(0, SimTime::from_secs(5), SimDuration::from_secs(20));
+    cfg.seed = 3;
+    cfg.duration = SimDuration::from_secs(30);
+    let report = FleetEngine::new(cfg).run();
+    let tel = report.telemetry.as_ref().expect("telemetry enabled");
+    let failovers: Vec<_> = tel
+        .spans
+        .iter()
+        .filter(|s| s.outcome == SpanOutcome::Failover)
+        .collect();
+    assert_eq!(failovers.len() as u64, report.metrics.failovers);
+    assert!(!failovers.is_empty(), "the outage must cause failovers");
+    let elsewhere = failovers.iter().filter(|s| s.region != 0).count();
+    assert_eq!(
+        elsewhere,
+        0,
+        "{elsewhere} of {} failover spans name a region other than the outage's",
+        failovers.len()
+    );
+}

@@ -311,7 +311,7 @@ pub(crate) fn reliability_field(v: &Value, key: &str) -> Result<ReliabilityStats
 
 // --- fleet metrics ---------------------------------------------------
 
-/// Writes the fleet's merged `FleetMetrics`.
+/// Writes the fleet's `FleetMetrics`.
 pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
     w.begin_object();
     w.key("by_class").begin_array();

@@ -15,7 +15,7 @@
 use std::fmt;
 
 use vdap_edgeos::{LanePolicy, WorkloadClass};
-use vdap_fault::FaultPlan;
+use vdap_fault::{FaultKind, FaultPlan, FaultSpec};
 use vdap_mobility::MobilityConfig;
 use vdap_sim::{SimDuration, SimTime};
 
@@ -533,7 +533,7 @@ pub struct FleetConfig {
     /// Vehicles per stealable batch in the epoch tick phase. Smaller
     /// batches steal (and so balance) better at the cost of per-batch
     /// overhead; the value is provably invisible in every report
-    /// (vehicles own their RNG streams and batch results merge in
+    /// (vehicles own their RNG streams and batch results fold in
     /// canonical order), so it is purely a performance knob.
     pub batch_size: u32,
     /// Worker threads for the epoch tick phase's work-stealing
@@ -720,86 +720,52 @@ impl FleetConfig {
     /// `[start, start + duration)`. Vehicles in the region fail over to
     /// on-board compute for the window.
     #[must_use]
-    pub fn with_regional_outage(
-        mut self,
-        region: u32,
-        start: SimTime,
-        outage: SimDuration,
-    ) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::LinkOutage,
-                region_label(region),
-                start,
-                outage,
-            ));
-        self.chaos = Some(plan);
-        self
+    pub fn with_regional_outage(self, region: u32, start: SimTime, outage: SimDuration) -> Self {
+        self.with_fault(FaultKind::LinkOutage, region_label(region), start, outage)
     }
 
     /// Adds a one-shot XEdge node crash over `[start, start + outage)`.
     /// Regions homed on the node walk the degradation ladder for the
     /// window.
     #[must_use]
-    pub fn with_edge_node_crash(mut self, node: u32, start: SimTime, outage: SimDuration) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::EdgeNodeCrash,
-                edge_node_label(node),
-                start,
-                outage,
-            ));
-        self.chaos = Some(plan);
-        self
+    pub fn with_edge_node_crash(self, node: u32, start: SimTime, outage: SimDuration) -> Self {
+        self.with_fault(
+            FaultKind::EdgeNodeCrash,
+            edge_node_label(node),
+            start,
+            outage,
+        )
     }
 
     /// Adds a one-shot tenant quota flap: `tenant`'s admission cap
     /// shrinks to `factor` of nominal over `[start, start + flap)`.
     #[must_use]
     pub fn with_tenant_quota_flap(
-        mut self,
+        self,
         tenant: u32,
         factor: f64,
         start: SimTime,
         flap: SimDuration,
     ) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::TenantQuotaFlap { factor },
-                tenant_label(tenant),
-                start,
-                flap,
-            ));
-        self.chaos = Some(plan);
-        self
+        self.with_fault(
+            FaultKind::TenantQuotaFlap { factor },
+            tenant_label(tenant),
+            start,
+            flap,
+        )
     }
 
     /// Adds a one-shot handoff storm on `region`'s coverage over
     /// `[start, start + storm)`: its requests re-register through a
     /// neighbor region, paying the mobility handoff cost.
     #[must_use]
-    pub fn with_handoff_storm(mut self, region: u32, start: SimTime, storm: SimDuration) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::RegionHandoffStorm,
-                handoff_label(region),
-                start,
-                storm,
-            ));
-        self.chaos = Some(plan);
-        self
+    pub fn with_handoff_storm(self, region: u32, start: SimTime, storm: SimDuration) -> Self {
+        self.with_fault(
+            FaultKind::RegionHandoffStorm,
+            handoff_label(region),
+            start,
+            storm,
+        )
     }
 
     /// Enables geo-mobility with the default traffic mix (commute /
@@ -834,66 +800,33 @@ impl FleetConfig {
     /// `[start, start + outage)`: uploads addressed to the collector
     /// bounce and walk the ingestion ladder (retry → defer → shed).
     #[must_use]
-    pub fn with_collector_outage(
-        mut self,
-        region: u32,
-        start: SimTime,
-        outage: SimDuration,
-    ) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::CollectorOutage,
-                collector_label(region),
-                start,
-                outage,
-            ));
-        self.chaos = Some(plan);
-        self
+    pub fn with_collector_outage(self, region: u32, start: SimTime, outage: SimDuration) -> Self {
+        self.with_fault(
+            FaultKind::CollectorOutage,
+            collector_label(region),
+            start,
+            outage,
+        )
     }
 
     /// Adds a one-shot storage-tier brownout: the shared DDI store's
     /// write throughput collapses to `factor` of nominal over
     /// `[start, start + brownout)` and collector queues back up.
     #[must_use]
-    pub fn with_storage_brownout(
-        mut self,
-        factor: f64,
-        start: SimTime,
-        brownout: SimDuration,
-    ) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::StorageBrownout { factor },
-                STORE_LABEL.to_string(),
-                start,
-                brownout,
-            ));
-        self.chaos = Some(plan);
-        self
+    pub fn with_storage_brownout(self, factor: f64, start: SimTime, brownout: SimDuration) -> Self {
+        self.with_fault(
+            FaultKind::StorageBrownout { factor },
+            STORE_LABEL,
+            start,
+            brownout,
+        )
     }
 
     /// Adds a one-shot hard storage-write-error window: the DDI store
     /// accepts nothing over `[start, start + outage)`.
     #[must_use]
-    pub fn with_storage_write_error(mut self, start: SimTime, outage: SimDuration) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::StorageWriteError,
-                STORE_LABEL.to_string(),
-                start,
-                outage,
-            ));
-        self.chaos = Some(plan);
-        self
+    pub fn with_storage_write_error(self, start: SimTime, outage: SimDuration) -> Self {
+        self.with_fault(FaultKind::StorageWriteError, STORE_LABEL, start, outage)
     }
 
     /// Enables durable barrier checkpointing: a complete-state snapshot
@@ -915,56 +848,55 @@ impl FleetConfig {
     /// Plain `FleetEngine::run` ignores the crash — which is what makes
     /// straight and crash–resume runs comparable.
     #[must_use]
-    pub fn with_engine_crash(mut self, epoch: u64, downtime: SimDuration) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
+    pub fn with_engine_crash(self, epoch: u64, downtime: SimDuration) -> Self {
         let start = SimTime::ZERO + SimDuration::from_nanos(self.epoch.as_nanos() * epoch);
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::EngineCrash { epoch },
-                ENGINE_LABEL.to_string(),
-                start,
-                downtime,
-            ));
-        self.chaos = Some(plan);
-        self
+        self.with_fault(
+            FaultKind::EngineCrash { epoch },
+            ENGINE_LABEL,
+            start,
+            downtime,
+        )
     }
 
     /// Adds a torn-write window on the snapshot store: snapshots
     /// written during `[start, start + window)` are truncated mid-write
     /// and must be rejected by checksum on restore.
     #[must_use]
-    pub fn with_snapshot_torn_write(mut self, start: SimTime, window: SimDuration) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
-        let plan = self
-            .chaos
-            .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::SnapshotTornWrite,
-                CKPT_STORE_LABEL.to_string(),
-                start,
-                window,
-            ));
-        self.chaos = Some(plan);
-        self
+    pub fn with_snapshot_torn_write(self, start: SimTime, window: SimDuration) -> Self {
+        self.with_fault(
+            FaultKind::SnapshotTornWrite,
+            CKPT_STORE_LABEL,
+            start,
+            window,
+        )
     }
 
     /// Adds a corruption window on the snapshot store: snapshots
     /// written during `[start, start + window)` suffer a bit-flip and
     /// must be rejected by checksum on restore.
     #[must_use]
-    pub fn with_snapshot_corruption(mut self, start: SimTime, window: SimDuration) -> Self {
-        use vdap_fault::{FaultKind, FaultSpec};
+    pub fn with_snapshot_corruption(self, start: SimTime, window: SimDuration) -> Self {
+        self.with_fault(
+            FaultKind::SnapshotCorruption,
+            CKPT_STORE_LABEL,
+            start,
+            window,
+        )
+    }
+
+    /// Appends one fault window to the chaos plan, creating the plan on
+    /// first use — the step every fault builder above shares.
+    fn with_fault(
+        mut self,
+        kind: FaultKind,
+        target: impl Into<String>,
+        start: SimTime,
+        window: SimDuration,
+    ) -> Self {
         let plan = self
             .chaos
             .unwrap_or_else(|| FaultPlan::new(self.duration))
-            .with_fault(FaultSpec::new(
-                FaultKind::SnapshotCorruption,
-                CKPT_STORE_LABEL.to_string(),
-                start,
-                window,
-            ));
+            .with_fault(FaultSpec::new(kind, target, start, window));
         self.chaos = Some(plan);
         self
     }

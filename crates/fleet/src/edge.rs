@@ -70,13 +70,15 @@ use vdap_edgeos::{
 };
 use vdap_fault::{retry_until_deadline, AttemptOutcome, FaultInjector, RetryPolicy};
 use vdap_net::{CellularChannel, Direction, LinkSpec, Mph};
+use vdap_obs::SpanOutcome;
 use vdap_offload::ContentionModel;
 use vdap_sim::{RngStream, SimDuration, SimTime};
 
 use crate::config::{
     edge_node_label, handoff_label, region_label, tenant_label, ClassSpec, FleetConfig,
 };
-use crate::vehicle::{DEGRADED_BOARD_W, RADIO_W, SPEED_MPH};
+use crate::metrics::RequestOutcome;
+use crate::vehicle::{BOARD_W, DEGRADED_BOARD_W, RADIO_W, SPEED_MPH};
 
 /// One vehicle request bound for the shared edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,8 +98,32 @@ pub(crate) struct EdgeRequest {
     pub handoff: SimDuration,
 }
 
-/// A request the edge finished serving, with vehicle-side accounting
-/// and the lifecycle stamps telemetry spans are built from.
+impl EdgeRequest {
+    /// The outcome of a request resolved without a lane: no admit or
+    /// lane stamps and no ladder detours besides its requeues.
+    fn outcome(&self, kind: SpanOutcome, e2e: SimDuration, energy_j: f64) -> RequestOutcome {
+        RequestOutcome {
+            vehicle: self.vehicle,
+            seq: self.seq,
+            tenant: self.tenant,
+            region: self.region,
+            class: self.class,
+            kind,
+            generated: self.arrival,
+            admitted: None,
+            serve_start: None,
+            e2e,
+            energy_j,
+            cost: SimDuration::ZERO,
+            retries: 0,
+            requeues: self.attempts,
+            handoff: false,
+        }
+    }
+}
+
+/// A request occupying an XEdge lane, with the vehicle-side accounting
+/// and lifecycle stamps its outcome is built from once it completes.
 #[derive(Debug, Clone)]
 pub(crate) struct ServedRequest {
     pub vehicle: u32,
@@ -123,49 +149,38 @@ pub(crate) struct ServedRequest {
     pub handoff: bool,
 }
 
-/// A request bounced at the admission gate under nominal quotas (its
-/// uplink time was already spent discovering that).
-#[derive(Debug, Clone)]
-pub(crate) struct RejectedRequest {
-    pub vehicle: u32,
-    pub seq: u32,
-    pub tenant: u32,
-    pub region: u32,
-    pub class: WorkloadClass,
-    pub arrival: SimTime,
-    pub uplink: SimDuration,
-}
-
-/// A request that fell to the bottom ladder rung. What that means is
-/// class-specific: degraded on-VCU execution for detection, a lower-
-/// bitrate local decode for infotainment, a skipped round for pBEAM
-/// training (`degraded` is zero and the round simply doesn't happen).
-#[derive(Debug, Clone)]
-pub(crate) struct LocalFallback {
-    pub vehicle: u32,
-    pub seq: u32,
-    pub tenant: u32,
-    pub region: u32,
-    pub class: WorkloadClass,
-    pub arrival: SimTime,
-    /// The barrier (or run horizon) at which the ladder resolved it.
-    pub decided: SimTime,
-    pub e2e: SimDuration,
-    pub energy_j: f64,
-    /// Degraded-mode serving time charged to the tenant.
-    pub degraded: SimDuration,
-    /// Rung-1 retry probes spent before falling through.
-    pub retries: u32,
-    /// Times the request was re-queued off a crashed lane.
-    pub requeues: u32,
+impl ServedRequest {
+    /// The completed request's outcome.
+    pub fn outcome(&self) -> RequestOutcome {
+        RequestOutcome {
+            vehicle: self.vehicle,
+            seq: self.seq,
+            tenant: self.tenant,
+            region: self.region,
+            class: self.class,
+            kind: SpanOutcome::EdgeServed,
+            generated: self.arrival,
+            admitted: Some(self.admitted),
+            serve_start: Some(self.serve_start),
+            e2e: self.e2e,
+            energy_j: self.energy_j,
+            cost: SimDuration::ZERO,
+            retries: self.retries,
+            requeues: self.requeues,
+            handoff: self.handoff,
+        }
+    }
 }
 
 /// What one barrier's serving pass produced.
 #[derive(Debug, Default)]
 pub(crate) struct EpochOutcome {
     pub served: Vec<ServedRequest>,
-    pub rejected: Vec<RejectedRequest>,
-    pub local_fallbacks: Vec<LocalFallback>,
+    /// Requests bounced at the admission gate under nominal quotas.
+    pub rejected: Vec<RequestOutcome>,
+    /// Requests that fell to the bottom ladder rung: local fallbacks and
+    /// skipped pBEAM rounds.
+    pub local_fallbacks: Vec<RequestOutcome>,
     pub queue_depth: usize,
     /// Lane-pool size after this barrier's elastic step.
     pub lanes: u32,
@@ -553,32 +568,36 @@ impl XEdgeServer {
     /// lower-bitrate local decode for infotainment, a *skipped round*
     /// for pBEAM training (only the re-planning penalty is paid; no
     /// degraded seconds accrue, the round just doesn't happen).
-    fn local_fallback(&self, req: &EdgeRequest, decided: SimTime, retries: u32) -> LocalFallback {
+    /// `decided` is the barrier (or run horizon) at which the ladder
+    /// resolved the request.
+    fn local_fallback(&self, req: &EdgeRequest, decided: SimTime, retries: u32) -> RequestOutcome {
         let spec = &self.classes[req.class.index()];
-        let (e2e, energy_j, degraded) = match req.class {
-            WorkloadClass::PbeamTraining => (self.failover_penalty, 0.0, SimDuration::ZERO),
+        let (kind, e2e, energy_j, degraded) = match req.class {
+            WorkloadClass::PbeamTraining => (
+                SpanOutcome::Skipped,
+                self.failover_penalty,
+                0.0,
+                SimDuration::ZERO,
+            ),
             _ => {
                 let service = spec.vehicle_service.mul_f64(spec.degraded_service_factor);
                 (
+                    SpanOutcome::LocalFallback,
                     self.failover_penalty + service,
                     service.as_secs_f64() * DEGRADED_BOARD_W,
                     service,
                 )
             }
         };
-        LocalFallback {
-            vehicle: req.vehicle,
-            seq: req.seq,
-            tenant: req.tenant,
-            region: req.region,
-            class: req.class,
-            arrival: req.arrival,
-            decided,
-            e2e: e2e + req.handoff,
-            energy_j: energy_j + req.handoff.as_secs_f64() * RADIO_W,
-            degraded,
+        RequestOutcome {
+            admitted: Some(decided),
+            cost: degraded,
             retries,
-            requeues: req.attempts,
+            ..req.outcome(
+                kind,
+                e2e + req.handoff,
+                energy_j + req.handoff.as_secs_f64() * RADIO_W,
+            )
         }
     }
 
@@ -816,19 +835,18 @@ impl XEdgeServer {
                     .local_fallbacks
                     .push(self.local_fallback(&req, barrier, 0));
             } else {
-                let bytes = self.classes[req.class.index()].upload_bytes;
-                let uplink = link_for(req.region).transfer_time(Direction::Uplink, bytes);
-                outcome.rejected.push(RejectedRequest {
-                    vehicle: req.vehicle,
-                    seq: req.seq,
-                    tenant: req.tenant,
-                    region: req.region,
-                    class: req.class,
-                    arrival: req.arrival,
-                    // The vehicle paid its crossing handoff debt before
-                    // discovering the rejection.
-                    uplink: uplink + req.handoff,
-                });
+                // The vehicle pays its crossing handoff debt and the
+                // wasted uplink discovering the bounce, then the class's
+                // full on-board fallback.
+                let spec = &self.classes[req.class.index()];
+                let uplink = link_for(req.region)
+                    .transfer_time(Direction::Uplink, spec.upload_bytes)
+                    + req.handoff;
+                outcome.rejected.push(req.outcome(
+                    SpanOutcome::Rejected,
+                    uplink + self.failover_penalty + spec.vehicle_service,
+                    uplink.as_secs_f64() * RADIO_W + spec.vehicle_service.as_secs_f64() * BOARD_W,
+                ));
             }
         }
         outcome.queue_depth = queue.len();

@@ -12,10 +12,11 @@
 //!    which worker runs a chunk, and in what order, is unobservable.
 //! 2. **Barrier.** Chunk outputs fold back in chunk order (that is, id
 //!    order), then every cross-vehicle coupling (XEdge admission, fair
-//!    queueing, contention, snapshot union, failover reliability
-//!    samples, DDI ingest, mobility) runs single-threaded on globally
-//!    sorted data. Metrics merge exactly: integer counters and
-//!    [`vdap_sim::StreamingHistogram`]s, whose buckets, sums and
+//!    queueing, contention, snapshot union, DDI ingest, mobility) runs
+//!    single-threaded on globally sorted data. Every request outcome —
+//!    the vehicle-side ones in fold order, then the serving pass's — is
+//!    recorded once, by `EngineState::record`, into integer counters
+//!    and [`vdap_sim::StreamingHistogram`]s, whose buckets, sums and
 //!    min/max are all integer ticks.
 //!
 //! Together these make a run byte-identical at any executor width and
@@ -37,7 +38,7 @@ use vdap_mobility::{
     VehicleTrack,
 };
 use vdap_net::CellularChannel;
-use vdap_obs::{intern_name, BarrierProfiler, JsonlSpillSink, RequestSpan, SpanOutcome};
+use vdap_obs::{intern_name, EngineProfile, JsonlSpillSink, RequestSpan, SpanOutcome};
 use vdap_offload::Tile;
 use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
@@ -53,11 +54,11 @@ use crate::config::{
 };
 use crate::edge::{EpochOutcome, XEdgeServer};
 use crate::ingest::IngestPass;
-use crate::metrics::{FleetMetrics, FleetReport, FleetTelemetry};
+use crate::metrics::{FleetMetrics, FleetReport, FleetTelemetry, RequestOutcome};
 use crate::pool::WorkerPool;
 use crate::vehicle::{
-    dec_collab, dec_vehicle, enc_collab, enc_vehicle, CollabSnapshot, VehicleBatch, VehicleState,
-    BOARD_W, RADIO_W,
+    dec_collab, dec_vehicle, enc_collab, enc_vehicle, BatchOut, CollabSnapshot, VehicleBatch,
+    VehicleState,
 };
 
 /// Deterministic fleet simulation engine.
@@ -109,7 +110,7 @@ impl FleetEngine {
         &self.cfg
     }
 
-    /// Runs the fleet to its horizon and returns the merged report.
+    /// Runs the fleet to its horizon and returns its report.
     ///
     /// Crash faults in the chaos plan are ignored on this path — an
     /// unsupervised run has nothing to resume from, and no snapshots
@@ -244,8 +245,8 @@ struct EngineState {
     /// The V2V snapshot the next epoch's ticks read.
     collab: CollabSnapshot,
     edge: XEdgeServer,
-    /// Fleet metrics: the barrier records engine-side outcomes here
-    /// and folds every batch's vehicle-side metrics in.
+    /// Fleet metrics: every request and every outcome, recorded at
+    /// barriers.
     metrics: FleetMetrics,
     reliability: ReliabilityStats,
     telemetry: Option<FleetTelemetry>,
@@ -324,11 +325,80 @@ impl EngineState {
             snapshots: SnapshotDiagnostics::default(),
         }
     }
+
+    /// Records one request's terminal outcome — the only place one is
+    /// recorded: the fleet metrics, the reliability ledger, and with
+    /// telemetry on the registry counter and the request's span.
+    fn record(&mut self, ctx: &RunCtx, o: &RequestOutcome) {
+        self.metrics.record(o.kind, o.class, o.e2e, o.energy_j);
+        match o.kind {
+            SpanOutcome::EdgeServed => {
+                let work = ctx.cfg.class(o.class).work_units;
+                self.metrics.credit_work(o.tenant, work);
+            }
+            // The ledger's sample is the latency rounded through f64
+            // milliseconds; reports and snapshots depend on its bits.
+            SpanOutcome::Failover => self
+                .reliability
+                .record_failover(SimDuration::from_millis_f64(o.cost.as_millis_f64())),
+            // A skipped pBEAM round accrues no degraded-mode seconds:
+            // training just converges a round later.
+            SpanOutcome::LocalFallback => self
+                .reliability
+                .record_degraded(&ctx.tenant_labels[o.tenant as usize], o.cost),
+            _ => {}
+        }
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.registry.inc(outcome_counter(o.kind), 1);
+            tel.absorb(o.span());
+        }
+    }
+
+    /// Records one serving pass: its served, rejected and rung-3
+    /// outcomes, in that order, and its ladder counters.
+    fn record_epoch(&mut self, ctx: &RunCtx, outcome: &EpochOutcome) {
+        for served in &outcome.served {
+            self.record(ctx, &served.outcome());
+        }
+        for o in outcome.rejected.iter().chain(&outcome.local_fallbacks) {
+            self.record(ctx, o);
+        }
+        self.metrics.requeued += outcome.requeued;
+        self.metrics.retry_rescued += outcome.retry_rescued;
+        self.metrics.handoffs += outcome.handoffs;
+        if let Some(tel) = self.telemetry.as_mut() {
+            tel.registry.inc("fleet.requeued", outcome.requeued);
+            tel.registry
+                .inc("fleet.retry_rescued", outcome.retry_rescued);
+            tel.registry.inc("fleet.handoffs", outcome.handoffs);
+        }
+        for _ in 0..outcome.retry_attempts {
+            self.reliability.record_retry();
+        }
+        for _ in 0..outcome.retry_rescued {
+            self.reliability.record_retry_success();
+        }
+        for _ in 0..outcome.retry_exhausted {
+            self.reliability.record_retry_exhausted();
+        }
+    }
+}
+
+/// The registry counter an outcome is counted under (both rung-3
+/// outcomes share one).
+const fn outcome_counter(outcome: SpanOutcome) -> &'static str {
+    match outcome {
+        SpanOutcome::EdgeServed => "fleet.served",
+        SpanOutcome::CollabHit => "fleet.collab_hits",
+        SpanOutcome::Failover => "fleet.failovers",
+        SpanOutcome::Rejected => "fleet.rejected",
+        SpanOutcome::LocalFallback | SpanOutcome::Skipped => "fleet.local_fallbacks",
+    }
 }
 
 /// How one leg of the engine loop ended.
 enum RunEnd {
-    /// Ran to the horizon: the merged report.
+    /// Ran to the horizon: the run's report.
     Completed(Box<FleetReport>),
     /// A seeded engine crash fired at this epoch barrier. The write
     /// diagnostics accumulated so far ride along to the next leg.
@@ -359,9 +429,9 @@ fn run_core(
     let injector = ctx.injector.as_deref();
     let pool = WorkerPool::new(cfg.executor_pool_size());
     let batch_size = cfg.batch_size as usize;
-    // The profiler measures this leg's wall clock only — diagnostics,
+    // The profile measures this leg's wall clock only — diagnostics,
     // so a resumed run legitimately reports a shorter profile.
-    let mut profiler = BarrierProfiler::new(pool.threads());
+    let mut profile = EngineProfile::new(pool.threads());
     loop {
         let end_raw = SimTime::ZERO + cfg.epoch * (state.epoch_index + 1);
         let end = if end_raw > horizon { horizon } else { end_raw };
@@ -386,51 +456,27 @@ fn run_core(
 
         // ---- barrier: single-threaded, canonical-order exchange ----
         let barrier_started = Instant::now();
-        profiler.record_epoch(wall, &samples);
+        profile.record_epoch(wall, &samples);
+        let outs: Vec<BatchOut> = batches.into_iter().map(|b| b.out).collect();
         // Sized exactly: these reach megabytes, and a doubling Vec's
         // unwritten tail makes peak RSS depend on heap layout.
-        let mut requests = Vec::with_capacity(batches.iter().map(|b| b.out.outbox.len()).sum());
-        let mut uploads =
-            Vec::with_capacity(batches.iter().map(|b| b.out.ingest_outbox.len()).sum());
+        let mut requests = Vec::with_capacity(outs.iter().map(|o| o.outbox.len()).sum());
+        let mut uploads = Vec::with_capacity(outs.iter().map(|o| o.ingest_outbox.len()).sum());
         let mut publications: Vec<(Tile, u32)> = Vec::new();
-        let mut failovers: Vec<(u32, u32, f64)> = Vec::new();
         let mut stale_hits = 0;
-        for out in batches.into_iter().map(|b| b.out) {
+        // Chunk order is id order and each vehicle resolves its
+        // requests in seq order, so vehicle-side outcomes — failover
+        // samples included — are recorded in `(vehicle, seq)` order.
+        for out in outs {
             requests.extend(out.outbox);
             uploads.extend(out.ingest_outbox);
             publications.extend(out.publications);
-            failovers.extend(out.failover_samples);
             stale_hits += out.stale_hits;
             state.events += out.events;
-            state.metrics.merge(&out.metrics);
-            for (class, outcome, e2e, energy_j) in out.resolved {
-                if outcome == SpanOutcome::CollabHit {
-                    state.metrics.record_collab(class, e2e, energy_j);
-                } else {
-                    state.metrics.record_failover(class, e2e, energy_j);
-                }
+            state.metrics.record_requests(out.requests);
+            for resolved in &out.resolved {
+                state.record(ctx, &resolved.resolve(cfg));
             }
-            if let Some(tel) = state.telemetry.as_mut() {
-                for span in out.spans {
-                    tel.registry.inc(
-                        match span.outcome {
-                            SpanOutcome::CollabHit => "fleet.collab_hits",
-                            _ => "fleet.failovers",
-                        },
-                        1,
-                    );
-                    tel.absorb(span);
-                }
-            }
-        }
-
-        // Failover latencies feed an exact (order-sensitive) Summary,
-        // so sort them canonically before recording.
-        failovers.sort_unstable_by_key(|&(vehicle, seq, _)| (vehicle, seq));
-        for (_, _, ms) in failovers {
-            state
-                .reliability
-                .record_failover(SimDuration::from_millis_f64(ms));
         }
 
         let outcome = state
@@ -444,14 +490,7 @@ fn run_core(
         if outcome.scaled_down {
             state.metrics.scale_downs += 1;
         }
-        record_outcome(
-            &mut state.metrics,
-            &mut state.reliability,
-            &outcome,
-            cfg,
-            &ctx.tenant_labels,
-            state.telemetry.as_mut(),
-        );
+        state.record_epoch(ctx, &outcome);
         if let Some(tel) = state.telemetry.as_mut() {
             sample_epoch(tel, &outcome, state.epoch_index, end);
         }
@@ -515,7 +554,7 @@ fn run_core(
             tel.barrier_flush(state.epoch_index);
         }
 
-        profiler.record_barrier(barrier_started.elapsed());
+        profile.record_barrier(barrier_started.elapsed());
         state.epoch_index += 1;
 
         // ---- durability hooks. Snapshot first, crash second: a   ----
@@ -543,21 +582,14 @@ fn run_core(
     // local fallback. The tail belongs to no barrier, so it updates
     // telemetry counters and spans but adds no epoch samples.
     let tail = state.edge.flush(horizon);
-    record_outcome(
-        &mut state.metrics,
-        &mut state.reliability,
-        &tail,
-        cfg,
-        &ctx.tenant_labels,
-        state.telemetry.as_mut(),
-    );
+    state.record_epoch(ctx, &tail);
 
     let metrics = state.metrics;
     if let Some(tel) = state.telemetry.as_mut() {
         tel.registry.inc("fleet.requests", metrics.requests);
         // With spill configured, the horizon tail goes to disk too, so
         // the JSONL segments hold the complete post-sampling stream.
-        tel.final_flush(state.epoch_index);
+        tel.final_flush();
         // Insertion order interleaves vehicle-side and edge-side
         // resolutions; canonical order makes the log independent of
         // it.
@@ -583,7 +615,7 @@ fn run_core(
         region_admission: state.edge.region_admission_table(),
         ingest: state.ingest.as_mut().map(IngestPass::finish),
         telemetry: state.telemetry,
-        profile: profiler.finish(),
+        profile,
         snapshots: state.snapshots,
     }))
 }
@@ -1333,131 +1365,6 @@ fn sample_epoch(tel: &mut FleetTelemetry, outcome: &EpochOutcome, epoch: u64, at
     }
     tel.registry
         .set_gauge("xedge.lanes", f64::from(outcome.lanes));
-}
-
-/// Folds one barrier's serving outcome into the engine metrics and the
-/// reliability ledger, per class. Rejected requests keep the legacy
-/// accounting: the vehicle pays the uplink it wasted discovering the
-/// bounce, then the full on-board fallback at the class's own service
-/// time. Skipped pBEAM rounds (rung 3 for the training class) count as
-/// fallbacks but accrue no degraded-mode time.
-fn record_outcome(
-    metrics: &mut FleetMetrics,
-    reliability: &mut ReliabilityStats,
-    outcome: &EpochOutcome,
-    cfg: &FleetConfig,
-    tenant_labels: &[String],
-    mut telemetry: Option<&mut FleetTelemetry>,
-) {
-    for served in &outcome.served {
-        metrics.record_served(
-            served.class,
-            served.tenant,
-            served.work,
-            served.e2e,
-            served.energy_j,
-        );
-        if let Some(tel) = telemetry.as_deref_mut() {
-            tel.registry.inc("fleet.served", 1);
-            tel.absorb(RequestSpan {
-                vehicle: served.vehicle,
-                seq: served.seq,
-                tenant: served.tenant,
-                region: served.region,
-                shard: 0,
-                class: served.class.label(),
-                generated: served.arrival,
-                admitted: Some(served.admitted),
-                serve_start: Some(served.serve_start),
-                completed: served.arrival + served.e2e,
-                outcome: SpanOutcome::EdgeServed,
-                retries: served.retries,
-                requeues: served.requeues,
-                handoff: served.handoff,
-            });
-        }
-    }
-    for rejected in &outcome.rejected {
-        let spec = cfg.class(rejected.class);
-        let e2e = rejected.uplink + cfg.failover_penalty + spec.vehicle_service;
-        metrics.record_rejected(
-            rejected.class,
-            e2e,
-            rejected.uplink.as_secs_f64() * RADIO_W + spec.vehicle_service.as_secs_f64() * BOARD_W,
-        );
-        if let Some(tel) = telemetry.as_deref_mut() {
-            tel.registry.inc("fleet.rejected", 1);
-            tel.absorb(RequestSpan {
-                vehicle: rejected.vehicle,
-                seq: rejected.seq,
-                tenant: rejected.tenant,
-                region: rejected.region,
-                shard: 0,
-                class: rejected.class.label(),
-                generated: rejected.arrival,
-                admitted: None,
-                serve_start: None,
-                completed: rejected.arrival + e2e,
-                outcome: SpanOutcome::Rejected,
-                retries: 0,
-                requeues: 0,
-                handoff: false,
-            });
-        }
-    }
-    for fallback in &outcome.local_fallbacks {
-        metrics.record_fallback(fallback.class, fallback.e2e, fallback.energy_j);
-        let skipped = fallback.class == WorkloadClass::PbeamTraining;
-        if skipped {
-            // A skipped pBEAM round: no degraded-mode seconds accrue,
-            // training just converges a round later.
-            metrics.training_rounds_skipped += 1;
-        } else {
-            reliability
-                .record_degraded(&tenant_labels[fallback.tenant as usize], fallback.degraded);
-        }
-        if let Some(tel) = telemetry.as_deref_mut() {
-            tel.registry.inc("fleet.local_fallbacks", 1);
-            tel.absorb(RequestSpan {
-                vehicle: fallback.vehicle,
-                seq: fallback.seq,
-                tenant: fallback.tenant,
-                region: fallback.region,
-                shard: 0,
-                class: fallback.class.label(),
-                generated: fallback.arrival,
-                admitted: Some(fallback.decided),
-                serve_start: None,
-                completed: fallback.arrival + fallback.e2e,
-                outcome: if skipped {
-                    SpanOutcome::Skipped
-                } else {
-                    SpanOutcome::LocalFallback
-                },
-                retries: fallback.retries,
-                requeues: fallback.requeues,
-                handoff: false,
-            });
-        }
-    }
-    metrics.requeued += outcome.requeued;
-    metrics.retry_rescued += outcome.retry_rescued;
-    metrics.handoffs += outcome.handoffs;
-    if let Some(tel) = telemetry {
-        tel.registry.inc("fleet.requeued", outcome.requeued);
-        tel.registry
-            .inc("fleet.retry_rescued", outcome.retry_rescued);
-        tel.registry.inc("fleet.handoffs", outcome.handoffs);
-    }
-    for _ in 0..outcome.retry_attempts {
-        reliability.record_retry();
-    }
-    for _ in 0..outcome.retry_rescued {
-        reliability.record_retry_success();
-    }
-    for _ in 0..outcome.retry_exhausted {
-        reliability.record_retry_exhausted();
-    }
 }
 
 /// Writes the per-tenant availability ledger. A tenant is "down" while

@@ -43,7 +43,7 @@ use vdap_sim::{
 use crate::config::{collector_label, FleetConfig, IngestConfig, STORE_LABEL};
 use crate::metrics::FleetTelemetry;
 
-/// Mergeable ingestion accounting (engine-side; reported through
+/// Ingestion accounting (engine-side; reported through
 /// `FleetReport::ingest` and the deterministic summary).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestMetrics {
@@ -111,26 +111,6 @@ impl IngestMetrics {
             uplink_ms: StreamingHistogram::new("ingest_uplink_ms"),
             ingest_latency_ms: StreamingHistogram::new("ingest_latency_ms"),
         }
-    }
-
-    /// Merges another ingestion ledger (associative and commutative).
-    pub fn merge(&mut self, other: &IngestMetrics) {
-        self.batches_sent += other.batches_sent;
-        self.records_sent += other.records_sent;
-        self.batches_written += other.batches_written;
-        self.records_written += other.records_written;
-        self.deadline_misses += other.deadline_misses;
-        self.outage_bounces += other.outage_bounces;
-        self.queue_bounces += other.queue_bounces;
-        self.retries += other.retries;
-        self.deferrals += other.deferrals;
-        self.disk_spills += other.disk_spills;
-        self.cache_evictions += other.cache_evictions;
-        self.records_shed += other.records_shed;
-        self.backlog_records += other.backlog_records;
-        self.storage_rho.merge(&other.storage_rho);
-        self.uplink_ms.merge(&other.uplink_ms);
-        self.ingest_latency_ms.merge(&other.ingest_latency_ms);
     }
 
     /// Fraction of sent batches that missed their ingestion deadline.
@@ -870,23 +850,5 @@ mod tests {
             browned.backlog_records > 0 || browned.deadline_misses > nominal.deadline_misses,
             "brownout must leave visible pressure"
         );
-    }
-
-    #[test]
-    fn metrics_merge_is_additive() {
-        let mut a = IngestMetrics::new();
-        a.batches_sent = 3;
-        a.records_shed = 24;
-        a.storage_rho.record(0.5);
-        let mut b = IngestMetrics::new();
-        b.batches_sent = 2;
-        b.deadline_misses = 1;
-        b.storage_rho.record(1.5);
-        a.merge(&b);
-        assert_eq!(a.batches_sent, 5);
-        assert_eq!(a.deadline_misses, 1);
-        assert_eq!(a.records_shed, 24);
-        assert_eq!(a.storage_rho.count(), 2);
-        assert!((a.deadline_miss_rate() - 0.2).abs() < 1e-12);
     }
 }

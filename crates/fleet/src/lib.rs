@@ -93,8 +93,7 @@ pub use vdap_mobility::{MobilityConfig, MobilityMetrics, RegionGraph, RouteProfi
 // The telemetry vocabulary lives in vdap-obs; re-exported so fleet
 // callers can consume spans, registries, and profiles directly.
 pub use vdap_obs::{
-    sample_keeps, EngineProfile, JsonlSpillSink, MemorySpanSink, MetricsRegistry, RequestSpan,
-    SamplingSpanSink, SpanLog, SpanOutcome, SpanSink,
+    sample_keeps, EngineProfile, JsonlSpillSink, MetricsRegistry, RequestSpan, SpanLog, SpanOutcome,
 };
 // The snapshot vocabulary lives in vdap-ckpt; re-exported so fleet
 // callers can drive checkpoint/restore without a direct dependency.

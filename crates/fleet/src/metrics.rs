@@ -1,10 +1,14 @@
-//! Fleet observability: mergeable metrics and the run report.
+//! Fleet observability: the outcome record, fleet metrics and the run
+//! report.
 //!
-//! Every vehicle batch fills its own [`FleetMetrics`], which the engine
-//! folds into the fleet's at each barrier. Every field is either an
-//! integer counter, a [`StreamingHistogram`], or a key-summed map, so
-//! the merge is associative and commutative bit-for-bit — the property
-//! the run-layout invariance tests (`tests/props.rs`) pin down.
+//! Every request ends in one `RequestOutcome`, built where the outcome
+//! is decided (a vehicle tick for collab hits and failovers, the XEdge
+//! pass for everything else) and recorded once, at a barrier, into the
+//! one [`FleetMetrics`] the engine owns. Vehicle batches carry only
+//! per-class request counts. Every field is an integer counter, a
+//! [`StreamingHistogram`] of integer ticks, or a key-summed map, so
+//! recording order cannot reach a report — the property the run-layout
+//! invariance tests (`tests/props.rs`) pin down.
 //!
 //! Since the workload-class refactor the request stream is accounted
 //! twice: fleet-wide (the legacy counters and histograms) and per
@@ -20,13 +24,65 @@ use std::fmt::Write as _;
 use vdap_edgeos::WorkloadClass;
 use vdap_mobility::MobilityMetrics;
 use vdap_obs::{
-    sample_keeps, EngineProfile, JsonlSpillSink, MetricsRegistry, RequestSpan, SpanLog, SpanSink,
-    SPAN_RESIDENT_BYTES,
+    sample_keeps, EngineProfile, JsonlSpillSink, MetricsRegistry, RequestSpan, SpanLog,
+    SpanOutcome, SPAN_RESIDENT_BYTES,
 };
-use vdap_sim::{ReliabilityStats, SimDuration, StreamingHistogram};
+use vdap_sim::{ReliabilityStats, SimDuration, SimTime, StreamingHistogram};
 
 use crate::ckpt::SnapshotDiagnostics;
 use crate::ingest::IngestMetrics;
+
+/// One request's terminal outcome: everything the barrier records about
+/// it, and the only source of its span.
+#[derive(Debug)]
+pub(crate) struct RequestOutcome {
+    pub vehicle: u32,
+    pub seq: u32,
+    pub tenant: u32,
+    /// The region the vehicle was in when it issued the request.
+    pub region: u32,
+    pub class: WorkloadClass,
+    pub kind: SpanOutcome,
+    /// When the vehicle issued the request.
+    pub generated: SimTime,
+    /// The barrier whose serving pass decided it (edge-served and rung-3
+    /// outcomes only).
+    pub admitted: Option<SimTime>,
+    /// When it began occupying an XEdge lane (edge-served only).
+    pub serve_start: Option<SimTime>,
+    pub e2e: SimDuration,
+    /// Vehicle-side energy (J).
+    pub energy_j: f64,
+    /// The failover re-planning latency (a reliability sample), or the
+    /// degraded-mode time a local fallback charges its tenant; zero for
+    /// every other outcome.
+    pub cost: SimDuration,
+    pub retries: u32,
+    pub requeues: u32,
+    pub handoff: bool,
+}
+
+impl RequestOutcome {
+    /// The request's span.
+    pub fn span(&self) -> RequestSpan {
+        RequestSpan {
+            vehicle: self.vehicle,
+            seq: self.seq,
+            tenant: self.tenant,
+            region: self.region,
+            shard: 0,
+            class: self.class.label(),
+            generated: self.generated,
+            admitted: self.admitted,
+            serve_start: self.serve_start,
+            completed: self.generated + self.e2e,
+            outcome: self.kind,
+            retries: self.retries,
+            requeues: self.requeues,
+            handoff: self.handoff,
+        }
+    }
+}
 
 /// Per-[`WorkloadClass`] outcome accounting (one lane of the fleet-wide
 /// request partition).
@@ -60,19 +116,9 @@ impl ClassMetrics {
             local_fallbacks: 0,
         }
     }
-
-    fn merge(&mut self, other: &ClassMetrics) {
-        self.e2e_latency_ms.merge(&other.e2e_latency_ms);
-        self.requests += other.requests;
-        self.edge_served += other.edge_served;
-        self.collab_hits += other.collab_hits;
-        self.failovers += other.failovers;
-        self.rejected += other.rejected;
-        self.local_fallbacks += other.local_fallbacks;
-    }
 }
 
-/// Mergeable fleet-level measurements.
+/// Fleet-level measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
     /// End-to-end request latency (ms), all request outcomes.
@@ -160,129 +206,48 @@ impl FleetMetrics {
         &self.by_class[class.index()]
     }
 
-    /// Mutable access to one class's accounting.
-    pub(crate) fn class_mut(&mut self, class: WorkloadClass) -> &mut ClassMetrics {
-        &mut self.by_class[class.index()]
-    }
-
     /// Credits served work units to a tenant's ledger.
     pub(crate) fn credit_work(&mut self, tenant: u32, work: u64) {
         *self.work_units_by_tenant.entry(tenant).or_insert(0) += work;
     }
 
-    // ---- outcome recorders -------------------------------------------
-    //
-    // Every request outcome is accounted twice — fleet-wide and per
-    // class — and both views must stay in lock-step. These helpers are
-    // the only place the double bookkeeping happens: callers (the
-    // vehicle tick for issued requests, the engine's barrier pass for
-    // outcomes) record each exactly once and cannot drift the two views
-    // apart.
-
-    /// Records a request being issued.
-    pub(crate) fn record_request(&mut self, class: WorkloadClass) {
-        self.requests += 1;
-        self.class_mut(class).requests += 1;
-    }
-
-    /// Records a request served by the XEdge deployment.
-    pub(crate) fn record_served(
-        &mut self,
-        class: WorkloadClass,
-        tenant: u32,
-        work: u64,
-        e2e: SimDuration,
-        energy_j: f64,
-    ) {
-        self.e2e_latency_ms.record_duration(e2e);
-        self.energy_per_request_j.record(energy_j);
-        self.edge_served += 1;
-        self.credit_work(tenant, work);
-        let cm = self.class_mut(class);
-        cm.edge_served += 1;
-        cm.e2e_latency_ms.record_duration(e2e);
-    }
-
-    /// Records a request satisfied from a V2V-shared result.
-    pub(crate) fn record_collab(&mut self, class: WorkloadClass, e2e: SimDuration, energy_j: f64) {
-        self.e2e_latency_ms.record_duration(e2e);
-        self.energy_per_request_j.record(energy_j);
-        self.collab_hits += 1;
-        let cm = self.class_mut(class);
-        cm.collab_hits += 1;
-        cm.e2e_latency_ms.record_duration(e2e);
-    }
-
-    /// Records a regional-outage failover to on-board compute.
-    pub(crate) fn record_failover(
-        &mut self,
-        class: WorkloadClass,
-        e2e: SimDuration,
-        energy_j: f64,
-    ) {
-        self.e2e_latency_ms.record_duration(e2e);
-        self.energy_per_request_j.record(energy_j);
-        self.failovers += 1;
-        let cm = self.class_mut(class);
-        cm.failovers += 1;
-        cm.e2e_latency_ms.record_duration(e2e);
-    }
-
-    /// Records an admission-gate rejection under nominal quotas.
-    pub(crate) fn record_rejected(
-        &mut self,
-        class: WorkloadClass,
-        e2e: SimDuration,
-        energy_j: f64,
-    ) {
-        self.e2e_latency_ms.record_duration(e2e);
-        self.energy_per_request_j.record(energy_j);
-        self.rejected += 1;
-        let cm = self.class_mut(class);
-        cm.rejected += 1;
-        cm.e2e_latency_ms.record_duration(e2e);
-    }
-
-    /// Records a rung-3 local fallback (degraded execution or a skipped
-    /// pBEAM round — the caller handles the round-skip sub-counter).
-    pub(crate) fn record_fallback(
-        &mut self,
-        class: WorkloadClass,
-        e2e: SimDuration,
-        energy_j: f64,
-    ) {
-        self.e2e_latency_ms.record_duration(e2e);
-        self.energy_per_request_j.record(energy_j);
-        self.local_fallbacks += 1;
-        let cm = self.class_mut(class);
-        cm.local_fallbacks += 1;
-        cm.e2e_latency_ms.record_duration(e2e);
-    }
-
-    /// Merges another batch's metrics into this one (order-independent).
-    pub fn merge(&mut self, other: &FleetMetrics) {
-        self.e2e_latency_ms.merge(&other.e2e_latency_ms);
-        self.energy_per_request_j.merge(&other.energy_per_request_j);
-        self.queue_depth.merge(&other.queue_depth);
-        self.elastic_lanes.merge(&other.elastic_lanes);
-        for (mine, theirs) in self.by_class.iter_mut().zip(other.by_class.iter()) {
-            mine.merge(theirs);
+    /// Records requests issued, per class (indexed by
+    /// [`WorkloadClass::index`]).
+    pub(crate) fn record_requests(&mut self, issued: [u64; 3]) {
+        for (class, n) in self.by_class.iter_mut().zip(issued) {
+            class.requests += n;
+            self.requests += n;
         }
-        for (&tenant, &work) in &other.work_units_by_tenant {
-            *self.work_units_by_tenant.entry(tenant).or_insert(0) += work;
+    }
+
+    /// Records one request's terminal outcome in both views, fleet-wide
+    /// and per class, which therefore cannot drift apart. A skipped
+    /// pBEAM round counts as a local fallback and as a skipped round.
+    pub(crate) fn record(
+        &mut self,
+        outcome: SpanOutcome,
+        class: WorkloadClass,
+        e2e: SimDuration,
+        energy_j: f64,
+    ) {
+        self.e2e_latency_ms.record_duration(e2e);
+        self.energy_per_request_j.record(energy_j);
+        let cm = &mut self.by_class[class.index()];
+        cm.e2e_latency_ms.record_duration(e2e);
+        let (fleet, per_class) = match outcome {
+            SpanOutcome::EdgeServed => (&mut self.edge_served, &mut cm.edge_served),
+            SpanOutcome::CollabHit => (&mut self.collab_hits, &mut cm.collab_hits),
+            SpanOutcome::Failover => (&mut self.failovers, &mut cm.failovers),
+            SpanOutcome::Rejected => (&mut self.rejected, &mut cm.rejected),
+            SpanOutcome::LocalFallback | SpanOutcome::Skipped => {
+                (&mut self.local_fallbacks, &mut cm.local_fallbacks)
+            }
+        };
+        *fleet += 1;
+        *per_class += 1;
+        if outcome == SpanOutcome::Skipped {
+            self.training_rounds_skipped += 1;
         }
-        self.requests += other.requests;
-        self.edge_served += other.edge_served;
-        self.collab_hits += other.collab_hits;
-        self.failovers += other.failovers;
-        self.rejected += other.rejected;
-        self.requeued += other.requeued;
-        self.retry_rescued += other.retry_rescued;
-        self.handoffs += other.handoffs;
-        self.local_fallbacks += other.local_fallbacks;
-        self.training_rounds_skipped += other.training_rounds_skipped;
-        self.scale_ups += other.scale_ups;
-        self.scale_downs += other.scale_downs;
     }
 
     /// Fraction of issued requests served from the V2V cache.
@@ -358,20 +323,19 @@ impl FleetTelemetry {
         }
     }
 
-    /// Accepts one drained span, applying the sampling decision. The
+    /// Accepts one request's span, applying the sampling decision. The
     /// decision reads only `(seed, vehicle, seq, outcome)` — never the
     /// worker, batch, or arrival order — so what survives is identical
     /// across executor widths and batch sizes.
     pub fn absorb(&mut self, span: RequestSpan) {
-        if let Some(keep_one_in) = self.sample {
-            if span.outcome.is_ok_path()
-                && !sample_keeps(self.sample_seed, span.vehicle, span.seq, keep_one_in)
-            {
-                self.sampled_out += 1;
-                return;
-            }
+        if self
+            .sample
+            .is_some_and(|keep_one_in| !sampler_keeps(self.sample_seed, keep_one_in, &span))
+        {
+            self.sampled_out += 1;
+        } else {
+            self.spans.push(span);
         }
-        self.spans.push(span);
     }
 
     /// Estimated resident telemetry bytes: buffered spans plus the
@@ -389,13 +353,14 @@ impl FleetTelemetry {
     /// series into histograms, and — with no spill and no explicit
     /// sampling — auto-activate OK-span sampling retroactively. The
     /// `telemetry_bytes` gauge and `peak_bytes` are updated *after*
-    /// enforcement: they measure what enforcement achieved.
-    pub fn barrier_flush(&mut self, epoch: u64) {
+    /// enforcement: they measure what enforcement achieved. Every
+    /// decision reads counts only, never the barrier's index.
+    pub fn barrier_flush(&mut self, _epoch: u64) {
         let over = self
             .budget
             .is_some_and(|budget| self.resident_bytes() > budget);
         if self.spill.is_some() && (over || self.budget.is_none()) {
-            self.drain_to_spill(epoch);
+            self.drain_to_spill();
         }
         if over {
             self.rolled = true;
@@ -405,10 +370,9 @@ impl FleetTelemetry {
                 // function of request identity.
                 self.sample = Some(BUDGET_AUTO_SAMPLE);
                 let seed = self.sample_seed;
-                self.sampled_out += self.spans.retain(|s| {
-                    !s.outcome.is_ok_path()
-                        || sample_keeps(seed, s.vehicle, s.seq, BUDGET_AUTO_SAMPLE)
-                });
+                self.sampled_out += self
+                    .spans
+                    .retain(|s| sampler_keeps(seed, BUDGET_AUTO_SAMPLE, s));
             }
         }
         if self.rolled {
@@ -422,22 +386,25 @@ impl FleetTelemetry {
     /// End-of-run flush: with spill configured, every still-buffered
     /// span goes to disk regardless of budget, so the JSONL segments
     /// hold the complete (post-sampling) stream.
-    pub fn final_flush(&mut self, epoch: u64) {
+    pub fn final_flush(&mut self) {
         if self.spill.is_some() {
-            self.drain_to_spill(epoch);
+            self.drain_to_spill();
         }
         let resident = self.resident_bytes();
         self.registry.set_gauge("telemetry_bytes", resident as f64);
         self.peak_bytes = self.peak_bytes.max(resident);
     }
 
-    fn drain_to_spill(&mut self, epoch: u64) {
+    fn drain_to_spill(&mut self) {
         let spill = self.spill.as_mut().expect("caller checked spill");
-        for span in std::mem::take(&mut self.spans).into_spans() {
-            spill.accept(span);
-        }
-        spill.barrier_flush(epoch);
+        spill.write(std::mem::take(&mut self.spans));
     }
+}
+
+/// Whether keep-one-in-`keep_one_in` sampling keeps `span`: every span
+/// off the OK path, and OK spans by [`sample_keeps`] of their identity.
+fn sampler_keeps(seed: u64, keep_one_in: u32, span: &RequestSpan) -> bool {
+    !span.outcome.is_ok_path() || sample_keeps(seed, span.vehicle, span.seq, keep_one_in)
 }
 
 /// One region's admission-gate accounting at the end of a mobility run:
@@ -457,7 +424,7 @@ pub struct RegionAdmission {
 /// The result of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
-    /// Merged fleet metrics (vehicle side + engine side).
+    /// Fleet metrics: every request issued and its outcome.
     pub metrics: FleetMetrics,
     /// Fleet-level reliability accounting (regional outages, node
     /// crashes, per-tenant MTTR, failovers, degraded-mode seconds).
@@ -736,77 +703,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_adds_counters_and_samples() {
-        let mut a = FleetMetrics::new();
-        a.requests = 5;
-        a.e2e_latency_ms.record(10.0);
-        a.class_mut(WorkloadClass::Detection).requests = 4;
-        a.credit_work(0, 16);
-        let mut b = FleetMetrics::new();
-        b.requests = 7;
-        b.collab_hits = 2;
-        b.e2e_latency_ms.record(30.0);
-        b.class_mut(WorkloadClass::Detection).requests = 6;
-        b.class_mut(WorkloadClass::PbeamTraining).local_fallbacks = 1;
-        b.training_rounds_skipped = 1;
-        b.credit_work(0, 8);
-        b.credit_work(2, 32);
-        a.merge(&b);
-        assert_eq!(a.requests, 12);
-        assert_eq!(a.collab_hits, 2);
-        assert_eq!(a.e2e_latency_ms.count(), 2);
-        assert!((a.e2e_latency_ms.mean() - 20.0).abs() < 1e-6);
-        assert_eq!(a.class(WorkloadClass::Detection).requests, 10);
-        assert_eq!(a.class(WorkloadClass::PbeamTraining).local_fallbacks, 1);
-        assert_eq!(a.training_rounds_skipped, 1);
-        assert_eq!(a.work_units_by_tenant.get(&0), Some(&24));
-        assert_eq!(a.work_units_by_tenant.get(&2), Some(&32));
-    }
-
-    #[test]
     fn recorders_keep_class_and_aggregate_views_in_lockstep() {
         let mut m = FleetMetrics::new();
-        m.record_request(WorkloadClass::Detection);
-        m.record_served(
+        m.record_requests([3, 2, 1]);
+        let ms = SimDuration::from_millis;
+        m.record(
+            SpanOutcome::EdgeServed,
             WorkloadClass::Detection,
-            1,
-            8,
-            SimDuration::from_millis(12),
+            ms(12),
             0.5,
         );
-        m.record_request(WorkloadClass::Detection);
-        m.record_collab(WorkloadClass::Detection, SimDuration::from_millis(3), 0.01);
-        m.record_request(WorkloadClass::Infotainment);
-        m.record_rejected(
+        m.credit_work(1, 8);
+        m.record(
+            SpanOutcome::CollabHit,
+            WorkloadClass::Detection,
+            ms(3),
+            0.01,
+        );
+        m.record(
+            SpanOutcome::LocalFallback,
+            WorkloadClass::Detection,
+            ms(20),
+            0.3,
+        );
+        m.record(
+            SpanOutcome::Rejected,
             WorkloadClass::Infotainment,
-            SimDuration::from_millis(40),
+            ms(40),
             1.0,
         );
-        m.record_request(WorkloadClass::Infotainment);
-        m.record_failover(
+        m.record(
+            SpanOutcome::Failover,
             WorkloadClass::Infotainment,
-            SimDuration::from_millis(50),
+            ms(50),
             1.1,
         );
-        m.record_request(WorkloadClass::PbeamTraining);
-        m.record_fallback(
+        m.record(
+            SpanOutcome::Skipped,
             WorkloadClass::PbeamTraining,
-            SimDuration::from_millis(10),
+            ms(10),
             0.0,
         );
         let class_sum = |f: fn(&ClassMetrics) -> u64| -> u64 {
             WorkloadClass::ALL.iter().map(|&c| f(m.class(c))).sum()
         };
-        assert_eq!(m.requests, 5);
+        assert_eq!(m.requests, 6);
         assert_eq!(class_sum(|c| c.requests), m.requests);
         assert_eq!(class_sum(|c| c.edge_served), m.edge_served);
         assert_eq!(class_sum(|c| c.collab_hits), m.collab_hits);
         assert_eq!(class_sum(|c| c.failovers), m.failovers);
         assert_eq!(class_sum(|c| c.rejected), m.rejected);
         assert_eq!(class_sum(|c| c.local_fallbacks), m.local_fallbacks);
+        assert_eq!(m.local_fallbacks, 2, "a skipped round is a rung-3 fallback");
+        assert_eq!(m.training_rounds_skipped, 1);
         assert_eq!(
             m.e2e_latency_ms.count(),
-            5,
+            6,
             "one latency sample per outcome"
         );
         assert_eq!(

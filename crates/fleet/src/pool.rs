@@ -15,13 +15,13 @@
 //! injector queue; a worker that runs dry takes from the injector and
 //! then steals from the *back* of its siblings' deques. Per-worker
 //! busy time, steal counts, and stolen-work time are reported back per
-//! submission ([`WorkerSample`]) so the barrier profiler can show where
+//! submission ([`WorkerSample`]) so the engine profile can show where
 //! the epoch's wall-clock went.
 //!
 //! The steal schedule is wall-clock-dependent and therefore
 //! nondeterministic — which is why callers must only submit work whose
 //! *outputs* are order-free (the fleet's vehicle batches each own their
-//! seeded RNG streams and private output buffers, and the engine merges
+//! seeded RNG streams and private output buffers, and the engine folds
 //! batch results in canonical order). Results of [`WorkerPool::map`]
 //! are returned in input order regardless of which worker ran them, so
 //! pool size never affects determinism.

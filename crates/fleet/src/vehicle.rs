@@ -16,9 +16,12 @@
 //! During an epoch a batch only *reads* globally-deterministic inputs
 //! (virtual time, the compiled fault timeline, the previous barrier's
 //! V2V snapshot) and *buffers* its outputs (edge requests, result
-//! publications, failover samples) in its private [`BatchOut`], which
-//! the engine folds back in chunk order at the barrier. Which worker
-//! ran a batch, or when it was stolen, can never reach any report.
+//! publications, the requests it resolved on its own, per-class request
+//! counts) in its private [`BatchOut`], which the engine folds back in
+//! chunk order at the barrier. A batch records no metrics and builds no
+//! span: the barrier prices and records every [`VehicleOutcome`]. Which
+//! worker ran a batch, or when it was stolen, can never reach any
+//! report.
 //!
 //! Each request tick draws its [`vdap_edgeos::WorkloadClass`] from the
 //! config's weighted mix using the vehicle's private RNG stream, so the
@@ -34,7 +37,7 @@ use vdap_ddi::UploadBatch;
 use vdap_edgeos::WorkloadClass;
 use vdap_fault::FaultInjector;
 use vdap_net::{Direction, LinkSpec};
-use vdap_obs::{RequestSpan, SpanOutcome};
+use vdap_obs::SpanOutcome;
 use vdap_offload::Tile;
 use vdap_sim::{RngStream, SeedFactory, SimDuration, SimTime};
 
@@ -44,7 +47,7 @@ use crate::ckpt::{
 };
 use crate::config::FleetConfig;
 use crate::edge::EdgeRequest;
-use crate::metrics::FleetMetrics;
+use crate::metrics::RequestOutcome;
 
 /// Nominal fleet cruising speed used by the mobility model.
 pub(crate) const SPEED_MPH: f64 = 30.0;
@@ -148,6 +151,73 @@ impl VehicleState {
     }
 }
 
+/// A request the vehicle resolved on its own — a V2V collab hit or a
+/// regional-outage failover — as its tick decided it. Only the tick's
+/// inputs travel; the barrier prices the outcome
+/// ([`VehicleOutcome::resolve`]) and records it. It must stay within 40
+/// bytes: [`BatchOut`] pre-sizes one per vehicle, and peak RSS follows
+/// those buffers.
+#[derive(Debug)]
+pub(crate) struct VehicleOutcome {
+    pub vehicle: u32,
+    pub seq: u32,
+    /// The region the vehicle was driving in at the tick.
+    pub region: u32,
+    pub class: WorkloadClass,
+    /// [`SpanOutcome::CollabHit`] or [`SpanOutcome::Failover`].
+    pub kind: SpanOutcome,
+    pub generated: SimTime,
+    /// Handoff debt the request pays.
+    pub handoff: SimDuration,
+    /// The request's cost-jitter draw.
+    pub jitter: f64,
+}
+
+impl VehicleOutcome {
+    /// Prices the outcome at the drawn class's costs. A failover pays
+    /// the re-planning penalty and runs the pipeline on board (a pBEAM
+    /// round continues training locally at its own cost); a collab hit
+    /// fetches the neighbour's result over DSRC instead of recomputing.
+    pub fn resolve(&self, cfg: &FleetConfig) -> RequestOutcome {
+        let spec = cfg.class(self.class);
+        let (e2e, energy_j, cost) = if self.kind == SpanOutcome::Failover {
+            let failover = cfg.failover_penalty.mul_f64(1.0 + 0.2 * self.jitter);
+            let service = spec.vehicle_service.mul_f64(1.0 + 0.1 * self.jitter);
+            (
+                self.handoff + failover + service,
+                service.as_secs_f64() * BOARD_W,
+                failover,
+            )
+        } else {
+            let dsrc = LinkSpec::dsrc();
+            let fetch = dsrc.transfer_time(Direction::Downlink, spec.download_bytes);
+            let merge = SimDuration::from_millis_f64(2.0 + self.jitter);
+            (
+                self.handoff + dsrc.latency() + fetch + merge,
+                fetch.as_secs_f64() * DSRC_W,
+                SimDuration::ZERO,
+            )
+        };
+        RequestOutcome {
+            vehicle: self.vehicle,
+            seq: self.seq,
+            tenant: cfg.tenant_of(self.vehicle),
+            region: self.region,
+            class: self.class,
+            kind: self.kind,
+            generated: self.generated,
+            admitted: None,
+            serve_start: None,
+            e2e,
+            energy_j,
+            cost,
+            retries: 0,
+            requeues: 0,
+            handoff: false,
+        }
+    }
+}
+
 /// Output buffers one batch fills while advancing its vehicles, folded
 /// into the barrier in chunk order.
 pub(crate) struct BatchOut {
@@ -157,26 +227,19 @@ pub(crate) struct BatchOut {
     pub ingest_outbox: Vec<UploadBatch>,
     /// Cacheable results produced this epoch: (tile, producer).
     pub publications: Vec<(Tile, u32)>,
-    /// Failover latency samples `(vehicle, seq, ms)`, recorded
-    /// fleet-wide in canonical order at the barrier.
-    pub failover_samples: Vec<(u32, u32, f64)>,
-    /// Requests resolved on the vehicle side — `(class, outcome, e2e,
-    /// energy J)` of collab hits and failovers — recorded into the
-    /// fleet's histograms at the barrier. Workers never allocate
-    /// histogram buckets: when they did, peak RSS varied with the
-    /// thread interleaving (the rush-4k benchmark on a 2-vCPU Linux
-    /// host: 43–56 MiB across identical runs).
-    pub resolved: Vec<(WorkloadClass, SpanOutcome, SimDuration, f64)>,
-    /// Spans for requests resolved on the vehicle side (collab hits,
-    /// regional-outage failovers). Empty unless telemetry is on.
-    pub spans: Vec<RequestSpan>,
+    /// Requests resolved on the vehicle side, in `(vehicle, seq)`
+    /// order. Workers never allocate histogram buckets: when they did,
+    /// peak RSS varied with the thread interleaving (the rush-4k
+    /// benchmark on a 2-vCPU Linux host: 43–56 MiB across identical
+    /// runs).
+    pub resolved: Vec<VehicleOutcome>,
     /// V2V lookups that *would* have hit but were suppressed because
     /// the vehicle's collab cache went stale at its last crossing.
     pub stale_hits: u64,
     /// Per-vehicle events (request ticks + ingest uploads) processed.
     pub events: u64,
-    /// Vehicle-side request counters, merged exactly into the fleet's.
-    pub metrics: FleetMetrics,
+    /// Requests issued, per class (indexed by [`WorkloadClass::index`]).
+    pub requests: [u64; 3],
 }
 
 impl BatchOut {
@@ -190,12 +253,10 @@ impl BatchOut {
             outbox: Vec::with_capacity(vehicles),
             ingest_outbox: Vec::with_capacity(vehicles),
             publications: Vec::with_capacity(vehicles),
-            failover_samples: Vec::with_capacity(vehicles),
             resolved: Vec::with_capacity(vehicles),
-            spans: Vec::new(),
             stale_hits: 0,
             events: 0,
-            metrics: FleetMetrics::new(),
+            requests: [0; 3],
         }
     }
 }
@@ -283,37 +344,24 @@ fn tick(
     let cacheable = cache_draw && cfg.class(class).cacheable;
     let handoff = std::mem::take(&mut v.pending_handoff);
     let stale = v.cache_stale;
-    let spec = cfg.class(class);
 
     let region_down =
         injector.is_some_and(|inj| inj.is_down(&region_labels[v.region as usize], now));
+    let resolved_as = |kind| VehicleOutcome {
+        vehicle: v.id,
+        seq,
+        region: v.region,
+        class,
+        kind,
+        generated: now,
+        handoff,
+        jitter,
+    };
 
-    out.metrics.record_request(class);
+    out.requests[class.index()] += 1;
     if region_down {
-        // Regional LTE outage: re-plan and run the pipeline on board
-        // (a pBEAM round continues training locally at its own cost).
-        let failover = cfg.failover_penalty.mul_f64(1.0 + 0.2 * jitter);
-        let service = spec.vehicle_service.mul_f64(1.0 + 0.1 * jitter);
-        let e2e = handoff + failover + service;
-        out.resolved.push((
-            class,
-            SpanOutcome::Failover,
-            e2e,
-            service.as_secs_f64() * BOARD_W,
-        ));
-        out.failover_samples
-            .push((v.id, seq, failover.as_millis_f64()));
-        if cfg.telemetry {
-            out.spans.push(vehicle_span(
-                cfg,
-                v,
-                seq,
-                class,
-                now,
-                e2e,
-                SpanOutcome::Failover,
-            ));
-        }
+        // Regional LTE outage: re-plan and run the pipeline on board.
+        out.resolved.push(resolved_as(SpanOutcome::Failover));
     } else {
         let tile = tile_at(v.id, now);
         let lookup = if cacheable {
@@ -332,29 +380,9 @@ fn tick(
             lookup
         };
         if shared_by.is_some() {
-            // V2V collaboration hit: fetch the neighbour's result over
-            // DSRC instead of recomputing.
-            let dsrc = LinkSpec::dsrc();
-            let fetch = dsrc.transfer_time(Direction::Downlink, spec.download_bytes);
-            let merge = SimDuration::from_millis_f64(2.0 + jitter);
-            let e2e = handoff + dsrc.latency() + fetch + merge;
-            out.resolved.push((
-                class,
-                SpanOutcome::CollabHit,
-                e2e,
-                fetch.as_secs_f64() * DSRC_W,
-            ));
-            if cfg.telemetry {
-                out.spans.push(vehicle_span(
-                    cfg,
-                    v,
-                    seq,
-                    class,
-                    now,
-                    e2e,
-                    SpanOutcome::CollabHit,
-                ));
-            }
+            // V2V collaboration hit: the neighbour's result comes over
+            // DSRC.
+            out.resolved.push(resolved_as(SpanOutcome::CollabHit));
         } else {
             out.outbox.push(EdgeRequest {
                 vehicle: v.id,
@@ -408,38 +436,6 @@ fn ingest_tick(cfg: &FleetConfig, v: &mut VehicleState, out: &mut BatchOut, now:
         deadline: now + ingest.deadline,
         priority,
     });
-}
-
-/// Builds a span for a request resolved entirely on the vehicle side
-/// (collab hits and regional-outage failovers never reach the edge, so
-/// `admitted` and `serve_start` stay empty). The span names the region
-/// the vehicle was driving in at the tick, the one whose outage the
-/// failover decision read.
-fn vehicle_span(
-    cfg: &FleetConfig,
-    v: &VehicleState,
-    seq: u32,
-    class: WorkloadClass,
-    generated: SimTime,
-    e2e: SimDuration,
-    outcome: SpanOutcome,
-) -> RequestSpan {
-    RequestSpan {
-        vehicle: v.id,
-        seq,
-        tenant: cfg.tenant_of(v.id),
-        region: v.region,
-        shard: 0,
-        class: class.label(),
-        generated,
-        admitted: None,
-        serve_start: None,
-        completed: generated + e2e,
-        outcome,
-        retries: 0,
-        requeues: 0,
-        handoff: false,
-    }
 }
 
 // --- snapshot codec --------------------------------------------------
@@ -584,6 +580,11 @@ mod tests {
         assert_ne!(cohort_of(0), cohort_of(16));
         assert_eq!(tile_at(0, t), tile_at(5, t));
         assert_ne!(tile_at(0, t), tile_at(16, t));
+    }
+
+    #[test]
+    fn a_vehicle_outcome_stays_within_forty_bytes() {
+        assert!(std::mem::size_of::<VehicleOutcome>() <= 40);
     }
 
     #[test]

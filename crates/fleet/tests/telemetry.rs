@@ -150,10 +150,12 @@ proptest! {
     }
 }
 
-/// The full interaction surface with the bounded-memory sinks on:
+/// The full interaction surface with the bounded-memory telemetry on:
 /// ingest + mobility + a telemetry budget + explicit deterministic
-/// sampling. The sampled span set, histogram series, and deterministic
-/// summary must stay byte-identical in every run layout.
+/// sampling, with a regional outage (failovers), a crash of the only
+/// XEdge node (rung-3 outcomes) and tight quotas (rejections). The
+/// sampled span set, histogram series, and deterministic summary must
+/// stay byte-identical in every run layout.
 fn sampled_config(seed: u64) -> FleetConfig {
     let mut cfg = FleetConfig::sized(64)
         .with_ingest()
@@ -162,7 +164,11 @@ fn sampled_config(seed: u64) -> FleetConfig {
         .with_span_sampling(4);
     cfg.seed = seed;
     cfg.duration = SimDuration::from_secs(8);
-    cfg
+    cfg.edge_nodes = 1;
+    cfg.tenant_queue_cap = 2;
+    cfg.with_regional_outage(0, SimTime::from_secs(1), SimDuration::from_secs(2))
+        .with_edge_node_crash(0, SimTime::from_secs(3), SimDuration::from_secs(3))
+        .with_tenant_quota_flap(1, 0.25, SimTime::from_secs(4), SimDuration::from_secs(2))
 }
 
 proptest! {
@@ -187,10 +193,28 @@ proptest! {
         // OK spans and kept every non-OK span.
         prop_assert!(base.sampled_out > 0, "keep-1-in-4 never sampled anything out");
         prop_assert!(!base.spans.is_empty(), "sampling must not drop everything");
+        let m = &reports[0].metrics;
         prop_assert_eq!(
             base.spans.len() as u64 + base.sampled_out,
-            reports[0].metrics.requests,
+            m.requests,
             "kept + sampled-out partitions the request stream"
+        );
+        // Only OK-path spans are sampled: every other outcome keeps the
+        // span of each request its counter counts.
+        let spans = &base.spans;
+        prop_assert_eq!(spans.outcome_count(SpanOutcome::Rejected), m.rejected);
+        prop_assert_eq!(spans.outcome_count(SpanOutcome::Failover), m.failovers);
+        prop_assert_eq!(
+            spans.outcome_count(SpanOutcome::LocalFallback),
+            m.local_fallbacks - m.training_rounds_skipped
+        );
+        prop_assert_eq!(
+            spans.outcome_count(SpanOutcome::Skipped),
+            m.training_rounds_skipped
+        );
+        prop_assert!(
+            m.failovers > 0 && m.rejected > 0 && m.local_fallbacks > 0,
+            "the chaos must produce failovers, rejections and rung-3 outcomes"
         );
         prop_assert!(
             base.registry.gauge("telemetry_bytes").is_some(),

@@ -2,7 +2,7 @@
 
 use vdap_sim::StreamingHistogram;
 
-/// Mergeable mobility accounting, filled by the fleet engine's barrier
+/// Mobility accounting, filled by the fleet engine's barrier
 /// mobility pass in canonical `(epoch, vehicle)` order.
 ///
 /// Crossings are a pure function of each vehicle's seeded track, and
@@ -60,52 +60,10 @@ impl MobilityMetrics {
         }
     }
 
-    /// Merges another mobility ledger (associative and commutative for
-    /// the integer fields; `handoff_seconds` is a float sum, so merge
-    /// order must be canonical — merge in a fixed order).
-    pub fn merge(&mut self, other: &MobilityMetrics) {
-        self.crossings += other.crossings;
-        self.migrations += other.migrations;
-        self.same_shard_crossings += other.same_shard_crossings;
-        self.storm_crossings += other.storm_crossings;
-        self.stale_cache_hits += other.stale_cache_hits;
-        self.readdressed_batches += other.readdressed_batches;
-        self.handoff_seconds += other.handoff_seconds;
-        self.handoff_ms.merge(&other.handoff_ms);
-        self.crossing_speed_mph.merge(&other.crossing_speed_mph);
-    }
-
     /// The partition invariant the proptests pin: every crossing is
     /// either a domain migration or a same-domain move.
     #[must_use]
     pub fn partitions(&self) -> bool {
         self.crossings == self.migrations + self.same_shard_crossings
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_is_additive_and_partition_holds() {
-        let mut a = MobilityMetrics::new();
-        a.crossings = 5;
-        a.migrations = 3;
-        a.same_shard_crossings = 2;
-        a.handoff_seconds = 0.75;
-        a.handoff_ms.record(250.0);
-        let mut b = MobilityMetrics::new();
-        b.crossings = 2;
-        b.migrations = 1;
-        b.same_shard_crossings = 1;
-        b.stale_cache_hits = 4;
-        a.merge(&b);
-        assert_eq!(a.crossings, 7);
-        assert_eq!(a.migrations, 4);
-        assert_eq!(a.stale_cache_hits, 4);
-        assert!((a.handoff_seconds - 0.75).abs() < 1e-12);
-        assert_eq!(a.handoff_ms.count(), 1);
-        assert!(a.partitions());
     }
 }

@@ -5,21 +5,22 @@
 //! counters/gauges/per-epoch time series that rolls over-long series
 //! into [`StreamingHistogram`]s ([`MetricsRegistry`]), a
 //! Chrome trace-event JSON exporter ([`chrome_trace`], loadable in
-//! `about://tracing` and Perfetto), and a wall-clock barrier profiler
-//! for the fleet engine ([`BarrierProfiler`]).
+//! `about://tracing` and Perfetto), a segment-rotating JSONL span spill
+//! writer with an identity-keyed sampling hash ([`JsonlSpillSink`],
+//! [`sample_keeps`]), and a wall-clock engine profile for the fleet
+//! engine ([`EngineProfile`]).
 //!
 //! ## The determinism boundary
 //!
-//! Everything except the profiler is *sim-time* telemetry: spans and
-//! series are derived from values the deterministic serving path
+//! Everything except the engine profile is *sim-time* telemetry: spans
+//! and series are derived from values the deterministic serving path
 //! already computes, sampled at epoch barriers or ordered by the
 //! canonical `(generated, vehicle, seq)` request key. Turning telemetry
 //! on therefore cannot perturb a run, and the engine's byte-identity
 //! across executor width and batch size extends to the telemetry
-//! itself. The profiler is the one
-//! *wall-clock* component; it lives on the other side of the boundary
-//! and is only ever reported in a separate diagnostics block, never in
-//! a deterministic summary.
+//! itself. The profile is the one *wall-clock* component; it lives on
+//! the other side of the boundary and is only ever reported in a
+//! separate diagnostics block, never in a deterministic summary.
 //!
 //! ```
 //! use vdap_obs::{chrome_trace, MetricsRegistry, RequestSpan, SpanLog, SpanOutcome};
@@ -51,12 +52,9 @@ mod sink;
 mod span;
 
 pub use chrome::{chrome_trace, span_event, spans_jsonl};
-pub use profile::{BarrierProfiler, EngineProfile, WorkerSample};
+pub use profile::{EngineProfile, WorkerSample};
 pub use registry::{intern_name, MetricsRegistry, SeriesPoint};
-pub use sink::{
-    sample_keeps, JsonlSpillSink, MemorySpanSink, SamplingSpanSink, SpanSink,
-    DEFAULT_SEGMENT_BYTES, SPAN_RESIDENT_BYTES,
-};
+pub use sink::{sample_keeps, JsonlSpillSink, DEFAULT_SEGMENT_BYTES, SPAN_RESIDENT_BYTES};
 pub use span::{RequestSpan, SpanLog, SpanOutcome};
 // The histogram behind every registry rollup is the workspace's one
 // streaming histogram; re-exported so registry callers need not depend

@@ -5,7 +5,7 @@
 //! work-stealing executor, then everything joins at a single-threaded
 //! barrier. The join means every epoch costs as much wall-clock as the
 //! executor's *slowest* worker — the other workers sit idle once their
-//! deques (and everyone else's) run dry. [`BarrierProfiler`] measures
+//! deques (and everyone else's) run dry. [`EngineProfile`] measures
 //! exactly that: per-worker busy time, per-worker barrier-idle time
 //! (`tick-phase wall - busy_w` per epoch), how many batches each worker
 //! stole from a sibling's deque and how long it spent running stolen
@@ -32,22 +32,30 @@ pub struct WorkerSample {
     pub stolen: Duration,
 }
 
-/// Accumulates per-epoch wall-clock measurements during a run.
-#[derive(Debug, Clone)]
-pub struct BarrierProfiler {
-    worker_busy: Vec<Duration>,
-    worker_idle: Vec<Duration>,
-    worker_steals: Vec<u64>,
-    worker_stolen: Vec<Duration>,
-    barrier: Duration,
-    epochs: u64,
+/// Wall-clock totals for one fleet run, accumulated epoch by epoch
+/// (diagnostics only — never part of the deterministic summary).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EngineProfile {
+    /// Cumulative busy time per executor worker across all epochs.
+    pub worker_busy: Vec<Duration>,
+    /// Cumulative barrier-idle time per worker (`tick-phase wall -
+    /// busy_w` summed over epochs).
+    pub worker_idle: Vec<Duration>,
+    /// Batches each worker stole from a sibling's deque.
+    pub worker_steals: Vec<u64>,
+    /// Time each worker spent executing stolen batches.
+    pub worker_stolen: Vec<Duration>,
+    /// Cumulative single-threaded barrier time.
+    pub barrier: Duration,
+    /// Epochs profiled.
+    pub epochs: u64,
 }
 
-impl BarrierProfiler {
-    /// A profiler for `workers` executor workers.
+impl EngineProfile {
+    /// An empty profile for `workers` executor workers.
     #[must_use]
     pub fn new(workers: usize) -> Self {
-        BarrierProfiler {
+        EngineProfile {
             worker_busy: vec![Duration::ZERO; workers],
             worker_idle: vec![Duration::ZERO; workers],
             worker_steals: vec![0; workers],
@@ -84,40 +92,6 @@ impl BarrierProfiler {
         self.barrier += elapsed;
     }
 
-    /// The accumulated totals.
-    #[must_use]
-    pub fn finish(self) -> EngineProfile {
-        EngineProfile {
-            worker_busy: self.worker_busy,
-            worker_idle: self.worker_idle,
-            worker_steals: self.worker_steals,
-            worker_stolen: self.worker_stolen,
-            barrier: self.barrier,
-            epochs: self.epochs,
-        }
-    }
-}
-
-/// Wall-clock totals for one fleet run (diagnostics only — never part
-/// of the deterministic summary).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineProfile {
-    /// Cumulative busy time per executor worker across all epochs.
-    pub worker_busy: Vec<Duration>,
-    /// Cumulative barrier-idle time per worker (`tick-phase wall -
-    /// busy_w` summed over epochs).
-    pub worker_idle: Vec<Duration>,
-    /// Batches each worker stole from a sibling's deque.
-    pub worker_steals: Vec<u64>,
-    /// Time each worker spent executing stolen batches.
-    pub worker_stolen: Vec<Duration>,
-    /// Cumulative single-threaded barrier time.
-    pub barrier: Duration,
-    /// Epochs profiled.
-    pub epochs: u64,
-}
-
-impl EngineProfile {
     /// Fraction of a worker's fork/join wall-clock spent idle at the
     /// barrier (0 when the worker never ran).
     #[must_use]
@@ -235,17 +209,16 @@ mod tests {
 
     #[test]
     fn idle_is_the_gap_to_the_join() {
-        let mut p = BarrierProfiler::new(3);
-        p.record_epoch(
+        let mut profile = EngineProfile::new(3);
+        profile.record_epoch(
             Duration::from_millis(10),
             &[sample(10, 0, 0), sample(4, 1, 2), sample(7, 0, 0)],
         );
-        p.record_epoch(
+        profile.record_epoch(
             Duration::from_millis(8),
             &[sample(2, 0, 0), sample(8, 2, 3), sample(8, 0, 0)],
         );
-        p.record_barrier(Duration::from_millis(3));
-        let profile = p.finish();
+        profile.record_barrier(Duration::from_millis(3));
         assert_eq!(profile.epochs, 2);
         assert_eq!(profile.worker_busy[0], Duration::from_millis(12));
         // Epoch 1: wall 10 → idle 0/6/3. Epoch 2: wall 8 → 6/0/0.
@@ -260,25 +233,24 @@ mod tests {
 
     #[test]
     fn mean_idle_fraction_pools_all_workers() {
-        let mut p = BarrierProfiler::new(2);
+        let mut profile = EngineProfile::new(2);
         // Wall 10: worker 0 busy 10 (idle 0), worker 1 busy 5 (idle 5).
-        p.record_epoch(
+        profile.record_epoch(
             Duration::from_millis(10),
             &[sample(10, 0, 0), sample(5, 0, 0)],
         );
-        let profile = p.finish();
         let expect = 5.0 / 20.0;
         assert!((profile.mean_idle_fraction() - expect).abs() < 1e-9);
     }
 
     #[test]
     fn render_names_every_worker_and_shard() {
-        let mut p = BarrierProfiler::new(2);
-        p.record_epoch(
+        let mut profile = EngineProfile::new(2);
+        profile.record_epoch(
             Duration::from_millis(5),
             &[sample(5, 0, 0), sample(5, 1, 1)],
         );
-        let text = p.finish().render();
+        let text = profile.render();
         assert!(text.contains("profile: epochs=1"));
         assert!(text.contains("mean_idle_frac="));
         assert!(text.contains("worker[0]:"));
@@ -292,7 +264,7 @@ mod tests {
 
     #[test]
     fn idle_fraction_handles_empty_profiles() {
-        let profile = BarrierProfiler::new(1).finish();
+        let profile = EngineProfile::new(1);
         assert_eq!(profile.idle_fraction(0), 0.0);
         assert_eq!(profile.mean_idle_fraction(), 0.0);
         assert_eq!(profile.total_steals(), 0);
@@ -301,7 +273,7 @@ mod tests {
     #[test]
     fn every_ratio_accessor_is_finite_on_empty_and_zero_duration_profiles() {
         // Never ran at all.
-        let empty = BarrierProfiler::new(2).finish();
+        let empty = EngineProfile::new(2);
         for accessor in [
             empty.idle_fraction(0),
             empty.mean_idle_fraction(),
@@ -313,10 +285,9 @@ mod tests {
         }
         // Ran, but every measured duration was zero (instant epochs on
         // a coarse clock) — busy + idle == 0 per worker.
-        let mut p = BarrierProfiler::new(2);
-        p.record_epoch(Duration::ZERO, &[sample(0, 0, 0), sample(0, 0, 0)]);
-        p.record_barrier(Duration::ZERO);
-        let zero = p.finish();
+        let mut zero = EngineProfile::new(2);
+        zero.record_epoch(Duration::ZERO, &[sample(0, 0, 0), sample(0, 0, 0)]);
+        zero.record_barrier(Duration::ZERO);
         assert_eq!(zero.epochs, 1);
         for accessor in [
             zero.idle_fraction(0),
@@ -335,14 +306,13 @@ mod tests {
 
     #[test]
     fn steal_fractions_attribute_stolen_time() {
-        let mut p = BarrierProfiler::new(2);
+        let mut profile = EngineProfile::new(2);
         // Worker 1: 8ms busy of which 2ms on stolen batches.
-        p.record_epoch(
+        profile.record_epoch(
             Duration::from_millis(10),
             &[sample(10, 0, 0), sample(8, 1, 2)],
         );
-        p.record_barrier(Duration::from_millis(4));
-        let profile = p.finish();
+        profile.record_barrier(Duration::from_millis(4));
         assert!((profile.steal_fraction(1) - 0.25).abs() < 1e-9);
         assert_eq!(profile.steal_fraction(0), 0.0);
         assert!((profile.mean_steal_fraction() - 2.0 / 18.0).abs() < 1e-9);

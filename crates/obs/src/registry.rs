@@ -170,7 +170,9 @@ impl MetricsRegistry {
     }
 
     /// Approximate resident bytes of the registry, computed purely from
-    /// entry counts (wall-clock free — see [`MAP_ENTRY_BYTES`]).
+    /// entry counts (wall-clock free): a fixed overhead per map entry plus
+    /// its value — 8 B per scalar, a series' points, a histogram's
+    /// resident buckets.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         let scalars = (self.counters.len() + self.gauges.len()) as u64 * (MAP_ENTRY_BYTES + 8);

@@ -1,27 +1,20 @@
-//! Streaming span sinks: where drained request spans go.
+//! The span spill writer and the sampling hash.
 //!
-//! The fleet engine drains spans at epoch barriers. Historically they
-//! all accumulated in one in-memory [`SpanLog`], which grows linearly
-//! with fleet size × run length. This module makes the destination
-//! pluggable behind [`SpanSink`] with three implementations:
+//! Request spans drained at an epoch barrier either stay resident in
+//! `vdap-fleet`'s span log or go to disk through [`JsonlSpillSink`]: a
+//! segment-rotating writer that sorts each drained log into canonical
+//! `(generated, vehicle, seq)` order and appends it to
+//! `spans-NNNNN.jsonl` segments. Each block is exactly what
+//! [`crate::spans_jsonl`] emits for the drained spans.
 //!
-//! - [`MemorySpanSink`] — the original unbounded in-memory log.
-//! - [`JsonlSpillSink`] — a segment-rotating spill-to-disk writer:
-//!   buffered spans are sorted into canonical `(generated, vehicle,
-//!   seq)` order and appended to `spans-NNNNN.jsonl` segments at epoch
-//!   barriers, freeing the memory. Each block is exactly what
-//!   [`crate::spans_jsonl`] emits for the buffered spans.
-//! - [`SamplingSpanSink`] — deterministic head sampling: every
-//!   non-OK-path span (rejected / degraded / failed) is kept, OK spans
-//!   (edge-served, collab hits) are kept one-in-N by a seeded hash of
-//!   `(vehicle, seq)`. The hash reads nothing about how the run was
-//!   scheduled, so the kept set is **executor-width- and
-//!   batch-size-free** — a wide run samples exactly the same spans as a
-//!   one-worker run of the same seed.
+//! Sampling is a pure function of request identity: [`sample_keeps`]
+//! hashes `(seed, vehicle, seq)`, so the kept set is the same at any
+//! executor width and batch size. `vdap-fleet`'s telemetry applies it
+//! to OK-path spans only and keeps every span off the OK path.
 //!
 //! Disk I/O is wall-clock territory: write failures are counted
 //! (`io_errors`), never panicked on, and nothing about *what* was
-//! sampled or buffered depends on whether a write succeeded.
+//! sampled or kept resident depends on whether a write succeeded.
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -56,142 +49,18 @@ pub fn sample_keeps(seed: u64, vehicle: u32, seq: u32, keep_one_in: u32) -> bool
         .is_multiple_of(u64::from(keep_one_in))
 }
 
-/// A destination for drained request spans.
-///
-/// `accept` runs on the drain path; `barrier_flush` runs once per epoch
-/// barrier and is the only place a sink may do I/O or reorder.
-pub trait SpanSink: std::fmt::Debug {
-    /// Offers one span to the sink.
-    fn accept(&mut self, span: RequestSpan);
-    /// Flushes buffered state at an epoch barrier.
-    fn barrier_flush(&mut self, epoch: u64);
-    /// Spans offered so far (kept or not).
-    fn offered(&self) -> u64;
-    /// Spans currently held in memory.
-    fn retained(&self) -> &SpanLog;
-    /// Approximate resident bytes held by the sink.
-    fn resident_bytes(&self) -> u64;
-}
-
-/// The original unbounded in-memory sink.
-#[derive(Debug, Clone, Default)]
-pub struct MemorySpanSink {
-    log: SpanLog,
-    offered: u64,
-}
-
-impl MemorySpanSink {
-    /// An empty in-memory sink.
-    #[must_use]
-    pub fn new() -> Self {
-        MemorySpanSink::default()
-    }
-
-    /// Consumes the sink, yielding its log.
-    #[must_use]
-    pub fn into_log(self) -> SpanLog {
-        self.log
-    }
-}
-
-impl SpanSink for MemorySpanSink {
-    fn accept(&mut self, span: RequestSpan) {
-        self.offered += 1;
-        self.log.push(span);
-    }
-
-    fn barrier_flush(&mut self, _epoch: u64) {}
-
-    fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    fn retained(&self) -> &SpanLog {
-        &self.log
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.log.len() as u64 * SPAN_RESIDENT_BYTES
-    }
-}
-
-/// Deterministic sampling sink: all non-OK spans, one-in-N OK spans.
-#[derive(Debug, Clone)]
-pub struct SamplingSpanSink {
-    seed: u64,
-    keep_one_in: u32,
-    log: SpanLog,
-    offered: u64,
-    sampled_out: u64,
-}
-
-impl SamplingSpanSink {
-    /// A sampling sink keeping one in `keep_one_in` OK-path spans.
-    #[must_use]
-    pub fn new(seed: u64, keep_one_in: u32) -> Self {
-        SamplingSpanSink {
-            seed,
-            keep_one_in,
-            log: SpanLog::new(),
-            offered: 0,
-            sampled_out: 0,
-        }
-    }
-
-    /// OK spans dropped by the sampler so far.
-    #[must_use]
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
-    }
-
-    /// Consumes the sink, yielding the kept spans.
-    #[must_use]
-    pub fn into_log(self) -> SpanLog {
-        self.log
-    }
-}
-
-impl SpanSink for SamplingSpanSink {
-    fn accept(&mut self, span: RequestSpan) {
-        self.offered += 1;
-        if span.outcome.is_ok_path()
-            && !sample_keeps(self.seed, span.vehicle, span.seq, self.keep_one_in)
-        {
-            self.sampled_out += 1;
-            return;
-        }
-        self.log.push(span);
-    }
-
-    fn barrier_flush(&mut self, _epoch: u64) {}
-
-    fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    fn retained(&self) -> &SpanLog {
-        &self.log
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.log.len() as u64 * SPAN_RESIDENT_BYTES
-    }
-}
-
 /// Segment-rotating JSONL spill-to-disk writer.
 ///
-/// Spans buffer in memory between flushes; `barrier_flush` sorts the
-/// buffer into canonical order, appends one JSONL line per span to the
-/// current `spans-NNNNN.jsonl` segment under `dir`, rotates to a new
-/// segment once the current one reaches `segment_bytes`, and frees the
-/// buffer. Within every flushed block the lines are canonically
-/// ordered; blocks append in barrier order.
+/// [`JsonlSpillSink::write`] takes one drained span log, sorts it into
+/// canonical order, appends one JSONL line per span to the current
+/// `spans-NNNNN.jsonl` segment under `dir`, and rotates to a new
+/// segment once the current one reaches `segment_bytes`. Within every
+/// written block the lines are canonically ordered; blocks append in
+/// write order.
 #[derive(Debug, Clone)]
 pub struct JsonlSpillSink {
     dir: PathBuf,
     segment_bytes: u64,
-    buf: SpanLog,
-    offered: u64,
     spilled: u64,
     current_index: u32,
     current_bytes: u64,
@@ -200,14 +69,12 @@ pub struct JsonlSpillSink {
 
 impl JsonlSpillSink {
     /// A spill writer rotating segments at `segment_bytes` under `dir`
-    /// (created on first flush).
+    /// (created on first write).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>, segment_bytes: u64) -> Self {
         JsonlSpillSink {
             dir: dir.into(),
             segment_bytes: segment_bytes.max(1),
-            buf: SpanLog::new(),
-            offered: 0,
             spilled: 0,
             current_index: 0,
             current_bytes: 0,
@@ -257,8 +124,8 @@ impl JsonlSpillSink {
         self.current_bytes
     }
 
-    /// Failed flush attempts (the buffered spans of a failed flush are
-    /// dropped, never retried — spill is an export stream, not state).
+    /// Failed writes (the spans of a failed write are dropped, never
+    /// retried — spill is an export stream, not state).
     #[must_use]
     pub fn io_errors(&self) -> u64 {
         self.io_errors
@@ -275,7 +142,16 @@ impl JsonlSpillSink {
             .collect()
     }
 
-    fn write_block(&mut self, block: String, spans: u64) {
+    /// Writes one drained span log as a canonically ordered block. An
+    /// empty log writes nothing.
+    pub fn write(&mut self, mut spans: SpanLog) {
+        if spans.is_empty() {
+            return;
+        }
+        spans.sort_canonical();
+        let block = spans_jsonl(&spans);
+        let count = spans.len() as u64;
+        drop(spans);
         // Rotation is lazy — decided just before a write — so
         // `current_index` always names a segment that exists on disk
         // and `segments()` never lists a file that was never created.
@@ -294,40 +170,10 @@ impl JsonlSpillSink {
         match attempt {
             Ok(()) => {
                 self.current_bytes += block.len() as u64;
-                self.spilled += spans;
+                self.spilled += count;
             }
             Err(_) => self.io_errors += 1,
         }
-    }
-}
-
-impl SpanSink for JsonlSpillSink {
-    fn accept(&mut self, span: RequestSpan) {
-        self.offered += 1;
-        self.buf.push(span);
-    }
-
-    fn barrier_flush(&mut self, _epoch: u64) {
-        if self.buf.is_empty() {
-            return;
-        }
-        self.buf.sort_canonical();
-        let block = spans_jsonl(&self.buf);
-        let spans = self.buf.len() as u64;
-        self.buf = SpanLog::new();
-        self.write_block(block, spans);
-    }
-
-    fn offered(&self) -> u64 {
-        self.offered
-    }
-
-    fn retained(&self) -> &SpanLog {
-        &self.buf
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.buf.len() as u64 * SPAN_RESIDENT_BYTES
     }
 }
 
@@ -356,6 +202,14 @@ mod tests {
         }
     }
 
+    fn log(spans: impl IntoIterator<Item = RequestSpan>) -> SpanLog {
+        let mut log = SpanLog::new();
+        for span in spans {
+            log.push(span);
+        }
+        log
+    }
+
     fn spill_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vdap-obs-sink-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -363,104 +217,19 @@ mod tests {
     }
 
     #[test]
-    fn sinks_work_behind_the_trait_object() {
-        let mut sinks: Vec<Box<dyn SpanSink>> = vec![
-            Box::new(MemorySpanSink::new()),
-            Box::new(SamplingSpanSink::new(7, 1)),
-        ];
-        for sink in &mut sinks {
-            sink.accept(span(0, 0, 10, SpanOutcome::EdgeServed));
-            sink.barrier_flush(0);
-            assert_eq!(sink.offered(), 1);
-            assert_eq!(sink.retained().len(), 1);
-            assert!(sink.resident_bytes() >= SPAN_RESIDENT_BYTES);
-        }
-    }
-
-    #[test]
-    fn sampling_keeps_every_non_ok_span() {
-        let mut sink = SamplingSpanSink::new(99, u32::MAX);
-        for (i, outcome) in [
-            SpanOutcome::Failover,
-            SpanOutcome::Rejected,
-            SpanOutcome::LocalFallback,
-            SpanOutcome::Skipped,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            sink.accept(span(i as u32, 0, 10, outcome));
-        }
-        assert_eq!(sink.retained().len(), 4, "non-OK spans are never sampled");
-        assert_eq!(sink.sampled_out(), 0);
-    }
-
-    #[test]
-    fn sampled_set_is_partition_independent() {
-        let spans: Vec<RequestSpan> = (0..512)
-            .map(|i| {
-                span(
-                    i % 37,
-                    i / 37,
-                    u64::from(i) * 11,
-                    if i % 5 == 0 {
-                        SpanOutcome::Rejected
-                    } else {
-                        SpanOutcome::EdgeServed
-                    },
-                )
-            })
-            .collect();
-        // One sink sees everything in order; four sinks see an
-        // interleaved partition (as parallel producers would).
-        let mut whole = SamplingSpanSink::new(42, 4);
-        for s in &spans {
-            whole.accept(s.clone());
-        }
-        let mut parts: Vec<SamplingSpanSink> =
-            (0..4).map(|_| SamplingSpanSink::new(42, 4)).collect();
-        for (i, s) in spans.iter().enumerate() {
-            parts[i % 4].accept(s.clone());
-        }
-        let mut merged = SpanLog::new();
-        for p in parts {
-            merged.merge(p.into_log());
-        }
-        let mut whole = whole.into_log();
-        whole.sort_canonical();
-        merged.sort_canonical();
-        assert_eq!(whole, merged, "kept set must not depend on partitioning");
-        assert!(whole.len() < 512, "some OK spans must be sampled out");
-        assert_eq!(
-            whole.outcome_count(SpanOutcome::Rejected),
-            spans
-                .iter()
-                .filter(|s| s.outcome == SpanOutcome::Rejected)
-                .count() as u64
-        );
-    }
-
-    #[test]
     fn spill_writes_sorted_parseable_segments_and_rotates() {
         let dir = spill_dir("rotate");
-        // A tiny segment size forces a rotation on the second flush.
+        // A tiny segment size forces a rotation on the second write.
         let mut sink = JsonlSpillSink::new(&dir, 64);
-        for i in 0..8u32 {
-            sink.accept(span(
-                7 - i,
-                0,
-                u64::from(7 - i) * 100,
-                SpanOutcome::EdgeServed,
-            ));
-        }
-        sink.barrier_flush(0);
-        for i in 8..12u32 {
-            sink.accept(span(i, 1, u64::from(i) * 100, SpanOutcome::Rejected));
-        }
-        sink.barrier_flush(1);
+        sink.write(log((0..8u32).map(|i| {
+            span(7 - i, 0, u64::from(7 - i) * 100, SpanOutcome::EdgeServed)
+        })));
+        sink.write(SpanLog::new());
+        sink.write(log(
+            (8..12u32).map(|i| span(i, 1, u64::from(i) * 100, SpanOutcome::Rejected))
+        ));
         assert_eq!(sink.spilled(), 12);
         assert_eq!(sink.io_errors(), 0);
-        assert!(sink.retained().is_empty(), "flush frees the buffer");
         let segments = sink.segments();
         assert!(segments.len() >= 2, "64-byte segments must rotate");
         let mut lines = 0usize;
@@ -473,7 +242,7 @@ mod tests {
                     Some(serde_json::Value::Number(n)) => *n as u32,
                     other => panic!("bad vehicle field {other:?}"),
                 };
-                // First flush (block 0) is canonically sorted within
+                // First write (block 0) is canonically sorted within
                 // itself: generated == vehicle * 100 here.
                 if i == 0 {
                     if let Some((prev, _, _)) = previous_key {
@@ -492,8 +261,7 @@ mod tests {
     fn spill_resume_continues_the_segment_sequence() {
         let dir = spill_dir("resume");
         let mut first = JsonlSpillSink::new(&dir, 1024 * 1024);
-        first.accept(span(1, 0, 100, SpanOutcome::EdgeServed));
-        first.barrier_flush(0);
+        first.write(log([span(1, 0, 100, SpanOutcome::EdgeServed)]));
         let mut resumed = JsonlSpillSink::resume(
             &dir,
             1024 * 1024,
@@ -501,8 +269,7 @@ mod tests {
             first.current_index(),
             first.current_bytes(),
         );
-        resumed.accept(span(2, 0, 200, SpanOutcome::EdgeServed));
-        resumed.barrier_flush(1);
+        resumed.write(log([span(2, 0, 200, SpanOutcome::EdgeServed)]));
         assert_eq!(resumed.spilled(), 2);
         assert_eq!(resumed.segments().len(), 1);
         let text = std::fs::read_to_string(&resumed.segments()[0]).unwrap();

@@ -193,71 +193,12 @@ impl SpanLog {
         self.spans.sort_unstable_by_key(RequestSpan::key);
     }
 
-    /// True when the log is already in canonical order (an O(n) scan —
-    /// cheap next to the merge it guards).
-    fn is_sorted_canonical(&self) -> bool {
-        self.spans.windows(2).all(|w| w[0].key() <= w[1].key())
-    }
-
-    /// Absorbs another log and restores canonical order.
-    ///
-    /// At barrier drain both sides are already canonically sorted, so
-    /// the common case is a linear two-run merge instead of the old
-    /// append-then-re-sort of the whole accumulated log (O(n + m) vs
-    /// O((n + m) log(n + m)) on every merge). Unsorted inputs fall back
-    /// to append + sort, so the postcondition — canonical order — holds
-    /// unconditionally.
-    pub fn merge(&mut self, mut other: SpanLog) {
-        if other.spans.is_empty() {
-            return;
-        }
-        if self.spans.is_empty() && other.is_sorted_canonical() {
-            self.spans = other.spans;
-            return;
-        }
-        if !self.is_sorted_canonical() || !other.is_sorted_canonical() {
-            self.spans.append(&mut other.spans);
-            self.sort_canonical();
-            return;
-        }
-        let left = std::mem::take(&mut self.spans);
-        let mut merged = Vec::with_capacity(left.len() + other.spans.len());
-        let mut a = left.into_iter().peekable();
-        let mut b = other.spans.into_iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.key() <= y.key() {
-                        merged.push(a.next().expect("peeked"));
-                    } else {
-                        merged.push(b.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => {
-                    merged.extend(a);
-                    break;
-                }
-                (None, _) => {
-                    merged.extend(b);
-                    break;
-                }
-            }
-        }
-        self.spans = merged;
-    }
-
     /// Keeps only the spans for which `keep` returns true, preserving
     /// order; returns how many were dropped.
     pub fn retain(&mut self, mut keep: impl FnMut(&RequestSpan) -> bool) -> u64 {
         let before = self.spans.len();
         self.spans.retain(|s| keep(s));
         (before - self.spans.len()) as u64
-    }
-
-    /// Consumes the log, yielding the spans in their current order.
-    #[must_use]
-    pub fn into_spans(self) -> Vec<RequestSpan> {
-        self.spans
     }
 
     /// Spans that ended with `outcome`.
@@ -311,76 +252,6 @@ mod tests {
         assert_eq!(a.spans()[0].vehicle, 1);
         assert_eq!(a.spans()[1].vehicle, 1);
         assert_eq!(a.spans()[2].vehicle, 3);
-    }
-
-    #[test]
-    fn merge_restores_canonical_order() {
-        let mut a = SpanLog::new();
-        a.push(span(2, 0, 900, SpanOutcome::Failover));
-        let mut b = SpanLog::new();
-        b.push(span(0, 0, 100, SpanOutcome::EdgeServed));
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.spans()[0].vehicle, 0);
-    }
-
-    #[test]
-    fn merge_of_sorted_runs_equals_sorted_concatenation() {
-        // Two interleaved sorted runs, including equal timestamps that
-        // tie-break on (vehicle, seq).
-        let mut left = SpanLog::new();
-        let mut right = SpanLog::new();
-        let mut all = Vec::new();
-        for i in 0..40u32 {
-            let s = span(
-                i % 7,
-                i / 7,
-                u64::from(i % 13) * 100,
-                SpanOutcome::EdgeServed,
-            );
-            all.push(s.clone());
-            if i % 3 == 0 {
-                left.push(s);
-            } else {
-                right.push(s);
-            }
-        }
-        left.sort_canonical();
-        right.sort_canonical();
-        let mut expected = SpanLog::new();
-        for s in all {
-            expected.push(s);
-        }
-        expected.sort_canonical();
-        left.merge(right);
-        assert_eq!(left, expected, "two-run merge == sorted concatenation");
-    }
-
-    #[test]
-    fn merge_falls_back_to_sorting_unsorted_inputs() {
-        let mut a = SpanLog::new();
-        a.push(span(5, 0, 900, SpanOutcome::EdgeServed));
-        a.push(span(1, 0, 100, SpanOutcome::EdgeServed)); // out of order
-        let mut b = SpanLog::new();
-        b.push(span(3, 0, 500, SpanOutcome::Rejected));
-        a.merge(b);
-        let keys: Vec<_> = a.iter().map(RequestSpan::key).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted, "postcondition holds for unsorted inputs");
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_the_other_log() {
-        let mut a = SpanLog::new();
-        let mut b = SpanLog::new();
-        b.push(span(0, 0, 100, SpanOutcome::EdgeServed));
-        b.push(span(0, 1, 200, SpanOutcome::CollabHit));
-        a.merge(b.clone());
-        assert_eq!(a, b);
-        a.merge(SpanLog::new());
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -143,39 +143,6 @@ impl TraceLog {
         });
     }
 
-    /// Merges another log's events into this one in timestamp order
-    /// (stable: on equal timestamps this log's events come first), then
-    /// re-applies this log's capacity bound, evicting oldest-first.
-    /// Dropped counts accumulate, so per-shard logs can be combined at
-    /// a barrier without losing the eviction history.
-    pub fn merge(&mut self, other: &TraceLog) {
-        self.dropped += other.dropped;
-        let mut merged: Vec<TraceEvent> =
-            Vec::with_capacity(self.events.len() + other.events.len());
-        let mut mine = std::mem::take(&mut self.events).into_iter().peekable();
-        let mut theirs = other.events.iter().cloned().peekable();
-        loop {
-            match (mine.peek(), theirs.peek()) {
-                (Some(a), Some(b)) => {
-                    if b.at < a.at {
-                        merged.push(theirs.next().expect("peeked"));
-                    } else {
-                        merged.push(mine.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => merged.push(mine.next().expect("peeked")),
-                (None, Some(_)) => merged.push(theirs.next().expect("peeked")),
-                (None, None) => break,
-            }
-        }
-        if merged.len() > self.capacity {
-            let excess = merged.len() - self.capacity;
-            self.dropped += excess as u64;
-            merged.drain(..excess);
-        }
-        self.events = merged.into();
-    }
-
     /// Number of retained events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -268,44 +235,6 @@ mod tests {
         log.record(SimTime::ZERO, TraceLevel::Error, "a", "3");
         assert_eq!(log.for_component("a").len(), 2);
         assert_eq!(log.at_least(TraceLevel::Warn).len(), 2);
-    }
-
-    #[test]
-    fn merge_interleaves_by_timestamp() {
-        let mut a = TraceLog::new();
-        a.record(SimTime::from_nanos(10), TraceLevel::Info, "shard0", "x");
-        a.record(SimTime::from_nanos(30), TraceLevel::Info, "shard0", "z");
-        let mut b = TraceLog::new();
-        b.record(SimTime::from_nanos(20), TraceLevel::Info, "shard1", "y");
-        b.record(SimTime::from_nanos(30), TraceLevel::Info, "shard1", "tie");
-        a.merge(&b);
-        let order: Vec<(&str, &str)> = a
-            .iter()
-            .map(|e| (e.component, e.message.as_str()))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                ("shard0", "x"),
-                ("shard1", "y"),
-                ("shard0", "z"), // ties keep self's events first
-                ("shard1", "tie"),
-            ]
-        );
-    }
-
-    #[test]
-    fn merge_enforces_capacity_and_accumulates_drops() {
-        let mut a = TraceLog::with_capacity(3);
-        log_n(&mut a, 4); // retains 1..=3, dropped 1
-        let mut b = TraceLog::with_capacity(3);
-        b.record(SimTime::from_nanos(0), TraceLevel::Info, "b", "early");
-        b.record(SimTime::from_nanos(9), TraceLevel::Info, "b", "late");
-        a.merge(&b);
-        assert_eq!(a.len(), 3, "capacity bound re-applied after merge");
-        // 1 pre-merge drop + 2 evicted oldest during the merge.
-        assert_eq!(a.dropped(), 3);
-        assert_eq!(a.iter().last().unwrap().message, "late");
     }
 
     #[test]

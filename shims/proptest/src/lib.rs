@@ -219,7 +219,7 @@ pub mod prop {
     pub mod collection {
         use super::super::{CaseRng, Strategy};
 
-        /// Number-of-elements bound for [`vec`].
+        /// Number-of-elements bound for [`vec()`].
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,

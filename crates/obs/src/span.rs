@@ -1,12 +1,14 @@
 //! Typed request spans: one record per fleet request, from generation
 //! to its terminal outcome.
 //!
-//! A span is *derived data*: every timestamp in it is a sim-time value
-//! the engine already computed on the deterministic serving path
-//! (request arrival, the epoch barrier that admitted it, the lane start
-//! instant, the completion instant). Spans therefore inherit the
-//! engine's invariance to executor width and batch size: the same seed
-//! yields the same spans, field for field.
+//! A span is *derived data*: the fleet engine builds it from the
+//! request's outcome record at the barrier that records the outcome,
+//! and every timestamp in it is a sim-time value the engine already
+//! computed on the deterministic serving path (request arrival, the
+//! epoch barrier that admitted it, the lane start instant, the
+//! completion instant). Spans therefore inherit the engine's invariance
+//! to executor width and batch size: the same seed yields the same
+//! spans, field for field.
 
 use vdap_sim::{SimDuration, SimTime};
 
@@ -66,7 +68,7 @@ impl SpanOutcome {
     }
 
     /// True for the happy-path outcomes (edge-served, collab hits) —
-    /// the only spans a sampling sink is allowed to drop. Everything on
+    /// the only spans telemetry sampling is allowed to drop. Everything on
     /// the degradation ladder (failover, rejection, local fallback,
     /// skipped rounds) is kept unconditionally: rare-event telemetry is
     /// the part you can least afford to sample away.

@@ -1,5 +1,6 @@
 //! Byte-identity pins for every serialized artifact: snapshot texts,
-//! JSONL spill segments, `spans.jsonl` and the Chrome trace.
+//! JSONL spill segments, `spans.jsonl` and the Chrome trace, plus the
+//! summary of a run whose ingest backlog is never empty.
 //!
 //! Any change to a key order, a number format or the envelope layout
 //! moves one of the FNV-1a 64 values below, so an encoder rewrite that
@@ -103,6 +104,49 @@ fn budgeted_snapshot_texts_are_byte_identical() {
         .map(|g| (g, fnv1a64(store.get(g).expect("stored").as_bytes())))
         .collect();
     assert_eq!(got, BUDGET_SNAPSHOT_PINS);
+}
+
+/// `(generation, FNV-1a of the stored text)` for every snapshot of the
+/// backlogged run, and the FNV-1a of its summary.
+const BACKLOG_SNAPSHOT_PINS: [(u64, u64); 3] = [
+    (4, 0xfd10_33f1_c2b7_cdaf),
+    (8, 0xe587_b21f_ca29_702a),
+    (12, 0x00fe_9e61_8f7c_64c7),
+];
+const BACKLOG_SUMMARY_PIN: u64 = 0xcb10_ab25_8de2_2d84;
+
+/// Ingest + mobility at 256 vehicles with a slow storage tier and short
+/// collector queues: every snapshot carries pending retries, cached
+/// deferrals and queued batches (gen 12: 508 pending, 63 cached, about
+/// 20 queued per collector), and crossing vehicles re-address them.
+fn backlog_config() -> FleetConfig {
+    let mut cfg = FleetConfig::sized(256).with_ingest().with_mobility();
+    {
+        let ing = cfg.ingest.as_mut().expect("ingest on");
+        ing.storage_records_per_sec = 200.0;
+        ing.collector_queue_records = 480;
+    }
+    cfg.seed = 41;
+    cfg.duration = SimDuration::from_secs(8);
+    cfg.with_checkpoint(4, 16)
+}
+
+#[test]
+fn backlogged_snapshot_texts_and_summary_are_byte_identical() {
+    let mut store = SnapshotStore::in_memory();
+    let report = FleetEngine::new(backlog_config()).run_supervised(&mut store);
+    let mobility = report.mobility.as_ref().expect("mobility on");
+    let ingest = report.ingest.as_ref().expect("ingest on");
+    assert!(mobility.readdressed_batches > 0, "crossings move batches");
+    assert!(ingest.deferrals > 0, "the ladder parks batches in caches");
+    let got: Vec<(u64, u64)> = store
+        .generations()
+        .into_iter()
+        .map(|g| (g, fnv1a64(store.get(g).expect("stored").as_bytes())))
+        .collect();
+    let summary = fnv1a64(report.summary().as_bytes());
+    assert_eq!(got, BACKLOG_SNAPSHOT_PINS);
+    assert_eq!(summary, BACKLOG_SUMMARY_PIN);
 }
 
 #[test]

@@ -38,7 +38,7 @@ use vdap_mobility::{
     VehicleTrack,
 };
 use vdap_net::CellularChannel;
-use vdap_obs::{intern_name, EngineProfile, JsonlSpillSink, RequestSpan, SpanOutcome};
+use vdap_obs::{intern_name, BarrierPass, EngineProfile, JsonlSpillSink, RequestSpan, SpanOutcome};
 use vdap_offload::Tile;
 use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
@@ -455,7 +455,8 @@ fn run_core(
         let wall = wall_started.elapsed();
 
         // ---- barrier: single-threaded, canonical-order exchange ----
-        let barrier_started = Instant::now();
+        // One clock read per pass: each `lap` closes the pass before it.
+        let mut lap = Instant::now();
         profile.record_epoch(wall, &samples);
         let outs: Vec<BatchOut> = batches.into_iter().map(|b| b.out).collect();
         // Sized exactly: these reach megabytes, and a doubling Vec's
@@ -478,6 +479,7 @@ fn run_core(
                 state.record(ctx, &resolved.resolve(cfg));
             }
         }
+        lap = profile.lap(BarrierPass::Record, lap);
 
         let outcome = state
             .edge
@@ -494,6 +496,7 @@ fn run_core(
         if let Some(tel) = state.telemetry.as_mut() {
             sample_epoch(tel, &outcome, state.epoch_index, end);
         }
+        lap = profile.lap(BarrierPass::Serve, lap);
 
         // The DDI ingestion pass: collector admission, the ingest
         // degradation ladder, and the storage drain — all sampled
@@ -510,6 +513,7 @@ fn run_core(
                 state.telemetry.as_mut(),
             );
         }
+        lap = profile.lap(BarrierPass::Ingest, lap);
 
         // The geo-mobility pass: advance every seeded track across
         // the epoch just completed and price region crossings —
@@ -531,6 +535,7 @@ fn run_core(
                 state.epoch_index,
             );
         }
+        lap = profile.lap(BarrierPass::Mobility, lap);
 
         // Union this epoch's publications into the next snapshot;
         // ties go to the smallest vehicle id (order-independent).
@@ -546,6 +551,7 @@ fn run_core(
                 })
                 .or_insert(producer);
         }
+        lap = profile.lap(BarrierPass::Collab, lap);
 
         // Telemetry budget enforcement is the last barrier step, after
         // every span drain and series sample of the epoch, so the
@@ -553,8 +559,7 @@ fn run_core(
         if let Some(tel) = state.telemetry.as_mut() {
             tel.barrier_flush(state.epoch_index);
         }
-
-        profile.record_barrier(barrier_started.elapsed());
+        profile.lap(BarrierPass::Flush, lap);
         state.epoch_index += 1;
 
         // ---- durability hooks. Snapshot first, crash second: a   ----

@@ -792,6 +792,12 @@ mod tests {
                     std::time::Duration::ZERO,
                 ],
                 barrier: std::time::Duration::from_millis(2),
+                passes: {
+                    let mut passes = [std::time::Duration::ZERO; 6];
+                    passes[vdap_obs::BarrierPass::Serve as usize] =
+                        std::time::Duration::from_millis(2);
+                    passes
+                },
                 epochs: 4,
             },
             snapshots: SnapshotDiagnostics::default(),
@@ -801,6 +807,7 @@ mod tests {
         assert!(d.contains("worker[0]:"));
         assert!(d.contains("barrier_idle_ms="));
         assert!(d.contains("steals="));
+        assert!(d.contains("barrier_passes: record_ms=0.000 serve_ms=2.000"));
         assert!(d.contains("telemetry: spans=0"));
         assert!(
             !d.contains("snapshots:"),

@@ -52,7 +52,7 @@ mod sink;
 mod span;
 
 pub use chrome::{chrome_trace, span_event, spans_jsonl};
-pub use profile::{EngineProfile, WorkerSample};
+pub use profile::{BarrierPass, EngineProfile, WorkerSample};
 pub use registry::{intern_name, MetricsRegistry, SeriesPoint};
 pub use sink::{sample_keeps, JsonlSpillSink, DEFAULT_SEGMENT_BYTES, SPAN_RESIDENT_BYTES};
 pub use span::{RequestSpan, SpanLog, SpanOutcome};

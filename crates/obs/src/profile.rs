@@ -9,7 +9,8 @@
 //! exactly that: per-worker busy time, per-worker barrier-idle time
 //! (`tick-phase wall - busy_w` per epoch), how many batches each worker
 //! stole from a sibling's deque and how long it spent running stolen
-//! work, and the serial barrier time itself.
+//! work, and the serial barrier time itself, split by barrier pass
+//! ([`BarrierPass`]).
 //!
 //! Wall-clock readings are inherently nondeterministic, so this module
 //! is **excluded from the deterministic summary**: the engine reports
@@ -17,7 +18,52 @@
 //! property tests never compare.
 
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The engine's single-threaded barrier passes, in the order every
+/// barrier runs them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BarrierPass {
+    /// Folding the tick's batch outputs and recording vehicle-side
+    /// outcomes.
+    Record,
+    /// XEdge admission and DRR serving, and recording their outcomes.
+    Serve,
+    /// The DDI ingest pass.
+    Ingest,
+    /// The mobility pass: track advance, crossings and re-addressing.
+    Mobility,
+    /// The union of the epoch's collab publications.
+    Collab,
+    /// The telemetry budget flush.
+    Flush,
+}
+
+impl BarrierPass {
+    /// Every pass, in barrier order (the index of
+    /// [`EngineProfile::passes`]).
+    pub const ALL: [BarrierPass; 6] = [
+        BarrierPass::Record,
+        BarrierPass::Serve,
+        BarrierPass::Ingest,
+        BarrierPass::Mobility,
+        BarrierPass::Collab,
+        BarrierPass::Flush,
+    ];
+
+    /// The pass's name in diagnostics.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            BarrierPass::Record => "record",
+            BarrierPass::Serve => "serve",
+            BarrierPass::Ingest => "ingest",
+            BarrierPass::Mobility => "mobility",
+            BarrierPass::Collab => "collab",
+            BarrierPass::Flush => "flush",
+        }
+    }
+}
 
 /// One worker's measurements for a single tick-phase submission: time
 /// spent executing batches, how many of those batches were stolen from
@@ -45,8 +91,11 @@ pub struct EngineProfile {
     pub worker_steals: Vec<u64>,
     /// Time each worker spent executing stolen batches.
     pub worker_stolen: Vec<Duration>,
-    /// Cumulative single-threaded barrier time.
+    /// Cumulative single-threaded barrier time: the sum of `passes`.
     pub barrier: Duration,
+    /// Cumulative barrier time per pass, indexed as
+    /// [`BarrierPass::ALL`].
+    pub passes: [Duration; 6],
     /// Epochs profiled.
     pub epochs: u64,
 }
@@ -61,6 +110,7 @@ impl EngineProfile {
             worker_steals: vec![0; workers],
             worker_stolen: vec![Duration::ZERO; workers],
             barrier: Duration::ZERO,
+            passes: [Duration::ZERO; 6],
             epochs: 0,
         }
     }
@@ -87,9 +137,18 @@ impl EngineProfile {
         self.epochs += 1;
     }
 
-    /// Adds one barrier's single-threaded serial time.
-    pub fn record_barrier(&mut self, elapsed: Duration) {
+    /// Adds `elapsed` to one barrier pass and to the barrier total.
+    pub fn record_pass(&mut self, pass: BarrierPass, elapsed: Duration) {
+        self.passes[pass as usize] += elapsed;
         self.barrier += elapsed;
+    }
+
+    /// Records the time since `started` against `pass` and returns the
+    /// new lap start: one clock read per pass.
+    pub fn lap(&mut self, pass: BarrierPass, started: Instant) -> Instant {
+        let now = Instant::now();
+        self.record_pass(pass, now - started);
+        now
     }
 
     /// Fraction of a worker's fork/join wall-clock spent idle at the
@@ -180,6 +239,16 @@ impl EngineProfile {
             self.mean_idle_fraction(),
             self.mean_steal_fraction()
         );
+        out.push_str("barrier_passes:");
+        for (pass, elapsed) in BarrierPass::ALL.iter().zip(&self.passes) {
+            let _ = write!(
+                out,
+                " {}_ms={:.3}",
+                pass.name(),
+                elapsed.as_secs_f64() * 1e3
+            );
+        }
+        out.push('\n');
         for (w, (busy, idle)) in self.worker_busy.iter().zip(&self.worker_idle).enumerate() {
             let _ = writeln!(
                 out,
@@ -218,7 +287,7 @@ mod tests {
             Duration::from_millis(8),
             &[sample(2, 0, 0), sample(8, 2, 3), sample(8, 0, 0)],
         );
-        profile.record_barrier(Duration::from_millis(3));
+        profile.record_pass(BarrierPass::Serve, Duration::from_millis(3));
         assert_eq!(profile.epochs, 2);
         assert_eq!(profile.worker_busy[0], Duration::from_millis(12));
         // Epoch 1: wall 10 → idle 0/6/3. Epoch 2: wall 8 → 6/0/0.
@@ -256,10 +325,32 @@ mod tests {
         assert!(text.contains("worker[0]:"));
         assert!(text.contains("worker[1]:"));
         // Workers are the only unit of busy time: no other per-unit
-        // lines.
-        assert_eq!(text.lines().count(), 3, "{text}");
+        // lines besides the one barrier-pass line.
+        assert_eq!(text.lines().count(), 4, "{text}");
         assert!(text.contains("barrier_idle_ms="));
         assert!(text.contains("stolen_ms="));
+    }
+
+    #[test]
+    fn barrier_is_the_sum_of_its_passes() {
+        let mut profile = EngineProfile::new(1);
+        profile.record_pass(BarrierPass::Ingest, Duration::from_millis(3));
+        profile.record_pass(BarrierPass::Mobility, Duration::from_millis(5));
+        profile.record_pass(BarrierPass::Ingest, Duration::from_millis(1));
+        let started = Instant::now();
+        let lapped = profile.lap(BarrierPass::Flush, started);
+        assert!(lapped >= started);
+        assert_eq!(
+            profile.passes[BarrierPass::Ingest as usize],
+            Duration::from_millis(4)
+        );
+        assert_eq!(
+            profile.passes[BarrierPass::Mobility as usize],
+            Duration::from_millis(5)
+        );
+        assert_eq!(profile.barrier, profile.passes.iter().sum::<Duration>());
+        let text = profile.render();
+        assert!(text.contains("barrier_passes: record_ms=0.000 serve_ms=0.000 ingest_ms=4.000 mobility_ms=5.000 collab_ms=0.000 flush_ms="), "{text}");
     }
 
     #[test]
@@ -287,7 +378,7 @@ mod tests {
         // a coarse clock) — busy + idle == 0 per worker.
         let mut zero = EngineProfile::new(2);
         zero.record_epoch(Duration::ZERO, &[sample(0, 0, 0), sample(0, 0, 0)]);
-        zero.record_barrier(Duration::ZERO);
+        zero.record_pass(BarrierPass::Serve, Duration::ZERO);
         assert_eq!(zero.epochs, 1);
         for accessor in [
             zero.idle_fraction(0),
@@ -312,7 +403,7 @@ mod tests {
             Duration::from_millis(10),
             &[sample(10, 0, 0), sample(8, 1, 2)],
         );
-        profile.record_barrier(Duration::from_millis(4));
+        profile.record_pass(BarrierPass::Ingest, Duration::from_millis(4));
         assert!((profile.steal_fraction(1) - 0.25).abs() < 1e-9);
         assert_eq!(profile.steal_fraction(0), 0.0);
         assert!((profile.mean_steal_fraction() - 2.0 / 18.0).abs() < 1e-9);

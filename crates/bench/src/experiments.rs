@@ -1162,6 +1162,15 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
     let mob = single.mobility.as_ref().expect("mobility enabled");
     assert!(mob.crossings > 0, "nobody ever crossed a region boundary");
     assert!(mob.migrations > 0, "no crossing changed home-node domain");
+    // Rush hour backs the collectors up (not at every scale): once the
+    // ladder holds batches, crossers' in-flight batches must follow them.
+    let ing = single.ingest.as_ref().expect("ingest enabled");
+    if ing.retries + ing.deferrals > 0 {
+        assert!(
+            mob.readdressed_batches > 0,
+            "no crossing re-addressed an in-flight ingest batch"
+        );
+    }
     assert!(
         mob.partitions(),
         "crossings ({}) != migrations ({}) + same-domain ({})",

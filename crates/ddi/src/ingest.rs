@@ -152,24 +152,6 @@ impl RegionCollector {
     pub fn batches(&self) -> impl Iterator<Item = &UploadBatch> {
         self.queue.iter()
     }
-
-    /// Rebuilds a collector mid-run with its queue contents restored in
-    /// FIFO order (checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity_records` is zero or the restored batches
-    /// exceed it — a snapshot taken from a live collector cannot.
-    #[must_use]
-    pub fn from_batches(region: u32, capacity_records: u64, batches: Vec<UploadBatch>) -> Self {
-        let mut collector = RegionCollector::new(region, capacity_records);
-        for batch in batches {
-            collector
-                .offer(batch)
-                .unwrap_or_else(|_| panic!("restored queue exceeds capacity"));
-        }
-        collector
-    }
 }
 
 /// A saturating write-throughput model for the shared storage tier.

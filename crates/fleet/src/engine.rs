@@ -1121,6 +1121,10 @@ struct MobilityPass {
     handoff_labels: Vec<String>,
     metrics: MobilityMetrics,
     crossings_buf: Vec<Crossing>,
+    /// The region each vehicle that crossed this barrier ended up in,
+    /// indexed by id: the key of the ingest backlog's one-pass
+    /// re-addressing (sized only when ingest runs).
+    dest: Vec<Option<u32>>,
 }
 
 impl MobilityPass {
@@ -1151,6 +1155,7 @@ impl MobilityPass {
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: MobilityMetrics::new(),
             crossings_buf: Vec::new(),
+            dest: Vec::new(),
         }
     }
 
@@ -1213,6 +1218,7 @@ impl MobilityPass {
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: dec_mobility_metrics(get(v, "metrics")?)?,
             crossings_buf: Vec::new(),
+            dest: Vec::new(),
         })
     }
 
@@ -1223,7 +1229,7 @@ impl MobilityPass {
         &mut self,
         vehicles: &mut [VehicleState],
         edge: &mut XEdgeServer,
-        mut ingest: Option<&mut IngestPass>,
+        ingest: Option<&mut IngestPass>,
         injector: Option<&FaultInjector>,
         reliability: &mut ReliabilityStats,
         telemetry: Option<&mut FleetTelemetry>,
@@ -1238,6 +1244,10 @@ impl MobilityPass {
         // marking this barrier's crossers.
         for v in vehicles.iter_mut() {
             v.cache_stale = false;
+        }
+        if ingest.is_some() {
+            self.dest.clear();
+            self.dest.resize(vehicles.len(), None);
         }
 
         // Congestion multipliers from pre-advance occupancy: every
@@ -1312,8 +1322,17 @@ impl MobilityPass {
             v.pending_handoff += handoff;
             v.region = dest;
             v.cache_stale = true;
-            if let Some(ing) = ingest.as_deref_mut() {
-                self.metrics.readdressed_batches += ing.readdress(u64::from(id), dest);
+            if let Some(slot) = self.dest.get_mut(id as usize) {
+                *slot = Some(dest);
+            }
+        }
+
+        // Crossers' in-flight batches follow them: one pass over the
+        // ingest backlog. Each batch belongs to one vehicle, so this
+        // moves what a per-vehicle pass in id order would.
+        if let Some(ing) = ingest {
+            if epoch_crossings > 0 {
+                self.metrics.readdressed_batches += ing.readdress(&self.dest);
             }
         }
 

@@ -29,8 +29,13 @@
 //! consumed in canonical batch order, and every counter below is a
 //! plain integer or a [`StreamingHistogram`], so the pass preserves the
 //! engine's byte-identity across executor width and batch size.
+//!
+//! The canonical order costs no sort of the backlog: it is a merge of
+//! three runs that are each canonical already — the sorted fresh
+//! batches, the sorted woken retries, and the TTL cache, which every
+//! push keeps canonical. The retry list keeps its storage order.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use vdap_ddi::{RegionCollector, StorageTierModel, UploadBatch};
 use vdap_fault::{FaultInjector, RetryPolicy};
@@ -150,6 +155,27 @@ struct Offer {
     batch: UploadBatch,
 }
 
+/// The canonical processing key. The batch identity `(vehicle, seq)` is
+/// unique and `sent_at` is fixed at generation, so this order is
+/// independent of batch layout and of which path re-offered a batch.
+fn canonical_key(b: &UploadBatch) -> (SimTime, u64, u32) {
+    (b.sent_at, b.vehicle, b.seq)
+}
+
+/// Merges two runs that are each in canonical order into one. Keys are
+/// unique, so the result equals sorting the concatenation.
+fn merge_canonical(
+    a: impl Iterator<Item = Offer>,
+    b: impl Iterator<Item = Offer>,
+) -> impl Iterator<Item = Offer> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if canonical_key(&y.batch) < canonical_key(&x.batch) => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
 /// Engine-owned ingestion state, advanced once per barrier.
 #[derive(Debug)]
 pub(crate) struct IngestPass {
@@ -161,12 +187,20 @@ pub(crate) struct IngestPass {
     contention: ContentionModel,
     policy: RetryPolicy,
     rng: RngStream,
+    /// Rung-1 retries in storage order (not canonical; snapshots
+    /// encode this order).
     pending: Vec<Pending>,
-    cached: Vec<Cached>,
-    /// Records occupying each vehicle's mem-tier cache.
-    mem_used: BTreeMap<u64, u64>,
-    /// Records occupying each vehicle's disk-tier cache.
-    disk_used: BTreeMap<u64, u64>,
+    /// Rung-2 deferrals, always in canonical order. A barrier re-offers
+    /// them from the front while the batches it defers join at the
+    /// back, so the cache is never copied into a second list.
+    cached: VecDeque<Cached>,
+    /// Records occupying each vehicle's mem-tier cache, indexed by
+    /// vehicle id: `None` until the ladder first tries the vehicle's
+    /// tier, then `Some` for good (snapshots list every `Some`, zeros
+    /// included).
+    mem_used: Vec<Option<u64>>,
+    /// The same for the disk tier.
+    disk_used: Vec<Option<u64>>,
     pub metrics: IngestMetrics,
 }
 
@@ -193,28 +227,27 @@ impl IngestPass {
             policy,
             rng: seeds.stream("fleet-ingest"),
             pending: Vec::new(),
-            cached: Vec::new(),
-            mem_used: BTreeMap::new(),
-            disk_used: BTreeMap::new(),
+            cached: VecDeque::new(),
+            mem_used: vec![None; cfg.vehicles as usize],
+            disk_used: vec![None; cfg.vehicles as usize],
             metrics: IngestMetrics::new(),
             ing,
         }
     }
 
-    /// Re-addresses a crossing vehicle's in-flight batches — pending
-    /// retries and TTL-cached deferrals — to its new region's
-    /// collector, returning how many batches moved. Called by the
-    /// engine's mobility pass in canonical vehicle order.
-    pub fn readdress(&mut self, vehicle: u64, region: u32) -> u64 {
+    /// Re-addresses the crossing vehicles' in-flight batches — pending
+    /// retries and TTL-cached deferrals — to their new regions'
+    /// collectors in one pass over the backlog, returning how many
+    /// batches moved. `dest[id]` is the region vehicle `id` ended the
+    /// epoch in if it crossed, `None` otherwise. Called once per
+    /// barrier by the engine's mobility pass.
+    pub fn readdress(&mut self, dest: &[Option<u32>]) -> u64 {
+        let pending = self.pending.iter_mut().map(|p| &mut p.batch);
+        let cached = self.cached.iter_mut().map(|c| &mut c.batch);
         let mut moved = 0u64;
-        for p in self.pending.iter_mut() {
-            if p.batch.vehicle == vehicle && p.batch.readdress(region) {
-                moved += 1;
-            }
-        }
-        for c in self.cached.iter_mut() {
-            if c.batch.vehicle == vehicle && c.batch.readdress(region) {
-                moved += 1;
+        for batch in pending.chain(cached) {
+            if let Some(region) = dest[batch.vehicle as usize] {
+                moved += u64::from(batch.readdress(region));
             }
         }
         moved
@@ -232,103 +265,110 @@ impl IngestPass {
         reliability: &mut ReliabilityStats,
         telemetry: Option<&mut FleetTelemetry>,
     ) {
-        fresh.sort_unstable_by_key(|b| (b.sent_at, b.vehicle, b.seq));
+        fresh.sort_unstable_by_key(canonical_key);
         for b in &fresh {
             self.metrics.batches_sent += 1;
             self.metrics.records_sent += u64::from(b.records);
         }
-        // Room for every re-offer too, so the multi-MB list never
-        // doubles (see the engine's barrier buffers).
-        let mut offers: Vec<Offer> =
-            Vec::with_capacity(fresh.len() + self.pending.len() + self.cached.len());
-        offers.extend(fresh.into_iter().map(|batch| Offer {
-            attempts: 0,
-            expires: None,
-            batch,
-        }));
 
-        // Wake rung-1 retries whose backoff has elapsed.
-        let mut still_pending = Vec::new();
-        for p in self.pending.drain(..) {
-            if p.due <= end {
-                offers.push(Offer {
-                    attempts: p.attempts,
-                    expires: p.expires,
-                    batch: p.batch,
-                });
-            } else {
-                still_pending.push(p);
-            }
-        }
-        self.pending = still_pending;
+        // Wake rung-1 retries whose backoff has elapsed; the rest keep
+        // their storage order.
+        let mut due: Vec<Offer> = self
+            .pending
+            .extract_if(.., |p| p.due <= end)
+            .map(|p| Offer {
+                attempts: p.attempts,
+                expires: p.expires,
+                batch: p.batch,
+            })
+            .collect();
+        due.sort_unstable_by_key(|o| canonical_key(&o.batch));
 
         // Vehicle caches: TTL-evict what expired (the records never
         // reach storage — a terminal deadline miss), re-offer the rest.
-        for c in std::mem::take(&mut self.cached) {
+        self.cached.retain(|c| {
             let records = u64::from(c.batch.records);
             let used = if c.disk {
                 &mut self.disk_used
             } else {
                 &mut self.mem_used
             };
-            if let Some(u) = used.get_mut(&c.batch.vehicle) {
+            if let Some(u) = used[c.batch.vehicle as usize].as_mut() {
                 *u = u.saturating_sub(records);
             }
-            if c.expires <= end {
+            let expired = c.expires <= end;
+            if expired {
                 self.metrics.cache_evictions += records;
                 self.metrics.deadline_misses += 1;
                 reliability.record_cache_ttl_evictions(records);
-            } else {
-                offers.push(Offer {
+            }
+            !expired
+        });
+
+        // Canonical processing order: the fresh batches and woken
+        // retries merged with the surviving cache, which is re-offered
+        // from the front of its list.
+        let fresh = fresh.into_iter().map(|batch| Offer {
+            attempts: 0,
+            expires: None,
+            batch,
+        });
+        let mut recent = merge_canonical(fresh, due.into_iter()).peekable();
+        let mut reoffering = self.cached.len();
+        let down: Vec<bool> = self
+            .collector_labels
+            .iter()
+            .map(|label| injector.is_some_and(|inj| inj.is_down(label, end)))
+            .collect();
+        let mut offered_per_region = vec![0u32; self.collectors.len()];
+        let mut last = None;
+        loop {
+            let from_cache = reoffering > 0
+                && recent
+                    .peek()
+                    .is_none_or(|o| canonical_key(&self.cached[0].batch) < canonical_key(&o.batch));
+            let offer = if from_cache {
+                reoffering -= 1;
+                let c = self.cached.pop_front().expect("a re-offer is queued");
+                Offer {
                     attempts: c.attempts,
                     expires: Some(c.expires),
                     batch: c.batch,
-                });
-            }
-        }
-
-        // Canonical processing order: the batch identity (vehicle, seq)
-        // is unique and sent_at is fixed at generation, so this order is
-        // independent of batch layout and of which path re-offered a
-        // batch.
-        offers.sort_unstable_by_key(|o| (o.batch.sent_at, o.batch.vehicle, o.batch.seq));
-
-        // Contention-priced uplink per region: every batch a region
-        // offered this epoch shares its cellular uplink.
-        let mut offered_per_region = vec![0u32; self.collectors.len()];
-        for o in &offers {
-            offered_per_region[o.batch.region as usize] += 1;
-        }
-        let uplink_ms: Vec<f64> = offered_per_region
-            .iter()
-            .map(|&n| {
-                let transfer = self
-                    .lte
-                    .transfer_time(Direction::Uplink, self.ing.batch_bytes());
-                let priced = transfer.mul_f64(self.contention.service_multiplier(n));
-                (self.lte.latency() + priced).as_millis_f64()
-            })
-            .collect();
-
-        for offer in offers {
+                }
+            } else if let Some(offer) = recent.next() {
+                offer
+            } else {
+                break;
+            };
+            let key = canonical_key(&offer.batch);
+            debug_assert!(last <= Some(key), "offers out of canonical order");
+            last = Some(key);
             let region = offer.batch.region as usize;
-            self.metrics.uplink_ms.record(uplink_ms[region]);
-            let down = injector.is_some_and(|inj| inj.is_down(&self.collector_labels[region], end));
-            if down {
+            offered_per_region[region] += 1;
+            if down[region] {
                 self.metrics.outage_bounces += 1;
-                self.ladder(offer, end, reliability);
+                self.ladder(offer, end, reliability, reoffering);
             } else if let Err(batch) = self.collectors[region].offer(offer.batch) {
                 self.metrics.queue_bounces += 1;
-                self.ladder(
-                    Offer {
-                        attempts: offer.attempts,
-                        expires: offer.expires,
-                        batch,
-                    },
-                    end,
-                    reliability,
-                );
+                let offer = Offer {
+                    attempts: offer.attempts,
+                    expires: offer.expires,
+                    batch,
+                };
+                self.ladder(offer, end, reliability, reoffering);
             }
+        }
+
+        // Contention-priced uplink per region: every batch a region
+        // offered this epoch shares its cellular uplink, so each pays
+        // the region's price.
+        let transfer = self
+            .lte
+            .transfer_time(Direction::Uplink, self.ing.batch_bytes());
+        for &n in &offered_per_region {
+            let priced = transfer.mul_f64(self.contention.service_multiplier(n));
+            let uplink_ms = (self.lte.latency() + priced).as_millis_f64();
+            self.metrics.uplink_ms.record_n(uplink_ms, u64::from(n));
         }
 
         // Storage drain: finite write throughput, browned out or hard-
@@ -393,8 +433,15 @@ impl IngestPass {
 
     /// The ingestion degradation ladder, applied to one bounced offer:
     /// seeded-backoff retry → defer-to-cache (mem, then disk spill) →
-    /// shed lowest-priority.
-    fn ladder(&mut self, offer: Offer, end: SimTime, reliability: &mut ReliabilityStats) {
+    /// shed lowest-priority. The first `reoffering` cached batches are
+    /// last barrier's, still waiting for their re-offer.
+    fn ladder(
+        &mut self,
+        offer: Offer,
+        end: SimTime,
+        reliability: &mut ReliabilityStats,
+        reoffering: usize,
+    ) {
         let attempts = offer.attempts + 1;
         // Rung 1: retry while the attempt budget and the deadline allow.
         if attempts < self.ing.max_upload_attempts {
@@ -416,11 +463,11 @@ impl IngestPass {
         let vehicle = offer.batch.vehicle;
         let records = u64::from(offer.batch.records);
         let expires = offer.expires.unwrap_or(end + self.ing.cache_ttl);
-        let mem = self.mem_used.entry(vehicle).or_insert(0);
+        let mem = self.mem_used[vehicle as usize].get_or_insert(0);
         if *mem + records <= self.ing.cache_mem_records {
             *mem += records;
             self.metrics.deferrals += 1;
-            self.cached.push(Cached {
+            self.cached.push_back(Cached {
                 expires,
                 attempts,
                 disk: false,
@@ -428,13 +475,13 @@ impl IngestPass {
             });
             return;
         }
-        let disk = self.disk_used.entry(vehicle).or_insert(0);
+        let disk = self.disk_used[vehicle as usize].get_or_insert(0);
         if *disk + records <= self.ing.cache_disk_records {
             *disk += records;
             self.metrics.deferrals += 1;
             self.metrics.disk_spills += 1;
             reliability.record_disk_spills(records);
-            self.cached.push(Cached {
+            self.cached.push_back(Cached {
                 expires,
                 attempts,
                 disk: true,
@@ -443,28 +490,30 @@ impl IngestPass {
             return;
         }
         // Rung 3: shed lowest-priority first. If this vehicle holds a
-        // strictly lower-priority cached batch, sacrifice that one and
-        // cache the newcomer in its tier; otherwise drop the newcomer.
+        // strictly lower-priority batch cached at this barrier, sacrifice
+        // that one and cache the newcomer in its tier; otherwise drop
+        // the newcomer.
         let victim = self
             .cached
             .iter()
             .enumerate()
+            .skip(reoffering)
             .filter(|(_, c)| c.batch.vehicle == vehicle && c.batch.priority < offer.batch.priority)
             .min_by_key(|(_, c)| (c.batch.priority, c.batch.sent_at, c.batch.seq))
             .map(|(i, _)| i);
         if let Some(i) = victim {
-            let shed = self.cached.remove(i);
+            let shed = self.cached.remove(i).expect("victim index in range");
             // The victim's cache slot transfers to the newcomer.
             let tier = if shed.disk {
                 &mut self.disk_used
             } else {
                 &mut self.mem_used
             };
-            if let Some(u) = tier.get_mut(&vehicle) {
+            if let Some(u) = tier[vehicle as usize].as_mut() {
                 *u = u.saturating_sub(u64::from(shed.batch.records)) + records;
             }
             self.shed(&shed.batch);
-            self.cached.push(Cached {
+            self.cached.push_back(Cached {
                 expires,
                 attempts,
                 disk: shed.disk,
@@ -562,21 +611,47 @@ fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
     })
 }
 
-fn enc_used(w: &mut JsonWriter, map: &BTreeMap<u64, u64>) {
+/// Encodes a tier's occupancy as `[vehicle, records]` pairs in id
+/// order, one per vehicle that ever deferred into the tier.
+fn enc_used(w: &mut JsonWriter, used: &[Option<u64>]) {
     w.begin_array();
-    for (&vehicle, &records) in map {
-        w.begin_array().hex(vehicle).hex(records).end_array();
+    for (vehicle, records) in (0u64..).zip(used) {
+        if let Some(records) = records {
+            w.begin_array().hex(vehicle).hex(*records).end_array();
+        }
     }
     w.end_array();
 }
 
-fn dec_used(v: &Value, key: &str) -> Result<BTreeMap<u64, u64>, CkptError> {
-    let mut map = BTreeMap::new();
+fn dec_used(v: &Value, key: &str, vehicles: u32) -> Result<Vec<Option<u64>>, CkptError> {
+    let mut used = vec![None; vehicles as usize];
     for pair in get_array(v, key)? {
         let (vehicle, records) = val_pair(pair)?;
-        map.insert(val_u64_hex(vehicle)?, val_u64_hex(records)?);
+        let vehicle = val_u64_hex(vehicle)?;
+        let slot = usize::try_from(vehicle)
+            .ok()
+            .and_then(|id| used.get_mut(id))
+            .ok_or_else(|| {
+                CkptError::new(format!(
+                    "{key} names vehicle {vehicle} in a fleet of {vehicles}"
+                ))
+            })?;
+        *slot = Some(val_u64_hex(records)?);
     }
-    Ok(map)
+    Ok(used)
+}
+
+/// Decodes a backlog batch, refusing a vehicle or region the config
+/// does not have.
+fn dec_backlog_batch(cfg: &FleetConfig, v: &Value, what: &str) -> Result<UploadBatch, CkptError> {
+    let batch = crate::ckpt::dec_batch(v)?;
+    if batch.vehicle >= u64::from(cfg.vehicles) || batch.region >= cfg.regions {
+        return Err(CkptError::new(format!(
+            "{what} batch names vehicle {} in region {} ({} vehicles, {} regions)",
+            batch.vehicle, batch.region, cfg.vehicles, cfg.regions
+        )));
+    }
+    Ok(batch)
 }
 
 impl IngestPass {
@@ -634,7 +709,11 @@ impl IngestPass {
         w.end_object();
     }
 
-    /// Rebuilds the pass from config plus the serialized barrier state.
+    /// Rebuilds the pass from config plus the serialized barrier state,
+    /// refusing a backlog no run could leave behind: a batch naming a
+    /// vehicle or region the config lacks, a queued batch in another
+    /// region's collector, a queue over its record bound, or a cache
+    /// out of canonical order.
     pub(crate) fn restore_ckpt(
         cfg: &FleetConfig,
         seeds: &SeedFactory,
@@ -649,7 +728,7 @@ impl IngestPass {
                     due: time_field(p, "due")?,
                     attempts: get_u32(p, "attempts")?,
                     expires: opt_time_field(p, "expires")?,
-                    batch: crate::ckpt::dec_batch(get(p, "batch")?)?,
+                    batch: dec_backlog_batch(cfg, get(p, "batch")?, "pending")?,
                 })
             })
             .collect::<Result<Vec<_>, CkptError>>()?;
@@ -660,12 +739,19 @@ impl IngestPass {
                     expires: time_field(c, "expires")?,
                     attempts: get_u32(c, "attempts")?,
                     disk: get_bool(c, "disk")?,
-                    batch: crate::ckpt::dec_batch(get(c, "batch")?)?,
+                    batch: dec_backlog_batch(cfg, get(c, "batch")?, "cached")?,
                 })
             })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        pass.mem_used = dec_used(v, "mem_used")?;
-        pass.disk_used = dec_used(v, "disk_used")?;
+            .collect::<Result<VecDeque<_>, CkptError>>()?;
+        if !pass
+            .cached
+            .make_contiguous()
+            .is_sorted_by(|a, b| canonical_key(&a.batch) < canonical_key(&b.batch))
+        {
+            return Err(CkptError::new("cached batches out of canonical order"));
+        }
+        pass.mem_used = dec_used(v, "mem_used", cfg.vehicles)?;
+        pass.disk_used = dec_used(v, "disk_used", cfg.vehicles)?;
         pass.metrics = dec_ingest_metrics(get(v, "metrics")?)?;
         let queues = get_array(v, "collectors")?;
         if queues.len() != pass.collectors.len() {
@@ -675,16 +761,22 @@ impl IngestPass {
                 pass.collectors.len()
             )));
         }
-        for (region, queue) in queues.iter().enumerate() {
-            let batches = val_array(queue)?
-                .iter()
-                .map(crate::ckpt::dec_batch)
-                .collect::<Result<Vec<_>, _>>()?;
-            pass.collectors[region] = RegionCollector::from_batches(
-                region as u32,
-                pass.ing.collector_queue_records,
-                batches,
-            );
+        for ((region, queue), collector) in (0u32..).zip(queues).zip(&mut pass.collectors) {
+            for enc in val_array(queue)? {
+                let batch = dec_backlog_batch(cfg, enc, "queued")?;
+                if batch.region != region {
+                    return Err(CkptError::new(format!(
+                        "collector {region} queues a batch for region {}",
+                        batch.region
+                    )));
+                }
+                collector.offer(batch).map_err(|_| {
+                    CkptError::new(format!(
+                        "collector {region} queue exceeds its {} record bound",
+                        collector.capacity_records()
+                    ))
+                })?;
+            }
         }
         Ok(pass)
     }
@@ -693,6 +785,7 @@ impl IngestPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ingest_cfg() -> FleetConfig {
         let mut cfg = FleetConfig::sized(64).with_ingest();
@@ -818,6 +911,77 @@ mod tests {
         assert_eq!(pass.cached.len(), 1);
         assert_eq!(pass.cached[0].batch.priority, 3);
         assert_eq!(pass.cached[0].batch.seq, 2);
+    }
+
+    /// The re-addressing the one-pass version replaced: a scan of the
+    /// whole backlog per crossing vehicle, in id order.
+    fn readdress_per_vehicle(pass: &mut IngestPass, dest: &[Option<u32>]) -> u64 {
+        let mut moved = 0u64;
+        for (vehicle, region) in (0u64..).zip(dest) {
+            let Some(region) = *region else { continue };
+            let pending = pass.pending.iter_mut().map(|p| &mut p.batch);
+            let cached = pass.cached.iter_mut().map(|c| &mut c.batch);
+            for batch in pending.chain(cached) {
+                if batch.vehicle == vehicle && batch.readdress(region) {
+                    moved += 1;
+                }
+            }
+        }
+        moved
+    }
+
+    /// Every backlog batch's `(vehicle, seq, region)`, pending first.
+    fn backlog_regions(pass: &IngestPass) -> Vec<(u64, u32, u32)> {
+        let pending = pass.pending.iter().map(|p| &p.batch);
+        let cached = pass.cached.iter().map(|c| &c.batch);
+        pending
+            .chain(cached)
+            .map(|b| (b.vehicle, b.seq, b.region))
+            .collect()
+    }
+
+    /// A pass whose backlog holds `(vehicle, region, pending?)` batches,
+    /// one per entry, with distinct seqs.
+    fn with_backlog(backlog: &[(u64, u32, bool)]) -> IngestPass {
+        let mut pass = IngestPass::new(&ingest_cfg(), &SeedFactory::new(7));
+        for (seq, &(vehicle, region, pending)) in (0u32..).zip(backlog) {
+            let mut batch = batch(vehicle, seq, SimTime::from_secs(1), 2);
+            batch.region = region;
+            if pending {
+                pass.pending.push(Pending {
+                    due: SimTime::from_secs(2),
+                    attempts: 1,
+                    expires: None,
+                    batch,
+                });
+            } else {
+                pass.cached.push_back(Cached {
+                    expires: SimTime::from_secs(20),
+                    attempts: 1,
+                    disk: false,
+                    batch,
+                });
+            }
+        }
+        pass
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_readdress_matches_the_per_vehicle_loop(
+            backlog in prop::collection::vec((0u64..64, 0u32..8, any::<bool>()), 0..160),
+            crossings in prop::collection::vec((any::<bool>(), 0u32..8), 64),
+        ) {
+            let dest: Vec<Option<u32>> = crossings
+                .iter()
+                .map(|&(crossed, region)| crossed.then_some(region))
+                .collect();
+            let mut pass = with_backlog(&backlog);
+            let mut reference = with_backlog(&backlog);
+            let moved = pass.readdress(&dest);
+            prop_assert_eq!(moved, readdress_per_vehicle(&mut reference, &dest));
+            prop_assert_eq!(backlog_regions(&pass), backlog_regions(&reference));
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! straight run's report byte-for-byte — through snapshot-store chaos
 //! (torn writes, bit rot) and even when the restoring engine uses a
 //! different executor width and batch size than the writer. A snapshot
-//! whose checksum matches but whose vehicles or histograms are
-//! impossible is refused.
+//! whose checksum matches but whose vehicles, histograms or ingest
+//! backlog are impossible is refused.
 
 use std::sync::OnceLock;
 
@@ -405,6 +405,109 @@ fn restore_rejects_impossible_vehicles_with_a_valid_checksum() {
                 "{key} = {value}: {err}"
             );
         }
+    }
+}
+
+/// The backlogged run of `byte_identity.rs`: a slow storage tier and
+/// short collector queues leave pending, cached and queued batches in
+/// every snapshot.
+fn backlog_config() -> FleetConfig {
+    let mut cfg = FleetConfig::sized(256).with_ingest().with_mobility();
+    {
+        let ing = cfg.ingest.as_mut().expect("ingest on");
+        ing.storage_records_per_sec = 200.0;
+        ing.collector_queue_records = 480;
+    }
+    cfg.seed = 41;
+    cfg.duration = SimDuration::from_secs(8);
+    cfg.with_checkpoint(4, 16)
+}
+
+#[test]
+fn restore_rejects_an_impossible_ingest_backlog_with_a_valid_checksum() {
+    let cfg = backlog_config();
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let snap = store.newest_valid().0.expect("valid snapshot");
+    assert_eq!(snap.generation, 12);
+    let engine = FleetEngine::new(cfg);
+    let ingest = value_at(&snap.payload, &["ingest"]);
+    let len = |key: &str| {
+        ingest
+            .get(key)
+            .and_then(Value::as_array)
+            .map_or(0, Vec::len)
+    };
+    assert!(len("pending") > 0 && len("cached") > 1 && len("mem_used") > 0);
+    let hex = |x: u64| Value::from(format!("{x:x}"));
+
+    // Rewriting the backlog with itself keeps the snapshot valid.
+    assert!(engine
+        .restore(&with_value_at(&snap, &["ingest"], ingest.clone()))
+        .is_ok());
+
+    let mut cases: Vec<(String, Snapshot, String)> = Vec::new();
+    for (list, batch) in [
+        ("pending", vec!["ingest", "pending", "0", "batch"]),
+        ("cached", vec!["ingest", "cached", "0", "batch"]),
+        ("queued", vec!["ingest", "collectors", "0", "0"]),
+    ] {
+        for (key, value) in [("region", Value::from(999u32)), ("vehicle", hex(99_999))] {
+            let path: Vec<&str> = batch.iter().copied().chain([key]).collect();
+            cases.push((
+                format!("{list} batch {key}"),
+                with_value_at(&snap, &path, value),
+                format!("{list} batch names vehicle"),
+            ));
+        }
+    }
+    cases.push((
+        "queued batch from another region".into(),
+        with_value_at(
+            &snap,
+            &["ingest", "collectors", "0", "0", "region"],
+            Value::from(1u32),
+        ),
+        "queues a batch for region 1".into(),
+    ));
+    let pair = Value::Array(vec![hex(99_999), hex(24)]);
+    for key in ["mem_used", "disk_used"] {
+        cases.push((
+            format!("{key} vehicle"),
+            with_value_at(&snap, &["ingest", key], Value::Array(vec![pair.clone()])),
+            format!("{key} names vehicle 99999"),
+        ));
+    }
+    // One batch more than the bound of a queue already holding batches.
+    let queue = value_at(ingest, &["collectors", "0"])
+        .as_array()
+        .expect("collector queue");
+    let overfull: Vec<Value> = queue.iter().chain(queue).cloned().collect();
+    cases.push((
+        "overfull queue".into(),
+        with_value_at(
+            &snap,
+            &["ingest", "collectors", "0"],
+            Value::Array(overfull),
+        ),
+        "record bound".into(),
+    ));
+    let mut cached = value_at(ingest, &["cached"])
+        .as_array()
+        .expect("cached")
+        .clone();
+    cached.swap(0, 1);
+    cases.push((
+        "cache out of canonical order".into(),
+        with_value_at(&snap, &["ingest", "cached"], Value::Array(cached)),
+        "canonical order".into(),
+    ));
+
+    for (what, tampered, expect) in cases {
+        let err = engine
+            .restore(&tampered)
+            .expect_err("an impossible backlog must be refused");
+        assert!(err.to_string().contains(&expect), "{what}: {err}");
     }
 }
 

@@ -167,6 +167,15 @@ impl StreamingHistogram {
         }
     }
 
+    /// Records `n` copies of one sample in one step, leaving the same
+    /// state as `n` calls of [`StreamingHistogram::record`]; non-finite
+    /// samples and `n = 0` are ignored.
+    pub fn record_n(&mut self, value: f64, n: u64) {
+        if value.is_finite() && n > 0 {
+            self.record_ticks_n(to_ticks(value), n);
+        }
+    }
+
     /// Records a duration in milliseconds, exactly: one tick per
     /// nanosecond.
     pub fn record_duration(&mut self, d: SimDuration) {
@@ -174,9 +183,13 @@ impl StreamingHistogram {
     }
 
     fn record_ticks(&mut self, ticks: u64) {
-        *self.buckets.entry(bucket_index(ticks)).or_insert(0) += 1;
-        self.count += 1;
-        self.sum_ticks += u128::from(ticks);
+        self.record_ticks_n(ticks, 1);
+    }
+
+    fn record_ticks_n(&mut self, ticks: u64, n: u64) {
+        *self.buckets.entry(bucket_index(ticks)).or_insert(0) += n;
+        self.count += n;
+        self.sum_ticks += u128::from(ticks) * u128::from(n);
         self.min_ticks = self.min_ticks.min(ticks);
         self.max_ticks = self.max_ticks.max(ticks);
     }

@@ -38,6 +38,38 @@ proptest! {
     }
 
     #[test]
+    fn histogram_record_n_equals_n_records(
+        prefix in prop::collection::vec(0.0f64..1e6, 0..8),
+        pick in 0usize..8,
+        finite in -1e3f64..1e9,
+        n in 0u64..40,
+    ) {
+        // Ordinary values plus the edges: non-finite samples (ignored),
+        // a negative (clamps to 0 ticks) and values at or past
+        // `u64::MAX` ticks (saturate).
+        let value = [
+            finite,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -5.0,
+            1e300,
+            u64::MAX as f64 / 1e6,
+            finite,
+        ][pick];
+        let mut one_by_one = StreamingHistogram::new("n");
+        for &s in &prefix {
+            one_by_one.record(s);
+        }
+        let mut at_once = one_by_one.clone();
+        for _ in 0..n {
+            one_by_one.record(value);
+        }
+        at_once.record_n(value, n);
+        prop_assert_eq!(at_once.state(), one_by_one.state());
+    }
+
+    #[test]
     fn histogram_quantiles_bounded_and_monotone(
         samples in prop::collection::vec(0.0f64..1e6, 1..200),
         q1 in 0.0f64..1.0,

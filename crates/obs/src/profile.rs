@@ -95,7 +95,7 @@ pub struct EngineProfile {
     pub barrier: Duration,
     /// Cumulative barrier time per pass, indexed as
     /// [`BarrierPass::ALL`].
-    pub passes: [Duration; 6],
+    pub passes: [Duration; BarrierPass::ALL.len()],
     /// Epochs profiled.
     pub epochs: u64,
 }
@@ -110,7 +110,7 @@ impl EngineProfile {
             worker_steals: vec![0; workers],
             worker_stolen: vec![Duration::ZERO; workers],
             barrier: Duration::ZERO,
-            passes: [Duration::ZERO; 6],
+            passes: [Duration::ZERO; BarrierPass::ALL.len()],
             epochs: 0,
         }
     }

@@ -1,6 +1,7 @@
 //! Byte-identity pins for every serialized artifact: snapshot texts,
 //! JSONL spill segments, `spans.jsonl` and the Chrome trace, plus the
-//! summary of a run whose ingest backlog is never empty.
+//! summaries of a run whose ingest backlog is never empty and of three
+//! runs whose reliability ledger records repairs and failovers.
 //!
 //! Any change to a key order, a number format or the envelope layout
 //! moves one of the FNV-1a 64 values below, so an encoder rewrite that
@@ -50,6 +51,13 @@ fn supervised_config() -> FleetConfig {
         .with_engine_crash(10, SimDuration::from_secs(1))
 }
 
+/// FNV-1a of `summary()` for the supervised run, the budgeted run and
+/// the chaos run: the only pins on the ledger's printed MTTR and
+/// failover means.
+const SUPERVISED_SUMMARY_PIN: u64 = 0x227e_057b_acb8_ad06;
+const BUDGET_SUMMARY_PIN: u64 = 0x6d31_d708_7eca_6f1e;
+const CHAOS_SUMMARY_PIN: u64 = 0x6b03_3147_475d_414b;
+
 #[test]
 fn snapshot_texts_and_span_exports_are_byte_identical() {
     let mut store = SnapshotStore::in_memory();
@@ -71,6 +79,8 @@ fn snapshot_texts_and_span_exports_are_byte_identical() {
     assert_eq!(got, SNAPSHOT_PINS);
     assert_eq!(jsonl, SPANS_JSONL_PIN);
     assert_eq!(trace, CHROME_TRACE_PIN);
+    assert!(report.summary().contains("mttr_ms_mean=550.000"));
+    assert_eq!(fnv1a64(report.summary().as_bytes()), SUPERVISED_SUMMARY_PIN);
 }
 
 /// 100 ms epochs over 8 s cross the 64-point series retention, so the
@@ -104,6 +114,9 @@ fn budgeted_snapshot_texts_are_byte_identical() {
         .map(|g| (g, fnv1a64(store.get(g).expect("stored").as_bytes())))
         .collect();
     assert_eq!(got, BUDGET_SNAPSHOT_PINS);
+    assert!(report.reliability.failover_latency().count() > 0);
+    assert!(report.reliability.mttr().count() > 0);
+    assert_eq!(fnv1a64(report.summary().as_bytes()), BUDGET_SUMMARY_PIN);
 }
 
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
@@ -169,4 +182,29 @@ fn spill_segments_are_byte_identical() {
         .collect();
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(got, SPILL_PINS);
+}
+
+/// E15's fault mix on a mobile fleet: a node crash, a tenant quota
+/// flap, a handoff storm and a regional outage, so the summary prints
+/// non-zero fault, failover and MTTR figures.
+fn chaos_config() -> FleetConfig {
+    let mut cfg = FleetConfig::sized(256)
+        .with_mobility()
+        .with_edge_node_crash(0, SimTime::from_secs(3), SimDuration::from_secs(4))
+        .with_tenant_quota_flap(1, 0.25, SimTime::from_secs(2), SimDuration::from_secs(3))
+        .with_handoff_storm(1, SimTime::from_secs(1), SimDuration::from_secs(2))
+        .with_regional_outage(2, SimTime::from_secs(5), SimDuration::from_secs(2));
+    cfg.seed = 5;
+    cfg.duration = SimDuration::from_secs(10);
+    cfg
+}
+
+#[test]
+fn chaos_summary_is_byte_identical() {
+    let summary = FleetEngine::new(chaos_config()).run().summary();
+    assert!(
+        summary.contains("faults=7 failovers=83 failover_ms_mean=10.869 mttr_ms_mean=3571.429"),
+        "{summary}"
+    );
+    assert_eq!(fnv1a64(summary.as_bytes()), CHAOS_SUMMARY_PIN);
 }

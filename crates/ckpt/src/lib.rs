@@ -50,8 +50,10 @@ use vdap_sim::fnv1a64_extend;
 /// Version tag written into every snapshot envelope. Version 2 dropped
 /// the fleet's per-vehicle migration generation and physical-migration
 /// counter from the payload; version 3 writes every histogram as
-/// integer ticks (`buckets`, `count`, `max`, `min`, `sum`).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// integer ticks (`buckets`, `count`, `max`, `min`, `sum`); version 4
+/// keeps only the reliability ledger's run-time half, with failover
+/// latencies as one such histogram.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";

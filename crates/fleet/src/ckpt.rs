@@ -23,8 +23,8 @@
 //!   top-level config fingerprint that guards restore.
 //! * **Rebuild what is pure.** Anything derivable from `FleetConfig`
 //!   plus the master seed (route graphs, contention models, retry
-//!   policies, label tables) is *not* serialized — restore rebuilds
-//!   it.
+//!   policies, label tables, the reliability ledger's fault timeline)
+//!   is *not* serialized — restore rebuilds it.
 
 use std::fmt;
 
@@ -32,8 +32,7 @@ use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{get, CkptError};
 use vdap_ddi::UploadBatch;
 use vdap_sim::{
-    HistogramState, ReliabilityState, ReliabilityStats, RngStream, SimDuration, SimTime,
-    StreamingHistogram,
+    HistogramState, ReliabilityStats, RngStream, SimDuration, SimTime, StreamingHistogram,
 };
 
 use crate::config::FleetConfig;
@@ -196,22 +195,26 @@ pub(crate) fn enc_hist(w: &mut JsonWriter, h: &StreamingHistogram) {
     w.end_object();
 }
 
-/// Reads a histogram written by [`enc_hist`] back under `name`,
-/// refusing any state no sequence of samples could produce.
-pub(crate) fn dec_hist(v: &Value, name: &'static str) -> Result<StreamingHistogram, CkptError> {
+/// Reads the state [`enc_hist`] wrote, unchecked.
+fn dec_hist_state(v: &Value) -> Result<HistogramState, CkptError> {
     let mut buckets = Vec::new();
     for pair in vdap_ckpt::get_array(v, "buckets")? {
         let (i, c) = val_pair(pair)?;
         buckets.push((val_u32(i)?, val_u64_hex(c)?));
     }
-    let state = HistogramState {
+    Ok(HistogramState {
         buckets,
         count: vdap_ckpt::get_u64_hex(v, "count")?,
         sum_ticks: vdap_ckpt::get_u128_hex(v, "sum")?,
         min_ticks: vdap_ckpt::get_u64_hex(v, "min")?,
         max_ticks: vdap_ckpt::get_u64_hex(v, "max")?,
-    };
-    StreamingHistogram::from_state(name, state)
+    })
+}
+
+/// Reads a histogram written by [`enc_hist`] back under `name`,
+/// refusing any state no sequence of samples could produce.
+pub(crate) fn dec_hist(v: &Value, name: &'static str) -> Result<StreamingHistogram, CkptError> {
+    StreamingHistogram::from_state(name, dec_hist_state(v)?)
         .map_err(|e| CkptError::new(format!("histogram '{name}': {e}")))
 }
 
@@ -226,87 +229,49 @@ pub(crate) fn hist_field(
 
 // --- reliability ledger ----------------------------------------------
 
-fn enc_labeled_nanos<'a>(w: &mut JsonWriter, entries: impl Iterator<Item = (&'a String, u64)>) {
-    w.begin_array();
-    for (label, nanos) in entries {
-        w.begin_array().str(label).hex(nanos).end_array();
-    }
-    w.end_array();
-}
-
-fn dec_labeled_nanos(v: &Value, key: &str) -> Result<Vec<(String, u64)>, CkptError> {
-    let mut out = Vec::new();
-    for pair in vdap_ckpt::get_array(v, key)? {
-        let (label, nanos) = val_pair(pair)?;
-        out.push((val_str(label)?.to_string(), val_u64_hex(nanos)?));
-    }
-    Ok(out)
-}
-
-fn enc_samples(w: &mut JsonWriter, samples: &[f64]) {
-    w.begin_array();
-    for &x in samples {
-        w.hex(x.to_bits());
-    }
-    w.end_array();
-}
-
-fn dec_samples(v: &Value, key: &str) -> Result<Vec<f64>, CkptError> {
-    vdap_ckpt::get_array(v, key)?
-        .iter()
-        .map(val_f64_bits)
-        .collect()
-}
-
-/// Writes the full reliability ledger (MTTR samples, open outages,
-/// per-component downtime/degraded time, retry counters).
+/// Writes the ledger's run-time half: degraded time per component, the
+/// failover latencies and the retry counters. The fault timeline (open
+/// outages, downtime, repair intervals, fault count) is a pure function
+/// of the fault plan, so restore rebuilds it instead.
 pub(crate) fn enc_reliability(w: &mut JsonWriter, r: &ReliabilityStats) {
     let s = r.state();
     w.begin_object();
-    w.key("cache_ttl_evictions").hex(s.cache_ttl_evictions);
-    w.key("degraded");
-    enc_labeled_nanos(w, s.degraded.iter().map(|(c, d)| (c, d.as_nanos())));
-    w.key("disk_spills").hex(s.disk_spills);
-    w.key("down_since");
-    enc_labeled_nanos(w, s.down_since.iter().map(|(c, t)| (c, t.as_nanos())));
-    w.key("downtime");
-    enc_labeled_nanos(w, s.downtime.iter().map(|(c, d)| (c, d.as_nanos())));
-    w.key("failover_samples");
-    enc_samples(w, &s.failover_samples);
-    w.key("faults_injected").hex(s.faults_injected);
-    w.key("mttr_samples");
-    enc_samples(w, &s.mttr_samples);
+    w.key("degraded").begin_array();
+    for (label, d) in &s.degraded {
+        w.begin_array().str(label).hex(d.as_nanos()).end_array();
+    }
+    w.end_array();
+    w.key("failover");
+    enc_hist(w, r.failover_latency());
     w.key("retries").hex(s.retries);
     w.key("retry_exhausted").hex(s.retry_exhausted);
     w.key("retry_successes").hex(s.retry_successes);
     w.end_object();
 }
 
-/// Reads a reliability-ledger field.
-pub(crate) fn reliability_field(v: &Value, key: &str) -> Result<ReliabilityStats, CkptError> {
+/// Reads the run-time half written by [`enc_reliability`] onto
+/// `timeline`, the fault timeline rebuilt from the plan.
+pub(crate) fn reliability_field(
+    v: &Value,
+    key: &str,
+    timeline: &ReliabilityStats,
+) -> Result<ReliabilityStats, CkptError> {
     let r = get(v, key)?;
-    Ok(ReliabilityStats::from_state(ReliabilityState {
-        mttr_samples: dec_samples(r, "mttr_samples")?,
-        failover_samples: dec_samples(r, "failover_samples")?,
-        retries: vdap_ckpt::get_u64_hex(r, "retries")?,
-        retry_successes: vdap_ckpt::get_u64_hex(r, "retry_successes")?,
-        retry_exhausted: vdap_ckpt::get_u64_hex(r, "retry_exhausted")?,
-        faults_injected: vdap_ckpt::get_u64_hex(r, "faults_injected")?,
-        down_since: dec_labeled_nanos(r, "down_since")?
-            .into_iter()
-            .map(|(c, n)| (c, SimTime::from_nanos(n)))
-            .collect(),
-        downtime: dec_labeled_nanos(r, "downtime")?
-            .into_iter()
-            .map(|(c, n)| (c, SimDuration::from_nanos(n)))
-            .collect(),
-        degraded: dec_labeled_nanos(r, "degraded")?
-            .into_iter()
-            .map(|(c, n)| (c, SimDuration::from_nanos(n)))
-            .collect(),
-        cache_ttl_evictions: vdap_ckpt::get_u64_hex(r, "cache_ttl_evictions")?,
-        disk_spills: vdap_ckpt::get_u64_hex(r, "disk_spills")?,
-    }))
+    let mut state = timeline.state();
+    state.degraded.clear();
+    for pair in vdap_ckpt::get_array(r, "degraded")? {
+        let (label, nanos) = val_pair(pair)?;
+        let label = val_str(label)?.to_string();
+        state
+            .degraded
+            .push((label, SimDuration::from_nanos(val_u64_hex(nanos)?)));
+    }
+    state.failover = dec_hist_state(get(r, "failover")?)?;
+    state.retries = vdap_ckpt::get_u64_hex(r, "retries")?;
+    state.retry_exhausted = vdap_ckpt::get_u64_hex(r, "retry_exhausted")?;
+    state.retry_successes = vdap_ckpt::get_u64_hex(r, "retry_successes")?;
+    ReliabilityStats::from_state(state)
+        .map_err(|e| CkptError::new(format!("failover histogram: {e}")))
 }
 
 // --- fleet metrics ---------------------------------------------------
@@ -655,18 +620,21 @@ mod tests {
 
     #[test]
     fn reliability_round_trip_keeps_open_outages() {
-        let mut r = ReliabilityStats::new();
-        r.record_fault("lte/region0", SimTime::from_secs(3));
-        r.record_recovery("lte/region0", SimTime::from_secs(9));
-        r.record_fault("engine", SimTime::from_secs(20));
+        let mut timeline = ReliabilityStats::new();
+        timeline.record_fault("lte/region0", SimTime::from_secs(3));
+        timeline.record_recovery("lte/region0", SimTime::from_secs(9));
+        timeline.record_fault("engine", SimTime::from_secs(20));
+        let mut r = timeline.clone();
         r.record_retry();
-        r.record_disk_spills(4);
+        r.record_retry_exhausted();
+        r.record_failover(SimDuration::from_nanos(12_345_678));
+        r.record_degraded("tenant1", SimDuration::from_millis(40));
         let v = written(|w| {
             w.key("rel");
             enc_reliability(w, &r);
         });
-        let back = reliability_field(&v, "rel").unwrap();
-        assert_eq!(back.state(), r.state());
+        let back = reliability_field(&v, "rel", &timeline).unwrap();
+        assert_eq!(back, r);
         assert!(back.is_down("engine"));
     }
 

@@ -260,38 +260,41 @@ struct EngineState {
     snapshots: SnapshotDiagnostics,
 }
 
+/// The reliability ledger's fault timeline: every outage, repair and
+/// fault count the plan implies, written up front in time order. It is
+/// a pure function of the plan, so a fresh run starts from it and a
+/// restore rebuilds it instead of decoding it. Tenant-quota flaps are
+/// folded into the per-tenant ledger instead of the generic one, so a
+/// tenant's MTTR reflects both its own flaps and fleet-wide node
+/// crashes without double-counting the same label. Engine crashes are
+/// included too: their downtime is fixed by the plan, so the resume
+/// window lands in MTTR whether or not this particular run path honors
+/// the crash.
+fn fault_timeline(ctx: &RunCtx) -> ReliabilityStats {
+    let mut reliability = ReliabilityStats::new();
+    if let Some(inj) = ctx.injector.as_deref() {
+        let mut transitions = inj.transitions();
+        transitions.sort_by_key(|t| (t.at, t.window));
+        for tr in transitions {
+            let window = &inj.windows()[tr.window];
+            if matches!(window.kind, FaultKind::TenantQuotaFlap { .. }) {
+                continue;
+            }
+            match tr.edge {
+                FaultEdge::Start => reliability.record_fault(&window.target, tr.at),
+                FaultEdge::End => reliability.record_recovery(&window.target, tr.at),
+            }
+        }
+        record_tenant_ledger(&mut reliability, inj, &ctx.cfg, ctx.horizon);
+    }
+    reliability
+}
+
 impl EngineState {
-    /// Epoch-0 state for a scenario, with the availability preamble
-    /// already written.
+    /// Epoch-0 state for a scenario, with the fault timeline already
+    /// written.
     fn fresh(ctx: &RunCtx) -> Self {
         let cfg = &ctx.cfg;
-        let mut reliability = ReliabilityStats::new();
-
-        // The fault timeline is a pure function of the plan, so the
-        // fleet-wide availability ledger can be written up front in
-        // time order. Tenant-quota flaps are folded into the per-tenant
-        // ledger below instead of the generic one, so a tenant's MTTR
-        // reflects both its own flaps and fleet-wide node crashes
-        // without double-counting the same label. Engine crashes are
-        // preambled too: their downtime is fixed by the plan, so the
-        // resume window lands in MTTR whether or not this particular
-        // run path honors the crash.
-        if let Some(inj) = ctx.injector.as_deref() {
-            let mut transitions = inj.transitions();
-            transitions.sort_by_key(|t| (t.at, t.window));
-            for tr in transitions {
-                let window = &inj.windows()[tr.window];
-                if matches!(window.kind, FaultKind::TenantQuotaFlap { .. }) {
-                    continue;
-                }
-                match tr.edge {
-                    FaultEdge::Start => reliability.record_fault(&window.target, tr.at),
-                    FaultEdge::End => reliability.record_recovery(&window.target, tr.at),
-                }
-            }
-            record_tenant_ledger(&mut reliability, inj, cfg, ctx.horizon);
-        }
-
         EngineState {
             vehicles: (0..cfg.vehicles)
                 .map(|id| VehicleState::new(id, cfg, &ctx.seeds))
@@ -299,7 +302,7 @@ impl EngineState {
             collab: CollabSnapshot::new(),
             edge: XEdgeServer::new(cfg),
             metrics: FleetMetrics::new(),
-            reliability,
+            reliability: fault_timeline(ctx),
             telemetry: cfg.telemetry.then(|| {
                 FleetTelemetry::configured(
                     cfg.telemetry_budget,
@@ -336,11 +339,7 @@ impl EngineState {
                 let work = ctx.cfg.class(o.class).work_units;
                 self.metrics.credit_work(o.tenant, work);
             }
-            // The ledger's sample is the latency rounded through f64
-            // milliseconds; reports and snapshots depend on its bits.
-            SpanOutcome::Failover => self
-                .reliability
-                .record_failover(SimDuration::from_millis_f64(o.cost.as_millis_f64())),
+            SpanOutcome::Failover => self.reliability.record_failover(o.cost),
             // A skipped pBEAM round accrues no degraded-mode seconds:
             // training just converges a round later.
             SpanOutcome::LocalFallback => self
@@ -509,7 +508,6 @@ fn run_core(
                 end,
                 state.epoch_index,
                 injector,
-                &mut state.reliability,
                 state.telemetry.as_mut(),
             );
         }
@@ -713,8 +711,9 @@ fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) 
 /// Rebuilds a complete [`EngineState`] from a decoded snapshot payload.
 ///
 /// Everything that is a pure function of the scenario — the region
-/// graph, contention curves, retry policies, label tables — is
-/// *recomputed*, never deserialized. Each decoded vehicle lands in its
+/// graph, contention curves, retry policies, label tables, the
+/// reliability ledger's fault timeline — is *recomputed*, never
+/// deserialized. Each decoded vehicle lands in its
 /// id slot after [`dec_vehicle`]'s semantic checks.
 fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, CkptError> {
     let cfg = &ctx.cfg;
@@ -729,7 +728,7 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
     let events = get_u64_hex(payload, "events_base")?;
     let ladder_rng = rng_field(payload, "ladder_rng")?;
     let metrics = metrics_field(payload, "metrics")?;
-    let reliability = reliability_field(payload, "reliability")?;
+    let reliability = reliability_field(payload, "reliability", &fault_timeline(ctx))?;
     let collab = dec_collab(payload, "collab")?;
 
     let mobility = match (get(payload, "mobility")?, cfg.mobility.is_some()) {

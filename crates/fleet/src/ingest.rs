@@ -41,9 +41,7 @@ use vdap_ddi::{RegionCollector, StorageTierModel, UploadBatch};
 use vdap_fault::{FaultInjector, RetryPolicy};
 use vdap_net::{Direction, LinkSpec};
 use vdap_offload::ContentionModel;
-use vdap_sim::{
-    ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime, StreamingHistogram,
-};
+use vdap_sim::{RngStream, SeedFactory, SimDuration, SimTime, StreamingHistogram};
 
 use crate::config::{collector_label, FleetConfig, IngestConfig, STORE_LABEL};
 use crate::metrics::FleetTelemetry;
@@ -254,7 +252,6 @@ impl IngestPass {
     }
 
     /// Runs one barrier's ingest pass over the freshly drained batches.
-    #[allow(clippy::too_many_arguments)] // one call site, in the engine's barrier loop
     pub fn barrier(
         &mut self,
         mut fresh: Vec<UploadBatch>,
@@ -262,7 +259,6 @@ impl IngestPass {
         end: SimTime,
         epoch: u64,
         injector: Option<&FaultInjector>,
-        reliability: &mut ReliabilityStats,
         telemetry: Option<&mut FleetTelemetry>,
     ) {
         fresh.sort_unstable_by_key(canonical_key);
@@ -300,7 +296,6 @@ impl IngestPass {
             if expired {
                 self.metrics.cache_evictions += records;
                 self.metrics.deadline_misses += 1;
-                reliability.record_cache_ttl_evictions(records);
             }
             !expired
         });
@@ -347,7 +342,7 @@ impl IngestPass {
             offered_per_region[region] += 1;
             if down[region] {
                 self.metrics.outage_bounces += 1;
-                self.ladder(offer, end, reliability, reoffering);
+                self.ladder(offer, end, reoffering);
             } else if let Err(batch) = self.collectors[region].offer(offer.batch) {
                 self.metrics.queue_bounces += 1;
                 let offer = Offer {
@@ -355,7 +350,7 @@ impl IngestPass {
                     expires: offer.expires,
                     batch,
                 };
-                self.ladder(offer, end, reliability, reoffering);
+                self.ladder(offer, end, reoffering);
             }
         }
 
@@ -435,13 +430,7 @@ impl IngestPass {
     /// seeded-backoff retry → defer-to-cache (mem, then disk spill) →
     /// shed lowest-priority. The first `reoffering` cached batches are
     /// last barrier's, still waiting for their re-offer.
-    fn ladder(
-        &mut self,
-        offer: Offer,
-        end: SimTime,
-        reliability: &mut ReliabilityStats,
-        reoffering: usize,
-    ) {
+    fn ladder(&mut self, offer: Offer, end: SimTime, reoffering: usize) {
         let attempts = offer.attempts + 1;
         // Rung 1: retry while the attempt budget and the deadline allow.
         if attempts < self.ing.max_upload_attempts {
@@ -480,7 +469,6 @@ impl IngestPass {
             *disk += records;
             self.metrics.deferrals += 1;
             self.metrics.disk_spills += 1;
-            reliability.record_disk_spills(records);
             self.cached.push_back(Cached {
                 expires,
                 attempts,
@@ -811,7 +799,6 @@ mod tests {
         let cfg = ingest_cfg();
         let seeds = SeedFactory::new(7);
         let mut pass = IngestPass::new(&cfg, &seeds);
-        let mut rel = ReliabilityStats::new();
         let batches: Vec<UploadBatch> = (0..8)
             .map(|v| batch(v, 0, SimTime::from_secs(1), 2))
             .collect();
@@ -821,7 +808,6 @@ mod tests {
             SimTime::ZERO + SimDuration::from_millis(1500),
             0,
             None,
-            &mut rel,
             None,
         );
         let m = pass.finish();
@@ -839,7 +825,6 @@ mod tests {
         let inj = cfg.chaos.clone().unwrap().compile();
         let seeds = SeedFactory::new(7);
         let mut pass = IngestPass::new(&cfg, &seeds);
-        let mut rel = ReliabilityStats::new();
         let epoch = SimDuration::from_millis(500);
         let mut sent = vec![batch(
             1,
@@ -849,15 +834,7 @@ mod tests {
         )];
         for k in 0..60u64 {
             let end = SimTime::ZERO + epoch * (k + 1);
-            pass.barrier(
-                std::mem::take(&mut sent),
-                epoch,
-                end,
-                k,
-                Some(&inj),
-                &mut rel,
-                None,
-            );
+            pass.barrier(std::mem::take(&mut sent), epoch, end, k, Some(&inj), None);
         }
         let m = pass.finish();
         assert!(
@@ -871,7 +848,6 @@ mod tests {
             m.cache_evictions > 0,
             "a 60 s outage outlives the 20 s cache TTL"
         );
-        assert!(rel.cache_ttl_eviction_count() > 0);
     }
 
     #[test]
@@ -887,7 +863,6 @@ mod tests {
         }
         let seeds = SeedFactory::new(7);
         let mut pass = IngestPass::new(&cfg, &seeds);
-        let mut rel = ReliabilityStats::new();
         let t = SimTime::ZERO + SimDuration::from_millis(100);
         let batches = vec![
             batch(5, 0, t, 3),                               // fills the queue
@@ -900,7 +875,6 @@ mod tests {
             SimTime::ZERO + SimDuration::from_millis(500),
             0,
             None,
-            &mut rel,
             None,
         );
         let m = &pass.metrics;
@@ -995,14 +969,13 @@ mod tests {
             let inj = cfg.chaos.clone().map(|p| p.compile());
             let seeds = SeedFactory::new(7);
             let mut pass = IngestPass::new(&cfg, &seeds);
-            let mut rel = ReliabilityStats::new();
             let epoch = SimDuration::from_millis(500);
             for k in 0..10u64 {
                 let end = SimTime::ZERO + epoch * (k + 1);
                 let sent: Vec<UploadBatch> = (0..4)
                     .map(|v| batch(v, k as u32, end - SimDuration::from_millis(100), 2))
                     .collect();
-                pass.barrier(sent, epoch, end, k, inj.as_ref(), &mut rel, None);
+                pass.barrier(sent, epoch, end, k, inj.as_ref(), None);
             }
             pass.finish()
         };

@@ -14,18 +14,18 @@ use vdap_sim::{SimDuration, SimTime};
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// supervised run, the torn generation 8 included.
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0x909d_b4da_dfec_c4b6),
-    (8, 0x1402_1080_8293_70a3),
-    (12, 0x6a0f_1c1d_8b74_b531),
+    (4, 0xf318_9305_c838_188e),
+    (8, 0x7d94_1b6b_ac58_6819),
+    (12, 0x646d_4e25_f4db_8971),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
 /// series rollup into histograms and spill counters in the payload.
 const BUDGET_SNAPSHOT_PINS: [(u64, u64); 4] = [
-    (17, 0xd519_5b4d_2a09_75d3),
-    (34, 0xfe12_dbce_0adb_019c),
-    (51, 0xc570_bece_44a5_fba5),
-    (68, 0x33b6_5e8a_df1e_250b),
+    (17, 0xb38a_5712_5257_ef51),
+    (34, 0xa73e_bd08_23d0_5f50),
+    (51, 0x8f4d_0b24_a30b_8491),
+    (68, 0xf2ef_bbf5_d6de_bc2c),
 ];
 
 /// FNV-1a of each spill segment of the spill run, in segment order.
@@ -122,9 +122,9 @@ fn budgeted_snapshot_texts_are_byte_identical() {
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// backlogged run, and the FNV-1a of its summary.
 const BACKLOG_SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0xfd10_33f1_c2b7_cdaf),
-    (8, 0xe587_b21f_ca29_702a),
-    (12, 0x00fe_9e61_8f7c_64c7),
+    (4, 0x0370_2a77_5573_122a),
+    (8, 0xebc9_4a61_6aee_7366),
+    (12, 0x47fe_ce61_48e7_d23c),
 ];
 const BACKLOG_SUMMARY_PIN: u64 = 0xcb10_ab25_8de2_2d84;
 

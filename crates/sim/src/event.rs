@@ -324,65 +324,6 @@ impl<S> Simulation<S> {
         }
     }
 
-    /// Runs the simulation in fixed-size epochs up to `horizon`, calling
-    /// `between` on the world state after each epoch boundary.
-    ///
-    /// Each epoch executes every event with a timestamp inside
-    /// `(k*epoch, (k+1)*epoch]` (the first epoch includes `t = 0`), then
-    /// invokes `between(state, k)`. This is the conservative-synchronization
-    /// hook sharded engines build on: a shard advances its local event loop
-    /// one epoch at a time and exchanges cross-shard state only at the
-    /// barrier, so no event ever observes same-epoch state of another
-    /// shard. The final epoch is truncated at `horizon` and still gets a
-    /// `between` call, leaving `now() == horizon`.
-    ///
-    /// Returns the aggregate report; stops early (skipping further
-    /// `between` calls) on [`StopReason::Requested`] or
-    /// [`StopReason::EventCapReached`]. Note that [`StopReason::QueueEmpty`]
-    /// does *not* stop epoch iteration: `between` may schedule new work.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `epoch` is zero.
-    pub fn run_epochs(
-        &mut self,
-        epoch: SimDuration,
-        horizon: SimTime,
-        mut between: impl FnMut(&mut S, u64),
-    ) -> RunReport {
-        assert!(epoch > SimDuration::ZERO, "epoch must be positive");
-        let mut total = 0u64;
-        let mut index = 0u64;
-        loop {
-            let end = SimTime::ZERO + epoch * (index + 1);
-            let end = if end > horizon { horizon } else { end };
-            let report = self.run_until(end);
-            total += report.events_processed;
-            match report.stop_reason {
-                StopReason::Requested | StopReason::EventCapReached => {
-                    return RunReport {
-                        events_processed: total,
-                        finished_at: self.now,
-                        stop_reason: report.stop_reason,
-                    };
-                }
-                StopReason::QueueEmpty | StopReason::HorizonReached => {}
-            }
-            // QueueEmpty leaves `now` at the last event; pin it to the
-            // barrier so epochs tile the timeline exactly.
-            self.now = end;
-            between(&mut self.state, index);
-            index += 1;
-            if end >= horizon {
-                return RunReport {
-                    events_processed: total,
-                    finished_at: self.now,
-                    stop_reason: StopReason::HorizonReached,
-                };
-            }
-        }
-    }
-
     /// Labels of all queued events, earliest first (diagnostics aid).
     #[must_use]
     pub fn queued_labels(&self) -> Vec<&'static str> {
@@ -496,69 +437,6 @@ mod tests {
         let report = sim.run();
         assert_eq!(report.stop_reason, StopReason::EventCapReached);
         assert_eq!(*sim.state(), 100);
-    }
-
-    #[test]
-    fn run_epochs_fires_barrier_after_each_epoch() {
-        // Events at 0.5s intervals over a 3s horizon with 1s epochs:
-        // each barrier sees exactly the events of its own epoch applied.
-        let mut sim = Simulation::new(Vec::<(u64, u32)>::new());
-        for i in 1..=6u32 {
-            sim.schedule_at(
-                SimTime::ZERO + SimDuration::from_millis(u64::from(i) * 500),
-                "tick",
-                move |ctx| {
-                    let epoch_seen = ctx.state().len() as u64;
-                    ctx.state_mut().push((epoch_seen, i));
-                },
-            );
-        }
-        let mut barriers = Vec::new();
-        let report = sim.run_epochs(
-            SimDuration::from_secs(1),
-            SimTime::from_secs(3),
-            |state, k| barriers.push((k, state.len())),
-        );
-        assert_eq!(report.stop_reason, StopReason::HorizonReached);
-        assert_eq!(report.events_processed, 6);
-        // Barrier k runs after events <= (k+1)s: 2, 4, then all 6.
-        assert_eq!(barriers, vec![(0, 2), (1, 4), (2, 6)]);
-        assert_eq!(sim.now(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn run_epochs_barrier_can_schedule_new_work() {
-        let mut sim = Simulation::new(0u32);
-        let report = sim.run_epochs(
-            SimDuration::from_secs(1),
-            SimTime::from_secs(4),
-            |state, k| {
-                *state += u32::try_from(k).unwrap() + 1;
-            },
-        );
-        // Queue is empty the whole time, yet all 4 barriers still fire.
-        assert_eq!(report.stop_reason, StopReason::HorizonReached);
-        assert_eq!(*sim.state(), 1 + 2 + 3 + 4);
-        assert_eq!(sim.now(), SimTime::from_secs(4));
-    }
-
-    #[test]
-    fn run_epochs_truncates_final_epoch_at_horizon() {
-        let mut sim = Simulation::new(0u32);
-        sim.schedule_at(
-            SimTime::ZERO + SimDuration::from_millis(2400),
-            "late",
-            |ctx| *ctx.state_mut() += 1,
-        );
-        let mut count = 0;
-        let report = sim.run_epochs(
-            SimDuration::from_secs(1),
-            SimTime::ZERO + SimDuration::from_millis(2500),
-            |_, _| count += 1,
-        );
-        assert_eq!(report.events_processed, 1);
-        assert_eq!(count, 3, "two full epochs plus a truncated half-epoch");
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_millis(2500));
     }
 
     #[test]

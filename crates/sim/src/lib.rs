@@ -35,7 +35,6 @@
 mod event;
 mod hash;
 mod histogram;
-mod metrics;
 mod reliability;
 mod rng;
 mod time;
@@ -44,7 +43,6 @@ mod trace;
 pub use event::{Ctx, EventFn, RunReport, Simulation, StopReason};
 pub use hash::{fnv1a64, fnv1a64_extend, splitmix64};
 pub use histogram::{HistogramState, HistogramStateError, StreamingHistogram};
-pub use metrics::{Counter, Summary, TimeSeries};
 pub use reliability::{ReliabilityState, ReliabilityStats};
 pub use rng::{RngStream, SeedFactory};
 pub use time::{SimDuration, SimTime};

@@ -8,18 +8,23 @@
 //!
 //! Components are identified by string label (`"slot1"`, `"lte-uplink"`,
 //! `"ddi-store"`, ...). All internal maps are ordered so aggregate
-//! figures are bit-identical across same-seed runs.
+//! figures are bit-identical across same-seed runs. Repair intervals
+//! and failover latencies go into [`StreamingHistogram`]s in
+//! milliseconds, exact at one tick per nanosecond.
 
 use std::collections::BTreeMap;
 
-use crate::metrics::Summary;
+use crate::histogram::{HistogramState, HistogramStateError, StreamingHistogram};
 use crate::time::{SimDuration, SimTime};
 
+const MTTR: &str = "mttr_ms";
+const FAILOVER: &str = "failover_latency_ms";
+
 /// Aggregated reliability accounting for one run.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityStats {
-    mttr: Summary,
-    failover_latency: Summary,
+    mttr: StreamingHistogram,
+    failover_latency: StreamingHistogram,
     retries: u64,
     retry_successes: u64,
     retry_exhausted: u64,
@@ -29,6 +34,24 @@ pub struct ReliabilityStats {
     degraded: BTreeMap<String, SimDuration>,
     cache_ttl_evictions: u64,
     disk_spills: u64,
+}
+
+impl Default for ReliabilityStats {
+    fn default() -> Self {
+        ReliabilityStats {
+            mttr: StreamingHistogram::new(MTTR),
+            failover_latency: StreamingHistogram::new(FAILOVER),
+            retries: 0,
+            retry_successes: 0,
+            retry_exhausted: 0,
+            faults_injected: 0,
+            down_since: BTreeMap::new(),
+            downtime: BTreeMap::new(),
+            degraded: BTreeMap::new(),
+            cache_ttl_evictions: 0,
+            disk_spills: 0,
+        }
+    }
 }
 
 impl ReliabilityStats {
@@ -137,21 +160,15 @@ impl ReliabilityStats {
             .fold(SimDuration::ZERO, |acc, d| acc + *d)
     }
 
-    /// Components that ever reported degraded-mode time (sorted).
+    /// Repair intervals (ms); its mean is the mean time to repair.
     #[must_use]
-    pub fn degraded_components(&self) -> Vec<&str> {
-        self.degraded.keys().map(String::as_str).collect()
-    }
-
-    /// Mean time to repair, as a [`Summary`] over repair intervals (ms).
-    #[must_use]
-    pub fn mttr(&self) -> &Summary {
+    pub fn mttr(&self) -> &StreamingHistogram {
         &self.mttr
     }
 
-    /// Failover (re-plan) latency summary (ms).
+    /// Failover (re-plan) latencies (ms).
     #[must_use]
-    pub fn failover_latency(&self) -> &Summary {
+    pub fn failover_latency(&self) -> &StreamingHistogram {
         &self.failover_latency
     }
 
@@ -236,8 +253,8 @@ impl ReliabilityStats {
     #[must_use]
     pub fn state(&self) -> ReliabilityState {
         ReliabilityState {
-            mttr_samples: self.mttr.samples().to_vec(),
-            failover_samples: self.failover_latency.samples().to_vec(),
+            mttr: self.mttr.state(),
+            failover: self.failover_latency.state(),
             retries: self.retries,
             retry_successes: self.retry_successes,
             retry_exhausted: self.retry_exhausted,
@@ -255,11 +272,15 @@ impl ReliabilityStats {
     }
 
     /// Rebuilds stats from captured state.
-    #[must_use]
-    pub fn from_state(state: ReliabilityState) -> Self {
-        ReliabilityStats {
-            mttr: state.mttr_samples.into_iter().collect(),
-            failover_latency: state.failover_samples.into_iter().collect(),
+    ///
+    /// # Errors
+    ///
+    /// Fails when either histogram state is one no samples could
+    /// produce (see [`StreamingHistogram::from_state`]).
+    pub fn from_state(state: ReliabilityState) -> Result<Self, HistogramStateError> {
+        Ok(ReliabilityStats {
+            mttr: StreamingHistogram::from_state(MTTR, state.mttr)?,
+            failover_latency: StreamingHistogram::from_state(FAILOVER, state.failover)?,
             retries: state.retries,
             retry_successes: state.retry_successes,
             retry_exhausted: state.retry_exhausted,
@@ -269,47 +290,18 @@ impl ReliabilityStats {
             degraded: state.degraded.into_iter().collect(),
             cache_ttl_evictions: state.cache_ttl_evictions,
             disk_spills: state.disk_spills,
-        }
-    }
-
-    /// Merges another stats object into this one (used when sub-systems
-    /// keep local stats that roll up into a run-level report). Open
-    /// outages in `other` are carried over only when this object does
-    /// not already track the component.
-    pub fn absorb(&mut self, other: &ReliabilityStats) {
-        for s in other.mttr.samples() {
-            self.mttr.record(*s);
-        }
-        for s in other.failover_latency.samples() {
-            self.failover_latency.record(*s);
-        }
-        self.retries += other.retries;
-        self.retry_successes += other.retry_successes;
-        self.retry_exhausted += other.retry_exhausted;
-        self.faults_injected += other.faults_injected;
-        self.cache_ttl_evictions += other.cache_ttl_evictions;
-        self.disk_spills += other.disk_spills;
-        for (c, d) in &other.downtime {
-            *self.downtime.entry(c.clone()).or_insert(SimDuration::ZERO) += *d;
-        }
-        for (c, since) in &other.down_since {
-            self.down_since.entry(c.clone()).or_insert(*since);
-        }
-        for (c, d) in &other.degraded {
-            *self.degraded.entry(c.clone()).or_insert(SimDuration::ZERO) += *d;
-        }
+        })
     }
 }
 
 /// The complete internal state of a [`ReliabilityStats`], exposed for
-/// checkpoint/restore. Sample vectors preserve recording order; map
-/// entries are sorted by component label.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// checkpoint/restore. Map entries are sorted by component label.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityState {
-    /// MTTR samples in recording order (ms).
-    pub mttr_samples: Vec<f64>,
-    /// Failover-latency samples in recording order (ms).
-    pub failover_samples: Vec<f64>,
+    /// Repair intervals (ms).
+    pub mttr: HistogramState,
+    /// Failover latencies (ms).
+    pub failover: HistogramState,
     /// Total retry attempts.
     pub retries: u64,
     /// Transfers that succeeded after retrying.
@@ -346,13 +338,16 @@ mod tests {
         r.record_degraded("tenant1", SimDuration::from_secs(2));
         r.record_cache_ttl_evictions(5);
         r.record_disk_spills(2);
-        let back = ReliabilityStats::from_state(r.state());
+        let back = ReliabilityStats::from_state(r.state()).expect("a recorded state");
         assert_eq!(back, r);
         assert!(back.is_down("lte"));
         assert_eq!(
             back.downtime("gpu", SimTime::from_secs(100)),
             SimDuration::from_secs(30)
         );
+        let mut impossible = r.state();
+        impossible.failover.count += 1;
+        assert!(ReliabilityStats::from_state(impossible).is_err());
     }
 
     #[test]
@@ -411,41 +406,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_everything() {
-        let mut a = ReliabilityStats::new();
-        a.record_retry();
-        a.record_degraded("tenant0", SimDuration::from_secs(1));
-        let mut b = ReliabilityStats::new();
-        b.record_fault("x", SimTime::from_secs(1));
-        b.record_recovery("x", SimTime::from_secs(2));
-        b.record_retry();
-        b.record_retry_success();
-        b.record_failover(SimDuration::from_millis(5));
-        b.record_degraded("tenant0", SimDuration::from_secs(2));
-        b.record_degraded("tenant1", SimDuration::from_secs(3));
-        b.record_cache_ttl_evictions(4);
-        b.record_disk_spills(3);
-        a.absorb(&b);
-        assert_eq!(a.cache_ttl_eviction_count(), 4);
-        assert_eq!(a.disk_spill_count(), 3);
-        assert_eq!(a.retry_count(), 2);
-        assert_eq!(a.retry_success_count(), 1);
-        assert_eq!(a.mttr().count(), 1);
-        assert_eq!(a.failover_latency().count(), 1);
-        assert_eq!(a.faults_injected(), 1);
-        assert_eq!(a.degraded_time("tenant0"), SimDuration::from_secs(3));
-        assert_eq!(a.degraded_time("tenant1"), SimDuration::from_secs(3));
-        assert_eq!(a.total_degraded_time(), SimDuration::from_secs(6));
-    }
-
-    #[test]
     fn degraded_time_accrues_additively() {
         let mut r = ReliabilityStats::new();
         assert_eq!(r.degraded_time("tenant0"), SimDuration::ZERO);
         r.record_degraded("tenant0", SimDuration::from_millis(250));
         r.record_degraded("tenant0", SimDuration::from_millis(750));
         assert_eq!(r.degraded_time("tenant0"), SimDuration::from_secs(1));
-        assert_eq!(r.degraded_components(), vec!["tenant0"]);
+        assert_eq!(r.total_degraded_time(), SimDuration::from_secs(1));
         // Degraded time is not downtime: availability is untouched.
         assert_eq!(r.availability("tenant0", SimTime::from_secs(10)), 1.0);
     }

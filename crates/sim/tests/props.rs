@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel.
 
 use proptest::prelude::*;
-use vdap_sim::{RngStream, SimDuration, SimTime, Simulation, StreamingHistogram, Summary};
+use vdap_sim::{RngStream, SimDuration, SimTime, Simulation, StreamingHistogram};
 
 proptest! {
     #[test]
@@ -97,15 +97,6 @@ proptest! {
                 "q={}: estimate {} vs exact nearest-rank {}", q, est, exact
             );
         }
-    }
-
-    #[test]
-    fn summary_mean_between_min_and_max(
-        samples in prop::collection::vec(-1e9f64..1e9, 1..200),
-    ) {
-        let s: Summary = samples.iter().copied().collect();
-        prop_assert!(s.mean() >= s.min() - 1e-6);
-        prop_assert!(s.mean() <= s.max() + 1e-6);
     }
 
     #[test]

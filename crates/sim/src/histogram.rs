@@ -186,10 +186,15 @@ impl StreamingHistogram {
         self.record_ticks_n(ticks, 1);
     }
 
+    /// Counts and the sum saturate, so a histogram restored near
+    /// `u64::MAX` samples cannot overflow.
     fn record_ticks_n(&mut self, ticks: u64, n: u64) {
-        *self.buckets.entry(bucket_index(ticks)).or_insert(0) += n;
-        self.count += n;
-        self.sum_ticks += u128::from(ticks) * u128::from(n);
+        let bucket = self.buckets.entry(bucket_index(ticks)).or_insert(0);
+        *bucket = bucket.saturating_add(n);
+        self.count = self.count.saturating_add(n);
+        self.sum_ticks = self
+            .sum_ticks
+            .saturating_add(u128::from(ticks) * u128::from(n));
         self.min_ticks = self.min_ticks.min(ticks);
         self.max_ticks = self.max_ticks.max(ticks);
     }
@@ -238,7 +243,7 @@ impl StreamingHistogram {
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (&index, &n) in &self.buckets {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= target {
                 let (lo, width) = bucket_range(index);
                 let mid = lo + width / 2;
@@ -268,13 +273,15 @@ impl StreamingHistogram {
 
     /// Absorbs another histogram: bucket-count addition plus integer
     /// aggregate folds, so the merge is exact, associative, and
-    /// commutative bit-for-bit.
+    /// commutative bit-for-bit. Counts and the sum saturate, which keeps
+    /// all three properties.
     pub fn merge(&mut self, other: &StreamingHistogram) {
         for (&index, &n) in &other.buckets {
-            *self.buckets.entry(index).or_insert(0) += n;
+            let bucket = self.buckets.entry(index).or_insert(0);
+            *bucket = bucket.saturating_add(n);
         }
-        self.count += other.count;
-        self.sum_ticks += other.sum_ticks;
+        self.count = self.count.saturating_add(other.count);
+        self.sum_ticks = self.sum_ticks.saturating_add(other.sum_ticks);
         self.min_ticks = self.min_ticks.min(other.min_ticks);
         self.max_ticks = self.max_ticks.max(other.max_ticks);
     }
@@ -554,6 +561,45 @@ mod tests {
             h.to_string(),
             "d: n=1 mean=5.000 p50=5.000 p95=5.000 p99=5.000 max=5.000"
         );
+    }
+
+    #[test]
+    fn counts_and_sum_saturate_near_u64_max() {
+        // A valid state of u64::MAX - 1 zero samples, as a checkpoint
+        // could restore it.
+        let zeros = HistogramState {
+            buckets: vec![(0, u64::MAX - 1)],
+            count: u64::MAX - 1,
+            sum_ticks: 0,
+            min_ticks: 0,
+            max_ticks: 0,
+        };
+        let mut h = StreamingHistogram::from_state("big", zeros).unwrap();
+        let mut two = StreamingHistogram::new("big");
+        two.record(0.0);
+        two.record(1.0);
+        h.merge(&two);
+        h.record(0.0);
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(
+            h.state().buckets,
+            vec![(0, u64::MAX), (bucket_index(1_000_000), 1)]
+        );
+        assert_eq!(h.p99(), 0.0);
+        // u64::MAX - 1 samples of u64::MAX ticks: one more saturates the
+        // u128 sum.
+        let top = HistogramState {
+            buckets: vec![(MAX_INDEX, u64::MAX - 1)],
+            count: u64::MAX - 1,
+            sum_ticks: u128::from(u64::MAX - 1) * u128::from(u64::MAX),
+            min_ticks: u64::MAX,
+            max_ticks: u64::MAX,
+        };
+        let mut h = StreamingHistogram::from_state("top", top).unwrap();
+        h.record_n(1e300, 2);
+        h.merge(&h.clone());
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.state().sum_ticks, u128::MAX);
     }
 
     #[test]

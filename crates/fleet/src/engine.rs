@@ -779,8 +779,9 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             // Sink wiring is config-derived: the budget, the sampling
             // seed, and the spill *directory* come from the config the
             // run restores under, while the dynamic counters (spilled
-            // spans, current segment) come from the snapshot so the
-            // writer appends where the crashed run left off.
+            // spans, current segment) come from the snapshot: the
+            // writer cuts what the crashed run spilled past the
+            // snapshot and appends from there.
             tel.budget = cfg.telemetry_budget;
             tel.sample_seed = cfg.seed;
             tel.sample = tel.sample.or(cfg.span_sample);

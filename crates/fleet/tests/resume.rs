@@ -25,6 +25,94 @@ fn full_stack_config(seed: u64) -> FleetConfig {
     cfg.with_checkpoint(4, 3)
 }
 
+/// The full stack with span spill at seed 5: snapshots every 4 epochs,
+/// every generation retained.
+fn spill_config(dir: &std::path::Path) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(64)
+        .with_ingest()
+        .with_mobility()
+        .with_telemetry()
+        .with_span_spill(dir);
+    cfg.seed = 5;
+    cfg.duration = SimDuration::from_secs(8);
+    cfg.with_checkpoint(4, 16)
+}
+
+/// The bytes of every spill segment a run left behind, in order, and
+/// the spans the run reports spilled.
+fn spilled_segments(dir: &std::path::Path, report: &FleetReport) -> (Vec<Vec<u8>>, u64) {
+    let spill = report
+        .telemetry
+        .as_ref()
+        .and_then(|t| t.spill.as_ref())
+        .expect("spill sink present");
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .expect("spill dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    names.sort();
+    assert_eq!(names, spill.segments(), "no segment outside the stream");
+    let segments = names
+        .iter()
+        .map(|p| std::fs::read(p).expect("segment readable"))
+        .collect();
+    (segments, spill.spilled())
+}
+
+#[test]
+fn crash_resume_leaves_the_straight_runs_spill_segments() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet-resume-spill");
+    let _ = std::fs::remove_dir_all(&root);
+    let run = |name: &str, cfg: fn(&std::path::Path) -> FleetConfig| {
+        let dir = root.join(name);
+        let mut store = SnapshotStore::in_memory();
+        let report = FleetEngine::new(cfg(&dir)).run_supervised(&mut store);
+        (report.snapshots.clone(), spilled_segments(&dir, &report))
+    };
+    let (_, straight) = run("straight", spill_config);
+    // The epoch-8 snapshot is torn, so the crash at epoch 10 resumes
+    // from generation 4 and rewrites six epochs of spans.
+    let (resumed, crashed) = run("crashed", |dir| {
+        spill_config(dir)
+            .with_snapshot_torn_write(SimTime::from_secs(4), SimDuration::from_millis(100))
+            .with_engine_crash(10, SimDuration::from_secs(1))
+    });
+    assert_eq!(resumed.resumes, 1);
+    assert_eq!(
+        resumed.rejected_generations,
+        [8],
+        "resumed from generation 4"
+    );
+    // Every generation torn: the supervisor restarts from scratch over
+    // the segments the first leg wrote.
+    let (restarted, scratch) = run("scratch", |dir| {
+        spill_config(dir)
+            .with_snapshot_torn_write(SimTime::ZERO, SimDuration::from_secs(8))
+            .with_engine_crash(10, SimDuration::from_secs(1))
+    });
+    assert_eq!(restarted.resumes, 1);
+    assert!(restarted.load_ms.is_none(), "restarted from scratch");
+    let _ = std::fs::remove_dir_all(&root);
+
+    let lines = |(segments, _): &(Vec<Vec<u8>>, u64)| -> usize {
+        segments
+            .iter()
+            .map(|s| s.iter().filter(|&&b| b == b'\n').count())
+            .sum()
+    };
+    assert!(straight.1 > 0);
+    assert_eq!(lines(&straight) as u64, straight.1, "one line per span");
+    for (what, run) in [("restarted", &scratch), ("resumed", &crashed)] {
+        assert_eq!(run.1, straight.1, "{what}: spilled count");
+        assert!(
+            *run == straight,
+            "{what} run left {} lines, the straight run {}",
+            lines(run),
+            lines(&straight)
+        );
+    }
+}
+
 /// `cfg` under the default run layout, one worker with single-vehicle
 /// batches, and two workers with an odd batch size.
 fn layouts(cfg: FleetConfig) -> [FleetConfig; 3] {

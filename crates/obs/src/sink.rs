@@ -16,8 +16,9 @@
 //! (`io_errors`), never panicked on, and nothing about *what* was
 //! sampled or kept resident depends on whether a write succeeded.
 
+use std::ffi::OsStr;
 use std::fs::OpenOptions;
-use std::io::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 
 use vdap_sim::splitmix64;
@@ -69,21 +70,19 @@ pub struct JsonlSpillSink {
 
 impl JsonlSpillSink {
     /// A spill writer rotating segments at `segment_bytes` under `dir`
-    /// (created on first write).
+    /// (created on first write). Segments an earlier stream left in
+    /// `dir` are emptied or removed, so the stream starts clean.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>, segment_bytes: u64) -> Self {
-        JsonlSpillSink {
-            dir: dir.into(),
-            segment_bytes: segment_bytes.max(1),
-            spilled: 0,
-            current_index: 0,
-            current_bytes: 0,
-            io_errors: 0,
-        }
+        JsonlSpillSink::resume(dir, segment_bytes, 0, 0, 0)
     }
 
     /// Rebuilds a writer mid-stream (checkpoint restore): it continues
-    /// appending where the counters say the crashed run left off.
+    /// appending where the counters say the crashed run left off. What
+    /// the crashed run wrote past that point is cut off first: the
+    /// current segment is truncated to `current_bytes` and every later
+    /// segment is removed. No file is created, and a missing file is
+    /// not an error.
     #[must_use]
     pub fn resume(
         dir: impl Into<PathBuf>,
@@ -92,12 +91,44 @@ impl JsonlSpillSink {
         current_index: u32,
         current_bytes: u64,
     ) -> Self {
-        JsonlSpillSink {
+        let mut sink = JsonlSpillSink {
+            dir: dir.into(),
+            segment_bytes: segment_bytes.max(1),
             spilled,
             current_index,
             current_bytes,
-            ..JsonlSpillSink::new(dir, segment_bytes)
+            io_errors: 0,
+        };
+        if sink.cut_to_counters().is_err() {
+            sink.io_errors += 1;
         }
+        sink
+    }
+
+    /// Makes the segments on disk match the counters.
+    fn cut_to_counters(&self) -> std::io::Result<()> {
+        let entries = match std::fs::read_dir(&self.dir) {
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+            entries => entries?,
+        };
+        for entry in entries {
+            let path = entry?.path();
+            match path.file_name().and_then(segment_index) {
+                Some(i) if i > self.current_index => std::fs::remove_file(&path)?,
+                Some(i) if i == self.current_index => {
+                    let file = OpenOptions::new().write(true).open(&path)?;
+                    if file.metadata()?.len() > self.current_bytes {
+                        file.set_len(self.current_bytes)?;
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    fn segment_path(&self, index: u32) -> PathBuf {
+        self.dir.join(format!("spans-{index:05}.jsonl"))
     }
 
     /// The spill directory.
@@ -125,7 +156,8 @@ impl JsonlSpillSink {
     }
 
     /// Failed writes (the spans of a failed write are dropped, never
-    /// retried — spill is an export stream, not state).
+    /// retried — spill is an export stream, not state), plus one when
+    /// the constructor could not cut the segments to the counters.
     #[must_use]
     pub fn io_errors(&self) -> u64 {
         self.io_errors
@@ -138,7 +170,7 @@ impl JsonlSpillSink {
             return Vec::new();
         }
         (0..=self.current_index)
-            .map(|i| self.dir.join(format!("spans-{i:05}.jsonl")))
+            .map(|i| self.segment_path(i))
             .collect()
     }
 
@@ -161,9 +193,7 @@ impl JsonlSpillSink {
         }
         let attempt = (|| -> std::io::Result<()> {
             std::fs::create_dir_all(&self.dir)?;
-            let path = self
-                .dir
-                .join(format!("spans-{:05}.jsonl", self.current_index));
+            let path = self.segment_path(self.current_index);
             let mut file = OpenOptions::new().create(true).append(true).open(path)?;
             file.write_all(block.as_bytes())
         })();
@@ -175,6 +205,17 @@ impl JsonlSpillSink {
             Err(_) => self.io_errors += 1,
         }
     }
+}
+
+/// The index of a segment file name the writer produces
+/// (`spans-NNNNN.jsonl`), or `None` for any other file.
+fn segment_index(name: &OsStr) -> Option<u32> {
+    let digits = name
+        .to_str()?
+        .strip_prefix("spans-")?
+        .strip_suffix(".jsonl")?;
+    let index = digits.parse().ok()?;
+    (format!("{index:05}") == digits).then_some(index)
 }
 
 #[cfg(test)]
@@ -273,7 +314,87 @@ mod tests {
         assert_eq!(resumed.spilled(), 2);
         assert_eq!(resumed.segments().len(), 1);
         let text = std::fs::read_to_string(&resumed.segments()[0]).unwrap();
-        assert_eq!(text.lines().count(), 2, "resume appends, never truncates");
+        assert_eq!(text.lines().count(), 2, "resume appends at the position");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every segment file under `dir`, sorted by name, with its bytes.
+    fn segment_files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("spill dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                (e.file_name(), std::fs::read(e.path()).expect("readable"))
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn resume_and_restart_cut_what_the_crashed_writer_wrote_past_them() {
+        let block =
+            |k: u32| log((0..2).map(|v| span(v, k, u64::from(k) * 100, SpanOutcome::EdgeServed)));
+        // Segments of one and a half blocks: every segment holds two
+        // blocks, so five blocks fill three segments.
+        let seg = spans_jsonl(&block(0)).len() as u64 * 3 / 2;
+        let straight_dir = spill_dir("cut-straight");
+        let mut straight = JsonlSpillSink::new(&straight_dir, seg);
+        for k in 0..5 {
+            straight.write(block(k));
+        }
+        let want = segment_files(&straight_dir);
+        assert_eq!(want.len(), 3);
+
+        let dir = spill_dir("cut-crashed");
+        let mut crashed = JsonlSpillSink::new(&dir, seg);
+        for k in 0..3 {
+            crashed.write(block(k));
+        }
+        // The snapshot's position is halfway into segment 1; the
+        // crashed writer then fills segment 1 and rotates to segment 2.
+        let at = (
+            crashed.spilled(),
+            crashed.current_index(),
+            crashed.current_bytes(),
+        );
+        assert_eq!(at.1, 1);
+        for k in 3..5 {
+            crashed.write(block(k));
+        }
+        let mut resumed = JsonlSpillSink::resume(&dir, seg, at.0, at.1, at.2);
+        for k in 3..5 {
+            resumed.write(block(k));
+        }
+        assert_eq!(segment_files(&dir), want);
+        assert_eq!(resumed.spilled(), straight.spilled());
+
+        // A restart from scratch over the same segments.
+        let mut restarted = JsonlSpillSink::new(&dir, seg);
+        for k in 0..5 {
+            restarted.write(block(k));
+        }
+        assert_eq!(segment_files(&dir), want);
+        assert_eq!(restarted.io_errors(), 0);
+        std::fs::write(dir.join("notes.txt"), "kept").unwrap();
+        let _ = JsonlSpillSink::new(&dir, seg);
+        let left: Vec<_> = segment_files(&dir)
+            .into_iter()
+            .map(|(name, bytes)| (name.into_string().unwrap(), bytes.len()))
+            .collect();
+        assert_eq!(
+            left,
+            [("notes.txt".into(), 4), ("spans-00000.jsonl".into(), 0)]
+        );
+
+        // A missing directory is not an I/O error, and nothing is created.
+        let missing = spill_dir("cut-missing");
+        assert_eq!(
+            JsonlSpillSink::resume(&missing, seg, 4, 2, 80).io_errors(),
+            0
+        );
+        assert!(!missing.exists());
+        let _ = std::fs::remove_dir_all(&straight_dir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,6 +26,7 @@
 //!   policies, label tables, the reliability ledger's fault timeline)
 //!   is *not* serialized — restore rebuilds it.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use vdap_ckpt::json::{JsonWriter, Value};
@@ -35,7 +36,7 @@ use vdap_sim::{
     HistogramState, ReliabilityStats, RngStream, SimDuration, SimTime, StreamingHistogram,
 };
 
-use crate::config::FleetConfig;
+use crate::config::{handoff_label, tenant_label, FleetConfig};
 use crate::metrics::FleetMetrics;
 
 // --- element-level accessors (keyed accessors live in vdap-ckpt) -----
@@ -250,18 +251,37 @@ pub(crate) fn enc_reliability(w: &mut JsonWriter, r: &ReliabilityStats) {
 }
 
 /// Reads the run-time half written by [`enc_reliability`] onto
-/// `timeline`, the fault timeline rebuilt from the plan.
+/// `timeline`, the fault timeline rebuilt from the plan. Degraded time
+/// must name components the engine degrades — a tenant (local
+/// fallbacks) or a region's handoffs — in ascending label order.
 pub(crate) fn reliability_field(
     v: &Value,
     key: &str,
+    cfg: &FleetConfig,
     timeline: &ReliabilityStats,
 ) -> Result<ReliabilityStats, CkptError> {
     let r = get(v, key)?;
+    let known: BTreeSet<String> = (0..cfg.tenants)
+        .map(tenant_label)
+        .chain((0..cfg.regions).map(handoff_label))
+        .collect();
     let mut state = timeline.state();
     state.degraded.clear();
     for pair in vdap_ckpt::get_array(r, "degraded")? {
         let (label, nanos) = val_pair(pair)?;
         let label = val_str(label)?.to_string();
+        if !known.contains(&label) {
+            return Err(CkptError::new(format!(
+                "degraded time names unknown component {label:?}"
+            )));
+        }
+        if state
+            .degraded
+            .last()
+            .is_some_and(|(prev, _)| *prev >= label)
+        {
+            return Err(CkptError::new("degraded labels not strictly ascending"));
+        }
         state
             .degraded
             .push((label, SimDuration::from_nanos(val_u64_hex(nanos)?)));
@@ -633,7 +653,7 @@ mod tests {
             w.key("rel");
             enc_reliability(w, &r);
         });
-        let back = reliability_field(&v, "rel", &timeline).unwrap();
+        let back = reliability_field(&v, "rel", &FleetConfig::sized(64), &timeline).unwrap();
         assert_eq!(back, r);
         assert!(back.is_down("engine"));
     }

@@ -728,7 +728,7 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
     let events = get_u64_hex(payload, "events_base")?;
     let ladder_rng = rng_field(payload, "ladder_rng")?;
     let metrics = metrics_field(payload, "metrics")?;
-    let reliability = reliability_field(payload, "reliability", &fault_timeline(ctx))?;
+    let reliability = reliability_field(payload, "reliability", cfg, &fault_timeline(ctx))?;
     let collab = dec_collab(payload, "collab")?;
 
     let mobility = match (get(payload, "mobility")?, cfg.mobility.is_some()) {

@@ -672,11 +672,13 @@ fn impossible_histograms(body: &Value) -> Vec<(&'static str, Value)> {
 #[test]
 fn restore_rejects_impossible_histograms_with_a_valid_checksum() {
     // 100 ms epochs over 8 s under a small budget roll the registry's
-    // series into histograms before the last snapshot.
+    // series into histograms before the last snapshot; the regional
+    // outage fills the reliability ledger's failover histogram.
     let budgeted = {
         let mut cfg = FleetConfig::sized(64)
             .with_ingest()
-            .with_telemetry_budget(4 * 1024);
+            .with_telemetry_budget(4 * 1024)
+            .with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(3));
         cfg.seed = 23;
         cfg.duration = SimDuration::from_secs(8);
         cfg.epoch = SimDuration::from_millis(100);
@@ -704,6 +706,7 @@ fn restore_rejects_impossible_histograms_with_a_valid_checksum() {
         let mut paths = vec![vec!["metrics", "e2e_latency_ms"]];
         if let Some(i) = &registry {
             paths.push(vec!["telemetry", "hists", i, "1"]);
+            paths.push(vec!["reliability", "failover"]);
         }
         for path in paths {
             let body = value_at(&snap.payload, &path);
@@ -722,6 +725,85 @@ fn restore_rejects_impossible_histograms_with_a_valid_checksum() {
             }
         }
     }
+}
+
+#[test]
+fn restore_rejects_degraded_time_for_components_the_engine_never_degrades() {
+    let cfg = full_stack_config(41);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let snap = store.newest_valid().0.expect("valid snapshot");
+    let engine = FleetEngine::new(cfg.clone());
+    let path = ["reliability", "degraded"];
+    let degraded = value_at(&snap.payload, &path)
+        .as_array()
+        .expect("degraded pairs")
+        .clone();
+    assert!(degraded.len() >= 2, "handoffs degrade several regions");
+    // Rewriting the ledger with itself keeps the snapshot valid.
+    assert!(engine
+        .restore(&with_value_at(&snap, &path, Value::Array(degraded.clone())))
+        .is_ok());
+
+    let entry = |label: String| Value::Array(vec![Value::from(label), Value::from("3e8")]);
+    let mut cases: Vec<(String, Vec<Value>)> = [
+        format!("tenant{}", cfg.tenants),
+        format!("region{}/handoff", cfg.regions),
+        "tenant01".to_string(),
+        "region0/lte".to_string(),
+        "engine".to_string(),
+    ]
+    .into_iter()
+    .map(|label| (label.clone(), vec![entry(label)]))
+    .collect();
+    let mut swapped = degraded.clone();
+    swapped.swap(0, 1);
+    cases.push(("out of order".into(), swapped));
+    cases.push((
+        "duplicate".into(),
+        vec![degraded[0].clone(), degraded[0].clone()],
+    ));
+    for (what, pairs) in cases {
+        let err = engine
+            .restore(&with_value_at(&snap, &path, Value::Array(pairs)))
+            .expect_err("an impossible degraded label must be refused");
+        assert!(err.to_string().contains("degraded"), "{what}: {err}");
+    }
+}
+
+#[test]
+fn reliability_snapshot_size_does_not_grow_with_failovers() {
+    // A regional outage over most of the run: every request in the
+    // region fails over. When the ledger kept raw samples, each
+    // failover added about 19 B to every later snapshot.
+    let mut cfg = FleetConfig::sized(512).with_regional_outage(
+        0,
+        SimTime::from_secs(1),
+        SimDuration::from_secs(6),
+    );
+    cfg.seed = 7;
+    cfg.duration = SimDuration::from_secs(8);
+    let cfg = cfg.with_checkpoint(2, 16);
+    let mut store = SnapshotStore::in_memory();
+    let report = FleetEngine::new(cfg).run_supervised(&mut store);
+    assert!(report.reliability.failover_latency().count() > 300);
+    let mut sizes = Vec::new();
+    for generation in store.generations() {
+        let text = store.get(generation).expect("stored");
+        let snap = Snapshot::decode(&text).expect("valid snapshot");
+        let failovers = value_at(&snap.payload, &["reliability", "failover", "count"])
+            .as_str()
+            .map(|hex| u64::from_str_radix(hex, 16).expect("hex count"))
+            .expect("failover count");
+        let bytes = value_at(&snap.payload, &["reliability"]).to_string().len();
+        sizes.push((generation, failovers, bytes));
+    }
+    assert!(sizes.iter().any(|&(_, failovers, _)| failovers > 300));
+    assert!(sizes.iter().any(|&(_, failovers, _)| failovers == 0));
+    assert!(
+        sizes.iter().all(|&(_, _, bytes)| bytes < 1024),
+        "(generation, failovers, reliability bytes): {sizes:?}"
+    );
 }
 
 /// One real encoded snapshot plus the summary its clean restore yields,

@@ -713,8 +713,8 @@ fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) 
 /// Everything that is a pure function of the scenario — the region
 /// graph, contention curves, retry policies, label tables, the
 /// reliability ledger's fault timeline — is *recomputed*, never
-/// deserialized. Each decoded vehicle lands in its
-/// id slot after [`dec_vehicle`]'s semantic checks.
+/// deserialized. Each decoded vehicle lands in its id slot after
+/// [`dec_vehicle`]'s semantic checks.
 fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, CkptError> {
     let cfg = &ctx.cfg;
     check_fingerprint(cfg, payload)?;

@@ -497,9 +497,10 @@ mod tests {
         assert_eq!(restored, h);
         assert_eq!(restored.p95().to_bits(), h.p95().to_bits());
         let empty = StreamingHistogram::new("none");
-        let st = empty.state();
-        assert_eq!((st.min_ticks, st.max_ticks, st.sum_ticks), (u64::MAX, 0, 0));
-        assert_eq!(StreamingHistogram::from_state("none", st), Ok(empty));
+        assert_eq!(
+            StreamingHistogram::from_state("none", empty.state()),
+            Ok(empty)
+        );
     }
 
     #[test]
@@ -537,30 +538,6 @@ mod tests {
         empty.max_ticks = 7;
         assert!(StreamingHistogram::from_state("e", empty).is_err());
         assert!(StreamingHistogram::from_state("lat", good).is_ok());
-    }
-
-    #[test]
-    fn streaming_histogram_records_durations_in_ms() {
-        let mut s = StreamingHistogram::new("lat");
-        s.record_duration(SimDuration::from_millis(250));
-        assert!((s.mean() - 250.0).abs() < 1e-6);
-        assert_eq!(s.name(), "lat");
-        // One tick per nanosecond, exact at any magnitude.
-        s.record_duration(SimDuration::from_nanos(250_000_001));
-        s.record_duration(SimDuration::from_nanos(u64::MAX));
-        let st = s.state();
-        assert_eq!((st.min_ticks, st.max_ticks), (250_000_000, u64::MAX));
-        assert_eq!(st.sum_ticks, 500_000_001 + u128::from(u64::MAX));
-    }
-
-    #[test]
-    fn histogram_display_nonempty() {
-        let mut h = StreamingHistogram::new("d");
-        h.record(5.0);
-        assert_eq!(
-            h.to_string(),
-            "d: n=1 mean=5.000 p50=5.000 p95=5.000 p99=5.000 max=5.000"
-        );
     }
 
     #[test]

@@ -35,6 +35,8 @@
 mod event;
 mod hash;
 mod histogram;
+#[cfg(test)]
+mod metrics;
 mod reliability;
 mod rng;
 mod time;

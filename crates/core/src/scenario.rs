@@ -417,9 +417,9 @@ pub fn collaboration_experiment(config: &ScenarioConfig, mode: CollabMode) -> Co
 /// Runs `f` over parameter points in parallel (order-preserving).
 ///
 /// Concurrency is capped at `std::thread::available_parallelism()` by
-/// routing through the fleet's persistent work-stealing pool: points
-/// are handed out by disjoint index and idle workers steal from busy
-/// siblings' deques, so an uneven sweep (one slow point) no longer
+/// routing through the fleet's persistent work-stealing pool: each
+/// worker takes points from its own share and idle workers steal from
+/// busy siblings' shares, so an uneven sweep (one slow point) no longer
 /// idles every other core — and a 500-point sweep still never spawns
 /// 500 OS threads.
 pub fn sweep<P, T, F>(points: Vec<P>, f: F) -> Vec<T>

@@ -1,54 +1,42 @@
 //! Persistent work-stealing executor for the fleet's vehicle batches
 //! and parameter sweeps.
 //!
-//! The fleet engine needs "run these N independent chunks of work on at
-//! most K OS threads, return results in input order" — but it needs it
-//! *every epoch*, thousands of times per run. The old pool spawned and
-//! joined fresh scoped threads per call and funneled every item through
-//! its own `Mutex` cell; this one holds K persistent parked workers for
-//! the pool's lifetime and hands items out by disjoint index, so the
-//! steady-state cost of a submission is one condvar broadcast.
+//! The engine submits "run these N independent chunks of work on at
+//! most K threads" every epoch, so the pool parks K − 1 helpers for its
+//! lifetime and the submitting thread works as worker 0. A submission
+//! cuts its items into one contiguous share per worker, each an
+//! iterator behind a `Mutex` that hands out the `&mut` items: a worker
+//! takes the front of its own share, then steals from the *back* of a
+//! sibling's, the items that sibling would reach last. Each worker
+//! reports its busy time, steals and stolen time as a [`WorkerSample`].
 //!
-//! Work distribution is classic stealing: each worker owns a deque and
-//! pops from the front; a contiguous chunk of the submission is
-//! pre-pushed onto each deque and the remainder goes to a shared
-//! injector queue; a worker that runs dry takes from the injector and
-//! then steals from the *back* of its siblings' deques. Per-worker
-//! busy time, steal counts, and stolen-work time are reported back per
-//! submission ([`WorkerSample`]) so the engine profile can show where
-//! the epoch's wall-clock went.
+//! The job slot holds the submission's borrowed worker closure. A
+//! helper that takes it counts itself in under the slot's lock; when
+//! the submitter runs out of work it withdraws the closure and waits
+//! only for the helpers that counted in. That rule makes the pool's one
+//! `unsafe`, which erases the closure's lifetime to fit the slot, sound.
 //!
-//! The steal schedule is wall-clock-dependent and therefore
-//! nondeterministic — which is why callers must only submit work whose
-//! *outputs* are order-free (the fleet's vehicle batches each own their
-//! seeded RNG streams and private output buffers, and the engine folds
-//! batch results in canonical order). Results of [`WorkerPool::map`]
-//! are returned in input order regardless of which worker ran them, so
-//! pool size never affects determinism.
-//!
-//! A task that panics does not take its worker down: the worker catches
-//! the unwind, still counts the task as finished, and the submission
-//! re-raises the first panic on the submitting thread once every task
+//! The steal schedule depends on the wall clock, so callers submit only
+//! work whose outputs are order-free; [`WorkerPool::map`] returns
+//! outputs in input order. A panicking task does not take its worker
+//! down: the submission re-raises the first panic once every other item
 //! has run.
 
-use std::any::Any;
-use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vdap_obs::WorkerSample;
 
 /// A fixed-size pool of persistent worker threads, capped at the
-/// machine's available parallelism.
+/// machine's available parallelism. The submitting thread is worker 0,
+/// so the pool itself holds one thread fewer than it uses.
 ///
-/// Workers are spawned lazily on the first parallel submission and
+/// Helpers are spawned lazily on the first parallel submission and
 /// parked between submissions; dropping the pool shuts them down and
 /// joins them. A single-thread pool never spawns: it runs submissions
-/// inline on the caller, in index order.
+/// on the caller, in index order.
 ///
 /// # Examples
 ///
@@ -61,14 +49,15 @@ use vdap_obs::WorkerSample;
 /// ```
 pub struct WorkerPool {
     threads: usize,
-    inner: OnceLock<Inner>,
+    /// The job slot and the parked helpers, once spawned.
+    helpers: OnceLock<(Arc<Slot>, Vec<thread::JoinHandle<()>>)>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
             .field("threads", &self.threads)
-            .field("spawned", &self.inner.get().is_some())
+            .field("spawned", &self.helpers.get().is_some())
             .finish()
     }
 }
@@ -82,7 +71,7 @@ impl WorkerPool {
         let hw = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         WorkerPool {
             threads: max_threads.clamp(1, hw),
-            inner: OnceLock::new(),
+            helpers: OnceLock::new(),
         }
     }
 
@@ -92,7 +81,8 @@ impl WorkerPool {
         WorkerPool::new(usize::MAX)
     }
 
-    /// Number of worker threads this pool will use.
+    /// Number of worker threads this pool will use, the submitting
+    /// thread included.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -100,42 +90,29 @@ impl WorkerPool {
 
     /// Applies `f` to every input on the pool and returns outputs in
     /// input order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic of any `f` call, after every other
+    /// input has been mapped.
     pub fn map<P, T>(&self, inputs: Vec<P>, f: impl Fn(P) -> T + Sync) -> Vec<T>
     where
         P: Send,
         T: Send,
     {
-        let n = inputs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let inputs: Slots<Option<P>> = Slots(
-            inputs
-                .into_iter()
-                .map(|p| UnsafeCell::new(Some(p)))
-                .collect(),
-        );
-        let outputs: Slots<Option<T>> = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
-        self.run_tasks(n, &|_w, i| {
-            // SAFETY: the executor hands each index to exactly one
-            // worker, so these disjoint-slot accesses never alias.
-            let input = unsafe { &mut *inputs.slot(i) }
-                .take()
-                .expect("each input is taken exactly once");
-            let output = f(input);
-            unsafe { *outputs.slot(i) = Some(output) };
+        let mut slots: Vec<_> = inputs.into_iter().map(|p| (Some(p), None)).collect();
+        self.for_each_mut(&mut slots, |_, (input, output)| {
+            *output = Some(f(input.take().expect("each input is taken once")));
         });
-        outputs
-            .0
+        slots
             .into_iter()
-            .map(|c| c.into_inner().expect("every input produced an output"))
+            .map(|(_, output)| output.expect("every input produced an output"))
             .collect()
     }
 
-    /// Runs `f(index, item)` for every item, mutating in place. Items
-    /// are handed to workers by disjoint index — no per-item locks —
-    /// and each item is visited exactly once. Returns one
-    /// [`WorkerSample`] per pool thread for this submission.
+    /// Runs `f(index, item)` for every item, mutating in place, with the
+    /// calling thread as worker 0. Each item is visited exactly once.
+    /// Returns one [`WorkerSample`] per pool thread for this submission.
     ///
     /// # Panics
     ///
@@ -146,315 +123,183 @@ impl WorkerPool {
         items: &mut [S],
         f: impl Fn(usize, &mut S) + Sync,
     ) -> Vec<WorkerSample> {
-        let n = items.len();
-        let base = SendPtr(items.as_mut_ptr());
-        self.run_tasks(n, &move |_w, i| {
-            // SAFETY: the executor hands each index to exactly one
-            // worker, so these &mut borrows are disjoint, and the
-            // submission blocks until every task finished, so the
-            // slice outlives all of them.
-            let item = unsafe { &mut *base.at(i) };
-            f(i, item);
-        })
-    }
-
-    /// Executes `task(worker, index)` for every index in `0..n` across
-    /// the pool and blocks until all of them finished. The core
-    /// submission primitive behind [`WorkerPool::map`] and
-    /// [`WorkerPool::for_each_mut`].
-    fn run_tasks(&self, n: usize, task: &(dyn Fn(usize, usize) + Sync)) -> Vec<WorkerSample> {
-        if self.threads == 1 {
+        let threads = self.threads;
+        if items.is_empty() {
+            return vec![WorkerSample::default(); threads];
+        }
+        let share_len = items.len().div_ceil(threads);
+        let shares: Vec<_> = items
+            .chunks_mut(share_len)
+            .map(|share| Mutex::new(share.iter_mut().enumerate()))
+            .collect();
+        // Worker `w` takes the front of its own share, else steals the
+        // back of a sibling's, scanning round-robin from `w + 1`.
+        let take = |v: usize, steal: bool| {
+            let mut share = shares.get(v)?.lock().expect("pool share lock");
+            let (i, item) = if steal {
+                share.next_back()
+            } else {
+                share.next()
+            }?;
+            Some((v * share_len + i, item, steal))
+        };
+        let samples = Mutex::new(vec![WorkerSample::default(); threads]);
+        let panicked = Mutex::new(None);
+        let work = |w: usize| {
+            let mut sample = WorkerSample::default();
+            let claim = || {
+                take(w, false).or_else(|| (1..threads).find_map(|k| take((w + k) % threads, true)))
+            };
             let started = Instant::now();
-            for i in 0..n {
-                task(0, i);
+            while let Some((i, item, stolen)) = claim() {
+                let stolen_at = stolen.then(Instant::now);
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                    panicked
+                        .lock()
+                        .expect("pool panic slot")
+                        .get_or_insert(payload);
+                }
+                if let Some(at) = stolen_at {
+                    sample.steals += 1;
+                    sample.stolen += at.elapsed();
+                }
             }
-            return vec![WorkerSample {
-                busy: started.elapsed(),
-                steals: 0,
-                stolen: Duration::ZERO,
-            }];
+            sample.busy = started.elapsed();
+            samples.lock().expect("pool samples")[w] = sample;
+        };
+        match threads {
+            1 => work(0),
+            _ => self
+                .helpers
+                .get_or_init(|| spawn_helpers(threads))
+                .0
+                .run(&work),
         }
-        if n == 0 {
-            return vec![WorkerSample::default(); self.threads];
+        if let Some(payload) = panicked.into_inner().expect("pool panic slot") {
+            panic::resume_unwind(payload);
         }
-        let inner = self.inner.get_or_init(|| Inner::spawn(self.threads));
-        inner.submit(n, task)
+        samples.into_inner().expect("pool samples")
     }
 }
 
-/// `Vec<UnsafeCell<T>>` shared across workers; sound because each index
-/// is claimed by exactly one worker per submission. Access goes through
-/// [`Slots::slot`] so closures capture the wrapper (and its `Sync`
-/// impl), not the raw `Vec` field.
-struct Slots<T>(Vec<UnsafeCell<T>>);
+/// Spawns the parked helpers, workers `1..threads`.
+fn spawn_helpers(threads: usize) -> (Arc<Slot>, Vec<thread::JoinHandle<()>>) {
+    let slot = Arc::new(Slot::default());
+    let handles = (1..threads)
+        .map(|w| {
+            let slot = Arc::clone(&slot);
+            thread::Builder::new()
+                .name(format!("vdap-steal-{w}"))
+                .spawn(move || helper_loop(w, &slot))
+                .expect("spawn pool worker")
+        })
+        .collect();
+    (slot, handles)
+}
 
-impl<T> Slots<T> {
-    fn slot(&self, i: usize) -> *mut T {
-        self.0[i].get()
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        if let Some((slot, handles)) = self.helpers.take() {
+            let mut job = slot.job.lock().unwrap_or_else(PoisonError::into_inner);
+            job.shutdown = true;
+            drop(job);
+            slot.posted.notify_all();
+            for handle in handles {
+                let _ = handle.join();
+            }
+        }
     }
 }
 
-// SAFETY: disjoint-index access only (see Slots doc).
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-/// A raw `*mut S` that may cross threads; each worker only dereferences
-/// offsets it exclusively claimed. Access goes through [`SendPtr::at`]
-/// so closures capture the wrapper, not the raw pointer field.
-#[derive(Clone, Copy)]
-struct SendPtr<S>(*mut S);
-
-impl<S> SendPtr<S> {
-    /// The `i`-th element's address.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the allocation this pointer heads.
-    unsafe fn at(&self, i: usize) -> *mut S {
-        unsafe { self.0.add(i) }
-    }
-}
-
-// SAFETY: disjoint-index access only (see SendPtr doc).
-unsafe impl<S: Send> Send for SendPtr<S> {}
-unsafe impl<S: Send> Sync for SendPtr<S> {}
-
-/// The current submission, guarded by `Shared::job`. The task pointer
-/// is lifetime-erased: `Inner::submit` blocks until every task has run
-/// and clears it before returning, so workers never observe a dangling
-/// closure.
-struct JobSlot {
-    epoch: u64,
-    task: Option<&'static (dyn Fn(usize, usize) + Sync)>,
-    shutdown: bool,
+/// The job slot the submitting thread shares with the helpers.
+#[derive(Default)]
+struct Slot {
+    job: Mutex<Job>,
+    /// Wakes parked helpers when a job is posted or the pool shuts down.
+    posted: Condvar,
+    /// Wakes the submitter when the last counted-in helper leaves.
+    left: Condvar,
+    /// Serializes submissions: the slot holds one job at a time.
+    submit: Mutex<()>,
 }
 
 #[derive(Default)]
-struct WorkerStat {
-    busy_ns: AtomicU64,
-    steals: AtomicU64,
-    stolen_ns: AtomicU64,
+struct Job {
+    /// Bumped per submission: a helper joins each job at most once.
+    epoch: u64,
+    /// The submission's worker closure, lifetime-erased: present from
+    /// posting until the submitter withdraws it (see [`Withdraw`]).
+    work: Option<&'static (dyn Fn(usize) + Sync)>,
+    /// Helpers that took `work` and have not finished running it.
+    running: usize,
+    shutdown: bool,
 }
 
-struct Shared {
-    job: Mutex<JobSlot>,
-    job_cv: Condvar,
-    /// Per-worker deques: the owner pops from the front, thieves steal
-    /// from the back.
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Overflow/remainder queue any worker may take from (not a steal).
-    injector: Mutex<VecDeque<usize>>,
-    /// Tasks of the current submission not yet completed.
-    pending: AtomicUsize,
-    /// The first panic payload of the current submission.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done: Mutex<()>,
-    done_cv: Condvar,
-    stats: Vec<WorkerStat>,
-}
-
-struct Inner {
-    shared: Arc<Shared>,
-    /// Serializes submissions: the distribution/stat-reset protocol
-    /// assumes one job in flight.
-    submit_lock: Mutex<()>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl Inner {
-    fn spawn(threads: usize) -> Inner {
-        let shared = Arc::new(Shared {
-            job: Mutex::new(JobSlot {
-                epoch: 0,
-                task: None,
-                shutdown: false,
-            }),
-            job_cv: Condvar::new(),
-            deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            pending: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-            stats: (0..threads).map(|_| WorkerStat::default()).collect(),
-        });
-        let handles = (0..threads)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("vdap-steal-{w}"))
-                    .spawn(move || worker_loop(w, &shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Inner {
-            shared,
-            submit_lock: Mutex::new(()),
-            handles,
-        }
-    }
-
-    fn submit(&self, n: usize, task: &(dyn Fn(usize, usize) + Sync)) -> Vec<WorkerSample> {
-        let serial = self.submit_lock.lock().expect("pool submit lock");
-        let shared = &self.shared;
-        let threads = shared.deques.len();
-        {
-            // All setup happens under the job lock: a worker that claims
-            // a task from a refilled deque must take this lock to read
-            // the closure, so it cannot run ahead of the installation.
-            let mut job = shared.job.lock().expect("pool job lock");
-            for stat in &shared.stats {
-                stat.busy_ns.store(0, Ordering::Relaxed);
-                stat.steals.store(0, Ordering::Relaxed);
-                stat.stolen_ns.store(0, Ordering::Relaxed);
-            }
-            shared.pending.store(n, Ordering::Release);
-            let chunk = n / threads;
-            for (w, deque) in shared.deques.iter().enumerate() {
-                deque
-                    .lock()
-                    .expect("pool deque lock")
-                    .extend(w * chunk..(w + 1) * chunk);
-            }
-            shared
-                .injector
-                .lock()
-                .expect("pool injector lock")
-                .extend(threads * chunk..n);
-            job.epoch += 1;
-            // SAFETY: lifetime erasure — this reference is cleared
-            // below before `submit` returns, and `submit` only returns
-            // once `pending` hit zero, i.e. after the last use.
-            job.task = Some(unsafe {
-                std::mem::transmute::<
-                    &(dyn Fn(usize, usize) + Sync),
-                    &'static (dyn Fn(usize, usize) + Sync),
-                >(task)
-            });
-            shared.job_cv.notify_all();
-        }
-        {
-            let mut guard = shared.done.lock().expect("pool done lock");
-            while shared.pending.load(Ordering::Acquire) > 0 {
-                guard = shared.done_cv.wait(guard).expect("pool done wait");
-            }
-        }
-        shared.job.lock().expect("pool job lock").task = None;
-        let samples = shared
-            .stats
-            .iter()
-            .map(|stat| WorkerSample {
-                busy: Duration::from_nanos(stat.busy_ns.load(Ordering::Relaxed)),
-                steals: stat.steals.load(Ordering::Relaxed),
-                stolen: Duration::from_nanos(stat.stolen_ns.load(Ordering::Relaxed)),
-            })
-            .collect();
-        let panicked = shared.panic.lock().expect("pool panic slot").take();
-        // Re-raised only after the submit lock is released, so the pool
-        // stays usable for the next submission.
-        drop(serial);
-        if let Some(payload) = panicked {
-            panic::resume_unwind(payload);
-        }
-        samples
+impl Slot {
+    /// Posts `work` to the helpers and runs it as worker 0; returns once
+    /// the closure is withdrawn and no helper runs it any more.
+    fn run(&self, work: &(dyn Fn(usize) + Sync)) {
+        let _serial = self.submit.lock().expect("pool submit lock");
+        // Dropped before `_serial`, on return and on unwind alike.
+        let _withdraw = Withdraw(self);
+        let mut job = self.job.lock().expect("pool job lock");
+        #[allow(unsafe_code)]
+        // SAFETY: the erased reference is reachable only through the
+        // job slot, and a helper copies it out only under the job lock
+        // while counting itself in. `_withdraw` clears the slot and
+        // waits until every counted-in helper has counted out before
+        // `run` returns or unwinds, so no use outlives the borrow.
+        let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(work) };
+        job.work = Some(erased);
+        job.epoch += 1;
+        drop(job);
+        self.posted.notify_all();
+        work(0);
     }
 }
 
-impl Drop for Inner {
+/// Clears the job slot and waits until every helper that took the
+/// closure has finished with it: the condition the lifetime erasure in
+/// [`Slot::run`] rests on.
+struct Withdraw<'a>(&'a Slot);
+
+impl Drop for Withdraw<'_> {
     fn drop(&mut self) {
-        {
-            let mut job = self.shared.job.lock().expect("pool job lock");
-            job.shutdown = true;
-            self.shared.job_cv.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        // Every update under the job lock leaves the slot consistent, so
+        // a poisoned lock is safe to use, and a drop must not panic.
+        let mut job = self.0.job.lock().unwrap_or_else(PoisonError::into_inner);
+        job.work = None;
+        drop(self.0.left.wait_while(job, |job| job.running > 0));
     }
 }
 
-/// Claims one task index for worker `w`: own deque front, then the
-/// injector, then a steal from the back of a sibling's deque. Returns
-/// `(index, was_stolen)`.
-fn claim(w: usize, shared: &Shared) -> Option<(usize, bool)> {
-    if let Some(i) = shared.deques[w]
-        .lock()
-        .expect("pool deque lock")
-        .pop_front()
-    {
-        return Some((i, false));
-    }
-    if let Some(i) = shared
-        .injector
-        .lock()
-        .expect("pool injector lock")
-        .pop_front()
-    {
-        return Some((i, false));
-    }
-    let threads = shared.deques.len();
-    for k in 1..threads {
-        let victim = (w + k) % threads;
-        if let Some(i) = shared.deques[victim]
-            .lock()
-            .expect("pool deque lock")
-            .pop_back()
-        {
-            return Some((i, true));
-        }
-    }
-    None
-}
-
-fn worker_loop(w: usize, shared: &Shared) {
-    let mut last_epoch = 0u64;
-    loop {
-        {
-            let mut job = shared.job.lock().expect("pool job lock");
-            while job.epoch == last_epoch && !job.shutdown {
-                job = shared.job_cv.wait(job).expect("pool job wait");
-            }
-            if job.shutdown {
-                return;
-            }
-            last_epoch = job.epoch;
-        }
-        while let Some((i, was_stolen)) = claim(w, shared) {
-            // Re-read the closure under the lock: a claimed task pins
-            // `pending > 0`, so the job it belongs to cannot be
-            // replaced (or its closure cleared) before we run it.
-            let task = shared
-                .job
-                .lock()
-                .expect("pool job lock")
-                .task
-                .expect("claimed task implies an installed job");
-            let started = Instant::now();
-            // A panicking task must still count as finished, or the
-            // submitter would wait on `pending` forever.
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(w, i))) {
-                shared
-                    .panic
-                    .lock()
-                    .expect("pool panic slot")
-                    .get_or_insert(payload);
-            }
-            let elapsed = started.elapsed().as_nanos() as u64;
-            let stat = &shared.stats[w];
-            stat.busy_ns.fetch_add(elapsed, Ordering::Relaxed);
-            if was_stolen {
-                stat.steals.fetch_add(1, Ordering::Relaxed);
-                stat.stolen_ns.fetch_add(elapsed, Ordering::Relaxed);
-            }
-            if shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _guard = shared.done.lock().expect("pool done lock");
-                shared.done_cv.notify_all();
+/// A helper's life: wait for a job it has not seen, count in unless the
+/// submitter already withdrew it, run it as worker `w`, count out.
+fn helper_loop(w: usize, slot: &Slot) {
+    let mut job = slot.job.lock().expect("pool job lock");
+    while !job.shutdown {
+        let seen = job.epoch;
+        if let Some(work) = job.work {
+            job.running += 1;
+            drop(job);
+            work(w);
+            job = slot.job.lock().expect("pool job lock");
+            job.running -= 1;
+            if job.running == 0 && job.work.is_none() {
+                slot.left.notify_one();
             }
         }
+        job = slot
+            .posted
+            .wait_while(job, |job| job.epoch == seen && !job.shutdown)
+            .expect("pool job lock");
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -584,6 +429,43 @@ mod tests {
         if pool.threads() > 1 {
             let steals: u64 = samples.iter().map(|s| s.steals).sum();
             assert!(steals > 0, "no batch was stolen from the stalled worker");
+        }
+    }
+
+    #[test]
+    fn concurrent_submissions_to_one_shared_pool_all_come_back_right() {
+        // The pool is `Sync`: four threads submit to it at once. The
+        // barrier lines their first submissions up, so later ones
+        // queue on the submit lock while a job is in flight.
+        let pool = WorkerPool::new(4);
+        let start = std::sync::Barrier::new(4);
+        thread::scope(|s| {
+            for t in 0..4u64 {
+                let (pool, start) = (&pool, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..200u64 {
+                        let inputs: Vec<u64> = (0..(round % 37) + 1).collect();
+                        let out = pool.map(inputs.clone(), |x| x * 1000 + t);
+                        let want: Vec<u64> = inputs.iter().map(|x| x * 1000 + t).collect();
+                        assert_eq!(out, want, "thread {t}, round {round}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn short_submissions_over_fresh_vecs_visit_every_item_once() {
+        // Each submission borrows a Vec that is dropped as soon as it
+        // returns, and most end before a helper has woken: a late
+        // helper must find the closure withdrawn and never touch the
+        // freed items.
+        let pool = WorkerPool::with_default_size();
+        for round in 0..10_000usize {
+            let mut items = vec![0u8; round % 7 + 1];
+            pool.for_each_mut(&mut items, |_, x| *x += 1);
+            assert!(items.iter().all(|&x| x == 1), "round {round}: {items:?}");
         }
     }
 }

@@ -377,7 +377,7 @@ proptest! {
 
     #[test]
     fn batch_size_cannot_reach_any_report(seed in any::<u64>()) {
-        // Batch size only regroups which vehicles share a deque slot:
+        // Batch size only regroups which vehicles share a work item:
         // one vehicle per batch, a prime that leaves a ragged last
         // chunk, and the whole fleet in one batch must all match the
         // default grouping.

@@ -5,10 +5,10 @@
 //! work-stealing executor, then everything joins at a single-threaded
 //! barrier. The join means every epoch costs as much wall-clock as the
 //! executor's *slowest* worker — the other workers sit idle once their
-//! deques (and everyone else's) run dry. [`EngineProfile`] measures
+//! shares (and everyone else's) run dry. [`EngineProfile`] measures
 //! exactly that: per-worker busy time, per-worker barrier-idle time
 //! (`tick-phase wall - busy_w` per epoch), how many batches each worker
-//! stole from a sibling's deque and how long it spent running stolen
+//! stole from a sibling's share and how long it spent running stolen
 //! work, and the serial barrier time itself, split by barrier pass
 //! ([`BarrierPass`]).
 //!
@@ -67,12 +67,13 @@ impl BarrierPass {
 
 /// One worker's measurements for a single tick-phase submission: time
 /// spent executing batches, how many of those batches were stolen from
-/// another worker's deque, and the time spent on the stolen ones.
+/// another worker's share, and the time spent on the stolen ones.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerSample {
-    /// Time the worker spent executing batches this submission.
+    /// Time the worker spent claiming and executing batches this
+    /// submission.
     pub busy: Duration,
-    /// Batches this worker stole from a sibling's deque.
+    /// Batches this worker stole from a sibling's share.
     pub steals: u64,
     /// Time spent executing those stolen batches.
     pub stolen: Duration,
@@ -87,7 +88,7 @@ pub struct EngineProfile {
     /// Cumulative barrier-idle time per worker (`tick-phase wall -
     /// busy_w` summed over epochs).
     pub worker_idle: Vec<Duration>,
-    /// Batches each worker stole from a sibling's deque.
+    /// Batches each worker stole from a sibling's share.
     pub worker_steals: Vec<u64>,
     /// Time each worker spent executing stolen batches.
     pub worker_stolen: Vec<Duration>,
@@ -186,7 +187,7 @@ impl EngineProfile {
     }
 
     /// Fraction of a worker's busy time spent executing batches stolen
-    /// from a sibling's deque (0 when the worker never ran — a
+    /// from a sibling's share (0 when the worker never ran — a
     /// zero-duration run must not surface as NaN).
     #[must_use]
     pub fn steal_fraction(&self, worker: usize) -> f64 {

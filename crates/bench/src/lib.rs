@@ -8,6 +8,7 @@
 //!   cost of the substrate (CV kernels, channel simulation, planners,
 //!   training loops).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -38,6 +38,8 @@
 //! parse or re-serializes to a different canonical form, and both paths
 //! return an error instead of a silently wrong resume.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;

@@ -31,6 +31,7 @@
 //! println!("end-to-end latency: {}", cost.latency);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

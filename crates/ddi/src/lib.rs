@@ -23,6 +23,7 @@
 //! assert!(!out.records.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -29,6 +29,7 @@
 //! assert!(decision.selected.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

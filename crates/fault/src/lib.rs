@@ -32,6 +32,7 @@
 //! assert!(!injector.is_down("slot1", SimTime::from_secs(80)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

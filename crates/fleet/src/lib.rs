@@ -59,6 +59,7 @@
 //! assert_eq!(wide.summary(), serial.summary());
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -18,6 +18,7 @@
 //! assert!((t.as_millis_f64() - 26.8).abs() < 0.2); // paper Fig. 3
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -30,6 +30,7 @@
 //! same way: segment occupancy is sampled at the barrier and locks a
 //! traversal multiplier when a vehicle *enters* the segment.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -17,6 +17,7 @@
 //! assert!((t.as_millis_f64() - 13.57).abs() < 0.1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

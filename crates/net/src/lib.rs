@@ -23,6 +23,7 @@
 //! assert!(stats.frame_loss_rate() > 0.9); // 70 MPH 1080P is unusable (Fig. 2)
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -42,6 +42,7 @@
 //! assert!(text.contains("traceEvents"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

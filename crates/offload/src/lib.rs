@@ -30,6 +30,7 @@
 //! # let _ = InVehicleOnly.name();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

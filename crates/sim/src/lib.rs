@@ -29,6 +29,7 @@
 //! assert_eq!(sim.state().served, 10);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -20,6 +20,7 @@
 //! # Ok::<(), vdap_vcu::ScheduleError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

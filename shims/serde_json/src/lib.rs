@@ -25,6 +25,8 @@
 //! number the trace exporter emits (microsecond timestamps, ids,
 //! counters).
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 

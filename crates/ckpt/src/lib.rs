@@ -152,17 +152,6 @@ pub fn get_u32(v: &Value, key: &str) -> Result<u32, CkptError> {
         .map_err(|_| CkptError::new(format!("field '{key}': out of u32 range")))
 }
 
-/// Reads a finite `f64` field stored as a plain number.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a number.
-pub fn get_f64(v: &Value, key: &str) -> Result<f64, CkptError> {
-    get(v, key)?
-        .as_f64()
-        .ok_or_else(|| CkptError::new(format!("field '{key}': expected number")))
-}
-
 /// Reads a boolean field.
 ///
 /// # Errors

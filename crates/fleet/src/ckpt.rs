@@ -511,18 +511,6 @@ impl SnapshotDiagnostics {
             && self.rejected_generations.is_empty()
             && self.resumes == 0
     }
-
-    /// Folds another run leg's accounting into this one (a supervised
-    /// run restarts the engine; the report should show every leg).
-    pub fn absorb(&mut self, other: &SnapshotDiagnostics) {
-        self.writes.extend(other.writes.iter().cloned());
-        if other.load_ms.is_some() {
-            self.load_ms = other.load_ms;
-        }
-        self.rejected_generations
-            .extend(other.rejected_generations.iter().copied());
-        self.resumes += other.resumes;
-    }
 }
 
 impl fmt::Display for SnapshotDiagnostics {

@@ -113,16 +113,6 @@ impl ClassSpec {
         }
     }
 
-    /// The default spec for `class`.
-    #[must_use]
-    pub fn default_for(class: WorkloadClass) -> Self {
-        match class {
-            WorkloadClass::Detection => ClassSpec::detection(),
-            WorkloadClass::Infotainment => ClassSpec::infotainment(),
-            WorkloadClass::PbeamTraining => ClassSpec::pbeam_training(),
-        }
-    }
-
     fn validate(&self, class: WorkloadClass) -> Result<(), FleetConfigError> {
         let reject = |what: &str| {
             Err(FleetConfigError::BadClassSpec {

@@ -359,33 +359,17 @@ impl XEdgeServer {
         }
     }
 
-    /// Vehicles registered with `region`'s gate across all tenants
-    /// (`None` with mobility off).
-    pub fn region_registered(&self, region: u32) -> Option<u32> {
-        self.region_admission
-            .as_ref()
-            .map(|g| g[region as usize].registered_total())
-    }
-
-    /// Admission counters `(offered, rejected)` for one region's gate
-    /// (`None` with mobility off).
-    pub fn region_admission_stats(&self, region: u32) -> Option<(u64, u64)> {
-        self.region_admission.as_ref().map(|g| {
-            let gate = &g[region as usize];
-            (gate.admitted() + gate.rejected(), gate.rejected())
-        })
-    }
-
     /// The per-region admission table for the run report: one
     /// [`RegionAdmission`] per region (`None` with mobility off).
     pub fn region_admission_table(&self) -> Option<Vec<crate::metrics::RegionAdmission>> {
         let gates = self.region_admission.as_ref()?;
         Some(
-            (0..gates.len() as u32)
-                .map(|r| crate::metrics::RegionAdmission {
-                    registered: self.region_registered(r).expect("gates present"),
-                    offered: self.region_admission_stats(r).expect("gates present").0,
-                    rejected: self.region_admission_stats(r).expect("gates present").1,
+            gates
+                .iter()
+                .map(|gate| crate::metrics::RegionAdmission {
+                    registered: gate.registered_total(),
+                    offered: gate.admitted() + gate.rejected(),
+                    rejected: gate.rejected(),
                 })
                 .collect(),
         )

@@ -1055,6 +1055,30 @@ fn dec_served(v: &Value) -> Result<ServedRequest, CkptError> {
     })
 }
 
+/// Refuses an in-flight entry that no serving pass could have placed.
+fn check_in_flight(cfg: &FleetConfig, nodes: u32, f: &InFlight) -> Result<(), CkptError> {
+    let (r, s) = (&f.req, &f.served);
+    let problem = if f.node >= nodes {
+        format!("sits on node {}", f.node)
+    } else if (s.vehicle, s.seq, s.tenant, s.region, s.class, s.arrival)
+        != (r.vehicle, r.seq, r.tenant, r.region, r.class, r.arrival)
+    {
+        "serves another request than it holds".to_string()
+    } else if r.vehicle >= cfg.vehicles {
+        "names no vehicle of the fleet".to_string()
+    } else if r.tenant != cfg.tenant_of(r.vehicle) {
+        format!("names tenant {}, not its vehicle's", r.tenant)
+    } else if r.region >= cfg.regions {
+        format!("names region {}", r.region)
+    } else {
+        return Ok(());
+    };
+    Err(CkptError::new(format!(
+        "in-flight request (vehicle {}, seq {}) {problem}",
+        r.vehicle, r.seq
+    )))
+}
+
 /// Writes `(tenant, count)` pairs as `[tenant, "hex count"]`.
 fn enc_pairs(w: &mut JsonWriter, entries: impl IntoIterator<Item = (u32, u64)>) {
     w.begin_array();
@@ -1194,33 +1218,47 @@ impl XEdgeServer {
     /// serialized cross-barrier state.
     pub(crate) fn restore_ckpt(cfg: &FleetConfig, v: &Value) -> Result<XEdgeServer, CkptError> {
         let mut edge = XEdgeServer::new(cfg);
+        let nodes = edge.edge_nodes;
+        // `new`, grow and shrink all keep lane `i` on node `i % nodes`
+        // and at least one lane per node.
         let mut lanes = Vec::new();
-        for l in get_array(v, "lanes")? {
+        for (i, l) in (0u32..).zip(get_array(v, "lanes")?) {
+            let node = get_u32(l, "node")?;
+            if node != i % nodes {
+                return Err(CkptError::new(format!("lane {i} sits on node {node}")));
+            }
             lanes.push(Lane {
-                node: get_u32(l, "node")?,
+                node,
                 free: time_field(l, "free")?,
             });
         }
-        if lanes.is_empty() {
-            return Err(CkptError::new("snapshot has an empty lane pool"));
+        if lanes.len() < nodes as usize {
+            return Err(CkptError::new(format!(
+                "snapshot has {} lanes for {nodes} edge nodes",
+                lanes.len()
+            )));
         }
         edge.contention = edge.contention.resized(lanes.len() as u32);
         edge.lanes = lanes;
         edge.in_flight = get_array(v, "in_flight")?
             .iter()
             .map(|f| {
-                Ok(InFlight {
+                let entry = InFlight {
                     finish: time_field(f, "finish")?,
                     node: get_u32(f, "node")?,
                     served: dec_served(get(f, "served")?)?,
                     req: dec_req(get(f, "req")?)?,
-                })
+                };
+                check_in_flight(cfg, nodes, &entry)?;
+                Ok(entry)
             })
             .collect::<Result<Vec<_>, CkptError>>()?;
-        edge.requeued = get_array(v, "requeued")?
-            .iter()
-            .map(dec_req)
-            .collect::<Result<Vec<_>, _>>()?;
+        // `serve_epoch` drains the requeue buffer at every barrier.
+        if !get_array(v, "requeued")?.is_empty() {
+            return Err(CkptError::new(
+                "snapshot holds requeued requests, which every barrier drains",
+            ));
+        }
         let node_down = get_array(v, "node_down")?
             .iter()
             .map(val_bool)

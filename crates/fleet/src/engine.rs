@@ -1054,9 +1054,6 @@ fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
         },
         other => return Err(CkptError::new(format!("unknown track motion {other:?}"))),
     };
-    let [a, b, c, d] = get_array(v, "rng")? else {
-        return Err(CkptError::new("track rng is not four words"));
-    };
     Ok(TrackSnapshot {
         id: get_u32(v, "id")?,
         profile,
@@ -1068,13 +1065,42 @@ fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
         dwell_mean: dur_field(v, "dwell_mean")?,
         leg,
         motion,
-        rng: [
-            val_u64_hex(a)?,
-            val_u64_hex(b)?,
-            val_u64_hex(c)?,
-            val_u64_hex(d)?,
-        ],
+        rng: rng_field(v, "rng")?.state(),
     })
+}
+
+/// Refuses a track that no mobility pass could have left at a barrier:
+/// every region it names is in the graph, and a driving track is on a
+/// segment from its region to the first step of a path whose steps are
+/// adjacent.
+fn check_track(snap: &TrackSnapshot, graph: &RegionGraph) -> Result<(), String> {
+    let regions = graph.regions();
+    if let Some(r) = [snap.region, snap.home, snap.work]
+        .into_iter()
+        .find(|&r| r >= regions)
+    {
+        return Err(format!("names region {r}"));
+    }
+    let TrackMotion::Drive { edge, path, .. } = &snap.motion else {
+        return Ok(());
+    };
+    if let Some(r) = path.iter().find(|&&r| r >= regions) {
+        return Err(format!("routes through region {r}"));
+    }
+    let seg = graph
+        .segments()
+        .get(*edge)
+        .ok_or_else(|| format!("drives on segment {edge}"))?;
+    let on_path = path.first().is_some_and(|&next| {
+        (seg.a, seg.b) == (snap.region, next) || (seg.b, seg.a) == (snap.region, next)
+    }) && path
+        .windows(2)
+        .all(|step| graph.edge_between(step[0], step[1]).is_some());
+    if on_path {
+        Ok(())
+    } else {
+        Err(format!("drives segment {edge} off its path {path:?}"))
+    }
 }
 
 fn enc_mobility_metrics(w: &mut JsonWriter, m: &MobilityMetrics) {
@@ -1209,6 +1235,8 @@ impl MobilityPass {
                     snap.id
                 )));
             }
+            check_track(&snap, &graph)
+                .map_err(|what| CkptError::new(format!("mobility track {i} {what}")))?;
             tracks.push(VehicleTrack::from_snapshot(snap));
         }
         Ok(MobilityPass {

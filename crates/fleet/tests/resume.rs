@@ -3,8 +3,8 @@
 //! straight run's report byte-for-byte — through snapshot-store chaos
 //! (torn writes, bit rot) and even when the restoring engine uses a
 //! different executor width and batch size than the writer. A snapshot
-//! whose checksum matches but whose vehicles, histograms or ingest
-//! backlog are impossible is refused.
+//! whose checksum matches but whose vehicles, histograms, ingest
+//! backlog, XEdge or mobility state are impossible is refused.
 
 use std::sync::OnceLock;
 
@@ -596,6 +596,167 @@ fn restore_rejects_an_impossible_ingest_backlog_with_a_valid_checksum() {
             .restore(&tampered)
             .expect_err("an impossible backlog must be refused");
         assert!(err.to_string().contains(&expect), "{what}: {err}");
+    }
+}
+
+#[test]
+fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
+    let cfg = full_stack_config(41);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let snap = store.newest_valid().0.expect("valid snapshot");
+    assert_eq!(snap.generation, 12);
+    let engine = FleetEngine::new(cfg.clone());
+    let array = |path: &[&str]| {
+        value_at(&snap.payload, path)
+            .as_array()
+            .expect("array")
+            .clone()
+    };
+    let lanes = array(&["edge", "lanes"]);
+    assert!(lanes.len() >= cfg.edge_nodes as usize && !array(&["edge", "in_flight"]).is_empty());
+    let driving = array(&["mobility", "tracks"])
+        .iter()
+        .position(|t| value_at(t, &["motion", "kind"]).as_str() == Some("drive"))
+        .expect("a driving track")
+        .to_string();
+
+    // Rewriting either payload with itself keeps the snapshot valid.
+    for key in ["edge", "mobility"] {
+        let same = value_at(&snap.payload, &[key]).clone();
+        assert!(engine.restore(&with_value_at(&snap, &[key], same)).is_ok());
+    }
+
+    // One field of in-flight entry 0: its served record only, or both
+    // halves so that they still name the same request.
+    let in_flight = |key: &str, value: Value, both: bool| {
+        let served = with_value_at(
+            &snap,
+            &["edge", "in_flight", "0", "served", key],
+            value.clone(),
+        );
+        if both {
+            with_value_at(&served, &["edge", "in_flight", "0", "req", key], value)
+        } else {
+            served
+        }
+    };
+    let track = |slot: &str, path: &[&str], value: Value| {
+        let full: Vec<&str> = ["mobility", "tracks", slot]
+            .iter()
+            .chain(path)
+            .copied()
+            .collect();
+        with_value_at(&snap, &full, value)
+    };
+    let every_lane_on_node_0 = lanes
+        .iter()
+        .map(|lane| with_key(lane, "node", Value::from(0u32)))
+        .collect();
+    let foreign_requeue = with_key(
+        value_at(&snap.payload, &["edge", "in_flight", "0", "req"]),
+        "tenant",
+        Value::from(999u32),
+    );
+    let hex_zero = Value::from("0");
+    let cases = [
+        (
+            "every lane on node 0",
+            with_value_at(
+                &snap,
+                &["edge", "lanes"],
+                Value::Array(every_lane_on_node_0),
+            ),
+            "lane 1 sits on node 0",
+        ),
+        (
+            "one lane for every node",
+            with_value_at(&snap, &["edge", "lanes"], Value::Array(lanes[..1].to_vec())),
+            "1 lanes for 4 edge nodes",
+        ),
+        (
+            "in-flight node",
+            with_value_at(
+                &snap,
+                &["edge", "in_flight", "0", "node"],
+                Value::from(999u32),
+            ),
+            "sits on node 999",
+        ),
+        (
+            "served tenant",
+            in_flight("tenant", Value::from(999u32), false),
+            "serves another request",
+        ),
+        (
+            "in-flight tenant",
+            in_flight("tenant", Value::from(999u32), true),
+            "names tenant 999",
+        ),
+        (
+            "in-flight vehicle",
+            in_flight("vehicle", Value::from(99_999u32), true),
+            "names no vehicle",
+        ),
+        (
+            "in-flight region",
+            in_flight("region", Value::from(999u32), true),
+            "names region 999",
+        ),
+        (
+            "requeued request",
+            with_value_at(
+                &snap,
+                &["edge", "requeued"],
+                Value::Array(vec![foreign_requeue]),
+            ),
+            "requeued requests",
+        ),
+        (
+            "track region",
+            track("0", &["region"], Value::from(999u32)),
+            "mobility track 0 names region 999",
+        ),
+        (
+            "track home",
+            track("0", &["home"], Value::from(999u32)),
+            "mobility track 0 names region 999",
+        ),
+        (
+            "track work",
+            track("0", &["work"], Value::from(999u32)),
+            "mobility track 0 names region 999",
+        ),
+        (
+            "track rng",
+            track("0", &["rng"], Value::Array(vec![hex_zero; 4])),
+            "all-zero",
+        ),
+        (
+            "driving segment",
+            track(&driving, &["motion", "edge"], Value::from(99_999u32)),
+            "drives on segment 99999",
+        ),
+        (
+            "driving path",
+            track(
+                &driving,
+                &["motion", "path"],
+                Value::Array(vec![Value::from(999u32)]),
+            ),
+            "routes through region 999",
+        ),
+        (
+            "empty driving path",
+            track(&driving, &["motion", "path"], Value::Array(Vec::new())),
+            "off its path",
+        ),
+    ];
+    for (what, tampered, expect) in cases {
+        let err = engine
+            .restore(&tampered)
+            .expect_err("impossible edge or mobility state must be refused");
+        assert!(err.to_string().contains(expect), "{what}: {err}");
     }
 }
 

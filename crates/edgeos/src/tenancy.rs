@@ -501,12 +501,25 @@ impl fmt::Display for ClassQueueKey {
 #[derive(Debug, Clone)]
 pub struct FairQueue<T, K: DrrKey = TenantId> {
     quantum: u64,
-    quanta: BTreeMap<K, u64>,
-    queues: BTreeMap<K, VecDeque<(u64, T)>>,
-    deficits: BTreeMap<K, u64>,
+    /// Every flow ever named by `enqueue` or `set_quantum`, sorted by
+    /// key; an emptied flow stays, so the table holds a few dozen
+    /// entries however many items pass through.
+    flows: Vec<Flow<K, T>>,
+    /// Items queued across all flows.
+    len: usize,
     /// Next flow to visit resumes from the first key >= cursor (`None`
     /// until the first visit).
     cursor: Option<K>,
+}
+
+/// One flow of a [`FairQueue`]: its quantum, the deficit it has banked
+/// and its FIFO of `(cost, item)` pairs.
+#[derive(Debug, Clone)]
+struct Flow<K, T> {
+    key: K,
+    quantum: u64,
+    deficit: u64,
+    items: VecDeque<(u64, T)>,
 }
 
 impl<T, K: DrrKey> FairQueue<T, K> {
@@ -521,10 +534,27 @@ impl<T, K: DrrKey> FairQueue<T, K> {
         assert!(quantum > 0, "quantum must be positive");
         FairQueue {
             quantum,
-            quanta: BTreeMap::new(),
-            queues: BTreeMap::new(),
-            deficits: BTreeMap::new(),
+            flows: Vec::new(),
+            len: 0,
             cursor: None,
+        }
+    }
+
+    /// Position of `key`'s flow, inserted empty with the default
+    /// quantum when the queue has not seen the key yet.
+    fn flow(&mut self, key: K) -> usize {
+        match self.flows.binary_search_by(|f| f.key.cmp(&key)) {
+            Ok(i) => i,
+            Err(i) => {
+                let flow = Flow {
+                    key,
+                    quantum: self.quantum,
+                    deficit: 0,
+                    items: VecDeque::new(),
+                };
+                self.flows.insert(i, flow);
+                i
+            }
         }
     }
 
@@ -535,67 +565,65 @@ impl<T, K: DrrKey> FairQueue<T, K> {
     /// Panics when `quantum` is zero.
     pub fn set_quantum(&mut self, key: K, quantum: u64) {
         assert!(quantum > 0, "quantum must be positive");
-        self.quanta.insert(key, quantum);
+        let i = self.flow(key);
+        self.flows[i].quantum = quantum;
     }
 
     /// The per-visit quantum this flow receives.
     #[must_use]
     pub fn quantum_of(&self, key: K) -> u64 {
-        self.quanta.get(&key).copied().unwrap_or(self.quantum)
+        self.flows
+            .binary_search_by(|f| f.key.cmp(&key))
+            .map_or(self.quantum, |i| self.flows[i].quantum)
     }
 
     /// Appends an item with the given service cost to a flow's FIFO.
     pub fn enqueue(&mut self, key: K, cost: u64, item: T) {
-        self.queues.entry(key).or_default().push_back((cost, item));
+        let i = self.flow(key);
+        self.flows[i].items.push_back((cost, item));
+        self.len += 1;
     }
 
     /// Total queued items across flows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.len
     }
 
     /// Whether no items are queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.queues.values().all(VecDeque::is_empty)
+        self.len == 0
     }
 
     /// Removes and returns the next item under DRR scheduling.
     pub fn pop(&mut self) -> Option<(K, T)> {
-        if self.is_empty() {
+        if self.len == 0 {
             return None;
         }
         loop {
             // Next non-empty flow at or after the cursor, wrapping.
-            let from_cursor = self.cursor.and_then(|c| {
-                self.queues
-                    .range(c..)
-                    .find(|(_, q)| !q.is_empty())
-                    .map(|(k, _)| *k)
-            });
-            let next = from_cursor.or_else(|| {
-                self.queues
-                    .iter()
-                    .find(|(_, q)| !q.is_empty())
-                    .map(|(k, _)| *k)
-            });
-            let key = next?;
-            let deficit = self.deficits.entry(key).or_insert(0);
-            let queue = self.queues.get_mut(&key).expect("flow just found");
-            let head_cost = queue.front().expect("non-empty queue").0;
-            if *deficit >= head_cost {
-                *deficit -= head_cost;
-                let (_, item) = queue.pop_front().expect("non-empty queue");
-                if queue.is_empty() {
+            let from = self
+                .cursor
+                .map_or(0, |c| self.flows.partition_point(|f| f.key < c));
+            let i = (from..self.flows.len())
+                .chain(0..from)
+                .find(|&i| !self.flows[i].items.is_empty())?;
+            let flow = &mut self.flows[i];
+            let head_cost = flow.items.front().expect("non-empty flow").0;
+            if flow.deficit >= head_cost {
+                flow.deficit -= head_cost;
+                let (_, item) = flow.items.pop_front().expect("non-empty flow");
+                if flow.items.is_empty() {
                     // Idle flows forfeit leftover deficit (standard DRR).
-                    self.deficits.remove(&key);
+                    flow.deficit = 0;
                 }
-                return Some((key, item));
+                self.len -= 1;
+                return Some((flow.key, item));
             }
-            *deficit += self.quanta.get(&key).copied().unwrap_or(self.quantum);
+            flow.deficit += flow.quantum;
             // Advance past this flow for the next visit.
-            self.cursor = Some(key.successor());
+            self.cursor = Some(flow.key.successor());
         }
     }
 
@@ -611,6 +639,8 @@ impl<T, K: DrrKey> FairQueue<T, K> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -822,5 +852,158 @@ mod tests {
             q.drain()
         };
         assert_eq!(build(), build());
+    }
+
+    /// The three-map DRR queue the flow table replaced, kept as the
+    /// differential tests' independent truth.
+    mod reference {
+        use std::collections::{BTreeMap, VecDeque};
+
+        use crate::DrrKey;
+
+        pub struct FairQueue<T, K: DrrKey> {
+            quantum: u64,
+            quanta: BTreeMap<K, u64>,
+            queues: BTreeMap<K, VecDeque<(u64, T)>>,
+            deficits: BTreeMap<K, u64>,
+            cursor: Option<K>,
+        }
+
+        impl<T, K: DrrKey> FairQueue<T, K> {
+            pub fn new(quantum: u64) -> Self {
+                FairQueue {
+                    quantum,
+                    quanta: BTreeMap::new(),
+                    queues: BTreeMap::new(),
+                    deficits: BTreeMap::new(),
+                    cursor: None,
+                }
+            }
+
+            pub fn set_quantum(&mut self, key: K, quantum: u64) {
+                self.quanta.insert(key, quantum);
+            }
+
+            pub fn quantum_of(&self, key: K) -> u64 {
+                self.quanta.get(&key).copied().unwrap_or(self.quantum)
+            }
+
+            pub fn enqueue(&mut self, key: K, cost: u64, item: T) {
+                self.queues.entry(key).or_default().push_back((cost, item));
+            }
+
+            pub fn len(&self) -> usize {
+                self.queues.values().map(VecDeque::len).sum()
+            }
+
+            pub fn pop(&mut self) -> Option<(K, T)> {
+                if self.queues.values().all(VecDeque::is_empty) {
+                    return None;
+                }
+                loop {
+                    let from_cursor = self.cursor.and_then(|c| {
+                        self.queues
+                            .range(c..)
+                            .find(|(_, q)| !q.is_empty())
+                            .map(|(k, _)| *k)
+                    });
+                    let next = from_cursor.or_else(|| {
+                        self.queues
+                            .iter()
+                            .find(|(_, q)| !q.is_empty())
+                            .map(|(k, _)| *k)
+                    });
+                    let key = next?;
+                    let deficit = self.deficits.entry(key).or_insert(0);
+                    let queue = self.queues.get_mut(&key).expect("flow just found");
+                    let head_cost = queue.front().expect("non-empty queue").0;
+                    if *deficit >= head_cost {
+                        *deficit -= head_cost;
+                        let (_, item) = queue.pop_front().expect("non-empty queue");
+                        if queue.is_empty() {
+                            self.deficits.remove(&key);
+                        }
+                        return Some((key, item));
+                    }
+                    *deficit += self.quanta.get(&key).copied().unwrap_or(self.quantum);
+                    self.cursor = Some(key.successor());
+                }
+            }
+        }
+    }
+
+    /// Tenants the differential tests draw from: a few small ids and
+    /// the top of the range, where `successor()` wraps to tenant 0.
+    fn drr_tenants() -> prop::sample::Select<u32> {
+        prop::sample::select(vec![0, 1, 2, 5, u32::MAX - 1, u32::MAX])
+    }
+
+    /// Replays `ops` through the flow table and the reference: each op
+    /// is `(kind, key, class, value)`, where kind 0–4 enqueues an item
+    /// costing `value`, 5–8 pops and 9 sets the flow's quantum to
+    /// `value`; the queues are drained at the end. Returns the first
+    /// divergence, if any.
+    fn drr_replay<K: DrrKey + fmt::Debug>(
+        quantum: u64,
+        ops: &[(u8, u32, usize, u64)],
+        key_of: impl Fn(u32, usize) -> K,
+    ) -> Result<(), String> {
+        let mut fast: FairQueue<usize, K> = FairQueue::new(quantum);
+        let mut slow: reference::FairQueue<usize, K> = reference::FairQueue::new(quantum);
+        for (i, &(kind, tenant, class, value)) in ops.iter().enumerate() {
+            let key = key_of(tenant, class);
+            match kind {
+                0..=4 => {
+                    fast.enqueue(key, value, i);
+                    slow.enqueue(key, value, i);
+                }
+                5..=8 => {
+                    let (got, want) = (fast.pop(), slow.pop());
+                    if got != want {
+                        return Err(format!("op {i}: popped {got:?}, reference {want:?}"));
+                    }
+                }
+                _ => {
+                    fast.set_quantum(key, value);
+                    slow.set_quantum(key, value);
+                }
+            }
+            if fast.len() != slow.len() || fast.quantum_of(key) != slow.quantum_of(key) {
+                return Err(format!("op {i}: length or quantum of {key:?} diverged"));
+            }
+        }
+        loop {
+            let (got, want) = (fast.pop(), slow.pop());
+            if got != want {
+                return Err(format!("drain: popped {got:?}, reference {want:?}"));
+            }
+            if got.is_none() {
+                return Ok(());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn flow_table_pops_match_the_reference_over_tenants(
+            quantum in 1u64..24,
+            ops in prop::collection::vec((0u8..10, drr_tenants(), 0usize..3, 1u64..48), 0..400),
+        ) {
+            let replay = drr_replay(quantum, &ops, |t, _| TenantId::new(t));
+            prop_assert!(replay.is_ok(), "{}", replay.unwrap_err());
+        }
+
+        #[test]
+        fn flow_table_pops_match_the_reference_over_class_flows(
+            quantum in 1u64..24,
+            ops in prop::collection::vec((0u8..10, drr_tenants(), 0usize..3, 1u64..48), 0..400),
+        ) {
+            let replay = drr_replay(quantum, &ops, |t, c| {
+                ClassQueueKey::new(TenantId::new(t), WorkloadClass::ALL[c])
+            });
+            prop_assert!(replay.is_ok(), "{}", replay.unwrap_err());
+        }
     }
 }

@@ -60,7 +60,19 @@
 //!
 //! A node that crashes more than [`vdap_edgeos::CrashLoopPolicy`]
 //! allows inside its window is declared crash-looping and stays down
-//! for the rest of the run.
+//! for the rest of the run. The crash strips the node's unfinished
+//! work back into the same barrier's queue.
+//!
+//! ## In-flight work
+//!
+//! A request placed on a lane stays in flight until the first barrier
+//! at or after its `finish`. Entries sit in a slot vector whose vacated
+//! slots are reused, and a calendar files each slot under the first
+//! epoch multiple at or after its `finish`, so a barrier touches only
+//! the entries due at it, not the backlog. Completions, a crash's
+//! requeue, the end-of-run drain and the snapshot all walk entries in
+//! assignment order (`InFlight::seq`), the order of the single list
+//! this storage replaced.
 
 use std::collections::BTreeMap;
 
@@ -201,34 +213,59 @@ pub(crate) struct EpochOutcome {
     pub handoffs: u64,
 }
 
-/// One lane of one physical XEdge node.
-#[derive(Debug, Clone)]
-struct Lane {
-    node: u32,
-    free: SimTime,
-}
-
 /// A request occupying a lane until `finish`.
 #[derive(Debug, Clone)]
 struct InFlight {
+    /// Assignment order. Completions, crash requeues, the end-of-run
+    /// drain and snapshots walk in-flight work in this order.
+    seq: u64,
     finish: SimTime,
     node: u32,
+    /// The request's mobility handoff debt; with `served` it rebuilds
+    /// the request a crash requeues.
+    debt: SimDuration,
     served: ServedRequest,
-    req: EdgeRequest,
+}
+
+impl InFlight {
+    /// The request as it was queued: a crash requeue serves it again.
+    fn request(&self) -> EdgeRequest {
+        let s = &self.served;
+        EdgeRequest {
+            vehicle: s.vehicle,
+            seq: s.seq,
+            tenant: s.tenant,
+            region: s.region,
+            class: s.class,
+            arrival: s.arrival,
+            attempts: s.requeues,
+            handoff: self.debt,
+        }
+    }
 }
 
 /// The shared multi-tenant XEdge deployment.
 #[derive(Debug)]
 pub(crate) struct XEdgeServer {
-    /// Lanes persist across epochs so backlog carries over; lane `i`
-    /// belongs to node `i % edge_nodes` (grown lanes keep the rule by
-    /// joining round-robin).
-    lanes: Vec<Lane>,
-    /// Requests currently occupying lanes, completion-pending.
-    in_flight: Vec<InFlight>,
-    /// Requests stripped off crashed lanes, awaiting the next pass.
-    requeued: Vec<EdgeRequest>,
-    /// Whether each node was down at the previous barrier.
+    /// When each lane is next free. Lanes persist across epochs so
+    /// backlog carries over; lane `i` belongs to node `i % edge_nodes`
+    /// (grown lanes keep the rule by joining round-robin).
+    lanes: Vec<SimTime>,
+    /// Requests occupying lanes, completion-pending, one per occupied
+    /// slot. A completed or requeued entry leaves a vacant slot on
+    /// `free`, which the next assignment fills before the vector grows.
+    in_flight: Vec<Option<InFlight>>,
+    free: Vec<u32>,
+    /// The occupied `in_flight` slots filed by due barrier: key `k`
+    /// holds, in `seq` order, the entries with `finish` in
+    /// `((k - 1) × epoch, k × epoch]`. A barrier takes only its due
+    /// buckets instead of scanning the backlog.
+    due: BTreeMap<u64, Vec<u32>>,
+    /// The next assignment's `InFlight::seq`.
+    next_seq: u64,
+    /// Whether each node was down at the previous barrier. After
+    /// `refresh_nodes` it says whether each node is unusable at the
+    /// current one.
     node_down: Vec<bool>,
     /// Barrier instants at which each node crashed (windowed).
     crash_history: Vec<Vec<SimTime>>,
@@ -275,12 +312,6 @@ impl XEdgeServer {
     pub fn new(cfg: &FleetConfig) -> Self {
         let nodes = cfg.edge_nodes.max(1);
         let capacity = cfg.edge_capacity.max(1);
-        let lanes = (0..capacity)
-            .map(|i| Lane {
-                node: i % nodes,
-                free: SimTime::ZERO,
-            })
-            .collect();
         let mut class_quanta = Vec::new();
         for t in 0..cfg.tenants {
             for class in WorkloadClass::ALL {
@@ -294,9 +325,11 @@ impl XEdgeServer {
             }
         }
         XEdgeServer {
-            lanes,
+            lanes: vec![SimTime::ZERO; capacity as usize],
             in_flight: Vec::new(),
-            requeued: Vec::new(),
+            free: Vec::new(),
+            due: BTreeMap::new(),
+            next_seq: 0,
             node_down: vec![false; nodes as usize],
             crash_history: vec![Vec::new(); nodes as usize],
             crash_looped: vec![false; nodes as usize],
@@ -401,13 +434,59 @@ impl XEdgeServer {
 
     /// Earliest-free lane of `node` (lowest index breaks ties).
     fn best_lane(&self, node: u32) -> usize {
-        self.lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.node == node)
-            .min_by_key(|(i, l)| (l.free, *i))
-            .map(|(i, _)| i)
+        (node as usize..self.lanes.len())
+            .step_by(self.edge_nodes as usize)
+            .min_by_key(|&i| (self.lanes[i], i))
             .expect("every node owns at least one lane")
+    }
+
+    /// The calendar key of an entry finishing at `finish`: the first
+    /// epoch multiple at or after it, counted in epochs.
+    fn due_key(&self, finish: SimTime) -> u64 {
+        let (t, epoch) = (finish.as_nanos(), self.epoch.as_nanos());
+        t / epoch + u64::from(t % epoch != 0)
+    }
+
+    /// Files `entry` in a vacant slot and under its due barrier.
+    fn file(&mut self, entry: InFlight) {
+        let key = self.due_key(entry.finish);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.in_flight[slot as usize] = Some(entry);
+                slot
+            }
+            None => {
+                self.in_flight.push(Some(entry));
+                (self.in_flight.len() - 1) as u32
+            }
+        };
+        self.due.entry(key).or_default().push(slot);
+    }
+
+    /// The entry in occupied slot `slot`.
+    fn entry(&self, slot: u32) -> &InFlight {
+        self.in_flight[slot as usize]
+            .as_ref()
+            .expect("filed slots are occupied")
+    }
+
+    /// Empties occupied slot `slot` onto the free list.
+    fn vacate(&mut self, slot: u32) -> InFlight {
+        self.free.push(slot);
+        self.in_flight[slot as usize]
+            .take()
+            .expect("filed slots are occupied")
+    }
+
+    /// The occupied slots whose entry passes `keep`, in `seq` order.
+    fn slots_in_order(&self, keep: impl Fn(&InFlight) -> bool) -> Vec<u32> {
+        let mut slots: Vec<u32> = (0u32..)
+            .zip(&self.in_flight)
+            .filter(|(_, f)| f.as_ref().is_some_and(&keep))
+            .map(|(slot, _)| slot)
+            .collect();
+        slots.sort_unstable_by_key(|&slot| self.entry(slot).seq);
+        slots
     }
 
     /// Runs the elastic step at `barrier`: one [`LaneScaler`] decision
@@ -424,13 +503,8 @@ impl XEdgeServer {
         let target = decision.lanes().max(self.edge_nodes) as usize;
         match decision {
             LaneDecision::Grow(_) => {
-                while self.lanes.len() < target {
-                    let node = (self.lanes.len() as u32) % self.edge_nodes;
-                    self.lanes.push(Lane {
-                        node,
-                        free: barrier,
-                    });
-                }
+                // Lane `i` joins node `i % edge_nodes`.
+                self.lanes.resize(self.lanes.len().max(target), barrier);
                 outcome.scaled_up = true;
             }
             LaneDecision::Shrink(_) => {
@@ -438,8 +512,7 @@ impl XEdgeServer {
                 // shrink to a later barrier rather than cancelling
                 // in-flight work.
                 let mut removed = false;
-                while self.lanes.len() > target
-                    && self.lanes.last().is_some_and(|l| l.free <= barrier)
+                while self.lanes.len() > target && self.lanes.last().is_some_and(|&f| f <= barrier)
                 {
                     self.lanes.pop();
                     removed = true;
@@ -461,10 +534,15 @@ impl XEdgeServer {
     }
 
     /// Refreshes node health at `barrier`: detects up→down edges,
-    /// strips in-flight work off crashed lanes into the requeue buffer,
-    /// and applies the crash-loop policy.
-    fn refresh_nodes(&mut self, injector: Option<&FaultInjector>, barrier: SimTime) -> u64 {
-        let mut requeued = 0u64;
+    /// strips in-flight work off crashed lanes, and applies the
+    /// crash-loop policy. Returns the stripped requests, node by node
+    /// and in assignment order within a node, for this barrier's queue.
+    fn refresh_nodes(
+        &mut self,
+        injector: Option<&FaultInjector>,
+        barrier: SimTime,
+    ) -> Vec<EdgeRequest> {
+        let mut requeued = Vec::new();
         for node in 0..self.edge_nodes {
             let idx = node as usize;
             let down = self.node_unavailable(injector, node, barrier);
@@ -472,20 +550,22 @@ impl XEdgeServer {
                 // Fresh crash at this barrier: in-flight work on the
                 // node's lanes is lost and must be re-queued; the lane
                 // pool restarts cold on recovery.
-                let mut kept = Vec::with_capacity(self.in_flight.len());
-                for inf in self.in_flight.drain(..) {
-                    if inf.node == node && inf.finish > barrier {
-                        let mut req = inf.req;
+                let stripped = self.slots_in_order(|f| f.node == node && f.finish > barrier);
+                if !stripped.is_empty() {
+                    for &slot in &stripped {
+                        let mut req = self.vacate(slot).request();
                         req.attempts += 1;
-                        requeued += 1;
-                        self.requeued.push(req);
-                    } else {
-                        kept.push(inf);
+                        requeued.push(req);
                     }
+                    let in_flight = &self.in_flight;
+                    for bucket in self.due.values_mut() {
+                        bucket.retain(|&slot| in_flight[slot as usize].is_some());
+                    }
+                    self.due.retain(|_, bucket| !bucket.is_empty());
                 }
-                self.in_flight = kept;
-                for lane in self.lanes.iter_mut().filter(|l| l.node == node) {
-                    lane.free = barrier;
+                let nodes = self.edge_nodes as usize;
+                for free in self.lanes.iter_mut().skip(idx).step_by(nodes) {
+                    *free = barrier;
                 }
                 if !self.crash_looped[idx] {
                     let (_, looping) = self
@@ -501,15 +581,49 @@ impl XEdgeServer {
         requeued
     }
 
-    /// Pops completions (`finish <= barrier`) into `outcome.served`.
-    /// The list is filtered in place, so its buffer — megabytes under a
-    /// backlog — is reused across barriers instead of re-grown.
+    /// Moves completions (`finish <= barrier`) into `outcome.served`,
+    /// in assignment order. Only the due buckets are touched: every
+    /// bucket up to the barrier's epoch, and at a barrier between epoch
+    /// multiples (the run's horizon) the part of the next bucket that
+    /// finished by then.
     fn emit_completions(&mut self, barrier: SimTime, outcome: &mut EpochOutcome) {
-        outcome.served.extend(
-            self.in_flight
-                .extract_if(.., |inf| inf.finish <= barrier)
-                .map(|inf| inf.served),
-        );
+        let (t, epoch) = (barrier.as_nanos(), self.epoch.as_nanos());
+        let mut done: Vec<u32> = Vec::new();
+        while let Some(bucket) = self.due.first_entry() {
+            if *bucket.key() > t / epoch {
+                break;
+            }
+            let mut taken = bucket.remove();
+            if done.is_empty() {
+                done = taken;
+            } else {
+                done.append(&mut taken);
+            }
+        }
+        if t % epoch != 0 {
+            if let Some(bucket) = self.due.get_mut(&(t / epoch + 1)) {
+                let in_flight = &self.in_flight;
+                bucket.retain(|&slot| {
+                    let finished = in_flight[slot as usize]
+                        .as_ref()
+                        .is_some_and(|f| f.finish <= barrier);
+                    if finished {
+                        done.push(slot);
+                    }
+                    !finished
+                });
+                if bucket.is_empty() {
+                    self.due.remove(&(t / epoch + 1));
+                }
+            }
+        }
+        // Each bucket is in `seq` order already, so the stable sort
+        // only merges the runs.
+        done.sort_by_key(|&slot| self.entry(slot).seq);
+        outcome.served.reserve_exact(done.len());
+        for slot in done {
+            outcome.served.push(self.vacate(slot).served);
+        }
     }
 
     /// Syncs per-tenant admission caps with the quota-flap state at
@@ -654,28 +768,12 @@ impl XEdgeServer {
         }
     }
 
-    /// Rung 2: the nearest region whose home node is healthy and whose
-    /// cell is neither storming nor in LTE outage at `barrier`.
-    fn failover_region(
-        &self,
-        injector: Option<&FaultInjector>,
-        region: u32,
-        barrier: SimTime,
-    ) -> Option<u32> {
-        // With mobility on, storms price crossings instead of gating
-        // the serving path (see `serve_epoch`).
-        let storms_gate_serving = self.region_admission.is_none();
+    /// Rung 2: the nearest region whose home node is up and whose cell
+    /// is not `blocked` (storming or in LTE outage) at this barrier.
+    fn failover_region(&self, region: u32, blocked: &[bool]) -> Option<u32> {
         (1..self.regions)
             .map(|d| (region + d) % self.regions)
-            .find(|&nr| {
-                let node = self.home_node(nr);
-                !self.node_unavailable(injector, node, barrier)
-                    && !injector.is_some_and(|inj| {
-                        (storms_gate_serving
-                            && inj.handoff_storm(&self.handoff_labels[nr as usize], barrier))
-                            || inj.is_down(&self.region_labels[nr as usize], barrier)
-                    })
-            })
+            .find(|&nr| !self.node_down[self.home_node(nr) as usize] && !blocked[nr as usize])
     }
 
     /// Assigns `req` to the earliest-free lane of `node`; the request
@@ -700,16 +798,20 @@ impl XEdgeServer {
     ) {
         let ready = req.arrival + up + extra_latency;
         let lane = self.best_lane(node);
-        let free = self.lanes[lane].free;
+        let free = self.lanes[lane];
         let start = if ready > free { ready } else { free };
         let finish = start + service;
-        self.lanes[lane].free = finish;
+        self.lanes[lane] = finish;
         let e2e = finish.duration_since(req.arrival) + down;
         let energy_j = (up.as_secs_f64() + down.as_secs_f64()) * RADIO_W + extra_energy;
         let work = self.classes[req.class.index()].work_units;
-        self.in_flight.push(InFlight {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.file(InFlight {
+            seq,
             finish,
             node,
+            debt: req.handoff,
             served: ServedRequest {
                 vehicle: req.vehicle,
                 seq: req.seq,
@@ -726,7 +828,6 @@ impl XEdgeServer {
                 requeues: req.attempts,
                 handoff,
             },
-            req,
         });
     }
 
@@ -745,8 +846,9 @@ impl XEdgeServer {
     ) -> EpochOutcome {
         batch.sort_unstable_by_key(|r| (r.arrival, r.vehicle, r.seq));
 
+        let requeued = self.refresh_nodes(injector, barrier);
         let mut outcome = EpochOutcome {
-            requeued: self.refresh_nodes(injector, barrier),
+            requeued: requeued.len() as u64,
             ..EpochOutcome::default()
         };
         self.emit_completions(barrier, &mut outcome);
@@ -755,24 +857,52 @@ impl XEdgeServer {
 
         // Per-region LTE sharing from this batch's uplink demand
         // (class-sized: a pBEAM gradient weighs more than a detection
-        // frame). Summed in canonical batch order.
-        let mut region_secs: BTreeMap<u32, f64> = BTreeMap::new();
+        // frame), summed per region in canonical batch order. Each
+        // region's share then prices every class's uplink and downlink
+        // once for the whole barrier.
+        let unshared_up: [f64; 3] = std::array::from_fn(|c| {
+            self.lte
+                .transfer_time(Direction::Uplink, self.classes[c].upload_bytes)
+                .as_secs_f64()
+        });
+        let mut uplink_secs = vec![0.0; self.regions as usize];
         for r in &batch {
-            let bytes = self.classes[r.class.index()].upload_bytes;
-            let t = self.lte.transfer_time(Direction::Uplink, bytes);
-            *region_secs.entry(r.region).or_insert(0.0) += t.as_secs_f64();
+            uplink_secs[r.region as usize] += unshared_up[r.class.index()];
         }
-        let region_links: BTreeMap<u32, LinkSpec> = region_secs
+        let transfer: Vec<[(SimDuration, SimDuration); 3]> = uplink_secs
             .iter()
-            .map(|(&r, &secs)| (r, self.region_link(secs)))
+            .map(|&secs| {
+                let link = self.region_link(secs);
+                std::array::from_fn(|c| {
+                    let spec = &self.classes[c];
+                    (
+                        link.transfer_time(Direction::Uplink, spec.upload_bytes),
+                        link.transfer_time(Direction::Downlink, spec.download_bytes),
+                    )
+                })
+            })
             .collect();
-        let unshared = self.lte.clone();
-        let link_for = move |region: u32| -> LinkSpec {
-            region_links
-                .get(&region)
-                .cloned()
-                .unwrap_or_else(|| unshared.clone())
-        };
+
+        // Each region's fault state at this barrier. With mobility on,
+        // a handoff storm prices the vehicle's *crossings* (the
+        // engine's mobility pass multiplies the handoff cost) instead
+        // of rerouting the serving path — one accounting path, no
+        // double-counted handoff seconds. A rung-2 target must be
+        // neither storming nor in LTE outage.
+        let storms_gate_serving = self.region_admission.is_none();
+        let storming: Vec<bool> = self
+            .handoff_labels
+            .iter()
+            .map(|label| {
+                storms_gate_serving && injector.is_some_and(|inj| inj.handoff_storm(label, barrier))
+            })
+            .collect();
+        let blocked: Vec<bool> = self
+            .region_labels
+            .iter()
+            .zip(&storming)
+            .map(|(label, &storm)| storm || injector.is_some_and(|inj| inj.is_down(label, barrier)))
+            .collect();
 
         // Admission (arrival order), then per-(tenant, class) DRR fair
         // queueing with class-sized quanta. Requests re-queued off
@@ -785,7 +915,7 @@ impl XEdgeServer {
         }
         let mut queued_by_class = [0u64; 3];
         let mut admitted: Vec<(u32, TenantId)> = Vec::new();
-        for req in std::mem::take(&mut self.requeued) {
+        for req in requeued {
             let spec = &self.classes[req.class.index()];
             if barrier.duration_since(req.arrival) >= spec.deadline {
                 // Too stale to re-serve: straight to the bottom rung.
@@ -823,9 +953,7 @@ impl XEdgeServer {
                 // wasted uplink discovering the bounce, then the class's
                 // full on-board fallback.
                 let spec = &self.classes[req.class.index()];
-                let uplink = link_for(req.region)
-                    .transfer_time(Direction::Uplink, spec.upload_bytes)
-                    + req.handoff;
+                let uplink = transfer[req.region as usize][req.class.index()].0 + req.handoff;
                 outcome.rejected.push(req.outcome(
                     SpanOutcome::Rejected,
                     uplink + self.failover_penalty + spec.vehicle_service,
@@ -835,11 +963,13 @@ impl XEdgeServer {
         }
         outcome.queue_depth = queue.len();
         self.last_depth = outcome.queue_depth;
-        // Every in-flight push below pops from `queue`. The list
-        // outlives the barrier, so an amortized doubling would leave up
-        // to half its buffer never written, and whether those pages end
-        // up resident depends on where later allocations land.
-        self.in_flight.reserve_exact(queue.len());
+        // Every slot filled below pops from `queue`, and vacant slots
+        // are filled first. The slots outlive the barrier, so an
+        // amortized doubling would leave up to half the buffer never
+        // written, and whether those pages end up resident depends on
+        // where later allocations land.
+        self.in_flight
+            .reserve_exact(queue.len().saturating_sub(self.free.len()));
 
         // Load-dependent service time: each class's queued share
         // contributes its own fractional concurrency
@@ -865,20 +995,12 @@ impl XEdgeServer {
         // walking the degradation ladder when the home path is faulted.
         while let Some((_, req)) = queue.pop() {
             let ci = req.class.index();
-            let link = link_for(req.region);
-            let up = link.transfer_time(Direction::Uplink, self.classes[ci].upload_bytes);
-            let down = link.transfer_time(Direction::Downlink, self.classes[ci].download_bytes);
+            let (up, down) = transfer[req.region as usize][ci];
             let service = service_by_class[ci];
             let home = self.home_node(req.region);
-            let home_down = self.node_unavailable(injector, home, barrier);
-            // With mobility on, a handoff storm prices the vehicle's
-            // *crossings* (the engine's mobility pass multiplies the
-            // handoff cost) instead of rerouting the serving path —
-            // one accounting path, no double-counted handoff seconds.
-            let storming = self.region_admission.is_none()
-                && injector.is_some_and(|inj| {
-                    inj.handoff_storm(&self.handoff_labels[req.region as usize], barrier)
-                });
+            // `refresh_nodes` left each node's state at this barrier.
+            let home_down = self.node_down[home as usize];
+            let storming = storming[req.region as usize];
 
             if !home_down && !storming {
                 let debt = req.handoff;
@@ -920,7 +1042,7 @@ impl XEdgeServer {
             }
 
             // Rung 2 — hand off to the nearest healthy region's node.
-            if let Some(neighbor) = self.failover_region(injector, req.region, barrier) {
+            if let Some(neighbor) = self.failover_region(req.region, &blocked) {
                 let node = self.home_node(neighbor);
                 let handoff = self.handoff_cost + req.handoff;
                 let handoff_energy = handoff.as_secs_f64() * RADIO_W;
@@ -957,22 +1079,18 @@ impl XEdgeServer {
         outcome
     }
 
-    /// Drains everything still pending at the end of the run: in-flight
-    /// work completes past the horizon (its latency is already fixed),
-    /// and requests stranded in the requeue buffer take the class-
-    /// specific local fallback, decided at `horizon`.
-    pub fn flush(&mut self, horizon: SimTime) -> EpochOutcome {
-        let mut outcome = EpochOutcome {
+    /// Drains the in-flight work still pending at the end of the run, in
+    /// assignment order: it completes past the horizon, and its latency
+    /// is already fixed.
+    pub fn flush(&mut self) -> EpochOutcome {
+        let slots = self.slots_in_order(|_| true);
+        let served = slots.iter().map(|&slot| self.vacate(slot).served).collect();
+        self.due.clear();
+        EpochOutcome {
             lanes: self.lanes.len() as u32,
-            served: self.in_flight.drain(..).map(|inf| inf.served).collect(),
+            served,
             ..EpochOutcome::default()
-        };
-        for req in std::mem::take(&mut self.requeued) {
-            outcome
-                .local_fallbacks
-                .push(self.local_fallback(&req, horizon, 0));
         }
-        outcome
     }
 }
 
@@ -1055,21 +1173,44 @@ fn dec_served(v: &Value) -> Result<ServedRequest, CkptError> {
     })
 }
 
-/// Refuses an in-flight entry that no serving pass could have placed.
-fn check_in_flight(cfg: &FleetConfig, nodes: u32, f: &InFlight) -> Result<(), CkptError> {
-    let (r, s) = (&f.req, &f.served);
+/// Refuses an in-flight entry that no serving pass could have placed:
+/// `req` is the request as it was queued, `served` what its lane made
+/// of it.
+fn check_in_flight(
+    cfg: &FleetConfig,
+    nodes: u32,
+    f: &InFlight,
+    r: &EdgeRequest,
+) -> Result<(), CkptError> {
+    let s = &f.served;
     let problem = if f.node >= nodes {
         format!("sits on node {}", f.node)
     } else if (s.vehicle, s.seq, s.tenant, s.region, s.class, s.arrival)
         != (r.vehicle, r.seq, r.tenant, r.region, r.class, r.arrival)
     {
         "serves another request than it holds".to_string()
+    } else if r.attempts != s.requeues {
+        format!(
+            "was queued for attempt {} but served after {} requeues",
+            r.attempts, s.requeues
+        )
     } else if r.vehicle >= cfg.vehicles {
         "names no vehicle of the fleet".to_string()
     } else if r.tenant != cfg.tenant_of(r.vehicle) {
         format!("names tenant {}, not its vehicle's", r.tenant)
     } else if r.region >= cfg.regions {
         format!("names region {}", r.region)
+    } else if !s.handoff && f.node != r.region % nodes {
+        // Only a rung-2 handoff serves a request off its home node.
+        format!(
+            "sits on node {} without a handoff, off its region's node {}",
+            f.node,
+            r.region % nodes
+        )
+    } else if s.serve_start < s.arrival {
+        "starts serving before it arrived".to_string()
+    } else if f.finish < s.serve_start {
+        "finishes before it starts serving".to_string()
     } else {
         return Ok(());
     };
@@ -1140,8 +1281,8 @@ fn dec_admission(v: &Value) -> Result<TenantAdmission, CkptError> {
 
 impl XEdgeServer {
     /// Serializes everything the serving pass carries across barriers:
-    /// the (possibly elastically resized) lane pool, in-flight work,
-    /// crash-requeued requests, node health and crash history, the
+    /// the (possibly elastically resized) lane pool, in-flight work in
+    /// assignment order, node health and crash history, the
     /// admission gates, the elastic controller's counters, and the
     /// observe-at-`k`/actuate-at-`k+1` queue-depth latch. The rest of
     /// the server is a pure function of `FleetConfig` and is rebuilt on
@@ -1165,22 +1306,23 @@ impl XEdgeServer {
         }
         w.end_array();
         w.key("in_flight").begin_array();
-        for f in &self.in_flight {
+        for slot in self.slots_in_order(|_| true) {
+            let f = self.entry(slot);
             w.begin_object();
             w.key("finish").hex(f.finish.as_nanos());
             w.key("node").u32(f.node);
             w.key("req");
-            enc_req(w, &f.req);
+            enc_req(w, &f.request());
             w.key("served");
             enc_served(w, &f.served);
             w.end_object();
         }
         w.end_array();
         w.key("lanes").begin_array();
-        for l in &self.lanes {
+        for (i, free) in (0u32..).zip(&self.lanes) {
             w.begin_object();
-            w.key("free").hex(l.free.as_nanos());
-            w.key("node").u32(l.node);
+            w.key("free").hex(free.as_nanos());
+            w.key("node").u32(i % self.edge_nodes);
             w.end_object();
         }
         w.end_array();
@@ -1198,11 +1340,9 @@ impl XEdgeServer {
             }
             w.end_array();
         });
-        w.key("requeued").begin_array();
-        for r in &self.requeued {
-            enc_req(w, r);
-        }
-        w.end_array();
+        // Crash requeues re-enter the same barrier's queue, so no
+        // request waits between barriers; the key stays for the format.
+        w.key("requeued").begin_array().end_array();
         w.key("scaler");
         enc_opt(w, self.scaler.as_ref(), |w, scaler| {
             let (ups, downs) = scaler.counters();
@@ -1227,10 +1367,7 @@ impl XEdgeServer {
             if node != i % nodes {
                 return Err(CkptError::new(format!("lane {i} sits on node {node}")));
             }
-            lanes.push(Lane {
-                node,
-                free: time_field(l, "free")?,
-            });
+            lanes.push(time_field(l, "free")?);
         }
         if lanes.len() < nodes as usize {
             return Err(CkptError::new(format!(
@@ -1240,20 +1377,24 @@ impl XEdgeServer {
         }
         edge.contention = edge.contention.resized(lanes.len() as u32);
         edge.lanes = lanes;
-        edge.in_flight = get_array(v, "in_flight")?
-            .iter()
-            .map(|f| {
-                let entry = InFlight {
-                    finish: time_field(f, "finish")?,
-                    node: get_u32(f, "node")?,
-                    served: dec_served(get(f, "served")?)?,
-                    req: dec_req(get(f, "req")?)?,
-                };
-                check_in_flight(cfg, nodes, &entry)?;
-                Ok(entry)
-            })
-            .collect::<Result<Vec<_>, CkptError>>()?;
-        // `serve_epoch` drains the requeue buffer at every barrier.
+        // Entries are written in assignment order, so their position
+        // is their `seq`.
+        let in_flight = get_array(v, "in_flight")?;
+        edge.in_flight.reserve_exact(in_flight.len());
+        for (seq, f) in (0u64..).zip(in_flight) {
+            let req = dec_req(get(f, "req")?)?;
+            let entry = InFlight {
+                seq,
+                finish: time_field(f, "finish")?,
+                node: get_u32(f, "node")?,
+                debt: req.handoff,
+                served: dec_served(get(f, "served")?)?,
+            };
+            check_in_flight(cfg, nodes, &entry, &req)?;
+            edge.file(entry);
+            edge.next_seq = seq + 1;
+        }
+        // A crash requeue re-enters the same barrier's queue.
         if !get_array(v, "requeued")?.is_empty() {
             return Err(CkptError::new(
                 "snapshot holds requeued requests, which every barrier drains",
@@ -1322,5 +1463,100 @@ impl XEdgeServer {
         };
         edge.last_depth = get_u64_hex(v, "last_depth")? as usize;
         Ok(edge)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vdap_sim::SeedFactory;
+
+    use super::*;
+
+    /// `(due key, vehicle, request seq)` of every in-flight entry
+    /// finished by `barrier`, in assignment order: what a barrier at
+    /// `barrier` must complete.
+    fn finished_by(edge: &XEdgeServer, barrier: SimTime) -> Vec<(u64, u32, u32)> {
+        let mut done: Vec<(u64, u64, u32, u32)> = edge
+            .in_flight
+            .iter()
+            .flatten()
+            .filter(|f| f.finish <= barrier)
+            .map(|f| {
+                (
+                    f.seq,
+                    edge.due_key(f.finish),
+                    f.served.vehicle,
+                    f.served.seq,
+                )
+            })
+            .collect();
+        done.sort_unstable();
+        done.into_iter().map(|(_, key, v, s)| (key, v, s)).collect()
+    }
+
+    /// Every occupied slot is filed once, under its due key, each
+    /// bucket lists its slots in assignment order, and every other slot
+    /// is on the free list.
+    fn assert_filed(edge: &XEdgeServer) {
+        let mut filed = 0;
+        for (&key, bucket) in &edge.due {
+            assert!(!bucket.is_empty(), "bucket {key} is empty");
+            for pair in bucket.windows(2) {
+                assert!(edge.entry(pair[0]).seq < edge.entry(pair[1]).seq);
+            }
+            for &slot in bucket {
+                assert_eq!(edge.due_key(edge.entry(slot).finish), key);
+            }
+            filed += bucket.len();
+        }
+        let occupied = edge.in_flight.iter().flatten().count();
+        assert_eq!(filed, occupied);
+        assert_eq!(occupied + edge.free.len(), edge.in_flight.len());
+    }
+
+    #[test]
+    fn barriers_complete_exactly_the_work_finished_by_them() {
+        let cfg = FleetConfig::sized(64);
+        let mut edge = XEdgeServer::new(&cfg);
+        let mut rng = SeedFactory::new(1).stream("edge-test");
+        // Epoch multiples and barriers between them, as a horizon is;
+        // one burst per barrier keeps a backlog on every lane.
+        let barriers = [1.0, 2.0, 2.5, 3.0, 4.2, 5.0, 5.9, 7.0, 7.1, 9.0];
+        let (mut prev, mut partial) = (SimTime::ZERO, 0);
+        for (i, at) in (0u32..).zip(barriers) {
+            let barrier = SimTime::ZERO + cfg.epoch.mul_f64(at);
+            let gap = barrier.duration_since(prev);
+            let batch = (0..cfg.vehicles)
+                .map(|v| EdgeRequest {
+                    vehicle: v,
+                    seq: i,
+                    tenant: cfg.tenant_of(v),
+                    region: cfg.region_of(v),
+                    class: WorkloadClass::ALL[v as usize % 3],
+                    arrival: prev + gap.mul_f64(f64::from(v) / f64::from(cfg.vehicles)),
+                    attempts: 0,
+                    handoff: SimDuration::ZERO,
+                })
+                .collect();
+            let due = finished_by(&edge, barrier);
+            let whole = barrier.as_nanos() / cfg.epoch.as_nanos();
+            partial += due.iter().filter(|(key, _, _)| *key > whole).count();
+            let outcome = edge.serve_epoch(batch, barrier, None, &mut rng);
+            let got: Vec<(u32, u32)> = outcome.served.iter().map(|s| (s.vehicle, s.seq)).collect();
+            let want: Vec<(u32, u32)> = due.iter().map(|&(_, v, s)| (v, s)).collect();
+            assert_eq!(got, want, "barrier at {at} epochs");
+            assert_filed(&edge);
+            prev = barrier;
+        }
+        assert!(
+            partial > 0,
+            "a barrier between multiples takes part of a bucket"
+        );
+        let rest = finished_by(&edge, SimTime::from_nanos(u64::MAX));
+        assert!(!rest.is_empty(), "work is still in flight at the horizon");
+        let tail = edge.flush();
+        let got: Vec<(u32, u32)> = tail.served.iter().map(|s| (s.vehicle, s.seq)).collect();
+        let want: Vec<(u32, u32)> = rest.iter().map(|&(_, v, s)| (v, s)).collect();
+        assert_eq!(got, want, "the drain takes the rest in assignment order");
     }
 }

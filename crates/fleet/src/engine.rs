@@ -580,11 +580,11 @@ fn run_core(
         }
     }
 
-    // Drain work still pending at the horizon: in-flight lanes
-    // complete (their latency is fixed), stranded requeues take the
-    // local fallback. The tail belongs to no barrier, so it updates
-    // telemetry counters and spans but adds no epoch samples.
-    let tail = state.edge.flush(horizon);
+    // Drain the in-flight work still pending at the horizon: it
+    // completes, and its latency is fixed. The tail belongs to no
+    // barrier, so it updates telemetry counters and spans but adds no
+    // epoch samples.
+    let tail = state.edge.flush();
     state.record_epoch(ctx, &tail);
 
     let metrics = state.metrics;

@@ -1,7 +1,8 @@
 //! Byte-identity pins for every serialized artifact: snapshot texts,
 //! JSONL spill segments, `spans.jsonl` and the Chrome trace, plus the
-//! summaries of a run whose ingest backlog is never empty and of three
-//! runs whose reliability ledger records repairs and failovers.
+//! summaries of a run whose ingest backlog is never empty, of three
+//! runs whose reliability ledger records repairs and failovers, and of
+//! a run whose edge node crashes under an XEdge backlog.
 //!
 //! Any change to a key order, a number format or the envelope layout
 //! moves one of the FNV-1a 64 values below, so an encoder rewrite that
@@ -207,4 +208,32 @@ fn chaos_summary_is_byte_identical() {
         "{summary}"
     );
     assert_eq!(fnv1a64(summary.as_bytes()), CHAOS_SUMMARY_PIN);
+}
+
+/// FNV-1a of `summary()` for the crash-under-backlog run.
+const CRASH_BACKLOG_SUMMARY_PIN: u64 = 0xa9c2_d29b_2fa3_1d96;
+
+/// Elastic lanes at 2,000 vehicles with edge node 1 down from 4 s to
+/// 7 s: the crash strips in-flight work off a backlogged node, and the
+/// 10.3 s horizon falls between epoch multiples, so the last barrier
+/// completes only part of an epoch's in-flight work before the drain.
+fn crash_backlog_config() -> FleetConfig {
+    let mut cfg = FleetConfig::sized(2000)
+        .with_elastic_capacity()
+        .with_edge_node_crash(1, SimTime::from_secs(4), SimDuration::from_secs(3));
+    cfg.seed = 23;
+    cfg.duration = SimDuration::from_millis(10_300);
+    cfg
+}
+
+#[test]
+fn crash_under_backlog_summary_is_byte_identical() {
+    let cfg = crash_backlog_config();
+    assert!(!cfg.duration.as_nanos().is_multiple_of(cfg.epoch.as_nanos()));
+    let report = FleetEngine::new(cfg.clone()).run();
+    assert!(report.metrics.requeued > 0, "the crash strips work");
+    let summary = report.summary();
+    let narrow = FleetEngine::new(cfg.with_executor_threads(1).with_batch_size(7)).run();
+    assert_eq!(summary, narrow.summary());
+    assert_eq!(fnv1a64(summary.as_bytes()), CRASH_BACKLOG_SUMMARY_PIN);
 }

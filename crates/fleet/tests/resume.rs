@@ -658,6 +658,21 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
         "tenant",
         Value::from(999u32),
     );
+    // An entry served on its region's node: without a handoff, the
+    // only node it can sit on.
+    let entries = array(&["edge", "in_flight"]);
+    let homed = entries
+        .iter()
+        .position(|f| *value_at(f, &["served", "handoff"]) == Value::from(false))
+        .expect("an entry without a handoff");
+    let region = value_at(&entries[homed], &["req", "region"])
+        .as_u64()
+        .expect("region");
+    let off_home = ((region + 1) % u64::from(cfg.edge_nodes)) as u32;
+    let homed = homed.to_string();
+    let requeues = value_at(&entries[0], &["served", "requeues"])
+        .as_u64()
+        .expect("requeues") as u32;
     let hex_zero = Value::from("0");
     let cases = [
         (
@@ -711,6 +726,38 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
                 Value::Array(vec![foreign_requeue]),
             ),
             "requeued requests",
+        ),
+        (
+            "in-flight node off its region's without a handoff",
+            with_value_at(
+                &snap,
+                &["edge", "in_flight", &homed, "node"],
+                Value::from(off_home),
+            ),
+            "without a handoff",
+        ),
+        (
+            "serve start before arrival",
+            in_flight("serve_start", hex_zero.clone(), false),
+            "starts serving before it arrived",
+        ),
+        (
+            "finish before serve start",
+            with_value_at(
+                &snap,
+                &["edge", "in_flight", "0", "finish"],
+                hex_zero.clone(),
+            ),
+            "finishes before it starts serving",
+        ),
+        (
+            "queued attempts against served requeues",
+            with_value_at(
+                &snap,
+                &["edge", "in_flight", "0", "req", "attempts"],
+                Value::from(requeues + 1),
+            ),
+            "queued for attempt",
         ),
         (
             "track region",

@@ -255,6 +255,7 @@ pub(crate) struct XEdgeServer {
     /// slot. A completed or requeued entry leaves a vacant slot on
     /// `free`, which the next assignment fills before the vector grows.
     in_flight: Vec<Option<InFlight>>,
+    /// The vacant `in_flight` slots.
     free: Vec<u32>,
     /// The occupied `in_flight` slots filed by due barrier: key `k`
     /// holds, in `seq` order, the entries with `finish` in

@@ -891,7 +891,7 @@ impl XEdgeServer {
         // double-counted handoff seconds. A rung-2 target must be
         // neither storming nor in LTE outage.
         let storms_gate_serving = self.region_admission.is_none();
-        let storming: Vec<bool> = self
+        let storms: Vec<bool> = self
             .handoff_labels
             .iter()
             .map(|label| {
@@ -901,7 +901,7 @@ impl XEdgeServer {
         let blocked: Vec<bool> = self
             .region_labels
             .iter()
-            .zip(&storming)
+            .zip(&storms)
             .map(|(label, &storm)| storm || injector.is_some_and(|inj| inj.is_down(label, barrier)))
             .collect();
 
@@ -1001,7 +1001,7 @@ impl XEdgeServer {
             let home = self.home_node(req.region);
             // `refresh_nodes` left each node's state at this barrier.
             let home_down = self.node_down[home as usize];
-            let storming = storming[req.region as usize];
+            let storming = storms[req.region as usize];
 
             if !home_down && !storming {
                 let debt = req.handoff;

@@ -54,8 +54,11 @@ use vdap_sim::fnv1a64_extend;
 /// counter from the payload; version 3 writes every histogram as
 /// integer ticks (`buckets`, `count`, `max`, `min`, `sum`); version 4
 /// keeps only the reliability ledger's run-time half, with failover
-/// latencies as one such histogram.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// latencies as one such histogram; version 5 leaves out every value
+/// restore rebuilds from the config, the seed or the rest of the
+/// payload (ids, tenants, route plans, gate depths and caps, fleet-wide
+/// totals of the per-class rows, batch sizes and deadlines).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";
@@ -89,8 +92,13 @@ impl From<serde_json::Error> for CkptError {
 }
 
 // ---------------------------------------------------------------------
-// Field accessors
+// Accessors
 // ---------------------------------------------------------------------
+
+// Each encoding has one element decoder (`val_*`, for array elements
+// and nested values) and one keyed accessor (`get_*`): the element
+// decoder applied to the member, with the key named in its error. Every
+// one fails, instead of guessing, on a value of another shape.
 
 /// Member lookup that reports the missing key by name.
 ///
@@ -102,89 +110,110 @@ pub fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, CkptError> {
         .ok_or_else(|| CkptError::new(format!("missing field '{key}'")))
 }
 
-/// Reads a hex-encoded `u64` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a valid hex string.
-pub fn get_u64_hex(v: &Value, key: &str) -> Result<u64, CkptError> {
-    let s = get_str(v, key)?;
-    u64::from_str_radix(s, 16).map_err(|_| CkptError::new(format!("field '{key}': bad u64 hex")))
+/// Decodes member `key` with `dec`, naming the key in its error.
+fn field<'a, T>(
+    v: &'a Value,
+    key: &str,
+    dec: impl FnOnce(&'a Value) -> Result<T, CkptError>,
+) -> Result<T, CkptError> {
+    dec(get(v, key)?).map_err(|e| CkptError::new(format!("field '{key}': {}", e.msg)))
 }
 
-/// Reads a hex-encoded `u128` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a valid hex string.
-pub fn get_u128_hex(v: &Value, key: &str) -> Result<u128, CkptError> {
-    let s = get_str(v, key)?;
-    u128::from_str_radix(s, 16).map_err(|_| CkptError::new(format!("field '{key}': bad u128 hex")))
+/// Decodes a hex-encoded `u64`.
+pub fn val_u64_hex(v: &Value) -> Result<u64, CkptError> {
+    u64::from_str_radix(val_str(v)?, 16).map_err(|_| CkptError::new("bad u64 hex"))
 }
 
-/// Reads an `f64` stored by bit pattern.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a valid hex string.
-pub fn get_f64_bits(v: &Value, key: &str) -> Result<f64, CkptError> {
-    Ok(f64::from_bits(get_u64_hex(v, key)?))
+/// Decodes a hex-encoded `u128`.
+pub fn val_u128_hex(v: &Value) -> Result<u128, CkptError> {
+    u128::from_str_radix(val_str(v)?, 16).map_err(|_| CkptError::new("bad u128 hex"))
 }
 
-/// Reads a plain-number `u64` field (values known to stay below `2^53`).
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a non-negative integer.
-pub fn get_u64(v: &Value, key: &str) -> Result<u64, CkptError> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| CkptError::new(format!("field '{key}': expected unsigned integer")))
+/// Decodes an `f64` stored by bit pattern.
+pub fn val_f64_bits(v: &Value) -> Result<f64, CkptError> {
+    Ok(f64::from_bits(val_u64_hex(v)?))
 }
 
-/// Reads a `u32` field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or out of `u32` range.
-pub fn get_u32(v: &Value, key: &str) -> Result<u32, CkptError> {
-    u32::try_from(get_u64(v, key)?)
-        .map_err(|_| CkptError::new(format!("field '{key}': out of u32 range")))
+/// Decodes a plain-number `u64` (values known to stay below `2^53`).
+pub fn val_u64(v: &Value) -> Result<u64, CkptError> {
+    v.as_u64()
+        .ok_or_else(|| CkptError::new("expected unsigned integer"))
 }
 
-/// Reads a boolean field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a boolean.
-pub fn get_bool(v: &Value, key: &str) -> Result<bool, CkptError> {
-    match get(v, key)? {
+/// Decodes a plain-number `u32`.
+pub fn val_u32(v: &Value) -> Result<u32, CkptError> {
+    u32::try_from(val_u64(v)?).map_err(|_| CkptError::new("out of u32 range"))
+}
+
+/// Decodes a boolean.
+pub fn val_bool(v: &Value) -> Result<bool, CkptError> {
+    match v {
         Value::Bool(b) => Ok(*b),
-        _ => Err(CkptError::new(format!("field '{key}': expected bool"))),
+        _ => Err(CkptError::new("expected bool")),
     }
 }
 
+/// Decodes a string.
+pub fn val_str(v: &Value) -> Result<&str, CkptError> {
+    v.as_str().ok_or_else(|| CkptError::new("expected string"))
+}
+
+/// Views an array.
+pub fn val_array(v: &Value) -> Result<&[Value], CkptError> {
+    v.as_array()
+        .map(Vec::as_slice)
+        .ok_or_else(|| CkptError::new("expected array"))
+}
+
+/// Views a two-element array as a pair.
+pub fn val_pair(v: &Value) -> Result<(&Value, &Value), CkptError> {
+    match val_array(v)? {
+        [a, b] => Ok((a, b)),
+        other => Err(CkptError::new(format!(
+            "expected 2-element pair, got {} elements",
+            other.len()
+        ))),
+    }
+}
+
+/// Reads a hex-encoded `u64` field.
+pub fn get_u64_hex(v: &Value, key: &str) -> Result<u64, CkptError> {
+    field(v, key, val_u64_hex)
+}
+
+/// Reads a hex-encoded `u128` field.
+pub fn get_u128_hex(v: &Value, key: &str) -> Result<u128, CkptError> {
+    field(v, key, val_u128_hex)
+}
+
+/// Reads an `f64` field stored by bit pattern.
+pub fn get_f64_bits(v: &Value, key: &str) -> Result<f64, CkptError> {
+    field(v, key, val_f64_bits)
+}
+
+/// Reads a plain-number `u64` field (values known to stay below `2^53`).
+pub fn get_u64(v: &Value, key: &str) -> Result<u64, CkptError> {
+    field(v, key, val_u64)
+}
+
+/// Reads a `u32` field.
+pub fn get_u32(v: &Value, key: &str) -> Result<u32, CkptError> {
+    field(v, key, val_u32)
+}
+
+/// Reads a boolean field.
+pub fn get_bool(v: &Value, key: &str) -> Result<bool, CkptError> {
+    field(v, key, val_bool)
+}
+
 /// Reads a string field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not a string.
 pub fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, CkptError> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| CkptError::new(format!("field '{key}': expected string")))
+    field(v, key, val_str)
 }
 
 /// Reads an array field.
-///
-/// # Errors
-///
-/// Fails when the field is missing or not an array.
 pub fn get_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], CkptError> {
-    get(v, key)?
-        .as_array()
-        .map(Vec::as_slice)
-        .ok_or_else(|| CkptError::new(format!("field '{key}': expected array")))
+    field(v, key, val_array)
 }
 
 // ---------------------------------------------------------------------
@@ -506,6 +535,19 @@ mod tests {
         let rng = get_array(&v, "rng").unwrap();
         let words = Value::Object([("w".to_string(), rng[0].clone())].into());
         assert_eq!(get_u64_hex(&words, "w").unwrap(), u64::MAX);
+    }
+
+    #[test]
+    fn keyed_accessors_name_the_key_their_element_decoder_refused() {
+        let v = sample_payload();
+        let err = get_u64_hex(&v, "count").expect_err("a plain number is not hex");
+        assert_eq!(
+            err.to_string(),
+            "snapshot error: field 'count': expected string"
+        );
+        let err = val_u64_hex(&Value::from("zz")).expect_err("not hex");
+        assert_eq!(err.to_string(), "snapshot error: bad u64 hex");
+        assert_eq!(get_u32(&v, "count").unwrap(), 12);
     }
 
     #[test]

@@ -147,7 +147,6 @@ pub struct TenantAdmission {
     depth: BTreeMap<TenantId, usize>,
     admitted: u64,
     rejected: u64,
-    rejected_by_tenant: BTreeMap<TenantId, u64>,
     /// Vehicles currently registered with this gate, per tenant. Pure
     /// bookkeeping for geo-mobility: a gate that fronts one region
     /// tracks which tenants' vehicles are driving there right now.
@@ -170,7 +169,6 @@ impl TenantAdmission {
             depth: BTreeMap::new(),
             admitted: 0,
             rejected: 0,
-            rejected_by_tenant: BTreeMap::new(),
             registrations: BTreeMap::new(),
         }
     }
@@ -237,7 +235,6 @@ impl TenantAdmission {
         let depth = self.depth.entry(tenant).or_insert(0);
         if *depth >= cap {
             self.rejected += 1;
-            *self.rejected_by_tenant.entry(tenant).or_insert(0) += 1;
             false
         } else {
             *depth += 1;
@@ -284,12 +281,6 @@ impl TenantAdmission {
         self.rejected
     }
 
-    /// Rejects for one tenant.
-    #[must_use]
-    pub fn rejected_for(&self, tenant: TenantId) -> u64 {
-        self.rejected_by_tenant.get(&tenant).copied().unwrap_or(0)
-    }
-
     /// Fraction of offered requests rejected (0 when none offered).
     #[must_use]
     pub fn reject_rate(&self) -> f64 {
@@ -301,89 +292,54 @@ impl TenantAdmission {
         }
     }
 
-    /// Captures the full internal state for checkpointing: nominal cap,
-    /// every override, outstanding depth, reject ledger, and the
-    /// per-tenant registration counts. Entries are sorted by tenant.
+    /// Captures what the gate carries from one round of admissions to
+    /// the next: its counters and quota-flap overrides. Its cap and
+    /// registrations are set by its owner, and its depth is zero once
+    /// every admitted request is released, which is when a checkpoint
+    /// is taken. Overrides are sorted by tenant.
     #[must_use]
     pub fn state(&self) -> AdmissionState {
+        debug_assert_eq!(
+            self.total_depth(),
+            0,
+            "state captured with requests outstanding"
+        );
         AdmissionState {
-            queue_cap: self.queue_cap,
             cap_overrides: self
                 .cap_overrides
                 .iter()
                 .map(|(t, c)| (t.as_u32(), *c))
                 .collect(),
-            depth: self.depth.iter().map(|(t, d)| (t.as_u32(), *d)).collect(),
             admitted: self.admitted,
             rejected: self.rejected,
-            rejected_by_tenant: self
-                .rejected_by_tenant
-                .iter()
-                .map(|(t, n)| (t.as_u32(), *n))
-                .collect(),
-            registrations: self
-                .registrations
-                .iter()
-                .map(|(t, n)| (t.as_u32(), *n))
-                .collect(),
         }
     }
 
-    /// Rebuilds a controller from captured state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the captured `queue_cap` is zero (never produced by
-    /// [`TenantAdmission::state`]).
-    #[must_use]
-    pub fn from_state(state: AdmissionState) -> Self {
-        assert!(state.queue_cap > 0, "queue cap must be positive");
-        TenantAdmission {
-            queue_cap: state.queue_cap,
-            cap_overrides: state
-                .cap_overrides
-                .into_iter()
-                .map(|(t, c)| (TenantId::new(t), c))
-                .collect(),
-            depth: state
-                .depth
-                .into_iter()
-                .map(|(t, d)| (TenantId::new(t), d))
-                .collect(),
-            admitted: state.admitted,
-            rejected: state.rejected,
-            rejected_by_tenant: state
-                .rejected_by_tenant
-                .into_iter()
-                .map(|(t, n)| (TenantId::new(t), n))
-                .collect(),
-            registrations: state
-                .registrations
-                .into_iter()
-                .map(|(t, n)| (TenantId::new(t), n))
-                .collect(),
-        }
+    /// Lays captured state over a gate built with its cap and
+    /// registrations, with no request outstanding.
+    pub fn restore(&mut self, state: AdmissionState) {
+        self.cap_overrides = state
+            .cap_overrides
+            .into_iter()
+            .map(|(t, c)| (TenantId::new(t), c))
+            .collect();
+        self.depth.clear();
+        self.admitted = state.admitted;
+        self.rejected = state.rejected;
     }
 }
 
-/// The complete internal state of a [`TenantAdmission`] gate, exposed
-/// for checkpoint/restore. Tenants are raw `u32` ids, sorted ascending.
+/// What a [`TenantAdmission`] gate carries across checkpoints (see
+/// [`TenantAdmission::state`]). Tenants are raw `u32` ids, sorted
+/// ascending.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdmissionState {
-    /// Nominal per-tenant queue cap.
-    pub queue_cap: usize,
     /// Active quota-flap overrides.
     pub cap_overrides: Vec<(u32, usize)>,
-    /// Outstanding depth per tenant.
-    pub depth: Vec<(u32, usize)>,
     /// Requests admitted so far.
     pub admitted: u64,
     /// Requests rejected so far.
     pub rejected: u64,
-    /// Rejects per tenant.
-    pub rejected_by_tenant: Vec<(u32, u64)>,
-    /// Registered vehicles per tenant.
-    pub registrations: Vec<(u32, u32)>,
 }
 
 /// A flow key the [`FairQueue`] can round-robin over.
@@ -651,8 +607,6 @@ mod tests {
         assert!(adm.try_admit(b), "cap is per tenant");
         assert!(!adm.try_admit(a));
         assert_eq!(adm.total_depth(), 2);
-        assert_eq!(adm.rejected_for(a), 1);
-        assert_eq!(adm.rejected_for(b), 0);
         assert!((adm.reject_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 

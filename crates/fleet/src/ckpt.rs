@@ -22,16 +22,21 @@
 //!   module only provides the leaf helpers they compose and the
 //!   top-level config fingerprint that guards restore.
 //! * **Rebuild what is pure.** Anything derivable from `FleetConfig`
-//!   plus the master seed (route graphs, contention models, retry
-//!   policies, label tables, the reliability ledger's fault timeline)
-//!   is *not* serialized — restore rebuilds it.
+//!   plus the master seed (route graphs and route plans, contention
+//!   models, retry policies, label tables, the reliability ledger's
+//!   fault timeline, vehicle ids and tenants, admission caps, batch
+//!   sizes and deadlines), or from the rest of the payload (gate
+//!   registrations from vehicle regions, fleet-wide metrics from the
+//!   per-class rows), is *not* serialized — restore rebuilds it, so no
+//!   snapshot can hold a copy that disagrees with its source.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use vdap_ckpt::json::{JsonWriter, Value};
-use vdap_ckpt::{get, CkptError};
-use vdap_ddi::UploadBatch;
+use vdap_ckpt::{
+    get, get_array, get_u128_hex, get_u64_hex, val_pair, val_str, val_u32, val_u64_hex, CkptError,
+};
 use vdap_sim::{
     HistogramState, ReliabilityStats, RngStream, SimDuration, SimTime, StreamingHistogram,
 };
@@ -39,65 +44,22 @@ use vdap_sim::{
 use crate::config::{handoff_label, tenant_label, FleetConfig};
 use crate::metrics::FleetMetrics;
 
-// --- element-level accessors (keyed accessors live in vdap-ckpt) -----
-
-/// Decodes a hex-coded `u64` array element.
-pub(crate) fn val_u64_hex(v: &Value) -> Result<u64, CkptError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| CkptError::new("expected hex string"))?;
-    u64::from_str_radix(s, 16).map_err(|e| CkptError::new(format!("bad hex u64 '{s}': {e}")))
-}
-
-/// Decodes a bit-pattern-coded `f64` array element.
-pub(crate) fn val_f64_bits(v: &Value) -> Result<f64, CkptError> {
-    Ok(f64::from_bits(val_u64_hex(v)?))
-}
-
-/// Decodes a plain-number array element as `u64` (small counts only).
-pub(crate) fn val_u64(v: &Value) -> Result<u64, CkptError> {
-    v.as_u64()
-        .ok_or_else(|| CkptError::new("expected integral number"))
-}
-
-/// Decodes a plain-number array element as `u32`.
-pub(crate) fn val_u32(v: &Value) -> Result<u32, CkptError> {
-    u32::try_from(val_u64(v)?).map_err(|e| CkptError::new(format!("u32 out of range: {e}")))
-}
-
-/// Decodes a string array element.
-pub(crate) fn val_str(v: &Value) -> Result<&str, CkptError> {
-    v.as_str().ok_or_else(|| CkptError::new("expected string"))
-}
-
-/// Decodes an `i64` array element from its bit pattern.
-pub(crate) fn dec_i64(v: &Value) -> Result<i64, CkptError> {
-    Ok(val_u64_hex(v)? as i64)
-}
-
-/// Decodes a boolean array element.
-pub(crate) fn val_bool(v: &Value) -> Result<bool, CkptError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(CkptError::new("expected bool")),
-    }
-}
-
-/// Views an array element that is itself an array.
-pub(crate) fn val_array(v: &Value) -> Result<&[Value], CkptError> {
-    v.as_array()
-        .map(Vec::as_slice)
-        .ok_or_else(|| CkptError::new("expected array"))
-}
-
-/// Views an array element as a fixed-length pair.
-pub(crate) fn val_pair(v: &Value) -> Result<(&Value, &Value), CkptError> {
-    match val_array(v)? {
-        [a, b] => Ok((a, b)),
-        other => Err(CkptError::new(format!(
-            "expected 2-element pair, got {} elements",
-            other.len()
+/// Reads the optional section `key`, which a snapshot holds exactly
+/// when the config enables it (`enabled` is `Some`; `null` otherwise),
+/// with `dec`.
+pub(crate) fn section<'a, C, T>(
+    v: &'a Value,
+    key: &str,
+    enabled: Option<C>,
+    what: &str,
+    dec: impl FnOnce(&'a Value, C) -> Result<T, CkptError>,
+) -> Result<Option<T>, CkptError> {
+    match (get(v, key)?, enabled) {
+        (Value::Null, None) => Ok(None),
+        (Value::Null, Some(_)) | (_, None) => Err(CkptError::new(format!(
+            "snapshot and config disagree on {what}"
         ))),
+        (enc, Some(c)) => dec(enc, c).map(Some),
     }
 }
 
@@ -125,12 +87,12 @@ pub(crate) fn enc_opt_time(w: &mut JsonWriter, t: Option<SimTime>) {
 
 /// Reads a `SimTime` field.
 pub(crate) fn time_field(v: &Value, key: &str) -> Result<SimTime, CkptError> {
-    Ok(SimTime::from_nanos(vdap_ckpt::get_u64_hex(v, key)?))
+    Ok(SimTime::from_nanos(get_u64_hex(v, key)?))
 }
 
 /// Reads a `SimDuration` field.
 pub(crate) fn dur_field(v: &Value, key: &str) -> Result<SimDuration, CkptError> {
-    Ok(SimDuration::from_nanos(vdap_ckpt::get_u64_hex(v, key)?))
+    Ok(SimDuration::from_nanos(get_u64_hex(v, key)?))
 }
 
 /// Reads an optional `SimTime` field (`null` ⇒ `None`).
@@ -159,7 +121,7 @@ pub(crate) fn enc_words(w: &mut JsonWriter, words: &[u64]) {
 
 /// Reads an RNG stream field back from its 4-word state.
 pub(crate) fn rng_field(v: &Value, key: &str) -> Result<RngStream, CkptError> {
-    let words = vdap_ckpt::get_array(v, key)?;
+    let words = get_array(v, key)?;
     if words.len() != 4 {
         return Err(CkptError::new(format!(
             "rng state '{key}' has {} words, want 4",
@@ -199,16 +161,16 @@ pub(crate) fn enc_hist(w: &mut JsonWriter, h: &StreamingHistogram) {
 /// Reads the state [`enc_hist`] wrote, unchecked.
 fn dec_hist_state(v: &Value) -> Result<HistogramState, CkptError> {
     let mut buckets = Vec::new();
-    for pair in vdap_ckpt::get_array(v, "buckets")? {
+    for pair in get_array(v, "buckets")? {
         let (i, c) = val_pair(pair)?;
         buckets.push((val_u32(i)?, val_u64_hex(c)?));
     }
     Ok(HistogramState {
         buckets,
-        count: vdap_ckpt::get_u64_hex(v, "count")?,
-        sum_ticks: vdap_ckpt::get_u128_hex(v, "sum")?,
-        min_ticks: vdap_ckpt::get_u64_hex(v, "min")?,
-        max_ticks: vdap_ckpt::get_u64_hex(v, "max")?,
+        count: get_u64_hex(v, "count")?,
+        sum_ticks: get_u128_hex(v, "sum")?,
+        min_ticks: get_u64_hex(v, "min")?,
+        max_ticks: get_u64_hex(v, "max")?,
     })
 }
 
@@ -267,7 +229,7 @@ pub(crate) fn reliability_field(
         .collect();
     let mut state = timeline.state();
     state.degraded.clear();
-    for pair in vdap_ckpt::get_array(r, "degraded")? {
+    for pair in get_array(r, "degraded")? {
         let (label, nanos) = val_pair(pair)?;
         let label = val_str(label)?.to_string();
         if !known.contains(&label) {
@@ -287,16 +249,18 @@ pub(crate) fn reliability_field(
             .push((label, SimDuration::from_nanos(val_u64_hex(nanos)?)));
     }
     state.failover = dec_hist_state(get(r, "failover")?)?;
-    state.retries = vdap_ckpt::get_u64_hex(r, "retries")?;
-    state.retry_exhausted = vdap_ckpt::get_u64_hex(r, "retry_exhausted")?;
-    state.retry_successes = vdap_ckpt::get_u64_hex(r, "retry_successes")?;
+    state.retries = get_u64_hex(r, "retries")?;
+    state.retry_exhausted = get_u64_hex(r, "retry_exhausted")?;
+    state.retry_successes = get_u64_hex(r, "retry_successes")?;
     ReliabilityStats::from_state(state)
         .map_err(|e| CkptError::new(format!("failover histogram: {e}")))
 }
 
 // --- fleet metrics ---------------------------------------------------
 
-/// Writes the fleet's `FleetMetrics`.
+/// Writes the fleet's `FleetMetrics`. The fleet-wide outcome counters
+/// and latency histogram are not written: each is the sum, or the
+/// merge, of its per-class rows, and [`metrics_field`] rebuilds it.
 pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
     w.begin_object();
     w.key("by_class").begin_array();
@@ -313,21 +277,13 @@ pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
         w.end_object();
     }
     w.end_array();
-    w.key("collab_hits").hex(m.collab_hits);
-    w.key("e2e_latency_ms");
-    enc_hist(w, &m.e2e_latency_ms);
-    w.key("edge_served").hex(m.edge_served);
     w.key("elastic_lanes");
     enc_hist(w, &m.elastic_lanes);
     w.key("energy_per_request_j");
     enc_hist(w, &m.energy_per_request_j);
-    w.key("failovers").hex(m.failovers);
     w.key("handoffs").hex(m.handoffs);
-    w.key("local_fallbacks").hex(m.local_fallbacks);
     w.key("queue_depth");
     enc_hist(w, &m.queue_depth);
-    w.key("rejected").hex(m.rejected);
-    w.key("requests").hex(m.requests);
     w.key("requeued").hex(m.requeued);
     w.key("retry_rescued").hex(m.retry_rescued);
     w.key("scale_downs").hex(m.scale_downs);
@@ -342,15 +298,16 @@ pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
     w.end_object();
 }
 
-/// Reads a `FleetMetrics` field.
+/// Reads a `FleetMetrics` field, rebuilding the fleet-wide view from
+/// the per-class rows. A total past `u64::MAX` is refused: no run
+/// counts that many requests.
 pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptError> {
     let enc = get(v, key)?;
     let mut m = FleetMetrics::new();
-    m.e2e_latency_ms = hist_field(enc, "e2e_latency_ms", &m.e2e_latency_ms)?;
     m.energy_per_request_j = hist_field(enc, "energy_per_request_j", &m.energy_per_request_j)?;
     m.queue_depth = hist_field(enc, "queue_depth", &m.queue_depth)?;
     m.elastic_lanes = hist_field(enc, "elastic_lanes", &m.elastic_lanes)?;
-    let classes = vdap_ckpt::get_array(enc, "by_class")?;
+    let classes = get_array(enc, "by_class")?;
     if classes.len() != m.by_class.len() {
         return Err(CkptError::new(format!(
             "snapshot has {} workload classes, engine has {}",
@@ -358,63 +315,38 @@ pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptEr
             m.by_class.len()
         )));
     }
+    let sum = |total: u64, n: u64| {
+        total
+            .checked_add(n)
+            .ok_or_else(|| CkptError::new("per-class counters overflow their total"))
+    };
     for (slot, c) in m.by_class.iter_mut().zip(classes) {
         slot.e2e_latency_ms = hist_field(c, "e2e_latency_ms", &slot.e2e_latency_ms)?;
-        slot.requests = vdap_ckpt::get_u64_hex(c, "requests")?;
-        slot.edge_served = vdap_ckpt::get_u64_hex(c, "edge_served")?;
-        slot.collab_hits = vdap_ckpt::get_u64_hex(c, "collab_hits")?;
-        slot.failovers = vdap_ckpt::get_u64_hex(c, "failovers")?;
-        slot.rejected = vdap_ckpt::get_u64_hex(c, "rejected")?;
-        slot.local_fallbacks = vdap_ckpt::get_u64_hex(c, "local_fallbacks")?;
+        slot.requests = get_u64_hex(c, "requests")?;
+        slot.edge_served = get_u64_hex(c, "edge_served")?;
+        slot.collab_hits = get_u64_hex(c, "collab_hits")?;
+        slot.failovers = get_u64_hex(c, "failovers")?;
+        slot.rejected = get_u64_hex(c, "rejected")?;
+        slot.local_fallbacks = get_u64_hex(c, "local_fallbacks")?;
+        m.e2e_latency_ms.merge(&slot.e2e_latency_ms);
+        m.requests = sum(m.requests, slot.requests)?;
+        m.edge_served = sum(m.edge_served, slot.edge_served)?;
+        m.collab_hits = sum(m.collab_hits, slot.collab_hits)?;
+        m.failovers = sum(m.failovers, slot.failovers)?;
+        m.rejected = sum(m.rejected, slot.rejected)?;
+        m.local_fallbacks = sum(m.local_fallbacks, slot.local_fallbacks)?;
     }
-    for pair in vdap_ckpt::get_array(enc, "work_units_by_tenant")? {
+    for pair in get_array(enc, "work_units_by_tenant")? {
         let (t, w) = val_pair(pair)?;
         m.work_units_by_tenant.insert(val_u32(t)?, val_u64_hex(w)?);
     }
-    m.requests = vdap_ckpt::get_u64_hex(enc, "requests")?;
-    m.edge_served = vdap_ckpt::get_u64_hex(enc, "edge_served")?;
-    m.collab_hits = vdap_ckpt::get_u64_hex(enc, "collab_hits")?;
-    m.failovers = vdap_ckpt::get_u64_hex(enc, "failovers")?;
-    m.rejected = vdap_ckpt::get_u64_hex(enc, "rejected")?;
-    m.requeued = vdap_ckpt::get_u64_hex(enc, "requeued")?;
-    m.retry_rescued = vdap_ckpt::get_u64_hex(enc, "retry_rescued")?;
-    m.handoffs = vdap_ckpt::get_u64_hex(enc, "handoffs")?;
-    m.local_fallbacks = vdap_ckpt::get_u64_hex(enc, "local_fallbacks")?;
-    m.training_rounds_skipped = vdap_ckpt::get_u64_hex(enc, "training_rounds_skipped")?;
-    m.scale_ups = vdap_ckpt::get_u64_hex(enc, "scale_ups")?;
-    m.scale_downs = vdap_ckpt::get_u64_hex(enc, "scale_downs")?;
+    m.requeued = get_u64_hex(enc, "requeued")?;
+    m.retry_rescued = get_u64_hex(enc, "retry_rescued")?;
+    m.handoffs = get_u64_hex(enc, "handoffs")?;
+    m.training_rounds_skipped = get_u64_hex(enc, "training_rounds_skipped")?;
+    m.scale_ups = get_u64_hex(enc, "scale_ups")?;
+    m.scale_downs = get_u64_hex(enc, "scale_downs")?;
     Ok(m)
-}
-
-// --- ingest batches --------------------------------------------------
-
-/// Writes one in-flight DDI upload batch.
-pub(crate) fn enc_batch(w: &mut JsonWriter, b: &UploadBatch) {
-    w.begin_object();
-    w.key("bytes").hex(b.bytes);
-    w.key("deadline").hex(b.deadline.as_nanos());
-    w.key("priority").u32(u32::from(b.priority));
-    w.key("records").u32(b.records);
-    w.key("region").u32(b.region);
-    w.key("sent_at").hex(b.sent_at.as_nanos());
-    w.key("seq").u32(b.seq);
-    w.key("vehicle").hex(b.vehicle);
-    w.end_object();
-}
-
-/// Decodes one in-flight DDI upload batch.
-pub(crate) fn dec_batch(v: &Value) -> Result<UploadBatch, CkptError> {
-    Ok(UploadBatch {
-        vehicle: vdap_ckpt::get_u64_hex(v, "vehicle")?,
-        region: vdap_ckpt::get_u32(v, "region")?,
-        seq: vdap_ckpt::get_u32(v, "seq")?,
-        records: vdap_ckpt::get_u32(v, "records")?,
-        bytes: vdap_ckpt::get_u64_hex(v, "bytes")?,
-        sent_at: time_field(v, "sent_at")?,
-        deadline: time_field(v, "deadline")?,
-        priority: u8::try_from(vdap_ckpt::get_u32(v, "priority")?)
-            .map_err(|e| CkptError::new(format!("priority out of range: {e}")))?,
-    })
 }
 
 // --- config fingerprint ----------------------------------------------
@@ -549,6 +481,8 @@ impl fmt::Display for SnapshotDiagnostics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdap_edgeos::WorkloadClass;
+    use vdap_obs::SpanOutcome;
     use vdap_sim::SeedFactory;
 
     /// Writes one object through `fields` (keys ascending) and parses
@@ -649,11 +583,21 @@ mod tests {
     #[test]
     fn metrics_round_trip_is_exact() {
         let mut m = FleetMetrics::new();
-        m.requests = 1 << 60;
-        m.edge_served = 42;
-        m.e2e_latency_ms.record(3.25);
-        m.by_class[1].rejected = 7;
-        m.by_class[1].e2e_latency_ms.record(11.0);
+        m.record_requests([1 << 60, 9, 0]);
+        m.record(
+            SpanOutcome::EdgeServed,
+            WorkloadClass::Detection,
+            SimDuration::from_micros(3250),
+            0.5,
+        );
+        for _ in 0..7 {
+            m.record(
+                SpanOutcome::Rejected,
+                WorkloadClass::Infotainment,
+                SimDuration::from_millis(11),
+                2.0,
+            );
+        }
         m.work_units_by_tenant.insert(3, u64::MAX - 1);
         let v = written(|w| {
             w.key("m");
@@ -661,25 +605,6 @@ mod tests {
         });
         let back = metrics_field(&v, "m").unwrap();
         assert_eq!(back, m);
-    }
-
-    #[test]
-    fn batch_round_trip_is_exact() {
-        let b = UploadBatch {
-            vehicle: 900_720,
-            region: 5,
-            seq: 19,
-            records: 64,
-            bytes: 49_152,
-            sent_at: SimTime::from_secs(12),
-            deadline: SimTime::from_secs(14),
-            priority: 3,
-        };
-        let v = written(|w| {
-            w.key("b");
-            enc_batch(w, &b);
-        });
-        assert_eq!(dec_batch(get(&v, "b").unwrap()).unwrap(), b);
     }
 
     #[test]

@@ -143,8 +143,6 @@ pub(crate) struct ServedRequest {
     pub tenant: u32,
     pub region: u32,
     pub class: WorkloadClass,
-    /// Work units charged in the fair queue (the tenant ledger entry).
-    pub work: u64,
     pub arrival: SimTime,
     /// The barrier whose serving pass placed the request (admit stamp).
     pub admitted: SimTime,
@@ -309,6 +307,18 @@ pub(crate) struct XEdgeServer {
     tenant_labels: Vec<String>,
 }
 
+/// One admission gate per region, each registering the tenant of every
+/// vehicle `region_of` places in its region.
+fn region_gates(cfg: &FleetConfig, region_of: impl Fn(u32) -> u32) -> Vec<TenantAdmission> {
+    let mut gates: Vec<TenantAdmission> = (0..cfg.regions)
+        .map(|_| TenantAdmission::new(cfg.tenant_queue_cap))
+        .collect();
+    for id in 0..cfg.vehicles {
+        gates[region_of(id) as usize].register(TenantId::new(cfg.tenant_of(id)));
+    }
+    gates
+}
+
 impl XEdgeServer {
     pub fn new(cfg: &FleetConfig) -> Self {
         let nodes = cfg.edge_nodes.max(1);
@@ -337,15 +347,10 @@ impl XEdgeServer {
             crash_policy: CrashLoopPolicy::new(SimDuration::from_secs(30), 3),
             contention: ContentionModel::new(capacity),
             admission: TenantAdmission::new(cfg.tenant_queue_cap),
-            region_admission: cfg.mobility.as_ref().map(|_| {
-                let mut gates: Vec<TenantAdmission> = (0..cfg.regions)
-                    .map(|_| TenantAdmission::new(cfg.tenant_queue_cap))
-                    .collect();
-                for id in 0..cfg.vehicles {
-                    gates[cfg.region_of(id) as usize].register(TenantId::new(cfg.tenant_of(id)));
-                }
-                gates
-            }),
+            region_admission: cfg
+                .mobility
+                .as_ref()
+                .map(|_| region_gates(cfg, |id| cfg.region_of(id))),
             lte: LinkSpec::lte(),
             handoff_cost: CellularChannel::calibrated().handoff_cost(Mph(SPEED_MPH)),
             epoch: cfg.epoch,
@@ -495,7 +500,7 @@ impl XEdgeServer {
     /// pool, the contention capacity, and the per-tenant admission cap.
     /// Records what happened into `outcome`.
     fn scale_capacity(&mut self, barrier: SimTime, outcome: &mut EpochOutcome) {
-        let Some(mut scaler) = self.scaler.take() else {
+        let Some(scaler) = self.scaler.as_mut() else {
             return;
         };
         let decision = scaler.decide(self.lanes.len() as u32, self.last_depth);
@@ -522,16 +527,22 @@ impl XEdgeServer {
             }
             LaneDecision::Hold(_) => {}
         }
+        self.fit_to_lanes();
+    }
+
+    /// Sizes the contention model and, under elastic capacity, every
+    /// gate's per-tenant cap to the lane pool.
+    fn fit_to_lanes(&mut self) {
         let lanes = self.lanes.len() as u32;
         self.contention = self.contention.resized(lanes);
+        let Some(scaler) = &self.scaler else {
+            return;
+        };
         let cap = scaler.tenant_cap(self.nominal_cap, self.nominal_lanes, lanes);
         self.admission.set_queue_cap(cap);
-        if let Some(gates) = &mut self.region_admission {
-            for gate in gates {
-                gate.set_queue_cap(cap);
-            }
+        for gate in self.region_admission.iter_mut().flatten() {
+            gate.set_queue_cap(cap);
         }
-        self.scaler = Some(scaler);
     }
 
     /// Refreshes node health at `barrier`: detects up→down edges,
@@ -750,7 +761,6 @@ impl XEdgeServer {
                     tenant: req.tenant,
                     region: req.region,
                     class: req.class,
-                    work: spec.work_units,
                     arrival: req.arrival,
                     admitted: barrier,
                     // The successful probe finished at `finished_at`;
@@ -805,7 +815,6 @@ impl XEdgeServer {
         self.lanes[lane] = finish;
         let e2e = finish.duration_since(req.arrival) + down;
         let energy_j = (up.as_secs_f64() + down.as_secs_f64()) * RADIO_W + extra_energy;
-        let work = self.classes[req.class.index()].work_units;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.file(InFlight {
@@ -819,7 +828,6 @@ impl XEdgeServer {
                 tenant: req.tenant,
                 region: req.region,
                 class: req.class,
-                work,
                 arrival: req.arrival,
                 admitted: barrier,
                 serve_start: start,
@@ -1097,45 +1105,17 @@ impl XEdgeServer {
 
 // --- snapshot codec --------------------------------------------------
 
-use crate::ckpt::{dur_field, enc_opt, time_field, val_array, val_bool, val_u64_hex};
+use crate::ckpt::{dur_field, enc_opt, section, time_field};
+use crate::vehicle::VehicleState;
 use vdap_ckpt::json::{JsonWriter, Value};
-use vdap_ckpt::{get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, CkptError};
+use vdap_ckpt::{
+    get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, val_array, val_bool, val_pair,
+    val_u32, val_u64_hex, CkptError,
+};
+use vdap_edgeos::AdmissionState;
 
-/// Decodes a workload class stored as its dense `ALL` index.
-fn class_field(v: &Value, key: &str) -> Result<WorkloadClass, CkptError> {
-    let idx = get_u32(v, key)? as usize;
-    WorkloadClass::ALL
-        .get(idx)
-        .copied()
-        .ok_or_else(|| CkptError::new(format!("workload class index {idx} out of range")))
-}
-
-fn enc_req(w: &mut JsonWriter, r: &EdgeRequest) {
-    w.begin_object();
-    w.key("arrival").hex(r.arrival.as_nanos());
-    w.key("attempts").u32(r.attempts);
-    w.key("class").u64(r.class.index() as u64);
-    w.key("handoff").hex(r.handoff.as_nanos());
-    w.key("region").u32(r.region);
-    w.key("seq").u32(r.seq);
-    w.key("tenant").u32(r.tenant);
-    w.key("vehicle").u32(r.vehicle);
-    w.end_object();
-}
-
-fn dec_req(v: &Value) -> Result<EdgeRequest, CkptError> {
-    Ok(EdgeRequest {
-        vehicle: get_u32(v, "vehicle")?,
-        seq: get_u32(v, "seq")?,
-        tenant: get_u32(v, "tenant")?,
-        region: get_u32(v, "region")?,
-        class: class_field(v, "class")?,
-        arrival: time_field(v, "arrival")?,
-        attempts: get_u32(v, "attempts")?,
-        handoff: dur_field(v, "handoff")?,
-    })
-}
-
+/// Writes what a lane made of a request. Its tenant is not written:
+/// the vehicle's tenant is the config's.
 fn enc_served(w: &mut JsonWriter, s: &ServedRequest) {
     w.begin_object();
     w.key("admitted").hex(s.admitted.as_nanos());
@@ -1149,20 +1129,21 @@ fn enc_served(w: &mut JsonWriter, s: &ServedRequest) {
     w.key("retries").u32(s.retries);
     w.key("seq").u32(s.seq);
     w.key("serve_start").hex(s.serve_start.as_nanos());
-    w.key("tenant").u32(s.tenant);
     w.key("vehicle").u32(s.vehicle);
-    w.key("work").hex(s.work);
     w.end_object();
 }
 
-fn dec_served(v: &Value) -> Result<ServedRequest, CkptError> {
+fn dec_served(cfg: &FleetConfig, v: &Value) -> Result<ServedRequest, CkptError> {
+    let vehicle = get_u32(v, "vehicle")?;
+    let class = get_u32(v, "class")? as usize;
     Ok(ServedRequest {
-        vehicle: get_u32(v, "vehicle")?,
+        vehicle,
         seq: get_u32(v, "seq")?,
-        tenant: get_u32(v, "tenant")?,
+        tenant: cfg.tenant_of(vehicle),
         region: get_u32(v, "region")?,
-        class: class_field(v, "class")?,
-        work: get_u64_hex(v, "work")?,
+        class: *WorkloadClass::ALL
+            .get(class)
+            .ok_or_else(|| CkptError::new(format!("workload class index {class} out of range")))?,
         arrival: time_field(v, "arrival")?,
         admitted: time_field(v, "admitted")?,
         serve_start: time_field(v, "serve_start")?,
@@ -1174,39 +1155,21 @@ fn dec_served(v: &Value) -> Result<ServedRequest, CkptError> {
     })
 }
 
-/// Refuses an in-flight entry that no serving pass could have placed:
-/// `req` is the request as it was queued, `served` what its lane made
-/// of it.
-fn check_in_flight(
-    cfg: &FleetConfig,
-    nodes: u32,
-    f: &InFlight,
-    r: &EdgeRequest,
-) -> Result<(), CkptError> {
+/// Refuses an in-flight entry that no serving pass could have placed.
+fn check_in_flight(cfg: &FleetConfig, nodes: u32, f: &InFlight) -> Result<(), CkptError> {
     let s = &f.served;
     let problem = if f.node >= nodes {
         format!("sits on node {}", f.node)
-    } else if (s.vehicle, s.seq, s.tenant, s.region, s.class, s.arrival)
-        != (r.vehicle, r.seq, r.tenant, r.region, r.class, r.arrival)
-    {
-        "serves another request than it holds".to_string()
-    } else if r.attempts != s.requeues {
-        format!(
-            "was queued for attempt {} but served after {} requeues",
-            r.attempts, s.requeues
-        )
-    } else if r.vehicle >= cfg.vehicles {
+    } else if s.vehicle >= cfg.vehicles {
         "names no vehicle of the fleet".to_string()
-    } else if r.tenant != cfg.tenant_of(r.vehicle) {
-        format!("names tenant {}, not its vehicle's", r.tenant)
-    } else if r.region >= cfg.regions {
-        format!("names region {}", r.region)
-    } else if !s.handoff && f.node != r.region % nodes {
+    } else if s.region >= cfg.regions {
+        format!("names region {}", s.region)
+    } else if !s.handoff && f.node != s.region % nodes {
         // Only a rung-2 handoff serves a request off its home node.
         format!(
             "sits on node {} without a handoff, off its region's node {}",
             f.node,
-            r.region % nodes
+            s.region % nodes
         )
     } else if s.serve_start < s.arrival {
         "starts serving before it arrived".to_string()
@@ -1217,77 +1180,46 @@ fn check_in_flight(
     };
     Err(CkptError::new(format!(
         "in-flight request (vehicle {}, seq {}) {problem}",
-        r.vehicle, r.seq
+        s.vehicle, s.seq
     )))
 }
 
-/// Writes `(tenant, count)` pairs as `[tenant, "hex count"]`.
-fn enc_pairs(w: &mut JsonWriter, entries: impl IntoIterator<Item = (u32, u64)>) {
-    w.begin_array();
-    for (t, n) in entries {
-        w.begin_array().u32(t).hex(n).end_array();
-    }
-    w.end_array();
-}
-
+/// Writes what a gate carries across barriers: its counters and its
+/// quota-flap overrides.
 fn enc_admission(w: &mut JsonWriter, a: &TenantAdmission) {
     let s = a.state();
     w.begin_object();
     w.key("admitted").hex(s.admitted);
-    w.key("cap_overrides");
-    enc_pairs(w, s.cap_overrides.iter().map(|&(t, c)| (t, c as u64)));
-    w.key("depth");
-    enc_pairs(w, s.depth.iter().map(|&(t, d)| (t, d as u64)));
-    w.key("queue_cap").hex(s.queue_cap as u64);
-    w.key("registrations");
-    enc_pairs(w, s.registrations.iter().map(|&(t, n)| (t, u64::from(n))));
+    w.key("cap_overrides").begin_array();
+    for (t, cap) in s.cap_overrides {
+        w.begin_array().u32(t).hex(cap as u64).end_array();
+    }
+    w.end_array();
     w.key("rejected").hex(s.rejected);
-    w.key("rejected_by_tenant");
-    enc_pairs(w, s.rejected_by_tenant.iter().copied());
     w.end_object();
 }
 
-fn dec_admission(v: &Value) -> Result<TenantAdmission, CkptError> {
-    let pairs = |key: &str| -> Result<Vec<(u32, u64)>, CkptError> {
-        let mut out = Vec::new();
-        for p in get_array(v, key)? {
-            let (t, n) = crate::ckpt::val_pair(p)?;
-            out.push((crate::ckpt::val_u32(t)?, val_u64_hex(n)?));
-        }
-        Ok(out)
-    };
-    Ok(TenantAdmission::from_state(vdap_edgeos::AdmissionState {
-        queue_cap: get_u64_hex(v, "queue_cap")? as usize,
-        cap_overrides: pairs("cap_overrides")?
-            .into_iter()
-            .map(|(t, c)| (t, c as usize))
-            .collect(),
-        depth: pairs("depth")?
-            .into_iter()
-            .map(|(t, d)| (t, d as usize))
-            .collect(),
+fn dec_admission(v: &Value) -> Result<AdmissionState, CkptError> {
+    let mut cap_overrides = Vec::new();
+    for p in get_array(v, "cap_overrides")? {
+        let (t, cap) = val_pair(p)?;
+        cap_overrides.push((val_u32(t)?, val_u64_hex(cap)? as usize));
+    }
+    Ok(AdmissionState {
+        cap_overrides,
         admitted: get_u64_hex(v, "admitted")?,
         rejected: get_u64_hex(v, "rejected")?,
-        rejected_by_tenant: pairs("rejected_by_tenant")?,
-        registrations: pairs("registrations")?
-            .into_iter()
-            .map(|(t, n)| {
-                u32::try_from(n)
-                    .map(|n| (t, n))
-                    .map_err(|e| CkptError::new(format!("registration count: {e}")))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    }))
+    })
 }
 
 impl XEdgeServer {
     /// Serializes everything the serving pass carries across barriers:
-    /// the (possibly elastically resized) lane pool, in-flight work in
-    /// assignment order, node health and crash history, the
-    /// admission gates, the elastic controller's counters, and the
-    /// observe-at-`k`/actuate-at-`k+1` queue-depth latch. The rest of
-    /// the server is a pure function of `FleetConfig` and is rebuilt on
-    /// restore.
+    /// each lane's free time, in-flight work in assignment order, node
+    /// health and crash history, the admission gates' counters, the
+    /// elastic controller's counters, and the observe-at-`k`/actuate-at-
+    /// `k+1` queue-depth latch. The rest of the server is a pure
+    /// function of `FleetConfig` and the vehicles' regions and is
+    /// rebuilt on restore.
     pub(crate) fn ckpt(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("admission");
@@ -1310,21 +1242,17 @@ impl XEdgeServer {
         for slot in self.slots_in_order(|_| true) {
             let f = self.entry(slot);
             w.begin_object();
+            w.key("debt").hex(f.debt.as_nanos());
             w.key("finish").hex(f.finish.as_nanos());
             w.key("node").u32(f.node);
-            w.key("req");
-            enc_req(w, &f.request());
             w.key("served");
             enc_served(w, &f.served);
             w.end_object();
         }
         w.end_array();
         w.key("lanes").begin_array();
-        for (i, free) in (0u32..).zip(&self.lanes) {
-            w.begin_object();
-            w.key("free").hex(free.as_nanos());
-            w.key("node").u32(i % self.edge_nodes);
-            w.end_object();
+        for free in &self.lanes {
+            w.hex(free.as_nanos());
         }
         w.end_array();
         w.key("last_depth").hex(self.last_depth as u64);
@@ -1341,9 +1269,6 @@ impl XEdgeServer {
             }
             w.end_array();
         });
-        // Crash requeues re-enter the same barrier's queue, so no
-        // request waits between barriers; the key stays for the format.
-        w.key("requeued").begin_array().end_array();
         w.key("scaler");
         enc_opt(w, self.scaler.as_ref(), |w, scaler| {
             let (ups, downs) = scaler.counters();
@@ -1355,51 +1280,52 @@ impl XEdgeServer {
         w.end_object();
     }
 
-    /// Rebuilds the server from config (everything derivable) plus the
-    /// serialized cross-barrier state.
-    pub(crate) fn restore_ckpt(cfg: &FleetConfig, v: &Value) -> Result<XEdgeServer, CkptError> {
+    /// Rebuilds the server from config (everything derivable), the
+    /// restored `vehicles` (whose regions register them at the region
+    /// gates) and the serialized cross-barrier state. Between barriers
+    /// no request holds a gate slot, and every gate's cap is the one
+    /// the config sets for the restored lane pool.
+    pub(crate) fn restore_ckpt(
+        cfg: &FleetConfig,
+        v: &Value,
+        vehicles: &[VehicleState],
+    ) -> Result<XEdgeServer, CkptError> {
         let mut edge = XEdgeServer::new(cfg);
         let nodes = edge.edge_nodes;
-        // `new`, grow and shrink all keep lane `i` on node `i % nodes`
-        // and at least one lane per node.
-        let mut lanes = Vec::new();
-        for (i, l) in (0u32..).zip(get_array(v, "lanes")?) {
-            let node = get_u32(l, "node")?;
-            if node != i % nodes {
-                return Err(CkptError::new(format!("lane {i} sits on node {node}")));
-            }
-            lanes.push(time_field(l, "free")?);
-        }
+        edge.scaler = section(v, "scaler", cfg.elastic, "elastic capacity", |s, policy| {
+            Ok(LaneScaler::from_counters(
+                policy,
+                get_u64_hex(s, "scale_ups")?,
+                get_u64_hex(s, "scale_downs")?,
+            ))
+        })?;
+        let lanes = get_array(v, "lanes")?
+            .iter()
+            .map(|t| Ok(SimTime::from_nanos(val_u64_hex(t)?)))
+            .collect::<Result<Vec<_>, CkptError>>()?;
+        // `new`, grow and shrink all keep at least one lane per node.
         if lanes.len() < nodes as usize {
             return Err(CkptError::new(format!(
                 "snapshot has {} lanes for {nodes} edge nodes",
                 lanes.len()
             )));
         }
-        edge.contention = edge.contention.resized(lanes.len() as u32);
         edge.lanes = lanes;
         // Entries are written in assignment order, so their position
         // is their `seq`.
         let in_flight = get_array(v, "in_flight")?;
         edge.in_flight.reserve_exact(in_flight.len());
         for (seq, f) in (0u64..).zip(in_flight) {
-            let req = dec_req(get(f, "req")?)?;
             let entry = InFlight {
                 seq,
                 finish: time_field(f, "finish")?,
                 node: get_u32(f, "node")?,
-                debt: req.handoff,
-                served: dec_served(get(f, "served")?)?,
+                debt: dur_field(f, "debt")?,
+                served: dec_served(cfg, get(f, "served")?)?,
             };
-            check_in_flight(cfg, nodes, &entry, &req)?;
+            check_in_flight(cfg, nodes, &entry)?;
             edge.file(entry);
             edge.next_seq = seq + 1;
-        }
-        // A crash requeue re-enters the same barrier's queue.
-        if !get_array(v, "requeued")?.is_empty() {
-            return Err(CkptError::new(
-                "snapshot holds requeued requests, which every barrier drains",
-            ));
         }
         let node_down = get_array(v, "node_down")?
             .iter()
@@ -1418,7 +1344,7 @@ impl XEdgeServer {
             crash_history.push(
                 val_array(h)?
                     .iter()
-                    .map(|t| Ok(vdap_sim::SimTime::from_nanos(val_u64_hex(t)?)))
+                    .map(|t| Ok(SimTime::from_nanos(val_u64_hex(t)?)))
                     .collect::<Result<Vec<_>, CkptError>>()?,
             );
         }
@@ -1434,34 +1360,31 @@ impl XEdgeServer {
             return Err(CkptError::new("crash-loop table length mismatch"));
         }
         edge.crash_looped = crash_looped;
-        edge.admission = dec_admission(get(v, "admission")?)?;
-        edge.region_admission = match (get(v, "region_admission")?, cfg.mobility.as_ref()) {
-            (Value::Null, None) => None,
-            (Value::Array(gates), Some(_)) => Some(
-                gates
-                    .iter()
-                    .map(dec_admission)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            _ => {
-                return Err(CkptError::new(
-                    "snapshot and config disagree on per-region admission",
-                ))
+        edge.region_admission = cfg
+            .mobility
+            .as_ref()
+            .map(|_| region_gates(cfg, |id| vehicles[id as usize].region));
+        edge.fit_to_lanes();
+        edge.admission.restore(dec_admission(get(v, "admission")?)?);
+        let gates = section(
+            v,
+            "region_admission",
+            cfg.mobility.as_ref(),
+            "per-region admission",
+            |gates, _| val_array(gates),
+        )?;
+        if let (Some(states), Some(gates)) = (gates, edge.region_admission.as_mut()) {
+            if states.len() != gates.len() {
+                return Err(CkptError::new(format!(
+                    "snapshot has {} region gates, config has {}",
+                    states.len(),
+                    gates.len()
+                )));
             }
-        };
-        edge.scaler = match (get(v, "scaler")?, cfg.elastic) {
-            (Value::Null, None) => None,
-            (s, Some(policy)) => Some(LaneScaler::from_counters(
-                policy,
-                get_u64_hex(s, "scale_ups")?,
-                get_u64_hex(s, "scale_downs")?,
-            )),
-            _ => {
-                return Err(CkptError::new(
-                    "snapshot and config disagree on elastic capacity",
-                ))
+            for (gate, state) in gates.iter_mut().zip(states) {
+                gate.restore(dec_admission(state)?);
             }
-        };
+        }
         edge.last_depth = get_u64_hex(v, "last_depth")? as usize;
         Ok(edge)
     }

@@ -28,14 +28,13 @@ use std::time::Instant;
 
 use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
-    get, get_array, get_bool, get_f64_bits, get_str, get_u32, get_u64_hex, CkptError, Snapshot,
-    SnapshotStore,
+    get, get_array, get_bool, get_f64_bits, get_str, get_u32, get_u64_hex, val_array, val_f64_bits,
+    val_pair, val_str, val_u32, val_u64_hex, CkptError, Snapshot, SnapshotStore,
 };
 use vdap_edgeos::WorkloadClass;
 use vdap_fault::{FaultEdge, FaultInjector, FaultKind};
 use vdap_mobility::{
-    Crossing, MobilityMetrics, RegionGraph, RouteProfile, TrackLeg, TrackMotion, TrackSnapshot,
-    VehicleTrack,
+    Crossing, MobilityMetrics, RegionGraph, TrackLeg, TrackMotion, TrackSnapshot, VehicleTrack,
 };
 use vdap_net::CellularChannel;
 use vdap_obs::{intern_name, BarrierPass, EngineProfile, JsonlSpillSink, RequestSpan, SpanOutcome};
@@ -45,8 +44,7 @@ use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 use crate::ckpt::{
     check_fingerprint, config_fingerprint, dec_hist, dur_field, enc_hist, enc_metrics, enc_opt,
     enc_opt_time, enc_reliability, enc_rng, enc_words, hist_field, metrics_field, opt_time_field,
-    reliability_field, rng_field, time_field, val_array, val_f64_bits, val_pair, val_str, val_u32,
-    val_u64_hex, SnapshotDiagnostics, SnapshotWrite,
+    reliability_field, rng_field, section, time_field, SnapshotDiagnostics, SnapshotWrite,
 };
 use crate::config::{
     handoff_label, region_label, tenant_label, CheckpointConfig, FleetConfig, FleetConfigError,
@@ -731,15 +729,13 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
     let reliability = reliability_field(payload, "reliability", cfg, &fault_timeline(ctx))?;
     let collab = dec_collab(payload, "collab")?;
 
-    let mobility = match (get(payload, "mobility")?, cfg.mobility.is_some()) {
-        (Value::Null, false) => None,
-        (Value::Null, true) | (_, false) => {
-            return Err(CkptError::new(
-                "snapshot and config disagree on the mobility subsystem",
-            ))
-        }
-        (enc, true) => Some(MobilityPass::restore_ckpt(cfg, &ctx.seeds, enc)?),
-    };
+    let mobility = section(
+        payload,
+        "mobility",
+        cfg.mobility.as_ref(),
+        "the mobility subsystem",
+        |enc, mob| MobilityPass::restore_ckpt(mob, cfg, &ctx.seeds, enc),
+    )?;
 
     let vehicles_enc = get_array(payload, "vehicles")?;
     if vehicles_enc.len() != cfg.vehicles as usize {
@@ -759,23 +755,21 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
         vehicles.push(dec_vehicle(cfg, enc, id, region, t_snap)?);
     }
 
-    let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?)?;
-    let ingest = match (get(payload, "ingest")?, cfg.ingest.is_some()) {
-        (Value::Null, false) => None,
-        (Value::Null, true) | (_, false) => {
-            return Err(CkptError::new(
-                "snapshot and config disagree on the ingest subsystem",
-            ))
-        }
-        (enc, true) => Some(IngestPass::restore_ckpt(cfg, &ctx.seeds, enc)?),
-    };
-    let telemetry = match (get(payload, "telemetry")?, cfg.telemetry) {
-        (Value::Null, false) => None,
-        (Value::Null, true) | (_, false) => {
-            return Err(CkptError::new("snapshot and config disagree on telemetry"))
-        }
-        (enc, true) => {
-            let (mut tel, spill_state) = dec_telemetry(enc)?;
+    let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?, &vehicles)?;
+    let ingest = section(
+        payload,
+        "ingest",
+        cfg.ingest.as_ref(),
+        "the ingest subsystem",
+        |enc, _| IngestPass::restore_ckpt(cfg, &ctx.seeds, enc),
+    )?;
+    let telemetry = section(
+        payload,
+        "telemetry",
+        cfg.telemetry.then_some(()),
+        "telemetry",
+        |enc, ()| {
+            let (mut tel, spill_state) = dec_telemetry(cfg, enc)?;
             // Sink wiring is config-derived: the budget, the sampling
             // seed, and the spill *directory* come from the config the
             // run restores under, while the dynamic counters (spilled
@@ -795,9 +789,9 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
                     bytes,
                 ));
             }
-            Some(tel)
-        }
-    };
+            Ok(tel)
+        },
+    )?;
 
     Ok(EngineState {
         vehicles,
@@ -817,6 +811,8 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
 
 // ---- telemetry codec ------------------------------------------------
 
+/// Writes a resident span. Its tenant (the vehicle's) and shard (always
+/// 0) are not written.
 fn enc_span(w: &mut JsonWriter, s: &RequestSpan) {
     w.begin_object();
     w.key("admitted");
@@ -832,23 +828,36 @@ fn enc_span(w: &mut JsonWriter, s: &RequestSpan) {
     w.key("seq").u32(s.seq);
     w.key("serve_start");
     enc_opt_time(w, s.serve_start);
-    w.key("shard").u32(s.shard);
-    w.key("tenant").u32(s.tenant);
     w.key("vehicle").u32(s.vehicle);
     w.end_object();
 }
 
-fn dec_span(v: &Value) -> Result<RequestSpan, CkptError> {
+/// Decodes a resident span, refusing a vehicle, region or class the run
+/// does not have.
+fn dec_span(cfg: &FleetConfig, v: &Value) -> Result<RequestSpan, CkptError> {
     let outcome_label = get_str(v, "outcome")?;
     let outcome = SpanOutcome::from_label(outcome_label)
         .ok_or_else(|| CkptError::new(format!("unknown span outcome {outcome_label:?}")))?;
+    let class_label = get_str(v, "class")?;
+    let class = WorkloadClass::ALL
+        .iter()
+        .map(|c| c.label())
+        .find(|&label| label == class_label)
+        .ok_or_else(|| CkptError::new(format!("span names unknown class {class_label:?}")))?;
+    let (vehicle, region) = (get_u32(v, "vehicle")?, get_u32(v, "region")?);
+    if vehicle >= cfg.vehicles || region >= cfg.regions {
+        return Err(CkptError::new(format!(
+            "span names vehicle {vehicle} in region {region} ({} vehicles, {} regions)",
+            cfg.vehicles, cfg.regions
+        )));
+    }
     Ok(RequestSpan {
-        vehicle: get_u32(v, "vehicle")?,
+        vehicle,
         seq: get_u32(v, "seq")?,
-        tenant: get_u32(v, "tenant")?,
-        region: get_u32(v, "region")?,
-        shard: get_u32(v, "shard")?,
-        class: intern_name(get_str(v, "class")?),
+        tenant: cfg.tenant_of(vehicle),
+        region,
+        shard: 0,
+        class,
         generated: time_field(v, "generated")?,
         admitted: opt_time_field(v, "admitted")?,
         serve_start: opt_time_field(v, "serve_start")?,
@@ -920,10 +929,10 @@ fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
 
 type SpillState = (u64, u32, u64);
 
-fn dec_telemetry(v: &Value) -> Result<(FleetTelemetry, SpillState), CkptError> {
+fn dec_telemetry(cfg: &FleetConfig, v: &Value) -> Result<(FleetTelemetry, SpillState), CkptError> {
     let mut tel = FleetTelemetry::default();
     for s in get_array(v, "spans")? {
-        tel.spans.push(dec_span(s)?);
+        tel.spans.push(dec_span(cfg, s)?);
     }
     for pair in get_array(v, "counters")? {
         let (name, count) = val_pair(pair)?;
@@ -976,21 +985,15 @@ fn dec_telemetry(v: &Value) -> Result<(FleetTelemetry, SpillState), CkptError> {
 
 // ---- mobility codec -------------------------------------------------
 
+/// Writes a track's run-time state. Its plan is not written: restore
+/// draws it again from the track's seeded stream.
 fn enc_track(w: &mut JsonWriter, t: &TrackSnapshot) {
-    let profile = match t.profile {
-        RouteProfile::Commute => 0,
-        RouteProfile::Roam => 1,
-        RouteProfile::RushHour => 2,
-    };
     let leg = match t.leg {
         TrackLeg::BeforeOutbound => 0,
         TrackLeg::AtWork => 1,
         TrackLeg::Done => 2,
     };
     w.begin_object();
-    w.key("dwell_mean").hex(t.dwell_mean.as_nanos());
-    w.key("home").u32(t.home);
-    w.key("id").u32(t.id);
     w.key("leg").u32(leg);
     w.key("motion").begin_object();
     match &t.motion {
@@ -1017,23 +1020,13 @@ fn enc_track(w: &mut JsonWriter, t: &TrackSnapshot) {
         }
     }
     w.end_object();
-    w.key("outbound_at").hex(t.outbound_at.as_nanos());
-    w.key("profile").u32(profile);
     w.key("region").u32(t.region);
-    w.key("return_at").hex(t.return_at.as_nanos());
     w.key("rng");
     enc_words(w, &t.rng);
-    w.key("work").u32(t.work);
     w.end_object();
 }
 
 fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
-    let profile = match get_u32(v, "profile")? {
-        0 => RouteProfile::Commute,
-        1 => RouteProfile::Roam,
-        2 => RouteProfile::RushHour,
-        other => return Err(CkptError::new(format!("unknown route profile {other}"))),
-    };
     let leg = match get_u32(v, "leg")? {
         0 => TrackLeg::BeforeOutbound,
         1 => TrackLeg::AtWork,
@@ -1055,14 +1048,7 @@ fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
         other => return Err(CkptError::new(format!("unknown track motion {other:?}"))),
     };
     Ok(TrackSnapshot {
-        id: get_u32(v, "id")?,
-        profile,
         region: get_u32(v, "region")?,
-        home: get_u32(v, "home")?,
-        work: get_u32(v, "work")?,
-        outbound_at: time_field(v, "outbound_at")?,
-        return_at: time_field(v, "return_at")?,
-        dwell_mean: dur_field(v, "dwell_mean")?,
         leg,
         motion,
         rng: rng_field(v, "rng")?.state(),
@@ -1075,11 +1061,8 @@ fn dec_track(v: &Value) -> Result<TrackSnapshot, CkptError> {
 /// adjacent.
 fn check_track(snap: &TrackSnapshot, graph: &RegionGraph) -> Result<(), String> {
     let regions = graph.regions();
-    if let Some(r) = [snap.region, snap.home, snap.work]
-        .into_iter()
-        .find(|&r| r >= regions)
-    {
-        return Err(format!("names region {r}"));
+    if snap.region >= regions {
+        return Err(format!("names region {}", snap.region));
     }
     let TrackMotion::Drive { edge, path, .. } = &snap.motion else {
         return Ok(());
@@ -1199,55 +1182,32 @@ impl MobilityPass {
         w.end_object();
     }
 
-    /// Rebuilds the pass: the region graph and channel are re-derived
-    /// from the seed, the tracks and ledger come from the snapshot.
+    /// Rebuilds the pass: the region graph, the channel and every
+    /// track's plan are derived again from the seed, and each track's
+    /// run-time state and the ledger come from the snapshot.
     fn restore_ckpt(
+        mob: &vdap_mobility::MobilityConfig,
         cfg: &FleetConfig,
         seeds: &SeedFactory,
         v: &Value,
     ) -> Result<MobilityPass, CkptError> {
-        let Some(mob) = cfg.mobility.as_ref() else {
-            return Err(CkptError::new(
-                "mobility snapshot without a mobility config",
-            ));
-        };
-        let mut graph_rng = seeds.stream("fleet-mobility-graph");
-        let graph = RegionGraph::seeded(
-            cfg.regions,
-            mob.chords(cfg.regions),
-            mob.segment_capacity,
-            &mut graph_rng,
-        );
-        let tracks_enc = get_array(v, "tracks")?;
-        if tracks_enc.len() != cfg.vehicles as usize {
+        let mut pass = MobilityPass::new(mob, cfg, seeds);
+        let tracks = get_array(v, "tracks")?;
+        if tracks.len() != pass.tracks.len() {
             return Err(CkptError::new(format!(
                 "snapshot holds {} mobility tracks, config expects {}",
-                tracks_enc.len(),
+                tracks.len(),
                 cfg.vehicles
             )));
         }
-        let mut tracks = Vec::with_capacity(tracks_enc.len());
-        for (i, enc) in tracks_enc.iter().enumerate() {
+        for (i, (track, enc)) in pass.tracks.iter_mut().zip(tracks).enumerate() {
             let snap = dec_track(enc)?;
-            if snap.id as usize != i {
-                return Err(CkptError::new(format!(
-                    "mobility track {i} carries id {}",
-                    snap.id
-                )));
-            }
-            check_track(&snap, &graph)
+            check_track(&snap, &pass.graph)
                 .map_err(|what| CkptError::new(format!("mobility track {i} {what}")))?;
-            tracks.push(VehicleTrack::from_snapshot(snap));
+            track.restore(snap);
         }
-        Ok(MobilityPass {
-            graph,
-            tracks,
-            channel: CellularChannel::calibrated(),
-            handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
-            metrics: dec_mobility_metrics(get(v, "metrics")?)?,
-            crossings_buf: Vec::new(),
-            dest: Vec::new(),
-        })
+        pass.metrics = dec_mobility_metrics(get(v, "metrics")?)?;
+        Ok(pass)
     }
 
     /// One barrier's mobility step, covering the epoch

@@ -547,11 +547,12 @@ impl IngestPass {
 // --- snapshot codec --------------------------------------------------
 
 use crate::ckpt::{
-    enc_batch, enc_hist, enc_opt_time, enc_rng, hist_field, opt_time_field, rng_field, time_field,
-    val_array, val_pair, val_u64_hex,
+    enc_hist, enc_opt_time, enc_rng, hist_field, opt_time_field, rng_field, time_field,
 };
 use vdap_ckpt::json::{JsonWriter, Value};
-use vdap_ckpt::{get, get_array, get_bool, get_u32, get_u64_hex, CkptError};
+use vdap_ckpt::{
+    get, get_array, get_bool, get_u32, get_u64_hex, val_array, val_pair, val_u64_hex, CkptError,
+};
 
 fn enc_ingest_metrics(w: &mut JsonWriter, m: &IngestMetrics) {
     w.begin_object();
@@ -629,10 +630,39 @@ fn dec_used(v: &Value, key: &str, vehicles: u32) -> Result<Vec<Option<u64>>, Ckp
     Ok(used)
 }
 
+/// Writes one backlog batch. Its records, bytes and deadline are not
+/// written: every batch carries the config's batch size, and its
+/// deadline is the config's deadline after `sent_at`.
+fn enc_batch(w: &mut JsonWriter, b: &UploadBatch) {
+    w.begin_object();
+    w.key("priority").u32(u32::from(b.priority));
+    w.key("region").u32(b.region);
+    w.key("sent_at").hex(b.sent_at.as_nanos());
+    w.key("seq").u32(b.seq);
+    w.key("vehicle").hex(b.vehicle);
+    w.end_object();
+}
+
 /// Decodes a backlog batch, refusing a vehicle or region the config
 /// does not have.
-fn dec_backlog_batch(cfg: &FleetConfig, v: &Value, what: &str) -> Result<UploadBatch, CkptError> {
-    let batch = crate::ckpt::dec_batch(v)?;
+fn dec_batch(
+    cfg: &FleetConfig,
+    ing: &IngestConfig,
+    v: &Value,
+    what: &str,
+) -> Result<UploadBatch, CkptError> {
+    let sent_at = time_field(v, "sent_at")?;
+    let batch = UploadBatch {
+        vehicle: get_u64_hex(v, "vehicle")?,
+        region: get_u32(v, "region")?,
+        seq: get_u32(v, "seq")?,
+        records: ing.records_per_batch,
+        bytes: ing.batch_bytes(),
+        sent_at,
+        deadline: sent_at + ing.deadline,
+        priority: u8::try_from(get_u32(v, "priority")?)
+            .map_err(|e| CkptError::new(format!("priority out of range: {e}")))?,
+    };
     if batch.vehicle >= u64::from(cfg.vehicles) || batch.region >= cfg.regions {
         return Err(CkptError::new(format!(
             "{what} batch names vehicle {} in region {} ({} vehicles, {} regions)",
@@ -708,6 +738,7 @@ impl IngestPass {
         v: &Value,
     ) -> Result<IngestPass, CkptError> {
         let mut pass = IngestPass::new(cfg, seeds);
+        let ing = &pass.ing;
         pass.rng = rng_field(v, "rng")?;
         pass.pending = get_array(v, "pending")?
             .iter()
@@ -716,7 +747,7 @@ impl IngestPass {
                     due: time_field(p, "due")?,
                     attempts: get_u32(p, "attempts")?,
                     expires: opt_time_field(p, "expires")?,
-                    batch: dec_backlog_batch(cfg, get(p, "batch")?, "pending")?,
+                    batch: dec_batch(cfg, ing, get(p, "batch")?, "pending")?,
                 })
             })
             .collect::<Result<Vec<_>, CkptError>>()?;
@@ -727,7 +758,7 @@ impl IngestPass {
                     expires: time_field(c, "expires")?,
                     attempts: get_u32(c, "attempts")?,
                     disk: get_bool(c, "disk")?,
-                    batch: dec_backlog_batch(cfg, get(c, "batch")?, "cached")?,
+                    batch: dec_batch(cfg, ing, get(c, "batch")?, "cached")?,
                 })
             })
             .collect::<Result<VecDeque<_>, CkptError>>()?;
@@ -751,7 +782,7 @@ impl IngestPass {
         }
         for ((region, queue), collector) in (0u32..).zip(queues).zip(&mut pass.collectors) {
             for enc in val_array(queue)? {
-                let batch = dec_backlog_batch(cfg, enc, "queued")?;
+                let batch = dec_batch(cfg, ing, enc, "queued")?;
                 if batch.region != region {
                     return Err(CkptError::new(format!(
                         "collector {region} queues a batch for region {}",
@@ -792,6 +823,21 @@ mod tests {
             deadline: sent_at + SimDuration::from_secs(5),
             priority,
         }
+    }
+
+    #[test]
+    fn batch_round_trip_is_exact() {
+        let cfg = ingest_cfg();
+        let ing = cfg.ingest.as_ref().expect("ingest on");
+        let b = batch(63, 19, SimTime::from_secs(12), 3);
+        assert_eq!(
+            (b.records, b.bytes),
+            (ing.records_per_batch, ing.batch_bytes())
+        );
+        let mut w = JsonWriter::new();
+        enc_batch(&mut w, &b);
+        let v = vdap_ckpt::json::from_str(w.as_str()).expect("encoder output parses");
+        assert_eq!(dec_batch(&cfg, ing, &v, "test").unwrap(), b);
     }
 
     #[test]

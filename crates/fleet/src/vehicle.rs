@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use vdap_ckpt::json::{JsonWriter, Value};
-use vdap_ckpt::{get, get_array, get_bool, get_u32, CkptError};
+use vdap_ckpt::{get_array, get_bool, get_u32, val_array, val_u32, val_u64_hex, CkptError};
 use vdap_ddi::UploadBatch;
 use vdap_edgeos::WorkloadClass;
 use vdap_fault::FaultInjector;
@@ -41,10 +41,7 @@ use vdap_obs::SpanOutcome;
 use vdap_offload::Tile;
 use vdap_sim::{RngStream, SeedFactory, SimDuration, SimTime};
 
-use crate::ckpt::{
-    dec_i64, dur_field, enc_opt, enc_opt_time, enc_rng, opt_time_field, rng_field, val_array,
-    val_u32,
-};
+use crate::ckpt::{dur_field, enc_opt, enc_opt_time, enc_rng, opt_time_field, rng_field, section};
 use crate::config::FleetConfig;
 use crate::edge::EdgeRequest;
 use crate::metrics::RequestOutcome;
@@ -440,10 +437,11 @@ fn ingest_tick(cfg: &FleetConfig, v: &mut VehicleState, out: &mut BatchOut, now:
 
 // --- snapshot codec --------------------------------------------------
 
-/// Writes one vehicle's complete private state: both RNG stream
+/// Writes one vehicle's private run-time state: both RNG stream
 /// positions, sequence counters, the stored next-event times (which
 /// the next epoch advance resumes from on restore), handoff debt, and
-/// the stale collab-cache flag.
+/// the stale collab-cache flag. Its id, tenant and region are not
+/// written: the slot, the config and the mobility track give them.
 pub(crate) fn enc_vehicle(w: &mut JsonWriter, v: &VehicleState) {
     w.begin_object();
     w.key("cache_stale").bool(v.cache_stale);
@@ -453,24 +451,19 @@ pub(crate) fn enc_vehicle(w: &mut JsonWriter, v: &VehicleState) {
         enc_rng(w, &ddi.rng);
         w.key("seq").u32(ddi.seq).end_object();
     });
-    w.key("id").u32(v.id);
     w.key("next_ingest");
     enc_opt_time(w, v.next_ingest);
     w.key("next_tick");
     enc_opt_time(w, v.next_tick);
     w.key("pending_handoff").hex(v.pending_handoff.as_nanos());
-    w.key("region").u32(v.region);
     w.key("rng");
     enc_rng(w, &v.rng);
     w.key("seq").u32(v.seq);
-    w.key("tenant").u32(v.tenant);
     w.end_object();
 }
 
-/// Decodes the vehicle for slot `id` of a snapshot taken at barrier
-/// `t_snap`, rejecting state no run could have reached: a different
-/// id, a tenant other than the config's, a region other than `region`
-/// (where the vehicle must be) or outside the config's regions, a DDI
+/// Decodes vehicle `id`, driving in `region`, from a snapshot taken at
+/// barrier `t_snap`, rejecting state no run could have reached: a DDI
 /// uplink the config disagrees with, or a next event outside
 /// `(t_snap, horizon]`.
 pub(crate) fn dec_vehicle(
@@ -480,22 +473,16 @@ pub(crate) fn dec_vehicle(
     region: u32,
     t_snap: SimTime,
 ) -> Result<VehicleState, CkptError> {
-    let ddi = match (get(v, "ddi")?, cfg.ingest.is_some()) {
-        (Value::Null, false) => None,
-        (enc, true) => Some(DdiUplink {
+    let ddi = section(v, "ddi", cfg.ingest.as_ref(), "DDI ingestion", |enc, _| {
+        Ok(DdiUplink {
             rng: rng_field(enc, "rng")?,
             seq: get_u32(enc, "seq")?,
-        }),
-        _ => {
-            return Err(CkptError::new(
-                "snapshot and config disagree on DDI ingestion",
-            ))
-        }
-    };
+        })
+    })?;
     let vehicle = VehicleState {
-        id: get_u32(v, "id")?,
-        tenant: get_u32(v, "tenant")?,
-        region: get_u32(v, "region")?,
+        id,
+        tenant: cfg.tenant_of(id),
+        region,
         rng: rng_field(v, "rng")?,
         seq: get_u32(v, "seq")?,
         ddi,
@@ -505,15 +492,6 @@ pub(crate) fn dec_vehicle(
         cache_stale: get_bool(v, "cache_stale")?,
     };
     let reject = |what: String| Err(CkptError::new(format!("vehicle slot {id}: {what}")));
-    if vehicle.id != id {
-        return reject(format!("holds vehicle {}", vehicle.id));
-    }
-    if vehicle.tenant != cfg.tenant_of(id) {
-        return reject(format!("tenant {} is not the config's", vehicle.tenant));
-    }
-    if vehicle.region != region || region >= cfg.regions {
-        return reject(format!("in region {}, expected {region}", vehicle.region));
-    }
     if vehicle.ddi.is_none() && vehicle.next_ingest.is_some() {
         return reject("ingest upload scheduled without ingestion".into());
     }
@@ -548,7 +526,7 @@ pub(crate) fn dec_collab(v: &Value, key: &str) -> Result<CollabSnapshot, CkptErr
         let [tile, producer] = entry else {
             return Err(CkptError::new("collab entry must be a pair"));
         };
-        snapshot.insert(Tile(dec_i64(tile)?), val_u32(producer)?);
+        snapshot.insert(Tile(val_u64_hex(tile)? as i64), val_u32(producer)?);
     }
     Ok(snapshot)
 }

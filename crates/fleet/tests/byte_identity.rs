@@ -15,18 +15,18 @@ use vdap_sim::{SimDuration, SimTime};
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// supervised run, the torn generation 8 included.
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0xf318_9305_c838_188e),
-    (8, 0x7d94_1b6b_ac58_6819),
-    (12, 0x646d_4e25_f4db_8971),
+    (4, 0x96ec_f545_0a46_479f),
+    (8, 0xa8f6_799d_dd45_402a),
+    (12, 0x24b5_2f02_d20b_0cb0),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
 /// series rollup into histograms and spill counters in the payload.
 const BUDGET_SNAPSHOT_PINS: [(u64, u64); 4] = [
-    (17, 0xb38a_5712_5257_ef51),
-    (34, 0xa73e_bd08_23d0_5f50),
-    (51, 0x8f4d_0b24_a30b_8491),
-    (68, 0xf2ef_bbf5_d6de_bc2c),
+    (17, 0xe08b_fb09_738c_c6ec),
+    (34, 0xba2b_b689_7cca_3f0e),
+    (51, 0xafd4_4a5d_e95f_20d4),
+    (68, 0x7011_646c_3f8c_1059),
 ];
 
 /// FNV-1a of each spill segment of the spill run, in segment order.
@@ -123,9 +123,9 @@ fn budgeted_snapshot_texts_are_byte_identical() {
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// backlogged run, and the FNV-1a of its summary.
 const BACKLOG_SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0x0370_2a77_5573_122a),
-    (8, 0xebc9_4a61_6aee_7366),
-    (12, 0x47fe_ce61_48e7_d23c),
+    (4, 0xcdb3_4b0e_5dba_4fee),
+    (8, 0x0939_76a2_704f_52ff),
+    (12, 0xcf06_78f6_a2fa_ceea),
 ];
 const BACKLOG_SUMMARY_PIN: u64 = 0xcb10_ab25_8de2_2d84;
 

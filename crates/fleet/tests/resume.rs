@@ -113,6 +113,59 @@ fn crash_resume_leaves_the_straight_runs_spill_segments() {
     }
 }
 
+/// Elastic lanes under per-tenant caps tight enough to bounce requests,
+/// with mobility's per-region gates or the one global gate: the crash
+/// at epoch 10 resumes from generation 8, by when the pool has grown.
+fn elastic_capped_config(mobility: bool) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(512).with_elastic_capacity();
+    if mobility {
+        cfg = cfg.with_mobility();
+        cfg.tenant_queue_cap = 6;
+    } else {
+        cfg.tenant_queue_cap = 40;
+    }
+    cfg.seed = 17;
+    cfg.duration = SimDuration::from_secs(8);
+    cfg.with_checkpoint(4, 16)
+        .with_engine_crash(10, SimDuration::from_secs(1))
+}
+
+/// Restore rebuilds each gate's cap from the restored lane pool, though
+/// every serving pass sizes it again before admitting: this pins what the
+/// elastic step reads (lanes, scaler counters, the depth latch) and the
+/// rebuilt gates.
+#[test]
+fn crash_resume_under_elastic_lanes_and_tight_caps_is_byte_identical() {
+    for mobility in [false, true] {
+        let cfg = elastic_capped_config(mobility);
+        let straight = FleetEngine::new(cfg.clone()).run();
+        let mut store = SnapshotStore::in_memory();
+        let resumed = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+        assert_eq!(resumed.snapshots.resumes, 1);
+        let snap = Snapshot::decode(&store.get(8).expect("generation 8")).expect("valid");
+        let lanes = value_at(&snap.payload, &["edge", "lanes"])
+            .as_array()
+            .expect("lanes")
+            .len();
+        let rejected_by_8: u64 = value_at(&snap.payload, &["metrics", "by_class"])
+            .as_array()
+            .expect("class rows")
+            .iter()
+            .map(|row| {
+                let hex = value_at(row, &["rejected"]).as_str().expect("hex");
+                u64::from_str_radix(hex, 16).expect("hex")
+            })
+            .sum();
+        assert_ne!(lanes, cfg.edge_capacity as usize, "the pool has scaled");
+        assert!(
+            straight.metrics.rejected > rejected_by_8,
+            "the caps bounce requests after the snapshot"
+        );
+        assert_eq!(straight.summary(), resumed.summary(), "mobility {mobility}");
+        assert_eq!(straight.metrics, resumed.metrics);
+    }
+}
+
 /// `cfg` under the default run layout, one worker with single-vehicle
 /// batches, and two workers with an odd batch size.
 fn layouts(cfg: FleetConfig) -> [FleetConfig; 3] {
@@ -445,8 +498,8 @@ fn with_vehicle_field(snap: &Snapshot, slot: usize, key: &str, value: Value) -> 
 
 #[test]
 fn restore_rejects_impossible_vehicles_with_a_valid_checksum() {
-    // Without mobility a vehicle must be in its home region; with it, in
-    // its route track's region.
+    // A vehicle's next events must lie in what is left of the run, with
+    // mobility and without it.
     let stationary = {
         let mut cfg = FleetConfig::sized(64).with_ingest();
         cfg.seed = 3;
@@ -458,27 +511,15 @@ fn restore_rejects_impossible_vehicles_with_a_valid_checksum() {
         let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
         let snap = store.newest_valid().0.expect("valid snapshot");
         let engine = FleetEngine::new(cfg.clone());
-        let region = snap
-            .payload
-            .get("vehicles")
-            .and_then(Value::as_array)
-            .expect("vehicles")[4]
-            .get("region")
-            .and_then(Value::as_u64)
-            .expect("region") as u32;
+        let seq = value_at(&snap.payload, &["vehicles", "4", "seq"]).clone();
         // Rewriting a field with its own value keeps the snapshot valid.
-        let same = with_vehicle_field(&snap, 4, "region", Value::from(region));
+        let same = with_vehicle_field(&snap, 4, "seq", seq);
         assert!(engine.restore(&same).is_ok());
 
         let hex = |ns: u64| Value::from(format!("{ns:x}"));
         let barrier = snap.generation * cfg.epoch.as_nanos();
         let horizon = cfg.horizon().as_nanos();
         for (key, value) in [
-            ("id", Value::from(3u32)),
-            ("tenant", Value::from(999u32)),
-            ("tenant", Value::from(cfg.tenant_of(5))),
-            ("region", Value::from(999u32)),
-            ("region", Value::from((region + 1) % cfg.regions)),
             ("next_tick", hex(1)),
             ("next_tick", hex(barrier)),
             ("next_tick", hex(horizon + 1)),
@@ -627,19 +668,9 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
         assert!(engine.restore(&with_value_at(&snap, &[key], same)).is_ok());
     }
 
-    // One field of in-flight entry 0: its served record only, or both
-    // halves so that they still name the same request.
-    let in_flight = |key: &str, value: Value, both: bool| {
-        let served = with_value_at(
-            &snap,
-            &["edge", "in_flight", "0", "served", key],
-            value.clone(),
-        );
-        if both {
-            with_value_at(&served, &["edge", "in_flight", "0", "req", key], value)
-        } else {
-            served
-        }
+    // One field of in-flight entry 0's served record.
+    let in_flight = |key: &str, value: Value| {
+        with_value_at(&snap, &["edge", "in_flight", "0", "served", key], value)
     };
     let track = |slot: &str, path: &[&str], value: Value| {
         let full: Vec<&str> = ["mobility", "tracks", slot]
@@ -649,15 +680,6 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
             .collect();
         with_value_at(&snap, &full, value)
     };
-    let every_lane_on_node_0 = lanes
-        .iter()
-        .map(|lane| with_key(lane, "node", Value::from(0u32)))
-        .collect();
-    let foreign_requeue = with_key(
-        value_at(&snap.payload, &["edge", "in_flight", "0", "req"]),
-        "tenant",
-        Value::from(999u32),
-    );
     // An entry served on its region's node: without a handoff, the
     // only node it can sit on.
     let entries = array(&["edge", "in_flight"]);
@@ -665,25 +687,13 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
         .iter()
         .position(|f| *value_at(f, &["served", "handoff"]) == Value::from(false))
         .expect("an entry without a handoff");
-    let region = value_at(&entries[homed], &["req", "region"])
+    let region = value_at(&entries[homed], &["served", "region"])
         .as_u64()
         .expect("region");
     let off_home = ((region + 1) % u64::from(cfg.edge_nodes)) as u32;
     let homed = homed.to_string();
-    let requeues = value_at(&entries[0], &["served", "requeues"])
-        .as_u64()
-        .expect("requeues") as u32;
     let hex_zero = Value::from("0");
     let cases = [
-        (
-            "every lane on node 0",
-            with_value_at(
-                &snap,
-                &["edge", "lanes"],
-                Value::Array(every_lane_on_node_0),
-            ),
-            "lane 1 sits on node 0",
-        ),
         (
             "one lane for every node",
             with_value_at(&snap, &["edge", "lanes"], Value::Array(lanes[..1].to_vec())),
@@ -699,33 +709,14 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
             "sits on node 999",
         ),
         (
-            "served tenant",
-            in_flight("tenant", Value::from(999u32), false),
-            "serves another request",
-        ),
-        (
-            "in-flight tenant",
-            in_flight("tenant", Value::from(999u32), true),
-            "names tenant 999",
-        ),
-        (
             "in-flight vehicle",
-            in_flight("vehicle", Value::from(99_999u32), true),
+            in_flight("vehicle", Value::from(99_999u32)),
             "names no vehicle",
         ),
         (
             "in-flight region",
-            in_flight("region", Value::from(999u32), true),
+            in_flight("region", Value::from(999u32)),
             "names region 999",
-        ),
-        (
-            "requeued request",
-            with_value_at(
-                &snap,
-                &["edge", "requeued"],
-                Value::Array(vec![foreign_requeue]),
-            ),
-            "requeued requests",
         ),
         (
             "in-flight node off its region's without a handoff",
@@ -738,7 +729,7 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
         ),
         (
             "serve start before arrival",
-            in_flight("serve_start", hex_zero.clone(), false),
+            in_flight("serve_start", hex_zero.clone()),
             "starts serving before it arrived",
         ),
         (
@@ -751,27 +742,8 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
             "finishes before it starts serving",
         ),
         (
-            "queued attempts against served requeues",
-            with_value_at(
-                &snap,
-                &["edge", "in_flight", "0", "req", "attempts"],
-                Value::from(requeues + 1),
-            ),
-            "queued for attempt",
-        ),
-        (
             "track region",
             track("0", &["region"], Value::from(999u32)),
-            "mobility track 0 names region 999",
-        ),
-        (
-            "track home",
-            track("0", &["home"], Value::from(999u32)),
-            "mobility track 0 names region 999",
-        ),
-        (
-            "track work",
-            track("0", &["work"], Value::from(999u32)),
             "mobility track 0 names region 999",
         ),
         (
@@ -807,11 +779,265 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
     }
 }
 
-/// `body`, a histogram object, with `key` set to `value`.
+#[test]
+fn restore_rejects_spans_naming_what_the_run_does_not_have() {
+    let cfg = full_stack_config(41);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let snap = store.newest_valid().0.expect("valid snapshot");
+    let engine = FleetEngine::new(cfg);
+    let span =
+        |key: &str, value: Value| with_value_at(&snap, &["telemetry", "spans", "0", key], value);
+    let cases = [
+        (
+            "vehicle",
+            span("vehicle", Value::from(99_999u32)),
+            "span names vehicle 99999",
+        ),
+        (
+            "region",
+            span("region", Value::from(999u32)),
+            "in region 999",
+        ),
+        (
+            "class",
+            span("class", Value::from("bogus-class")),
+            "unknown class \"bogus-class\"",
+        ),
+    ];
+    for (what, tampered, expect) in cases {
+        let err = engine
+            .restore(&tampered)
+            .expect_err("a span the run cannot have must be refused");
+        assert!(err.to_string().contains(expect), "{what}: {err}");
+    }
+}
+
+/// Object keys a version-5 payload never writes: restore rebuilds each
+/// value from the config, the seed or the rest of the payload.
+const DROPPED_KEYS: [&str; 17] = [
+    "bytes",
+    "deadline",
+    "depth",
+    "dwell_mean",
+    "home",
+    "id",
+    "outbound_at",
+    "profile",
+    "queue_cap",
+    "records",
+    "registrations",
+    "rejected_by_tenant",
+    "req",
+    "return_at",
+    "shard",
+    "tenant",
+    "work",
+];
+
+/// The fleet-wide counters and histogram of `metrics`, which restore
+/// sums or merges from the per-class rows.
+const FLEET_TOTALS: [&str; 7] = [
+    "collab_hits",
+    "e2e_latency_ms",
+    "edge_served",
+    "failovers",
+    "local_fallbacks",
+    "rejected",
+    "requests",
+];
+
+/// Every object key anywhere inside `v`.
+fn object_keys<'a>(v: &'a Value, out: &mut Vec<&'a str>) {
+    match v {
+        Value::Object(fields) => {
+            for (key, child) in fields {
+                out.push(key);
+                object_keys(child, out);
+            }
+        }
+        Value::Array(items) => items.iter().for_each(|item| object_keys(item, out)),
+        _ => {}
+    }
+}
+
+#[test]
+fn keys_restore_rebuilds_leave_the_format_and_are_ignored_when_written_back() {
+    let hex = |x: u64| Value::from(format!("{x:x}"));
+    let metrics_total = |snap: &Snapshot, key: &str| -> u64 {
+        value_at(&snap.payload, &["metrics", "by_class"])
+            .as_array()
+            .expect("class rows")
+            .iter()
+            .map(|row| {
+                let count = value_at(row, &[key]).as_str().expect("hex count");
+                u64::from_str_radix(count, 16).expect("hex count")
+            })
+            .sum()
+    };
+    let request = || {
+        let mut fields = std::collections::BTreeMap::new();
+        for (key, value) in [
+            ("arrival", hex(0)),
+            ("attempts", Value::from(7u32)),
+            ("class", Value::from(2u32)),
+            ("handoff", hex(u64::MAX)),
+            ("region", Value::from(999u32)),
+            ("seq", Value::from(u32::MAX)),
+            ("tenant", Value::from(999u32)),
+            ("vehicle", Value::from(99_999u32)),
+        ] {
+            fields.insert(key.to_string(), value);
+        }
+        Value::Object(fields)
+    };
+    let pair = |t: u32, n: u64| Value::Array(vec![Value::Array(vec![Value::from(t), hex(n)])]);
+    let gate = || {
+        vec![
+            ("queue_cap", hex(0)),
+            ("depth", pair(0, u64::MAX)),
+            ("registrations", pair(0, 500)),
+            ("rejected_by_tenant", Value::Array(Vec::new())),
+        ]
+    };
+    let batch = || {
+        vec![
+            ("records", Value::from(0u32)),
+            ("records", Value::from(4_000_000u32)),
+            ("bytes", hex(1 << 40)),
+            ("deadline", hex(u64::MAX)),
+            ("deadline", hex(0)),
+        ]
+    };
+    // `(path, key, value)`: write `key` into the object at `path`.
+    let at = |path: &[&'static str], fields: Vec<(&'static str, Value)>| {
+        fields
+            .into_iter()
+            .map(|(key, value)| (path.to_vec(), key, value))
+            .collect::<Vec<_>>()
+    };
+
+    for (cfg, full_stack) in [(full_stack_config(41), true), (backlog_config(), false)] {
+        let mut store = SnapshotStore::in_memory();
+        let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+        // No object of any generation carries a dropped key.
+        for generation in store.generations() {
+            let snap =
+                Snapshot::decode(&store.get(generation).expect("stored")).expect("valid snapshot");
+            let mut keys = Vec::new();
+            object_keys(&snap.payload, &mut keys);
+            for key in DROPPED_KEYS {
+                assert!(
+                    !keys.contains(&key),
+                    "generation {generation} writes {key:?}"
+                );
+            }
+            let edge = value_at(&snap.payload, &["edge"]);
+            assert!(edge.get("requeued").is_none(), "generation {generation}");
+            let metrics = value_at(&snap.payload, &["metrics"]);
+            for key in FLEET_TOTALS {
+                assert!(
+                    metrics.get(key).is_none(),
+                    "generation {generation} writes {key:?}"
+                );
+            }
+        }
+
+        let snap = store.newest_valid().0.expect("valid snapshot");
+        assert_eq!(snap.generation, 12);
+        let straight = FleetEngine::new(cfg.clone()).run();
+        let engine = FleetEngine::new(cfg.clone());
+        let mut cases = Vec::new();
+        if full_stack {
+            let edge_served = metrics_total(&snap, "edge_served");
+            // A histogram no sequence of samples produces.
+            let impossible_hist = with_key(
+                value_at(
+                    &snap.payload,
+                    &["metrics", "by_class", "0", "e2e_latency_ms"],
+                ),
+                "count",
+                hex(1),
+            );
+            cases.extend(at(
+                &["vehicles", "4"],
+                vec![
+                    ("id", Value::from(3u32)),
+                    ("tenant", Value::from(999u32)),
+                    ("region", Value::from(999u32)),
+                ],
+            ));
+            cases.extend(at(
+                &["edge"],
+                vec![("requeued", Value::Array(vec![request()]))],
+            ));
+            cases.extend(at(&["edge", "in_flight", "0"], vec![("req", request())]));
+            cases.extend(at(
+                &["edge", "in_flight", "0", "served"],
+                vec![("tenant", Value::from(999u32)), ("work", hex(0))],
+            ));
+            cases.extend(at(
+                &["metrics"],
+                vec![
+                    ("edge_served", hex(edge_served + 1000)),
+                    ("requests", hex(u64::MAX)),
+                    ("collab_hits", hex(0)),
+                    ("failovers", hex(u64::MAX)),
+                    ("rejected", hex(u64::MAX)),
+                    ("local_fallbacks", hex(u64::MAX)),
+                    ("e2e_latency_ms", impossible_hist),
+                ],
+            ));
+            cases.extend(at(
+                &["telemetry", "spans", "0"],
+                vec![
+                    ("tenant", Value::from(999u32)),
+                    ("shard", Value::from(7u32)),
+                ],
+            ));
+            cases.extend(at(
+                &["mobility", "tracks", "0"],
+                vec![
+                    ("id", Value::from(999u32)),
+                    ("profile", Value::from(7u32)),
+                    ("home", Value::from(999u32)),
+                    ("work", Value::from(999u32)),
+                    ("outbound_at", hex(0)),
+                    ("return_at", hex(0)),
+                    ("dwell_mean", hex(0)),
+                ],
+            ));
+            cases.extend(at(&["edge", "admission"], gate()));
+            cases.extend(at(&["edge", "region_admission", "0"], gate()));
+        } else {
+            cases.extend(at(&["ingest", "pending", "0", "batch"], batch()));
+            cases.extend(at(&["ingest", "cached", "0", "batch"], batch()));
+            cases.extend(at(&["ingest", "collectors", "0", "0"], batch()));
+        }
+        for (path, key, value) in cases {
+            let object = with_key(value_at(&snap.payload, &path), key, value.clone());
+            let tampered = with_value_at(&snap, &path, object);
+            let resumed = engine
+                .restore(&tampered)
+                .unwrap_or_else(|e| panic!("{path:?}.{key} = {value}: {e}"));
+            assert_eq!(
+                resumed.summary(),
+                straight.summary(),
+                "{path:?}.{key} = {value}"
+            );
+            assert_eq!(
+                resumed.metrics, straight.metrics,
+                "{path:?}.{key} = {value}"
+            );
+        }
+    }
+}
+
+/// `body`, an object, with `key` set to `value`.
 fn with_key(body: &Value, key: &str, value: Value) -> Value {
     let mut body = body.clone();
     let Value::Object(fields) = &mut body else {
-        panic!("histogram is an object");
+        panic!("{body} is not an object");
     };
     fields.insert(key.to_string(), value);
     body
@@ -911,7 +1137,7 @@ fn restore_rejects_impossible_histograms_with_a_valid_checksum() {
                 .expect("a rolled-up registry histogram with two buckets")
                 .to_string()
         });
-        let mut paths = vec![vec!["metrics", "e2e_latency_ms"]];
+        let mut paths = vec![vec!["metrics", "by_class", "0", "e2e_latency_ms"]];
         if let Some(i) = &registry {
             paths.push(vec!["telemetry", "hists", i, "1"]);
             paths.push(vec!["reliability", "failover"]);

@@ -130,7 +130,6 @@ pub struct VehicleTrack {
     region: u32,
     home: u32,
     work: u32,
-    outbound_at: SimTime,
     return_at: SimTime,
     dwell_mean: SimDuration,
     leg: Leg,
@@ -205,7 +204,6 @@ impl VehicleTrack {
             region: start_region,
             home: start_region,
             work,
-            outbound_at,
             return_at,
             dwell_mean: cfg.dwell_mean,
             leg: Leg::BeforeOutbound,
@@ -224,13 +222,6 @@ impl VehicleTrack {
     #[must_use]
     pub fn profile(&self) -> RouteProfile {
         self.profile
-    }
-
-    /// Planned outbound departure (commute and rush-hour profiles;
-    /// roamers report their first dwell expiry via the track state).
-    #[must_use]
-    pub fn departure_at(&self) -> SimTime {
-        self.outbound_at
     }
 
     /// Region the vehicle is currently in (or entering).
@@ -422,28 +413,16 @@ pub enum TrackMotion {
     },
 }
 
-/// The complete state of a [`VehicleTrack`], exposed for
-/// checkpoint/restore. Restoring with [`VehicleTrack::from_snapshot`]
-/// reproduces the exact position process, including all future RNG
-/// draws, without replaying the plan.
+/// The run-time state of a [`VehicleTrack`], exposed for
+/// checkpoint/restore: where the vehicle is and what it is doing. The
+/// plan (profile, home, work, departure times, dwell mean) is not part
+/// of it: [`VehicleTrack::new`] draws the plan once from the track's
+/// seeded stream, so a restore rebuilds the track and lays this state
+/// over it with [`VehicleTrack::restore`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackSnapshot {
-    /// Vehicle id.
-    pub id: u32,
-    /// Profile drawn at construction.
-    pub profile: RouteProfile,
     /// Current (or entering) region.
     pub region: u32,
-    /// Home region.
-    pub home: u32,
-    /// Work/destination region.
-    pub work: u32,
-    /// Planned outbound departure.
-    pub outbound_at: SimTime,
-    /// Planned return departure.
-    pub return_at: SimTime,
-    /// Mean dwell between roam legs.
-    pub dwell_mean: SimDuration,
     /// Which leg of the plan the vehicle is on.
     pub leg: TrackLeg,
     /// What the vehicle is doing right now.
@@ -453,18 +432,11 @@ pub struct TrackSnapshot {
 }
 
 impl VehicleTrack {
-    /// Captures the full track state for checkpointing.
+    /// Captures the track's run-time state for checkpointing.
     #[must_use]
     pub fn snapshot(&self) -> TrackSnapshot {
         TrackSnapshot {
-            id: self.id,
-            profile: self.profile,
             region: self.region,
-            home: self.home,
-            work: self.work,
-            outbound_at: self.outbound_at,
-            return_at: self.return_at,
-            dwell_mean: self.dwell_mean,
             leg: match self.leg {
                 Leg::BeforeOutbound => TrackLeg::BeforeOutbound,
                 Leg::AtWork => TrackLeg::AtWork,
@@ -487,43 +459,35 @@ impl VehicleTrack {
         }
     }
 
-    /// Rebuilds a track mid-run from a captured snapshot.
+    /// Lays a captured run-time state over the track's plan, which
+    /// reproduces the exact position process, including all future RNG
+    /// draws, without replaying the run.
     ///
     /// # Panics
     ///
     /// Panics on an all-zero RNG state (never produced by
     /// [`VehicleTrack::snapshot`]).
-    #[must_use]
-    pub fn from_snapshot(snap: TrackSnapshot) -> Self {
-        VehicleTrack {
-            id: snap.id,
-            profile: snap.profile,
-            region: snap.region,
-            home: snap.home,
-            work: snap.work,
-            outbound_at: snap.outbound_at,
-            return_at: snap.return_at,
-            dwell_mean: snap.dwell_mean,
-            leg: match snap.leg {
-                TrackLeg::BeforeOutbound => Leg::BeforeOutbound,
-                TrackLeg::AtWork => Leg::AtWork,
-                TrackLeg::Done => Leg::Done,
+    pub fn restore(&mut self, snap: TrackSnapshot) {
+        self.region = snap.region;
+        self.leg = match snap.leg {
+            TrackLeg::BeforeOutbound => Leg::BeforeOutbound,
+            TrackLeg::AtWork => Leg::AtWork,
+            TrackLeg::Done => Leg::Done,
+        };
+        self.state = match snap.motion {
+            TrackMotion::Parked => TrackState::Dwell { until: None },
+            TrackMotion::Dwell(u) => TrackState::Dwell { until: Some(u) },
+            TrackMotion::Drive {
+                edge,
+                remaining,
+                path,
+            } => TrackState::Drive {
+                edge,
+                remaining,
+                path,
             },
-            state: match snap.motion {
-                TrackMotion::Parked => TrackState::Dwell { until: None },
-                TrackMotion::Dwell(u) => TrackState::Dwell { until: Some(u) },
-                TrackMotion::Drive {
-                    edge,
-                    remaining,
-                    path,
-                } => TrackState::Drive {
-                    edge,
-                    remaining,
-                    path,
-                },
-            },
-            rng: RngStream::from_state(snap.rng),
-        }
+        };
+        self.rng = RngStream::from_state(snap.rng);
     }
 }
 
@@ -572,14 +536,17 @@ mod tests {
         let epoch = SimDuration::from_millis(500);
         let none = vec![1.0; g.segments().len()];
         for id in 0..16u32 {
-            let mut straight = VehicleTrack::new(
-                id,
-                id % g.regions(),
-                &cfg,
-                &g,
-                horizon,
-                SeedFactory::new(42).indexed_stream("fleet-mobility", u64::from(id)),
-            );
+            let track = || {
+                VehicleTrack::new(
+                    id,
+                    id % g.regions(),
+                    &cfg,
+                    &g,
+                    horizon,
+                    SeedFactory::new(42).indexed_stream("fleet-mobility", u64::from(id)),
+                )
+            };
+            let mut straight = track();
             let mut resumed = None;
             let mut a = Vec::new();
             let mut b = Vec::new();
@@ -587,7 +554,11 @@ mod tests {
                 let at = SimTime::ZERO + epoch * k;
                 straight.advance(at, epoch, &g, &none, &mut a);
                 if k == 20 {
-                    resumed = Some(VehicleTrack::from_snapshot(straight.snapshot()));
+                    // A fresh track draws the same plan; the snapshot
+                    // carries the rest.
+                    let mut fresh = track();
+                    fresh.restore(straight.snapshot());
+                    resumed = Some(fresh);
                     b = a.clone();
                 }
                 if let Some(r) = resumed.as_mut() {

@@ -43,12 +43,6 @@ impl SeedFactory {
         SeedFactory { master }
     }
 
-    /// The master seed this factory derives from.
-    #[must_use]
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Derives a stream for a named component.
     #[must_use]
     pub fn stream(&self, label: &str) -> RngStream {

@@ -751,12 +751,12 @@ fn fleet_table(cfg: FleetConfig) -> TextTable {
     type ReportCol = fn(&FleetReport) -> String;
     let rows: [(&str, ReportCol); 8] = [
         ("requests", |r| r.metrics.requests.to_string()),
-        ("edge served", |r| r.metrics.edge_served.to_string()),
-        ("collab hits", |r| r.metrics.collab_hits.to_string()),
-        ("failovers", |r| r.metrics.failovers.to_string()),
+        ("edge served", |r| r.metrics.total().edge_served.to_string()),
+        ("collab hits", |r| r.metrics.total().collab_hits.to_string()),
+        ("failovers", |r| r.metrics.total().failovers.to_string()),
         ("admission rejected", |r| r.admission_rejected.to_string()),
         ("e2e p95 (ms)", |r| {
-            f3(r.metrics.e2e_latency_ms.quantile(0.95))
+            f3(r.metrics.total().e2e_latency_ms.quantile(0.95))
         }),
         ("energy/req mean (J)", |r| {
             f3(r.metrics.energy_per_request_j.mean())
@@ -797,8 +797,10 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
     type ReportCol = fn(&FleetReport) -> String;
     let rows: [(&str, ReportCol); 12] = [
         ("requests", |r| r.metrics.requests.to_string()),
-        ("edge served", |r| r.metrics.edge_served.to_string()),
-        ("rejected (load)", |r| r.metrics.rejected.to_string()),
+        ("edge served", |r| r.metrics.total().edge_served.to_string()),
+        ("rejected (load)", |r| {
+            r.metrics.total().rejected.to_string()
+        }),
         ("requeued off crashed lanes", |r| {
             r.metrics.requeued.to_string()
         }),
@@ -810,7 +812,7 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
         }),
         ("rung 2: handoffs", |r| r.metrics.handoffs.to_string()),
         ("rung 3: local fallbacks", |r| {
-            r.metrics.local_fallbacks.to_string()
+            r.metrics.total().local_fallbacks.to_string()
         }),
         ("degraded-mode seconds", |r| {
             f3(r.reliability.total_degraded_time().as_secs_f64())
@@ -820,7 +822,7 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
             r.reliability.faults_injected().to_string()
         }),
         ("e2e p95 (ms)", |r| {
-            f3(r.metrics.e2e_latency_ms.quantile(0.95))
+            f3(r.metrics.total().e2e_latency_ms.quantile(0.95))
         }),
     ];
     for (label, get) in rows {
@@ -879,7 +881,7 @@ fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextT
         cfg.request_period = SimDuration::from_millis(period_ms);
         let (single, wide) = run_layouts(&cfg);
         assert_same_summary(&format!("elastic at {period_ms} ms"), &single, &wide);
-        let m = &single.metrics;
+        let (m, total) = (&single.metrics, single.metrics.total());
         lane_means.push(m.elastic_lanes.mean());
         t.row(&[
             period_ms.to_string(),
@@ -889,8 +891,8 @@ fn fleet_elastic_table(seed: u64, vehicles: u32, duration: SimDuration) -> TextT
             format!("{:.0}", m.elastic_lanes.max()),
             m.scale_ups.to_string(),
             m.scale_downs.to_string(),
-            m.rejected.to_string(),
-            f3(m.e2e_latency_ms.quantile(0.95)),
+            total.rejected.to_string(),
+            f3(total.e2e_latency_ms.quantile(0.95)),
         ]);
     }
     // The point of the experiment: heavier offered load must hold a
@@ -1198,8 +1200,8 @@ fn fleet_mobility_table(seed: u64, vehicles: u32, duration: SimDuration) -> Text
         "rush hour never spiked: peak {peak} vs mean {mean}"
     );
     // Destination pressure: the rush destinations (the downtown region
-    // block) must end the run holding more registrations than they
-    // started with — the whole wave re-registered its tenancy there.
+    // block) must end the run holding more vehicles than they started
+    // with — the whole wave drove there.
     let adm = single
         .region_admission
         .as_ref()
@@ -1370,10 +1372,10 @@ pub fn fleet_resume(seed: u64) -> TextTable {
     type ReportCol = fn(&FleetReport) -> String;
     let rows: [(&str, ReportCol); 6] = [
         ("requests", |r| r.metrics.requests.to_string()),
-        ("edge served", |r| r.metrics.edge_served.to_string()),
+        ("edge served", |r| r.metrics.total().edge_served.to_string()),
         ("events processed", |r| r.events_processed.to_string()),
         ("e2e p95 (ms)", |r| {
-            f3(r.metrics.e2e_latency_ms.quantile(0.95))
+            f3(r.metrics.total().e2e_latency_ms.quantile(0.95))
         }),
         ("faults injected", |r| {
             r.reliability.faults_injected().to_string()
@@ -1649,7 +1651,7 @@ fn fleet_obs_table(
         .map(|s| s.e2e().as_secs_f64() * 1e3)
         .collect();
     e2e.sort_by(f64::total_cmp);
-    let hist = &unbounded.metrics.e2e_latency_ms;
+    let hist = &unbounded.metrics.total().e2e_latency_ms;
     assert_eq!(
         hist.count(),
         e2e.len() as u64,

@@ -57,8 +57,10 @@ use vdap_sim::fnv1a64_extend;
 /// latencies as one such histogram; version 5 leaves out every value
 /// restore rebuilds from the config, the seed or the rest of the
 /// payload (ids, tenants, route plans, gate depths and caps, fleet-wide
-/// totals of the per-class rows, batch sizes and deadlines).
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// totals of the per-class rows, batch sizes and deadlines); version 6
+/// writes the fleet's admission gates as one list of counters, without
+/// the quota-flap overrides the next barrier sets again.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";

@@ -147,10 +147,6 @@ pub struct TenantAdmission {
     depth: BTreeMap<TenantId, usize>,
     admitted: u64,
     rejected: u64,
-    /// Vehicles currently registered with this gate, per tenant. Pure
-    /// bookkeeping for geo-mobility: a gate that fronts one region
-    /// tracks which tenants' vehicles are driving there right now.
-    registrations: BTreeMap<TenantId, u32>,
 }
 
 impl TenantAdmission {
@@ -169,34 +165,7 @@ impl TenantAdmission {
             depth: BTreeMap::new(),
             admitted: 0,
             rejected: 0,
-            registrations: BTreeMap::new(),
         }
-    }
-
-    /// Registers one vehicle of `tenant` with this gate (the vehicle
-    /// now drives in the region this gate fronts).
-    pub fn register(&mut self, tenant: TenantId) {
-        *self.registrations.entry(tenant).or_insert(0) += 1;
-    }
-
-    /// Deregisters one vehicle of `tenant` (it crossed out of this
-    /// gate's region). Deregistering below zero is a no-op.
-    pub fn deregister(&mut self, tenant: TenantId) {
-        if let Some(n) = self.registrations.get_mut(&tenant) {
-            *n = n.saturating_sub(1);
-        }
-    }
-
-    /// Vehicles of `tenant` currently registered with this gate.
-    #[must_use]
-    pub fn registered(&self, tenant: TenantId) -> u32 {
-        self.registrations.get(&tenant).copied().unwrap_or(0)
-    }
-
-    /// Vehicles registered with this gate across all tenants.
-    #[must_use]
-    pub fn registered_total(&self) -> u32 {
-        self.registrations.values().sum()
     }
 
     /// Installs a temporary cap override for `tenant` (a quota flap).
@@ -293,10 +262,10 @@ impl TenantAdmission {
     }
 
     /// Captures what the gate carries from one round of admissions to
-    /// the next: its counters and quota-flap overrides. Its cap and
-    /// registrations are set by its owner, and its depth is zero once
-    /// every admitted request is released, which is when a checkpoint
-    /// is taken. Overrides are sorted by tenant.
+    /// the next: its counters. Its cap and quota-flap overrides are set
+    /// by its owner before each round, and its depth is zero once every
+    /// admitted request is released, which is when a checkpoint is
+    /// taken.
     #[must_use]
     pub fn state(&self) -> AdmissionState {
         debug_assert_eq!(
@@ -305,24 +274,15 @@ impl TenantAdmission {
             "state captured with requests outstanding"
         );
         AdmissionState {
-            cap_overrides: self
-                .cap_overrides
-                .iter()
-                .map(|(t, c)| (t.as_u32(), *c))
-                .collect(),
             admitted: self.admitted,
             rejected: self.rejected,
         }
     }
 
-    /// Lays captured state over a gate built with its cap and
-    /// registrations, with no request outstanding.
+    /// Lays captured counters over a gate built with its cap, with no
+    /// override in force and no request outstanding.
     pub fn restore(&mut self, state: AdmissionState) {
-        self.cap_overrides = state
-            .cap_overrides
-            .into_iter()
-            .map(|(t, c)| (TenantId::new(t), c))
-            .collect();
+        self.cap_overrides.clear();
         self.depth.clear();
         self.admitted = state.admitted;
         self.rejected = state.rejected;
@@ -330,12 +290,9 @@ impl TenantAdmission {
 }
 
 /// What a [`TenantAdmission`] gate carries across checkpoints (see
-/// [`TenantAdmission::state`]). Tenants are raw `u32` ids, sorted
-/// ascending.
+/// [`TenantAdmission::state`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdmissionState {
-    /// Active quota-flap overrides.
-    pub cap_overrides: Vec<(u32, usize)>,
     /// Requests admitted so far.
     pub admitted: u64,
     /// Requests rejected so far.
@@ -608,24 +565,6 @@ mod tests {
         assert!(!adm.try_admit(a));
         assert_eq!(adm.total_depth(), 2);
         assert!((adm.reject_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn registration_tracks_per_tenant_counts_and_saturates() {
-        let mut adm = TenantAdmission::new(4);
-        let (a, b) = (TenantId::new(0), TenantId::new(1));
-        adm.register(a);
-        adm.register(a);
-        adm.register(b);
-        assert_eq!(adm.registered(a), 2);
-        assert_eq!(adm.registered(b), 1);
-        assert_eq!(adm.registered_total(), 3);
-        adm.deregister(a);
-        adm.deregister(b);
-        adm.deregister(b); // below zero: no-op
-        assert_eq!(adm.registered(a), 1);
-        assert_eq!(adm.registered(b), 0);
-        assert_eq!(adm.registered_total(), 1);
     }
 
     #[test]

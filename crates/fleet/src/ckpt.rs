@@ -24,11 +24,12 @@
 //! * **Rebuild what is pure.** Anything derivable from `FleetConfig`
 //!   plus the master seed (route graphs and route plans, contention
 //!   models, retry policies, label tables, the reliability ledger's
-//!   fault timeline, vehicle ids and tenants, admission caps, batch
-//!   sizes and deadlines), or from the rest of the payload (gate
-//!   registrations from vehicle regions, fleet-wide metrics from the
-//!   per-class rows), is *not* serialized — restore rebuilds it, so no
-//!   snapshot can hold a copy that disagrees with its source.
+//!   fault timeline, vehicle ids and tenants, admission caps and
+//!   quota-flap overrides, batch sizes and deadlines), or from the rest
+//!   of the payload (vehicle regions from the mobility tracks, the
+//!   fleet-wide request count from the per-class rows), is *not*
+//!   serialized — restore rebuilds it, so no snapshot can hold a copy
+//!   that disagrees with its source.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -258,9 +259,9 @@ pub(crate) fn reliability_field(
 
 // --- fleet metrics ---------------------------------------------------
 
-/// Writes the fleet's `FleetMetrics`. The fleet-wide outcome counters
-/// and latency histogram are not written: each is the sum, or the
-/// merge, of its per-class rows, and [`metrics_field`] rebuilds it.
+/// Writes the fleet's `FleetMetrics`. The fleet-wide request count is
+/// not written: it is the sum of the class rows, and [`metrics_field`]
+/// rebuilds it.
 pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
     w.begin_object();
     w.key("by_class").begin_array();
@@ -298,9 +299,9 @@ pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
     w.end_object();
 }
 
-/// Reads a `FleetMetrics` field, rebuilding the fleet-wide view from
-/// the per-class rows. A total past `u64::MAX` is refused: no run
-/// counts that many requests.
+/// Reads a `FleetMetrics` field, rebuilding the fleet-wide request count
+/// from the per-class rows. Class rows whose counters sum past
+/// `u64::MAX` are refused: no run counts that many requests.
 pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptError> {
     let enc = get(v, key)?;
     let mut m = FleetMetrics::new();
@@ -315,27 +316,25 @@ pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptEr
             m.by_class.len()
         )));
     }
-    let sum = |total: u64, n: u64| {
-        total
-            .checked_add(n)
-            .ok_or_else(|| CkptError::new("per-class counters overflow their total"))
-    };
+    let mut totals = [0u64; 6];
     for (slot, c) in m.by_class.iter_mut().zip(classes) {
         slot.e2e_latency_ms = hist_field(c, "e2e_latency_ms", &slot.e2e_latency_ms)?;
-        slot.requests = get_u64_hex(c, "requests")?;
-        slot.edge_served = get_u64_hex(c, "edge_served")?;
-        slot.collab_hits = get_u64_hex(c, "collab_hits")?;
-        slot.failovers = get_u64_hex(c, "failovers")?;
-        slot.rejected = get_u64_hex(c, "rejected")?;
-        slot.local_fallbacks = get_u64_hex(c, "local_fallbacks")?;
-        m.e2e_latency_ms.merge(&slot.e2e_latency_ms);
-        m.requests = sum(m.requests, slot.requests)?;
-        m.edge_served = sum(m.edge_served, slot.edge_served)?;
-        m.collab_hits = sum(m.collab_hits, slot.collab_hits)?;
-        m.failovers = sum(m.failovers, slot.failovers)?;
-        m.rejected = sum(m.rejected, slot.rejected)?;
-        m.local_fallbacks = sum(m.local_fallbacks, slot.local_fallbacks)?;
+        let counters = [
+            (&mut slot.requests, "requests"),
+            (&mut slot.edge_served, "edge_served"),
+            (&mut slot.collab_hits, "collab_hits"),
+            (&mut slot.failovers, "failovers"),
+            (&mut slot.rejected, "rejected"),
+            (&mut slot.local_fallbacks, "local_fallbacks"),
+        ];
+        for ((n, key), total) in counters.into_iter().zip(&mut totals) {
+            *n = get_u64_hex(c, key)?;
+            *total = total
+                .checked_add(*n)
+                .ok_or_else(|| CkptError::new("per-class counters overflow their total"))?;
+        }
     }
+    m.requests = totals[0];
     for pair in get_array(enc, "work_units_by_tenant")? {
         let (t, w) = val_pair(pair)?;
         m.work_units_by_tenant.insert(val_u32(t)?, val_u64_hex(w)?);

@@ -9,6 +9,12 @@
 //! consumes only globally-determined data in a canonical order, its
 //! outputs are independent of how the fleet was sharded.
 //!
+//! Admission runs through one list of gates: one per region under
+//! geo-mobility (a request admits through its vehicle's current
+//! region's gate), else one global gate. Every gate carries the same
+//! cap and the same quota-flap overrides, which each barrier sets again
+//! before it admits.
+//!
 //! ## Workload classes
 //!
 //! Every request carries a [`WorkloadClass`], and every stage of the
@@ -90,7 +96,7 @@ use crate::config::{
     edge_node_label, handoff_label, region_label, tenant_label, ClassSpec, FleetConfig,
 };
 use crate::metrics::RequestOutcome;
-use crate::vehicle::{BOARD_W, DEGRADED_BOARD_W, RADIO_W, SPEED_MPH};
+use crate::vehicle::{VehicleState, BOARD_W, DEGRADED_BOARD_W, RADIO_W, SPEED_MPH};
 
 /// One vehicle request bound for the shared edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,14 +278,13 @@ pub(crate) struct XEdgeServer {
     crash_looped: Vec<bool>,
     crash_policy: CrashLoopPolicy,
     contention: ContentionModel,
-    admission: TenantAdmission,
-    /// Per-region admission gates, `Some` iff geo-mobility is on: a
-    /// request admits through its *current* region's gate and crossings
-    /// re-register the vehicle's tenant at the destination, so rush-hour
+    /// The admission gates: one per region under geo-mobility, where a
+    /// request admits through its *current* region's gate, so rush-hour
     /// convergence on downtown regions produces organic admission
-    /// pressure with zero injected faults. `None` keeps the single
-    /// global gate and byte-identical legacy behavior.
-    region_admission: Option<Vec<TenantAdmission>>,
+    /// pressure with zero injected faults; otherwise one global gate.
+    /// Every gate carries the same cap and the same quota-flap
+    /// overrides.
+    gates: Vec<TenantAdmission>,
     lte: LinkSpec,
     /// Per-handoff connectivity gap at fleet cruising speed.
     handoff_cost: SimDuration,
@@ -305,18 +310,6 @@ pub(crate) struct XEdgeServer {
     region_labels: Vec<String>,
     handoff_labels: Vec<String>,
     tenant_labels: Vec<String>,
-}
-
-/// One admission gate per region, each registering the tenant of every
-/// vehicle `region_of` places in its region.
-fn region_gates(cfg: &FleetConfig, region_of: impl Fn(u32) -> u32) -> Vec<TenantAdmission> {
-    let mut gates: Vec<TenantAdmission> = (0..cfg.regions)
-        .map(|_| TenantAdmission::new(cfg.tenant_queue_cap))
-        .collect();
-    for id in 0..cfg.vehicles {
-        gates[region_of(id) as usize].register(TenantId::new(cfg.tenant_of(id)));
-    }
-    gates
 }
 
 impl XEdgeServer {
@@ -346,11 +339,14 @@ impl XEdgeServer {
             crash_looped: vec![false; nodes as usize],
             crash_policy: CrashLoopPolicy::new(SimDuration::from_secs(30), 3),
             contention: ContentionModel::new(capacity),
-            admission: TenantAdmission::new(cfg.tenant_queue_cap),
-            region_admission: cfg
-                .mobility
-                .as_ref()
-                .map(|_| region_gates(cfg, |id| cfg.region_of(id))),
+            gates: vec![
+                TenantAdmission::new(cfg.tenant_queue_cap);
+                if cfg.mobility.is_some() {
+                    cfg.regions as usize
+                } else {
+                    1
+                }
+            ],
             lte: LinkSpec::lte(),
             handoff_cost: CellularChannel::calibrated().handoff_cost(Mph(SPEED_MPH)),
             epoch: cfg.epoch,
@@ -371,42 +367,36 @@ impl XEdgeServer {
         }
     }
 
-    /// Requests offered to the admission gate(s) so far.
+    /// Requests offered to the admission gates so far.
     pub fn offered(&self) -> u64 {
-        match &self.region_admission {
-            Some(gates) => gates.iter().map(|g| g.admitted() + g.rejected()).sum(),
-            None => self.admission.admitted() + self.admission.rejected(),
-        }
+        self.gates.iter().map(|g| g.admitted() + g.rejected()).sum()
     }
 
-    /// Requests rejected by the admission gate(s) so far.
+    /// Requests rejected by the admission gates so far.
     pub fn rejected(&self) -> u64 {
-        match &self.region_admission {
-            Some(gates) => gates.iter().map(TenantAdmission::rejected).sum(),
-            None => self.admission.rejected(),
-        }
-    }
-
-    /// Re-registers a migrating vehicle's tenant: deregistered at the
-    /// source region's gate, registered at the destination's. No-op
-    /// with mobility off.
-    pub fn reregister(&mut self, tenant: u32, from: u32, to: u32) {
-        if let Some(gates) = &mut self.region_admission {
-            let t = TenantId::new(tenant);
-            gates[from as usize].deregister(t);
-            gates[to as usize].register(t);
-        }
+        self.gates.iter().map(TenantAdmission::rejected).sum()
     }
 
     /// The per-region admission table for the run report: one
-    /// [`RegionAdmission`] per region (`None` with mobility off).
-    pub fn region_admission_table(&self) -> Option<Vec<crate::metrics::RegionAdmission>> {
-        let gates = self.region_admission.as_ref()?;
+    /// [`RegionAdmission`] per region, counting the `vehicles` in it
+    /// (`None` with mobility off).
+    pub fn region_admission_table(
+        &self,
+        vehicles: &[VehicleState],
+    ) -> Option<Vec<crate::metrics::RegionAdmission>> {
+        if self.gates.len() == 1 {
+            return None;
+        }
+        let mut registered = vec![0u32; self.gates.len()];
+        for v in vehicles {
+            registered[v.region as usize] += 1;
+        }
         Some(
-            gates
+            self.gates
                 .iter()
-                .map(|gate| crate::metrics::RegionAdmission {
-                    registered: gate.registered_total(),
+                .zip(registered)
+                .map(|(gate, registered)| crate::metrics::RegionAdmission {
+                    registered,
                     offered: gate.admitted() + gate.rejected(),
                     rejected: gate.rejected(),
                 })
@@ -539,8 +529,7 @@ impl XEdgeServer {
             return;
         };
         let cap = scaler.tenant_cap(self.nominal_cap, self.nominal_lanes, lanes);
-        self.admission.set_queue_cap(cap);
-        for gate in self.region_admission.iter_mut().flatten() {
+        for gate in &mut self.gates {
             gate.set_queue_cap(cap);
         }
     }
@@ -641,37 +630,31 @@ impl XEdgeServer {
     /// Syncs per-tenant admission caps with the quota-flap state at
     /// `barrier`: an active flap shrinks the cap to
     /// `max(1, floor(current × factor))` of the (possibly elastically
-    /// scaled) base cap.
+    /// scaled) base cap. Every tenant's override is set or cleared in
+    /// every gate, so the overrides are a function of the barrier alone
+    /// and a snapshot need not carry them.
     fn refresh_quotas(&mut self, injector: Option<&FaultInjector>, barrier: SimTime) {
         let Some(inj) = injector else { return };
-        let base_cap = self.admission.queue_cap();
+        let base_cap = self.gates[0].queue_cap();
         for t in 0..self.tenants {
             let factor = inj.quota_factor(&self.tenant_labels[t as usize], barrier);
             let tenant = TenantId::new(t);
             let flap_cap =
                 (factor < 1.0).then(|| ((base_cap as f64 * factor).floor() as usize).max(1));
-            // The global gate mirrors the override even under mobility
-            // so `tenant_flapped` has one place to look.
-            match flap_cap {
-                Some(cap) => self.admission.set_cap_override(tenant, cap),
-                None => self.admission.clear_cap_override(tenant),
-            }
-            if let Some(gates) = &mut self.region_admission {
-                for gate in gates.iter_mut() {
-                    match flap_cap {
-                        Some(cap) => gate.set_cap_override(tenant, cap),
-                        None => gate.clear_cap_override(tenant),
-                    }
+            for gate in &mut self.gates {
+                match flap_cap {
+                    Some(cap) => gate.set_cap_override(tenant, cap),
+                    None => gate.clear_cap_override(tenant),
                 }
             }
         }
     }
 
-    /// Whether `tenant`'s quota is currently flapped (a cap override is
-    /// in force — the elastic base cap is not a flap).
-    fn tenant_flapped(&self, tenant: u32) -> bool {
-        let t = TenantId::new(tenant);
-        self.admission.effective_cap(t) != self.admission.queue_cap()
+    /// Whether `tenant`'s quota is currently flapped at `gate` (a cap
+    /// override is in force — the elastic base cap is not a flap).
+    fn tenant_flapped(&self, gate: usize, tenant: TenantId) -> bool {
+        let gate = &self.gates[gate];
+        gate.effective_cap(tenant) != gate.queue_cap()
     }
 
     /// Rung 3, per class: degraded on-VCU execution for detection, a
@@ -898,7 +881,7 @@ impl XEdgeServer {
         // of rerouting the serving path — one accounting path, no
         // double-counted handoff seconds. A rung-2 target must be
         // neither storming nor in LTE outage.
-        let storms_gate_serving = self.region_admission.is_none();
+        let storms_gate_serving = self.gates.len() == 1;
         let storms: Vec<bool> = self
             .handoff_labels
             .iter()
@@ -923,7 +906,7 @@ impl XEdgeServer {
             queue.set_quantum(key, quantum);
         }
         let mut queued_by_class = [0u64; 3];
-        let mut admitted: Vec<(u32, TenantId)> = Vec::new();
+        let mut admitted: Vec<(usize, TenantId)> = Vec::new();
         for req in requeued {
             let spec = &self.classes[req.class.index()];
             if barrier.duration_since(req.arrival) >= spec.deadline {
@@ -942,16 +925,17 @@ impl XEdgeServer {
             // With mobility on, the request admits through its current
             // region's gate — crossings concentrate vehicles, so the
             // destination gate feels the pressure.
-            let admit = match &mut self.region_admission {
-                Some(gates) => gates[req.region as usize].try_admit(tenant),
-                None => self.admission.try_admit(tenant),
+            let gate = if self.gates.len() > 1 {
+                req.region as usize
+            } else {
+                0
             };
-            if admit {
-                admitted.push((req.region, tenant));
+            if self.gates[gate].try_admit(tenant) {
+                admitted.push((gate, tenant));
                 let spec = &self.classes[req.class.index()];
                 queued_by_class[req.class.index()] += 1;
                 queue.enqueue(ClassQueueKey::new(tenant, req.class), spec.work_units, req);
-            } else if self.tenant_flapped(req.tenant) {
+            } else if self.tenant_flapped(gate, tenant) {
                 // Quota flap: a fault, not load — bounced into the
                 // degradation ladder's bottom rung.
                 outcome
@@ -1078,11 +1062,8 @@ impl XEdgeServer {
         }
 
         // Served requests leave the admission gate before the next epoch.
-        for (region, tenant) in admitted {
-            match &mut self.region_admission {
-                Some(gates) => gates[region as usize].release(tenant),
-                None => self.admission.release(tenant),
-            }
+        for (gate, tenant) in admitted {
+            self.gates[gate].release(tenant);
         }
         outcome.lanes = self.lanes.len() as u32;
         outcome
@@ -1106,11 +1087,10 @@ impl XEdgeServer {
 // --- snapshot codec --------------------------------------------------
 
 use crate::ckpt::{dur_field, enc_opt, section, time_field};
-use crate::vehicle::VehicleState;
 use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
-    get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, val_array, val_bool, val_pair,
-    val_u32, val_u64_hex, CkptError,
+    get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, val_array, val_bool, val_u64_hex,
+    CkptError,
 };
 use vdap_edgeos::AdmissionState;
 
@@ -1184,46 +1164,16 @@ fn check_in_flight(cfg: &FleetConfig, nodes: u32, f: &InFlight) -> Result<(), Ck
     )))
 }
 
-/// Writes what a gate carries across barriers: its counters and its
-/// quota-flap overrides.
-fn enc_admission(w: &mut JsonWriter, a: &TenantAdmission) {
-    let s = a.state();
-    w.begin_object();
-    w.key("admitted").hex(s.admitted);
-    w.key("cap_overrides").begin_array();
-    for (t, cap) in s.cap_overrides {
-        w.begin_array().u32(t).hex(cap as u64).end_array();
-    }
-    w.end_array();
-    w.key("rejected").hex(s.rejected);
-    w.end_object();
-}
-
-fn dec_admission(v: &Value) -> Result<AdmissionState, CkptError> {
-    let mut cap_overrides = Vec::new();
-    for p in get_array(v, "cap_overrides")? {
-        let (t, cap) = val_pair(p)?;
-        cap_overrides.push((val_u32(t)?, val_u64_hex(cap)? as usize));
-    }
-    Ok(AdmissionState {
-        cap_overrides,
-        admitted: get_u64_hex(v, "admitted")?,
-        rejected: get_u64_hex(v, "rejected")?,
-    })
-}
-
 impl XEdgeServer {
     /// Serializes everything the serving pass carries across barriers:
     /// each lane's free time, in-flight work in assignment order, node
     /// health and crash history, the admission gates' counters, the
     /// elastic controller's counters, and the observe-at-`k`/actuate-at-
     /// `k+1` queue-depth latch. The rest of the server is a pure
-    /// function of `FleetConfig` and the vehicles' regions and is
-    /// rebuilt on restore.
+    /// function of `FleetConfig` and is rebuilt on restore; the next
+    /// barrier sets the gates' quota-flap overrides before it admits.
     pub(crate) fn ckpt(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.key("admission");
-        enc_admission(w, &self.admission);
         w.key("crash_history").begin_array();
         for history in &self.crash_history {
             w.begin_array();
@@ -1236,6 +1186,15 @@ impl XEdgeServer {
         w.key("crash_looped").begin_array();
         for &b in &self.crash_looped {
             w.bool(b);
+        }
+        w.end_array();
+        w.key("gates").begin_array();
+        for gate in &self.gates {
+            let s = gate.state();
+            w.begin_object();
+            w.key("admitted").hex(s.admitted);
+            w.key("rejected").hex(s.rejected);
+            w.end_object();
         }
         w.end_array();
         w.key("in_flight").begin_array();
@@ -1261,14 +1220,6 @@ impl XEdgeServer {
             w.bool(b);
         }
         w.end_array();
-        w.key("region_admission");
-        enc_opt(w, self.region_admission.as_ref(), |w, gates| {
-            w.begin_array();
-            for gate in gates {
-                enc_admission(w, gate);
-            }
-            w.end_array();
-        });
         w.key("scaler");
         enc_opt(w, self.scaler.as_ref(), |w, scaler| {
             let (ups, downs) = scaler.counters();
@@ -1280,15 +1231,16 @@ impl XEdgeServer {
         w.end_object();
     }
 
-    /// Rebuilds the server from config (everything derivable), the
-    /// restored `vehicles` (whose regions register them at the region
-    /// gates) and the serialized cross-barrier state. Between barriers
-    /// no request holds a gate slot, and every gate's cap is the one
-    /// the config sets for the restored lane pool.
+    /// Rebuilds the server from config (everything derivable) and the
+    /// serialized cross-barrier state. Between barriers no request holds
+    /// a gate slot, and every gate's cap is the one the config sets for
+    /// the restored lane pool. `requests` is the restored count of
+    /// issued requests, which bounds the gates' offers: each offer is a
+    /// distinct issued request.
     pub(crate) fn restore_ckpt(
         cfg: &FleetConfig,
         v: &Value,
-        vehicles: &[VehicleState],
+        requests: u64,
     ) -> Result<XEdgeServer, CkptError> {
         let mut edge = XEdgeServer::new(cfg);
         let nodes = edge.edge_nodes;
@@ -1303,11 +1255,20 @@ impl XEdgeServer {
             .iter()
             .map(|t| Ok(SimTime::from_nanos(val_u64_hex(t)?)))
             .collect::<Result<Vec<_>, CkptError>>()?;
-        // `new`, grow and shrink all keep at least one lane per node.
-        if lanes.len() < nodes as usize {
+        // The pool sizes `new`, grow and shrink can produce: the nominal
+        // pool, or under elastic capacity from the policy's floor (never
+        // below one lane per node) to its ceiling.
+        let nominal = edge.lanes.len() as u32;
+        let (least, most) = cfg.elastic.map_or((nominal, nominal), |p| {
+            (
+                nominal.min(p.min_lanes.max(nodes)),
+                nominal.max(p.max_lanes),
+            )
+        });
+        let n = lanes.len();
+        if n < least as usize || n > most as usize {
             return Err(CkptError::new(format!(
-                "snapshot has {} lanes for {nodes} edge nodes",
-                lanes.len()
+                "snapshot has {n} lanes for {nodes} edge nodes, the run keeps {least} to {most}"
             )));
         }
         edge.lanes = lanes;
@@ -1360,30 +1321,31 @@ impl XEdgeServer {
             return Err(CkptError::new("crash-loop table length mismatch"));
         }
         edge.crash_looped = crash_looped;
-        edge.region_admission = cfg
-            .mobility
-            .as_ref()
-            .map(|_| region_gates(cfg, |id| vehicles[id as usize].region));
         edge.fit_to_lanes();
-        edge.admission.restore(dec_admission(get(v, "admission")?)?);
-        let gates = section(
-            v,
-            "region_admission",
-            cfg.mobility.as_ref(),
-            "per-region admission",
-            |gates, _| val_array(gates),
-        )?;
-        if let (Some(states), Some(gates)) = (gates, edge.region_admission.as_mut()) {
-            if states.len() != gates.len() {
-                return Err(CkptError::new(format!(
-                    "snapshot has {} region gates, config has {}",
-                    states.len(),
-                    gates.len()
-                )));
-            }
-            for (gate, state) in gates.iter_mut().zip(states) {
-                gate.restore(dec_admission(state)?);
-            }
+        let states = get_array(v, "gates")?;
+        if states.len() != edge.gates.len() {
+            return Err(CkptError::new(format!(
+                "snapshot has {} admission gates, config has {}",
+                states.len(),
+                edge.gates.len()
+            )));
+        }
+        let mut offered = 0u64;
+        for (gate, state) in edge.gates.iter_mut().zip(states) {
+            let state = AdmissionState {
+                admitted: get_u64_hex(state, "admitted")?,
+                rejected: get_u64_hex(state, "rejected")?,
+            };
+            offered = [state.admitted, state.rejected]
+                .into_iter()
+                .try_fold(offered, u64::checked_add)
+                .filter(|&n| n <= requests)
+                .ok_or_else(|| {
+                    CkptError::new(format!(
+                        "admission gates count more offers than the {requests} requests issued"
+                    ))
+                })?;
+            gate.restore(state);
         }
         edge.last_depth = get_u64_hex(v, "last_depth")? as usize;
         Ok(edge)

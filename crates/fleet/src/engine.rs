@@ -519,7 +519,6 @@ fn run_core(
             mob.metrics.stale_cache_hits += stale_hits;
             mob.barrier(
                 &mut state.vehicles,
-                &mut state.edge,
                 state.ingest.as_mut(),
                 injector,
                 &mut state.reliability,
@@ -613,7 +612,7 @@ fn run_core(
         admission_offered: state.edge.offered(),
         admission_rejected: state.edge.rejected(),
         mobility: state.mobility.as_ref().map(|m| m.metrics.clone()),
-        region_admission: state.edge.region_admission_table(),
+        region_admission: state.edge.region_admission_table(&state.vehicles),
         ingest: state.ingest.as_mut().map(IngestPass::finish),
         telemetry: state.telemetry,
         profile,
@@ -755,7 +754,7 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
         vehicles.push(dec_vehicle(cfg, enc, id, region, t_snap)?);
     }
 
-    let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?, &vehicles)?;
+    let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?, metrics.requests)?;
     let ingest = section(
         payload,
         "ingest",
@@ -1216,7 +1215,6 @@ impl MobilityPass {
     fn barrier(
         &mut self,
         vehicles: &mut [VehicleState],
-        edge: &mut XEdgeServer,
         ingest: Option<&mut IngestPass>,
         injector: Option<&FaultInjector>,
         reliability: &mut ReliabilityStats,
@@ -1270,7 +1268,6 @@ impl MobilityPass {
             if self.crossings_buf.is_empty() {
                 continue;
             }
-            let tenant = cfg.tenant_of(id);
             let mut handoff = SimDuration::ZERO;
             for c in &self.crossings_buf {
                 // A handoff storm at the destination cell multiplies
@@ -1299,7 +1296,6 @@ impl MobilityPass {
                     self.metrics.same_shard_crossings += 1;
                 }
                 reliability.record_degraded(&self.handoff_labels[c.to as usize], cost);
-                edge.reregister(tenant, c.from, c.to);
                 handoff += cost;
             }
 
@@ -1473,15 +1469,19 @@ mod tests {
     #[test]
     fn requests_split_across_outcomes() {
         let report = FleetEngine::new(small()).run();
-        let m = &report.metrics;
+        let (m, total) = (&report.metrics, report.metrics.total());
         assert!(m.requests >= 96 * 9, "~1 request/vehicle/second");
         assert_eq!(
             m.requests,
-            m.edge_served + m.collab_hits + m.failovers + m.rejected + m.local_fallbacks,
+            total.edge_served
+                + total.collab_hits
+                + total.failovers
+                + total.rejected
+                + total.local_fallbacks,
             "every request has exactly one outcome"
         );
-        assert!(m.collab_hits > 0, "cohort-mates should share results");
-        assert_eq!(m.e2e_latency_ms.count(), m.requests);
+        assert!(total.collab_hits > 0, "cohort-mates should share results");
+        assert_eq!(total.e2e_latency_ms.count(), m.requests);
         assert_eq!(m.energy_per_request_j.count(), m.requests);
     }
 
@@ -1491,7 +1491,7 @@ mod tests {
             small().with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(4));
         cfg.duration = SimDuration::from_secs(10);
         let report = FleetEngine::new(cfg).run();
-        assert!(report.metrics.failovers > 0);
+        assert!(report.metrics.total().failovers > 0);
         assert_eq!(report.reliability.faults_injected(), 1);
         assert_eq!(report.region_availability.len(), 1);
         let (label, avail) = &report.region_availability[0];
@@ -1506,18 +1506,22 @@ mod tests {
         cfg.edge_nodes = 1;
         let cfg = cfg.with_edge_node_crash(0, SimTime::from_secs(2), SimDuration::from_secs(4));
         let report = FleetEngine::new(cfg.clone()).run();
-        let m = &report.metrics;
+        let (m, total) = (&report.metrics, report.metrics.total());
         assert!(
             m.retry_rescued > 0,
             "late arrivals should ride out the crash via rung-1 retry"
         );
         assert!(
-            m.local_fallbacks > 0,
+            total.local_fallbacks > 0,
             "early arrivals exhaust their deadline and fall to rung 3"
         );
         assert_eq!(
             m.requests,
-            m.edge_served + m.collab_hits + m.failovers + m.rejected + m.local_fallbacks,
+            total.edge_served
+                + total.collab_hits
+                + total.failovers
+                + total.rejected
+                + total.local_fallbacks,
             "ladder outcomes still partition the request stream"
         );
         // Every tenant shares the single node: availability dips over

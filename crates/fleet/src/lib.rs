@@ -31,10 +31,10 @@
 //! drives every vehicle over a seeded region graph (commute, roam and
 //! rush-hour route profiles from `vdap-mobility`). Positions advance
 //! only at epoch barriers; a region-boundary crossing pays the cellular
-//! handoff cost on the vehicle's next request, re-registers its tenant
-//! with the destination region's admission gate, invalidates its V2V
-//! collaboration cache for one epoch, and re-addresses its in-flight
-//! ingest batches (see [`MobilityMetrics`]).
+//! handoff cost on the vehicle's next request, moves the vehicle into
+//! the destination region, whose admission gate its later requests go
+//! through, invalidates its V2V collaboration cache for one epoch, and
+//! re-addresses its in-flight ingest batches (see [`MobilityMetrics`]).
 //!
 //! The fleet is one array indexed by vehicle id. Each epoch the array
 //! is cut into fixed-size vehicle batches

@@ -10,11 +10,11 @@
 //! recording order cannot reach a report — the property the run-layout
 //! invariance tests (`tests/props.rs`) pin down.
 //!
-//! Since the workload-class refactor the request stream is accounted
-//! twice: fleet-wide (the legacy counters and histograms) and per
-//! [`WorkloadClass`] ([`ClassMetrics`]), so a report can show that a
-//! missed pBEAM round and a missed pedestrian-alert frame took
-//! different degradation paths. The per-tenant served work-unit ledger
+//! Outcomes are accounted once, per [`WorkloadClass`] ([`ClassMetrics`]),
+//! so a report can show that a missed pBEAM round and a missed
+//! pedestrian-alert frame took different degradation paths; the
+//! fleet-wide figures are the sum of the class rows
+//! ([`FleetMetrics::total`]). The per-tenant served work-unit ledger
 //! feeds the DRR fairness property test, and the elastic counters track
 //! the lane pool across barriers.
 
@@ -105,9 +105,9 @@ pub struct ClassMetrics {
 }
 
 impl ClassMetrics {
-    fn new(class: WorkloadClass) -> Self {
+    fn new(name: &'static str) -> Self {
         ClassMetrics {
-            e2e_latency_ms: StreamingHistogram::new(class.label()),
+            e2e_latency_ms: StreamingHistogram::new(name),
             requests: 0,
             edge_served: 0,
             collab_hits: 0,
@@ -121,8 +121,6 @@ impl ClassMetrics {
 /// Fleet-level measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetMetrics {
-    /// End-to-end request latency (ms), all request outcomes.
-    pub e2e_latency_ms: StreamingHistogram,
     /// Vehicle-side energy per request (J).
     pub energy_per_request_j: StreamingHistogram,
     /// Admitted XEdge batch size observed at each epoch barrier.
@@ -134,29 +132,19 @@ pub struct FleetMetrics {
     pub by_class: [ClassMetrics; 3],
     /// Served work units per tenant (the DRR fairness ledger).
     pub work_units_by_tenant: BTreeMap<u32, u64>,
-    /// Requests issued by vehicles.
+    /// Requests issued by vehicles (the sum of the class rows'
+    /// `requests`).
     pub requests: u64,
-    /// Requests served by the shared XEdge deployment.
-    pub edge_served: u64,
-    /// Requests satisfied from a V2V-shared result.
-    pub collab_hits: u64,
-    /// Requests that failed over to on-board compute (regional outage).
-    pub failovers: u64,
-    /// Requests bounced by per-tenant admission control under nominal
-    /// quotas (plain overload, not chaos).
-    pub rejected: u64,
     /// In-flight requests re-queued off crashed XEdge lanes.
     pub requeued: u64,
     /// Requests rescued by rung-1 deadline-aware retry (sub-count of
-    /// `edge_served`).
+    /// the served requests).
     pub retry_rescued: u64,
     /// Requests served through a neighbor region's node at a handoff
-    /// cost (rung 2, sub-count of `edge_served`).
+    /// cost (rung 2, sub-count of the served requests).
     pub handoffs: u64,
-    /// Requests that fell to rung-3 local degraded execution.
-    pub local_fallbacks: u64,
-    /// pBEAM training rounds skipped at rung 3 (sub-count of
-    /// `local_fallbacks` — a skipped round accrues no degraded time).
+    /// pBEAM training rounds skipped at rung 3 (sub-count of the local
+    /// fallbacks — a skipped round accrues no degraded time).
     pub training_rounds_skipped: u64,
     /// Elastic barriers at which the lane pool grew.
     pub scale_ups: u64,
@@ -175,25 +163,15 @@ impl FleetMetrics {
     #[must_use]
     pub fn new() -> Self {
         FleetMetrics {
-            e2e_latency_ms: StreamingHistogram::new("e2e_latency_ms"),
             energy_per_request_j: StreamingHistogram::new("energy_per_request_j"),
             queue_depth: StreamingHistogram::new("xedge_queue_depth"),
             elastic_lanes: StreamingHistogram::new("xedge_lanes"),
-            by_class: [
-                ClassMetrics::new(WorkloadClass::Detection),
-                ClassMetrics::new(WorkloadClass::Infotainment),
-                ClassMetrics::new(WorkloadClass::PbeamTraining),
-            ],
+            by_class: WorkloadClass::ALL.map(|c| ClassMetrics::new(c.label())),
             work_units_by_tenant: BTreeMap::new(),
             requests: 0,
-            edge_served: 0,
-            collab_hits: 0,
-            failovers: 0,
-            rejected: 0,
             requeued: 0,
             retry_rescued: 0,
             handoffs: 0,
-            local_fallbacks: 0,
             training_rounds_skipped: 0,
             scale_ups: 0,
             scale_downs: 0,
@@ -204,6 +182,23 @@ impl FleetMetrics {
     #[must_use]
     pub fn class(&self, class: WorkloadClass) -> &ClassMetrics {
         &self.by_class[class.index()]
+    }
+
+    /// The fleet-wide accounting: every class row summed, and their
+    /// latency histograms merged.
+    #[must_use]
+    pub fn total(&self) -> ClassMetrics {
+        let mut total = ClassMetrics::new("e2e_latency_ms");
+        for c in &self.by_class {
+            total.e2e_latency_ms.merge(&c.e2e_latency_ms);
+            total.requests += c.requests;
+            total.edge_served += c.edge_served;
+            total.collab_hits += c.collab_hits;
+            total.failovers += c.failovers;
+            total.rejected += c.rejected;
+            total.local_fallbacks += c.local_fallbacks;
+        }
+        total
     }
 
     /// Credits served work units to a tenant's ledger.
@@ -220,9 +215,9 @@ impl FleetMetrics {
         }
     }
 
-    /// Records one request's terminal outcome in both views, fleet-wide
-    /// and per class, which therefore cannot drift apart. A skipped
-    /// pBEAM round counts as a local fallback and as a skipped round.
+    /// Records one request's terminal outcome in its class row. A
+    /// skipped pBEAM round counts as a local fallback and as a skipped
+    /// round.
     pub(crate) fn record(
         &mut self,
         outcome: SpanOutcome,
@@ -230,21 +225,16 @@ impl FleetMetrics {
         e2e: SimDuration,
         energy_j: f64,
     ) {
-        self.e2e_latency_ms.record_duration(e2e);
         self.energy_per_request_j.record(energy_j);
         let cm = &mut self.by_class[class.index()];
         cm.e2e_latency_ms.record_duration(e2e);
-        let (fleet, per_class) = match outcome {
-            SpanOutcome::EdgeServed => (&mut self.edge_served, &mut cm.edge_served),
-            SpanOutcome::CollabHit => (&mut self.collab_hits, &mut cm.collab_hits),
-            SpanOutcome::Failover => (&mut self.failovers, &mut cm.failovers),
-            SpanOutcome::Rejected => (&mut self.rejected, &mut cm.rejected),
-            SpanOutcome::LocalFallback | SpanOutcome::Skipped => {
-                (&mut self.local_fallbacks, &mut cm.local_fallbacks)
-            }
-        };
-        *fleet += 1;
-        *per_class += 1;
+        *match outcome {
+            SpanOutcome::EdgeServed => &mut cm.edge_served,
+            SpanOutcome::CollabHit => &mut cm.collab_hits,
+            SpanOutcome::Failover => &mut cm.failovers,
+            SpanOutcome::Rejected => &mut cm.rejected,
+            SpanOutcome::LocalFallback | SpanOutcome::Skipped => &mut cm.local_fallbacks,
+        } += 1;
         if outcome == SpanOutcome::Skipped {
             self.training_rounds_skipped += 1;
         }
@@ -256,7 +246,8 @@ impl FleetMetrics {
         if self.requests == 0 {
             0.0
         } else {
-            self.collab_hits as f64 / self.requests as f64
+            let hits: u64 = self.by_class.iter().map(|c| c.collab_hits).sum();
+            hits as f64 / self.requests as f64
         }
     }
 }
@@ -408,12 +399,12 @@ fn sampler_keeps(seed: u64, keep_one_in: u32, span: &RequestSpan) -> bool {
 }
 
 /// One region's admission-gate accounting at the end of a mobility run:
-/// how many vehicles ended the run registered there and how the gate
+/// how many vehicles ended the run in the region and how its gate
 /// treated the traffic routed through it. Rush-hour convergence shows
-/// up here as registration and rejection spikes at downtown regions.
+/// up here as vehicle and rejection spikes at downtown regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionAdmission {
-    /// Vehicles registered with this region's gate at the horizon.
+    /// Vehicles in this region at the horizon.
     pub registered: u32,
     /// Requests offered to this region's gate over the run.
     pub offered: u64,
@@ -485,6 +476,7 @@ impl FleetReport {
     #[must_use]
     pub fn summary(&self) -> String {
         let m = &self.metrics;
+        let total = m.total();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -497,11 +489,11 @@ impl FleetReport {
         let _ = writeln!(
             out,
             "e2e_ms: p50={:.3} p95={:.3} p99={:.3} mean={:.3} max={:.3}",
-            m.e2e_latency_ms.quantile(0.5),
-            m.e2e_latency_ms.quantile(0.95),
-            m.e2e_latency_ms.quantile(0.99),
-            m.e2e_latency_ms.mean(),
-            m.e2e_latency_ms.max()
+            total.e2e_latency_ms.quantile(0.5),
+            total.e2e_latency_ms.quantile(0.95),
+            total.e2e_latency_ms.quantile(0.99),
+            total.e2e_latency_ms.mean(),
+            total.e2e_latency_ms.max()
         );
         let _ = writeln!(
             out,
@@ -512,7 +504,7 @@ impl FleetReport {
         let _ = writeln!(
             out,
             "xedge: served={} queue_depth_mean={:.2} queue_depth_max={:.0}",
-            m.edge_served,
+            total.edge_served,
             m.queue_depth.mean(),
             m.queue_depth.max()
         );
@@ -549,7 +541,7 @@ impl FleetReport {
         let _ = writeln!(
             out,
             "collab: hits={} hit_rate={:.4}",
-            m.collab_hits,
+            total.collab_hits,
             m.collab_hit_rate()
         );
         let mut work = String::new();
@@ -561,7 +553,7 @@ impl FleetReport {
             out,
             "reliability: faults={} failovers={} failover_ms_mean={:.3} mttr_ms_mean={:.3}",
             self.reliability.faults_injected(),
-            m.failovers,
+            total.failovers,
             self.reliability.failover_latency().mean(),
             self.reliability.mttr().mean()
         );
@@ -573,7 +565,7 @@ impl FleetReport {
             m.retry_rescued,
             self.reliability.retry_count(),
             m.handoffs,
-            m.local_fallbacks,
+            total.local_fallbacks,
             m.training_rounds_skipped,
             self.reliability.total_degraded_time().as_secs_f64()
         );
@@ -703,7 +695,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recorders_keep_class_and_aggregate_views_in_lockstep() {
+    fn total_sums_the_class_rows() {
         let mut m = FleetMetrics::new();
         m.record_requests([3, 2, 1]);
         let ms = SimDuration::from_millis;
@@ -744,27 +736,28 @@ mod tests {
             ms(10),
             0.0,
         );
-        let class_sum = |f: fn(&ClassMetrics) -> u64| -> u64 {
-            WorkloadClass::ALL.iter().map(|&c| f(m.class(c))).sum()
-        };
+        let total = m.total();
         assert_eq!(m.requests, 6);
-        assert_eq!(class_sum(|c| c.requests), m.requests);
-        assert_eq!(class_sum(|c| c.edge_served), m.edge_served);
-        assert_eq!(class_sum(|c| c.collab_hits), m.collab_hits);
-        assert_eq!(class_sum(|c| c.failovers), m.failovers);
-        assert_eq!(class_sum(|c| c.rejected), m.rejected);
-        assert_eq!(class_sum(|c| c.local_fallbacks), m.local_fallbacks);
-        assert_eq!(m.local_fallbacks, 2, "a skipped round is a rung-3 fallback");
+        assert_eq!(total.requests, m.requests);
+        assert_eq!(
+            [
+                total.edge_served,
+                total.collab_hits,
+                total.failovers,
+                total.rejected,
+                total.local_fallbacks
+            ],
+            [1, 1, 1, 1, 2],
+            "a skipped round is a rung-3 fallback"
+        );
+        assert_eq!(m.class(WorkloadClass::Detection).local_fallbacks, 1);
         assert_eq!(m.training_rounds_skipped, 1);
         assert_eq!(
-            m.e2e_latency_ms.count(),
+            total.e2e_latency_ms.count(),
             6,
             "one latency sample per outcome"
         );
-        assert_eq!(
-            class_sum(|c| c.e2e_latency_ms.count()),
-            m.e2e_latency_ms.count()
-        );
+        assert_eq!(total.e2e_latency_ms.max(), 50.0);
         assert_eq!(m.work_units_by_tenant.get(&1), Some(&8));
     }
 

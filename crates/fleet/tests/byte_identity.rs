@@ -15,18 +15,18 @@ use vdap_sim::{SimDuration, SimTime};
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// supervised run, the torn generation 8 included.
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0x96ec_f545_0a46_479f),
-    (8, 0xa8f6_799d_dd45_402a),
-    (12, 0x24b5_2f02_d20b_0cb0),
+    (4, 0xd613_44bc_1255_9adc),
+    (8, 0x04af_f793_92bb_f769),
+    (12, 0x0049_9bd0_6b4e_8ec8),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
 /// series rollup into histograms and spill counters in the payload.
 const BUDGET_SNAPSHOT_PINS: [(u64, u64); 4] = [
-    (17, 0xe08b_fb09_738c_c6ec),
-    (34, 0xba2b_b689_7cca_3f0e),
-    (51, 0xafd4_4a5d_e95f_20d4),
-    (68, 0x7011_646c_3f8c_1059),
+    (17, 0x94bf_0995_0c00_0ce0),
+    (34, 0x7dec_d376_f4d5_424c),
+    (51, 0x760f_5127_d479_09ce),
+    (68, 0x908b_f150_3a43_1750),
 ];
 
 /// FNV-1a of each spill segment of the spill run, in segment order.
@@ -123,9 +123,9 @@ fn budgeted_snapshot_texts_are_byte_identical() {
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// backlogged run, and the FNV-1a of its summary.
 const BACKLOG_SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0xcdb3_4b0e_5dba_4fee),
-    (8, 0x0939_76a2_704f_52ff),
-    (12, 0xcf06_78f6_a2fa_ceea),
+    (4, 0x98f3_1c3f_15e1_2a6e),
+    (8, 0xd4d4_6484_cb4b_e00c),
+    (12, 0x20ad_4ef3_5c03_55e8),
 ];
 const BACKLOG_SUMMARY_PIN: u64 = 0xcb10_ab25_8de2_2d84;
 

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use serde_json::Value;
-use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, Snapshot, SnapshotStore};
+use vdap_fleet::{FleetConfig, FleetEngine, FleetReport, Snapshot, SnapshotStore, WorkloadClass};
 use vdap_sim::{SimDuration, SimTime};
 
 /// The full-stack scenario: ingest + mobility + telemetry, snapshots
@@ -147,22 +147,63 @@ fn crash_resume_under_elastic_lanes_and_tight_caps_is_byte_identical() {
             .as_array()
             .expect("lanes")
             .len();
-        let rejected_by_8: u64 = value_at(&snap.payload, &["metrics", "by_class"])
-            .as_array()
-            .expect("class rows")
-            .iter()
-            .map(|row| {
-                let hex = value_at(row, &["rejected"]).as_str().expect("hex");
-                u64::from_str_radix(hex, 16).expect("hex")
-            })
-            .sum();
+        let rejected_by_8 = class_total(&snap, "rejected");
         assert_ne!(lanes, cfg.edge_capacity as usize, "the pool has scaled");
         assert!(
-            straight.metrics.rejected > rejected_by_8,
+            straight.metrics.total().rejected > rejected_by_8,
             "the caps bounce requests after the snapshot"
         );
         assert_eq!(straight.summary(), resumed.summary(), "mobility {mobility}");
         assert_eq!(straight.metrics, resumed.metrics);
+    }
+}
+
+/// Tight caps with tenant 1's quota flapped to a quarter from 1.5 s to
+/// 4.5 s: the crash at epoch 6 resumes from generation 4 (2.0 s), so
+/// the restored gates carry no override though one was in force when
+/// the snapshot was taken.
+fn flapped_config(mobility: bool, elastic: bool) -> FleetConfig {
+    let mut cfg = FleetConfig::sized(512).with_tenant_quota_flap(
+        1,
+        0.25,
+        SimTime::ZERO + SimDuration::from_millis(1500),
+        SimDuration::from_secs(3),
+    );
+    if mobility {
+        cfg = cfg.with_mobility();
+    }
+    if elastic {
+        cfg = cfg.with_elastic_capacity();
+    }
+    cfg.tenant_queue_cap = 12;
+    cfg.seed = 3;
+    cfg.duration = SimDuration::from_secs(8);
+    cfg.with_checkpoint(4, 16)
+        .with_engine_crash(6, SimDuration::from_millis(500))
+}
+
+/// The barrier after a restore sets every quota-flap override again
+/// before it admits, so a snapshot taken inside a flap need not carry
+/// the overrides.
+#[test]
+fn crash_resume_inside_a_quota_flap_is_byte_identical() {
+    for mobility in [false, true] {
+        for elastic in [false, true] {
+            let cfg = flapped_config(mobility, elastic);
+            let straight = FleetEngine::new(cfg.clone()).run();
+            let mut store = SnapshotStore::in_memory();
+            let resumed = FleetEngine::new(cfg).run_supervised(&mut store);
+            let what = format!("mobility {mobility}, elastic {elastic}");
+            assert_eq!(resumed.snapshots.resumes, 1, "{what}");
+            assert!(
+                resumed.snapshots.rejected_generations.is_empty(),
+                "{what}: resumed from generation 4"
+            );
+            let detection = straight.metrics.class(WorkloadClass::Detection);
+            assert!(detection.local_fallbacks > 0, "{what}: the flap bites");
+            assert_eq!(straight.summary(), resumed.summary(), "{what}");
+            assert_eq!(straight.metrics, resumed.metrics, "{what}");
+        }
     }
 }
 
@@ -461,6 +502,19 @@ proptest! {
     }
 }
 
+/// The sum of the hex counter `key` over `snap`'s metrics class rows.
+fn class_total(snap: &Snapshot, key: &str) -> u64 {
+    value_at(&snap.payload, &["metrics", "by_class"])
+        .as_array()
+        .expect("class rows")
+        .iter()
+        .map(|row| {
+            let count = value_at(row, &[key]).as_str().expect("hex count");
+            u64::from_str_radix(count, 16).expect("hex count")
+        })
+        .sum()
+}
+
 /// The value at `path` inside `v`: object keys, or array indices in
 /// decimal.
 fn value_at<'a>(mut v: &'a Value, path: &[&str]) -> &'a Value {
@@ -693,11 +747,16 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
     let off_home = ((region + 1) % u64::from(cfg.edge_nodes)) as u32;
     let homed = homed.to_string();
     let hex_zero = Value::from("0");
-    let cases = [
+    let mut cases = vec![
         (
             "one lane for every node",
             with_value_at(&snap, &["edge", "lanes"], Value::Array(lanes[..1].to_vec())),
             "1 lanes for 4 edge nodes",
+        ),
+        (
+            "16 more lanes than the fixed pool",
+            with_lanes(&snap, 32),
+            "32 lanes for 4 edge nodes, the run keeps 16 to 16",
         ),
         (
             "in-flight node",
@@ -771,12 +830,83 @@ fn restore_rejects_impossible_edge_and_mobility_state_with_a_valid_checksum() {
             "off its path",
         ),
     ];
+    cases.extend(gates_offering_more_than_was_issued(&snap));
     for (what, tampered, expect) in cases {
         let err = engine
             .restore(&tampered)
             .expect_err("impossible edge or mobility state must be refused");
         assert!(err.to_string().contains(expect), "{what}: {err}");
     }
+
+    // An elastic pool stays between the policy's floor and ceiling
+    // (8 and 64 lanes around the nominal 16), with or without mobility.
+    for mobility in [false, true] {
+        let cfg = elastic_capped_config(mobility);
+        let mut store = SnapshotStore::in_memory();
+        let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+        let snap = Snapshot::decode(&store.get(12).expect("generation 12")).expect("valid");
+        let engine = FleetEngine::new(cfg);
+        let mut cases = vec![
+            (
+                "below the policy's floor",
+                with_lanes(&snap, 7),
+                "7 lanes for 4 edge nodes, the run keeps 8 to 64",
+            ),
+            (
+                "above the policy's ceiling",
+                with_lanes(&snap, 65),
+                "65 lanes for 4 edge nodes, the run keeps 8 to 64",
+            ),
+        ];
+        cases.extend(gates_offering_more_than_was_issued(&snap));
+        for (what, tampered, expect) in cases {
+            let err = engine
+                .restore(&tampered)
+                .expect_err("an impossible elastic pool or gate must be refused");
+            assert!(
+                err.to_string().contains(expect),
+                "mobility {mobility}, {what}: {err}"
+            );
+        }
+    }
+}
+
+/// `snap` with its lane pool cut or padded with idle lanes to `n`.
+fn with_lanes(snap: &Snapshot, n: usize) -> Snapshot {
+    let mut lanes = value_at(&snap.payload, &["edge", "lanes"])
+        .as_array()
+        .expect("lanes")
+        .clone();
+    lanes.resize(n, Value::from("0"));
+    with_value_at(snap, &["edge", "lanes"], Value::Array(lanes))
+}
+
+/// Gate 0 counting more offers than the run issued requests: its
+/// `admitted` or `rejected` at `u64::MAX`, which would overflow at the
+/// next admission, or its `admitted` one past the restored request
+/// count.
+fn gates_offering_more_than_was_issued(
+    snap: &Snapshot,
+) -> Vec<(&'static str, Snapshot, &'static str)> {
+    let requests = class_total(snap, "requests");
+    [
+        ("admitted", u64::MAX),
+        ("rejected", u64::MAX),
+        ("admitted", requests + 1),
+    ]
+    .into_iter()
+    .map(|(key, n)| {
+        (
+            key,
+            with_value_at(
+                snap,
+                &["edge", "gates", "0", key],
+                Value::from(format!("{n:x}")),
+            ),
+            "more offers than the",
+        )
+    })
+    .collect()
 }
 
 #[test]
@@ -813,10 +943,12 @@ fn restore_rejects_spans_naming_what_the_run_does_not_have() {
     }
 }
 
-/// Object keys a version-5 payload never writes: restore rebuilds each
+/// Object keys a version-6 payload never writes: restore rebuilds each
 /// value from the config, the seed or the rest of the payload.
-const DROPPED_KEYS: [&str; 17] = [
+const DROPPED_KEYS: [&str; 20] = [
+    "admission",
     "bytes",
+    "cap_overrides",
     "deadline",
     "depth",
     "dwell_mean",
@@ -826,6 +958,7 @@ const DROPPED_KEYS: [&str; 17] = [
     "profile",
     "queue_cap",
     "records",
+    "region_admission",
     "registrations",
     "rejected_by_tenant",
     "req",
@@ -864,17 +997,6 @@ fn object_keys<'a>(v: &'a Value, out: &mut Vec<&'a str>) {
 #[test]
 fn keys_restore_rebuilds_leave_the_format_and_are_ignored_when_written_back() {
     let hex = |x: u64| Value::from(format!("{x:x}"));
-    let metrics_total = |snap: &Snapshot, key: &str| -> u64 {
-        value_at(&snap.payload, &["metrics", "by_class"])
-            .as_array()
-            .expect("class rows")
-            .iter()
-            .map(|row| {
-                let count = value_at(row, &[key]).as_str().expect("hex count");
-                u64::from_str_radix(count, 16).expect("hex count")
-            })
-            .sum()
-    };
     let request = || {
         let mut fields = std::collections::BTreeMap::new();
         for (key, value) in [
@@ -898,6 +1020,8 @@ fn keys_restore_rebuilds_leave_the_format_and_are_ignored_when_written_back() {
             ("depth", pair(0, u64::MAX)),
             ("registrations", pair(0, 500)),
             ("rejected_by_tenant", Value::Array(Vec::new())),
+            ("cap_overrides", pair(1, 1)),
+            ("cap_overrides", pair(999, 0xffff_ffff)),
         ]
     };
     let batch = || {
@@ -949,7 +1073,7 @@ fn keys_restore_rebuilds_leave_the_format_and_are_ignored_when_written_back() {
         let engine = FleetEngine::new(cfg.clone());
         let mut cases = Vec::new();
         if full_stack {
-            let edge_served = metrics_total(&snap, "edge_served");
+            let edge_served = class_total(&snap, "edge_served");
             // A histogram no sequence of samples produces.
             let impossible_hist = with_key(
                 value_at(
@@ -1007,8 +1131,7 @@ fn keys_restore_rebuilds_leave_the_format_and_are_ignored_when_written_back() {
                     ("dwell_mean", hex(0)),
                 ],
             ));
-            cases.extend(at(&["edge", "admission"], gate()));
-            cases.extend(at(&["edge", "region_admission", "0"], gate()));
+            cases.extend(at(&["edge", "gates", "0"], gate()));
         } else {
             cases.extend(at(&["ingest", "pending", "0", "batch"], batch()));
             cases.extend(at(&["ingest", "cached", "0", "batch"], batch()));

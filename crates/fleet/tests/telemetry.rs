@@ -44,7 +44,7 @@ fn run_layouts(cfg: FleetConfig) -> Vec<FleetReport> {
 
 /// Asserts every span/metrics reconciliation invariant on one report.
 fn assert_reconciles(report: &FleetReport) {
-    let m = &report.metrics;
+    let (m, total) = (&report.metrics, report.metrics.total());
     let tel = report.telemetry.as_ref().expect("telemetry enabled");
     let spans = &tel.spans;
     assert_eq!(
@@ -52,13 +52,19 @@ fn assert_reconciles(report: &FleetReport) {
         m.requests,
         "one closed span per request"
     );
-    assert_eq!(spans.outcome_count(SpanOutcome::EdgeServed), m.edge_served);
-    assert_eq!(spans.outcome_count(SpanOutcome::CollabHit), m.collab_hits);
-    assert_eq!(spans.outcome_count(SpanOutcome::Failover), m.failovers);
-    assert_eq!(spans.outcome_count(SpanOutcome::Rejected), m.rejected);
+    assert_eq!(
+        spans.outcome_count(SpanOutcome::EdgeServed),
+        total.edge_served
+    );
+    assert_eq!(
+        spans.outcome_count(SpanOutcome::CollabHit),
+        total.collab_hits
+    );
+    assert_eq!(spans.outcome_count(SpanOutcome::Failover), total.failovers);
+    assert_eq!(spans.outcome_count(SpanOutcome::Rejected), total.rejected);
     assert_eq!(
         spans.outcome_count(SpanOutcome::LocalFallback) + spans.outcome_count(SpanOutcome::Skipped),
-        m.local_fallbacks,
+        total.local_fallbacks,
         "rung-3 spans split into degraded runs and skipped rounds"
     );
     assert_eq!(
@@ -68,11 +74,11 @@ fn assert_reconciles(report: &FleetReport) {
     // Registry counters mirror the same partition.
     let r = &tel.registry;
     assert_eq!(r.counter("fleet.requests"), m.requests);
-    assert_eq!(r.counter("fleet.served"), m.edge_served);
-    assert_eq!(r.counter("fleet.collab_hits"), m.collab_hits);
-    assert_eq!(r.counter("fleet.failovers"), m.failovers);
-    assert_eq!(r.counter("fleet.rejected"), m.rejected);
-    assert_eq!(r.counter("fleet.local_fallbacks"), m.local_fallbacks);
+    assert_eq!(r.counter("fleet.served"), total.edge_served);
+    assert_eq!(r.counter("fleet.collab_hits"), total.collab_hits);
+    assert_eq!(r.counter("fleet.failovers"), total.failovers);
+    assert_eq!(r.counter("fleet.rejected"), total.rejected);
+    assert_eq!(r.counter("fleet.local_fallbacks"), total.local_fallbacks);
     assert_eq!(r.counter("fleet.handoffs"), m.handoffs);
     // The latency histograms against the spans as independent truth:
     // per-class counts, exact tick aggregates (in a millisecond
@@ -88,7 +94,7 @@ fn assert_reconciles(report: &FleetReport) {
     }
     let mut e2e: Vec<u64> = spans.iter().map(|s| s.e2e().as_nanos()).collect();
     e2e.sort_unstable();
-    let h = &m.e2e_latency_ms;
+    let h = &total.e2e_latency_ms;
     assert_eq!(h.count(), e2e.len() as u64, "one latency sample per span");
     if let (Some(&min), Some(&max)) = (e2e.first(), e2e.last()) {
         let st = h.state();
@@ -193,7 +199,7 @@ proptest! {
         // OK spans and kept every non-OK span.
         prop_assert!(base.sampled_out > 0, "keep-1-in-4 never sampled anything out");
         prop_assert!(!base.spans.is_empty(), "sampling must not drop everything");
-        let m = &reports[0].metrics;
+        let (m, total) = (&reports[0].metrics, reports[0].metrics.total());
         prop_assert_eq!(
             base.spans.len() as u64 + base.sampled_out,
             m.requests,
@@ -202,18 +208,18 @@ proptest! {
         // Only OK-path spans are sampled: every other outcome keeps the
         // span of each request its counter counts.
         let spans = &base.spans;
-        prop_assert_eq!(spans.outcome_count(SpanOutcome::Rejected), m.rejected);
-        prop_assert_eq!(spans.outcome_count(SpanOutcome::Failover), m.failovers);
+        prop_assert_eq!(spans.outcome_count(SpanOutcome::Rejected), total.rejected);
+        prop_assert_eq!(spans.outcome_count(SpanOutcome::Failover), total.failovers);
         prop_assert_eq!(
             spans.outcome_count(SpanOutcome::LocalFallback),
-            m.local_fallbacks - m.training_rounds_skipped
+            total.local_fallbacks - m.training_rounds_skipped
         );
         prop_assert_eq!(
             spans.outcome_count(SpanOutcome::Skipped),
             m.training_rounds_skipped
         );
         prop_assert!(
-            m.failovers > 0 && m.rejected > 0 && m.local_fallbacks > 0,
+            total.failovers > 0 && total.rejected > 0 && total.local_fallbacks > 0,
             "the chaos must produce failovers, rejections and rung-3 outcomes"
         );
         prop_assert!(
@@ -254,13 +260,14 @@ fn crossed_budget_auto_activates_deterministic_sampling() {
     }
     // Non-OK spans are never sampled out: every metrics-side failure
     // outcome still has its span.
+    let total = one.metrics.total();
     assert_eq!(
         tel.spans.outcome_count(SpanOutcome::Rejected),
-        one.metrics.rejected
+        total.rejected
     );
     assert_eq!(
         tel.spans.outcome_count(SpanOutcome::Failover),
-        one.metrics.failovers
+        total.failovers
     );
 }
 
@@ -370,7 +377,7 @@ fn failover_spans_name_the_region_the_vehicle_was_in() {
         .iter()
         .filter(|s| s.outcome == SpanOutcome::Failover)
         .collect();
-    assert_eq!(failovers.len() as u64, report.metrics.failovers);
+    assert_eq!(failovers.len() as u64, report.metrics.total().failovers);
     assert!(!failovers.is_empty(), "the outage must cause failovers");
     let elsewhere = failovers.iter().filter(|s| s.region != 0).count();
     assert_eq!(

@@ -43,13 +43,14 @@ fn main() {
     );
     println!("{}", "-".repeat(74));
     for (edge_load, report) in &results {
+        let total = report.metrics.total();
         println!(
             "{:>8.1}x  {:>8} {:>12.1} {:>12.4} {:>12} {:>14.3}",
             edge_load,
             report.metrics.requests,
-            report.metrics.e2e_latency_ms.quantile(0.95),
+            total.e2e_latency_ms.quantile(0.95),
             report.reject_rate(),
-            report.metrics.collab_hits,
+            total.collab_hits,
             report.metrics.energy_per_request_j.mean(),
         );
     }

@@ -768,7 +768,7 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
         cfg.telemetry.then_some(()),
         "telemetry",
         |enc, ()| {
-            let (mut tel, spill_state) = dec_telemetry(cfg, enc)?;
+            let (mut tel, spill_state) = dec_telemetry(cfg, enc, metrics.requests)?;
             // Sink wiring is config-derived: the budget, the sampling
             // seed, and the spill *directory* come from the config the
             // run restores under, while the dynamic counters (spilled
@@ -928,7 +928,17 @@ fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
 
 type SpillState = (u64, u32, u64);
 
-fn dec_telemetry(cfg: &FleetConfig, v: &Value) -> Result<(FleetTelemetry, SpillState), CkptError> {
+/// Decodes the telemetry payload of a snapshot whose run issued
+/// `requests` requests. Refuses a sink that accounts for more spans
+/// (spilled, sampled out or resident) than that: every span belongs to
+/// one issued request, and an in-flight request has none yet. Refuses
+/// a spill segment index above the spilled count too, since each
+/// rotation follows a write of at least one span.
+fn dec_telemetry(
+    cfg: &FleetConfig,
+    v: &Value,
+    requests: u64,
+) -> Result<(FleetTelemetry, SpillState), CkptError> {
     let mut tel = FleetTelemetry::default();
     for s in get_array(v, "spans")? {
         tel.spans.push(dec_span(cfg, s)?);
@@ -979,6 +989,21 @@ fn dec_telemetry(cfg: &FleetConfig, v: &Value) -> Result<(FleetTelemetry, SpillS
             .map_err(|_| CkptError::new("spill segment index out of range"))?,
         get_u64_hex(sink, "spill_bytes")?,
     );
+    let (spilled, index, _) = spill_state;
+    [tel.sampled_out, tel.spans.len() as u64]
+        .into_iter()
+        .try_fold(spilled, u64::checked_add)
+        .filter(|&n| n <= requests)
+        .ok_or_else(|| {
+            CkptError::new(format!(
+                "telemetry sink accounts for more spans than the {requests} requests issued"
+            ))
+        })?;
+    if u64::from(index) > spilled {
+        return Err(CkptError::new(format!(
+            "spill segment {index} follows only {spilled} spilled spans"
+        )));
+    }
     Ok((tel, spill_state))
 }
 

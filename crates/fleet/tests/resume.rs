@@ -943,6 +943,62 @@ fn restore_rejects_spans_naming_what_the_run_does_not_have() {
     }
 }
 
+#[test]
+fn restore_refuses_sink_counts_past_the_requests_and_registry_counters_saturate() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet-resume-sink-tamper");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = spill_config(&dir).with_span_sampling(4);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let snap =
+        Snapshot::decode(&store.get(12).expect("generation 12 retained")).expect("valid snapshot");
+    let engine = FleetEngine::new(cfg);
+    let max = Value::from(format!("{:x}", u64::MAX));
+    let sink = |snap: &Snapshot, key: &str, value: Value| {
+        with_value_at(snap, &["telemetry", "sink", key], value)
+    };
+    let cases = [
+        (
+            "spilled",
+            sink(&snap, "spilled", max.clone()),
+            "more spans than the",
+        ),
+        (
+            "sampled_out",
+            sink(&snap, "sampled_out", max.clone()),
+            "more spans than the",
+        ),
+        (
+            "spill_index",
+            sink(
+                &sink(&snap, "spill_index", Value::from(format!("{:x}", u32::MAX))),
+                "spill_bytes",
+                max.clone(),
+            ),
+            "spill segment 4294967295 follows only",
+        ),
+    ];
+    for (what, tampered, expect) in cases {
+        let err = engine
+            .restore(&tampered)
+            .expect_err("a sink counting spans no request made must be refused");
+        assert!(err.to_string().contains(expect), "{what}: {err}");
+    }
+    // Registry counters count different things, so no one bound fits
+    // them: a counter at the top restores and saturates instead.
+    let counter = value_at(&snap.payload, &["telemetry", "counters", "0", "0"])
+        .as_str()
+        .expect("counter name")
+        .to_string();
+    let tampered = with_value_at(&snap, &["telemetry", "counters", "0", "1"], max);
+    let report = engine
+        .restore(&tampered)
+        .expect("a saturating counter restores");
+    let tel = report.telemetry.as_ref().expect("telemetry");
+    assert_eq!(tel.registry.counter(&counter), u64::MAX, "{counter}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Object keys a version-6 payload never writes: restore rebuilds each
 /// value from the config, the seed or the rest of the payload.
 const DROPPED_KEYS: [&str; 20] = [

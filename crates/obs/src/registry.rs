@@ -66,9 +66,12 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `by` to the named monotonic counter.
+    /// Adds `by` to the named monotonic counter. The count saturates
+    /// at `u64::MAX`, as histogram counts do, so a counter restored
+    /// near the top cannot overflow the resumed run.
     pub fn inc(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry(name).or_insert(0) += by;
+        let count = self.counters.entry(name).or_insert(0);
+        *count = count.saturating_add(by);
     }
 
     /// Sets the named gauge to its latest value.
@@ -201,6 +204,16 @@ mod tests {
         r.inc("fleet.served", 2);
         assert_eq!(r.counter("fleet.served"), 5);
         assert_eq!(r.counter("never"), 0);
+    }
+
+    #[test]
+    fn counters_saturate_at_u64_max() {
+        let mut r = MetricsRegistry::new();
+        r.inc("fleet.served", u64::MAX);
+        r.inc("fleet.served", 1);
+        assert_eq!(r.counter("fleet.served"), u64::MAX);
+        r.inc("fleet.served", u64::MAX);
+        assert_eq!(r.counter("fleet.served"), u64::MAX);
     }
 
     #[test]

@@ -13,9 +13,14 @@
 //! a streaming writer that appends canonical compact JSON straight to a
 //! `String` without building a tree. It is also what `Display` and
 //! [`to_string`] use, so streamed and tree-built documents share one
-//! escape routine and one integer formatter byte for byte. Porting to
-//! the real crate means replacing the writer's callers with `Serialize`
-//! impls whose fields are declared in sorted order.
+//! escape routine and one integer formatter byte for byte. Those two
+//! are public as [`push_escaped`] and [`push_u64`], for one
+//! fixed-schema caller: `vdap_obs::spans_jsonl` writes each span line
+//! as literal key fragments with only the values run through them, so
+//! its lines are the bytes the writer would emit without the writer's
+//! per-token bookkeeping. Porting to the real crate means replacing
+//! the writer's callers with `Serialize` impls whose fields are
+//! declared in sorted order.
 //!
 //! [`from_str`] refuses input nested deeper than [`MAX_DEPTH`]
 //! containers, like the real crate's recursion limit.
@@ -140,24 +145,52 @@ const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 /// overflow.
 pub const MAX_DEPTH: usize = 128;
 
-/// The digits a formatter produced, as text (they are always ASCII).
-fn ascii(digits: &[u8]) -> &str {
-    std::str::from_utf8(digits).expect("formatters emit ASCII")
+/// Appends the ASCII digits a formatter produced. Pushing them as chars
+/// avoids validating them as UTF-8 to make a `&str`, which costs more
+/// than the pushes for a number's few digits.
+fn push_digits(out: &mut String, digits: &[u8]) {
+    out.extend(digits.iter().map(|&d| char::from(d)));
 }
 
-/// Appends `v` in decimal.
-fn push_u64(out: &mut String, mut v: u64) {
+/// The decimal digit pairs `"00"` through `"99"`, back to back.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends `v` in decimal, two digits per division: the bytes
+/// `v.to_string()` would give.
+///
+/// This is one of [`JsonWriter`]'s two primitives (with
+/// [`push_escaped`]): every integer the writer emits goes through it.
+/// It is public for fixed-schema writers that append a record's keys
+/// as literal fragments and only its values through the primitives,
+/// so their output must stay byte-identical to what `JsonWriter`
+/// emits for the same value.
+pub fn push_u64(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.push_str(ascii(&buf[i..]));
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    push_digits(out, &buf[i..]);
 }
 
 /// Appends `v` in lower-case hex, zero-padded to at least `min_digits`.
@@ -172,13 +205,18 @@ fn push_hex(out: &mut String, mut v: u64, min_digits: usize) {
             break;
         }
     }
-    out.push_str(ascii(&buf[i..]));
+    push_digits(out, &buf[i..]);
 }
 
 /// Appends `s` as a quoted JSON string. Runs that need no escaping are
 /// copied with one `push_str`; only `"`, `\` and control characters
 /// are escaped (`\n`, `\r`, `\t` by name, the rest as `\u00XX`).
-fn push_escaped(out: &mut String, s: &str) {
+///
+/// This is [`JsonWriter`]'s other primitive (with [`push_u64`]): every
+/// key and string value the writer emits goes through it. Public for
+/// the same fixed-schema writers, under the same rule: a string
+/// appended here is byte-identical to the writer's.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
@@ -219,7 +257,10 @@ enum Frame {
 ///
 /// This is the crate's only serializer: [`Value`]'s `Display` and
 /// [`to_string`] run through it too, and it never goes through
-/// `core::fmt` except for non-integral floats. A document written field
+/// `core::fmt` except for non-integral floats. Every integer goes
+/// through [`push_u64`] and every key and string through
+/// [`push_escaped`], the two primitives a fixed-schema writer such as
+/// `vdap_obs::spans_jsonl` calls directly. A document written field
 /// by field is byte-identical to the same document built as a `Value`
 /// tree as long as each object's keys are written in strictly ascending
 /// byte order — the order `Value`'s `BTreeMap` iterates in. Debug builds
@@ -846,6 +887,20 @@ mod tests {
                 r#""55555555555555555555555555555555","7",-3,2.25,null,"\u0001\u001f\t\"\\é"]"#
             )
         );
+    }
+
+    #[test]
+    fn push_u64_prints_every_digit_count_like_to_string() {
+        let mut edges = vec![0, u64::from(u32::MAX), u64::MAX];
+        for k in 1..=19 {
+            let p = 10u64.pow(k);
+            edges.extend([p - 1, p]);
+        }
+        for v in edges {
+            let mut out = String::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
-use serde_json::{from_str, to_string, JsonWriter, Value};
+use serde_json::{from_str, push_u64, to_string, JsonWriter, Value};
 
 /// splitmix64: a tiny seeded generator for building random documents.
 struct Gen(u64);
@@ -249,5 +249,15 @@ proptest! {
         prop_assert_eq!(&streamed, &to_string(&tree).expect("serialize"));
         prop_assert_eq!(&streamed, &tree.to_string());
         prop_assert_eq!(&streamed, &oracle);
+    }
+
+    #[test]
+    fn push_u64_prints_what_to_string_prints(v in any::<u64>(), shift in 0u32..64) {
+        // The shift spreads the draws over every digit count.
+        for v in [v, v >> shift] {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            prop_assert_eq!(out, format!("x{v}"));
+        }
     }
 }

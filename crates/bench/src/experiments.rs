@@ -805,7 +805,7 @@ fn fleet_chaos_table(title: &str, cfg: FleetConfig) -> TextTable {
             r.metrics.requeued.to_string()
         }),
         ("rung 1: retry rescued", |r| {
-            r.metrics.retry_rescued.to_string()
+            r.reliability.retry_success_count().to_string()
         }),
         ("rung 1: retry attempts", |r| {
             r.reliability.retry_count().to_string()

@@ -59,8 +59,11 @@ use vdap_sim::fnv1a64_extend;
 /// payload (ids, tenants, route plans, gate depths and caps, fleet-wide
 /// totals of the per-class rows, batch sizes and deadlines); version 6
 /// writes the fleet's admission gates as one list of counters, without
-/// the quota-flap overrides the next barrier sets again.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// the quota-flap overrides the next barrier sets again; version 7
+/// drops the telemetry registry's counters and gauges, which the fleet
+/// no longer keeps, and the event and rung-1 rescue counts, which equal
+/// counts other ledgers already hold.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";

@@ -32,7 +32,6 @@
 //!   that disagrees with its source.
 
 use std::collections::BTreeSet;
-use std::fmt;
 
 use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
@@ -286,7 +285,6 @@ pub(crate) fn enc_metrics(w: &mut JsonWriter, m: &FleetMetrics) {
     w.key("queue_depth");
     enc_hist(w, &m.queue_depth);
     w.key("requeued").hex(m.requeued);
-    w.key("retry_rescued").hex(m.retry_rescued);
     w.key("scale_downs").hex(m.scale_downs);
     w.key("scale_ups").hex(m.scale_ups);
     w.key("training_rounds_skipped")
@@ -340,7 +338,6 @@ pub(crate) fn metrics_field(v: &Value, key: &str) -> Result<FleetMetrics, CkptEr
         m.work_units_by_tenant.insert(val_u32(t)?, val_u64_hex(w)?);
     }
     m.requeued = get_u64_hex(enc, "requeued")?;
-    m.retry_rescued = get_u64_hex(enc, "retry_rescued")?;
     m.handoffs = get_u64_hex(enc, "handoffs")?;
     m.training_rounds_skipped = get_u64_hex(enc, "training_rounds_skipped")?;
     m.scale_ups = get_u64_hex(enc, "scale_ups")?;
@@ -397,7 +394,7 @@ pub(crate) fn check_fingerprint(cfg: &FleetConfig, payload: &Value) -> Result<()
     }
 }
 
-// --- snapshot diagnostics (wall-clock; never in the summary) ---------
+// --- snapshot accounting (wall-clock; never in the summary) ----------
 
 /// One snapshot the engine wrote, with its wall-clock cost.
 #[derive(Debug, Clone, PartialEq)]
@@ -413,8 +410,8 @@ pub struct SnapshotWrite {
     pub chaos: Option<&'static str>,
 }
 
-/// Wall-clock checkpoint/restore accounting for
-/// [`crate::FleetReport::diagnostics`].
+/// Wall-clock checkpoint/restore accounting, the report's
+/// [`crate::FleetReport::snapshots`].
 ///
 /// Everything here lives on the wall-clock side of the determinism
 /// boundary (like the barrier profile): write/load timings vary run to
@@ -431,50 +428,6 @@ pub struct SnapshotDiagnostics {
     pub rejected_generations: Vec<u64>,
     /// Crash-resume cycles the supervisor performed.
     pub resumes: u32,
-}
-
-impl SnapshotDiagnostics {
-    /// Whether there is anything worth printing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.writes.is_empty()
-            && self.load_ms.is_none()
-            && self.rejected_generations.is_empty()
-            && self.resumes == 0
-    }
-}
-
-impl fmt::Display for SnapshotDiagnostics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "  snapshots: {} written, {} resume(s), {} generation(s) rejected",
-            self.writes.len(),
-            self.resumes,
-            self.rejected_generations.len()
-        )?;
-        for w in &self.writes {
-            write!(
-                f,
-                "    write gen {}: {} B in {:.3} ms",
-                w.generation, w.bytes, w.write_ms
-            )?;
-            if let Some(chaos) = w.chaos {
-                write!(f, " ({chaos} injected)")?;
-            }
-            writeln!(f)?;
-        }
-        if let Some(load_ms) = self.load_ms {
-            writeln!(f, "    restore decode: {load_ms:.3} ms")?;
-        }
-        for gen in &self.rejected_generations {
-            writeln!(
-                f,
-                "    rejected gen {gen}: checksum/decode failure, fell back"
-            )?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

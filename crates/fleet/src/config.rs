@@ -505,8 +505,8 @@ pub struct FleetConfig {
     /// Directory for the segment-rotating JSONL span spill. With a
     /// budget set, spans spill only when the budget is crossed; without
     /// one, every barrier flushes (pure streaming export). Disk I/O is
-    /// wall-clock territory: write failures are counted in diagnostics,
-    /// and nothing deterministic depends on them.
+    /// wall-clock territory: write failures are counted in the spill
+    /// sink's `io_errors`, and nothing deterministic depends on them.
     pub span_spill: Option<std::path::PathBuf>,
     /// Deterministic span sampling: keep all non-OK spans, and one in
     /// `N` OK spans chosen by a seeded hash of `(vehicle, seq)` — the

@@ -37,7 +37,7 @@ use vdap_mobility::{
     Crossing, MobilityMetrics, RegionGraph, TrackLeg, TrackMotion, TrackSnapshot, VehicleTrack,
 };
 use vdap_net::CellularChannel;
-use vdap_obs::{intern_name, BarrierPass, EngineProfile, JsonlSpillSink, RequestSpan, SpanOutcome};
+use vdap_obs::{BarrierPass, EngineProfile, JsonlSpillSink, RequestSpan, SpanOutcome};
 use vdap_offload::Tile;
 use vdap_sim::{ReliabilityStats, RngStream, SeedFactory, SimDuration, SimTime};
 
@@ -52,7 +52,7 @@ use crate::config::{
 };
 use crate::edge::{EpochOutcome, XEdgeServer};
 use crate::ingest::IngestPass;
-use crate::metrics::{FleetMetrics, FleetReport, FleetTelemetry, RequestOutcome};
+use crate::metrics::{series, FleetMetrics, FleetReport, FleetTelemetry, RequestOutcome};
 use crate::pool::WorkerPool;
 use crate::vehicle::{
     dec_collab, dec_vehicle, enc_collab, enc_vehicle, BatchOut, CollabSnapshot, VehicleBatch,
@@ -132,7 +132,8 @@ impl FleetEngine {
     /// generation past torn or corrupted writes, or restarting from
     /// scratch when no valid snapshot survives. The returned report's
     /// summary is byte-identical to the same scenario's straight
-    /// [`FleetEngine::run`]; only wall-clock diagnostics differ.
+    /// [`FleetEngine::run`]; only the wall-clock profile and snapshot
+    /// accounting differ.
     #[must_use]
     pub fn run_supervised(&self, store: &mut SnapshotStore) -> FleetReport {
         let ctx = RunCtx::new(&self.cfg);
@@ -183,9 +184,10 @@ impl FleetEngine {
     /// batch size are deliberately not fingerprinted: a snapshot taken
     /// by a wide run restores into a one-worker engine and vice versa,
     /// and the resumed report's summary stays byte-identical either
-    /// way. A payload whose checksum matches but whose vehicles are
-    /// impossible (foreign ids, tenants or regions, next events outside
-    /// the remaining run) is rejected.
+    /// way. A payload whose checksum matches but whose state is
+    /// impossible (vehicles with foreign ids, tenants or regions or next
+    /// events outside the remaining run, ledgers that disagree with each
+    /// other, series the engine never samples) is rejected.
     pub fn restore(&self, snapshot: &Snapshot) -> Result<FleetReport, CkptError> {
         let ctx = RunCtx::new(&self.cfg);
         let started = Instant::now();
@@ -252,9 +254,7 @@ struct EngineState {
     mobility: Option<MobilityPass>,
     ladder_rng: RngStream,
     epoch_index: u64,
-    /// Per-vehicle events (request ticks + ingest uploads) so far.
-    events: u64,
-    /// Wall-clock snapshot diagnostics, carried across supervised legs.
+    /// Wall-clock snapshot accounting, carried across supervised legs.
     snapshots: SnapshotDiagnostics,
 }
 
@@ -322,14 +322,13 @@ impl EngineState {
             // reach it.
             ladder_rng: ctx.seeds.stream("fleet-ladder"),
             epoch_index: 0,
-            events: 0,
             snapshots: SnapshotDiagnostics::default(),
         }
     }
 
     /// Records one request's terminal outcome — the only place one is
     /// recorded: the fleet metrics, the reliability ledger, and with
-    /// telemetry on the registry counter and the request's span.
+    /// telemetry on the request's span.
     fn record(&mut self, ctx: &RunCtx, o: &RequestOutcome) {
         self.metrics.record(o.kind, o.class, o.e2e, o.energy_j);
         match o.kind {
@@ -346,7 +345,6 @@ impl EngineState {
             _ => {}
         }
         if let Some(tel) = self.telemetry.as_mut() {
-            tel.registry.inc(outcome_counter(o.kind), 1);
             tel.absorb(o.span());
         }
     }
@@ -361,14 +359,7 @@ impl EngineState {
             self.record(ctx, o);
         }
         self.metrics.requeued += outcome.requeued;
-        self.metrics.retry_rescued += outcome.retry_rescued;
         self.metrics.handoffs += outcome.handoffs;
-        if let Some(tel) = self.telemetry.as_mut() {
-            tel.registry.inc("fleet.requeued", outcome.requeued);
-            tel.registry
-                .inc("fleet.retry_rescued", outcome.retry_rescued);
-            tel.registry.inc("fleet.handoffs", outcome.handoffs);
-        }
         for _ in 0..outcome.retry_attempts {
             self.reliability.record_retry();
         }
@@ -381,24 +372,12 @@ impl EngineState {
     }
 }
 
-/// The registry counter an outcome is counted under (both rung-3
-/// outcomes share one).
-const fn outcome_counter(outcome: SpanOutcome) -> &'static str {
-    match outcome {
-        SpanOutcome::EdgeServed => "fleet.served",
-        SpanOutcome::CollabHit => "fleet.collab_hits",
-        SpanOutcome::Failover => "fleet.failovers",
-        SpanOutcome::Rejected => "fleet.rejected",
-        SpanOutcome::LocalFallback | SpanOutcome::Skipped => "fleet.local_fallbacks",
-    }
-}
-
 /// How one leg of the engine loop ended.
 enum RunEnd {
     /// Ran to the horizon: the run's report.
     Completed(Box<FleetReport>),
-    /// A seeded engine crash fired at this epoch barrier. The write
-    /// diagnostics accumulated so far ride along to the next leg.
+    /// A seeded engine crash fired at this epoch barrier. The snapshot
+    /// accounting accumulated so far rides along to the next leg.
     Crashed {
         epoch: u64,
         snapshots: SnapshotDiagnostics,
@@ -426,8 +405,8 @@ fn run_core(
     let injector = ctx.injector.as_deref();
     let pool = WorkerPool::new(cfg.executor_pool_size());
     let batch_size = cfg.batch_size as usize;
-    // The profile measures this leg's wall clock only — diagnostics,
-    // so a resumed run legitimately reports a shorter profile.
+    // The profile measures this leg's wall clock only, so a resumed run
+    // legitimately reports a shorter profile.
     let mut profile = EngineProfile::new(pool.threads());
     loop {
         let end_raw = SimTime::ZERO + cfg.epoch * (state.epoch_index + 1);
@@ -470,7 +449,6 @@ fn run_core(
             uploads.extend(out.ingest_outbox);
             publications.extend(out.publications);
             stale_hits += out.stale_hits;
-            state.events += out.events;
             state.metrics.record_requests(out.requests);
             for resolved in &out.resolved {
                 state.record(ctx, &resolved.resolve(cfg));
@@ -579,14 +557,12 @@ fn run_core(
 
     // Drain the in-flight work still pending at the horizon: it
     // completes, and its latency is fixed. The tail belongs to no
-    // barrier, so it updates telemetry counters and spans but adds no
-    // epoch samples.
+    // barrier, so it adds spans but no epoch samples.
     let tail = state.edge.flush();
     state.record_epoch(ctx, &tail);
 
     let metrics = state.metrics;
     if let Some(tel) = state.telemetry.as_mut() {
-        tel.registry.inc("fleet.requests", metrics.requests);
         // With spill configured, the horizon tail goes to disk too, so
         // the JSONL segments hold the complete post-sampling stream.
         tel.final_flush();
@@ -601,19 +577,22 @@ fn run_core(
         .iter()
         .map(|c| ((*c).to_string(), state.reliability.availability(c, horizon)))
         .collect();
+    let ingest = state.ingest.as_mut().map(IngestPass::finish);
 
     RunEnd::Completed(Box::new(FleetReport {
+        // Every request tick issued one request and every upload tick
+        // sent one batch.
+        events_processed: metrics.requests + ingest.as_ref().map_or(0, |i| i.batches_sent),
         metrics,
         reliability: state.reliability,
         region_availability,
         vehicles: cfg.vehicles,
         duration: cfg.duration,
-        events_processed: state.events,
         admission_offered: state.edge.offered(),
         admission_rejected: state.edge.rejected(),
         mobility: state.mobility.as_ref().map(|m| m.metrics.clone()),
         region_admission: state.edge.region_admission_table(&state.vehicles),
-        ingest: state.ingest.as_mut().map(IngestPass::finish),
+        ingest,
         telemetry: state.telemetry,
         profile,
         snapshots: state.snapshots,
@@ -684,7 +663,6 @@ fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) 
     w.key("edge");
     state.edge.ckpt(w);
     w.key("epoch").hex(state.epoch_index);
-    w.key("events_base").hex(state.events);
     w.key("ingest");
     enc_opt(w, state.ingest.as_ref(), |w, ingest| ingest.ckpt(w));
     w.key("ladder_rng");
@@ -722,7 +700,6 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             "snapshot epoch {epoch_index} outside the run's open interval"
         )));
     }
-    let events = get_u64_hex(payload, "events_base")?;
     let ladder_rng = rng_field(payload, "ladder_rng")?;
     let metrics = metrics_field(payload, "metrics")?;
     let reliability = reliability_field(payload, "reliability", cfg, &fault_timeline(ctx))?;
@@ -791,6 +768,7 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             Ok(tel)
         },
     )?;
+    check_ledgers(cfg, &vehicles, &metrics, ingest.as_ref())?;
 
     Ok(EngineState {
         vehicles,
@@ -803,9 +781,83 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
         mobility,
         ladder_rng,
         epoch_index,
-        events,
         snapshots: SnapshotDiagnostics::default(),
     })
+}
+
+/// Refuses ledgers that disagree with each other, as no barrier leaves
+/// them: every request a class row counts took one vehicle sequence
+/// number and every batch the ingest ledger sent one uplink sequence
+/// number; a class row's outcomes are among its requests; and every
+/// served request credited its class's work units to one of the run's
+/// tenants.
+fn check_ledgers(
+    cfg: &FleetConfig,
+    vehicles: &[VehicleState],
+    metrics: &FleetMetrics,
+    ingest: Option<&IngestPass>,
+) -> Result<(), CkptError> {
+    let refuse = |what: String| Err(CkptError::new(what));
+    let issued: u64 = vehicles.iter().map(|v| u64::from(v.seq)).sum();
+    if issued != metrics.requests {
+        return refuse(format!(
+            "vehicles issued {issued} requests, the class rows count {}",
+            metrics.requests
+        ));
+    }
+    if let Some(ing) = ingest {
+        let uploaded: u64 = vehicles
+            .iter()
+            .filter_map(|v| v.ddi.as_ref())
+            .map(|d| u64::from(d.seq))
+            .sum();
+        if uploaded != ing.metrics.batches_sent {
+            return refuse(format!(
+                "vehicles uploaded {uploaded} batches, the ingest ledger sent {}",
+                ing.metrics.batches_sent
+            ));
+        }
+    }
+    for (class, c) in WorkloadClass::ALL.into_iter().zip(&metrics.by_class) {
+        let ended = [c.collab_hits, c.failovers, c.rejected, c.local_fallbacks]
+            .into_iter()
+            .try_fold(c.edge_served, u64::checked_add);
+        if ended.is_none_or(|n| n > c.requests) {
+            return refuse(format!(
+                "class {class} ends more requests than the {} it issued",
+                c.requests
+            ));
+        }
+    }
+    if let Some(tenant) = metrics
+        .work_units_by_tenant
+        .keys()
+        .find(|&&t| t >= cfg.tenants)
+    {
+        return refuse(format!(
+            "work units credited to tenant {tenant} of {}",
+            cfg.tenants
+        ));
+    }
+    let overflow = || CkptError::new("work units overflow u64");
+    let earned = WorkloadClass::ALL
+        .into_iter()
+        .zip(&metrics.by_class)
+        .try_fold(0u64, |sum, (class, c)| {
+            sum.checked_add(c.edge_served.checked_mul(cfg.class(class).work_units)?)
+        })
+        .ok_or_else(overflow)?;
+    let credited = metrics
+        .work_units_by_tenant
+        .values()
+        .try_fold(0u64, |sum, &w| sum.checked_add(w))
+        .ok_or_else(overflow)?;
+    if credited != earned {
+        return refuse(format!(
+            "tenants hold {credited} work units, served requests earned {earned}"
+        ));
+    }
+    Ok(())
 }
 
 // ---- telemetry codec ------------------------------------------------
@@ -870,19 +922,10 @@ fn dec_span(cfg: &FleetConfig, v: &Value) -> Result<RequestSpan, CkptError> {
 
 /// Writes the full telemetry surface: the span log in its current
 /// order (the final `sort_canonical` has unique keys, so order here is
-/// immaterial), counters, gauges, and every per-epoch series.
+/// immaterial), every per-epoch series and the histograms their
+/// rolled-up points went to.
 fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
     w.begin_object();
-    w.key("counters").begin_array();
-    for (name, v) in tel.registry.counters() {
-        w.begin_array().str(name).hex(v).end_array();
-    }
-    w.end_array();
-    w.key("gauges").begin_array();
-    for (name, v) in tel.registry.gauges() {
-        w.begin_array().str(name).hex(v.to_bits()).end_array();
-    }
-    w.end_array();
     w.key("hists").begin_array();
     for h in tel.registry.all_histograms() {
         w.begin_array().str(h.name());
@@ -929,11 +972,13 @@ fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
 type SpillState = (u64, u32, u64);
 
 /// Decodes the telemetry payload of a snapshot whose run issued
-/// `requests` requests. Refuses a sink that accounts for more spans
-/// (spilled, sampled out or resident) than that: every span belongs to
-/// one issued request, and an in-flight request has none yet. Refuses
-/// a spill segment index above the spilled count too, since each
-/// rotation follows a write of at least one span.
+/// `requests` requests. Refuses a series or histogram name outside
+/// [`series::ALL`], the series the engine samples. Refuses a sink that
+/// accounts for more spans (spilled, sampled out or resident) than
+/// that: every span belongs to one issued request, and an in-flight
+/// request has none yet. Refuses a spill segment index above the
+/// spilled count too, since each rotation follows a write of at least
+/// one span.
 fn dec_telemetry(
     cfg: &FleetConfig,
     v: &Value,
@@ -943,19 +988,14 @@ fn dec_telemetry(
     for s in get_array(v, "spans")? {
         tel.spans.push(dec_span(cfg, s)?);
     }
-    for pair in get_array(v, "counters")? {
-        let (name, count) = val_pair(pair)?;
-        tel.registry
-            .inc(intern_name(val_str(name)?), val_u64_hex(count)?);
-    }
-    for pair in get_array(v, "gauges")? {
-        let (name, value) = val_pair(pair)?;
-        tel.registry
-            .set_gauge(intern_name(val_str(name)?), val_f64_bits(value)?);
-    }
+    let sampled = |name: &Value| {
+        let name = val_str(name)?;
+        series::named(name)
+            .ok_or_else(|| CkptError::new(format!("telemetry names unknown series {name:?}")))
+    };
     for entry in get_array(v, "series")? {
         let (name, points) = val_pair(entry)?;
-        let name = intern_name(val_str(name)?);
+        let name = sampled(name)?;
         for p in val_array(points)? {
             let [epoch, at, value] = val_array(p)? else {
                 return Err(CkptError::new("series point is not a triple"));
@@ -970,8 +1010,8 @@ fn dec_telemetry(
     }
     for entry in get_array(v, "hists")? {
         let (name, body) = val_pair(entry)?;
-        let name = intern_name(val_str(name)?);
-        tel.registry.restore_histogram(dec_hist(body, name)?);
+        tel.registry
+            .restore_histogram(dec_hist(body, sampled(name)?)?);
     }
     let sink = get(v, "sink")?;
     let sample = get_u64_hex(sink, "sample")?;
@@ -1346,14 +1386,10 @@ impl MobilityPass {
         }
 
         if let Some(tel) = telemetry {
+            tel.registry
+                .sample(series::CROSSINGS, epoch_index, end, epoch_crossings as f64);
             tel.registry.sample(
-                "mobility.crossings",
-                epoch_index,
-                end,
-                epoch_crossings as f64,
-            );
-            tel.registry.sample(
-                "mobility.migrations",
+                series::MIGRATIONS,
                 epoch_index,
                 end,
                 epoch_migrations as f64,
@@ -1362,42 +1398,22 @@ impl MobilityPass {
     }
 }
 
-/// The interned series name for a class's per-epoch served count.
-const fn served_series(class: WorkloadClass) -> &'static str {
-    match class {
-        WorkloadClass::Detection => "fleet.served.detection",
-        WorkloadClass::Infotainment => "fleet.served.infotainment",
-        WorkloadClass::PbeamTraining => "fleet.served.pbeam-training",
-    }
-}
-
-/// The interned series name for a class's per-epoch rejected count.
-const fn rejected_series(class: WorkloadClass) -> &'static str {
-    match class {
-        WorkloadClass::Detection => "fleet.rejected.detection",
-        WorkloadClass::Infotainment => "fleet.rejected.infotainment",
-        WorkloadClass::PbeamTraining => "fleet.rejected.pbeam-training",
-    }
-}
-
 /// Samples the per-epoch time series at one barrier. Every sampled
 /// value is an output of the canonical single-threaded serving pass,
 /// so no schedule can reach the series.
 fn sample_epoch(tel: &mut FleetTelemetry, outcome: &EpochOutcome, epoch: u64, at: SimTime) {
     tel.registry
-        .sample("xedge.queue_depth", epoch, at, outcome.queue_depth as f64);
+        .sample(series::QUEUE_DEPTH, epoch, at, outcome.queue_depth as f64);
     tel.registry
-        .sample("xedge.lanes", epoch, at, f64::from(outcome.lanes));
+        .sample(series::LANES, epoch, at, f64::from(outcome.lanes));
     for class in WorkloadClass::ALL {
         let served = outcome.served.iter().filter(|s| s.class == class).count();
         let rejected = outcome.rejected.iter().filter(|r| r.class == class).count();
         tel.registry
-            .sample(served_series(class), epoch, at, served as f64);
+            .sample(series::SERVED[class.index()], epoch, at, served as f64);
         tel.registry
-            .sample(rejected_series(class), epoch, at, rejected as f64);
+            .sample(series::REJECTED[class.index()], epoch, at, rejected as f64);
     }
-    tel.registry
-        .set_gauge("xedge.lanes", f64::from(outcome.lanes));
 }
 
 /// Writes the per-tenant availability ledger. A tenant is "down" while
@@ -1533,7 +1549,7 @@ mod tests {
         let report = FleetEngine::new(cfg.clone()).run();
         let (m, total) = (&report.metrics, report.metrics.total());
         assert!(
-            m.retry_rescued > 0,
+            report.reliability.retry_success_count() > 0,
             "late arrivals should ride out the crash via rung-1 retry"
         );
         assert!(

@@ -44,7 +44,7 @@ use vdap_offload::ContentionModel;
 use vdap_sim::{RngStream, SeedFactory, SimDuration, SimTime, StreamingHistogram};
 
 use crate::config::{collector_label, FleetConfig, IngestConfig, STORE_LABEL};
-use crate::metrics::FleetTelemetry;
+use crate::metrics::{series, FleetTelemetry};
 
 /// Ingestion accounting (engine-side; reported through
 /// `FleetReport::ingest` and the deterministic summary).
@@ -418,11 +418,10 @@ impl IngestPass {
                 .map(RegionCollector::queued_records)
                 .sum();
             tel.registry
-                .sample("ingest.queued_records", epoch, end, queued as f64);
+                .sample(series::QUEUED_RECORDS, epoch, end, queued as f64);
             tel.registry
-                .sample("ingest.written_records", epoch, end, written_records as f64);
-            tel.registry.sample("ingest.storage_rho", epoch, end, rho);
-            tel.registry.inc("fleet.ingest_written", written_records);
+                .sample(series::WRITTEN_RECORDS, epoch, end, written_records as f64);
+            tel.registry.sample(series::STORAGE_RHO, epoch, end, rho);
         }
     }
 

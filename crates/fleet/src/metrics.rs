@@ -137,9 +137,6 @@ pub struct FleetMetrics {
     pub requests: u64,
     /// In-flight requests re-queued off crashed XEdge lanes.
     pub requeued: u64,
-    /// Requests rescued by rung-1 deadline-aware retry (sub-count of
-    /// the served requests).
-    pub retry_rescued: u64,
     /// Requests served through a neighbor region's node at a handoff
     /// cost (rung 2, sub-count of the served requests).
     pub handoffs: u64,
@@ -170,7 +167,6 @@ impl FleetMetrics {
             work_units_by_tenant: BTreeMap::new(),
             requests: 0,
             requeued: 0,
-            retry_rescued: 0,
             handoffs: 0,
             training_rounds_skipped: 0,
             scale_ups: 0,
@@ -252,6 +248,63 @@ impl FleetMetrics {
     }
 }
 
+/// The per-epoch series the engine samples, one point per barrier each:
+/// the closed vocabulary of registry names. Every `registry.sample`
+/// call names its series from here, a rollup histogram carries its
+/// series' name, and restore refuses any name not in [`series::ALL`].
+pub(crate) mod series {
+    /// Requests the serving pass admitted this barrier.
+    pub const QUEUE_DEPTH: &str = "xedge.queue_depth";
+    /// The lane pool after the barrier's elastic step.
+    pub const LANES: &str = "xedge.lanes";
+    /// Requests served this barrier, per class (indexed by
+    /// `WorkloadClass::index`).
+    pub const SERVED: [&str; 3] = [
+        "fleet.served.detection",
+        "fleet.served.infotainment",
+        "fleet.served.pbeam-training",
+    ];
+    /// Requests rejected this barrier, per class.
+    pub const REJECTED: [&str; 3] = [
+        "fleet.rejected.detection",
+        "fleet.rejected.infotainment",
+        "fleet.rejected.pbeam-training",
+    ];
+    /// Region crossings in the epoch.
+    pub const CROSSINGS: &str = "mobility.crossings";
+    /// Crossings that changed the vehicle's home-node domain.
+    pub const MIGRATIONS: &str = "mobility.migrations";
+    /// Records queued in the DDI collectors after the ingest pass.
+    pub const QUEUED_RECORDS: &str = "ingest.queued_records";
+    /// Records the storage tier made durable this barrier.
+    pub const WRITTEN_RECORDS: &str = "ingest.written_records";
+    /// The storage tier's utilization over the epoch.
+    pub const STORAGE_RHO: &str = "ingest.storage_rho";
+
+    /// Every series the engine samples.
+    pub const ALL: [&str; 13] = [
+        QUEUE_DEPTH,
+        LANES,
+        SERVED[0],
+        SERVED[1],
+        SERVED[2],
+        REJECTED[0],
+        REJECTED[1],
+        REJECTED[2],
+        CROSSINGS,
+        MIGRATIONS,
+        QUEUED_RECORDS,
+        WRITTEN_RECORDS,
+        STORAGE_RHO,
+    ];
+
+    /// The series spelled `name`, or `None` when the engine samples no
+    /// such series.
+    pub fn named(name: &str) -> Option<&'static str> {
+        ALL.into_iter().find(|&series| series == name)
+    }
+}
+
 /// Deterministic sim-time telemetry captured during a run (present only
 /// when [`crate::FleetConfig::with_telemetry`] was used).
 ///
@@ -266,8 +319,8 @@ pub struct FleetTelemetry {
     /// order (post-sampling; spans already spilled to disk are gone
     /// from here).
     pub spans: SpanLog,
-    /// Named counters, gauges, per-epoch time series, and streaming
-    /// histograms.
+    /// Per-epoch time series, and the streaming histograms their
+    /// rolled-up points went to.
     pub registry: MetricsRegistry,
     /// Segment-rotating JSONL spill writer, when configured.
     pub spill: Option<JsonlSpillSink>,
@@ -342,10 +395,10 @@ impl FleetTelemetry {
     /// order: spill buffered spans (every barrier when no budget is
     /// set, else only once the budget is crossed), roll over-long
     /// series into histograms, and — with no spill and no explicit
-    /// sampling — auto-activate OK-span sampling retroactively. The
-    /// `telemetry_bytes` gauge and `peak_bytes` are updated *after*
-    /// enforcement: they measure what enforcement achieved. Every
-    /// decision reads counts only, never the barrier's index.
+    /// sampling — auto-activate OK-span sampling retroactively.
+    /// `peak_bytes` is updated *after* enforcement: it measures what
+    /// enforcement achieved. Every decision reads counts only, never
+    /// the barrier's index.
     pub fn barrier_flush(&mut self, _epoch: u64) {
         let over = self
             .budget
@@ -369,9 +422,7 @@ impl FleetTelemetry {
         if self.rolled {
             self.registry.roll_series(SERIES_RETENTION);
         }
-        let resident = self.resident_bytes();
-        self.registry.set_gauge("telemetry_bytes", resident as f64);
-        self.peak_bytes = self.peak_bytes.max(resident);
+        self.peak_bytes = self.peak_bytes.max(self.resident_bytes());
     }
 
     /// End-of-run flush: with spill configured, every still-buffered
@@ -381,9 +432,7 @@ impl FleetTelemetry {
         if self.spill.is_some() {
             self.drain_to_spill();
         }
-        let resident = self.resident_bytes();
-        self.registry.set_gauge("telemetry_bytes", resident as f64);
-        self.peak_bytes = self.peak_bytes.max(resident);
+        self.peak_bytes = self.peak_bytes.max(self.resident_bytes());
     }
 
     fn drain_to_spill(&mut self) {
@@ -427,7 +476,8 @@ pub struct FleetReport {
     pub vehicles: u32,
     /// Simulated duration.
     pub duration: SimDuration,
-    /// Total discrete events (request ticks + ingest uploads) processed.
+    /// Total discrete events processed: request ticks (one per request)
+    /// plus ingest uploads (one per batch sent).
     pub events_processed: u64,
     /// Requests offered to the XEdge admission gate.
     pub admission_offered: u64,
@@ -443,14 +493,13 @@ pub struct FleetReport {
     pub ingest: Option<IngestMetrics>,
     /// Sim-time telemetry (spans + registry), when enabled.
     pub telemetry: Option<FleetTelemetry>,
-    /// Wall-clock engine profile: per-worker busy and barrier-idle time.
-    /// Always captured; reported only via [`FleetReport::diagnostics`],
-    /// never in the deterministic [`FleetReport::summary`].
+    /// Wall-clock engine profile: per-worker busy and barrier-idle time,
+    /// steals, and the barrier split by pass. Always captured, never in
+    /// the deterministic [`FleetReport::summary`].
     pub profile: EngineProfile,
     /// Checkpoint/restore accounting (per-generation snapshot sizes and
     /// write timings, restore decode time, rejected generations).
-    /// Wall-clock like the profile: reported only via
-    /// [`FleetReport::diagnostics`], never in the summary.
+    /// Wall-clock like the profile, so never in the summary either.
     pub snapshots: SnapshotDiagnostics,
 }
 
@@ -562,7 +611,7 @@ impl FleetReport {
             "ladder: requeued={} retry_rescued={} retries={} handoffs={} local_fallbacks={} \
              rounds_skipped={} degraded_s={:.3}",
             m.requeued,
-            m.retry_rescued,
+            self.reliability.retry_success_count(),
             self.reliability.retry_count(),
             m.handoffs,
             total.local_fallbacks,
@@ -643,51 +692,6 @@ impl FleetReport {
         }
         out
     }
-
-    /// The wall-clock diagnostics block: per-worker busy and
-    /// barrier-idle time, serial barrier time, and telemetry volume.
-    ///
-    /// This is the *nondeterministic* counterpart of
-    /// [`FleetReport::summary`] — wall-clock readings differ run to run,
-    /// so nothing in this block may ever feed a byte-identity
-    /// comparison.
-    #[must_use]
-    pub fn diagnostics(&self) -> String {
-        let mut out = self.profile.render();
-        if let Some(tel) = &self.telemetry {
-            let series = tel.registry.all_series().count();
-            let _ = writeln!(
-                out,
-                "telemetry: spans={} series={} counters={} hists={} resident_bytes={} peak_bytes={}",
-                tel.spans.len(),
-                series,
-                tel.registry.counters().count(),
-                tel.registry.all_histograms().count(),
-                tel.resident_bytes(),
-                tel.peak_bytes
-            );
-            if let Some(spill) = &tel.spill {
-                let _ = writeln!(
-                    out,
-                    "telemetry_spill: spilled={} segments={} io_errors={}",
-                    spill.spilled(),
-                    spill.segments().len(),
-                    spill.io_errors()
-                );
-            }
-            if let Some(keep_one_in) = tel.sample {
-                let _ = writeln!(
-                    out,
-                    "telemetry_sample: keep_one_in={keep_one_in} sampled_out={}",
-                    tel.sampled_out
-                );
-            }
-        }
-        if !self.snapshots.is_empty() {
-            let _ = write!(out, "{}", self.snapshots);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -763,7 +767,10 @@ mod tests {
 
     #[test]
     fn diagnostics_carries_profile_but_summary_does_not() {
-        let report = FleetReport {
+        // The wall-clock diagnostics are the report's typed `profile`
+        // and `snapshots` fields; filling them leaves the summary as it
+        // was.
+        let quiet = FleetReport {
             metrics: FleetMetrics::new(),
             reliability: ReliabilityStats::new(),
             region_availability: Vec::new(),
@@ -776,42 +783,22 @@ mod tests {
             region_admission: None,
             ingest: None,
             telemetry: Some(FleetTelemetry::default()),
-            profile: EngineProfile {
-                worker_busy: vec![std::time::Duration::from_millis(5); 2],
-                worker_idle: vec![std::time::Duration::from_millis(1); 2],
-                worker_steals: vec![1, 0],
-                worker_stolen: vec![
-                    std::time::Duration::from_millis(1),
-                    std::time::Duration::ZERO,
-                ],
-                barrier: std::time::Duration::from_millis(2),
-                passes: {
-                    let mut passes = [std::time::Duration::ZERO; 6];
-                    passes[vdap_obs::BarrierPass::Serve as usize] =
-                        std::time::Duration::from_millis(2);
-                    passes
-                },
-                epochs: 4,
-            },
+            profile: EngineProfile::new(2),
             snapshots: SnapshotDiagnostics::default(),
         };
-        let d = report.diagnostics();
-        assert!(d.contains("profile: epochs=4"));
-        assert!(d.contains("worker[0]:"));
-        assert!(d.contains("barrier_idle_ms="));
-        assert!(d.contains("steals="));
-        assert!(d.contains("barrier_passes: record_ms=0.000 serve_ms=2.000"));
-        assert!(d.contains("telemetry: spans=0"));
-        assert!(
-            !d.contains("snapshots:"),
-            "no snapshot lines unless checkpointing ran"
+        let mut profiled = quiet.clone();
+        profiled.profile.record_epoch(
+            std::time::Duration::from_millis(5),
+            &[vdap_obs::WorkerSample {
+                busy: std::time::Duration::from_millis(4),
+                steals: 1,
+            }; 2],
         );
-        assert!(
-            !report.summary().contains("busy_ms"),
-            "wall-clock must never leak into the deterministic summary"
+        profiled.profile.record_pass(
+            vdap_obs::BarrierPass::Serve,
+            std::time::Duration::from_millis(2),
         );
-        let mut with_snapshots = report.clone();
-        with_snapshots.snapshots = SnapshotDiagnostics {
+        profiled.snapshots = SnapshotDiagnostics {
             writes: vec![crate::SnapshotWrite {
                 generation: 8,
                 bytes: 4096,
@@ -822,14 +809,13 @@ mod tests {
             rejected_generations: vec![16],
             resumes: 1,
         };
-        let d = with_snapshots.diagnostics();
-        assert!(d.contains("snapshots: 1 written, 1 resume(s), 1 generation(s) rejected"));
-        assert!(d.contains("write gen 8: 4096 B"));
-        assert!(d.contains("(torn-write injected)"));
-        assert!(d.contains("rejected gen 16"));
-        assert!(
-            !with_snapshots.summary().contains("snapshots"),
-            "snapshot wall-clock must never leak into the summary"
+        assert_eq!(profiled.profile.total_steals(), 2);
+        assert_eq!(profiled.profile.epochs, 1);
+        assert_eq!(profiled.snapshots.rejected_generations, [16]);
+        assert_eq!(
+            profiled.summary(),
+            quiet.summary(),
+            "wall-clock must never leak into the deterministic summary"
         );
     }
 

@@ -233,8 +233,6 @@ pub(crate) struct BatchOut {
     /// V2V lookups that *would* have hit but were suppressed because
     /// the vehicle's collab cache went stale at its last crossing.
     pub stale_hits: u64,
-    /// Per-vehicle events (request ticks + ingest uploads) processed.
-    pub events: u64,
     /// Requests issued, per class (indexed by [`WorkloadClass::index`]).
     pub requests: [u64; 3],
 }
@@ -252,7 +250,6 @@ impl BatchOut {
             publications: Vec::with_capacity(vehicles),
             resolved: Vec::with_capacity(vehicles),
             stale_hits: 0,
-            events: 0,
             requests: [0; 3],
         }
     }
@@ -309,7 +306,6 @@ impl<'a> VehicleBatch<'a> {
                     }
                     (None, None) => break,
                 }
-                self.out.events += 1;
             }
         }
     }
@@ -464,8 +460,9 @@ pub(crate) fn enc_vehicle(w: &mut JsonWriter, v: &VehicleState) {
 
 /// Decodes vehicle `id`, driving in `region`, from a snapshot taken at
 /// barrier `t_snap`, rejecting state no run could have reached: a DDI
-/// uplink the config disagrees with, or a next event outside
-/// `(t_snap, horizon]`.
+/// uplink the config disagrees with, a next event outside
+/// `(t_snap, horizon]`, or more sequence numbers than ticks by
+/// `t_snap`.
 pub(crate) fn dec_vehicle(
     cfg: &FleetConfig,
     v: &Value,
@@ -502,6 +499,22 @@ pub(crate) fn dec_vehicle(
     ] {
         if at.is_some_and(|t| t <= t_snap || t > horizon) {
             return reject(format!("{name} outside (barrier, horizon]"));
+        }
+    }
+    // Ticks come at least 0.9 periods apart after a first one inside
+    // the first period; twice the period's rate bounds them with room
+    // to spare and keeps a restored `seq` far from `u32::MAX`.
+    let most =
+        |period: SimDuration| t_snap.elapsed().as_nanos().saturating_mul(2) / period.as_nanos() + 1;
+    let uplink = vehicle.ddi.as_ref().zip(cfg.ingest.as_ref());
+    for (name, seq, period) in [("seq", vehicle.seq, cfg.request_period)]
+        .into_iter()
+        .chain(uplink.map(|(d, ing)| ("ddi seq", d.seq, ing.upload_period)))
+    {
+        if u64::from(seq) > most(period) {
+            return reject(format!(
+                "{name} {seq} past the ticks a run reaches by the barrier"
+            ));
         }
     }
     Ok(vehicle)

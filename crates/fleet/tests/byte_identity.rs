@@ -15,18 +15,18 @@ use vdap_sim::{SimDuration, SimTime};
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// supervised run, the torn generation 8 included.
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0xd613_44bc_1255_9adc),
-    (8, 0x04af_f793_92bb_f769),
-    (12, 0x0049_9bd0_6b4e_8ec8),
+    (4, 0x8f2b_1659_e1d6_5e48),
+    (8, 0xe73a_45f2_f641_2571),
+    (12, 0x9246_97af_28ae_a168),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
 /// series rollup into histograms and spill counters in the payload.
 const BUDGET_SNAPSHOT_PINS: [(u64, u64); 4] = [
-    (17, 0x94bf_0995_0c00_0ce0),
-    (34, 0x7dec_d376_f4d5_424c),
-    (51, 0x760f_5127_d479_09ce),
-    (68, 0x908b_f150_3a43_1750),
+    (17, 0x4ff9_175b_687b_bb2f),
+    (34, 0x1457_16ff_7e25_89b6),
+    (51, 0x3db1_7769_31ef_d3cc),
+    (68, 0x4353_12f3_86c8_6bef),
 ];
 
 /// FNV-1a of each spill segment of the spill run, in segment order.
@@ -123,9 +123,9 @@ fn budgeted_snapshot_texts_are_byte_identical() {
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// backlogged run, and the FNV-1a of its summary.
 const BACKLOG_SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0x98f3_1c3f_15e1_2a6e),
-    (8, 0xd4d4_6484_cb4b_e00c),
-    (12, 0x20ad_4ef3_5c03_55e8),
+    (4, 0x74f0_9f79_bb91_d791),
+    (8, 0x29b5_fdfc_9598_c3a3),
+    (12, 0x9779_0706_19ef_96d7),
 ];
 const BACKLOG_SUMMARY_PIN: u64 = 0xcb10_ab25_8de2_2d84;
 

@@ -4,7 +4,8 @@
 //! (torn writes, bit rot) and even when the restoring engine uses a
 //! different executor width and batch size than the writer. A snapshot
 //! whose checksum matches but whose vehicles, histograms, ingest
-//! backlog, XEdge or mobility state are impossible is refused.
+//! backlog, XEdge or mobility state, ledgers or series names are
+//! impossible is refused.
 
 use std::sync::OnceLock;
 
@@ -233,18 +234,7 @@ fn assert_reports_identical(straight: &FleetReport, resumed: &FleetReport) {
         resumed.telemetry.as_ref().expect("telemetry on"),
     );
     assert_eq!(s.spans.spans(), r.spans.spans());
-    assert_eq!(
-        s.registry.counters().collect::<Vec<_>>(),
-        r.registry.counters().collect::<Vec<_>>()
-    );
-    assert_eq!(
-        s.registry.gauges().collect::<Vec<_>>(),
-        r.registry.gauges().collect::<Vec<_>>()
-    );
-    assert_eq!(
-        s.registry.all_series().collect::<Vec<_>>(),
-        r.registry.all_series().collect::<Vec<_>>()
-    );
+    assert_eq!(s.registry, r.registry);
 }
 
 #[test]
@@ -272,10 +262,11 @@ fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
                 .any(|(component, _)| component == "engine"),
             "engine downtime missing from the ledger"
         );
-        // The snapshot diagnostics surface in diagnostics(), not in the
-        // deterministic summary.
-        assert!(resumed.diagnostics().contains("snapshots:"));
-        assert!(!resumed.summary().contains("snapshots:"));
+        // The resumed leg decoded a snapshot, and its wall-clock cost
+        // stays in the typed accounting, out of the summary.
+        assert!(resumed.snapshots.load_ms.is_some(), "layout {layout:?}");
+        assert!(resumed.snapshots.rejected_generations.is_empty());
+        assert!(!resumed.summary().contains("snapshots"));
     }
 }
 
@@ -308,9 +299,16 @@ fn torn_write_on_newest_snapshot_falls_back_one_generation() {
         "torn generation 8 was not rejected: {:?}",
         resumed.snapshots.rejected_generations
     );
-    let diag = resumed.diagnostics();
-    assert!(diag.contains("torn-write injected"), "diagnostics: {diag}");
-    assert!(diag.contains("rejected gen 8"), "diagnostics: {diag}");
+    // Both legs write generation 8 inside the torn-write window.
+    let mut torn: Vec<u64> = resumed
+        .snapshots
+        .writes
+        .iter()
+        .filter(|w| w.chaos == Some("torn-write"))
+        .map(|w| w.generation)
+        .collect();
+    torn.dedup();
+    assert_eq!(torn, [8], "writes: {:?}", resumed.snapshots.writes);
     assert_reports_identical(&straight, &resumed);
 }
 
@@ -944,7 +942,7 @@ fn restore_rejects_spans_naming_what_the_run_does_not_have() {
 }
 
 #[test]
-fn restore_refuses_sink_counts_past_the_requests_and_registry_counters_saturate() {
+fn restore_refuses_sink_counts_past_the_requests() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fleet-resume-sink-tamper");
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = spill_config(&dir).with_span_sampling(4);
@@ -973,7 +971,7 @@ fn restore_refuses_sink_counts_past_the_requests_and_registry_counters_saturate(
             sink(
                 &sink(&snap, "spill_index", Value::from(format!("{:x}", u32::MAX))),
                 "spill_bytes",
-                max.clone(),
+                max,
             ),
             "spill segment 4294967295 follows only",
         ),
@@ -984,30 +982,160 @@ fn restore_refuses_sink_counts_past_the_requests_and_registry_counters_saturate(
             .expect_err("a sink counting spans no request made must be refused");
         assert!(err.to_string().contains(expect), "{what}: {err}");
     }
-    // Registry counters count different things, so no one bound fits
-    // them: a counter at the top restores and saturates instead.
-    let counter = value_at(&snap.payload, &["telemetry", "counters", "0", "0"])
-        .as_str()
-        .expect("counter name")
-        .to_string();
-    let tampered = with_value_at(&snap, &["telemetry", "counters", "0", "1"], max);
-    let report = engine
-        .restore(&tampered)
-        .expect("a saturating counter restores");
-    let tel = report.telemetry.as_ref().expect("telemetry");
-    assert_eq!(tel.registry.counter(&counter), u64::MAX, "{counter}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Object keys a version-6 payload never writes: restore rebuilds each
-/// value from the config, the seed or the rest of the payload.
-const DROPPED_KEYS: [&str; 20] = [
+#[test]
+fn restore_refuses_series_names_the_engine_does_not_sample() {
+    // The budgeted run of `crash_resume_round_trips_budget_...` without
+    // its crash: past epoch 64 every series has rolled its oldest points
+    // into a same-named histogram.
+    let mut cfg = FleetConfig::sized(64)
+        .with_ingest()
+        .with_telemetry_budget(4 * 1024);
+    cfg.seed = 23;
+    cfg.duration = SimDuration::from_secs(8);
+    cfg.epoch = SimDuration::from_millis(100);
+    let cfg = cfg.with_checkpoint(4, 3);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let snap = store.newest_valid().0.expect("valid snapshot");
+    let engine = FleetEngine::new(cfg);
+    engine
+        .restore(&snap)
+        .expect("the untampered snapshot restores");
+    let hists = value_at(&snap.payload, &["telemetry", "hists"]);
+    assert!(!hists.as_array().expect("hists").is_empty(), "rollup ran");
+    for (what, path) in [("series", "series"), ("histogram", "hists")] {
+        let tampered = with_value_at(
+            &snap,
+            &["telemetry", path, "0", "0"],
+            Value::from("fleet.requests"),
+        );
+        let err = engine
+            .restore(&tampered)
+            .expect_err("a name the engine never samples must be refused");
+        assert!(
+            err.to_string()
+                .contains("telemetry names unknown series \"fleet.requests\""),
+            "{what}: {err}"
+        );
+    }
+}
+
+#[test]
+fn restore_refuses_ledgers_that_disagree() {
+    let cfg = full_stack_config(41);
+    let mut store = SnapshotStore::in_memory();
+    let _ = FleetEngine::new(cfg.clone()).run_supervised(&mut store);
+    let snap = store.newest_valid().0.expect("valid snapshot");
+    let engine = FleetEngine::new(cfg);
+    let hex = |x: u64| Value::from(format!("{x:x}"));
+    let hex_at = |path: &[&str]| {
+        let count = value_at(&snap.payload, path).as_str().expect("hex count");
+        u64::from_str_radix(count, 16).expect("hex count")
+    };
+    let u32_at = |path: &[&str]| value_at(&snap.payload, path).as_u64().expect("u32") as u32;
+    let requests = hex_at(&["metrics", "by_class", "0", "requests"]);
+    let sent = hex_at(&["ingest", "metrics", "batches_sent"]);
+    let credited = hex_at(&["metrics", "work_units_by_tenant", "0", "1"]);
+    // A sequence number at the top, with its ledger raised to match so
+    // that the sums still agree.
+    let at_top = |seq_path: &[&str], ledger_path: &[&str], ledger: u64| {
+        let lift = u64::from(u32::MAX) - u64::from(u32_at(seq_path));
+        with_value_at(
+            &with_value_at(&snap, seq_path, Value::from(u32::MAX)),
+            ledger_path,
+            hex(ledger + lift),
+        )
+    };
+    let cases = [
+        (
+            "vehicle seq",
+            with_vehicle_field(
+                &snap,
+                0,
+                "seq",
+                Value::from(u32_at(&["vehicles", "0", "seq"]) + 1),
+            ),
+            "vehicles issued",
+        ),
+        (
+            "DDI seq",
+            with_value_at(
+                &snap,
+                &["vehicles", "0", "ddi", "seq"],
+                Value::from(u32_at(&["vehicles", "0", "ddi", "seq"]) + 1),
+            ),
+            "vehicles uploaded",
+        ),
+        (
+            "class outcomes",
+            with_value_at(
+                &snap,
+                &["metrics", "by_class", "0", "collab_hits"],
+                hex(requests + 1),
+            ),
+            "ends more requests than the",
+        ),
+        (
+            "work units",
+            with_value_at(
+                &snap,
+                &["metrics", "work_units_by_tenant", "0", "1"],
+                hex(credited + 1),
+            ),
+            "work units, served requests earned",
+        ),
+        (
+            "vehicle seq at the top",
+            at_top(
+                &["vehicles", "0", "seq"],
+                &["metrics", "by_class", "0", "requests"],
+                requests,
+            ),
+            "vehicle slot 0: seq 4294967295 past the ticks",
+        ),
+        (
+            "DDI seq at the top",
+            at_top(
+                &["vehicles", "0", "ddi", "seq"],
+                &["ingest", "metrics", "batches_sent"],
+                sent,
+            ),
+            "vehicle slot 0: ddi seq 4294967295 past the ticks",
+        ),
+        (
+            "work-unit overflow",
+            with_value_at(
+                &snap,
+                &["metrics", "work_units_by_tenant", "0", "1"],
+                hex(u64::MAX),
+            ),
+            "work units overflow",
+        ),
+    ];
+    for (what, tampered, expect) in cases {
+        let err = engine
+            .restore(&tampered)
+            .expect_err("ledgers that disagree must be refused");
+        assert!(err.to_string().contains(expect), "{what}: {err}");
+    }
+}
+
+/// Object keys a version-7 payload never writes: restore rebuilds each
+/// value from the config, the seed or the rest of the payload, or the
+/// engine no longer keeps it (registry counters and gauges).
+const DROPPED_KEYS: [&str; 24] = [
     "admission",
     "bytes",
     "cap_overrides",
+    "counters",
     "deadline",
     "depth",
     "dwell_mean",
+    "events_base",
+    "gauges",
     "home",
     "id",
     "outbound_at",
@@ -1018,6 +1146,7 @@ const DROPPED_KEYS: [&str; 20] = [
     "registrations",
     "rejected_by_tenant",
     "req",
+    "retry_rescued",
     "return_at",
     "shard",
     "tenant",
@@ -1157,8 +1286,32 @@ fn keys_restore_rebuilds_leave_the_format_and_are_ignored_when_written_back() {
                 vec![("tenant", Value::from(999u32)), ("work", hex(0))],
             ));
             cases.extend(at(
+                &[],
+                vec![("events_base", hex(u64::MAX)), ("events_base", hex(0))],
+            ));
+            cases.extend(at(
+                &["telemetry"],
+                vec![
+                    (
+                        "counters",
+                        Value::Array(vec![Value::Array(vec![
+                            Value::from("fleet.served"),
+                            hex(u64::MAX),
+                        ])]),
+                    ),
+                    (
+                        "gauges",
+                        Value::Array(vec![Value::Array(vec![
+                            Value::from("telemetry_bytes"),
+                            hex(f64::NAN.to_bits()),
+                        ])]),
+                    ),
+                ],
+            ));
+            cases.extend(at(
                 &["metrics"],
                 vec![
+                    ("retry_rescued", hex(u64::MAX)),
                     ("edge_served", hex(edge_served + 1000)),
                     ("requests", hex(u64::MAX)),
                     ("collab_hits", hex(0)),

@@ -71,15 +71,6 @@ fn assert_reconciles(report: &FleetReport) {
         spans.outcome_count(SpanOutcome::Skipped),
         m.training_rounds_skipped
     );
-    // Registry counters mirror the same partition.
-    let r = &tel.registry;
-    assert_eq!(r.counter("fleet.requests"), m.requests);
-    assert_eq!(r.counter("fleet.served"), total.edge_served);
-    assert_eq!(r.counter("fleet.collab_hits"), total.collab_hits);
-    assert_eq!(r.counter("fleet.failovers"), total.failovers);
-    assert_eq!(r.counter("fleet.rejected"), total.rejected);
-    assert_eq!(r.counter("fleet.local_fallbacks"), total.local_fallbacks);
-    assert_eq!(r.counter("fleet.handoffs"), m.handoffs);
     // The latency histograms against the spans as independent truth:
     // per-class counts, exact tick aggregates (in a millisecond
     // histogram one tick is one nanosecond), and nearest-rank quantiles
@@ -188,9 +179,9 @@ proptest! {
             prop_assert_eq!(reports[0].summary(), r.summary());
             let tel = r.telemetry.as_ref().expect("telemetry enabled");
             prop_assert_eq!(base.spans.spans(), tel.spans.spans(), "sampled span sets diverged");
-            // Registry equality covers series, histograms, counters and
-            // the telemetry_bytes gauge — all layout-invariant because
-            // the byte estimate is count-based.
+            // Registry equality covers series and rollup histograms, and
+            // the peak byte estimate is layout-invariant because it is
+            // count-based.
             prop_assert_eq!(&base.registry, &tel.registry, "registries diverged");
             prop_assert_eq!(base.sampled_out, tel.sampled_out, "sampler drop counts diverged");
             prop_assert_eq!(base.peak_bytes, tel.peak_bytes, "peak byte estimates diverged");
@@ -221,10 +212,6 @@ proptest! {
         prop_assert!(
             total.failovers > 0 && total.rejected > 0 && total.local_fallbacks > 0,
             "the chaos must produce failovers, rejections and rung-3 outcomes"
-        );
-        prop_assert!(
-            base.registry.gauge("telemetry_bytes").is_some(),
-            "self-accounting gauge must be set"
         );
     }
 }

@@ -19,8 +19,8 @@
 //! on therefore cannot perturb a run, and the engine's byte-identity
 //! across executor width and batch size extends to the telemetry
 //! itself. The profile is the one *wall-clock* component; it lives on
-//! the other side of the boundary and is only ever reported in a
-//! separate diagnostics block, never in a deterministic summary.
+//! the other side of the boundary and is only ever reported as typed
+//! fields of its own, never in a deterministic summary.
 //!
 //! ```
 //! use vdap_obs::{chrome_trace, MetricsRegistry, RequestSpan, SpanLog, SpanOutcome};
@@ -54,7 +54,7 @@ mod span;
 
 pub use chrome::{chrome_trace, span_event, spans_jsonl};
 pub use profile::{BarrierPass, EngineProfile, WorkerSample};
-pub use registry::{intern_name, MetricsRegistry, SeriesPoint};
+pub use registry::{MetricsRegistry, SeriesPoint};
 pub use sink::{sample_keeps, JsonlSpillSink, DEFAULT_SEGMENT_BYTES, SPAN_RESIDENT_BYTES};
 pub use span::{RequestSpan, SpanLog, SpanOutcome};
 // The histogram behind every registry rollup is the workspace's one

@@ -1,36 +1,16 @@
-//! A registry of named counters, gauges, and per-epoch time series.
+//! A registry of per-epoch time series and the histograms their oldest
+//! points roll into.
 //!
 //! The fleet engine samples the registry **only at epoch barriers**, on
 //! globally-determined values (queue depth after the canonical serving
 //! pass, the elastic lane count, per-class outcome counts of the
-//! barrier's batch). Names are interned `&'static str`s and the storage
-//! is `BTreeMap`, so iteration order — and any export built from it —
-//! is deterministic.
+//! barrier's batch). Names are `&'static str`s and the storage is
+//! `BTreeMap`, so iteration order — and any export built from it — is
+//! deterministic.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
 use vdap_sim::{SimTime, StreamingHistogram};
-
-/// Interns a metric name into a `&'static str`.
-///
-/// Registry keys are `'static` by design (every in-run name is a
-/// literal), but names restored from a checkpoint arrive as owned
-/// strings. Interning leaks each *distinct* name at most once per
-/// process and returns the same pointer thereafter, so repeated
-/// restores don't accumulate memory.
-#[must_use]
-pub fn intern_name(name: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut pool = pool.lock().expect("intern pool poisoned");
-    if let Some(&interned) = pool.get(name) {
-        return interned;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    pool.insert(name.to_string(), leaked);
-    leaked
-}
 
 /// One sampled point of a per-epoch time series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,12 +29,10 @@ pub struct SeriesPoint {
 /// widths so budget decisions derived from it stay deterministic.
 const MAP_ENTRY_BYTES: u64 = 32;
 
-/// Named counters, gauges, epoch-sampled time series, and streaming
-/// histograms.
+/// Epoch-sampled time series, and the streaming histograms their
+/// rolled-up prefixes fold into.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
     series: BTreeMap<&'static str, Vec<SeriesPoint>>,
     hists: BTreeMap<&'static str, StreamingHistogram>,
 }
@@ -66,19 +44,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds `by` to the named monotonic counter. The count saturates
-    /// at `u64::MAX`, as histogram counts do, so a counter restored
-    /// near the top cannot overflow the resumed run.
-    pub fn inc(&mut self, name: &'static str, by: u64) {
-        let count = self.counters.entry(name).or_insert(0);
-        *count = count.saturating_add(by);
-    }
-
-    /// Sets the named gauge to its latest value.
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
     /// Appends one epoch sample to the named time series.
     pub fn sample(&mut self, name: &'static str, epoch: u64, at: SimTime, value: f64) {
         self.series
@@ -87,32 +52,10 @@ impl MetricsRegistry {
             .push(SeriesPoint { epoch, at, value });
     }
 
-    /// Current value of a counter (0 when never incremented).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Latest value of a gauge, if ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The sampled points of a time series (empty when never sampled).
     #[must_use]
     pub fn series(&self, name: &str) -> &[SeriesPoint] {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All counters, in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// All gauges, in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(&k, &v)| (k, v))
     }
 
     /// All time series, in name order.
@@ -120,15 +63,8 @@ impl MetricsRegistry {
         self.series.iter().map(|(&k, v)| (k, v.as_slice()))
     }
 
-    /// Records one value into the named streaming histogram.
-    pub fn record_hist(&mut self, name: &'static str, value: f64) {
-        self.hists
-            .entry(name)
-            .or_insert_with(|| StreamingHistogram::new(name))
-            .record(value);
-    }
-
-    /// The named streaming histogram, if anything was ever recorded.
+    /// The named streaming histogram, if anything was ever rolled into
+    /// it.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&StreamingHistogram> {
         self.hists.get(name)
@@ -174,11 +110,9 @@ impl MetricsRegistry {
 
     /// Approximate resident bytes of the registry, computed purely from
     /// entry counts (wall-clock free): a fixed overhead per map entry plus
-    /// its value — 8 B per scalar, a series' points, a histogram's
-    /// resident buckets.
+    /// its value — a series' points, a histogram's resident buckets.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
-        let scalars = (self.counters.len() + self.gauges.len()) as u64 * (MAP_ENTRY_BYTES + 8);
         let series: u64 = self
             .series
             .values()
@@ -189,41 +123,13 @@ impl MetricsRegistry {
             .values()
             .map(|h| MAP_ENTRY_BYTES + h.resident_bytes())
             .sum();
-        scalars + series + hists
+        series + hists
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut r = MetricsRegistry::new();
-        r.inc("fleet.served", 3);
-        r.inc("fleet.served", 2);
-        assert_eq!(r.counter("fleet.served"), 5);
-        assert_eq!(r.counter("never"), 0);
-    }
-
-    #[test]
-    fn counters_saturate_at_u64_max() {
-        let mut r = MetricsRegistry::new();
-        r.inc("fleet.served", u64::MAX);
-        r.inc("fleet.served", 1);
-        assert_eq!(r.counter("fleet.served"), u64::MAX);
-        r.inc("fleet.served", u64::MAX);
-        assert_eq!(r.counter("fleet.served"), u64::MAX);
-    }
-
-    #[test]
-    fn gauges_keep_the_latest_value() {
-        let mut r = MetricsRegistry::new();
-        r.set_gauge("xedge.lanes", 16.0);
-        r.set_gauge("xedge.lanes", 24.0);
-        assert_eq!(r.gauge("xedge.lanes"), Some(24.0));
-        assert_eq!(r.gauge("never"), None);
-    }
 
     #[test]
     fn series_record_epoch_samples_in_order() {
@@ -235,17 +141,6 @@ mod tests {
         assert_eq!(pts[0].epoch, 0);
         assert_eq!(pts[1].value, 7.0);
         assert!(r.series("never").is_empty());
-    }
-
-    #[test]
-    fn interning_dedupes_and_matches_literals() {
-        let a = intern_name("fleet.test.interned");
-        let b = intern_name("fleet.test.interned");
-        assert!(std::ptr::eq(a, b), "same name must intern to one pointer");
-        let mut r = MetricsRegistry::new();
-        r.inc(a, 2);
-        r.inc("fleet.test.interned", 1);
-        assert_eq!(r.counter("fleet.test.interned"), 3);
     }
 
     #[test]
@@ -274,8 +169,10 @@ mod tests {
     #[test]
     fn histograms_record_and_restore() {
         let mut r = MetricsRegistry::new();
-        r.record_hist("lat", 2.0);
-        r.record_hist("lat", 4.0);
+        for (epoch, value) in [2.0, 4.0, 8.0].into_iter().enumerate() {
+            r.sample("lat", epoch as u64, SimTime::ZERO, value);
+        }
+        r.roll_series(1);
         assert_eq!(r.histogram("lat").unwrap().count(), 2);
         assert!(r.histogram("never").is_none());
         let snap = r.histogram("lat").unwrap().clone();
@@ -290,19 +187,19 @@ mod tests {
     fn approx_bytes_grows_with_contents() {
         let mut r = MetricsRegistry::new();
         let empty = r.approx_bytes();
-        r.inc("c", 1);
-        let with_counter = r.approx_bytes();
-        assert!(with_counter > empty);
         r.sample("s", 0, SimTime::ZERO, 1.0);
-        assert!(r.approx_bytes() > with_counter);
+        let with_point = r.approx_bytes();
+        assert!(with_point > empty);
+        r.sample("s", 1, SimTime::ZERO, 2.0);
+        assert!(r.approx_bytes() > with_point);
     }
 
     #[test]
     fn iteration_is_name_ordered() {
         let mut r = MetricsRegistry::new();
-        r.inc("b", 1);
-        r.inc("a", 1);
-        let names: Vec<&str> = r.counters().map(|(k, _)| k).collect();
+        r.sample("b", 0, SimTime::ZERO, 1.0);
+        r.sample("a", 0, SimTime::ZERO, 1.0);
+        let names: Vec<&str> = r.all_series().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["a", "b"]);
     }
 }

@@ -27,7 +27,7 @@ use crate::chrome::spans_jsonl;
 use crate::span::{RequestSpan, SpanLog};
 
 /// Bytes one resident span is accounted as (struct size; the `class`
-/// pointer's interned string is shared and not counted).
+/// label is a shared `&'static str` and not counted).
 pub const SPAN_RESIDENT_BYTES: u64 = std::mem::size_of::<RequestSpan>() as u64;
 
 /// Default byte size at which [`JsonlSpillSink`] rotates to a new

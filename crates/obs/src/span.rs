@@ -110,7 +110,7 @@ pub struct RequestSpan {
     /// Trace process group. The fleet engine stamps 0; the field names
     /// the Chrome trace process the span is drawn under.
     pub shard: u32,
-    /// Workload-class label (interned).
+    /// Workload-class label, shared by every span of the class.
     pub class: &'static str,
     /// When the vehicle issued the request.
     pub generated: SimTime,

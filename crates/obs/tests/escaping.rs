@@ -1,15 +1,13 @@
 //! String escaping through the vendored `serde_json` shim.
 //!
-//! Interned class names and metric names flow unmodified into
+//! Class names and metric names flow unmodified into
 //! `spans_jsonl` and `chrome_trace` output. Nothing in the platform
 //! restricts them to "nice" identifiers, so the exporters must survive
 //! names containing quotes, backslashes, control characters, and
 //! non-ASCII text: the output must still be parseable JSON that
 //! round-trips to the same document, with the original strings intact.
 
-use vdap_obs::{
-    chrome_trace, intern_name, spans_jsonl, MetricsRegistry, RequestSpan, SpanLog, SpanOutcome,
-};
+use vdap_obs::{chrome_trace, spans_jsonl, MetricsRegistry, RequestSpan, SpanLog, SpanOutcome};
 use vdap_sim::SimTime;
 
 /// Names that exercise every escape class the shim handles: double
@@ -18,13 +16,13 @@ use vdap_sim::SimTime;
 /// multi-byte UTF-8 (accented Latin, CJK, and an astral-plane emoji).
 fn hostile_names() -> Vec<&'static str> {
     vec![
-        intern_name(r#"class "quoted" name"#),
-        intern_name(r"back\slash and C:\traces\out"),
-        intern_name("line\nbreak and\ttab and\rreturn"),
-        intern_name("bell\u{0007} escape\u{001b} null-adjacent\u{0001}"),
-        intern_name("détection-véhicule"),
-        intern_name("车载检测"),
-        intern_name("emoji 🚗 class"),
+        r#"class "quoted" name"#,
+        r"back\slash and C:\traces\out",
+        "line\nbreak and\ttab and\rreturn",
+        "bell\u{0007} escape\u{001b} null-adjacent\u{0001}",
+        "détection-véhicule",
+        "车载检测",
+        "emoji 🚗 class",
     ]
 }
 
@@ -81,10 +79,7 @@ fn jsonl_lines_stay_one_per_span_despite_embedded_newlines() {
     // The newline inside "line\nbreak..." must be escaped, not emitted
     // raw — otherwise the JSONL framing breaks.
     let mut log = SpanLog::new();
-    log.push(span_with_class(
-        0,
-        intern_name("line\nbreak and\ttab and\rreturn"),
-    ));
+    log.push(span_with_class(0, "line\nbreak and\ttab and\rreturn"));
     let dump = spans_jsonl(&log);
     assert_eq!(dump.lines().count(), 1, "embedded newline must be escaped");
     assert!(dump.contains("\\n"), "newline appears in escaped form");
@@ -97,12 +92,12 @@ fn chrome_trace_with_hostile_names_round_trips() {
     let mut registry = MetricsRegistry::new();
     // Metric names take the same path through the exporter.
     registry.sample(
-        intern_name(r#"series "with quotes" and \slashes"#),
+        r#"series "with quotes" and \slashes"#,
         0,
         SimTime::from_secs(1),
         4.0,
     );
-    registry.sample(intern_name("серия-метрик"), 0, SimTime::from_secs(1), 2.0);
+    registry.sample("серия-метрик", 0, SimTime::from_secs(1), 2.0);
     let doc = chrome_trace(&log, &registry);
     let text = serde_json::to_string(&doc).expect("serialize");
     let back = serde_json::from_str(&text).expect("parse");
@@ -128,7 +123,7 @@ fn control_characters_are_emitted_as_escapes_not_raw_bytes() {
     let mut log = SpanLog::new();
     log.push(span_with_class(
         0,
-        intern_name("bell\u{0007} escape\u{001b} null-adjacent\u{0001}"),
+        "bell\u{0007} escape\u{001b} null-adjacent\u{0001}",
     ));
     let dump = spans_jsonl(&log);
     for raw in ['\u{0007}', '\u{001b}', '\u{0001}'] {

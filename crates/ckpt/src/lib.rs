@@ -62,8 +62,13 @@ use vdap_sim::fnv1a64_extend;
 /// the quota-flap overrides the next barrier sets again; version 7
 /// drops the telemetry registry's counters and gauges, which the fleet
 /// no longer keeps, and the event and rung-1 rescue counts, which equal
-/// counts other ledgers already hold.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// counts other ledgers already hold; version 8 drops the XEdge nodes'
+/// health tables, which follow from the fault plan, the elastic lane
+/// counters, which nothing reads, each vehicle's cache-tier occupancy,
+/// a sum over the cached batches, and four counts that equal others
+/// (the ingest ledger's sent, written and backlog records and the
+/// mobility ledger's crossings).
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Magic string identifying a snapshot envelope.
 pub const SNAPSHOT_MAGIC: &str = "vdap-ckpt";

@@ -86,11 +86,26 @@ impl Decision {
 ///
 /// The Elastic Management module's fleet-tier face: where
 /// [`ElasticManager::decide`] picks a pipeline for one service,
-/// [`LaneScaler`] sizes the *serving capacity* a whole fleet shares.
-/// All thresholds are integers and all decisions are pure functions of
-/// `(current lanes, observed queue depth)`, so a scaler driven from
-/// deterministic inputs is itself deterministic — the property the
-/// fleet engine's run-layout invariance depends on.
+/// [`LanePolicy::decide`] sizes the *serving capacity* a whole fleet
+/// shares. All thresholds are integers and every decision is a pure
+/// function of `(current lanes, observed queue depth)`, so a pool
+/// driven from deterministic inputs is itself deterministic — the
+/// property the fleet engine's run-layout invariance depends on.
+///
+/// # Examples
+///
+/// ```
+/// use vdap_edgeos::{LaneDecision, LanePolicy};
+///
+/// let policy = LanePolicy::around(8);
+/// assert_eq!(policy.check(), Ok(()));
+/// // 40 queued on 8 lanes = 5 per lane: grow.
+/// assert_eq!(policy.decide(8, 40), LaneDecision::Grow(9));
+/// // 2 queued on 9 lanes: shrink back toward the floor.
+/// assert_eq!(policy.decide(9, 2), LaneDecision::Shrink(8));
+/// // In the hysteresis band: hold.
+/// assert_eq!(policy.decide(8, 12), LaneDecision::Hold(8));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LanePolicy {
     /// Floor on the pool size (never scale below).
@@ -121,15 +136,55 @@ impl LanePolicy {
         }
     }
 
-    /// Panics unless the thresholds are usable.
-    fn validate(&self) {
-        assert!(self.min_lanes > 0, "lane floor must be positive");
-        assert!(self.max_lanes >= self.min_lanes, "lane ceiling below floor");
-        assert!(self.step > 0, "scaling step must be positive");
-        assert!(
-            self.scale_up_backlog > self.scale_down_backlog,
-            "scale-up threshold must exceed scale-down (hysteresis)"
-        );
+    /// Checks that the thresholds are usable: a positive floor and
+    /// step, a ceiling at or above the floor, and a hysteresis gap
+    /// between the two backlog thresholds. The error names the rule
+    /// broken.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.min_lanes == 0 {
+            Err("lane floor must be positive")
+        } else if self.max_lanes < self.min_lanes {
+            Err("lane ceiling below floor")
+        } else if self.step == 0 {
+            Err("scaling step must be positive")
+        } else if self.scale_up_backlog <= self.scale_down_backlog {
+            Err("scale-up threshold must exceed scale-down (hysteresis)")
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Decides the pool size for the next interval from the observed
+    /// queue depth. Integer arithmetic only; clamped to
+    /// `[min_lanes, max_lanes]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ceiling is below the floor, which
+    /// [`LanePolicy::check`] refuses.
+    #[must_use]
+    pub fn decide(&self, lanes: u32, queue_depth: usize) -> LaneDecision {
+        let lanes = lanes.clamp(self.min_lanes, self.max_lanes);
+        let depth = u64::try_from(queue_depth).unwrap_or(u64::MAX);
+        let grow = depth > u64::from(lanes) * u64::from(self.scale_up_backlog);
+        let shrink = depth < u64::from(lanes) * u64::from(self.scale_down_backlog);
+        if grow && lanes < self.max_lanes {
+            LaneDecision::Grow(lanes.saturating_add(self.step).min(self.max_lanes))
+        } else if shrink && lanes > self.min_lanes {
+            LaneDecision::Shrink(lanes.saturating_sub(self.step).max(self.min_lanes))
+        } else {
+            LaneDecision::Hold(lanes)
+        }
+    }
+
+    /// The per-tenant admission cap matching a scaled pool: the nominal
+    /// cap grown or shrunk in proportion to the lanes, floored at 1 so
+    /// a scaled-down tenant is squeezed, never wedged shut.
+    #[must_use]
+    pub fn tenant_cap(&self, nominal_cap: usize, nominal_lanes: u32, lanes: u32) -> usize {
+        let nominal_lanes = u64::from(nominal_lanes.max(1));
+        let scaled = (nominal_cap as u64).saturating_mul(u64::from(lanes)) / nominal_lanes;
+        usize::try_from(scaled).unwrap_or(usize::MAX).max(1)
     }
 }
 
@@ -151,108 +206,6 @@ impl LaneDecision {
         match self {
             LaneDecision::Grow(n) | LaneDecision::Shrink(n) | LaneDecision::Hold(n) => n,
         }
-    }
-}
-
-/// Deterministic elastic capacity controller for an XEdge lane pool.
-///
-/// # Examples
-///
-/// ```
-/// use vdap_edgeos::{LaneDecision, LanePolicy, LaneScaler};
-///
-/// let mut scaler = LaneScaler::new(LanePolicy::around(8));
-/// // 40 queued on 8 lanes = 5 per lane: grow.
-/// assert_eq!(scaler.decide(8, 40), LaneDecision::Grow(9));
-/// // 2 queued on 9 lanes: shrink back toward the floor.
-/// assert_eq!(scaler.decide(9, 2), LaneDecision::Shrink(8));
-/// // In the hysteresis band: hold.
-/// assert_eq!(scaler.decide(8, 12), LaneDecision::Hold(8));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LaneScaler {
-    policy: LanePolicy,
-    scale_ups: u64,
-    scale_downs: u64,
-}
-
-impl LaneScaler {
-    /// Creates a scaler.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the policy's thresholds are unusable (zero floor or
-    /// step, ceiling below floor, no hysteresis gap).
-    #[must_use]
-    pub fn new(policy: LanePolicy) -> Self {
-        policy.validate();
-        LaneScaler {
-            policy,
-            scale_ups: 0,
-            scale_downs: 0,
-        }
-    }
-
-    /// The policy in force.
-    #[must_use]
-    pub fn policy(&self) -> &LanePolicy {
-        &self.policy
-    }
-
-    /// `(scale-ups, scale-downs)` so far.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64) {
-        (self.scale_ups, self.scale_downs)
-    }
-
-    /// Rebuilds a scaler mid-run from its policy and decision counters
-    /// (checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the policy's thresholds are unusable, exactly like
-    /// [`LaneScaler::new`].
-    #[must_use]
-    pub fn from_counters(policy: LanePolicy, scale_ups: u64, scale_downs: u64) -> Self {
-        policy.validate();
-        LaneScaler {
-            policy,
-            scale_ups,
-            scale_downs,
-        }
-    }
-
-    /// Decides the pool size for the next interval from the observed
-    /// queue depth. Integer arithmetic only; clamped to
-    /// `[min_lanes, max_lanes]`.
-    pub fn decide(&mut self, lanes: u32, queue_depth: usize) -> LaneDecision {
-        let lanes = lanes.clamp(self.policy.min_lanes, self.policy.max_lanes);
-        let depth = u64::try_from(queue_depth).unwrap_or(u64::MAX);
-        let grow = depth > u64::from(lanes) * u64::from(self.policy.scale_up_backlog);
-        let shrink = depth < u64::from(lanes) * u64::from(self.policy.scale_down_backlog);
-        if grow && lanes < self.policy.max_lanes {
-            self.scale_ups += 1;
-            LaneDecision::Grow((lanes + self.policy.step).min(self.policy.max_lanes))
-        } else if shrink && lanes > self.policy.min_lanes {
-            self.scale_downs += 1;
-            LaneDecision::Shrink(
-                lanes
-                    .saturating_sub(self.policy.step)
-                    .max(self.policy.min_lanes),
-            )
-        } else {
-            LaneDecision::Hold(lanes)
-        }
-    }
-
-    /// The per-tenant admission cap matching a scaled pool: the nominal
-    /// cap grown or shrunk in proportion to the lanes, floored at 1 so
-    /// a scaled-down tenant is squeezed, never wedged shut.
-    #[must_use]
-    pub fn tenant_cap(&self, nominal_cap: usize, nominal_lanes: u32, lanes: u32) -> usize {
-        let nominal_lanes = u64::from(nominal_lanes.max(1));
-        let scaled = (nominal_cap as u64).saturating_mul(u64::from(lanes)) / nominal_lanes;
-        usize::try_from(scaled).unwrap_or(usize::MAX).max(1)
     }
 }
 
@@ -571,46 +524,44 @@ mod tests {
 
     #[test]
     fn lane_scaler_tracks_backlog_with_hysteresis() {
-        let mut s = LaneScaler::new(LanePolicy::around(4));
-        assert_eq!(s.policy().min_lanes, 2);
-        assert_eq!(s.policy().max_lanes, 16);
+        let policy = LanePolicy::around(4);
+        assert_eq!(policy.min_lanes, 2);
+        assert_eq!(policy.max_lanes, 16);
         // Sustained overload walks the pool up to the ceiling.
         let mut lanes = 4;
         for _ in 0..20 {
-            lanes = s.decide(lanes, 1000).lanes();
+            lanes = policy.decide(lanes, 1000).lanes();
         }
         assert_eq!(lanes, 16);
         // Sustained idleness walks it back to the floor.
         for _ in 0..20 {
-            lanes = s.decide(lanes, 0).lanes();
+            lanes = policy.decide(lanes, 0).lanes();
         }
         assert_eq!(lanes, 2);
-        let (ups, downs) = s.counters();
-        assert_eq!(ups, 12);
-        assert_eq!(downs, 14);
         // In-band depth holds steady (no flapping between thresholds).
-        assert_eq!(s.decide(8, 10), LaneDecision::Hold(8));
+        assert_eq!(policy.decide(8, 10), LaneDecision::Hold(8));
     }
 
     #[test]
     fn tenant_cap_scales_with_lanes_and_floors_at_one() {
-        let s = LaneScaler::new(LanePolicy::around(8));
-        assert_eq!(s.tenant_cap(100, 16, 16), 100);
-        assert_eq!(s.tenant_cap(100, 16, 32), 200);
-        assert_eq!(s.tenant_cap(100, 16, 8), 50);
-        assert_eq!(s.tenant_cap(3, 16, 1), 1, "floored at one");
+        let policy = LanePolicy::around(8);
+        assert_eq!(policy.tenant_cap(100, 16, 16), 100);
+        assert_eq!(policy.tenant_cap(100, 16, 32), 200);
+        assert_eq!(policy.tenant_cap(100, 16, 8), 50);
+        assert_eq!(policy.tenant_cap(3, 16, 1), 1, "floored at one");
     }
 
     #[test]
-    #[should_panic(expected = "hysteresis")]
     fn lane_policy_requires_hysteresis_gap() {
-        let _ = LaneScaler::new(LanePolicy {
+        let policy = LanePolicy {
             min_lanes: 1,
             max_lanes: 8,
             scale_up_backlog: 2,
             scale_down_backlog: 2,
             step: 1,
-        });
+        };
+        let err = policy.check().expect_err("no hysteresis gap");
+        assert!(err.contains("hysteresis"), "{err}");
     }
 
     #[test]

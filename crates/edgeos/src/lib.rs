@@ -43,8 +43,7 @@ mod supervisor;
 mod tenancy;
 
 pub use elastic::{
-    Decision, ElasticManager, Environment, LaneDecision, LanePolicy, LaneScaler, Objective,
-    PipelineEstimate,
+    Decision, ElasticManager, Environment, LaneDecision, LanePolicy, Objective, PipelineEstimate,
 };
 pub use migration::{
     MigrationError, MigrationMode, MigrationReport, ServiceImage, ServiceMigrator,

@@ -310,6 +310,12 @@ pub enum FleetConfigError {
         /// Configured lane count.
         lanes: u32,
     },
+    /// `tenant_queue_cap == 0`: an admission gate needs at least one
+    /// slot per tenant.
+    ZeroTenantQueueCap,
+    /// The elastic lane policy's thresholds are unusable; the rule
+    /// [`LanePolicy::check`] found broken.
+    BadLanePolicy(&'static str),
     /// Every class weight is zero: vehicles would have nothing to send.
     EmptyClassMix,
     /// A class spec carries an unusable value.
@@ -382,6 +388,10 @@ impl fmt::Display for FleetConfigError {
                 f,
                 "{nodes} XEdge nodes over {lanes} lanes: every node needs at least one lane"
             ),
+            FleetConfigError::ZeroTenantQueueCap => {
+                write!(f, "tenant queue cap must admit at least one request")
+            }
+            FleetConfigError::BadLanePolicy(what) => write!(f, "elastic lane policy: {what}"),
             FleetConfigError::EmptyClassMix => {
                 write!(f, "every workload-class weight is zero: nothing to send")
             }
@@ -948,6 +958,12 @@ impl FleetConfig {
                 lanes: self.edge_capacity,
             });
         }
+        if self.tenant_queue_cap == 0 {
+            return Err(FleetConfigError::ZeroTenantQueueCap);
+        }
+        if let Some(policy) = &self.elastic {
+            policy.check().map_err(FleetConfigError::BadLanePolicy)?;
+        }
         if self.total_class_weight() == 0 {
             return Err(FleetConfigError::EmptyClassMix);
         }
@@ -1178,6 +1194,33 @@ mod tests {
     fn empty_class_mix_rejected_with_reason() {
         let cfg = FleetConfig::default().with_class_weights([0, 0, 0]);
         assert_eq!(cfg.validate(), Err(FleetConfigError::EmptyClassMix));
+    }
+
+    fn refusal(cfg: FleetConfig) -> FleetConfigError {
+        crate::FleetEngine::try_new(cfg).expect_err("an unusable config")
+    }
+
+    #[test]
+    fn elastic_policy_without_a_lane_floor_is_refused() {
+        let mut cfg = FleetConfig::sized(64).with_elastic_capacity();
+        cfg.elastic.as_mut().expect("elastic on").min_lanes = 0;
+        let err = FleetConfigError::BadLanePolicy("lane floor must be positive");
+        assert_eq!(refusal(cfg), err);
+    }
+
+    #[test]
+    fn elastic_policy_without_a_hysteresis_gap_is_refused() {
+        let mut cfg = FleetConfig::sized(64).with_elastic_capacity();
+        let policy = cfg.elastic.as_mut().expect("elastic on");
+        policy.scale_down_backlog = policy.scale_up_backlog;
+        assert!(refusal(cfg).to_string().contains("hysteresis"));
+    }
+
+    #[test]
+    fn zero_tenant_queue_cap_is_refused() {
+        let mut cfg = FleetConfig::sized(64);
+        cfg.tenant_queue_cap = 0;
+        assert_eq!(refusal(cfg), FleetConfigError::ZeroTenantQueueCap);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //!
 //! ## Elastic lane scaling
 //!
-//! When the config carries a [`vdap_edgeos::LanePolicy`], a
-//! [`LaneScaler`] resizes the lane pool and the per-tenant admission
-//! caps from the queue depth observed at the *previous* barrier —
+//! When the config carries a [`LanePolicy`], its decisions resize the
+//! lane pool and the per-tenant admission caps from the queue depth
+//! observed at the *previous* barrier —
 //! observe at barrier `k`, actuate at barrier `k + 1`. Decisions are
 //! integer functions of (lane count, queue depth), both of which are
 //! globally determined, so elasticity composes with the engine's
@@ -64,10 +64,14 @@
 //!    pays only the re-planning penalty and training converges a round
 //!    later.
 //!
-//! A node that crashes more than [`vdap_edgeos::CrashLoopPolicy`]
-//! allows inside its window is declared crash-looping and stays down
-//! for the rest of the run. The crash strips the node's unfinished
-//! work back into the same barrier's queue.
+//! A node that crashes more than [`CrashLoopPolicy`] allows inside its
+//! window is declared crash-looping and stays down for the rest of the
+//! run. Node health is therefore a pure function of the fault plan:
+//! [`crash_loops`] replays the policy over the run's barriers once per
+//! run, and each barrier reads a node's state there, and at the barrier
+//! before, from that table and the injector. A crash (down here, up at
+//! the barrier before) strips the node's unfinished work back into the
+//! same barrier's queue.
 //!
 //! ## In-flight work
 //!
@@ -83,7 +87,7 @@
 use std::collections::BTreeMap;
 
 use vdap_edgeos::{
-    ClassQueueKey, CrashLoopPolicy, FairQueue, LaneDecision, LaneScaler, TenantAdmission, TenantId,
+    ClassQueueKey, CrashLoopPolicy, FairQueue, LaneDecision, LanePolicy, TenantAdmission, TenantId,
     WorkloadClass,
 };
 use vdap_fault::{retry_until_deadline, AttemptOutcome, FaultInjector, RetryPolicy};
@@ -97,6 +101,38 @@ use crate::config::{
 };
 use crate::metrics::RequestOutcome;
 use crate::vehicle::{VehicleState, BOARD_W, DEGRADED_BOARD_W, RADIO_W, SPEED_MPH};
+
+/// The barrier at which each XEdge node is declared crash-looping, if
+/// any, indexed by node. A node crashes at a barrier where the plan has
+/// it down and the barrier before had it up (every node is up before
+/// the first barrier). More than 3 crashes inside 30 s break the node's
+/// [`CrashLoopPolicy`]: from the barrier of that crash on, the node
+/// stays down for the rest of the run. Until then its health is the
+/// plan's, so the first loop is the only one that matters.
+pub(crate) fn crash_loops(
+    cfg: &FleetConfig,
+    injector: Option<&FaultInjector>,
+) -> Vec<Option<SimTime>> {
+    let nodes = cfg.edge_nodes.max(1);
+    let Some(inj) = injector else {
+        return vec![None; nodes as usize];
+    };
+    let policy = CrashLoopPolicy::new(SimDuration::from_secs(30), 3);
+    let horizon = cfg.horizon();
+    (0..nodes)
+        .map(|node| {
+            let label = edge_node_label(node);
+            let (mut crashes, mut down_before) = (Vec::new(), false);
+            (1..=cfg.total_epochs()).find_map(|k| {
+                let barrier = (SimTime::ZERO + cfg.epoch * k).min(horizon);
+                let down = inj.is_down(&label, barrier);
+                let crashed = down && !down_before;
+                down_before = down;
+                (crashed && policy.observe(&mut crashes, barrier).1).then_some(barrier)
+            })
+        })
+        .collect()
+}
 
 /// One vehicle request bound for the shared edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -268,15 +304,6 @@ pub(crate) struct XEdgeServer {
     due: BTreeMap<u64, Vec<u32>>,
     /// The next assignment's `InFlight::seq`.
     next_seq: u64,
-    /// Whether each node was down at the previous barrier. After
-    /// `refresh_nodes` it says whether each node is unusable at the
-    /// current one.
-    node_down: Vec<bool>,
-    /// Barrier instants at which each node crashed (windowed).
-    crash_history: Vec<Vec<SimTime>>,
-    /// Nodes declared crash-looping: down for the rest of the run.
-    crash_looped: Vec<bool>,
-    crash_policy: CrashLoopPolicy,
     contention: ContentionModel,
     /// The admission gates: one per region under geo-mobility, where a
     /// request admits through its *current* region's gate, so rush-hour
@@ -294,8 +321,8 @@ pub(crate) struct XEdgeServer {
     /// Pre-built (flow key, quantum) table applied to each epoch's
     /// fair queue (only classes with a non-zero weight serve).
     class_quanta: Vec<(ClassQueueKey, u64)>,
-    /// Elastic lane controller; `None` keeps the pool statically sized.
-    scaler: Option<LaneScaler>,
+    /// Elastic lane policy; `None` keeps the pool statically sized.
+    elastic: Option<LanePolicy>,
     /// Queue depth observed at the previous barrier (the elastic
     /// controller's input — observe at `k`, actuate at `k + 1`).
     last_depth: usize,
@@ -334,10 +361,6 @@ impl XEdgeServer {
             free: Vec::new(),
             due: BTreeMap::new(),
             next_seq: 0,
-            node_down: vec![false; nodes as usize],
-            crash_history: vec![Vec::new(); nodes as usize],
-            crash_looped: vec![false; nodes as usize],
-            crash_policy: CrashLoopPolicy::new(SimDuration::from_secs(30), 3),
             contention: ContentionModel::new(capacity),
             gates: vec![
                 TenantAdmission::new(cfg.tenant_queue_cap);
@@ -352,7 +375,7 @@ impl XEdgeServer {
             epoch: cfg.epoch,
             classes: cfg.classes.clone(),
             class_quanta,
-            scaler: cfg.elastic.map(LaneScaler::new),
+            elastic: cfg.elastic,
             last_depth: 0,
             nominal_lanes: capacity,
             edge_nodes: nodes,
@@ -409,15 +432,28 @@ impl XEdgeServer {
         region % self.edge_nodes
     }
 
-    /// Whether `node` is unusable at `barrier` (crashed or looping).
-    fn node_unavailable(
+    /// Whether each node is unusable at barrier `at`: down in the plan
+    /// there, or declared crash-looping at or before it. Every node is
+    /// up before the first barrier (`at` is `None`).
+    fn nodes_down(
         &self,
         injector: Option<&FaultInjector>,
-        node: u32,
-        barrier: SimTime,
-    ) -> bool {
-        self.crash_looped[node as usize]
-            || injector.is_some_and(|inj| inj.is_down(&self.node_labels[node as usize], barrier))
+        loops: &[Option<SimTime>],
+        at: Option<SimTime>,
+    ) -> Vec<bool> {
+        let down = |label: &String, looped: &Option<SimTime>, at: SimTime| {
+            looped.is_some_and(|l| l <= at) || injector.is_some_and(|inj| inj.is_down(label, at))
+        };
+        (self.node_labels.iter().zip(loops))
+            .map(|(label, looped)| at.is_some_and(|at| down(label, looped, at)))
+            .collect()
+    }
+
+    /// The barrier before `barrier`: the last epoch multiple before it,
+    /// or `None` at the run's first barrier.
+    fn previous_barrier(&self, barrier: SimTime) -> Option<SimTime> {
+        let k = self.due_key(barrier);
+        (k > 1).then(|| SimTime::ZERO + self.epoch * (k - 1))
     }
 
     /// The per-vehicle share of a region's LTE cell given the average
@@ -485,15 +521,15 @@ impl XEdgeServer {
         slots
     }
 
-    /// Runs the elastic step at `barrier`: one [`LaneScaler`] decision
+    /// Runs the elastic step at `barrier`: one [`LanePolicy`] decision
     /// from the previous barrier's queue depth, applied to the lane
     /// pool, the contention capacity, and the per-tenant admission cap.
     /// Records what happened into `outcome`.
     fn scale_capacity(&mut self, barrier: SimTime, outcome: &mut EpochOutcome) {
-        let Some(scaler) = self.scaler.as_mut() else {
+        let Some(policy) = self.elastic else {
             return;
         };
-        let decision = scaler.decide(self.lanes.len() as u32, self.last_depth);
+        let decision = policy.decide(self.lanes.len() as u32, self.last_depth);
         // Never drop below one lane per node: the homing rule (and
         // `best_lane`) requires every node to keep a lane.
         let target = decision.lanes().max(self.edge_nodes) as usize;
@@ -525,32 +561,29 @@ impl XEdgeServer {
     fn fit_to_lanes(&mut self) {
         let lanes = self.lanes.len() as u32;
         self.contention = self.contention.resized(lanes);
-        let Some(scaler) = &self.scaler else {
+        let Some(policy) = &self.elastic else {
             return;
         };
-        let cap = scaler.tenant_cap(self.nominal_cap, self.nominal_lanes, lanes);
+        let cap = policy.tenant_cap(self.nominal_cap, self.nominal_lanes, lanes);
         for gate in &mut self.gates {
             gate.set_queue_cap(cap);
         }
     }
 
-    /// Refreshes node health at `barrier`: detects up→down edges,
-    /// strips in-flight work off crashed lanes, and applies the
-    /// crash-loop policy. Returns the stripped requests, node by node
-    /// and in assignment order within a node, for this barrier's queue.
-    fn refresh_nodes(
+    /// Strips the nodes that crashed at `barrier` (`down_nodes` there,
+    /// not `down_before` at the barrier before): their in-flight work is
+    /// lost and returns, node by node and in assignment order within a
+    /// node, for this barrier's queue, and their lanes restart cold.
+    fn strip_crashed(
         &mut self,
-        injector: Option<&FaultInjector>,
+        down_nodes: &[bool],
+        down_before: &[bool],
         barrier: SimTime,
     ) -> Vec<EdgeRequest> {
         let mut requeued = Vec::new();
         for node in 0..self.edge_nodes {
             let idx = node as usize;
-            let down = self.node_unavailable(injector, node, barrier);
-            if down && !self.node_down[idx] {
-                // Fresh crash at this barrier: in-flight work on the
-                // node's lanes is lost and must be re-queued; the lane
-                // pool restarts cold on recovery.
+            if down_nodes[idx] && !down_before[idx] {
                 let stripped = self.slots_in_order(|f| f.node == node && f.finish > barrier);
                 if !stripped.is_empty() {
                     for &slot in &stripped {
@@ -568,16 +601,7 @@ impl XEdgeServer {
                 for free in self.lanes.iter_mut().skip(idx).step_by(nodes) {
                     *free = barrier;
                 }
-                if !self.crash_looped[idx] {
-                    let (_, looping) = self
-                        .crash_policy
-                        .observe(&mut self.crash_history[idx], barrier);
-                    if looping {
-                        self.crash_looped[idx] = true;
-                    }
-                }
             }
-            self.node_down[idx] = down;
         }
         requeued
     }
@@ -695,15 +719,17 @@ impl XEdgeServer {
     }
 
     /// Rung 1: probe the crashed home node once per epoch under the
-    /// request's remaining *class* deadline budget. Returns the rescued
-    /// [`ServedRequest`] and the attempt count, or the attempts spent
-    /// when the budget ran dry.
+    /// request's remaining *class* deadline budget. A node `looped`
+    /// (crash-looping by this barrier) fails every probe. Returns the
+    /// rescued [`ServedRequest`] and the attempt count, or the attempts
+    /// spent when the budget ran dry.
     #[allow(clippy::too_many_arguments)]
     fn retry_rescue(
         &self,
         injector: &FaultInjector,
         req: &EdgeRequest,
         node: u32,
+        looped: bool,
         barrier: SimTime,
         up: SimDuration,
         down: SimDuration,
@@ -725,7 +751,7 @@ impl XEdgeServer {
         };
         let label = &self.node_labels[node as usize];
         let report = retry_until_deadline(&policy, barrier, budget, rng, |_, at| {
-            if self.crash_looped[node as usize] || injector.is_down(label, at) {
+            if looped || injector.is_down(label, at) {
                 // The probe burns an epoch discovering the node is
                 // still gone.
                 AttemptOutcome::Failure(self.epoch)
@@ -762,12 +788,13 @@ impl XEdgeServer {
         }
     }
 
-    /// Rung 2: the nearest region whose home node is up and whose cell
-    /// is not `blocked` (storming or in LTE outage) at this barrier.
-    fn failover_region(&self, region: u32, blocked: &[bool]) -> Option<u32> {
+    /// Rung 2: the nearest region whose home node is not `down` and
+    /// whose cell is not `blocked` (storming or in LTE outage) at this
+    /// barrier.
+    fn failover_region(&self, region: u32, down: &[bool], blocked: &[bool]) -> Option<u32> {
         (1..self.regions)
             .map(|d| (region + d) % self.regions)
-            .find(|&nr| !self.node_down[self.home_node(nr) as usize] && !blocked[nr as usize])
+            .find(|&nr| !down[self.home_node(nr) as usize] && !blocked[nr as usize])
     }
 
     /// Assigns `req` to the earliest-free lane of `node`; the request
@@ -827,18 +854,22 @@ impl XEdgeServer {
     /// vehicle batches; this method sorts them canonically, so input
     /// order cannot influence the outcome. `barrier` is the global
     /// epoch-boundary instant — the only time at which fault state and
-    /// elastic decisions are sampled — and `rng` is the engine-owned
-    /// ladder stream, consumed in canonical order.
+    /// elastic decisions are sampled — `loops` the barrier at which
+    /// each node is declared crash-looping ([`crash_loops`]), and `rng`
+    /// the engine-owned ladder stream, consumed in canonical order.
     pub fn serve_epoch(
         &mut self,
         mut batch: Vec<EdgeRequest>,
         barrier: SimTime,
         injector: Option<&FaultInjector>,
+        loops: &[Option<SimTime>],
         rng: &mut RngStream,
     ) -> EpochOutcome {
         batch.sort_unstable_by_key(|r| (r.arrival, r.vehicle, r.seq));
 
-        let requeued = self.refresh_nodes(injector, barrier);
+        let down_nodes = self.nodes_down(injector, loops, Some(barrier));
+        let down_before = self.nodes_down(injector, loops, self.previous_barrier(barrier));
+        let requeued = self.strip_crashed(&down_nodes, &down_before, barrier);
         let mut outcome = EpochOutcome {
             requeued: requeued.len() as u64,
             ..EpochOutcome::default()
@@ -991,8 +1022,7 @@ impl XEdgeServer {
             let (up, down) = transfer[req.region as usize][ci];
             let service = service_by_class[ci];
             let home = self.home_node(req.region);
-            // `refresh_nodes` left each node's state at this barrier.
-            let home_down = self.node_down[home as usize];
+            let home_down = down_nodes[home as usize];
             let storming = storms[req.region as usize];
 
             if !home_down && !storming {
@@ -1018,7 +1048,10 @@ impl XEdgeServer {
             let mut retries_spent = 0u32;
             if home_down {
                 if let Some(inj) = injector {
-                    match self.retry_rescue(inj, &req, home, barrier, up, down, service, rng) {
+                    let looped = loops[home as usize].is_some_and(|l| l <= barrier);
+                    match self
+                        .retry_rescue(inj, &req, home, looped, barrier, up, down, service, rng)
+                    {
                         Ok((served, attempts)) => {
                             outcome.retry_attempts += u64::from(attempts);
                             outcome.retry_rescued += 1;
@@ -1035,7 +1068,7 @@ impl XEdgeServer {
             }
 
             // Rung 2 — hand off to the nearest healthy region's node.
-            if let Some(neighbor) = self.failover_region(req.region, &blocked) {
+            if let Some(neighbor) = self.failover_region(req.region, &down_nodes, &blocked) {
                 let node = self.home_node(neighbor);
                 let handoff = self.handoff_cost + req.handoff;
                 let handoff_energy = handoff.as_secs_f64() * RADIO_W;
@@ -1086,11 +1119,10 @@ impl XEdgeServer {
 
 // --- snapshot codec --------------------------------------------------
 
-use crate::ckpt::{dur_field, enc_opt, section, time_field};
+use crate::ckpt::{dur_field, time_field};
 use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
-    get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, val_array, val_bool, val_u64_hex,
-    CkptError,
+    get, get_array, get_bool, get_f64_bits, get_u32, get_u64_hex, val_u64_hex, CkptError,
 };
 use vdap_edgeos::AdmissionState;
 
@@ -1166,28 +1198,14 @@ fn check_in_flight(cfg: &FleetConfig, nodes: u32, f: &InFlight) -> Result<(), Ck
 
 impl XEdgeServer {
     /// Serializes everything the serving pass carries across barriers:
-    /// each lane's free time, in-flight work in assignment order, node
-    /// health and crash history, the admission gates' counters, the
-    /// elastic controller's counters, and the observe-at-`k`/actuate-at-
+    /// each lane's free time, in-flight work in assignment order, the
+    /// admission gates' counters, and the observe-at-`k`/actuate-at-
     /// `k+1` queue-depth latch. The rest of the server is a pure
-    /// function of `FleetConfig` and is rebuilt on restore; the next
+    /// function of `FleetConfig` and is rebuilt on restore: node health
+    /// follows from the fault plan ([`crash_loops`]), and the next
     /// barrier sets the gates' quota-flap overrides before it admits.
     pub(crate) fn ckpt(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.key("crash_history").begin_array();
-        for history in &self.crash_history {
-            w.begin_array();
-            for t in history {
-                w.hex(t.as_nanos());
-            }
-            w.end_array();
-        }
-        w.end_array();
-        w.key("crash_looped").begin_array();
-        for &b in &self.crash_looped {
-            w.bool(b);
-        }
-        w.end_array();
         w.key("gates").begin_array();
         for gate in &self.gates {
             let s = gate.state();
@@ -1215,19 +1233,6 @@ impl XEdgeServer {
         }
         w.end_array();
         w.key("last_depth").hex(self.last_depth as u64);
-        w.key("node_down").begin_array();
-        for &b in &self.node_down {
-            w.bool(b);
-        }
-        w.end_array();
-        w.key("scaler");
-        enc_opt(w, self.scaler.as_ref(), |w, scaler| {
-            let (ups, downs) = scaler.counters();
-            w.begin_object();
-            w.key("scale_downs").hex(downs);
-            w.key("scale_ups").hex(ups);
-            w.end_object();
-        });
         w.end_object();
     }
 
@@ -1244,13 +1249,6 @@ impl XEdgeServer {
     ) -> Result<XEdgeServer, CkptError> {
         let mut edge = XEdgeServer::new(cfg);
         let nodes = edge.edge_nodes;
-        edge.scaler = section(v, "scaler", cfg.elastic, "elastic capacity", |s, policy| {
-            Ok(LaneScaler::from_counters(
-                policy,
-                get_u64_hex(s, "scale_ups")?,
-                get_u64_hex(s, "scale_downs")?,
-            ))
-        })?;
         let lanes = get_array(v, "lanes")?
             .iter()
             .map(|t| Ok(SimTime::from_nanos(val_u64_hex(t)?)))
@@ -1288,39 +1286,6 @@ impl XEdgeServer {
             edge.file(entry);
             edge.next_seq = seq + 1;
         }
-        let node_down = get_array(v, "node_down")?
-            .iter()
-            .map(val_bool)
-            .collect::<Result<Vec<_>, _>>()?;
-        if node_down.len() != edge.node_down.len() {
-            return Err(CkptError::new(format!(
-                "snapshot has {} edge nodes, config has {}",
-                node_down.len(),
-                edge.node_down.len()
-            )));
-        }
-        edge.node_down = node_down;
-        let mut crash_history = Vec::new();
-        for h in get_array(v, "crash_history")? {
-            crash_history.push(
-                val_array(h)?
-                    .iter()
-                    .map(|t| Ok(SimTime::from_nanos(val_u64_hex(t)?)))
-                    .collect::<Result<Vec<_>, CkptError>>()?,
-            );
-        }
-        if crash_history.len() != edge.crash_history.len() {
-            return Err(CkptError::new("crash history length mismatch"));
-        }
-        edge.crash_history = crash_history;
-        let crash_looped = get_array(v, "crash_looped")?
-            .iter()
-            .map(val_bool)
-            .collect::<Result<Vec<_>, _>>()?;
-        if crash_looped.len() != edge.crash_looped.len() {
-            return Err(CkptError::new("crash-loop table length mismatch"));
-        }
-        edge.crash_looped = crash_looped;
         edge.fit_to_lanes();
         let states = get_array(v, "gates")?;
         if states.len() != edge.gates.len() {
@@ -1401,6 +1366,32 @@ mod tests {
     }
 
     #[test]
+    fn the_fourth_crash_inside_the_window_declares_the_loop() {
+        use vdap_fault::{FaultKind, FaultPlan, FaultSpec};
+        let recurring = |node: u32, period: u64| {
+            FaultSpec::new(
+                FaultKind::EdgeNodeCrash,
+                edge_node_label(node),
+                SimTime::from_secs(2),
+                SimDuration::from_millis(1500),
+            )
+            .recurring_every(SimDuration::from_secs(period))
+        };
+        let mut cfg = FleetConfig::sized(64);
+        cfg.duration = SimDuration::from_secs(30);
+        // Node 0 crashes at 2, 5, 8 and 11 s; node 1 only at 2, 12 and
+        // 22 s, three crashes in 30 s, which the policy tolerates.
+        let plan = FaultPlan::new(cfg.duration)
+            .with_fault(recurring(0, 3))
+            .with_fault(recurring(1, 10));
+        let cfg = cfg.with_fault_plan(plan);
+        let inj = cfg.chaos.as_ref().expect("plan").compile();
+        let loops = crash_loops(&cfg, Some(&inj));
+        assert_eq!(loops, [Some(SimTime::from_secs(11)), None, None, None]);
+        assert_eq!(crash_loops(&cfg, None), [None; 4]);
+    }
+
+    #[test]
     fn barriers_complete_exactly_the_work_finished_by_them() {
         let cfg = FleetConfig::sized(64);
         let mut edge = XEdgeServer::new(&cfg);
@@ -1427,7 +1418,8 @@ mod tests {
             let due = finished_by(&edge, barrier);
             let whole = barrier.as_nanos() / cfg.epoch.as_nanos();
             partial += due.iter().filter(|(key, _, _)| *key > whole).count();
-            let outcome = edge.serve_epoch(batch, barrier, None, &mut rng);
+            let outcome =
+                edge.serve_epoch(batch, barrier, None, &crash_loops(&cfg, None), &mut rng);
             let got: Vec<(u32, u32)> = outcome.served.iter().map(|s| (s.vehicle, s.seq)).collect();
             let want: Vec<(u32, u32)> = due.iter().map(|&(_, v, s)| (v, s)).collect();
             assert_eq!(got, want, "barrier at {at} epochs");

@@ -32,7 +32,7 @@ use vdap_ckpt::{
     val_pair, val_str, val_u32, val_u64_hex, CkptError, Snapshot, SnapshotStore,
 };
 use vdap_edgeos::WorkloadClass;
-use vdap_fault::{FaultEdge, FaultInjector, FaultKind};
+use vdap_fault::{FaultEdge, FaultInjector, FaultKind, FaultWindow};
 use vdap_mobility::{
     Crossing, MobilityMetrics, RegionGraph, TrackLeg, TrackMotion, TrackSnapshot, VehicleTrack,
 };
@@ -47,10 +47,10 @@ use crate::ckpt::{
     reliability_field, rng_field, section, time_field, SnapshotDiagnostics, SnapshotWrite,
 };
 use crate::config::{
-    handoff_label, region_label, tenant_label, CheckpointConfig, FleetConfig, FleetConfigError,
-    CKPT_STORE_LABEL, ENGINE_LABEL,
+    edge_node_label, handoff_label, region_label, tenant_label, CheckpointConfig, FleetConfig,
+    FleetConfigError, CKPT_STORE_LABEL, ENGINE_LABEL,
 };
-use crate::edge::{EpochOutcome, XEdgeServer};
+use crate::edge::{crash_loops, EpochOutcome, XEdgeServer};
 use crate::ingest::IngestPass;
 use crate::metrics::{series, FleetMetrics, FleetReport, FleetTelemetry, RequestOutcome};
 use crate::pool::WorkerPool;
@@ -213,6 +213,9 @@ struct RunCtx {
     cfg: Arc<FleetConfig>,
     seeds: SeedFactory,
     injector: Option<Arc<FaultInjector>>,
+    /// The barrier at which each XEdge node is declared crash-looping,
+    /// if any ([`crash_loops`]).
+    crash_loops: Vec<Option<SimTime>>,
     region_labels: Vec<String>,
     tenant_labels: Vec<String>,
     horizon: SimTime,
@@ -223,6 +226,7 @@ impl RunCtx {
         let cfg = Arc::new(cfg.clone());
         let seeds = SeedFactory::new(cfg.seed);
         let injector = cfg.chaos.as_ref().map(|plan| Arc::new(plan.compile()));
+        let crash_loops = crash_loops(&cfg, injector.as_deref());
         let region_labels = (0..cfg.regions).map(region_label).collect();
         let tenant_labels = (0..cfg.tenants).map(tenant_label).collect();
         let horizon = cfg.horizon();
@@ -230,10 +234,20 @@ impl RunCtx {
             cfg,
             seeds,
             injector,
+            crash_loops,
             region_labels,
             tenant_labels,
             horizon,
         }
+    }
+
+    /// Whether fault window `w` is a node crash still open at the
+    /// barrier that declares its node crash-looping: it never ends.
+    fn never_repaired(&self, w: &FaultWindow) -> bool {
+        matches!(w.kind, FaultKind::EdgeNodeCrash)
+            && (0u32..).zip(&self.crash_loops).any(|(node, at)| {
+                at.is_some_and(|at| w.end >= at) && edge_node_label(node) == w.target
+            })
     }
 }
 
@@ -267,7 +281,8 @@ struct EngineState {
 /// crashes without double-counting the same label. Engine crashes are
 /// included too: their downtime is fixed by the plan, so the resume
 /// window lands in MTTR whether or not this particular run path honors
-/// the crash.
+/// the crash. A node declared crash-looping never recovers: its outage
+/// stays open from the loop on, as requests observe it.
 fn fault_timeline(ctx: &RunCtx) -> ReliabilityStats {
     let mut reliability = ReliabilityStats::new();
     if let Some(inj) = ctx.injector.as_deref() {
@@ -280,10 +295,11 @@ fn fault_timeline(ctx: &RunCtx) -> ReliabilityStats {
             }
             match tr.edge {
                 FaultEdge::Start => reliability.record_fault(&window.target, tr.at),
+                FaultEdge::End if ctx.never_repaired(window) => {}
                 FaultEdge::End => reliability.record_recovery(&window.target, tr.at),
             }
         }
-        record_tenant_ledger(&mut reliability, inj, &ctx.cfg, ctx.horizon);
+        record_tenant_ledger(&mut reliability, inj, ctx);
     }
     reliability
 }
@@ -456,9 +472,13 @@ fn run_core(
         }
         lap = profile.lap(BarrierPass::Record, lap);
 
-        let outcome = state
-            .edge
-            .serve_epoch(requests, end, injector, &mut state.ladder_rng);
+        let outcome = state.edge.serve_epoch(
+            requests,
+            end,
+            injector,
+            &ctx.crash_loops,
+            &mut state.ladder_rng,
+        );
         state.metrics.queue_depth.record(outcome.queue_depth as f64);
         state.metrics.elastic_lanes.record(f64::from(outcome.lanes));
         if outcome.scaled_up {
@@ -768,7 +788,14 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
             Ok(tel)
         },
     )?;
-    check_ledgers(cfg, &vehicles, &metrics, ingest.as_ref())?;
+    check_ledgers(
+        cfg,
+        epoch_index,
+        &vehicles,
+        &metrics,
+        ingest.as_ref(),
+        mobility.as_ref(),
+    )?;
 
     Ok(EngineState {
         vehicles,
@@ -788,14 +815,17 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
 /// Refuses ledgers that disagree with each other, as no barrier leaves
 /// them: every request a class row counts took one vehicle sequence
 /// number and every batch the ingest ledger sent one uplink sequence
-/// number; a class row's outcomes are among its requests; and every
-/// served request credited its class's work units to one of the run's
-/// tenants.
+/// number; a class row's outcomes are among its requests; every served
+/// request credited its class's work units to one of the run's tenants;
+/// and the ingest and mobility ledgers hold what `check_ledger` checks
+/// of each after `epoch` barriers.
 fn check_ledgers(
     cfg: &FleetConfig,
+    epoch: u64,
     vehicles: &[VehicleState],
     metrics: &FleetMetrics,
     ingest: Option<&IngestPass>,
+    mobility: Option<&MobilityPass>,
 ) -> Result<(), CkptError> {
     let refuse = |what: String| Err(CkptError::new(what));
     let issued: u64 = vehicles.iter().map(|v| u64::from(v.seq)).sum();
@@ -817,6 +847,11 @@ fn check_ledgers(
                 ing.metrics.batches_sent
             ));
         }
+        ing.check_ledger(epoch)?;
+    }
+    if let Some(mob) = mobility {
+        let sent = ingest.map_or(0, |i| i.metrics.batches_sent);
+        mob.check_ledger(epoch, metrics.requests, sent)?;
     }
     for (class, c) in WorkloadClass::ALL.into_iter().zip(&metrics.by_class) {
         let ended = [c.collab_hits, c.failovers, c.rejected, c.local_fallbacks]
@@ -1052,13 +1087,8 @@ fn dec_telemetry(
 /// Writes a track's run-time state. Its plan is not written: restore
 /// draws it again from the track's seeded stream.
 fn enc_track(w: &mut JsonWriter, t: &TrackSnapshot) {
-    let leg = match t.leg {
-        TrackLeg::BeforeOutbound => 0,
-        TrackLeg::AtWork => 1,
-        TrackLeg::Done => 2,
-    };
     w.begin_object();
-    w.key("leg").u32(leg);
+    w.key("leg").u32(t.leg as u32);
     w.key("motion").begin_object();
     match &t.motion {
         TrackMotion::Parked => {
@@ -1150,11 +1180,12 @@ fn check_track(snap: &TrackSnapshot, graph: &RegionGraph) -> Result<(), String> 
     }
 }
 
+/// Writes the mobility ledger. `crossings` is not written: it is
+/// `migrations + same_shard_crossings`.
 fn enc_mobility_metrics(w: &mut JsonWriter, m: &MobilityMetrics) {
     w.begin_object();
     w.key("crossing_speed_mph");
     enc_hist(w, &m.crossing_speed_mph);
-    w.key("crossings").hex(m.crossings);
     w.key("handoff_ms");
     enc_hist(w, &m.handoff_ms);
     w.key("handoff_seconds").hex(m.handoff_seconds.to_bits());
@@ -1168,10 +1199,14 @@ fn enc_mobility_metrics(w: &mut JsonWriter, m: &MobilityMetrics) {
 
 fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
     let empty = MobilityMetrics::new();
+    let migrations = get_u64_hex(v, "migrations")?;
+    let same_shard_crossings = get_u64_hex(v, "same_shard_crossings")?;
     Ok(MobilityMetrics {
-        crossings: get_u64_hex(v, "crossings")?,
-        migrations: get_u64_hex(v, "migrations")?,
-        same_shard_crossings: get_u64_hex(v, "same_shard_crossings")?,
+        crossings: migrations
+            .checked_add(same_shard_crossings)
+            .ok_or_else(|| CkptError::new("mobility ledger crossings overflow u64"))?,
+        migrations,
+        same_shard_crossings,
         storm_crossings: get_u64_hex(v, "storm_crossings")?,
         stale_cache_hits: get_u64_hex(v, "stale_cache_hits")?,
         readdressed_batches: get_u64_hex(v, "readdressed_batches")?,
@@ -1274,6 +1309,29 @@ impl MobilityPass {
         Ok(pass)
     }
 
+    /// Refuses a mobility ledger no run of `epoch` barriers leaves, with
+    /// `requests` requests and `sent` ingest batches issued: each
+    /// crossing is a migration or a same-domain move, records one
+    /// handoff cost and one speed, and lands in a storm at most once;
+    /// each stale-cache hit suppressed one request; and a barrier
+    /// re-addresses each batch sent so far at most once.
+    fn check_ledger(&self, epoch: u64, requests: u64, sent: u64) -> Result<(), CkptError> {
+        let m = &self.metrics;
+        let problem =
+            if m.handoff_ms.count() != m.crossings || m.crossing_speed_mph.count() != m.crossings {
+                "records a handoff cost or speed per crossing it does not count"
+            } else if m.storm_crossings > m.crossings {
+                "storms more crossings than it counts"
+            } else if m.stale_cache_hits > requests {
+                "suppresses more cache hits than requests were issued"
+            } else if m.readdressed_batches > sent.saturating_mul(epoch) {
+                "re-addresses more batches than its barriers held"
+            } else {
+                return Ok(());
+            };
+        Err(CkptError::new(format!("mobility ledger {problem}")))
+    }
+
     /// One barrier's mobility step, covering the epoch
     /// `[epoch_start, end]` the vehicles just finished.
     #[allow(clippy::too_many_arguments)]
@@ -1340,25 +1398,28 @@ impl MobilityPass {
                 // handoff seconds, organic or injected.
                 let storming = injector
                     .is_some_and(|inj| inj.handoff_storm(&self.handoff_labels[c.to as usize], end));
+                // The ledger's counters saturate, so no restored value
+                // can overflow them.
+                let m = &mut self.metrics;
                 let cost = if storming {
-                    self.metrics.storm_crossings += 1;
+                    m.storm_crossings = m.storm_crossings.saturating_add(1);
                     self.channel.storm_handoff_cost(c.speed)
                 } else {
                     self.channel.handoff_cost(c.speed)
                 };
-                self.metrics.crossings += 1;
+                m.crossings = m.crossings.saturating_add(1);
                 epoch_crossings += 1;
-                self.metrics.handoff_seconds += cost.as_secs_f64();
-                self.metrics.handoff_ms.record_duration(cost);
-                self.metrics.crossing_speed_mph.record(c.speed.0);
+                m.handoff_seconds += cost.as_secs_f64();
+                m.handoff_ms.record_duration(cost);
+                m.crossing_speed_mph.record(c.speed.0);
                 // `migrations` counts home-node *domain* changes: a
                 // crossing between regions homed on different XEdge
                 // nodes.
                 if c.from % cfg.edge_nodes != c.to % cfg.edge_nodes {
-                    self.metrics.migrations += 1;
+                    m.migrations = m.migrations.saturating_add(1);
                     epoch_migrations += 1;
                 } else {
-                    self.metrics.same_shard_crossings += 1;
+                    m.same_shard_crossings = m.same_shard_crossings.saturating_add(1);
                 }
                 reliability.record_degraded(&self.handoff_labels[c.to as usize], cost);
                 handoff += cost;
@@ -1420,13 +1481,10 @@ fn sample_epoch(tel: &mut FleetTelemetry, outcome: &EpochOutcome, epoch: u64, at
 /// its own quota is flapped or while any XEdge node-crash window is
 /// active (every tenant's traffic shares the node pool). Crash windows
 /// are quantized up to the barrier grid the serving pass actually
-/// samples, so per-tenant MTTR matches what requests experienced.
-fn record_tenant_ledger(
-    reliability: &mut ReliabilityStats,
-    inj: &FaultInjector,
-    cfg: &FleetConfig,
-    horizon: SimTime,
-) {
+/// samples, so per-tenant MTTR matches what requests experienced. A
+/// crash that is never repaired leaves the tenant's outage open too.
+fn record_tenant_ledger(reliability: &mut ReliabilityStats, inj: &FaultInjector, ctx: &RunCtx) {
+    let (cfg, horizon) = (&ctx.cfg, ctx.horizon);
     let quantize = |t: SimTime| -> SimTime {
         let k = t.elapsed().as_nanos().div_ceil(cfg.epoch.as_nanos());
         let q = SimTime::ZERO + cfg.epoch * k;
@@ -1440,7 +1498,14 @@ fn record_tenant_ledger(
         .windows()
         .iter()
         .filter(|w| matches!(w.kind, FaultKind::EdgeNodeCrash))
-        .map(|w| (quantize(w.start), quantize(w.end)))
+        .map(|w| {
+            let end = if ctx.never_repaired(w) {
+                SimTime::MAX
+            } else {
+                quantize(w.end)
+            };
+            (quantize(w.start), end)
+        })
         .filter(|(s, e)| e > s)
         .collect();
     for t in 0..cfg.tenants {
@@ -1472,7 +1537,9 @@ fn record_tenant_ledger(
         }
         for (s, e) in merged {
             reliability.record_fault(&label, s);
-            reliability.record_recovery(&label, e);
+            if e != SimTime::MAX {
+                reliability.record_recovery(&label, e);
+            }
         }
     }
 }

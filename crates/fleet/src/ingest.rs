@@ -52,11 +52,13 @@ use crate::metrics::{series, FleetTelemetry};
 pub struct IngestMetrics {
     /// Upload batches vehicles sent.
     pub batches_sent: u64,
-    /// Telemetry records vehicles sent.
+    /// Telemetry records vehicles sent: `batches_sent` batches of the
+    /// configured size, set when the run ends.
     pub records_sent: u64,
     /// Batches made durable by the storage tier.
     pub batches_written: u64,
-    /// Records made durable by the storage tier.
+    /// Records made durable by the storage tier: `batches_written`
+    /// batches of the configured size, set when the run ends.
     pub records_written: u64,
     /// Batches that missed their ingestion deadline (written late,
     /// TTL-evicted, or shed).
@@ -76,7 +78,7 @@ pub struct IngestMetrics {
     /// Records shed at rung 3 (lowest-priority first).
     pub records_shed: u64,
     /// Records not yet durable when the run ended (queued, cached, or
-    /// awaiting retry).
+    /// awaiting retry), set when the run ends.
     pub backlog_records: u64,
     /// Storage-tier utilization sampled once per epoch.
     pub storage_rho: StreamingHistogram,
@@ -193,12 +195,13 @@ pub(crate) struct IngestPass {
     /// back, so the cache is never copied into a second list.
     cached: VecDeque<Cached>,
     /// Records occupying each vehicle's mem-tier cache, indexed by
-    /// vehicle id: `None` until the ladder first tries the vehicle's
-    /// tier, then `Some` for good (snapshots list every `Some`, zeros
-    /// included).
-    mem_used: Vec<Option<u64>>,
+    /// vehicle id: the records of its `cached` batches in that tier.
+    /// Every barrier takes the cache out of the tiers before it offers
+    /// the cache again, so outside a barrier's ladder this is a sum
+    /// over `cached`, which restore takes again.
+    mem_used: Vec<u64>,
     /// The same for the disk tier.
-    disk_used: Vec<Option<u64>>,
+    disk_used: Vec<u64>,
     pub metrics: IngestMetrics,
 }
 
@@ -226,8 +229,8 @@ impl IngestPass {
             rng: seeds.stream("fleet-ingest"),
             pending: Vec::new(),
             cached: VecDeque::new(),
-            mem_used: vec![None; cfg.vehicles as usize],
-            disk_used: vec![None; cfg.vehicles as usize],
+            mem_used: vec![0; cfg.vehicles as usize],
+            disk_used: vec![0; cfg.vehicles as usize],
             metrics: IngestMetrics::new(),
             ing,
         }
@@ -262,10 +265,7 @@ impl IngestPass {
         telemetry: Option<&mut FleetTelemetry>,
     ) {
         fresh.sort_unstable_by_key(canonical_key);
-        for b in &fresh {
-            self.metrics.batches_sent += 1;
-            self.metrics.records_sent += u64::from(b.records);
-        }
+        self.metrics.batches_sent += fresh.len() as u64;
 
         // Wake rung-1 retries whose backoff has elapsed; the rest keep
         // their storage order.
@@ -289,9 +289,7 @@ impl IngestPass {
             } else {
                 &mut self.mem_used
             };
-            if let Some(u) = used[c.batch.vehicle as usize].as_mut() {
-                *u = u.saturating_sub(records);
-            }
+            used[c.batch.vehicle as usize] -= records;
             let expired = c.expires <= end;
             if expired {
                 self.metrics.cache_evictions += records;
@@ -395,7 +393,6 @@ impl IngestPass {
                         written_records += u64::from(records);
                         let durable = end + delay;
                         self.metrics.batches_written += 1;
-                        self.metrics.records_written += u64::from(records);
                         self.metrics
                             .ingest_latency_ms
                             .record((durable - batch.sent_at).as_millis_f64());
@@ -451,7 +448,7 @@ impl IngestPass {
         let vehicle = offer.batch.vehicle;
         let records = u64::from(offer.batch.records);
         let expires = offer.expires.unwrap_or(end + self.ing.cache_ttl);
-        let mem = self.mem_used[vehicle as usize].get_or_insert(0);
+        let mem = &mut self.mem_used[vehicle as usize];
         if *mem + records <= self.ing.cache_mem_records {
             *mem += records;
             self.metrics.deferrals += 1;
@@ -463,7 +460,7 @@ impl IngestPass {
             });
             return;
         }
-        let disk = self.disk_used[vehicle as usize].get_or_insert(0);
+        let disk = &mut self.disk_used[vehicle as usize];
         if *disk + records <= self.ing.cache_disk_records {
             *disk += records;
             self.metrics.deferrals += 1;
@@ -496,9 +493,8 @@ impl IngestPass {
             } else {
                 &mut self.mem_used
             };
-            if let Some(u) = tier[vehicle as usize].as_mut() {
-                *u = u.saturating_sub(u64::from(shed.batch.records)) + records;
-            }
+            tier[vehicle as usize] =
+                tier[vehicle as usize] - u64::from(shed.batch.records) + records;
             self.shed(&shed.batch);
             self.cached.push_back(Cached {
                 expires,
@@ -511,8 +507,7 @@ impl IngestPass {
                 self.metrics.disk_spills += 1;
             }
         } else {
-            // Free the occupancy this batch never claimed: the maps were
-            // only read above, nothing to release — just shed.
+            // The tiers were only read above: nothing to release.
             self.shed(&offer.batch);
         }
     }
@@ -523,22 +518,25 @@ impl IngestPass {
         self.metrics.deadline_misses += 1;
     }
 
-    /// Closes the ledger at the horizon: everything not yet durable —
-    /// queued in collectors, parked in vehicle caches, or awaiting a
-    /// retry — is backlog.
-    pub fn finish(&mut self) -> IngestMetrics {
-        let queued: u64 = self
+    /// Batches not yet durable: queued in collectors, parked in vehicle
+    /// caches, or awaiting a retry.
+    pub fn backlog_batches(&self) -> u64 {
+        let queued: usize = self
             .collectors
             .iter()
-            .map(RegionCollector::queued_records)
+            .map(RegionCollector::queued_batches)
             .sum();
-        let cached: u64 = self.cached.iter().map(|c| u64::from(c.batch.records)).sum();
-        let pending: u64 = self
-            .pending
-            .iter()
-            .map(|p| u64::from(p.batch.records))
-            .sum();
-        self.metrics.backlog_records = queued + cached + pending;
+        (queued + self.cached.len() + self.pending.len()) as u64
+    }
+
+    /// Closes the ledger at the horizon: the record counts follow from
+    /// the batch counts, since every batch carries the configured batch
+    /// size, and everything not yet durable is backlog.
+    pub fn finish(&mut self) -> IngestMetrics {
+        let per_batch = u64::from(self.ing.records_per_batch);
+        self.metrics.records_sent = self.metrics.batches_sent * per_batch;
+        self.metrics.records_written = self.metrics.batches_written * per_batch;
+        self.metrics.backlog_records = self.backlog_batches() * per_batch;
         self.metrics.clone()
     }
 }
@@ -549,13 +547,12 @@ use crate::ckpt::{
     enc_hist, enc_opt_time, enc_rng, hist_field, opt_time_field, rng_field, time_field,
 };
 use vdap_ckpt::json::{JsonWriter, Value};
-use vdap_ckpt::{
-    get, get_array, get_bool, get_u32, get_u64_hex, val_array, val_pair, val_u64_hex, CkptError,
-};
+use vdap_ckpt::{get, get_array, get_bool, get_u32, get_u64_hex, val_array, CkptError};
 
+/// Writes the ledger's run-time counters. The record counts of sent,
+/// written and backlog batches are not written: `finish` sets them.
 fn enc_ingest_metrics(w: &mut JsonWriter, m: &IngestMetrics) {
     w.begin_object();
-    w.key("backlog_records").hex(m.backlog_records);
     w.key("batches_sent").hex(m.batches_sent);
     w.key("batches_written").hex(m.batches_written);
     w.key("cache_evictions").hex(m.cache_evictions);
@@ -566,9 +563,7 @@ fn enc_ingest_metrics(w: &mut JsonWriter, m: &IngestMetrics) {
     enc_hist(w, &m.ingest_latency_ms);
     w.key("outage_bounces").hex(m.outage_bounces);
     w.key("queue_bounces").hex(m.queue_bounces);
-    w.key("records_sent").hex(m.records_sent);
     w.key("records_shed").hex(m.records_shed);
-    w.key("records_written").hex(m.records_written);
     w.key("retries").hex(m.retries);
     w.key("storage_rho");
     enc_hist(w, &m.storage_rho);
@@ -581,9 +576,7 @@ fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
     let empty = IngestMetrics::new();
     Ok(IngestMetrics {
         batches_sent: get_u64_hex(v, "batches_sent")?,
-        records_sent: get_u64_hex(v, "records_sent")?,
         batches_written: get_u64_hex(v, "batches_written")?,
-        records_written: get_u64_hex(v, "records_written")?,
         deadline_misses: get_u64_hex(v, "deadline_misses")?,
         outage_bounces: get_u64_hex(v, "outage_bounces")?,
         queue_bounces: get_u64_hex(v, "queue_bounces")?,
@@ -592,41 +585,11 @@ fn dec_ingest_metrics(v: &Value) -> Result<IngestMetrics, CkptError> {
         disk_spills: get_u64_hex(v, "disk_spills")?,
         cache_evictions: get_u64_hex(v, "cache_evictions")?,
         records_shed: get_u64_hex(v, "records_shed")?,
-        backlog_records: get_u64_hex(v, "backlog_records")?,
         storage_rho: hist_field(v, "storage_rho", &empty.storage_rho)?,
         uplink_ms: hist_field(v, "uplink_ms", &empty.uplink_ms)?,
         ingest_latency_ms: hist_field(v, "ingest_latency_ms", &empty.ingest_latency_ms)?,
+        ..empty
     })
-}
-
-/// Encodes a tier's occupancy as `[vehicle, records]` pairs in id
-/// order, one per vehicle that ever deferred into the tier.
-fn enc_used(w: &mut JsonWriter, used: &[Option<u64>]) {
-    w.begin_array();
-    for (vehicle, records) in (0u64..).zip(used) {
-        if let Some(records) = records {
-            w.begin_array().hex(vehicle).hex(*records).end_array();
-        }
-    }
-    w.end_array();
-}
-
-fn dec_used(v: &Value, key: &str, vehicles: u32) -> Result<Vec<Option<u64>>, CkptError> {
-    let mut used = vec![None; vehicles as usize];
-    for pair in get_array(v, key)? {
-        let (vehicle, records) = val_pair(pair)?;
-        let vehicle = val_u64_hex(vehicle)?;
-        let slot = usize::try_from(vehicle)
-            .ok()
-            .and_then(|id| used.get_mut(id))
-            .ok_or_else(|| {
-                CkptError::new(format!(
-                    "{key} names vehicle {vehicle} in a fleet of {vehicles}"
-                ))
-            })?;
-        *slot = Some(val_u64_hex(records)?);
-    }
-    Ok(used)
 }
 
 /// Writes one backlog batch. Its records, bytes and deadline are not
@@ -673,11 +636,11 @@ fn dec_batch(
 
 impl IngestPass {
     /// Serializes everything the ingest pass carries across barriers:
-    /// the ladder RNG position, rung-1 retry queue, rung-2 TTL caches
-    /// with their per-vehicle tier occupancy, the ingestion ledger, and
-    /// every collector's queued batches. The config-derived pieces
-    /// (uplink model, contention capacity, retry policy, storage tier)
-    /// are rebuilt on restore.
+    /// the ladder RNG position, rung-1 retry queue, rung-2 TTL caches,
+    /// the ingestion ledger, and every collector's queued batches. The
+    /// config-derived pieces (uplink model, contention capacity, retry
+    /// policy, storage tier) and each vehicle's tier occupancy, a sum
+    /// over the caches, are rebuilt on restore.
     ///
     /// Deliberately does **not** call [`IngestPass::finish`] — that
     /// closes the backlog ledger, which only happens at the horizon.
@@ -703,10 +666,6 @@ impl IngestPass {
             w.end_array();
         }
         w.end_array();
-        w.key("disk_used");
-        enc_used(w, &self.disk_used);
-        w.key("mem_used");
-        enc_used(w, &self.mem_used);
         w.key("metrics");
         enc_ingest_metrics(w, &self.metrics);
         w.key("pending").begin_array();
@@ -729,8 +688,9 @@ impl IngestPass {
     /// Rebuilds the pass from config plus the serialized barrier state,
     /// refusing a backlog no run could leave behind: a batch naming a
     /// vehicle or region the config lacks, a queued batch in another
-    /// region's collector, a queue over its record bound, or a cache
-    /// out of canonical order.
+    /// region's collector, a queue over its record bound, a cache out
+    /// of canonical order, or a vehicle caching more records in a tier
+    /// than the tier holds.
     pub(crate) fn restore_ckpt(
         cfg: &FleetConfig,
         seeds: &SeedFactory,
@@ -768,8 +728,20 @@ impl IngestPass {
         {
             return Err(CkptError::new("cached batches out of canonical order"));
         }
-        pass.mem_used = dec_used(v, "mem_used", cfg.vehicles)?;
-        pass.disk_used = dec_used(v, "disk_used", cfg.vehicles)?;
+        for c in &pass.cached {
+            let (used, capacity, tier) = if c.disk {
+                (&mut pass.disk_used, ing.cache_disk_records, "disk")
+            } else {
+                (&mut pass.mem_used, ing.cache_mem_records, "mem")
+            };
+            let vehicle = c.batch.vehicle;
+            used[vehicle as usize] += u64::from(c.batch.records);
+            if used[vehicle as usize] > capacity {
+                return Err(CkptError::new(format!(
+                    "vehicle {vehicle} caches more than its {capacity}-record {tier} tier"
+                )));
+            }
+        }
         pass.metrics = dec_ingest_metrics(get(v, "metrics")?)?;
         let queues = get_array(v, "collectors")?;
         if queues.len() != pass.collectors.len() {
@@ -797,6 +769,41 @@ impl IngestPass {
             }
         }
         Ok(pass)
+    }
+
+    /// Refuses a ledger no run of `epoch` barriers leaves: a batch is
+    /// written and misses its deadline at most once; every record sent
+    /// is written, shed, evicted or still in the backlog; each bounce
+    /// takes one ladder rung (a retry, a deferral, or a shed) and a disk
+    /// spill is a deferral; and a barrier bounces each batch sent so far
+    /// at most once.
+    pub(crate) fn check_ledger(&self, epoch: u64) -> Result<(), CkptError> {
+        let m = &self.metrics;
+        let batches = |n: u64| n.checked_mul(u64::from(self.ing.records_per_batch));
+        let sent = batches(m.batches_sent);
+        let gone = [
+            batches(m.batches_written),
+            batches(self.backlog_batches()),
+            Some(m.records_shed),
+            Some(m.cache_evictions),
+        ]
+        .into_iter()
+        .try_fold(0u64, |sum, n| sum.checked_add(n?));
+        let bounces = m.outage_bounces.checked_add(m.queue_bounces);
+        let problem = if m.batches_written > m.batches_sent || m.deadline_misses > m.batches_sent {
+            "writes or misses more batches than it sent"
+        } else if sent.is_none() || sent != gone {
+            "sends records it neither wrote, shed, evicted nor holds"
+        } else if bounces.is_none_or(|b| m.retries.checked_add(m.deferrals).is_none_or(|r| r > b)) {
+            "retries or defers more batches than bounced"
+        } else if m.disk_spills > m.deferrals {
+            "spills more batches to disk than it deferred"
+        } else if bounces.is_some_and(|b| b > m.batches_sent.saturating_mul(epoch)) {
+            "bounces more offers than its barriers made"
+        } else {
+            return Ok(());
+        };
+        Err(CkptError::new(format!("ingest ledger {problem}")))
     }
 }
 

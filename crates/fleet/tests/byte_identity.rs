@@ -1,32 +1,34 @@
 //! Byte-identity pins for every serialized artifact: snapshot texts,
 //! JSONL spill segments, `spans.jsonl` and the Chrome trace, plus the
 //! summaries of a run whose ingest backlog is never empty, of three
-//! runs whose reliability ledger records repairs and failovers, and of
-//! a run whose edge node crashes under an XEdge backlog.
+//! runs whose reliability ledger records repairs and failovers, of a
+//! run whose edge node crashes under an XEdge backlog, and of a run
+//! whose edge node crash-loops.
 //!
 //! Any change to a key order, a number format or the envelope layout
 //! moves one of the FNV-1a 64 values below, so an encoder rewrite that
 //! passes here writes the same bytes as before.
 
 use vdap_ckpt::fnv1a64;
-use vdap_fleet::{FleetConfig, FleetEngine, SnapshotStore};
+use vdap_fault::{FaultKind, FaultPlan, FaultSpec};
+use vdap_fleet::{edge_node_label, FleetConfig, FleetEngine, SnapshotStore};
 use vdap_sim::{SimDuration, SimTime};
 
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// supervised run, the torn generation 8 included.
 const SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0x8f2b_1659_e1d6_5e48),
-    (8, 0xe73a_45f2_f641_2571),
-    (12, 0x9246_97af_28ae_a168),
+    (4, 0x324d_5e94_7acc_188e),
+    (8, 0x372a_6563_df4c_667c),
+    (12, 0xf643_e5e2_b4a7_dc5a),
 ];
 
 /// The same for the budgeted run: elastic lanes, a regional outage,
 /// series rollup into histograms and spill counters in the payload.
 const BUDGET_SNAPSHOT_PINS: [(u64, u64); 4] = [
-    (17, 0x4ff9_175b_687b_bb2f),
-    (34, 0x1457_16ff_7e25_89b6),
-    (51, 0x3db1_7769_31ef_d3cc),
-    (68, 0x4353_12f3_86c8_6bef),
+    (17, 0x4ba8_aca7_0d0f_9b5b),
+    (34, 0xeff4_add9_66ad_9e66),
+    (51, 0xd49a_a6c9_9c49_c7dd),
+    (68, 0xf190_6ef7_e9a0_023e),
 ];
 
 /// FNV-1a of each spill segment of the spill run, in segment order.
@@ -123,9 +125,9 @@ fn budgeted_snapshot_texts_are_byte_identical() {
 /// `(generation, FNV-1a of the stored text)` for every snapshot of the
 /// backlogged run, and the FNV-1a of its summary.
 const BACKLOG_SNAPSHOT_PINS: [(u64, u64); 3] = [
-    (4, 0x74f0_9f79_bb91_d791),
-    (8, 0x29b5_fdfc_9598_c3a3),
-    (12, 0x9779_0706_19ef_96d7),
+    (4, 0x5e07_31f1_96d6_ffbd),
+    (8, 0xa9bf_0d1f_e181_35b3),
+    (12, 0x478d_9357_b834_522b),
 ];
 const BACKLOG_SUMMARY_PIN: u64 = 0xcb10_ab25_8de2_2d84;
 
@@ -236,4 +238,66 @@ fn crash_under_backlog_summary_is_byte_identical() {
     let narrow = FleetEngine::new(cfg.with_executor_threads(1).with_batch_size(7)).run();
     assert_eq!(summary, narrow.summary());
     assert_eq!(fnv1a64(summary.as_bytes()), CRASH_BACKLOG_SUMMARY_PIN);
+}
+
+/// FNV-1a of `summary()` for the crash-loop run.
+const CRASH_LOOP_SUMMARY_PIN: u64 = 0xa737_6cad_2991_4e23;
+
+/// 256 vehicles with ingest, mobility and telemetry whose edge node 0
+/// is down for 1.5 s every 3 s from 2 s. Its fourth crash inside 30 s,
+/// at the 11 s barrier, breaks the node's crash-loop policy, and the
+/// node stays down from there to the horizon.
+fn crash_loop_config() -> FleetConfig {
+    let mut cfg = FleetConfig::sized(256)
+        .with_ingest()
+        .with_mobility()
+        .with_telemetry();
+    cfg.seed = 3;
+    cfg.duration = SimDuration::from_secs(30);
+    let crash = FaultSpec::new(
+        FaultKind::EdgeNodeCrash,
+        edge_node_label(0),
+        SimTime::from_secs(2),
+        SimDuration::from_millis(1500),
+    )
+    .recurring_every(SimDuration::from_secs(3));
+    let plan = FaultPlan::new(cfg.duration).with_fault(crash);
+    cfg.with_fault_plan(plan)
+}
+
+#[test]
+fn crash_loop_summary_is_byte_identical() {
+    let cfg = crash_loop_config();
+    let summary = FleetEngine::new(cfg.clone()).run().summary();
+    // Down 4.5 s in three repaired crashes, then for good from 11 s:
+    // 23.5 s of 30. Every tenant shares the node pool.
+    assert!(
+        summary.contains("availability[xedge/node0]=0.216667"),
+        "{summary}"
+    );
+    let narrow = FleetEngine::new(cfg.clone().with_executor_threads(1).with_batch_size(7)).run();
+    assert_eq!(summary, narrow.summary());
+    assert_eq!(
+        fnv1a64(summary.as_bytes()),
+        CRASH_LOOP_SUMMARY_PIN,
+        "{summary}"
+    );
+
+    // A crash at epoch 40, after the loop, resumes from the snapshot of
+    // its own barrier and reaches the straight run's summary.
+    let supervised = cfg
+        .with_checkpoint(8, 16)
+        .with_engine_crash(40, SimDuration::from_millis(750));
+    let straight = FleetEngine::new(supervised.clone()).run();
+    let mut store = SnapshotStore::in_memory();
+    let resumed = FleetEngine::new(supervised).run_supervised(&mut store);
+    assert_eq!(resumed.snapshots.resumes, 1);
+    let written: Vec<u64> = resumed
+        .snapshots
+        .writes
+        .iter()
+        .map(|w| w.generation)
+        .collect();
+    assert_eq!(written, [8, 16, 24, 32, 40, 48, 56], "resumed from 40");
+    assert_eq!(resumed.summary(), straight.summary());
 }

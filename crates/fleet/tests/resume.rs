@@ -133,8 +133,8 @@ fn elastic_capped_config(mobility: bool) -> FleetConfig {
 
 /// Restore rebuilds each gate's cap from the restored lane pool, though
 /// every serving pass sizes it again before admitting: this pins what the
-/// elastic step reads (lanes, scaler counters, the depth latch) and the
-/// rebuilt gates.
+/// elastic step reads (lanes and the depth latch) and the rebuilt
+/// gates.
 #[test]
 fn crash_resume_under_elastic_lanes_and_tight_caps_is_byte_identical() {
     for mobility in [false, true] {
@@ -619,7 +619,7 @@ fn restore_rejects_an_impossible_ingest_backlog_with_a_valid_checksum() {
             .and_then(Value::as_array)
             .map_or(0, Vec::len)
     };
-    assert!(len("pending") > 0 && len("cached") > 1 && len("mem_used") > 0);
+    assert!(len("pending") > 0 && len("cached") > 1);
     let hex = |x: u64| Value::from(format!("{x:x}"));
 
     // Rewriting the backlog with itself keeps the snapshot valid.
@@ -651,14 +651,21 @@ fn restore_rejects_an_impossible_ingest_backlog_with_a_valid_checksum() {
         ),
         "queues a batch for region 1".into(),
     ));
-    let pair = Value::Array(vec![hex(99_999), hex(24)]);
-    for key in ["mem_used", "disk_used"] {
-        cases.push((
-            format!("{key} vehicle"),
-            with_value_at(&snap, &["ingest", key], Value::Array(vec![pair.clone()])),
-            format!("{key} names vehicle 99999"),
-        ));
-    }
+    // Nine batches of one vehicle in its 192-record (eight-batch) mem
+    // tier, in canonical order.
+    let first = value_at(ingest, &["cached", "0"]);
+    let seq = value_at(first, &["batch", "seq"]).as_u64().expect("seq") as u32;
+    let crammed: Vec<Value> = (0..9)
+        .map(|i| {
+            let batch = with_key(value_at(first, &["batch"]), "seq", Value::from(seq + i));
+            with_key(&with_key(first, "batch", batch), "disk", Value::from(false))
+        })
+        .collect();
+    cases.push((
+        "mem tier over its capacity".into(),
+        with_value_at(&snap, &["ingest", "cached"], Value::Array(crammed)),
+        "caches more than its 192-record mem tier".into(),
+    ));
     // One batch more than the bound of a queue already holding batches.
     let queue = value_at(ingest, &["collectors", "0"])
         .as_array()
@@ -1049,7 +1056,7 @@ fn restore_refuses_ledgers_that_disagree() {
             hex(ledger + lift),
         )
     };
-    let cases = [
+    let mut cases = vec![
         (
             "vehicle seq",
             with_vehicle_field(
@@ -1115,39 +1122,156 @@ fn restore_refuses_ledgers_that_disagree() {
             "work units overflow",
         ),
     ];
+    // One case per relation of the ingest and mobility ledgers, each
+    // breaking only its own.
+    let ingest = |key: &str, n: u64| with_value_at(&snap, &["ingest", "metrics", key], hex(n));
+    let mobility = |key: &str, n: u64| with_value_at(&snap, &["mobility", "metrics", key], hex(n));
+    let counter = |path: &[&str]| hex_at(path);
+    let offers = sent * snap.generation;
+    let bounces = counter(&["ingest", "metrics", "outage_bounces"])
+        + counter(&["ingest", "metrics", "queue_bounces"]);
+    let deferrals = counter(&["ingest", "metrics", "deferrals"]);
+    let crossings = counter(&["mobility", "metrics", "migrations"])
+        + counter(&["mobility", "metrics", "same_shard_crossings"]);
+    assert!(sent > 0 && crossings > 0, "the ledgers are live");
+    cases.extend([
+        (
+            "records sent",
+            ingest(
+                "records_shed",
+                counter(&["ingest", "metrics", "records_shed"]) + 1,
+            ),
+            "ingest ledger sends records it neither wrote",
+        ),
+        (
+            "batches written",
+            ingest("batches_written", sent + 1),
+            "ingest ledger writes or misses more batches than it sent",
+        ),
+        (
+            "deadline misses",
+            ingest("deadline_misses", sent + 1),
+            "ingest ledger writes or misses more batches than it sent",
+        ),
+        (
+            "ladder rungs",
+            ingest("retries", bounces - deferrals + 1),
+            "ingest ledger retries or defers more batches than bounced",
+        ),
+        (
+            "disk spills",
+            ingest("disk_spills", deferrals + 1),
+            "ingest ledger spills more batches to disk than it deferred",
+        ),
+        (
+            "bounces",
+            ingest("outage_bounces", offers + 1),
+            "ingest ledger bounces more offers than its barriers made",
+        ),
+        (
+            "re-addressed batches",
+            mobility("readdressed_batches", offers + 1),
+            "mobility ledger re-addresses more batches than its barriers held",
+        ),
+        (
+            "crossings",
+            mobility(
+                "migrations",
+                counter(&["mobility", "metrics", "migrations"]) + 1,
+            ),
+            "mobility ledger records a handoff cost or speed per crossing",
+        ),
+        (
+            "storm crossings",
+            mobility("storm_crossings", crossings + 1),
+            "mobility ledger storms more crossings than it counts",
+        ),
+        (
+            "stale cache hits",
+            mobility("stale_cache_hits", class_total(&snap, "requests") + 1),
+            "mobility ledger suppresses more cache hits than requests",
+        ),
+    ]);
     for (what, tampered, expect) in cases {
         let err = engine
             .restore(&tampered)
             .expect_err("ledgers that disagree must be refused");
         assert!(err.to_string().contains(expect), "{what}: {err}");
     }
+    // Any counter of either ledger at the top is refused: the next
+    // barrier would overflow it.
+    for (ledger, keys) in [
+        (
+            "ingest",
+            &[
+                "batches_written",
+                "cache_evictions",
+                "deadline_misses",
+                "deferrals",
+                "disk_spills",
+                "outage_bounces",
+                "queue_bounces",
+                "records_shed",
+                "retries",
+            ][..],
+        ),
+        (
+            "mobility",
+            &[
+                "migrations",
+                "readdressed_batches",
+                "same_shard_crossings",
+                "stale_cache_hits",
+                "storm_crossings",
+            ][..],
+        ),
+    ] {
+        for key in keys {
+            let tampered = with_value_at(&snap, &[ledger, "metrics", key], hex(u64::MAX));
+            let err = engine
+                .restore(&tampered)
+                .expect_err("a counter at u64::MAX must be refused");
+            assert!(err.to_string().contains("ledger"), "{ledger}.{key}: {err}");
+        }
+    }
 }
 
-/// Object keys a version-7 payload never writes: restore rebuilds each
-/// value from the config, the seed or the rest of the payload, or the
-/// engine no longer keeps it (registry counters and gauges).
-const DROPPED_KEYS: [&str; 24] = [
+/// Object keys a version-8 payload never writes: restore rebuilds each
+/// value from the config, the seed, the fault plan or the rest of the
+/// payload, or the engine no longer keeps it (registry counters and
+/// gauges, elastic lane counters).
+const DROPPED_KEYS: [&str; 34] = [
     "admission",
+    "backlog_records",
     "bytes",
     "cap_overrides",
     "counters",
+    "crash_history",
+    "crash_looped",
+    "crossings",
     "deadline",
     "depth",
+    "disk_used",
     "dwell_mean",
     "events_base",
     "gauges",
     "home",
     "id",
+    "mem_used",
+    "node_down",
     "outbound_at",
     "profile",
     "queue_cap",
     "records",
+    "records_sent",
+    "records_written",
     "region_admission",
     "registrations",
     "rejected_by_tenant",
     "req",
     "retry_rescued",
     "return_at",
+    "scaler",
     "shard",
     "tenant",
     "work",
@@ -1341,6 +1465,41 @@ fn keys_restore_rebuilds_leave_the_format_and_are_ignored_when_written_back() {
                 ],
             ));
             cases.extend(at(&["edge", "gates", "0"], gate()));
+            let flags = |b: bool| Value::Array(vec![Value::from(b); 4]);
+            let mut counters = std::collections::BTreeMap::new();
+            counters.insert("scale_downs".to_string(), hex(u64::MAX));
+            counters.insert("scale_ups".to_string(), hex(u64::MAX));
+            cases.extend(at(
+                &["edge"],
+                vec![
+                    ("node_down", flags(true)),
+                    ("crash_looped", flags(true)),
+                    (
+                        "crash_history",
+                        Value::Array(vec![Value::Array(vec![hex(1); 9]); 4]),
+                    ),
+                    ("scaler", Value::Object(counters)),
+                ],
+            ));
+            cases.extend(at(
+                &["ingest"],
+                vec![
+                    ("mem_used", pair(0, u64::MAX)),
+                    ("disk_used", pair(99_999, 1)),
+                ],
+            ));
+            cases.extend(at(
+                &["ingest", "metrics"],
+                vec![
+                    ("records_sent", hex(u64::MAX)),
+                    ("records_written", hex(u64::MAX)),
+                    ("backlog_records", hex(u64::MAX)),
+                ],
+            ));
+            cases.extend(at(
+                &["mobility", "metrics"],
+                vec![("crossings", hex(u64::MAX)), ("crossings", hex(0))],
+            ));
         } else {
             cases.extend(at(&["ingest", "pending", "0", "batch"], batch()));
             cases.extend(at(&["ingest", "cached", "0", "batch"], batch()));

@@ -100,25 +100,35 @@ pub struct Crossing {
     pub at: SimTime,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum TrackState {
-    /// Parked in the current region; `None` = parked for good.
-    Dwell { until: Option<SimTime> },
-    /// Traversing `edge`; `path` holds the regions still ahead
-    /// (the segment's far end is `path[0]`).
-    Drive {
-        edge: usize,
-        remaining: SimDuration,
-        path: Vec<u32>,
-    },
+/// Which leg of a commute or rush-hour plan a track is on; a snapshot
+/// writes the discriminant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrackLeg {
+    /// Hasn't departed for work yet.
+    BeforeOutbound = 0,
+    /// At work, waiting for the return departure.
+    AtWork = 1,
+    /// Plan finished; parked for good.
+    Done = 2,
 }
 
-/// Which leg of a commute/rush plan the vehicle is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Leg {
-    BeforeOutbound,
-    AtWork,
-    Done,
+/// What a track is doing.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrackMotion {
+    /// Parked for good.
+    Parked,
+    /// Dwelling in the current region until the contained instant.
+    Dwell(SimTime),
+    /// Traversing a segment with `remaining` travel time; `path` holds
+    /// the regions still ahead.
+    Drive {
+        /// Segment index being traversed.
+        edge: usize,
+        /// Travel time left on the segment.
+        remaining: SimDuration,
+        /// Regions still ahead (the segment's far end is `path[0]`).
+        path: Vec<u32>,
+    },
 }
 
 /// A vehicle's deterministic position process, advanced only in whole
@@ -132,8 +142,8 @@ pub struct VehicleTrack {
     work: u32,
     return_at: SimTime,
     dwell_mean: SimDuration,
-    leg: Leg,
-    state: TrackState,
+    leg: TrackLeg,
+    motion: TrackMotion,
     rng: RngStream,
 }
 
@@ -187,16 +197,12 @@ impl VehicleTrack {
             }
             RouteProfile::Roam => (start_region, SimTime::ZERO, SimTime::ZERO),
         };
-        let state = match profile {
-            RouteProfile::Roam => TrackState::Dwell {
-                until: Some(
-                    SimTime::ZERO
-                        + SimDuration::from_secs_f64(rng.exponential(cfg.dwell_mean.as_secs_f64())),
-                ),
-            },
-            _ => TrackState::Dwell {
-                until: Some(outbound_at),
-            },
+        let motion = match profile {
+            RouteProfile::Roam => TrackMotion::Dwell(
+                SimTime::ZERO
+                    + SimDuration::from_secs_f64(rng.exponential(cfg.dwell_mean.as_secs_f64())),
+            ),
+            _ => TrackMotion::Dwell(outbound_at),
         };
         VehicleTrack {
             id,
@@ -206,8 +212,8 @@ impl VehicleTrack {
             work,
             return_at,
             dwell_mean: cfg.dwell_mean,
-            leg: Leg::BeforeOutbound,
-            state,
+            leg: TrackLeg::BeforeOutbound,
+            motion,
             rng,
         }
     }
@@ -233,9 +239,9 @@ impl VehicleTrack {
     /// Segment currently being traversed, if driving.
     #[must_use]
     pub fn driving_edge(&self) -> Option<usize> {
-        match &self.state {
-            TrackState::Drive { edge, .. } => Some(*edge),
-            TrackState::Dwell { .. } => None,
+        match &self.motion {
+            TrackMotion::Drive { edge, .. } => Some(*edge),
+            TrackMotion::Parked | TrackMotion::Dwell(_) => None,
         }
     }
 
@@ -255,17 +261,17 @@ impl VehicleTrack {
         // Each iteration consumes a dwell tail or a segment remainder,
         // both strictly positive, so the loop terminates at `end`.
         while clock < end {
-            match std::mem::replace(&mut self.state, TrackState::Dwell { until: None }) {
-                TrackState::Dwell { until: None } => return,
-                TrackState::Dwell { until: Some(u) } => {
+            match std::mem::replace(&mut self.motion, TrackMotion::Parked) {
+                TrackMotion::Parked => return,
+                TrackMotion::Dwell(u) => {
                     if u >= end {
-                        self.state = TrackState::Dwell { until: Some(u) };
+                        self.motion = TrackMotion::Dwell(u);
                         return;
                     }
                     clock = u.max(clock);
                     self.depart(clock, graph, congestion);
                 }
-                TrackState::Drive {
+                TrackMotion::Drive {
                     edge,
                     mut remaining,
                     mut path,
@@ -273,7 +279,7 @@ impl VehicleTrack {
                     let left = end - clock;
                     if remaining > left {
                         remaining -= left;
-                        self.state = TrackState::Drive {
+                        self.motion = TrackMotion::Drive {
                             edge,
                             remaining,
                             path,
@@ -297,7 +303,7 @@ impl VehicleTrack {
                         let e = graph
                             .edge_between(self.region, path[0])
                             .expect("path steps are adjacent");
-                        self.state = TrackState::Drive {
+                        self.motion = TrackMotion::Drive {
                             edge: e,
                             remaining: travel_time(graph, e, congestion),
                             path,
@@ -314,12 +320,12 @@ impl VehicleTrack {
             RouteProfile::Roam => {
                 let adj = graph.adjacent(self.region);
                 if adj.is_empty() {
-                    self.state = TrackState::Dwell { until: None };
+                    self.motion = TrackMotion::Parked;
                     return;
                 }
                 let e = adj[self.rng.below(adj.len() as u64) as usize];
                 let to = graph.segments()[e].other(self.region);
-                self.state = TrackState::Drive {
+                self.motion = TrackMotion::Drive {
                     edge: e,
                     remaining: travel_time(graph, e, congestion),
                     path: vec![to],
@@ -327,10 +333,10 @@ impl VehicleTrack {
             }
             RouteProfile::Commute | RouteProfile::RushHour => {
                 let dest = match self.leg {
-                    Leg::BeforeOutbound => self.work,
-                    Leg::AtWork => self.home,
-                    Leg::Done => {
-                        self.state = TrackState::Dwell { until: None };
+                    TrackLeg::BeforeOutbound => self.work,
+                    TrackLeg::AtWork => self.home,
+                    TrackLeg::Done => {
+                        self.motion = TrackMotion::Parked;
                         return;
                     }
                 };
@@ -343,7 +349,7 @@ impl VehicleTrack {
                 let e = graph
                     .edge_between(self.region, path[0])
                     .expect("path steps are adjacent");
-                self.state = TrackState::Drive {
+                self.motion = TrackMotion::Drive {
                     edge: e,
                     remaining: travel_time(graph, e, congestion),
                     path,
@@ -361,56 +367,20 @@ impl VehicleTrack {
                         .exponential(self.dwell_mean.as_secs_f64())
                         .max(0.05),
                 );
-                self.state = TrackState::Dwell {
-                    until: Some(clock + dwell),
-                };
+                self.motion = TrackMotion::Dwell(clock + dwell);
             }
             RouteProfile::Commute | RouteProfile::RushHour => match self.leg {
-                Leg::BeforeOutbound => {
-                    self.leg = Leg::AtWork;
-                    self.state = TrackState::Dwell {
-                        until: Some(self.return_at.max(clock)),
-                    };
+                TrackLeg::BeforeOutbound => {
+                    self.leg = TrackLeg::AtWork;
+                    self.motion = TrackMotion::Dwell(self.return_at.max(clock));
                 }
-                Leg::AtWork | Leg::Done => {
-                    self.leg = Leg::Done;
-                    self.state = TrackState::Dwell { until: None };
+                TrackLeg::AtWork | TrackLeg::Done => {
+                    self.leg = TrackLeg::Done;
+                    self.motion = TrackMotion::Parked;
                 }
             },
         }
     }
-}
-
-/// Where a checkpointed track was within its plan (public mirror of the
-/// private leg state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrackLeg {
-    /// Hasn't departed for work yet.
-    BeforeOutbound,
-    /// At work, waiting for the return departure.
-    AtWork,
-    /// Plan finished; parked for good.
-    Done,
-}
-
-/// What a checkpointed track was doing (public mirror of the private
-/// track state).
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrackMotion {
-    /// Parked for good.
-    Parked,
-    /// Dwelling until the contained instant.
-    Dwell(SimTime),
-    /// Traversing a segment with `remaining` travel time; `path` holds
-    /// the regions still ahead.
-    Drive {
-        /// Segment index being traversed.
-        edge: usize,
-        /// Travel time left on the segment.
-        remaining: SimDuration,
-        /// Regions still ahead (the segment's far end is `path[0]`).
-        path: Vec<u32>,
-    },
 }
 
 /// The run-time state of a [`VehicleTrack`], exposed for
@@ -437,24 +407,8 @@ impl VehicleTrack {
     pub fn snapshot(&self) -> TrackSnapshot {
         TrackSnapshot {
             region: self.region,
-            leg: match self.leg {
-                Leg::BeforeOutbound => TrackLeg::BeforeOutbound,
-                Leg::AtWork => TrackLeg::AtWork,
-                Leg::Done => TrackLeg::Done,
-            },
-            motion: match &self.state {
-                TrackState::Dwell { until: None } => TrackMotion::Parked,
-                TrackState::Dwell { until: Some(u) } => TrackMotion::Dwell(*u),
-                TrackState::Drive {
-                    edge,
-                    remaining,
-                    path,
-                } => TrackMotion::Drive {
-                    edge: *edge,
-                    remaining: *remaining,
-                    path: path.clone(),
-                },
-            },
+            leg: self.leg,
+            motion: self.motion.clone(),
             rng: self.rng.state(),
         }
     }
@@ -469,24 +423,8 @@ impl VehicleTrack {
     /// [`VehicleTrack::snapshot`]).
     pub fn restore(&mut self, snap: TrackSnapshot) {
         self.region = snap.region;
-        self.leg = match snap.leg {
-            TrackLeg::BeforeOutbound => Leg::BeforeOutbound,
-            TrackLeg::AtWork => Leg::AtWork,
-            TrackLeg::Done => Leg::Done,
-        };
-        self.state = match snap.motion {
-            TrackMotion::Parked => TrackState::Dwell { until: None },
-            TrackMotion::Dwell(u) => TrackState::Dwell { until: Some(u) },
-            TrackMotion::Drive {
-                edge,
-                remaining,
-                path,
-            } => TrackState::Drive {
-                edge,
-                remaining,
-                path,
-            },
-        };
+        self.leg = snap.leg;
+        self.motion = snap.motion;
         self.rng = RngStream::from_state(snap.rng);
     }
 }

@@ -21,7 +21,13 @@ const SEED: u64 = 42;
 struct Target {
     name: &'static str,
     seeded_chaos: bool,
-    run: fn(u64) -> TextTable,
+    run: Run,
+}
+
+/// A target's runner: one table, or several printed in order.
+enum Run {
+    One(fn(u64) -> TextTable),
+    Many(fn(u64) -> Vec<TextTable>),
 }
 
 impl Target {
@@ -29,7 +35,7 @@ impl Target {
         Target {
             name,
             seeded_chaos: false,
-            run,
+            run: Run::One(run),
         }
     }
 
@@ -37,7 +43,22 @@ impl Target {
         Target {
             name,
             seeded_chaos: true,
-            run,
+            run: Run::One(run),
+        }
+    }
+
+    const fn chaos_tables(name: &'static str, run: fn(u64) -> Vec<TextTable>) -> Self {
+        Target {
+            name,
+            seeded_chaos: true,
+            run: Run::Many(run),
+        }
+    }
+
+    fn tables(&self, seed: u64) -> Vec<TextTable> {
+        match self.run {
+            Run::One(run) => vec![run(seed)],
+            Run::Many(run) => run(seed),
         }
     }
 }
@@ -70,7 +91,7 @@ const TARGETS: &[Target] = &[
     Target::chaos("fleet-ingest", experiments::fleet_ingest),
     Target::chaos("fleet-mobility", experiments::fleet_mobility),
     Target::chaos("fleet-resume", experiments::fleet_resume),
-    Target::chaos("fleet-steal", experiments::fleet_steal),
+    Target::chaos_tables("fleet-steal", experiments::fleet_steal),
     Target::plain("fleet-obs", experiments::fleet_obs),
 ];
 
@@ -111,6 +132,8 @@ fn main() {
         if t.seeded_chaos {
             println!("fault-plan seed: {SEED}");
         }
-        println!("{}", (t.run)(SEED).render());
+        for table in t.tables(SEED) {
+            println!("{}", table.render());
+        }
     }
 }

@@ -8,8 +8,8 @@
 use vdap_ddi::{DdiService, DriverStyle, ObdCollector, Query, RecordKind};
 use vdap_edgeos::Objective;
 use vdap_fleet::{
-    FleetConfig, FleetEngine, FleetReport, IngestConfig, JsonlSpillSink, MobilityConfig,
-    SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
+    BarrierPass, FleetConfig, FleetEngine, FleetReport, IngestConfig, JsonlSpillSink,
+    MobilityConfig, SnapshotStore, SpanOutcome, CKPT_STORE_LABEL, ENGINE_LABEL,
 };
 use vdap_hw::{catalog, Battery, ComputeWorkload, TaskClass};
 use vdap_models::zoo;
@@ -990,7 +990,7 @@ fn fleet_trace_table(cfg: FleetConfig, dir: &std::path::Path) -> TextTable {
     // these rows are diagnostics, never part of the summary contract.
     let p = &wide.profile;
     t.row(&[
-        "barrier serial ms (wall-clock)".into(),
+        "barrier ms (wall-clock)".into(),
         f3(p.barrier.as_secs_f64() * 1e3),
     ]);
     t.row(&[
@@ -1427,23 +1427,41 @@ pub fn fleet_resume(seed: u64) -> TextTable {
 /// E22 — work-stealing epoch executor: the E14 fleet (1,000 vehicles,
 /// 60 s, a 12 s regional LTE outage) with each epoch's vehicle-tick
 /// phase split into stealable fixed-size vehicle batches on the
-/// persistent executor. The same binary runs on one worker and at the
-/// machine's default width; the table reports the host's cores and,
-/// per run, the executor width, how many batches idle workers stole,
-/// the mean barrier-idle fraction and wall-clock throughput, and
-/// asserts the two summaries are byte-identical — the steal schedule
-/// must never reach a report.
+/// persistent executor, then the rush-hour fleet (4,000 vehicles, 24 s,
+/// ingest and rush-hour mobility), whose barriers fork serving, ingest
+/// and the track advance onto the same executor. The same binary runs
+/// each fleet on one worker and at the machine's default width; each
+/// table reports the host's cores and, per run, the executor width, how
+/// many batches idle workers stole, the barrier's wall clock and each
+/// pass's own time, the mean barrier-idle fraction and wall-clock
+/// throughput, and asserts the two summaries are byte-identical —
+/// neither the steal schedule nor the fork may reach a report.
 #[must_use]
-pub fn fleet_steal(seed: u64) -> TextTable {
-    let mut cfg = FleetConfig::sized(1000);
-    cfg.seed = seed;
-    cfg.duration = SimDuration::from_secs(60);
-    let cfg = cfg.with_regional_outage(0, SimTime::from_secs(20), SimDuration::from_secs(12));
-    fleet_steal_table(cfg)
+pub fn fleet_steal(seed: u64) -> Vec<TextTable> {
+    let mut e14 = FleetConfig::sized(1000);
+    e14.seed = seed;
+    e14.duration = SimDuration::from_secs(60);
+    let e14 = e14.with_regional_outage(0, SimTime::from_secs(20), SimDuration::from_secs(12));
+    let mut rush = FleetConfig::sized(4_000);
+    rush.seed = seed;
+    rush.duration = SimDuration::from_secs(24);
+    let rush = rush
+        .with_ingest()
+        .with_mobility_config(MobilityConfig::rush_hour());
+    vec![
+        fleet_steal_table(
+            "E22 — work-stealing epoch executor: one worker vs the default width, same binary",
+            e14,
+        ),
+        fleet_steal_table(
+            "E22 — the forked barrier at rush hour (4,000 vehicles × 24 s, ingest + mobility): one worker vs the default width",
+            rush,
+        ),
+    ]
 }
 
 /// Runs `cfg` in both run layouts and renders the executor profiles.
-fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
+fn fleet_steal_table(title: &str, cfg: FleetConfig) -> TextTable {
     let run = |c: FleetConfig| {
         let started = std::time::Instant::now();
         let report = FleetEngine::new(c).run();
@@ -1453,10 +1471,7 @@ fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
     let (wide, wide_wall) = run(cfg.clone());
     assert_same_summary("work-stealing executor", &single, &wide);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut t = TextTable::new(
-        "E22 — work-stealing epoch executor: one worker vs the default width, same binary",
-        &LAYOUT_HEADER,
-    );
+    let mut t = TextTable::new(title, &LAYOUT_HEADER);
     let both = |f: &dyn Fn(&FleetReport, std::time::Duration) -> String| {
         [f(&single, single_wall), f(&wide, wide_wall)]
     };
@@ -1479,9 +1494,17 @@ fn fleet_steal_table(cfg: FleetConfig) -> TextTable {
         both(&|r, _| r.profile.total_steals().to_string()),
     );
     row(
-        "barrier serial ms (wall-clock)",
+        "barrier ms (wall-clock)",
         both(&|r, _| f3(r.profile.barrier.as_secs_f64() * 1e3)),
     );
+    // Each pass's own time: serving, ingest and mobility may overlap,
+    // so at the default width these can sum past the barrier.
+    for pass in BarrierPass::ALL {
+        row(
+            &format!("{} ms (wall-clock)", pass.name()),
+            both(&|r, _| f3(r.profile.passes[pass as usize].as_secs_f64() * 1e3)),
+        );
+    }
     row(
         "events/sec (wall-clock)",
         both(&|r, wall| format!("{:.0}", r.events_processed as f64 / wall.as_secs_f64())),
@@ -1851,31 +1874,49 @@ mod tests {
 
     #[test]
     fn fleet_steal_table_pins_invariance_and_profile_rows() {
-        // Scaled-down E22: the full 1,000×60 s run belongs to the repro
-        // binary; a small fleet proves the table asserts byte-identity
-        // under the work-stealing executor and renders the executor
-        // shape, steal count and idle-fraction rows.
-        let mut cfg = FleetConfig::sized(96);
-        cfg.duration = SimDuration::from_secs(6);
-        let cfg = cfg.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
-        let rendered = fleet_steal_table(cfg).render();
-        assert!(rendered.contains("host cores"), "{rendered}");
-        assert!(rendered.contains("executor threads"), "{rendered}");
-        assert!(rendered.contains("batch size (vehicles)"), "{rendered}");
-        assert!(rendered.contains("batches stolen"), "{rendered}");
-        assert!(rendered.contains("mean idle fraction"), "{rendered}");
-        assert!(
-            !rendered.contains("baseline"),
-            "no pinned baseline: {rendered}"
-        );
-        assert!(rendered.contains("summaries byte-identical"), "{rendered}");
-        // The CI gate reads the last field of the only idle-fraction
-        // line: the default-width run's value.
-        let idle: Vec<&str> = rendered
-            .lines()
-            .filter(|l| l.contains("mean idle fraction"))
-            .collect();
-        assert_eq!(idle.len(), 1, "{rendered}");
+        // Scaled-down E22: the full runs belong to the repro binary; a
+        // small fleet proves the table asserts byte-identity under the
+        // work-stealing executor and renders the executor shape, steal
+        // count, per-pass and idle-fraction rows, and a small rush-hour
+        // fleet does the same with serving, ingest and the track
+        // advance forked at every barrier.
+        let mut e14 = FleetConfig::sized(96);
+        e14.duration = SimDuration::from_secs(6);
+        let e14 = e14.with_regional_outage(0, SimTime::from_secs(2), SimDuration::from_secs(2));
+        let mut rush = FleetConfig::sized(96);
+        rush.duration = SimDuration::from_secs(6);
+        let rush = rush
+            .with_ingest()
+            .with_mobility_config(MobilityConfig::rush_hour());
+        for cfg in [e14, rush] {
+            let rendered = fleet_steal_table("E22 (scaled)", cfg).render();
+            for label in [
+                "host cores",
+                "executor threads",
+                "batch size (vehicles)",
+                "batches stolen",
+                "barrier ms (wall-clock)",
+                "mean idle fraction",
+                "summaries byte-identical",
+            ] {
+                assert!(rendered.contains(label), "{label}: {rendered}");
+            }
+            for pass in BarrierPass::ALL {
+                let label = format!("{} ms (wall-clock)", pass.name());
+                assert!(rendered.contains(&label), "{label}: {rendered}");
+            }
+            assert!(
+                !rendered.contains("baseline"),
+                "no pinned baseline: {rendered}"
+            );
+            // CI's gate reads the last field of the first idle-fraction
+            // line: the E14 table's default-width value.
+            let idle: Vec<&str> = rendered
+                .lines()
+                .filter(|l| l.contains("mean idle fraction"))
+                .collect();
+            assert_eq!(idle.len(), 1, "{rendered}");
+        }
     }
 
     #[test]

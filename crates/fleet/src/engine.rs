@@ -13,8 +13,12 @@
 //! 2. **Barrier.** Chunk outputs fold back in chunk order (that is, id
 //!    order), then every cross-vehicle coupling (XEdge admission, fair
 //!    queueing, contention, snapshot union, DDI ingest, mobility) runs
-//!    single-threaded on globally sorted data. Every request outcome —
-//!    the vehicle-side ones in fold order, then the serving pass's — is
+//!    on globally sorted data. Serving, ingest and the mobility track
+//!    advance own disjoint state, so they run side by side on the pool;
+//!    what they share (the fleet metrics, the reliability ledger, the
+//!    registry, the ingest backlog a crossing re-addresses) is written
+//!    after the join, in one fixed order. Every request outcome — the
+//!    vehicle-side ones in fold order, then the serving pass's — is
 //!    recorded once, by `EngineState::record`, into integer counters
 //!    and [`vdap_sim::StreamingHistogram`]s, whose buckets, sums and
 //!    min/max are all integer ticks.
@@ -24,7 +28,7 @@
 //! in place, and a snapshot lists the array in id order.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
@@ -282,7 +286,9 @@ struct EngineState {
 /// included too: their downtime is fixed by the plan, so the resume
 /// window lands in MTTR whether or not this particular run path honors
 /// the crash. A node declared crash-looping never recovers: its outage
-/// stays open from the loop on, as requests observe it.
+/// stays open from the loop on, as requests observe it. Nor does a
+/// window that outlasts the horizon: the run never sees its repair, so
+/// its outage stays open to the horizon and adds no MTTR sample.
 fn fault_timeline(ctx: &RunCtx) -> ReliabilityStats {
     let mut reliability = ReliabilityStats::new();
     if let Some(inj) = ctx.injector.as_deref() {
@@ -295,7 +301,7 @@ fn fault_timeline(ctx: &RunCtx) -> ReliabilityStats {
             }
             match tr.edge {
                 FaultEdge::Start => reliability.record_fault(&window.target, tr.at),
-                FaultEdge::End if ctx.never_repaired(window) => {}
+                FaultEdge::End if tr.at > ctx.horizon || ctx.never_repaired(window) => {}
                 FaultEdge::End => reliability.record_recovery(&window.target, tr.at),
             }
         }
@@ -446,7 +452,7 @@ fn run_core(
         });
         let wall = wall_started.elapsed();
 
-        // ---- barrier: single-threaded, canonical-order exchange ----
+        // ---- barrier: canonical-order exchange ----
         // One clock read per pass: each `lap` closes the pass before it.
         let mut lap = Instant::now();
         profile.record_epoch(wall, &samples);
@@ -472,13 +478,45 @@ fn run_core(
         }
         lap = profile.lap(BarrierPass::Record, lap);
 
-        let outcome = state.edge.serve_epoch(
-            requests,
-            end,
-            injector,
-            &ctx.crash_loops,
-            &mut state.ladder_rng,
-        );
+        // ---- forked passes: serving, ingest and the track advance ----
+        // Each owns disjoint state and reads only `ctx`, so they run
+        // side by side on the pool; every write they share waits for
+        // the join and runs below, in the order one worker runs it.
+        // The longest pass goes first: on two workers the caller takes
+        // ingest, and the helper takes mobility, then steals serving.
+        let epoch_start = SimTime::ZERO + cfg.epoch * state.epoch_index;
+        let mut outcome = None;
+        let mut ingest_samples = None;
+        let mut crossed = (0, 0);
+        {
+            let mut forked = Vec::with_capacity(3);
+            if let Some(ing) = state.ingest.as_mut() {
+                forked.push(Forked::new(BarrierPass::Ingest, || {
+                    ingest_samples = Some(ing.barrier(uploads, end - epoch_start, end, injector));
+                }));
+            }
+            forked.push(Forked::new(BarrierPass::Serve, || {
+                outcome = Some(state.edge.serve_epoch(
+                    requests,
+                    end,
+                    injector,
+                    &ctx.crash_loops,
+                    &mut state.ladder_rng,
+                ));
+            }));
+            if let Some(mob) = state.mobility.as_mut() {
+                forked.push(Forked::new(BarrierPass::Mobility, || {
+                    crossed = mob.advance(&mut state.vehicles, injector, cfg, epoch_start, end);
+                }));
+            }
+            pool.for_each_mut(&mut forked, |_, pass| pass.run());
+            let joined = Instant::now();
+            let owns: Vec<_> = forked.iter().map(|f| (f.pass, f.own)).collect();
+            profile.record_fork(joined - lap, &owns);
+            lap = joined;
+        }
+
+        let outcome = outcome.expect("the serving pass ran");
         state.metrics.queue_depth.record(outcome.queue_depth as f64);
         state.metrics.elastic_lanes.record(f64::from(outcome.lanes));
         if outcome.scaled_up {
@@ -493,39 +531,24 @@ fn run_core(
         }
         lap = profile.lap(BarrierPass::Serve, lap);
 
-        // The DDI ingestion pass: collector admission, the ingest
-        // degradation ladder, and the storage drain — all sampled
-        // at this barrier only, on canonically sorted batches.
-        if let Some(ing) = state.ingest.as_mut() {
-            let epoch_start = SimTime::ZERO + cfg.epoch * state.epoch_index;
-            ing.barrier(
-                uploads,
-                end - epoch_start,
-                end,
-                state.epoch_index,
-                injector,
-                state.telemetry.as_mut(),
-            );
+        if let (Some(tel), Some(samples)) = (state.telemetry.as_mut(), ingest_samples) {
+            for (name, value) in samples {
+                tel.registry.sample(name, state.epoch_index, end, value);
+            }
         }
         lap = profile.lap(BarrierPass::Ingest, lap);
 
-        // The geo-mobility pass: advance every seeded track across
-        // the epoch just completed and price region crossings —
-        // single-threaded, in canonical vehicle order.
+        // The crossing fold reads the ingest backlog the ingest pass
+        // left, so it runs after the join.
         if let Some(mob) = state.mobility.as_mut() {
-            let epoch_start = SimTime::ZERO + cfg.epoch * state.epoch_index;
             mob.metrics.stale_cache_hits += stale_hits;
-            mob.barrier(
-                &mut state.vehicles,
+            mob.fold(
+                crossed,
                 state.ingest.as_mut(),
-                injector,
                 &mut state.reliability,
                 state.telemetry.as_mut(),
-                cfg,
-                epoch_start,
-                end - epoch_start,
-                end,
                 state.epoch_index,
+                end,
             );
         }
         lap = profile.lap(BarrierPass::Mobility, lap);
@@ -617,6 +640,32 @@ fn run_core(
         profile,
         snapshots: state.snapshots,
     }))
+}
+
+/// One barrier pass submitted to the pool beside the others. It owns
+/// disjoint engine state and reads only the run context, so no
+/// schedule can reach what it computes; it times itself on whichever
+/// worker runs it.
+struct Forked<'a> {
+    pass: BarrierPass,
+    work: Option<Box<dyn FnOnce() + Send + 'a>>,
+    own: Duration,
+}
+
+impl<'a> Forked<'a> {
+    fn new(pass: BarrierPass, work: impl FnOnce() + Send + 'a) -> Self {
+        Forked {
+            pass,
+            work: Some(Box::new(work)),
+            own: Duration::ZERO,
+        }
+    }
+
+    fn run(&mut self) {
+        let started = Instant::now();
+        (self.work.take().expect("each pass runs once"))();
+        self.own = started.elapsed();
+    }
 }
 
 /// Serializes the complete engine state at a barrier and persists it,
@@ -1219,9 +1268,9 @@ fn dec_mobility_metrics(v: &Value) -> Result<MobilityMetrics, CkptError> {
 /// The engine-owned geo-mobility pass.
 ///
 /// All mobility state — the seeded region graph and every vehicle's
-/// route track — lives on the engine thread and advances only at
-/// barriers, in canonical vehicle-id order, so crossings are a pure
-/// function of `(seed, vehicle, epoch)`.
+/// route track — advances only at barriers, in canonical vehicle-id
+/// order, so crossings are a pure function of `(seed, vehicle, epoch)`
+/// whichever worker runs [`MobilityPass::advance`].
 struct MobilityPass {
     graph: RegionGraph,
     tracks: Vec<VehicleTrack>,
@@ -1229,6 +1278,9 @@ struct MobilityPass {
     handoff_labels: Vec<String>,
     metrics: MobilityMetrics,
     crossings_buf: Vec<Crossing>,
+    /// This barrier's crossings as `(destination region, handoff cost)`,
+    /// in crossing order, for the reliability ledger after the join.
+    costs: Vec<(u32, SimDuration)>,
     /// The region each vehicle that crossed this barrier ended up in,
     /// indexed by id: the key of the ingest backlog's one-pass
     /// re-addressing (sized only when ingest runs).
@@ -1263,7 +1315,12 @@ impl MobilityPass {
             handoff_labels: (0..cfg.regions).map(handoff_label).collect(),
             metrics: MobilityMetrics::new(),
             crossings_buf: Vec::new(),
-            dest: Vec::new(),
+            costs: Vec::new(),
+            dest: if cfg.ingest.is_some() {
+                vec![None; cfg.vehicles as usize]
+            } else {
+                Vec::new()
+            },
         }
     }
 
@@ -1332,32 +1389,29 @@ impl MobilityPass {
         Err(CkptError::new(format!("mobility ledger {problem}")))
     }
 
-    /// One barrier's mobility step, covering the epoch
-    /// `[epoch_start, end]` the vehicles just finished.
-    #[allow(clippy::too_many_arguments)]
-    fn barrier(
+    /// The forkable half of one barrier's mobility step, covering the
+    /// epoch `[epoch_start, end]` the vehicles just finished: clears the
+    /// stale flags, advances every track, prices each crossing into the
+    /// ledger, and rewrites each crossing vehicle in place. It touches
+    /// only the pass and the vehicles, buffering each crossing's handoff
+    /// cost for [`MobilityPass::fold`]. Returns the epoch's crossings
+    /// and migrations.
+    fn advance(
         &mut self,
         vehicles: &mut [VehicleState],
-        ingest: Option<&mut IngestPass>,
         injector: Option<&FaultInjector>,
-        reliability: &mut ReliabilityStats,
-        telemetry: Option<&mut FleetTelemetry>,
         cfg: &FleetConfig,
         epoch_start: SimTime,
-        window: SimDuration,
         end: SimTime,
-        epoch_index: u64,
-    ) {
+    ) -> (u64, u64) {
         // Vehicles that crossed at the *previous* barrier spent the
         // epoch with a cold collab cache: clear every flag before
         // marking this barrier's crossers.
         for v in vehicles.iter_mut() {
             v.cache_stale = false;
         }
-        if ingest.is_some() {
-            self.dest.clear();
-            self.dest.resize(vehicles.len(), None);
-        }
+        self.dest.fill(None);
+        self.costs.clear();
 
         // Congestion multipliers from pre-advance occupancy: every
         // track still reports the segment it was on when the epoch
@@ -1383,7 +1437,7 @@ impl MobilityPass {
             self.crossings_buf.clear();
             self.tracks[id as usize].advance(
                 epoch_start,
-                window,
+                end - epoch_start,
                 &self.graph,
                 &congestion,
                 &mut self.crossings_buf,
@@ -1421,7 +1475,7 @@ impl MobilityPass {
                 } else {
                     m.same_shard_crossings = m.same_shard_crossings.saturating_add(1);
                 }
-                reliability.record_degraded(&self.handoff_labels[c.to as usize], cost);
+                self.costs.push((c.to, cost));
                 handoff += cost;
             }
 
@@ -1436,25 +1490,40 @@ impl MobilityPass {
                 *slot = Some(dest);
             }
         }
+        (epoch_crossings, epoch_migrations)
+    }
+
+    /// The serial half of the barrier's mobility step, after the join:
+    /// charges the buffered handoff costs to the reliability ledger in
+    /// crossing order, moves the crossers' in-flight ingest batches to
+    /// their new regions, and samples the epoch's crossing series.
+    fn fold(
+        &mut self,
+        (crossings, migrations): (u64, u64),
+        ingest: Option<&mut IngestPass>,
+        reliability: &mut ReliabilityStats,
+        telemetry: Option<&mut FleetTelemetry>,
+        epoch_index: u64,
+        end: SimTime,
+    ) {
+        for &(region, cost) in &self.costs {
+            reliability.record_degraded(&self.handoff_labels[region as usize], cost);
+        }
 
         // Crossers' in-flight batches follow them: one pass over the
         // ingest backlog. Each batch belongs to one vehicle, so this
         // moves what a per-vehicle pass in id order would.
         if let Some(ing) = ingest {
-            if epoch_crossings > 0 {
+            if crossings > 0 {
                 self.metrics.readdressed_batches += ing.readdress(&self.dest);
             }
         }
 
         if let Some(tel) = telemetry {
             tel.registry
-                .sample(series::CROSSINGS, epoch_index, end, epoch_crossings as f64);
-            tel.registry.sample(
-                series::MIGRATIONS,
-                epoch_index,
-                end,
-                epoch_migrations as f64,
-            );
+                .sample(series::CROSSINGS, epoch_index, end, crossings as f64);
+            tel.registry
+                .sample(series::MIGRATIONS, epoch_index, end, migrations as f64);
         }
     }
 }
@@ -1482,7 +1551,8 @@ fn sample_epoch(tel: &mut FleetTelemetry, outcome: &EpochOutcome, epoch: u64, at
 /// active (every tenant's traffic shares the node pool). Crash windows
 /// are quantized up to the barrier grid the serving pass actually
 /// samples, so per-tenant MTTR matches what requests experienced. A
-/// crash that is never repaired leaves the tenant's outage open too.
+/// crash that is never repaired, and any window that outlasts the
+/// horizon, leaves the tenant's outage open to the horizon.
 fn record_tenant_ledger(reliability: &mut ReliabilityStats, inj: &FaultInjector, ctx: &RunCtx) {
     let (cfg, horizon) = (&ctx.cfg, ctx.horizon);
     let quantize = |t: SimTime| -> SimTime {
@@ -1494,19 +1564,26 @@ fn record_tenant_ledger(reliability: &mut ReliabilityStats, inj: &FaultInjector,
             q
         }
     };
+    // `SimTime::MAX` marks an outage the run never sees repaired.
+    let unrepaired = |w: &FaultWindow, end: SimTime| {
+        if w.end > horizon {
+            SimTime::MAX
+        } else {
+            end
+        }
+    };
     let crash_windows: Vec<(SimTime, SimTime)> = inj
         .windows()
         .iter()
         .filter(|w| matches!(w.kind, FaultKind::EdgeNodeCrash))
-        .map(|w| {
-            let end = if ctx.never_repaired(w) {
-                SimTime::MAX
+        .filter_map(|w| {
+            let (start, end) = (quantize(w.start), quantize(w.end));
+            if ctx.never_repaired(w) {
+                Some((start, SimTime::MAX))
             } else {
-                quantize(w.end)
-            };
-            (quantize(w.start), end)
+                (end > start).then(|| (start, unrepaired(w, end)))
+            }
         })
-        .filter(|(s, e)| e > s)
         .collect();
     for t in 0..cfg.tenants {
         let label = tenant_label(t);
@@ -1515,7 +1592,7 @@ fn record_tenant_ledger(reliability: &mut ReliabilityStats, inj: &FaultInjector,
             if matches!(w.kind, FaultKind::TenantQuotaFlap { .. }) && w.target == label {
                 let end = if w.end > horizon { horizon } else { w.end };
                 if end > w.start {
-                    windows.push((w.start, end));
+                    windows.push((w.start, unrepaired(w, end)));
                 }
             }
         }
@@ -1651,6 +1728,27 @@ mod tests {
         for relaid in relaid(&cfg) {
             assert_eq!(report.summary(), FleetEngine::new(relaid).run().summary());
         }
+    }
+
+    #[test]
+    fn a_window_past_the_horizon_records_no_repair() {
+        // Node 0 goes down at 29 s for 1.5 s in a 30 s run: neither
+        // ledger sees the repair, so node and tenants stay down for the
+        // last second and no MTTR sample is taken.
+        let mut cfg = FleetConfig::sized(256);
+        cfg.seed = 3;
+        cfg.duration = SimDuration::from_secs(30);
+        let cfg =
+            cfg.with_edge_node_crash(0, SimTime::from_secs(29), SimDuration::from_millis(1500));
+        let report = FleetEngine::new(cfg).run();
+        let summary = report.summary();
+        for label in ["xedge/node0", "tenant0", "tenant1", "tenant2", "tenant3"] {
+            assert!(
+                summary.contains(&format!("availability[{label}]=0.966667")),
+                "{summary}"
+            );
+        }
+        assert_eq!(report.reliability.mttr().count(), 0, "{summary}");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use vdap_offload::ContentionModel;
 use vdap_sim::{RngStream, SeedFactory, SimDuration, SimTime, StreamingHistogram};
 
 use crate::config::{collector_label, FleetConfig, IngestConfig, STORE_LABEL};
-use crate::metrics::{series, FleetTelemetry};
+use crate::metrics::series;
 
 /// Ingestion accounting (engine-side; reported through
 /// `FleetReport::ingest` and the deterministic summary).
@@ -254,16 +254,16 @@ impl IngestPass {
         moved
     }
 
-    /// Runs one barrier's ingest pass over the freshly drained batches.
+    /// Runs one barrier's ingest pass over the freshly drained batches
+    /// and returns its per-epoch series samples, named, for the caller
+    /// to record: the pass touches no state outside itself.
     pub fn barrier(
         &mut self,
         mut fresh: Vec<UploadBatch>,
         window: SimDuration,
         end: SimTime,
-        epoch: u64,
         injector: Option<&FaultInjector>,
-        telemetry: Option<&mut FleetTelemetry>,
-    ) {
+    ) -> [(&'static str, f64); 3] {
         fresh.sort_unstable_by_key(canonical_key);
         self.metrics.batches_sent += fresh.len() as u64;
 
@@ -408,18 +408,16 @@ impl IngestPass {
             }
         }
 
-        if let Some(tel) = telemetry {
-            let queued: u64 = self
-                .collectors
-                .iter()
-                .map(RegionCollector::queued_records)
-                .sum();
-            tel.registry
-                .sample(series::QUEUED_RECORDS, epoch, end, queued as f64);
-            tel.registry
-                .sample(series::WRITTEN_RECORDS, epoch, end, written_records as f64);
-            tel.registry.sample(series::STORAGE_RHO, epoch, end, rho);
-        }
+        let queued: u64 = self
+            .collectors
+            .iter()
+            .map(RegionCollector::queued_records)
+            .sum();
+        [
+            (series::QUEUED_RECORDS, queued as f64),
+            (series::WRITTEN_RECORDS, written_records as f64),
+            (series::STORAGE_RHO, rho),
+        ]
     }
 
     /// The ingestion degradation ladder, applied to one bounced offer:
@@ -858,8 +856,6 @@ mod tests {
             batches,
             SimDuration::from_millis(500),
             SimTime::ZERO + SimDuration::from_millis(1500),
-            0,
-            None,
             None,
         );
         let m = pass.finish();
@@ -886,7 +882,7 @@ mod tests {
         )];
         for k in 0..60u64 {
             let end = SimTime::ZERO + epoch * (k + 1);
-            pass.barrier(std::mem::take(&mut sent), epoch, end, k, Some(&inj), None);
+            pass.barrier(std::mem::take(&mut sent), epoch, end, Some(&inj));
         }
         let m = pass.finish();
         assert!(
@@ -925,8 +921,6 @@ mod tests {
             batches,
             SimDuration::from_millis(500),
             SimTime::ZERO + SimDuration::from_millis(500),
-            0,
-            None,
             None,
         );
         let m = &pass.metrics;
@@ -1027,7 +1021,7 @@ mod tests {
                 let sent: Vec<UploadBatch> = (0..4)
                     .map(|v| batch(v, k as u32, end - SimDuration::from_millis(100), 2))
                     .collect();
-                pass.barrier(sent, epoch, end, k, inj.as_ref(), None);
+                pass.barrier(sent, epoch, end, inj.as_ref());
             }
             pass.finish()
         };

@@ -36,7 +36,8 @@ use vdap_obs::WorkerSample;
 /// Helpers are spawned lazily on the first parallel submission and
 /// parked between submissions; dropping the pool shuts them down and
 /// joins them. A single-thread pool never spawns: it runs submissions
-/// on the caller, in index order.
+/// on the caller, in index order. Any pool runs a one-item submission
+/// on the caller too.
 ///
 /// # Examples
 ///
@@ -127,6 +128,7 @@ impl WorkerPool {
         if items.is_empty() {
             return vec![WorkerSample::default(); threads];
         }
+        let inline = threads == 1 || items.len() == 1;
         let share_len = items.len().div_ceil(threads);
         let shares: Vec<_> = items
             .chunks_mut(share_len)
@@ -163,13 +165,15 @@ impl WorkerPool {
             sample.busy = started.elapsed();
             samples.lock().expect("pool samples")[w] = sample;
         };
-        match threads {
-            1 => work(0),
-            _ => self
-                .helpers
+        // One item can go to one worker only: the caller runs it
+        // instead of waking helpers that would find nothing to take.
+        if inline {
+            work(0);
+        } else {
+            self.helpers
                 .get_or_init(|| spawn_helpers(threads))
                 .0
-                .run(&work),
+                .run(&work);
         }
         if let Some(payload) = panicked.into_inner().expect("pool panic slot") {
             panic::resume_unwind(payload);
@@ -335,6 +339,19 @@ mod tests {
         assert_eq!(pool.threads(), 1);
         let out = pool.map(vec![1, 2, 3], |x| x * 10);
         assert_eq!(out, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn one_item_runs_on_the_caller_and_spawns_no_helper() {
+        let pool = WorkerPool::new(2);
+        let caller = thread::current().id();
+        let mut item = [None];
+        pool.for_each_mut(&mut item, |_, ran_on| {
+            *ran_on = Some(thread::current().id())
+        });
+        assert_eq!(item, [Some(caller)]);
+        assert_eq!(pool.map(vec![()], |()| thread::current().id()), [caller]);
+        assert!(pool.helpers.get().is_none(), "a helper was spawned");
     }
 
     #[test]

@@ -374,3 +374,83 @@ fn failover_spans_name_the_region_the_vehicle_was_in() {
         failovers.len()
     );
 }
+
+/// Ingest, mobility and telemetry under a collector outage, a handoff
+/// storm and a node crash: every barrier forks serving, ingest and the
+/// track advance, and then records their shared writes (the serving
+/// outcomes, the ingest series, the crossing fold) after the join.
+fn forked_barrier_config() -> FleetConfig {
+    let mut cfg = FleetConfig::sized(128)
+        .with_ingest()
+        .with_mobility()
+        .with_telemetry();
+    cfg.seed = 11;
+    cfg.duration = SimDuration::from_secs(10);
+    cfg.edge_nodes = 2;
+    cfg.with_collector_outage(1, SimTime::from_secs(2), SimDuration::from_secs(4))
+        .with_handoff_storm(2, SimTime::from_secs(3), SimDuration::from_secs(4))
+        .with_edge_node_crash(0, SimTime::from_secs(4), SimDuration::from_secs(3))
+}
+
+#[test]
+fn the_forked_barrier_defers_every_shared_write_in_order() {
+    let cfg = forked_barrier_config();
+    let epochs = cfg.duration.as_nanos().div_ceil(cfg.epoch.as_nanos());
+    let regions = cfg.regions;
+    let reports = run_layouts(cfg);
+    let base = &reports[0];
+    let tel = base.telemetry.as_ref().expect("telemetry enabled");
+    let (ing, mob) = (
+        base.ingest.as_ref().expect("ingest ledger"),
+        base.mobility.as_ref().expect("mobility ledger"),
+    );
+    assert!(
+        ing.outage_bounces > 0,
+        "the collector outage bounced uploads"
+    );
+    assert!(mob.storm_crossings > 0, "crossings paid the storm");
+    assert!(
+        mob.readdressed_batches > 0,
+        "the fold moved in-flight batches"
+    );
+
+    // Each deferred series holds one point per barrier, in epoch order.
+    let deferred: Vec<_> = tel
+        .registry
+        .all_series()
+        .filter(|(name, _)| name.starts_with("ingest.") || name.starts_with("mobility."))
+        .collect();
+    assert_eq!(deferred.len(), 5, "three ingest and two mobility series");
+    for (name, points) in deferred {
+        let order: Vec<u64> = points.iter().map(|p| p.epoch).collect();
+        assert_eq!(order, (0..epochs).collect::<Vec<_>>(), "{name}");
+    }
+    let crossings: f64 = tel
+        .registry
+        .series("mobility.crossings")
+        .iter()
+        .map(|p| p.value)
+        .sum();
+    assert_eq!(crossings, mob.crossings as f64);
+
+    // The buffered handoff costs reach the reliability ledger once each.
+    let charged: f64 = (0..regions)
+        .map(|r| {
+            base.reliability
+                .degraded_time(&vdap_fleet::handoff_label(r))
+                .as_secs_f64()
+        })
+        .sum();
+    assert!(
+        (charged - mob.handoff_seconds).abs() < 1e-6,
+        "reliability ledger {charged} vs mobility ledger {}",
+        mob.handoff_seconds
+    );
+
+    for r in &reports[1..] {
+        assert_eq!(base.summary(), r.summary());
+        let other = r.telemetry.as_ref().expect("telemetry enabled");
+        assert_eq!(tel.spans.spans(), other.spans.spans(), "span logs diverged");
+        assert_eq!(&tel.registry, &other.registry, "registries diverged");
+    }
+}

@@ -2,14 +2,16 @@
 //!
 //! The engine's epoch loop is a two-phase fork/join: the vehicle-tick
 //! phase fans stealable vehicle batches out across a persistent
-//! work-stealing executor, then everything joins at a single-threaded
-//! barrier. The join means every epoch costs as much wall-clock as the
-//! executor's *slowest* worker — the other workers sit idle once their
-//! shares (and everyone else's) run dry. [`EngineProfile`] measures
-//! exactly that: per-worker busy time, per-worker barrier-idle time
+//! work-stealing executor, then everything joins at the barrier. The
+//! join means every epoch costs as much wall-clock as the executor's
+//! *slowest* worker — the other workers sit idle once their shares (and
+//! everyone else's) run dry. [`EngineProfile`] measures exactly that:
+//! per-worker busy time, per-worker barrier-idle time
 //! (`tick-phase wall - busy_w` per epoch), how many batches each worker
-//! stole from a sibling's share, and the serial barrier time itself,
-//! split by barrier pass ([`BarrierPass`]).
+//! stole from a sibling's share, and the barrier's wall clock, with
+//! each barrier pass's own time ([`BarrierPass`]). Some passes run side
+//! by side on the executor, so the pass times can add up to more than
+//! the barrier's wall clock.
 //!
 //! Wall-clock readings are inherently nondeterministic, so this module
 //! is **excluded from the deterministic summary**: the engine reports
@@ -18,8 +20,8 @@
 
 use std::time::{Duration, Instant};
 
-/// The engine's single-threaded barrier passes, in the order every
-/// barrier runs them.
+/// The engine's barrier passes, in the order a one-worker barrier runs
+/// them. Serve, ingest and mobility may run side by side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierPass {
     /// Folding the tick's batch outputs and recording vehicle-side
@@ -86,10 +88,12 @@ pub struct EngineProfile {
     pub worker_idle: Vec<Duration>,
     /// Batches each worker stole from a sibling's share.
     pub worker_steals: Vec<u64>,
-    /// Cumulative single-threaded barrier time: the sum of `passes`.
+    /// Cumulative barrier wall-clock time. Passes that run side by side
+    /// count here once, for the wall time of their fork.
     pub barrier: Duration,
-    /// Cumulative barrier time per pass, indexed as
-    /// [`BarrierPass::ALL`].
+    /// Cumulative time per pass, indexed as [`BarrierPass::ALL`]: each
+    /// pass's own time, wherever it ran, so with overlapping passes the
+    /// sum can exceed `barrier`.
     pub passes: [Duration; BarrierPass::ALL.len()],
     /// Epochs profiled.
     pub epochs: u64,
@@ -136,6 +140,15 @@ impl EngineProfile {
         self.barrier += elapsed;
     }
 
+    /// Records passes that ran side by side: the fork's wall time once
+    /// against the barrier, and each pass's own time against that pass.
+    pub fn record_fork(&mut self, wall: Duration, passes: &[(BarrierPass, Duration)]) {
+        for &(pass, own) in passes {
+            self.passes[pass as usize] += own;
+        }
+        self.barrier += wall;
+    }
+
     /// Records the time since `started` against `pass` and returns the
     /// new lap start: one clock read per pass.
     pub fn lap(&mut self, pass: BarrierPass, started: Instant) -> Instant {
@@ -178,8 +191,8 @@ impl EngineProfile {
         self.worker_steals.iter().sum()
     }
 
-    /// Mean single-threaded barrier time per epoch, in milliseconds
-    /// (0 for a zero-epoch profile).
+    /// Mean barrier wall-clock time per epoch, in milliseconds (0 for a
+    /// zero-epoch profile).
     #[must_use]
     pub fn mean_barrier_ms(&self) -> f64 {
         if self.epochs == 0 {
@@ -263,6 +276,36 @@ mod tests {
         assert_eq!(
             names,
             ["record", "serve", "ingest", "mobility", "collab", "flush"]
+        );
+    }
+
+    #[test]
+    fn a_fork_counts_its_wall_once_and_each_pass_its_own_time() {
+        let mut profile = EngineProfile::new(2);
+        profile.record_pass(BarrierPass::Record, Duration::from_millis(1));
+        profile.record_fork(
+            Duration::from_millis(7),
+            &[
+                (BarrierPass::Ingest, Duration::from_millis(6)),
+                (BarrierPass::Serve, Duration::from_millis(4)),
+                (BarrierPass::Mobility, Duration::from_millis(2)),
+            ],
+        );
+        // The serial tail of a forked pass laps into the same pass.
+        profile.record_pass(BarrierPass::Serve, Duration::from_millis(1));
+        assert_eq!(profile.barrier, Duration::from_millis(9));
+        for (pass, ms) in [
+            (BarrierPass::Record, 1),
+            (BarrierPass::Serve, 5),
+            (BarrierPass::Ingest, 6),
+            (BarrierPass::Mobility, 2),
+        ] {
+            assert_eq!(profile.passes[pass as usize], Duration::from_millis(ms));
+        }
+        // Overlapping passes sum past the barrier's wall clock.
+        assert_eq!(
+            profile.passes.iter().sum::<Duration>(),
+            Duration::from_millis(14)
         );
     }
 

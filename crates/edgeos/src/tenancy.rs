@@ -20,7 +20,7 @@
 //! outcomes — a requirement of the deterministic fleet engine built on
 //! top.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -124,6 +124,12 @@ impl fmt::Display for TenantId {
 /// (admitted but not yet released). Requests past the cap are rejected
 /// and counted — the fleet's admission-reject-rate metric.
 ///
+/// The gate keeps one table row per tenant it has seen, sorted by id:
+/// the tenant's outstanding depth and its cap override, if one is in
+/// force. Tenants are a handful of dense ids, so an admission and a
+/// release are one binary search each; a row whose depth drains to
+/// zero stays in the table.
+///
 /// # Examples
 ///
 /// ```
@@ -141,12 +147,21 @@ impl fmt::Display for TenantId {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantAdmission {
     queue_cap: usize,
-    /// Temporary per-tenant cap overrides (quota flaps). Absent = the
-    /// nominal `queue_cap` applies.
-    cap_overrides: BTreeMap<TenantId, usize>,
-    depth: BTreeMap<TenantId, usize>,
+    /// One row per tenant ever named, sorted by id.
+    tenants: Vec<TenantRow>,
     admitted: u64,
     rejected: u64,
+}
+
+/// One tenant's row in a [`TenantAdmission`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct TenantRow {
+    id: TenantId,
+    /// Requests admitted and not yet released.
+    depth: usize,
+    /// A temporary cap override (a quota flap); `None` = the nominal
+    /// `queue_cap` applies.
+    cap: Option<usize>,
 }
 
 impl TenantAdmission {
@@ -161,11 +176,38 @@ impl TenantAdmission {
         assert!(queue_cap > 0, "queue cap must be positive");
         TenantAdmission {
             queue_cap,
-            cap_overrides: BTreeMap::new(),
-            depth: BTreeMap::new(),
+            tenants: Vec::new(),
             admitted: 0,
             rejected: 0,
         }
+    }
+
+    /// Where `tenant`'s row is, or would be inserted.
+    fn search(&self, tenant: TenantId) -> Result<usize, usize> {
+        self.tenants.binary_search_by(|r| r.id.cmp(&tenant))
+    }
+
+    /// `tenant`'s row, if the gate has one.
+    fn find(&self, tenant: TenantId) -> Option<&TenantRow> {
+        self.search(tenant).ok().map(|i| &self.tenants[i])
+    }
+
+    /// `tenant`'s row, inserted at depth 0 without an override when the
+    /// gate has not seen the tenant yet.
+    fn row(&mut self, tenant: TenantId) -> &mut TenantRow {
+        let i = match self.search(tenant) {
+            Ok(i) => i,
+            Err(i) => {
+                let row = TenantRow {
+                    id: tenant,
+                    depth: 0,
+                    cap: None,
+                };
+                self.tenants.insert(i, row);
+                i
+            }
+        };
+        &mut self.tenants[i]
     }
 
     /// Installs a temporary cap override for `tenant` (a quota flap).
@@ -173,12 +215,22 @@ impl TenantAdmission {
     /// squeezed, never wedged shut; requests already outstanding above
     /// the new cap are not evicted — they drain naturally.
     pub fn set_cap_override(&mut self, tenant: TenantId, cap: usize) {
-        self.cap_overrides.insert(tenant, cap.max(1));
+        self.row(tenant).cap = Some(cap.max(1));
     }
 
     /// Removes a tenant's cap override; the nominal cap applies again.
     pub fn clear_cap_override(&mut self, tenant: TenantId) {
-        self.cap_overrides.remove(&tenant);
+        if let Ok(i) = self.search(tenant) {
+            self.tenants[i].cap = None;
+        }
+    }
+
+    /// The cap override in force for `tenant`, if any. An override can
+    /// equal the nominal cap (a flap at a nominal cap of 1 clamps to 1),
+    /// so this, not a comparison of caps, tells whether one is set.
+    #[must_use]
+    pub fn cap_override(&self, tenant: TenantId) -> Option<usize> {
+        self.find(tenant).and_then(|r| r.cap)
     }
 
     /// Replaces the nominal per-tenant cap (elastic capacity scaling).
@@ -191,22 +243,19 @@ impl TenantAdmission {
     /// The cap currently enforced for `tenant`.
     #[must_use]
     pub fn effective_cap(&self, tenant: TenantId) -> usize {
-        self.cap_overrides
-            .get(&tenant)
-            .copied()
-            .unwrap_or(self.queue_cap)
+        self.cap_override(tenant).unwrap_or(self.queue_cap)
     }
 
     /// Attempts to admit one request for `tenant`. Returns `false` (and
     /// counts a reject) when the tenant's queue is full.
     pub fn try_admit(&mut self, tenant: TenantId) -> bool {
-        let cap = self.effective_cap(tenant);
-        let depth = self.depth.entry(tenant).or_insert(0);
-        if *depth >= cap {
+        let queue_cap = self.queue_cap;
+        let row = self.row(tenant);
+        if row.depth >= row.cap.unwrap_or(queue_cap) {
             self.rejected += 1;
             false
         } else {
-            *depth += 1;
+            row.depth += 1;
             self.admitted += 1;
             true
         }
@@ -215,21 +264,22 @@ impl TenantAdmission {
     /// Releases one previously admitted request for `tenant` (request
     /// finished serving). Releasing below zero is a no-op.
     pub fn release(&mut self, tenant: TenantId) {
-        if let Some(d) = self.depth.get_mut(&tenant) {
-            *d = d.saturating_sub(1);
+        if let Ok(i) = self.search(tenant) {
+            let row = &mut self.tenants[i];
+            row.depth = row.depth.saturating_sub(1);
         }
     }
 
     /// Current outstanding depth for one tenant.
     #[must_use]
     pub fn depth(&self, tenant: TenantId) -> usize {
-        self.depth.get(&tenant).copied().unwrap_or(0)
+        self.find(tenant).map_or(0, |r| r.depth)
     }
 
     /// Total outstanding requests across all tenants.
     #[must_use]
     pub fn total_depth(&self) -> usize {
-        self.depth.values().sum()
+        self.tenants.iter().map(|r| r.depth).sum()
     }
 
     /// Per-tenant queue cap.
@@ -282,8 +332,7 @@ impl TenantAdmission {
     /// Lays captured counters over a gate built with its cap, with no
     /// override in force and no request outstanding.
     pub fn restore(&mut self, state: AdmissionState) {
-        self.cap_overrides.clear();
-        self.depth.clear();
+        self.tenants.clear();
         self.admitted = state.admitted;
         self.rejected = state.rejected;
     }
@@ -303,9 +352,12 @@ pub struct AdmissionState {
 ///
 /// A DRR cursor needs two things from its key space: a total order (the
 /// visiting order) and a successor function (where the cursor lands
-/// after a visit). [`TenantId`] gives the classic one-flow-per-tenant
-/// queue; [`ClassQueueKey`] gives one flow per (tenant, workload class)
-/// so classes inside a tenant are isolated from each other too.
+/// after a visit). The queue keeps its cursor as a position in its flow
+/// table, which lands on the same flow: the first one at or after the
+/// visited key's successor, wrapping. [`TenantId`] gives the classic
+/// one-flow-per-tenant queue; [`ClassQueueKey`] gives one flow per
+/// (tenant, workload class) so classes inside a tenant are isolated
+/// from each other too.
 pub trait DrrKey: Copy + Ord {
     /// The key immediately after `self` in visiting order (wrapping).
     #[must_use]
@@ -380,6 +432,11 @@ impl fmt::Display for ClassQueueKey {
 /// class-sized service shares (a streaming flow may drain a whole chunk
 /// per visit while a detection flow drains one frame).
 ///
+/// A drained queue can serve another round: [`FairQueue::restart`]
+/// returns the cursor to the first flow and keeps the flow table and
+/// its quanta, so the round pops exactly what a new queue with the same
+/// quanta would, without rebuilding the table.
+///
 /// # Examples
 ///
 /// ```
@@ -420,9 +477,11 @@ pub struct FairQueue<T, K: DrrKey = TenantId> {
     flows: Vec<Flow<K, T>>,
     /// Items queued across all flows.
     len: usize,
-    /// Next flow to visit resumes from the first key >= cursor (`None`
-    /// until the first visit).
-    cursor: Option<K>,
+    /// The flow table index the next visit starts from, wrapping to 0
+    /// at the end: one past the flow visited last (0 until the first
+    /// visit). An insertion below it shifts it with the flows, so it
+    /// stays on the first flow after the visited key.
+    cursor: usize,
 }
 
 /// One flow of a [`FairQueue`]: its quantum, the deficit it has banked
@@ -449,7 +508,7 @@ impl<T, K: DrrKey> FairQueue<T, K> {
             quantum,
             flows: Vec::new(),
             len: 0,
-            cursor: None,
+            cursor: 0,
         }
     }
 
@@ -466,6 +525,9 @@ impl<T, K: DrrKey> FairQueue<T, K> {
                     items: VecDeque::new(),
                 };
                 self.flows.insert(i, flow);
+                if i < self.cursor {
+                    self.cursor += 1;
+                }
                 i
             }
         }
@@ -509,6 +571,18 @@ impl<T, K: DrrKey> FairQueue<T, K> {
         self.len == 0
     }
 
+    /// Starts a new round on a drained queue: the next visit starts
+    /// from the first flow, as in a new queue. Every flow keeps its
+    /// quantum; a drained flow holds no deficit, since a flow forfeits
+    /// it when it empties.
+    pub fn restart(&mut self) {
+        debug_assert!(
+            self.len == 0 && self.flows.iter().all(|f| f.deficit == 0),
+            "restarted a queue that is not drained"
+        );
+        self.cursor = 0;
+    }
+
     /// Removes and returns the next item under DRR scheduling.
     pub fn pop(&mut self) -> Option<(K, T)> {
         if self.len == 0 {
@@ -516,9 +590,7 @@ impl<T, K: DrrKey> FairQueue<T, K> {
         }
         loop {
             // Next non-empty flow at or after the cursor, wrapping.
-            let from = self
-                .cursor
-                .map_or(0, |c| self.flows.partition_point(|f| f.key < c));
+            let from = self.cursor;
             let i = (from..self.flows.len())
                 .chain(0..from)
                 .find(|&i| !self.flows[i].items.is_empty())?;
@@ -536,7 +608,7 @@ impl<T, K: DrrKey> FairQueue<T, K> {
             }
             flow.deficit += flow.quantum;
             // Advance past this flow for the next visit.
-            self.cursor = Some(flow.key.successor());
+            self.cursor = i + 1;
         }
     }
 
@@ -613,6 +685,19 @@ mod tests {
         assert!(!adm.try_admit(t), "still at the shrunken cap");
         adm.release(t);
         assert!(adm.try_admit(t));
+    }
+
+    #[test]
+    fn an_override_equal_to_the_nominal_cap_still_shows() {
+        let mut adm = TenantAdmission::new(1);
+        let t = TenantId::new(0);
+        assert_eq!(adm.cap_override(t), None);
+        adm.set_cap_override(t, 0);
+        assert_eq!(adm.cap_override(t), Some(1), "clamped, and in force");
+        assert_eq!(adm.effective_cap(t), adm.queue_cap());
+        assert_eq!(adm.cap_override(TenantId::new(1)), None);
+        adm.clear_cap_override(t);
+        assert_eq!(adm.cap_override(t), None);
     }
 
     #[test]
@@ -747,12 +832,91 @@ mod tests {
         assert_eq!(build(), build());
     }
 
-    /// The three-map DRR queue the flow table replaced, kept as the
+    /// The three-map DRR queue the flow table replaced and the two-map
+    /// admission gate the tenant table replaced, kept as the
     /// differential tests' independent truth.
     mod reference {
         use std::collections::{BTreeMap, VecDeque};
 
-        use crate::DrrKey;
+        use crate::{DrrKey, TenantId};
+
+        pub struct TenantAdmission {
+            queue_cap: usize,
+            cap_overrides: BTreeMap<TenantId, usize>,
+            depth: BTreeMap<TenantId, usize>,
+            pub admitted: u64,
+            pub rejected: u64,
+        }
+
+        impl TenantAdmission {
+            pub fn new(queue_cap: usize) -> Self {
+                TenantAdmission {
+                    queue_cap,
+                    cap_overrides: BTreeMap::new(),
+                    depth: BTreeMap::new(),
+                    admitted: 0,
+                    rejected: 0,
+                }
+            }
+
+            pub fn set_cap_override(&mut self, tenant: TenantId, cap: usize) {
+                self.cap_overrides.insert(tenant, cap.max(1));
+            }
+
+            pub fn clear_cap_override(&mut self, tenant: TenantId) {
+                self.cap_overrides.remove(&tenant);
+            }
+
+            pub fn set_queue_cap(&mut self, cap: usize) {
+                self.queue_cap = cap.max(1);
+            }
+
+            pub fn queue_cap(&self) -> usize {
+                self.queue_cap
+            }
+
+            pub fn cap_override(&self, tenant: TenantId) -> Option<usize> {
+                self.cap_overrides.get(&tenant).copied()
+            }
+
+            pub fn effective_cap(&self, tenant: TenantId) -> usize {
+                self.cap_override(tenant).unwrap_or(self.queue_cap)
+            }
+
+            pub fn try_admit(&mut self, tenant: TenantId) -> bool {
+                let cap = self.effective_cap(tenant);
+                let depth = self.depth.entry(tenant).or_insert(0);
+                if *depth >= cap {
+                    self.rejected += 1;
+                    false
+                } else {
+                    *depth += 1;
+                    self.admitted += 1;
+                    true
+                }
+            }
+
+            pub fn release(&mut self, tenant: TenantId) {
+                if let Some(d) = self.depth.get_mut(&tenant) {
+                    *d = d.saturating_sub(1);
+                }
+            }
+
+            pub fn depth(&self, tenant: TenantId) -> usize {
+                self.depth.get(&tenant).copied().unwrap_or(0)
+            }
+
+            pub fn total_depth(&self) -> usize {
+                self.depth.values().sum()
+            }
+
+            pub fn restore(&mut self, admitted: u64, rejected: u64) {
+                self.cap_overrides.clear();
+                self.depth.clear();
+                self.admitted = admitted;
+                self.rejected = rejected;
+            }
+        }
 
         pub struct FairQueue<T, K: DrrKey> {
             quantum: u64,
@@ -827,8 +991,10 @@ mod tests {
 
     /// Tenants the differential tests draw from: a few small ids and
     /// the top of the range, where `successor()` wraps to tenant 0.
+    const TENANTS: [u32; 6] = [0, 1, 2, 5, u32::MAX - 1, u32::MAX];
+
     fn drr_tenants() -> prop::sample::Select<u32> {
-        prop::sample::select(vec![0, 1, 2, 5, u32::MAX - 1, u32::MAX])
+        prop::sample::select(TENANTS.to_vec())
     }
 
     /// Replays `ops` through the flow table and the reference: each op
@@ -876,8 +1042,125 @@ mod tests {
         }
     }
 
+    /// Replays `ops` through the tenant table and the two-map reference
+    /// gate, both built with `cap`: each op is `(kind, tenant, value,
+    /// raw)`, where kind 0–3 admits, 4–5 releases, 6 sets the tenant's
+    /// cap override to `value`, 7 clears it, 8 sets the nominal cap to
+    /// `value` and 9 restores counters drawn from `raw`. After every op
+    /// each tenant's depth, cap and override must agree, and so must the
+    /// totals and counters. Returns the first divergence, if any.
+    fn admission_replay(cap: usize, ops: &[(u8, u32, usize, u64)]) -> Result<(), String> {
+        let mut fast = TenantAdmission::new(cap);
+        let mut slow = reference::TenantAdmission::new(cap);
+        for (i, &(kind, tenant, value, raw)) in ops.iter().enumerate() {
+            let t = TenantId::new(tenant);
+            match kind {
+                0..=3 => {
+                    let (got, want) = (fast.try_admit(t), slow.try_admit(t));
+                    if got != want {
+                        return Err(format!("op {i}: admitted {got}, reference {want}"));
+                    }
+                }
+                4 | 5 => {
+                    fast.release(t);
+                    slow.release(t);
+                }
+                6 => {
+                    fast.set_cap_override(t, value);
+                    slow.set_cap_override(t, value);
+                }
+                7 => {
+                    fast.clear_cap_override(t);
+                    slow.clear_cap_override(t);
+                }
+                8 => {
+                    fast.set_queue_cap(value);
+                    slow.set_queue_cap(value);
+                }
+                _ => {
+                    let (admitted, rejected) = (raw >> 32, raw & 0xffff_ffff);
+                    fast.restore(AdmissionState { admitted, rejected });
+                    slow.restore(admitted, rejected);
+                }
+            }
+            for t in TENANTS.map(TenantId::new) {
+                let got = (fast.depth(t), fast.effective_cap(t), fast.cap_override(t));
+                let want = (slow.depth(t), slow.effective_cap(t), slow.cap_override(t));
+                if got != want {
+                    return Err(format!("op {i}: {t} reads {got:?}, reference {want:?}"));
+                }
+            }
+            let (admitted, rejected) = (fast.admitted(), fast.rejected());
+            let got = (fast.total_depth(), fast.queue_cap(), admitted, rejected);
+            let want = (
+                slow.total_depth(),
+                slow.queue_cap(),
+                slow.admitted,
+                slow.rejected,
+            );
+            if got != want {
+                return Err(format!("op {i}: gate reads {got:?}, reference {want:?}"));
+            }
+            let drained = AdmissionState { admitted, rejected };
+            if got.0 == 0 && fast.state() != drained {
+                return Err(format!("op {i}: state diverged"));
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn tenant_table_admits_as_the_reference_gate(
+            cap in 1usize..5,
+            ops in prop::collection::vec((0u8..10, drr_tenants(), 0usize..5, any::<u64>()), 0..300),
+        ) {
+            let replay = admission_replay(cap, &ops);
+            prop_assert!(replay.is_ok(), "{}", replay.unwrap_err());
+        }
+
+        #[test]
+        fn a_restarted_queue_pops_what_a_new_one_pops(
+            quantum in 1u64..24,
+            quanta in prop::collection::vec((drr_tenants(), 0usize..3, 1u64..48), 0..8),
+            rounds in prop::collection::vec(
+                prop::collection::vec((0u8..10, drr_tenants(), 0usize..3, 1u64..48), 0..120),
+                1..6,
+            ),
+        ) {
+            // Each round enqueues and pops, then drains; the reused queue
+            // restarts after each, a new one is built with the same quanta.
+            let key_of = |t, c| ClassQueueKey::new(TenantId::new(t), WorkloadClass::ALL[c]);
+            let fresh = || {
+                let mut q = FairQueue::new(quantum);
+                for &(t, c, flow_quantum) in &quanta {
+                    q.set_quantum(key_of(t, c), flow_quantum);
+                }
+                q
+            };
+            let mut reused = fresh();
+            for (r, ops) in rounds.iter().enumerate() {
+                let mut new = fresh();
+                for (i, &(kind, t, c, cost)) in ops.iter().enumerate() {
+                    if kind < 6 {
+                        reused.enqueue(key_of(t, c), cost, i);
+                        new.enqueue(key_of(t, c), cost, i);
+                    } else {
+                        prop_assert_eq!(reused.pop(), new.pop(), "round {} op {}", r, i);
+                    }
+                }
+                loop {
+                    let (got, want) = (reused.pop(), new.pop());
+                    prop_assert_eq!(got, want, "round {} drain", r);
+                    if got.is_none() {
+                        break;
+                    }
+                }
+                reused.restart();
+            }
+        }
 
         #[test]
         fn flow_table_pops_match_the_reference_over_tenants(

@@ -79,12 +79,28 @@
 //! at or after its `finish`. Entries sit in a slot vector whose vacated
 //! slots are reused, and a calendar files each slot under the first
 //! epoch multiple at or after its `finish`, so a barrier touches only
-//! the entries due at it, not the backlog. Completions, a crash's
-//! requeue, the end-of-run drain and the snapshot all walk entries in
-//! assignment order (`InFlight::seq`), the order of the single list
-//! this storage replaced.
+//! the entries due at it, not the backlog. The calendar is a ring of
+//! per-epoch buckets that starts at the first epoch whose barrier has
+//! not completed its work: a barrier pops the buckets up to its own
+//! epoch from the front, and at a barrier between epoch multiples (the
+//! horizon) takes what finished by then from the front bucket. A
+//! request can finish before the barrier that placed it (it arrived
+//! early in the epoch on an idle lane). Its epoch has already been
+//! popped, so it files into the front bucket and completes at the next
+//! barrier, the one that would have taken it from its own epoch's
+//! bucket. Work due after the last barrier completes in the end-of-run
+//! drain, which walks the slot vector, so it is not filed at all:
+//! however deep the backlog, or whatever finish a restored snapshot
+//! holds, the ring keeps at most one bucket per barrier of the run.
+//! Completions, a crash's requeue, the end-of-run drain and the
+//! snapshot all walk entries in assignment order (`InFlight::seq`), the
+//! order of the single list this storage replaced.
+//!
+//! The fair queue is built once: each barrier restarts the drained
+//! queue of the barrier before, whose flow table and per-class quanta
+//! stay.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use vdap_edgeos::{
     ClassQueueKey, CrashLoopPolicy, FairQueue, LaneDecision, LanePolicy, TenantAdmission, TenantId,
@@ -297,11 +313,19 @@ pub(crate) struct XEdgeServer {
     in_flight: Vec<Option<InFlight>>,
     /// The vacant `in_flight` slots.
     free: Vec<u32>,
-    /// The occupied `in_flight` slots filed by due barrier: key `k`
-    /// holds, in `seq` order, the entries with `finish` in
-    /// `((k - 1) × epoch, k × epoch]`. A barrier takes only its due
-    /// buckets instead of scanning the backlog.
-    due: BTreeMap<u64, Vec<u32>>,
+    /// The occupied `in_flight` slots due by the last barrier, filed by
+    /// due barrier: a ring whose bucket `i` holds, in `seq` order, the
+    /// entries with `finish` in `((k - 1) × epoch, k × epoch]` for
+    /// `k = due_base + i`, and the front bucket also those due earlier
+    /// (see the module docs). A barrier takes only its due buckets
+    /// instead of scanning the backlog.
+    due: VecDeque<Vec<u32>>,
+    /// The epoch of the front `due` bucket: the first whose barrier has
+    /// not completed its work.
+    due_base: u64,
+    /// The last barrier's calendar epoch. Work due after it is not
+    /// filed: only the end-of-run drain completes it.
+    last_due: u64,
     /// The next assignment's `InFlight::seq`.
     next_seq: u64,
     contention: ContentionModel,
@@ -318,9 +342,10 @@ pub(crate) struct XEdgeServer {
     epoch: SimDuration,
     /// Per-class cost models, indexed by [`WorkloadClass::index`].
     classes: [ClassSpec; 3],
-    /// Pre-built (flow key, quantum) table applied to each epoch's
-    /// fair queue (only classes with a non-zero weight serve).
-    class_quanta: Vec<(ClassQueueKey, u64)>,
+    /// The per-(tenant, class) DRR queue, drained by every barrier and
+    /// restarted by the next, with class-sized quanta (only classes
+    /// with a non-zero weight serve).
+    queue: FairQueue<EdgeRequest, ClassQueueKey>,
     /// Elastic lane policy; `None` keeps the pool statically sized.
     elastic: Option<LanePolicy>,
     /// Queue depth observed at the previous barrier (the elastic
@@ -343,15 +368,15 @@ impl XEdgeServer {
     pub fn new(cfg: &FleetConfig) -> Self {
         let nodes = cfg.edge_nodes.max(1);
         let capacity = cfg.edge_capacity.max(1);
-        let mut class_quanta = Vec::new();
+        let mut queue = FairQueue::new(cfg.classes[0].drr_quantum.max(1));
         for t in 0..cfg.tenants {
             for class in WorkloadClass::ALL {
                 let spec = cfg.class(class);
                 if spec.weight > 0 && spec.drr_quantum > 0 {
-                    class_quanta.push((
+                    queue.set_quantum(
                         ClassQueueKey::new(TenantId::new(t), class),
                         spec.drr_quantum,
-                    ));
+                    );
                 }
             }
         }
@@ -359,7 +384,10 @@ impl XEdgeServer {
             lanes: vec![SimTime::ZERO; capacity as usize],
             in_flight: Vec::new(),
             free: Vec::new(),
-            due: BTreeMap::new(),
+            due: VecDeque::new(),
+            // The first barrier is at one epoch.
+            due_base: 1,
+            last_due: cfg.total_epochs(),
             next_seq: 0,
             contention: ContentionModel::new(capacity),
             gates: vec![
@@ -374,7 +402,7 @@ impl XEdgeServer {
             handoff_cost: CellularChannel::calibrated().handoff_cost(Mph(SPEED_MPH)),
             epoch: cfg.epoch,
             classes: cfg.classes.clone(),
-            class_quanta,
+            queue,
             elastic: cfg.elastic,
             last_depth: 0,
             nominal_lanes: capacity,
@@ -464,12 +492,19 @@ impl XEdgeServer {
         self.lte.shared_among(concurrency.max(1.0) as u32)
     }
 
-    /// Earliest-free lane of `node` (lowest index breaks ties).
+    /// Earliest-free lane of `node` (lowest index breaks ties). Every
+    /// node owns at least one lane.
     fn best_lane(&self, node: u32) -> usize {
-        (node as usize..self.lanes.len())
-            .step_by(self.edge_nodes as usize)
-            .min_by_key(|&i| (self.lanes[i], i))
-            .expect("every node owns at least one lane")
+        let stride = self.edge_nodes as usize;
+        let mut best = node as usize;
+        let mut i = best + stride;
+        while i < self.lanes.len() {
+            if self.lanes[i] < self.lanes[best] {
+                best = i;
+            }
+            i += stride;
+        }
+        best
     }
 
     /// The calendar key of an entry finishing at `finish`: the first
@@ -479,9 +514,11 @@ impl XEdgeServer {
         t / epoch + u64::from(t % epoch != 0)
     }
 
-    /// Files `entry` in a vacant slot and under its due barrier.
+    /// Files `entry` in a vacant slot and under its due barrier, or in
+    /// the front bucket when that barrier has passed; work due after
+    /// the last barrier gets only the slot.
     fn file(&mut self, entry: InFlight) {
-        let key = self.due_key(entry.finish);
+        let due = self.due_key(entry.finish);
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.in_flight[slot as usize] = Some(entry);
@@ -492,7 +529,13 @@ impl XEdgeServer {
                 (self.in_flight.len() - 1) as u32
             }
         };
-        self.due.entry(key).or_default().push(slot);
+        if due <= self.last_due {
+            let bucket = due.saturating_sub(self.due_base) as usize;
+            if bucket >= self.due.len() {
+                self.due.resize_with(bucket + 1, Vec::new);
+            }
+            self.due[bucket].push(slot);
+        }
     }
 
     /// The entry in occupied slot `slot`.
@@ -592,10 +635,9 @@ impl XEdgeServer {
                         requeued.push(req);
                     }
                     let in_flight = &self.in_flight;
-                    for bucket in self.due.values_mut() {
+                    for bucket in &mut self.due {
                         bucket.retain(|&slot| in_flight[slot as usize].is_some());
                     }
-                    self.due.retain(|_, bucket| !bucket.is_empty());
                 }
                 let nodes = self.edge_nodes as usize;
                 for free in self.lanes.iter_mut().skip(idx).step_by(nodes) {
@@ -609,16 +651,17 @@ impl XEdgeServer {
     /// Moves completions (`finish <= barrier`) into `outcome.served`,
     /// in assignment order. Only the due buckets are touched: every
     /// bucket up to the barrier's epoch, and at a barrier between epoch
-    /// multiples (the run's horizon) the part of the next bucket that
-    /// finished by then.
+    /// multiples (the run's horizon) the part of the next bucket, now
+    /// the front one, that finished by then.
     fn emit_completions(&mut self, barrier: SimTime, outcome: &mut EpochOutcome) {
         let (t, epoch) = (barrier.as_nanos(), self.epoch.as_nanos());
         let mut done: Vec<u32> = Vec::new();
-        while let Some(bucket) = self.due.first_entry() {
-            if *bucket.key() > t / epoch {
+        while self.due_base <= t / epoch {
+            let Some(mut taken) = self.due.pop_front() else {
+                self.due_base = t / epoch + 1;
                 break;
-            }
-            let mut taken = bucket.remove();
+            };
+            self.due_base += 1;
             if done.is_empty() {
                 done = taken;
             } else {
@@ -626,7 +669,7 @@ impl XEdgeServer {
             }
         }
         if t % epoch != 0 {
-            if let Some(bucket) = self.due.get_mut(&(t / epoch + 1)) {
+            if let Some(bucket) = self.due.front_mut() {
                 let in_flight = &self.in_flight;
                 bucket.retain(|&slot| {
                     let finished = in_flight[slot as usize]
@@ -637,9 +680,6 @@ impl XEdgeServer {
                     }
                     !finished
                 });
-                if bucket.is_empty() {
-                    self.due.remove(&(t / epoch + 1));
-                }
             }
         }
         // Each bucket is in `seq` order already, so the stable sort
@@ -675,10 +715,10 @@ impl XEdgeServer {
     }
 
     /// Whether `tenant`'s quota is currently flapped at `gate` (a cap
-    /// override is in force — the elastic base cap is not a flap).
+    /// override is in force — the elastic base cap is not a flap). At a
+    /// base cap of 1 the flapped cap is 1 too, so only the gate knows.
     fn tenant_flapped(&self, gate: usize, tenant: TenantId) -> bool {
-        let gate = &self.gates[gate];
-        gate.effective_cap(tenant) != gate.queue_cap()
+        self.gates[gate].cap_override(tenant).is_some()
     }
 
     /// Rung 3, per class: degraded on-VCU execution for detection, a
@@ -931,11 +971,7 @@ impl XEdgeServer {
         // queueing with class-sized quanta. Requests re-queued off
         // crashed lanes were admitted in an earlier epoch and re-enter
         // the queue without a second admission charge.
-        let mut queue: FairQueue<EdgeRequest, ClassQueueKey> =
-            FairQueue::new(self.classes[0].drr_quantum.max(1));
-        for &(key, quantum) in &self.class_quanta {
-            queue.set_quantum(key, quantum);
-        }
+        self.queue.restart();
         let mut queued_by_class = [0u64; 3];
         let mut admitted: Vec<(usize, TenantId)> = Vec::new();
         for req in requeued {
@@ -948,7 +984,7 @@ impl XEdgeServer {
             } else {
                 let key = ClassQueueKey::new(TenantId::new(req.tenant), req.class);
                 queued_by_class[req.class.index()] += 1;
-                queue.enqueue(key, spec.work_units, req);
+                self.queue.enqueue(key, spec.work_units, req);
             }
         }
         for req in batch {
@@ -965,7 +1001,8 @@ impl XEdgeServer {
                 admitted.push((gate, tenant));
                 let spec = &self.classes[req.class.index()];
                 queued_by_class[req.class.index()] += 1;
-                queue.enqueue(ClassQueueKey::new(tenant, req.class), spec.work_units, req);
+                self.queue
+                    .enqueue(ClassQueueKey::new(tenant, req.class), spec.work_units, req);
             } else if self.tenant_flapped(gate, tenant) {
                 // Quota flap: a fault, not load — bounced into the
                 // degradation ladder's bottom rung.
@@ -985,7 +1022,7 @@ impl XEdgeServer {
                 ));
             }
         }
-        outcome.queue_depth = queue.len();
+        outcome.queue_depth = self.queue.len();
         self.last_depth = outcome.queue_depth;
         // Every slot filled below pops from `queue`, and vacant slots
         // are filled first. The slots outlive the barrier, so an
@@ -993,7 +1030,7 @@ impl XEdgeServer {
         // written, and whether those pages end up resident depends on
         // where later allocations land.
         self.in_flight
-            .reserve_exact(queue.len().saturating_sub(self.free.len()));
+            .reserve_exact(self.queue.len().saturating_sub(self.free.len()));
 
         // Load-dependent service time: each class's queued share
         // contributes its own fractional concurrency
@@ -1017,7 +1054,7 @@ impl XEdgeServer {
 
         // Serve in DRR order on the home node's earliest-free lane,
         // walking the degradation ladder when the home path is faulted.
-        while let Some((_, req)) = queue.pop() {
+        while let Some((_, req)) = self.queue.pop() {
             let ci = req.class.index();
             let (up, down) = transfer[req.region as usize][ci];
             let service = service_by_class[ci];
@@ -1237,17 +1274,20 @@ impl XEdgeServer {
     }
 
     /// Rebuilds the server from config (everything derivable) and the
-    /// serialized cross-barrier state. Between barriers no request holds
-    /// a gate slot, and every gate's cap is the one the config sets for
-    /// the restored lane pool. `requests` is the restored count of
-    /// issued requests, which bounds the gates' offers: each offer is a
-    /// distinct issued request.
+    /// serialized cross-barrier state of a snapshot taken at barrier
+    /// `at`. Between barriers no request holds a gate slot, and every
+    /// gate's cap is the one the config sets for the restored lane pool.
+    /// `requests` is the restored count of issued requests, which bounds
+    /// the gates' offers: each offer is a distinct issued request.
     pub(crate) fn restore_ckpt(
         cfg: &FleetConfig,
         v: &Value,
         requests: u64,
+        at: SimTime,
     ) -> Result<XEdgeServer, CkptError> {
         let mut edge = XEdgeServer::new(cfg);
+        // The barrier at `at` completed the work due by then.
+        edge.due_base = edge.due_key(at) + 1;
         let nodes = edge.edge_nodes;
         let lanes = get_array(v, "lanes")?
             .iter()
@@ -1345,24 +1385,31 @@ mod tests {
         done.into_iter().map(|(_, key, v, s)| (key, v, s)).collect()
     }
 
-    /// Every occupied slot is filed once, under its due key, each
-    /// bucket lists its slots in assignment order, and every other slot
-    /// is on the free list.
+    /// Every occupied slot due by the last barrier is filed once, in
+    /// the bucket of its due epoch, or in the front bucket when that
+    /// epoch's barrier has passed; each bucket lists its slots in
+    /// assignment order, and every other slot is on the free list.
     fn assert_filed(edge: &XEdgeServer) {
         let mut filed = 0;
-        for (&key, bucket) in &edge.due {
-            assert!(!bucket.is_empty(), "bucket {key} is empty");
+        for (key, bucket) in (edge.due_base..).zip(&edge.due) {
             for pair in bucket.windows(2) {
                 assert!(edge.entry(pair[0]).seq < edge.entry(pair[1]).seq);
             }
             for &slot in bucket {
-                assert_eq!(edge.due_key(edge.entry(slot).finish), key);
+                let due = edge.due_key(edge.entry(slot).finish);
+                assert!(
+                    due == key || (key == edge.due_base && due < key),
+                    "slot due at epoch {due} filed under {key}"
+                );
             }
             filed += bucket.len();
         }
-        let occupied = edge.in_flight.iter().flatten().count();
+        let occupied = (edge.in_flight.iter().flatten())
+            .filter(|f| edge.due_key(f.finish) <= edge.last_due)
+            .count();
         assert_eq!(filed, occupied);
-        assert_eq!(occupied + edge.free.len(), edge.in_flight.len());
+        let vacant = edge.in_flight.iter().filter(|f| f.is_none()).count();
+        assert_eq!(vacant, edge.free.len());
     }
 
     #[test]
@@ -1393,13 +1440,16 @@ mod tests {
 
     #[test]
     fn barriers_complete_exactly_the_work_finished_by_them() {
-        let cfg = FleetConfig::sized(64);
+        // 512 vehicles keep work in flight past the horizon, which is
+        // the last barrier below.
+        let mut cfg = FleetConfig::sized(512);
+        cfg.duration = cfg.epoch * 9;
         let mut edge = XEdgeServer::new(&cfg);
         let mut rng = SeedFactory::new(1).stream("edge-test");
         // Epoch multiples and barriers between them, as a horizon is;
         // one burst per barrier keeps a backlog on every lane.
         let barriers = [1.0, 2.0, 2.5, 3.0, 4.2, 5.0, 5.9, 7.0, 7.1, 9.0];
-        let (mut prev, mut partial) = (SimTime::ZERO, 0);
+        let (mut prev, mut partial, mut early) = (SimTime::ZERO, 0, 0);
         for (i, at) in (0u32..).zip(barriers) {
             let barrier = SimTime::ZERO + cfg.epoch.mul_f64(at);
             let gap = barrier.duration_since(prev);
@@ -1424,17 +1474,69 @@ mod tests {
             let want: Vec<(u32, u32)> = due.iter().map(|&(_, v, s)| (v, s)).collect();
             assert_eq!(got, want, "barrier at {at} epochs");
             assert_filed(&edge);
+            early += edge.due.front().map_or(0, |bucket| {
+                (bucket.iter())
+                    .filter(|&&slot| edge.due_key(edge.entry(slot).finish) < edge.due_base)
+                    .count()
+            });
             prev = barrier;
         }
         assert!(
             partial > 0,
             "a barrier between multiples takes part of a bucket"
         );
+        assert!(
+            early > 0,
+            "work finished before the barrier that placed it files at the front"
+        );
         let rest = finished_by(&edge, SimTime::from_nanos(u64::MAX));
         assert!(!rest.is_empty(), "work is still in flight at the horizon");
+        assert!(
+            rest.iter().any(|&(key, _, _)| key > edge.last_due),
+            "some work is due after the last barrier, off the calendar"
+        );
         let tail = edge.flush();
         let got: Vec<(u32, u32)> = tail.served.iter().map(|s| (s.vehicle, s.seq)).collect();
         let want: Vec<(u32, u32)> = rest.iter().map(|&(_, v, s)| (v, s)).collect();
         assert_eq!(got, want, "the drain takes the rest in assignment order");
+    }
+
+    /// Three tenant-0 requests meet a quota flap to half the base cap:
+    /// one admits, and the two bounced are a fault, not load, so they
+    /// fall to rung 3. At a base cap of 1 the flapped cap is 1 too.
+    #[test]
+    fn a_flap_bounces_to_the_bottom_rung_at_any_base_cap() {
+        for cap in [1, 2] {
+            let mut cfg = FleetConfig::sized(64).with_tenant_quota_flap(
+                0,
+                0.5,
+                SimTime::ZERO,
+                SimDuration::from_secs(10),
+            );
+            cfg.tenant_queue_cap = cap;
+            let inj = cfg.chaos.as_ref().expect("plan").compile();
+            let mut edge = XEdgeServer::new(&cfg);
+            let mut rng = SeedFactory::new(1).stream("edge-test");
+            let batch = (0..cfg.vehicles)
+                .filter(|&v| cfg.tenant_of(v) == 0)
+                .take(3)
+                .map(|v| EdgeRequest {
+                    vehicle: v,
+                    seq: 0,
+                    tenant: 0,
+                    region: cfg.region_of(v),
+                    class: WorkloadClass::Detection,
+                    arrival: SimTime::ZERO,
+                    attempts: 0,
+                    handoff: SimDuration::ZERO,
+                })
+                .collect();
+            let barrier = SimTime::ZERO + cfg.epoch;
+            let loops = crash_loops(&cfg, Some(&inj));
+            let outcome = edge.serve_epoch(batch, barrier, Some(&inj), &loops, &mut rng);
+            let bounced = (outcome.rejected.len(), outcome.local_fallbacks.len());
+            assert_eq!(bounced, (0, 2), "(rejected, fallbacks) at base cap {cap}");
+            assert_eq!(outcome.queue_depth, 1, "one admitted at base cap {cap}");
+        }
     }
 }

@@ -800,7 +800,7 @@ fn state_from_snapshot(ctx: &RunCtx, payload: &Value) -> Result<EngineState, Ckp
         vehicles.push(dec_vehicle(cfg, enc, id, region, t_snap)?);
     }
 
-    let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?, metrics.requests)?;
+    let edge = XEdgeServer::restore_ckpt(cfg, get(payload, "edge")?, metrics.requests, t_snap)?;
     let ingest = section(
         payload,
         "ingest",

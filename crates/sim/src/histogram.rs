@@ -1,12 +1,25 @@
-//! The workspace's one streaming histogram: sparse log2 buckets over
-//! integer ticks, with an exact merge.
+//! The workspace's one streaming histogram: log2 buckets over integer
+//! ticks, with an exact merge.
 //!
 //! Every latency, energy, utilization and handoff distribution of the
 //! fleet engine, and every rolled-up registry series, is one of these.
-//! State is O(occupied buckets) regardless of sample volume, and every
-//! count and sum is an integer, so merging is exact: associative and
-//! commutative bit-for-bit. That is what lets the engine fold per-batch
-//! metrics in any grouping and still report byte-identical results.
+//! Every count and sum is an integer, so merging is exact: associative
+//! and commutative bit-for-bit. That is what lets the engine fold
+//! per-batch metrics in any grouping and still report byte-identical
+//! results.
+//!
+//! ## Storage
+//!
+//! Bucket counts live in a dense vector indexed by bucket, so a record
+//! is one index and one add, O(1) whatever the sample volume. The
+//! vector reaches only up to the highest occupied bucket: at most 1,920
+//! counts (15 KiB) for a histogram holding `u64::MAX` ticks, about
+//! 1,100 for millisecond latencies up to a few minutes. Its length is a
+//! function of its content, so equal histograms compare equal.
+//! [`StreamingHistogram::resident_bytes`] still counts 16 B per
+//! *occupied* bucket plus a header, the sparse figure: the telemetry
+//! budget decides from that estimate, which must not depend on how the
+//! buckets are stored, and a snapshot stores only the occupied buckets.
 //!
 //! ## Bucket scheme and error bound
 //!
@@ -26,7 +39,6 @@
 //! Negative samples clamp to 0 ticks, and samples past `u64::MAX` ticks
 //! saturate.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimDuration;
@@ -81,7 +93,7 @@ fn bucket_range(index: u32) -> (u64, u64) {
     }
 }
 
-/// A histogram's complete state: sparse bucket pairs plus exact integer
+/// A histogram's complete state: its occupied buckets plus exact integer
 /// aggregates, for checkpoint codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramState {
@@ -110,7 +122,7 @@ impl fmt::Display for HistogramStateError {
 
 impl std::error::Error for HistogramStateError {}
 
-/// A sparse log2-bucketed histogram with exact integer merge.
+/// A log2-bucketed histogram with exact integer merge.
 ///
 /// # Examples
 ///
@@ -133,7 +145,11 @@ impl std::error::Error for HistogramStateError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamingHistogram {
     name: &'static str,
-    buckets: BTreeMap<u32, u64>,
+    /// Samples per bucket, indexed by bucket, up to the highest occupied
+    /// one (empty when no sample was recorded).
+    buckets: Vec<u64>,
+    /// Non-zero entries of `buckets`.
+    occupied: u32,
     count: u64,
     sum_ticks: u128,
     min_ticks: u64,
@@ -146,7 +162,8 @@ impl StreamingHistogram {
     pub fn new(name: &'static str) -> Self {
         StreamingHistogram {
             name,
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
+            occupied: 0,
             count: 0,
             sum_ticks: 0,
             min_ticks: u64::MAX,
@@ -189,7 +206,14 @@ impl StreamingHistogram {
     /// Counts and the sum saturate, so a histogram restored near
     /// `u64::MAX` samples cannot overflow.
     fn record_ticks_n(&mut self, ticks: u64, n: u64) {
-        let bucket = self.buckets.entry(bucket_index(ticks)).or_insert(0);
+        let index = bucket_index(ticks) as usize;
+        if index >= self.buckets.len() {
+            self.buckets.resize(index + 1, 0);
+        }
+        let bucket = &mut self.buckets[index];
+        if *bucket == 0 {
+            self.occupied += 1;
+        }
         *bucket = bucket.saturating_add(n);
         self.count = self.count.saturating_add(n);
         self.sum_ticks = self
@@ -242,7 +266,8 @@ impl StreamingHistogram {
         let q = q.clamp(0.0, 1.0);
         let target = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (&index, &n) in &self.buckets {
+        for (index, &n) in (0u32..).zip(&self.buckets) {
+            // An empty bucket cannot lift `seen` to the target.
             seen = seen.saturating_add(n);
             if seen >= target {
                 let (lo, width) = bucket_range(index);
@@ -276,9 +301,16 @@ impl StreamingHistogram {
     /// commutative bit-for-bit. Counts and the sum saturate, which keeps
     /// all three properties.
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        for (&index, &n) in &other.buckets {
-            let bucket = self.buckets.entry(index).or_insert(0);
-            *bucket = bucket.saturating_add(n);
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (bucket, &n) in self.buckets.iter_mut().zip(&other.buckets) {
+            if n > 0 {
+                if *bucket == 0 {
+                    self.occupied += 1;
+                }
+                *bucket = bucket.saturating_add(n);
+            }
         }
         self.count = self.count.saturating_add(other.count);
         self.sum_ticks = self.sum_ticks.saturating_add(other.sum_ticks);
@@ -286,17 +318,22 @@ impl StreamingHistogram {
         self.max_ticks = self.max_ticks.max(other.max_ticks);
     }
 
-    /// Approximate resident bytes (sparse bucket entries + header).
+    /// Approximate resident bytes: a header plus 16 B per occupied
+    /// bucket, the size of the histogram's state (see the module docs).
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        64 + self.buckets.len() as u64 * 16
+        64 + u64::from(self.occupied) * 16
     }
 
     /// Snapshots the complete state for a checkpoint codec.
     #[must_use]
     pub fn state(&self) -> HistogramState {
         HistogramState {
-            buckets: self.buckets.iter().map(|(&i, &n)| (i, n)).collect(),
+            buckets: (0u32..)
+                .zip(&self.buckets)
+                .filter(|&(_, &n)| n > 0)
+                .map(|(index, &n)| (index, n))
+                .collect(),
             count: self.count,
             sum_ticks: self.sum_ticks,
             min_ticks: self.min_ticks,
@@ -372,9 +409,14 @@ impl StreamingHistogram {
                 }
             }
         }
+        let mut dense = vec![0; buckets.last().map_or(0, |&(last, _)| last as usize + 1)];
+        for &(index, n) in &buckets {
+            dense[index as usize] = n;
+        }
         Ok(StreamingHistogram {
             name,
-            buckets: buckets.into_iter().collect(),
+            buckets: dense,
+            occupied: buckets.len() as u32,
             count,
             sum_ticks,
             min_ticks,
@@ -585,5 +627,255 @@ mod tests {
         h.record(1000.0);
         assert_eq!(h.p50(), 1000.0, "single sample estimates exactly");
         assert_eq!(h.p99(), 1000.0);
+    }
+
+    /// The sparse `BTreeMap` histogram the dense bucket vector replaced,
+    /// kept as the differential test's independent truth.
+    mod reference {
+        use std::collections::BTreeMap;
+
+        use super::super::{bucket_index, bucket_range, from_ticks, to_ticks};
+        use crate::{HistogramState, SimDuration};
+
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct Histogram {
+            buckets: BTreeMap<u32, u64>,
+            count: u64,
+            sum_ticks: u128,
+            min_ticks: u64,
+            max_ticks: u64,
+        }
+
+        impl Histogram {
+            pub fn new() -> Self {
+                Histogram {
+                    buckets: BTreeMap::new(),
+                    count: 0,
+                    sum_ticks: 0,
+                    min_ticks: u64::MAX,
+                    max_ticks: 0,
+                }
+            }
+
+            pub fn record(&mut self, value: f64) {
+                if value.is_finite() {
+                    self.record_ticks_n(to_ticks(value), 1);
+                }
+            }
+
+            pub fn record_n(&mut self, value: f64, n: u64) {
+                if value.is_finite() && n > 0 {
+                    self.record_ticks_n(to_ticks(value), n);
+                }
+            }
+
+            pub fn record_duration(&mut self, d: SimDuration) {
+                self.record_ticks_n(d.as_nanos(), 1);
+            }
+
+            fn record_ticks_n(&mut self, ticks: u64, n: u64) {
+                let bucket = self.buckets.entry(bucket_index(ticks)).or_insert(0);
+                *bucket = bucket.saturating_add(n);
+                self.count = self.count.saturating_add(n);
+                self.sum_ticks = self
+                    .sum_ticks
+                    .saturating_add(u128::from(ticks) * u128::from(n));
+                self.min_ticks = self.min_ticks.min(ticks);
+                self.max_ticks = self.max_ticks.max(ticks);
+            }
+
+            pub fn merge(&mut self, other: &Histogram) {
+                for (&index, &n) in &other.buckets {
+                    let bucket = self.buckets.entry(index).or_insert(0);
+                    *bucket = bucket.saturating_add(n);
+                }
+                self.count = self.count.saturating_add(other.count);
+                self.sum_ticks = self.sum_ticks.saturating_add(other.sum_ticks);
+                self.min_ticks = self.min_ticks.min(other.min_ticks);
+                self.max_ticks = self.max_ticks.max(other.max_ticks);
+            }
+
+            pub fn mean(&self) -> f64 {
+                if self.count == 0 {
+                    0.0
+                } else {
+                    self.sum_ticks as f64 / 1e6 / self.count as f64
+                }
+            }
+
+            pub fn min(&self) -> f64 {
+                if self.count == 0 {
+                    0.0
+                } else {
+                    from_ticks(self.min_ticks)
+                }
+            }
+
+            pub fn max(&self) -> f64 {
+                from_ticks(self.max_ticks)
+            }
+
+            pub fn quantile(&self, q: f64) -> f64 {
+                if self.count == 0 {
+                    return 0.0;
+                }
+                let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+                let mut seen = 0u64;
+                for (&index, &n) in &self.buckets {
+                    seen = seen.saturating_add(n);
+                    if seen >= target {
+                        let (lo, width) = bucket_range(index);
+                        let mid = lo + width / 2;
+                        return from_ticks(mid.clamp(self.min_ticks, self.max_ticks));
+                    }
+                }
+                self.max()
+            }
+
+            pub fn resident_bytes(&self) -> u64 {
+                64 + self.buckets.len() as u64 * 16
+            }
+
+            pub fn state(&self) -> HistogramState {
+                HistogramState {
+                    buckets: self.buckets.iter().map(|(&i, &n)| (i, n)).collect(),
+                    count: self.count,
+                    sum_ticks: self.sum_ticks,
+                    min_ticks: self.min_ticks,
+                    max_ticks: self.max_ticks,
+                }
+            }
+
+            /// Rebuilds a histogram from a state the caller has checked.
+            pub fn from_state(state: HistogramState) -> Self {
+                Histogram {
+                    buckets: state.buckets.into_iter().collect(),
+                    count: state.count,
+                    sum_ticks: state.sum_ticks,
+                    min_ticks: state.min_ticks,
+                    max_ticks: state.max_ticks,
+                }
+            }
+        }
+    }
+
+    /// Whether `fast` reads exactly as the reference `slow` does: its
+    /// state, mean, min, max, p0/p50/p95/p99/p100 and resident bytes.
+    fn same_reading(fast: &StreamingHistogram, slow: &reference::Histogram) -> Result<(), String> {
+        macro_rules! reading {
+            ($h:expr) => {
+                [
+                    $h.mean(),
+                    $h.min(),
+                    $h.max(),
+                    $h.quantile(0.0),
+                    $h.quantile(0.5),
+                    $h.quantile(0.95),
+                    $h.quantile(0.99),
+                    $h.quantile(1.0),
+                ]
+                .map(f64::to_bits)
+            };
+        }
+        let (f, s) = (reading!(fast), reading!(slow));
+        if fast.state() != slow.state() {
+            Err(format!(
+                "state {:?}, reference {:?}",
+                fast.state(),
+                slow.state()
+            ))
+        } else if f != s {
+            Err(format!("reading {f:x?}, reference {s:x?}"))
+        } else if fast.resident_bytes() != slow.resident_bytes() {
+            Err(format!(
+                "resident {} B, reference {} B",
+                fast.resident_bytes(),
+                slow.resident_bytes()
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Replays `ops` on two dense histograms and two references: each op
+    /// is `(kind, pick, raw, exp)`, where `kind % 2` picks the target
+    /// and `kind / 2` is 0 record, 1 `record_n`, 2 `record_duration`,
+    /// 3 merge the other histogram in, 4 a `from_state` round trip and
+    /// 5 a copy of the other histogram. `pick` selects the sample:
+    /// `10^exp` or an edge value (0, negative, non-finite, at or past
+    /// `u64::MAX` ticks). Returns the first divergence, if any.
+    fn hist_replay(ops: &[(u8, usize, u64, f64)]) -> Result<(), String> {
+        let mut fast = [StreamingHistogram::new("d"), StreamingHistogram::new("d")];
+        let mut slow = [reference::Histogram::new(), reference::Histogram::new()];
+        for (i, &(kind, pick, raw, exp)) in ops.iter().enumerate() {
+            let (t, o) = (usize::from(kind % 2), usize::from(1 - kind % 2));
+            let value = [
+                10f64.powf(exp),
+                0.0,
+                -5.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e300,
+                u64::MAX as f64 / TICKS_PER_UNIT,
+                -(10f64.powf(exp)),
+                (10f64.powf(exp) * 1e3).round() / 1e3,
+            ][pick];
+            match kind / 2 {
+                0 => {
+                    fast[t].record(value);
+                    slow[t].record(value);
+                }
+                1 => {
+                    fast[t].record_n(value, raw % 40);
+                    slow[t].record_n(value, raw % 40);
+                }
+                2 => {
+                    let ticks = match pick {
+                        0 | 1 => u64::MAX,
+                        2 => 0,
+                        _ => raw >> (raw % 64),
+                    };
+                    fast[t].record_duration(SimDuration::from_nanos(ticks));
+                    slow[t].record_duration(SimDuration::from_nanos(ticks));
+                }
+                3 => {
+                    let (f, s) = (fast[o].clone(), slow[o].clone());
+                    fast[t].merge(&f);
+                    slow[t].merge(&s);
+                }
+                4 => {
+                    fast[t] = StreamingHistogram::from_state("d", fast[t].state())
+                        .map_err(|e| format!("op {i}: {e}"))?;
+                    slow[t] = reference::Histogram::from_state(slow[t].state());
+                }
+                _ => {
+                    fast[t] = fast[o].clone();
+                    slow[t] = slow[o].clone();
+                }
+            }
+            for (f, s) in fast.iter().zip(&slow) {
+                same_reading(f, s).map_err(|e| format!("op {i}: {e}"))?;
+            }
+            if (fast[0] == fast[1]) != (slow[0] == slow[1]) {
+                return Err(format!("op {i}: equality differs from the reference"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dense_buckets_read_as_the_sparse_reference(
+            ops in proptest::prop::collection::vec(
+                (0u8..12, 0usize..10, proptest::prelude::any::<u64>(), -3.0f64..12.0),
+                0..120,
+            ),
+        ) {
+            let replay = hist_replay(&ops);
+            proptest::prop_assert!(replay.is_ok(), "{}", replay.unwrap_err());
+        }
     }
 }

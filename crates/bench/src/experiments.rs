@@ -1950,7 +1950,7 @@ mod tests {
     #[test]
     fn fleet_trace_table_writes_parseable_artifacts() {
         // Scaled-down E18: a small telemetry-enabled fleet must write a
-        // trace.json that parses back through the vendored serde shim
+        // trace.json that parses back through the `serde_json` shim
         // and a per-line-valid spans.jsonl, and the table must render
         // the profile rows.
         let mut cfg = FleetConfig::sized(96).with_telemetry();

@@ -7,7 +7,6 @@
 //! the benches, and [`ScenarioConfig::fleet`] lifts a scenario onto the
 //! fleet engine (E14).
 
-use serde::{Deserialize, Serialize};
 use vdap_edgeos::{Objective, ServiceState};
 use vdap_hw::ComputeWorkload;
 use vdap_net::{DsrcRadio, Miles, Mph, Site};
@@ -22,7 +21,7 @@ use crate::infra::Infrastructure;
 use crate::platform::OpenVdap;
 
 /// Parameters shared by the scenario experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Master seed.
     pub seed: u64,
@@ -130,7 +129,7 @@ pub fn detection_stages() -> Vec<ComputeWorkload> {
 }
 
 /// One strategy's outcome in the comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyOutcome {
     /// Strategy name.
     pub strategy: String,
@@ -173,7 +172,7 @@ pub fn compare_strategies(config: &ScenarioConfig) -> Vec<StrategyOutcome> {
 }
 
 /// One sample of the elastic-adaptation timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptSample {
     /// Sample time.
     pub at: SimTime,
@@ -272,7 +271,7 @@ pub fn elastic_adaptation_timeline(config: &ScenarioConfig) -> Vec<AdaptSample> 
 }
 
 /// How vehicles share scan results (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollabMode {
     /// No sharing: every vehicle computes every tile.
     Off,
@@ -284,7 +283,7 @@ pub enum CollabMode {
 }
 
 /// Outcome of the collaboration experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollabOutcome {
     /// Scans actually computed.
     pub computations: u64,

@@ -9,7 +9,6 @@
 //! later recover, and the context collectors produce smooth plausible
 //! environment series.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{RngStream, SimDuration, SimTime};
 
 use crate::record::{
@@ -20,7 +19,7 @@ use crate::record::{
 ///
 /// pBEAM's job (§IV-E) is to recover exactly this signature from
 /// telemetry, so the generator encodes it as distribution parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriverStyle {
     /// Gentle inputs, early braking.
     Calm,

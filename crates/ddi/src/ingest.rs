@@ -186,7 +186,6 @@ impl RegionCollector {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageTierModel {
     records_per_sec: f64,
-    base_write_latency: SimDuration,
     max_multiplier: f64,
 }
 
@@ -194,7 +193,7 @@ impl StorageTierModel {
     /// Default ceiling on the write-latency multiplier.
     pub const DEFAULT_MAX_MULTIPLIER: f64 = 16.0;
 
-    /// Default nominal per-record write latency.
+    /// Nominal per-record write latency: the write delay at idle.
     pub const DEFAULT_BASE_WRITE_LATENCY: SimDuration = SimDuration::from_millis(2);
 
     /// Creates a model for a tier that absorbs `records_per_sec` at
@@ -208,16 +207,8 @@ impl StorageTierModel {
         assert!(records_per_sec > 0.0, "throughput must be positive");
         StorageTierModel {
             records_per_sec,
-            base_write_latency: Self::DEFAULT_BASE_WRITE_LATENCY,
             max_multiplier: Self::DEFAULT_MAX_MULTIPLIER,
         }
-    }
-
-    /// Replaces the nominal per-record write latency.
-    #[must_use]
-    pub fn with_base_write_latency(mut self, base: SimDuration) -> Self {
-        self.base_write_latency = base;
-        self
     }
 
     /// Replaces the multiplier ceiling.
@@ -236,12 +227,6 @@ impl StorageTierModel {
     #[must_use]
     pub fn records_per_sec(&self) -> f64 {
         self.records_per_sec
-    }
-
-    /// Nominal per-record write latency.
-    #[must_use]
-    pub fn base_write_latency(&self) -> SimDuration {
-        self.base_write_latency
     }
 
     /// Records the tier can drain in `window` at `throughput_factor`
@@ -285,7 +270,7 @@ impl StorageTierModel {
         } else {
             2.0 * rho
         };
-        self.base_write_latency.mul_f64(m.min(self.max_multiplier))
+        Self::DEFAULT_BASE_WRITE_LATENCY.mul_f64(m.min(self.max_multiplier))
     }
 }
 
@@ -360,7 +345,10 @@ mod tests {
             last = d;
         }
         let at_saturation = tier.write_delay(100, w, 1.0);
-        assert_eq!(at_saturation, tier.base_write_latency() * 2);
+        assert_eq!(
+            at_saturation,
+            StorageTierModel::DEFAULT_BASE_WRITE_LATENCY * 2
+        );
     }
 
     #[test]
@@ -380,7 +368,10 @@ mod tests {
         let tier = StorageTierModel::new(10.0).with_max_multiplier(4.0);
         let w = SimDuration::from_secs(1);
         let capped = tier.write_delay(10_000, w, 1.0);
-        assert_eq!(capped, tier.base_write_latency().mul_f64(4.0));
+        assert_eq!(
+            capped,
+            StorageTierModel::DEFAULT_BASE_WRITE_LATENCY.mul_f64(4.0)
+        );
         // Zero capacity (full brownout) pins the delay at the ceiling
         // for any nonzero load, and stays idle-priced for none.
         assert_eq!(tier.write_delay(5, w, 0.0), capped);

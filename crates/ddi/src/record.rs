@@ -6,11 +6,10 @@
 //! time-space tagged ("all the related data includes location and
 //! timestamp").
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimTime;
 
 /// A geographic position (degrees).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees.
     pub lat: f64,
@@ -34,7 +33,7 @@ impl GeoPoint {
 }
 
 /// An axis-aligned geographic bounding box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoBox {
     /// South-west corner.
     pub min: GeoPoint,
@@ -63,7 +62,7 @@ impl GeoBox {
 }
 
 /// One OBD/sensor sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DrivingSample {
     /// Vehicle speed, MPH.
     pub speed_mph: f64,
@@ -80,7 +79,7 @@ pub struct DrivingSample {
 }
 
 /// Weather context.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeatherSample {
     /// Temperature, °C.
     pub temperature_c: f64,
@@ -91,7 +90,7 @@ pub struct WeatherSample {
 }
 
 /// Traffic context.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficSample {
     /// Congestion level in `[0, 1]`.
     pub congestion: f64,
@@ -102,7 +101,7 @@ pub struct TrafficSample {
 }
 
 /// A social-web event (emergencies, closures).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocialEvent {
     /// Short event description.
     pub description: String,
@@ -111,7 +110,7 @@ pub struct SocialEvent {
 }
 
 /// The payload of a DDI record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// OBD / on-board sensor data.
     Driving(DrivingSample),
@@ -124,7 +123,7 @@ pub enum Payload {
 }
 
 /// The four record categories (used as coarse keys).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecordKind {
     /// OBD / sensors.
     Driving,
@@ -164,7 +163,7 @@ impl std::fmt::Display for RecordKind {
 }
 
 /// A complete, time-space tagged DDI record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// When the sample was taken.
     pub at: SimTime,

@@ -12,7 +12,6 @@
 //! [`PolymorphicService`] against an [`Environment`] snapshot and either
 //! selects the best feasible pipeline or hangs the service.
 
-use serde::{Deserialize, Serialize};
 use vdap_hw::{ProcessorSpec, VcuBoard};
 use vdap_net::{NetTopology, Site};
 use vdap_sim::{SimDuration, SimTime, TraceLevel, TraceLog};
@@ -24,7 +23,7 @@ use crate::service::{Pipeline, PolymorphicService};
 const RADIO_TX_WATTS: f64 = 2.5;
 
 /// What the elastic manager optimizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Smallest end-to-end latency (the default for driving services).
     MinLatency,
@@ -52,7 +51,7 @@ pub struct Environment<'a> {
 }
 
 /// The estimate for one pipeline variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineEstimate {
     /// Variant label.
     pub label: String,
@@ -66,7 +65,7 @@ pub struct PipelineEstimate {
 }
 
 /// The outcome of one elastic-management decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// Index of the selected pipeline, `None` when the service was hung.
     pub selected: Option<usize>,
@@ -106,7 +105,7 @@ impl Decision {
 /// // In the hysteresis band: hold.
 /// assert_eq!(policy.decide(8, 12), LaneDecision::Hold(8));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LanePolicy {
     /// Floor on the pool size (never scale below).
     pub min_lanes: u32,
@@ -189,7 +188,7 @@ impl LanePolicy {
 }
 
 /// What one elastic capacity decision did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneDecision {
     /// Pool grew to the contained lane count.
     Grow(u32),

@@ -54,5 +54,5 @@ pub use service::{kidnapper_search, Pipeline, PipelineStage, PolymorphicService,
 pub use sharing::{AuditEntry, SharedItem, SharingBus, SharingError, Token};
 pub use supervisor::{CrashLoopPolicy, ServiceSupervisor, SupervisorDecision};
 pub use tenancy::{
-    AdmissionState, ClassQueueKey, DrrKey, FairQueue, TenantAdmission, TenantId, WorkloadClass,
+    AdmissionState, ClassQueueKey, FairQueue, TenantAdmission, TenantId, WorkloadClass,
 };

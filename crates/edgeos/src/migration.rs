@@ -13,7 +13,6 @@
 //! from untrusted sources are rejected unless attested — the paper's
 //! trust concern made concrete.
 
-use serde::{Deserialize, Serialize};
 use vdap_fault::{retry_until_deadline, AttemptOutcome, RetryError, RetryPolicy, RetryReport};
 use vdap_net::{Direction, LinkSpec};
 use vdap_sim::{RngStream, SimDuration, SimTime, TraceLevel, TraceLog};
@@ -21,7 +20,7 @@ use vdap_sim::{RngStream, SimDuration, SimTime, TraceLevel, TraceLog};
 use crate::security::IsolationMode;
 
 /// A migratable service image: code plus runtime state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceImage {
     /// Service name.
     pub name: String,
@@ -52,7 +51,7 @@ impl ServiceImage {
 }
 
 /// How the migration moves state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationMode {
     /// Stop, transfer everything, restart: simple, maximal downtime.
     Cold,
@@ -64,7 +63,7 @@ pub enum MigrationMode {
 }
 
 /// The outcome of a migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationReport {
     /// Total wall time from start to service resumed.
     pub total: SimDuration,

@@ -12,15 +12,14 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{splitmix64, SimDuration, SimTime};
 
 /// A vehicle's long-term identity (never sent over the air).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VehicleId(pub u64);
 
 /// A rotating over-the-air pseudonym.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pseudonym(pub u64);
 
 impl std::fmt::Display for Pseudonym {

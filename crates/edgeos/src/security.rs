@@ -14,11 +14,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{SimDuration, SimTime, TraceLevel, TraceLog};
 
 /// How a service is isolated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IsolationMode {
     /// Hardware TEE (SGX-class): strongest isolation, highest overhead.
     Tee,
@@ -47,7 +46,7 @@ impl IsolationMode {
 }
 
 /// A simulated remote-attestation report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attestation {
     /// Service the quote covers.
     pub service: String,
@@ -58,7 +57,7 @@ pub struct Attestation {
 }
 
 /// Lifecycle of a guarded service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuardState {
     /// Attested and serving.
     Healthy,

@@ -7,14 +7,13 @@
 //! [`PolymorphicService`] is that bundle of pipelines plus QoS metadata
 //! and lifecycle state.
 
-use serde::{Deserialize, Serialize};
 use vdap_hw::{ComputeWorkload, TaskClass};
 use vdap_net::Site;
 use vdap_sim::SimDuration;
 use vdap_vcu::Priority;
 
 /// One stage of one execution pipeline: a workload pinned to a site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStage {
     /// The compute demand.
     pub workload: ComputeWorkload,
@@ -23,7 +22,7 @@ pub struct PipelineStage {
 }
 
 /// A complete execution pipeline variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pipeline {
     /// Variant label, e.g. `"all-onboard"`.
     pub label: String,
@@ -61,7 +60,7 @@ impl Pipeline {
 }
 
 /// Service lifecycle state (drives the Reliability story in §IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceState {
     /// Serving requests on the selected pipeline.
     Running,
@@ -76,7 +75,7 @@ pub enum ServiceState {
 }
 
 /// A service with multiple execution pipelines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolymorphicService {
     name: String,
     priority: Priority,

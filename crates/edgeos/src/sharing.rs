@@ -12,17 +12,16 @@
 //! rights, and every access lands in an audit log.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimTime;
 
 /// A capability token proving a service's identity on the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(u64);
 
 /// One shared item on a topic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedItem {
     /// Producing service.
     pub producer: String,
@@ -33,7 +32,7 @@ pub struct SharedItem {
 }
 
 /// Audit-log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditEntry {
     /// When the access happened.
     pub at: SimTime,
@@ -95,9 +94,16 @@ impl SharingBus {
         SharingBus::default()
     }
 
+    /// The locked bus state. A caller's panic under the lock (say, in a
+    /// name's `Into<String>`) poisons it; every update leaves the state
+    /// whole, so the next caller recovers the lock instead of panicking.
+    fn state(&self) -> MutexGuard<'_, BusState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a service; the returned token authenticates it.
     pub fn register(&self, service: impl Into<String>) -> Token {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         s.next_token = s
             .next_token
             .wrapping_mul(6_364_136_223_846_793_005)
@@ -110,8 +116,7 @@ impl SharingBus {
     /// Grants `service` read access to `topic` (publishing to a topic is
     /// always allowed for registered services; reads are fine-grained).
     pub fn grant_read(&self, service: impl Into<String>, topic: impl Into<String>) {
-        self.state
-            .lock()
+        self.state()
             .grants
             .insert((service.into(), topic.into()), ());
     }
@@ -129,7 +134,7 @@ impl SharingBus {
         now: SimTime,
     ) -> Result<(), SharingError> {
         let topic = topic.into();
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let service = s
             .services
             .get(&token)
@@ -161,7 +166,7 @@ impl SharingBus {
         topic: &str,
         now: SimTime,
     ) -> Result<Vec<SharedItem>, SharingError> {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let service = s
             .services
             .get(&token)
@@ -192,13 +197,13 @@ impl SharingBus {
     /// A copy of the audit log.
     #[must_use]
     pub fn audit_log(&self) -> Vec<AuditEntry> {
-        self.state.lock().audit.clone()
+        self.state().audit.clone()
     }
 
     /// Number of items on a topic.
     #[must_use]
     pub fn topic_len(&self, topic: &str) -> usize {
-        self.state.lock().topics.get(topic).map_or(0, Vec::len)
+        self.state().topics.get(topic).map_or(0, Vec::len)
     }
 }
 
@@ -287,6 +292,25 @@ mod tests {
         bus.grant_read("svc", "nothing");
         assert!(bus.read(t, "nothing", SimTime::ZERO).unwrap().is_empty());
         assert_eq!(bus.topic_len("nothing"), 0);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_bus_usable() {
+        // `register` converts the name while it holds the lock, so a
+        // conversion that panics poisons it.
+        struct PanickingName;
+        impl From<PanickingName> for String {
+            fn from(_: PanickingName) -> String {
+                panic!("name conversion failed");
+            }
+        }
+        let bus = SharingBus::new();
+        assert!(std::panic::catch_unwind(|| bus.register(PanickingName)).is_err());
+        assert!(bus.state.is_poisoned());
+
+        let t = bus.register("svc");
+        bus.publish(t, "x", vec![1], SimTime::ZERO).unwrap();
+        assert_eq!(bus.topic_len("x"), 1);
     }
 
     #[test]

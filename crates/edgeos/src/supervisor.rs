@@ -106,13 +106,6 @@ impl ServiceSupervisor {
         }
     }
 
-    /// Overrides the crash-loop detection window and threshold.
-    #[must_use]
-    pub fn with_crash_loop_policy(mut self, window: SimDuration, max_crashes: u32) -> Self {
-        self.policy = CrashLoopPolicy::new(window, max_crashes);
-        self
-    }
-
     /// Handles a crash of `service` at `now`: marks it crashed, then
     /// either schedules a restart (backoff grows with the number of
     /// recent crashes) or declares a crash loop and gives up.

@@ -23,8 +23,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The vehicular workload classes a shared XEdge deployment multiplexes
 /// (§IV-B's heterogeneous service mix reduced to its three cost shapes).
 ///
@@ -44,9 +42,7 @@ use serde::{Deserialize, Serialize};
 ///   upload plus model-delta download per round, the loosest deadline;
 ///   a missed round is *skipped*, not locally recomputed — training
 ///   just converges a round later.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum WorkloadClass {
     /// Real-time detection offload (scan-type perception requests).
     #[default]
@@ -93,9 +89,7 @@ impl fmt::Display for WorkloadClass {
 }
 
 /// Identifies a service tenant sharing an XEdge server.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(u32);
 
 impl TenantId {
@@ -144,7 +138,7 @@ impl fmt::Display for TenantId {
 /// assert!(adm.try_admit(t)); // slot freed
 /// assert_eq!(adm.rejected(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantAdmission {
     queue_cap: usize,
     /// One row per tenant ever named, sorted by id.
@@ -154,7 +148,7 @@ pub struct TenantAdmission {
 }
 
 /// One tenant's row in a [`TenantAdmission`] table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TenantRow {
     id: TenantId,
     /// Requests admitted and not yet released.
@@ -348,36 +342,12 @@ pub struct AdmissionState {
     pub rejected: u64,
 }
 
-/// A flow key the [`FairQueue`] can round-robin over.
-///
-/// A DRR cursor needs two things from its key space: a total order (the
-/// visiting order) and a successor function (where the cursor lands
-/// after a visit). The queue keeps its cursor as a position in its flow
-/// table, which lands on the same flow: the first one at or after the
-/// visited key's successor, wrapping. [`TenantId`] gives the classic
-/// one-flow-per-tenant queue; [`ClassQueueKey`] gives one flow per
-/// (tenant, workload class) so classes inside a tenant are isolated
-/// from each other too.
-pub trait DrrKey: Copy + Ord {
-    /// The key immediately after `self` in visiting order (wrapping).
-    #[must_use]
-    fn successor(self) -> Self;
-}
-
-impl DrrKey for TenantId {
-    fn successor(self) -> Self {
-        TenantId::new(self.as_u32().wrapping_add(1))
-    }
-}
-
 /// One (tenant, workload class) flow in a class-aware [`FairQueue`].
 ///
 /// Ordered tenant-major: a full cursor cycle visits every class of
 /// tenant 0, then every class of tenant 1, and so on — so per-visit
 /// quanta compose per tenant exactly as the fairness proof expects.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClassQueueKey {
     /// The tenant whose traffic this flow carries.
     pub tenant: TenantId,
@@ -393,22 +363,6 @@ impl ClassQueueKey {
     }
 }
 
-impl DrrKey for ClassQueueKey {
-    fn successor(self) -> Self {
-        match self.class {
-            WorkloadClass::Detection => {
-                ClassQueueKey::new(self.tenant, WorkloadClass::Infotainment)
-            }
-            WorkloadClass::Infotainment => {
-                ClassQueueKey::new(self.tenant, WorkloadClass::PbeamTraining)
-            }
-            WorkloadClass::PbeamTraining => {
-                ClassQueueKey::new(self.tenant.successor(), WorkloadClass::Detection)
-            }
-        }
-    }
-}
-
 impl fmt::Display for ClassQueueKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.tenant, self.class)
@@ -417,8 +371,8 @@ impl fmt::Display for ClassQueueKey {
 
 /// A deficit round-robin (DRR) fair queue over flows.
 ///
-/// Each flow (a [`TenantId`] by default, or any [`DrrKey`] such as a
-/// per-tenant-per-class [`ClassQueueKey`]) owns a FIFO of `(cost, item)`
+/// Each flow (a [`TenantId`] by default, or any `Copy + Ord` key such as
+/// a per-tenant-per-class [`ClassQueueKey`]) owns a FIFO of `(cost, item)`
 /// pairs. [`FairQueue::pop`] visits non-empty flows cyclically in key
 /// order, granting each its quantum of deficit per visit and serving a
 /// flow's head item once its accumulated deficit covers the item's
@@ -469,7 +423,7 @@ impl fmt::Display for ClassQueueKey {
 /// assert_eq!(q.pop(), Some((inf, "chunk")));
 /// ```
 #[derive(Debug, Clone)]
-pub struct FairQueue<T, K: DrrKey = TenantId> {
+pub struct FairQueue<T, K: Copy + Ord = TenantId> {
     quantum: u64,
     /// Every flow ever named by `enqueue` or `set_quantum`, sorted by
     /// key; an emptied flow stays, so the table holds a few dozen
@@ -494,7 +448,7 @@ struct Flow<K, T> {
     items: VecDeque<(u64, T)>,
 }
 
-impl<T, K: DrrKey> FairQueue<T, K> {
+impl<T, K: Copy + Ord> FairQueue<T, K> {
     /// Creates a queue granting `quantum` deficit units per flow visit.
     ///
     /// # Panics
@@ -832,13 +786,44 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    /// Where the reference queue's cursor lands after visiting a flow:
+    /// the key right after it in key order, wrapping. The flow table's
+    /// index cursor lands on the same flow, the first at or after this
+    /// key.
+    trait Successor: Copy + Ord {
+        fn successor(self) -> Self;
+    }
+
+    impl Successor for TenantId {
+        fn successor(self) -> Self {
+            TenantId::new(self.as_u32().wrapping_add(1))
+        }
+    }
+
+    impl Successor for ClassQueueKey {
+        fn successor(self) -> Self {
+            match self.class {
+                WorkloadClass::Detection => {
+                    ClassQueueKey::new(self.tenant, WorkloadClass::Infotainment)
+                }
+                WorkloadClass::Infotainment => {
+                    ClassQueueKey::new(self.tenant, WorkloadClass::PbeamTraining)
+                }
+                WorkloadClass::PbeamTraining => {
+                    ClassQueueKey::new(self.tenant.successor(), WorkloadClass::Detection)
+                }
+            }
+        }
+    }
+
     /// The three-map DRR queue the flow table replaced and the two-map
     /// admission gate the tenant table replaced, kept as the
     /// differential tests' independent truth.
     mod reference {
         use std::collections::{BTreeMap, VecDeque};
 
-        use crate::{DrrKey, TenantId};
+        use super::Successor;
+        use crate::TenantId;
 
         pub struct TenantAdmission {
             queue_cap: usize,
@@ -918,7 +903,7 @@ mod tests {
             }
         }
 
-        pub struct FairQueue<T, K: DrrKey> {
+        pub struct FairQueue<T, K: Successor> {
             quantum: u64,
             quanta: BTreeMap<K, u64>,
             queues: BTreeMap<K, VecDeque<(u64, T)>>,
@@ -926,7 +911,7 @@ mod tests {
             cursor: Option<K>,
         }
 
-        impl<T, K: DrrKey> FairQueue<T, K> {
+        impl<T, K: Successor> FairQueue<T, K> {
             pub fn new(quantum: u64) -> Self {
                 FairQueue {
                     quantum,
@@ -1002,7 +987,7 @@ mod tests {
     /// costing `value`, 5–8 pops and 9 sets the flow's quantum to
     /// `value`; the queues are drained at the end. Returns the first
     /// divergence, if any.
-    fn drr_replay<K: DrrKey + fmt::Debug>(
+    fn drr_replay<K: Successor + fmt::Debug>(
         quantum: u64,
         ops: &[(u8, u32, usize, u64)],
         key_of: impl Fn(u32, usize) -> K,

@@ -7,7 +7,6 @@
 //! scripted scenario or drawn from a dedicated RNG stream via
 //! [`FaultPlan::randomized`] for chaos testing.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{RngStream, SimDuration, SimTime};
 
 use crate::injector::FaultInjector;
@@ -15,7 +14,7 @@ use crate::injector::FaultInjector;
 /// What kind of failure a fault injects. Target labels bind the fault to
 /// a component in the layer that owns it (`hw` slot names, `net` link
 /// names, `ddi` stores, `edgeos` services).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// A compute slot goes hard-down (hw). Work booked on it is lost and
     /// must fail over.
@@ -127,7 +126,7 @@ impl std::fmt::Display for FaultKind {
 }
 
 /// One configured fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Failure mode.
     pub kind: FaultKind,
@@ -227,7 +226,7 @@ impl Default for ChaosProfile {
 }
 
 /// An ordered set of faults over a scenario horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     horizon: SimDuration,
     faults: Vec<FaultSpec>,

@@ -62,15 +62,6 @@ impl RetryPolicy {
         self.attempt_timeout = None;
         self
     }
-
-    /// Caps a single attempt's duration at the per-attempt timeout.
-    #[must_use]
-    pub fn cap_attempt(&self, took: SimDuration) -> SimDuration {
-        match self.attempt_timeout {
-            Some(limit) => took.min(limit),
-            None => took,
-        }
-    }
 }
 
 /// What one attempt of the operation did, as reported by the caller's

@@ -6,7 +6,6 @@
 //! on-board devices such as passenger phones (*2ndHEP*). The board also
 //! carries the storage device and the communication modules.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimTime;
 
 use crate::power::PowerBudget;
@@ -15,7 +14,7 @@ use crate::storage::SsdModel;
 use crate::workload::{ComputeWorkload, TaskClass};
 
 /// Which heterogeneous-platform level a processor belongs to (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HepLevel {
     /// Soldered/board resources: the VCU's own processors.
     First,
@@ -25,7 +24,7 @@ pub enum HepLevel {
 }
 
 /// Communication modules present on the board (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CommModule {
     /// Dedicated short-range communications (V2V / V2-RSU).
     Dsrc,
@@ -40,7 +39,7 @@ pub enum CommModule {
 }
 
 /// Identifier of a processor slot on the board.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SlotId(pub u32);
 
 impl std::fmt::Display for SlotId {
@@ -50,7 +49,7 @@ impl std::fmt::Display for SlotId {
 }
 
 /// One populated processor slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Slot {
     /// Slot identifier.
     pub id: SlotId,
@@ -73,7 +72,7 @@ pub struct Slot {
 /// assert_eq!(board.slots_at(HepLevel::Second).len(), 2); // controller + phone
 /// board.detach(phone);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcuBoard {
     slots: Vec<Slot>,
     next_slot: u32,

@@ -6,7 +6,6 @@
 //! [`PowerBudget`] models the supply ceiling and [`Battery`] models the
 //! range impact ("mileage per discharge cycle").
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimDuration;
 
 /// The vehicle's electrical budget for compute, in watts.
@@ -22,7 +21,7 @@ use vdap_sim::SimDuration;
 /// budget.release("gpu");
 /// assert!(budget.try_allocate("second-gpu", 100.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerBudget {
     capacity_watts: f64,
     allocations: Vec<(String, f64)>,
@@ -101,7 +100,7 @@ impl PowerBudget {
 /// The range model is linear: driving consumes a fixed number of watt
 /// hours per mile; steady compute load at cruise speed converts watts into
 /// additional watt-hours per mile (`watts / mph`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     capacity_wh: f64,
     remaining_wh: f64,

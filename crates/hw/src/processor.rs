@@ -7,13 +7,12 @@
 //! [`ProcessorUnit`] adds runtime state — a busy-until horizon and energy
 //! accounting — so schedulers can queue work on it.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{SimDuration, SimTime};
 
 use crate::workload::{ComputeWorkload, TaskClass};
 
 /// Broad processor families available on the VCU board (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProcessorKind {
     /// General-purpose x86/ARM cores.
     Cpu,
@@ -67,7 +66,7 @@ impl std::fmt::Display for ProcessorKind {
 ///     .with_parallel_fraction(1.0);
 /// assert_eq!(gpu.service_time(&w).as_millis(), 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorSpec {
     name: String,
     kind: ProcessorKind,
@@ -262,7 +261,7 @@ impl ProcessorSpecBuilder {
 /// Health affects *new* work: a throttled slot serves workloads slower by
 /// the given speed factor, and a down slot refuses placement entirely
 /// (schedulers must check [`ProcessorUnit::is_available`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SlotHealth {
     /// Nominal operation.
     Healthy,
@@ -290,7 +289,7 @@ impl SlotHealth {
 /// Queueing semantics are FIFO: [`ProcessorUnit::enqueue`] at time `now`
 /// starts the work at `max(now, busy_until)` and returns the completion
 /// time, accumulating busy time and energy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorUnit {
     spec: ProcessorSpec,
     busy_until: SimTime,

@@ -5,11 +5,10 @@
 //! concurrent streams scale until the channel count saturates, matching
 //! the multi-queue SSD literature the paper cites.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{SimDuration, SimTime};
 
 /// Direction of a storage transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StorageOp {
     /// Read from flash.
     Read,
@@ -29,7 +28,7 @@ pub enum StorageOp {
 /// let t8 = ssd.transfer_time(StorageOp::Read, 64 * 1024 * 1024, 8);
 /// assert!(t8 < t1); // parallel streams stripe across channels
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsdModel {
     name: String,
     channels: u32,

@@ -6,13 +6,11 @@
 //! differently), a memory footprint, and a parallelizable fraction used
 //! for Amdahl-style speedup on wide processors.
 
-use serde::{Deserialize, Serialize};
-
 /// Classes of computation that the paper's heterogeneous platform (mHEP)
 /// maps onto different processors (§IV-B): GPUs for dense ML math, FPGAs
 /// for feature extraction / codecs, ASICs for fixed-function kernels, DSPs
 /// for signal processing, CPUs for control logic and everything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TaskClass {
     /// Branchy scalar work: parsing, planning, bookkeeping.
     ControlLogic,
@@ -80,7 +78,7 @@ impl std::fmt::Display for TaskClass {
 ///     .with_parallel_fraction(0.97);
 /// assert_eq!(inference.flops(), 11.4e9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputeWorkload {
     name: String,
     class: TaskClass,

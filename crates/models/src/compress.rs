@@ -14,13 +14,12 @@
 //! [`CompressionReport`] accounts the size: dense 32-bit weights vs
 //! sparse indices at `ceil(log2 k)` bits plus the codebook.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::RngStream;
 
 use crate::nn::Network;
 
 /// Compression hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressConfig {
     /// Fraction of weights to prune per layer, in `[0, 1)`.
     pub sparsity: f64,
@@ -46,7 +45,7 @@ impl Default for CompressConfig {
 }
 
 /// Size accounting for one compressed network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionReport {
     /// Dense footprint, bytes (32-bit weights).
     pub dense_bytes: u64,

@@ -5,7 +5,6 @@
 //! with cross-entropy loss. Small by design — driving-behaviour models
 //! run on the vehicle, which is exactly the paper's point.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::RngStream;
 
 use crate::tensor::Matrix;
@@ -69,7 +68,7 @@ impl Dataset {
 }
 
 /// One dense layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Weight matrix, `inputs × outputs`.
     pub weights: Matrix,
@@ -104,14 +103,14 @@ impl Layer {
 /// let net = Network::new(&[4, 8, 3], &mut rng);
 /// assert_eq!(net.layer_sizes(), vec![4, 8, 3]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     layers: Vec<Layer>,
     sizes: Vec<usize>,
 }
 
 /// Training hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// SGD learning rate.
     pub learning_rate: f64,

@@ -7,7 +7,6 @@
 //! driver's own DDI data. [`PbeamPipeline::run`] executes all four steps
 //! and reports every number the experiment needs.
 
-use serde::{Deserialize, Serialize};
 use vdap_ddi::DriverStyle;
 use vdap_sim::SeedFactory;
 
@@ -17,7 +16,7 @@ use crate::nn::{Network, TrainConfig};
 use crate::transfer::{transfer, TransferConfig};
 
 /// Configuration for the full cBEAM → pBEAM pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PbeamConfig {
     /// Telemetry windows per driver style in the cloud dataset.
     pub windows_per_style: usize,
@@ -50,7 +49,7 @@ impl Default for PbeamConfig {
 }
 
 /// Everything the pBEAM experiment reports (DESIGN.md E7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PbeamReport {
     /// cBEAM accuracy on held-out population data, before compression.
     pub cbeam_accuracy: f64,

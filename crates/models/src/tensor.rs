@@ -5,7 +5,6 @@
 //! and row/column access. No external BLAS — the paper's models here are
 //! small (pBEAM-scale), so clarity beats throughput.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::RngStream;
 
 /// A row-major dense matrix.
@@ -19,7 +18,7 @@ use vdap_sim::RngStream;
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

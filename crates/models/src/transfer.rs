@@ -5,13 +5,12 @@
 //! in the DDI." The lower layers (generic driving representations) are
 //! frozen; only the head fine-tunes on the driver's own data.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::RngStream;
 
 use crate::nn::{Dataset, Network, TrainConfig};
 
 /// Transfer-learning hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferConfig {
     /// How many lower layers stay frozen (all but the head by default).
     pub frozen_layers: Option<usize>,

@@ -15,7 +15,6 @@
 //! 2. **Model catalog entries**: named models with dense and compressed
 //!    footprints and the task class they run as.
 
-use serde::{Deserialize, Serialize};
 use vdap_hw::{ComputeWorkload, TaskClass};
 
 /// Paper Table I: measured algorithm latencies on the AWS 2.4 GHz vCPU.
@@ -89,7 +88,7 @@ pub fn table1_workloads() -> Vec<ComputeWorkload> {
 }
 
 /// Domains in the common model library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelDomain {
     /// Natural language processing (voice commands).
     NaturalLanguage,
@@ -102,7 +101,7 @@ pub enum ModelDomain {
 }
 
 /// A catalog entry in the common model library.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelEntry {
     /// Model name.
     pub name: String,

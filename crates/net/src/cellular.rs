@@ -20,7 +20,6 @@
 //! it comes out of the GOP keyframe-dependency rule in
 //! [`crate::video`], exactly the mechanism the paper describes.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{RngStream, SimTime};
 
 use crate::mobility::Mph;
@@ -52,7 +51,7 @@ pub const FIG2_FRAME_LOSS: [(f64, f64, f64); 6] = [
 pub const STORM_HANDOFF_MULTIPLIER: f64 = 3.0;
 
 /// Parameters of the cellular loss model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellularChannel {
     /// Distance between handoffs, in miles.
     cell_diameter_miles: f64,

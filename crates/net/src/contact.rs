@@ -6,13 +6,12 @@
 //! and tracks contact windows so collaboration experiments can gossip
 //! only through real link opportunities.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimTime;
 
 use crate::mobility::Miles;
 
 /// A DSRC radio's reach.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsrcRadio {
     /// Usable range in miles (≈300 m for 802.11p at highway speeds).
     pub range_miles: f64,
@@ -58,7 +57,7 @@ impl DsrcRadio {
 }
 
 /// One completed (or open) contact window between two vehicles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContactWindow {
     /// The vehicle pair (lower index first).
     pub pair: (usize, usize),

@@ -6,11 +6,10 @@
 //! bandwidth plus a propagation/setup latency, which is all the
 //! offloading planner needs to price a transfer.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimDuration;
 
 /// Transfer direction relative to the vehicle (or the link's "A side").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Vehicle → infrastructure.
     Uplink,
@@ -19,7 +18,7 @@ pub enum Direction {
 }
 
 /// Families of links available in the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LinkKind {
     /// 4G/LTE cellular.
     Lte,
@@ -71,7 +70,7 @@ impl std::fmt::Display for LinkKind {
 /// let t = lte.transfer_time(Direction::Uplink, 1_000_000);
 /// assert!(t.as_millis() > 1000 && t.as_millis() < 1200);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     kind: LinkKind,
     uplink_mbps: f64,

@@ -5,11 +5,10 @@
 //! trace and also supports piecewise segments for richer scenarios (city
 //! blocks with stops). Speeds are in the paper's unit, miles per hour.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{SimDuration, SimTime};
 
 /// Speed in miles per hour.
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Mph(pub f64);
 
 impl Mph {
@@ -33,11 +32,11 @@ impl std::fmt::Display for Mph {
 }
 
 /// A position along the route, in miles from the origin.
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Miles(pub f64);
 
 /// One constant-speed segment of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Speed held during the segment.
     pub speed: Mph,
@@ -58,7 +57,7 @@ pub struct Segment {
 /// assert!((pos.0 - 70.0).abs() < 1e-9);
 /// assert_eq!(trace.speed_at(SimTime::from_secs(5)).0, 70.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MobilityTrace {
     segments: Vec<Segment>,
     /// Speed after the last segment ends (constant traces put it here).

@@ -5,13 +5,12 @@
 //! wired fiber. [`NetTopology`] prices a transfer along any of these
 //! paths; the offloading planner uses it to compare pipeline placements.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimDuration;
 
 use crate::link::{Direction, LinkSpec};
 
 /// Where computation (or data) can live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Site {
     /// On the vehicle itself.
     Vehicle,
@@ -54,7 +53,7 @@ impl std::fmt::Display for Site {
 /// let to_cloud = net.transfer_time(Site::Vehicle, Site::Cloud, 100_000);
 /// assert!(to_edge < to_cloud); // the paper's core latency argument
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetTopology {
     vehicle_edge: LinkSpec,
     vehicle_cloud: LinkSpec,

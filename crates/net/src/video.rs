@@ -7,13 +7,12 @@
 //! the paper's frame-loss counting rule: *a frame counts as lost when its
 //! GOP's key frame was lost, regardless of the frame's own packets*.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{SimDuration, SimTime};
 
 use crate::cellular::LossProcess;
 
 /// Video resolutions used in the drive test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resolution {
     /// 1280×720 at ≈3.8 Mbps.
     P720,
@@ -48,7 +47,7 @@ impl std::fmt::Display for Resolution {
 }
 
 /// Structure of an encoded stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoStreamSpec {
     resolution: Resolution,
     fps: u32,
@@ -128,7 +127,7 @@ impl VideoStreamSpec {
 }
 
 /// Counters from a streaming session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// RTP packets transmitted.
     pub packets_sent: u64,

@@ -10,11 +10,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::{SimDuration, SimTime};
 
 /// A road tile (quantized position along the route).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tile(pub i64);
 
 impl Tile {
@@ -29,7 +28,7 @@ impl Tile {
 }
 
 /// Cache key: which computation over which tile.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResultKey {
     /// Task identity, e.g. `"amber-plate-scan"`.
     pub task: String,
@@ -38,7 +37,7 @@ pub struct ResultKey {
 }
 
 /// A shared computation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedResult {
     /// Producing vehicle (pseudonymous id).
     pub producer: u64,
@@ -49,7 +48,7 @@ pub struct SharedResult {
 }
 
 /// Statistics for the collaboration experiment (E10).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollabStats {
     /// Lookups served from a fresh shared result.
     pub hits: u64,

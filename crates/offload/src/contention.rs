@@ -9,8 +9,6 @@
 //! request past capacity stretches everyone's service proportionally),
 //! capped so pathological backlogs cannot produce absurd latencies.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic load → service-time-multiplier curve for a shared
 /// server.
 ///
@@ -32,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(edge.service_multiplier(8), 2.0);   // saturated
 /// assert_eq!(edge.service_multiplier(16), 4.0);  // 2x overloaded
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionModel {
     capacity: u32,
     max_multiplier: f64,

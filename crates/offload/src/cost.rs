@@ -5,11 +5,10 @@
 //! bytes. [`CostReport`] carries all three so experiments never have to
 //! re-derive one from another.
 
-use serde::{Deserialize, Serialize};
 use vdap_sim::SimDuration;
 
 /// The cost of serving one request (or an accumulated batch).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostReport {
     /// End-to-end latency.
     pub latency: SimDuration,

@@ -11,8 +11,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of virtual time, stored as whole nanoseconds.
 ///
 /// Arithmetic saturates instead of overflowing so that pathological
@@ -28,9 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(transfer.as_nanos(), 250_040_000);
 /// assert!(transfer < SimDuration::from_secs(1));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -249,9 +245,7 @@ impl fmt::Display for SimDuration {
 /// let later = start + SimDuration::from_secs(3);
 /// assert_eq!(later.duration_since(start), SimDuration::from_secs(3));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -9,12 +9,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Severity of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceLevel {
     /// Fine-grained progress (per-packet, per-task).
     Debug,
@@ -39,7 +37,7 @@ impl fmt::Display for TraceLevel {
 }
 
 /// One recorded trace event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Virtual time the event occurred.
     pub at: SimTime,
@@ -75,7 +73,7 @@ impl fmt::Display for TraceEvent {
 /// assert_eq!(log.len(), 1);
 /// assert!(log.iter().any(|e| e.message.contains("online")));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceLog {
     events: VecDeque<TraceEvent>,
     capacity: usize,

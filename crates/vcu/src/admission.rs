@@ -9,14 +9,13 @@
 //! queues; [`AdmissionController`] checks utilization before the
 //! registry accepts recurring work.
 
-use serde::{Deserialize, Serialize};
 use vdap_hw::{TaskClass, VcuBoard};
 
 use crate::profile::ApplicationProfile;
 use crate::task::TaskGraph;
 
 /// Per-class demand and capacity, in GFLOP/s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationReport {
     /// `(class, demand GFLOP/s, capacity GFLOP/s)` rows.
     pub rows: Vec<(TaskClass, f64, f64)>,
@@ -33,7 +32,7 @@ impl UtilizationReport {
 }
 
 /// Decision returned by [`AdmissionController::admit`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Admission {
     /// The application fits; the report shows the post-admission load.
     Admitted(UtilizationReport),

@@ -7,14 +7,13 @@
 //! [`ApplicationProfile`] is the demand side: QoS requirement and
 //! priority used by the scheduler's cost function.
 
-use serde::{Deserialize, Serialize};
 use vdap_hw::{ProcessorKind, Slot, SlotId, TaskClass, VcuBoard};
 use vdap_sim::{SimDuration, SimTime};
 
 use crate::task::Priority;
 
 /// A point-in-time snapshot of one processor slot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceProfile {
     /// Slot the snapshot describes.
     pub slot: SlotId,
@@ -86,7 +85,7 @@ pub fn capture_all(board: &VcuBoard, now: SimTime) -> Vec<ResourceProfile> {
 }
 
 /// The demand-side profile of an application submitted to the DSF.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationProfile {
     /// Application name.
     pub name: String,

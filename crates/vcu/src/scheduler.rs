@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use vdap_hw::{ProcessorKind, SlotId, VcuBoard};
 use vdap_sim::{SimDuration, SimTime};
 
@@ -26,7 +25,7 @@ const BOARD_BYTES_PER_SEC: f64 = 8.0e9;
 const BOARD_HOP_LATENCY: SimDuration = SimDuration::from_micros(20);
 
 /// One task's placement in a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
     /// The task being placed.
     pub task: TaskId,
@@ -39,7 +38,7 @@ pub struct Assignment {
 }
 
 /// A complete plan for one task graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// Name of the scheduled graph.
     pub graph_name: String,

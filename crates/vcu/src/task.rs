@@ -8,12 +8,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use vdap_hw::ComputeWorkload;
 use vdap_sim::SimDuration;
 
 /// Identifier of a task within one graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
 impl std::fmt::Display for TaskId {
@@ -23,9 +22,7 @@ impl std::fmt::Display for TaskId {
 }
 
 /// Scheduling priority; higher runs first among ready tasks.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Priority {
     /// Background work (model refresh, uploads).
     Background,
@@ -39,7 +36,7 @@ pub enum Priority {
 }
 
 /// A schedulable unit of work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     id: TaskId,
     workload: ComputeWorkload,
@@ -112,7 +109,7 @@ impl Task {
 /// g.add_dependency(a, b).unwrap();
 /// assert_eq!(g.topo_order().unwrap(), vec![a, b]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     name: String,
     tasks: Vec<Task>,

@@ -26,13 +26,17 @@
 //!
 //! ## Envelope
 //!
-//! [`encode`] wraps a payload as
+//! [`envelope`] wraps a payload as
 //! `{"checksum","generation","magic","payload","version"}` — the keys
 //! in sorted order, as every canonical object is — where the checksum
 //! is FNV-1a 64 over `"{version}|{generation}|{payload}"` with the
 //! payload in the shim's canonical (key-sorted, compact) form. The
-//! payload text is hashed and spliced in as written: no tree, no copy
-//! into a checksum buffer, no second serialization.
+//! payload arrives as a list of text pieces whose concatenation is the
+//! payload text; they are hashed where they lie, and the envelope is
+//! returned as the text that goes before and after them, so a writer
+//! can send the pieces to a [`SnapshotStore`] without ever joining
+//! them. [`encode`] is the one-piece case. [`WriteChaos`] damages a
+//! write given as pieces the way a failing disk would.
 //! [`Snapshot::decode`] rejects bad magic, unknown versions, and any
 //! checksum mismatch — a torn write or a flipped bit either fails to
 //! parse or re-serializes to a different canonical form, and both paths
@@ -40,8 +44,10 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
 
 pub use serde_json as json;
@@ -231,32 +237,112 @@ pub fn get_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], CkptError> 
 // ---------------------------------------------------------------------
 
 /// The envelope checksum: FNV-1a over `"{version}|{generation}|"`
-/// followed by the canonical payload text, hashed in place.
-fn checksum(generation: u64, payload_text: &str) -> u64 {
+/// followed by the canonical payload text, folded in piece by piece
+/// where it lies.
+fn checksum<S: AsRef<str>>(generation: u64, payload: &[S]) -> u64 {
     let prefix = format!("{SNAPSHOT_VERSION}|{generation}|");
-    fnv1a64_extend(fnv1a64(prefix.as_bytes()), payload_text.as_bytes())
+    payload
+        .iter()
+        .fold(fnv1a64(prefix.as_bytes()), |hash, piece| {
+            fnv1a64_extend(hash, piece.as_ref().as_bytes())
+        })
 }
 
-/// Wraps a canonical payload text in the durable envelope, in one
-/// pass: hash the payload where it lies, then write the envelope keys
-/// in their fixed sorted order with the payload spliced in verbatim.
+/// The durable envelope around a canonical payload given as `pieces`,
+/// in one pass: hash the pieces where they lie, then write the envelope
+/// keys in their fixed sorted order. Returns the text that goes before
+/// the pieces and the text that goes after them; the three concatenated
+/// are the snapshot's durable text.
 ///
-/// `payload_text` must be canonical — compact, with every object's keys
-/// strictly ascending, as a [`JsonWriter`] in debug builds enforces —
-/// because [`Snapshot::decode`] re-serializes the parsed payload and
-/// checksums *that*. A non-canonical payload would encode fine and then
-/// fail every decode.
+/// The concatenated pieces must be canonical — compact, with every
+/// object's keys strictly ascending, as a [`JsonWriter`] in debug builds
+/// enforces — because [`Snapshot::decode`] re-serializes the parsed
+/// payload and checksums *that*. A non-canonical payload would encode
+/// fine and then fail every decode.
 #[must_use]
-pub fn encode(generation: u64, payload_text: &str) -> String {
-    let mut w = JsonWriter::with_capacity(payload_text.len() + 128);
+pub fn envelope<S: AsRef<str>>(generation: u64, pieces: &[S]) -> (String, String) {
+    let mut w = JsonWriter::with_capacity(128);
     w.begin_object();
-    w.key("checksum").hex(checksum(generation, payload_text));
+    w.key("checksum").hex(checksum(generation, pieces));
     w.key("generation").hex(generation);
     w.key("magic").str(SNAPSHOT_MAGIC);
-    w.key("payload").raw(payload_text);
+    w.key("payload");
+    let at = w.as_str().len();
+    // The pieces go here; an empty splice keeps the writer's grammar.
+    w.raw("");
     w.key("version").u32(SNAPSHOT_VERSION);
     w.end_object();
-    w.into_string()
+    let mut head = w.into_string();
+    let tail = head.split_off(at);
+    (head, tail)
+}
+
+/// Wraps a canonical payload text in the durable envelope: the
+/// one-piece case of [`envelope`], joined.
+#[must_use]
+pub fn encode(generation: u64, payload_text: &str) -> String {
+    let (mut text, tail) = envelope(generation, &[payload_text]);
+    text.reserve_exact(payload_text.len() + tail.len());
+    text.push_str(payload_text);
+    text.push_str(&tail);
+    text
+}
+
+/// Damage a failing disk does to one snapshot write. The writer applies
+/// it to the bytes on their way to the store, which stays dumb.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteChaos {
+    /// The writer died mid-write: only the first half of the bytes
+    /// reached the store.
+    Torn,
+    /// Bit rot: the low bit of the middle byte flipped.
+    Corrupt,
+}
+
+impl WriteChaos {
+    /// The label snapshot diagnostics name this damage by.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            WriteChaos::Torn => "torn-write",
+            WriteChaos::Corrupt => "corruption",
+        }
+    }
+
+    /// Damages a write given as `pieces`, as if applied to their
+    /// concatenation. Every piece is borrowed, except the one piece
+    /// holding the flipped byte, which is copied.
+    ///
+    /// # Panics
+    ///
+    /// When the cut or the flip lands inside a multi-byte character.
+    /// Envelopes around engine payloads are ASCII, and flipping the low
+    /// bit of an ASCII byte leaves it ASCII.
+    #[must_use]
+    pub fn apply<'a>(self, pieces: &[&'a str]) -> Vec<Cow<'a, str>> {
+        let mid = pieces.iter().map(|p| p.len()).sum::<usize>() / 2;
+        let mut damaged = Vec::with_capacity(pieces.len());
+        let mut start = 0;
+        for &piece in pieces {
+            let end = start + piece.len();
+            match self {
+                WriteChaos::Torn if end > mid => {
+                    damaged.push(Cow::Borrowed(&piece[..mid - start]));
+                    break;
+                }
+                WriteChaos::Corrupt if (start..end).contains(&mid) => {
+                    let mut bytes = piece.as_bytes().to_vec();
+                    bytes[mid - start] ^= 0x01;
+                    let flipped =
+                        String::from_utf8(bytes).expect("low-bit flips keep ascii valid utf-8");
+                    damaged.push(Cow::Owned(flipped));
+                }
+                _ => damaged.push(Cow::Borrowed(piece)),
+            }
+            start = end;
+        }
+        damaged
+    }
 }
 
 /// One decoded snapshot: a generation number and the engine-defined
@@ -296,6 +382,19 @@ impl Snapshot {
     /// unknown version, or a checksum mismatch (torn writes and bit
     /// flips land here).
     pub fn decode(text: &str) -> Result<Snapshot, CkptError> {
+        // Every text this accepts is one JSON object followed by JSON
+        // whitespace at most. A write torn short ends with another byte
+        // unless the cut lands right after a `}`, and is refused here
+        // instead of being parsed up to the cut; a cut right after a
+        // `}` still fails in the parser.
+        if !text
+            .trim_end_matches([' ', '\t', '\n', '\r'])
+            .ends_with('}')
+        {
+            return Err(CkptError::new(
+                "torn envelope: the text does not end with its closing '}'",
+            ));
+        }
         let v = serde_json::from_str(text)?;
         let magic = get_str(&v, "magic")?;
         if magic != SNAPSHOT_MAGIC {
@@ -315,7 +414,7 @@ impl Snapshot {
             .ok_or_else(|| CkptError::new("missing field 'payload'"))?;
         let mut canonical = JsonWriter::with_capacity(text.len());
         canonical.value(&payload);
-        let computed = checksum(generation, canonical.as_str());
+        let computed = checksum(generation, &[canonical.as_str()]);
         if stored != computed {
             return Err(CkptError::new(format!(
                 "checksum mismatch: stored {stored:x}, computed {computed:x}"
@@ -378,21 +477,29 @@ impl SnapshotStore {
         dir.join(format!("ckpt-{generation:020}.json"))
     }
 
-    /// Stores one generation (overwriting it if present).
+    /// Stores one generation (overwriting it if present): the
+    /// concatenation of `pieces`. A directory-backed store writes the
+    /// pieces to its file in order; the in-memory store joins them.
     ///
     /// # Errors
     ///
     /// Fails when a directory-backed store cannot write the file.
-    pub fn put(&mut self, generation: u64, data: &str) -> Result<(), CkptError> {
+    pub fn put<S: AsRef<str>>(&mut self, generation: u64, pieces: &[S]) -> Result<(), CkptError> {
         match &mut self.backend {
             Backend::Mem(map) => {
-                map.insert(generation, data.to_string());
+                map.insert(generation, pieces.iter().map(AsRef::as_ref).collect());
                 Ok(())
             }
             Backend::Dir(dir) => {
                 let path = Self::file_of(dir, generation);
-                std::fs::write(&path, data)
-                    .map_err(|e| CkptError::new(format!("write {}: {e}", path.display())))
+                let write = || {
+                    let mut file = BufWriter::new(std::fs::File::create(&path)?);
+                    for piece in pieces {
+                        file.write_all(piece.as_ref().as_bytes())?;
+                    }
+                    file.flush()
+                };
+                write().map_err(|e| CkptError::new(format!("write {}: {e}", path.display())))
             }
         }
     }
@@ -530,8 +637,8 @@ mod tests {
         let bomb = "[".repeat(100_000);
         assert!(Snapshot::decode(&bomb).is_err());
         let mut store = SnapshotStore::in_memory();
-        store.put(8, &encode(8, "null")).unwrap();
-        store.put(16, &bomb).unwrap();
+        store.put(8, &[encode(8, "null")]).unwrap();
+        store.put(16, &[bomb]).unwrap();
         let (found, rejected) = store.newest_valid();
         assert_eq!(found.expect("generation 8 still valid").generation, 8);
         assert_eq!(rejected, vec![16]);
@@ -558,6 +665,76 @@ mod tests {
         let err = val_u64_hex(&Value::from("zz")).expect_err("not hex");
         assert_eq!(err.to_string(), "snapshot error: bad u64 hex");
         assert_eq!(get_u32(&v, "count").unwrap(), 12);
+    }
+
+    /// The durable text of `pieces`, joined.
+    fn joined<S: AsRef<str>>(generation: u64, pieces: &[S]) -> String {
+        let (head, tail) = envelope(generation, pieces);
+        let mut text = head;
+        for piece in pieces {
+            text.push_str(piece.as_ref());
+        }
+        text + &tail
+    }
+
+    #[test]
+    fn envelope_over_any_split_equals_encode() {
+        let payload = sample_text();
+        let whole = encode(16, &payload);
+        assert_eq!(joined(16, &[] as &[&str]), encode(16, ""));
+        for i in 0..=payload.len() {
+            let (a, b) = payload.split_at(i);
+            assert_eq!(joined(16, &[a, b]), whole, "split at {i}");
+            for j in (i..=payload.len()).step_by(7) {
+                let (b, c) = b.split_at(j - i);
+                assert_eq!(joined(16, &[a, "", b, c]), whole, "split at {i} and {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn chaos_over_pieces_equals_chaos_over_the_text() {
+        let text = encode(16, &sample_text());
+        let mid = text.len() / 2;
+        let mut flipped = text.clone().into_bytes();
+        flipped[mid] ^= 0x01;
+        let flipped = String::from_utf8(flipped).expect("ascii");
+        for i in 0..=text.len() {
+            for j in (i..=text.len()).step_by(5) {
+                let pieces = [&text[..i], &text[i..j], &text[j..]];
+                let torn = WriteChaos::Torn.apply(&pieces);
+                assert_eq!(torn.concat(), text[..mid], "torn over {i}, {j}");
+                assert!(torn.iter().all(|p| matches!(p, Cow::Borrowed(_))));
+                let corrupt = WriteChaos::Corrupt.apply(&pieces);
+                assert_eq!(corrupt.concat(), flipped, "corrupt over {i}, {j}");
+                let copied = corrupt.iter().filter(|p| matches!(p, Cow::Owned(_)));
+                assert_eq!(copied.count(), 1, "only the flipped piece is copied");
+            }
+        }
+    }
+
+    #[test]
+    fn store_puts_the_concatenated_pieces() {
+        let text = encode(8, &sample_text());
+        let (a, b) = text.split_at(text.len() / 3);
+        let mut store = SnapshotStore::in_memory();
+        store.put(8, &[a, "", b]).unwrap();
+        assert_eq!(store.get(8).as_deref(), Some(text.as_str()));
+    }
+
+    #[test]
+    fn torn_envelope_is_refused_before_parsing() {
+        let text = Snapshot::new(3, sample_payload()).encode();
+        let torn = WriteChaos::Torn.apply(&[&text]).concat();
+        assert!(!torn.ends_with('}'));
+        let err = Snapshot::decode(&torn).expect_err("torn");
+        assert!(err.to_string().contains("torn envelope"), "{err}");
+        // Trailing JSON whitespace is still accepted, as the parser
+        // always did, and the envelope's own `}` is what the check
+        // finds.
+        let padded = format!("{text} \t\r\n");
+        assert_eq!(Snapshot::decode(&padded), Snapshot::decode(&text));
+        assert!(Snapshot::decode(&padded).is_ok());
     }
 
     #[test]
@@ -608,7 +785,7 @@ mod tests {
         let mut store = SnapshotStore::in_memory();
         for g in [8u64, 16, 24, 32] {
             store
-                .put(g, &Snapshot::new(g, Value::from(g)).encode())
+                .put(g, &[Snapshot::new(g, Value::from(g)).encode()])
                 .unwrap();
         }
         store.retain_last(2).unwrap();
@@ -621,11 +798,11 @@ mod tests {
     fn newest_valid_falls_back_past_corruption() {
         let mut store = SnapshotStore::in_memory();
         store
-            .put(8, &Snapshot::new(8, Value::from("old")).encode())
+            .put(8, &[Snapshot::new(8, Value::from("old")).encode()])
             .unwrap();
         let newest = Snapshot::new(16, Value::from("new")).encode();
         let torn = &newest[..newest.len() / 2];
-        store.put(16, torn).unwrap();
+        store.put(16, &[torn]).unwrap();
         let (found, rejected) = store.newest_valid();
         let snap = found.expect("generation 8 still valid");
         assert_eq!(snap.generation, 8);
@@ -639,7 +816,7 @@ mod tests {
         let mut store = SnapshotStore::in_dir(&dir).expect("mkdir");
         for g in [8u64, 16, 24] {
             store
-                .put(g, &Snapshot::new(g, Value::from(g)).encode())
+                .put(g, &[Snapshot::new(g, Value::from(g)).encode()])
                 .unwrap();
         }
         assert_eq!(store.generations(), vec![8, 16, 24]);

@@ -396,15 +396,25 @@ pub(crate) fn check_fingerprint(cfg: &FleetConfig, payload: &Value) -> Result<()
 
 // --- snapshot accounting (wall-clock; never in the summary) ----------
 
-/// One snapshot the engine wrote, with its wall-clock cost.
+/// One snapshot the engine wrote, with its wall-clock cost on each of
+/// the two threads that made it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotWrite {
     /// Generation (completed-epoch index) the snapshot captured.
     pub generation: u64,
-    /// Encoded size in bytes.
+    /// Bytes stored: the envelope's size, or what is left of it after
+    /// the write's chaos (half, when torn).
     pub bytes: usize,
-    /// Wall-clock time spent encoding and writing, in milliseconds.
+    /// The barrier's wall-clock time on the snapshot, in milliseconds:
+    /// encoding the state and the span log's new spans, plus any wait
+    /// to hand the payload to the writer thread while it still stores
+    /// the generation before.
     pub write_ms: f64,
+    /// The writer thread's wall-clock time on the snapshot, in
+    /// milliseconds: checksumming the payload, applying the chaos,
+    /// writing it to the store and applying retention. The engine runs
+    /// on meanwhile.
+    pub store_ms: f64,
     /// Snapshot-store chaos injected into this write (`"torn-write"`
     /// or `"corruption"`), if any.
     pub chaos: Option<&'static str>,

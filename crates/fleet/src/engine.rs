@@ -27,13 +27,18 @@
 //! batch size. No vehicle ever moves: mobility rewrites `vehicles[id]`
 //! in place, and a snapshot lists the array in id order.
 
+use std::borrow::Cow;
+use std::fmt;
+use std::panic::resume_unwind;
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
+use std::thread::{self, Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use vdap_ckpt::json::{JsonWriter, Value};
 use vdap_ckpt::{
     get, get_array, get_bool, get_f64_bits, get_str, get_u32, get_u64_hex, val_array, val_f64_bits,
-    val_pair, val_str, val_u32, val_u64_hex, CkptError, Snapshot, SnapshotStore,
+    val_pair, val_str, val_u32, val_u64_hex, CkptError, Snapshot, SnapshotStore, WriteChaos,
 };
 use vdap_edgeos::WorkloadClass;
 use vdap_fault::{FaultEdge, FaultInjector, FaultKind, FaultWindow};
@@ -51,8 +56,8 @@ use crate::ckpt::{
     reliability_field, rng_field, section, time_field, SnapshotDiagnostics, SnapshotWrite,
 };
 use crate::config::{
-    edge_node_label, handoff_label, region_label, tenant_label, CheckpointConfig, FleetConfig,
-    FleetConfigError, CKPT_STORE_LABEL, ENGINE_LABEL,
+    edge_node_label, handoff_label, region_label, tenant_label, FleetConfig, FleetConfigError,
+    CKPT_STORE_LABEL, ENGINE_LABEL,
 };
 use crate::edge::{crash_loops, EpochOutcome, XEdgeServer};
 use crate::ingest::IngestPass;
@@ -406,6 +411,15 @@ enum RunEnd {
     },
 }
 
+impl RunEnd {
+    fn snapshots_mut(&mut self) -> &mut SnapshotDiagnostics {
+        match self {
+            RunEnd::Completed(report) => &mut report.snapshots,
+            RunEnd::Crashed { snapshots, .. } => snapshots,
+        }
+    }
+}
+
 /// Drives `state` from its current epoch to the horizon — the single
 /// engine loop behind [`FleetEngine::run`], [`FleetEngine::run_supervised`]
 /// and [`FleetEngine::restore`].
@@ -413,13 +427,35 @@ enum RunEnd {
 /// With a `store` wired and a checkpoint config present, the complete
 /// state is snapshotted at every interval barrier — after the barrier's
 /// canonical exchange, when every cross-vehicle queue is drained and all
-/// scheduled events lie strictly beyond the barrier. `crashes` lists
-/// epoch barriers at which a supervised leg dies (empty on unsupervised
-/// paths).
+/// scheduled events lie strictly beyond the barrier — and a
+/// [`SnapshotWriter`] thread stores each generation while the engine
+/// runs on. The leg joins the writer before it returns, crashed or not,
+/// so the store holds every generation the leg took. Without both, no
+/// thread is spawned. `crashes` lists epoch barriers at which a
+/// supervised leg dies (empty on unsupervised paths).
 fn run_core(
     ctx: &RunCtx,
+    state: EngineState,
+    store: Option<&mut SnapshotStore>,
+    crashes: &[u64],
+) -> RunEnd {
+    let (Some(ck), Some(store)) = (ctx.cfg.checkpoint, store) else {
+        return run_epochs(ctx, state, None, crashes);
+    };
+    thread::scope(|scope| {
+        let mut writer = SnapshotWriter::spawn(scope, store, ck.retain);
+        let mut end = run_epochs(ctx, state, Some(&mut writer), crashes);
+        writer.finish(&mut end.snapshots_mut().writes);
+        end
+    })
+}
+
+/// The epoch loop of one leg, handing each checkpoint barrier's
+/// snapshot to `writer` when one is wired.
+fn run_epochs(
+    ctx: &RunCtx,
     mut state: EngineState,
-    mut store: Option<&mut SnapshotStore>,
+    mut writer: Option<&mut SnapshotWriter<'_>>,
     crashes: &[u64],
 ) -> RunEnd {
     let cfg = &ctx.cfg;
@@ -582,9 +618,9 @@ fn run_core(
         // ---- crash landing on a checkpoint epoch still leaves    ----
         // ---- its barrier's snapshot behind, like a process dying ----
         // ---- right after fsync.                                  ----
-        if let (Some(ck), Some(store)) = (cfg.checkpoint, store.as_deref_mut()) {
+        if let (Some(ck), Some(writer)) = (cfg.checkpoint, writer.as_deref_mut()) {
             if state.epoch_index.is_multiple_of(ck.interval_epochs) && end < horizon {
-                write_snapshot(ctx, &mut state, store, ck, end);
+                write_snapshot(ctx, &mut state, writer, end);
             }
         }
         if end < horizon && crashes.contains(&state.epoch_index) {
@@ -611,8 +647,10 @@ fn run_core(
         tel.final_flush();
         // Insertion order interleaves vehicle-side and edge-side
         // resolutions; canonical order makes the log independent of
-        // it.
+        // it. The sorted log no longer matches its cached snapshot
+        // text, which no later snapshot needs.
         tel.spans.sort_canonical();
+        tel.span_text.clear();
     }
     let region_availability = state
         .reliability
@@ -668,62 +706,181 @@ impl<'a> Forked<'a> {
     }
 }
 
-/// Serializes the complete engine state at a barrier and persists it,
-/// applying any seeded snapshot-store chaos *to the encoded bytes* on
-/// the way in — the store itself stays dumb, exactly like a writer
-/// dying mid-`write` (torn) or a bad sector flipping a bit (corrupt).
+/// Encodes the complete engine state at a barrier and hands it to the
+/// writer, with the snapshot-store chaos the fault plan injects into
+/// this write. The writer applies it *to the encoded bytes* on the way
+/// in — the store itself stays dumb, exactly like a writer dying
+/// mid-`write` (torn) or a bad sector flipping a bit (corrupt). The
+/// write's size and store time are filled in when the writer joins.
 fn write_snapshot(
     ctx: &RunCtx,
     state: &mut EngineState,
-    store: &mut SnapshotStore,
-    ck: CheckpointConfig,
+    writer: &mut SnapshotWriter<'_>,
     end: SimTime,
 ) {
     let started = Instant::now();
     let generation = state.epoch_index;
-    let mut encoded = {
-        let mut payload = JsonWriter::new();
-        snapshot_payload(&mut payload, &ctx.cfg, state);
-        vdap_ckpt::encode(generation, payload.as_str())
+    let chunks = state
+        .telemetry
+        .as_mut()
+        .map(|tel| tel.span_text.extend(tel.spans.spans()).to_vec());
+    let mut text = JsonWriter::new();
+    let spans_at = snapshot_payload(&mut text, &ctx.cfg, state);
+    let payload = Payload {
+        text: text.into_string(),
+        spans: spans_at.zip(chunks),
     };
-    let mut chaos = None;
-    if let Some(inj) = ctx.injector.as_deref() {
+    let chaos = ctx.injector.as_deref().and_then(|inj| {
         if inj.snapshot_torn(CKPT_STORE_LABEL, end) {
-            // A torn write: the tail of the snapshot never hit disk.
-            encoded.truncate(encoded.len() / 2);
-            chaos = Some("torn-write");
+            Some(WriteChaos::Torn)
         } else if inj.snapshot_corrupt(CKPT_STORE_LABEL, end) {
-            // Bit rot: flip the low bit of the middle byte. The
-            // encoding is ASCII, so the result is still valid UTF-8 —
-            // only the checksum (or the JSON grammar) can catch it.
-            let mut bytes = encoded.into_bytes();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x01;
-            encoded = String::from_utf8(bytes).expect("low-bit flips keep ascii valid utf-8");
-            chaos = Some("corruption");
+            Some(WriteChaos::Corrupt)
+        } else {
+            None
         }
-    }
-    if let Err(err) = store.put(generation, &encoded) {
-        panic!("snapshot store write failed: {err}");
-    }
-    if let Err(err) = store.retain_last(ck.retain) {
-        panic!("snapshot retention failed: {err}");
-    }
+    });
+    writer.hand_off(Job {
+        generation,
+        payload,
+        chaos,
+    });
     state.snapshots.writes.push(SnapshotWrite {
         generation,
-        bytes: encoded.len(),
+        bytes: 0,
         write_ms: started.elapsed().as_secs_f64() * 1e3,
-        chaos,
+        store_ms: 0.0,
+        chaos: chaos.map(WriteChaos::label),
     });
 }
 
-/// Streams the complete deterministic engine state as canonical JSON.
+/// One generation's payload as the barrier encoded it: the state's
+/// text with an empty span array, and the span log's cached chunks with
+/// the offset inside that array where they go.
+struct Payload {
+    text: String,
+    spans: Option<(usize, Vec<Arc<str>>)>,
+}
+
+impl Payload {
+    /// The payload text as pieces, in order.
+    fn pieces(&self) -> Vec<&str> {
+        let Some((at, chunks)) = &self.spans else {
+            return vec![&self.text];
+        };
+        let mut pieces = Vec::with_capacity(2 * chunks.len() + 1);
+        pieces.push(&self.text[..*at]);
+        for (i, chunk) in chunks.iter().enumerate() {
+            if i > 0 {
+                pieces.push(",");
+            }
+            pieces.push(chunk);
+        }
+        pieces.push(&self.text[*at..]);
+        pieces
+    }
+}
+
+/// One generation on its way to the store.
+struct Job {
+    generation: u64,
+    payload: Payload,
+    chaos: Option<WriteChaos>,
+}
+
+impl Job {
+    /// Checksums, damages, stores and retains the generation; returns
+    /// the bytes stored and the milliseconds it took.
+    fn store(self, store: &mut SnapshotStore, retain: usize) -> (usize, f64) {
+        let started = Instant::now();
+        let pieces = self.payload.pieces();
+        let (head, tail) = vdap_ckpt::envelope(self.generation, &pieces);
+        let mut write = Vec::with_capacity(pieces.len() + 2);
+        write.push(head.as_str());
+        write.extend(pieces);
+        write.push(tail.as_str());
+        let write = match self.chaos {
+            Some(chaos) => chaos.apply(&write),
+            None => write.into_iter().map(Cow::Borrowed).collect(),
+        };
+        if let Err(err) = store.put(self.generation, &write) {
+            panic!("snapshot store write failed: {err}");
+        }
+        if let Err(err) = store.retain_last(retain) {
+            panic!("snapshot retention failed: {err}");
+        }
+        let bytes = write.iter().map(|piece| piece.len()).sum();
+        (bytes, started.elapsed().as_secs_f64() * 1e3)
+    }
+}
+
+/// A supervised leg's snapshot writer: one scoped thread that stores
+/// each generation ([`Job::store`]), in generation order, while the
+/// engine runs on. The hand-off is a rendezvous, so at most one
+/// generation is in flight and at most two payloads are resident: the
+/// one being stored and the one the barrier waits to hand off.
+struct SnapshotWriter<'scope> {
+    jobs: SyncSender<Job>,
+    /// `None` only once a failed hand-off has joined it.
+    thread: Option<ScopedJoinHandle<'scope, Vec<(usize, f64)>>>,
+}
+
+impl<'scope> SnapshotWriter<'scope> {
+    fn spawn<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        store: &'env mut SnapshotStore,
+        retain: usize,
+    ) -> Self {
+        let (jobs, inbox) = mpsc::sync_channel::<Job>(0);
+        let thread = thread::Builder::new()
+            .name("ckpt-writer".into())
+            .spawn_scoped(scope, move || {
+                inbox.iter().map(|job| job.store(store, retain)).collect()
+            })
+            .expect("spawn the snapshot writer");
+        SnapshotWriter {
+            jobs,
+            thread: Some(thread),
+        }
+    }
+
+    /// Hands one generation to the writer, waiting while it still
+    /// stores the one before.
+    fn hand_off(&mut self, job: Job) {
+        if self.jobs.send(job).is_err() {
+            // The writer leaves its loop early only by panicking.
+            joined(self.thread.take().expect("a live writer"));
+            unreachable!("the snapshot writer hung up without panicking");
+        }
+    }
+
+    /// Waits until every generation handed off is stored, then fills in
+    /// each one's size and store time: the last entries of `writes`.
+    fn finish(self, writes: &mut [SnapshotWrite]) {
+        let SnapshotWriter { jobs, thread } = self;
+        drop(jobs);
+        let stored = joined(thread.expect("a live writer"));
+        let leg = writes.len() - stored.len();
+        for (write, (bytes, store_ms)) in writes[leg..].iter_mut().zip(stored) {
+            write.bytes = bytes;
+            write.store_ms = store_ms;
+        }
+    }
+}
+
+/// Joins the writer, resuming its panic on this thread.
+fn joined<T>(thread: ScopedJoinHandle<'_, T>) -> T {
+    thread.join().unwrap_or_else(|panic| resume_unwind(panic))
+}
+
+/// Streams the complete deterministic engine state as canonical JSON,
+/// except the span log: with telemetry on, its array is left empty and
+/// the offset inside it, where the [`SpanText`] chunks go, is returned.
 ///
 /// Nothing in it depends on executor width or batch size, and vehicles
 /// are listed in id order, so every run layout serializes the same
 /// scenario at the same barrier to the same payload — which is what
 /// lets a snapshot restore under a different layout.
-fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) {
+fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) -> Option<usize> {
     w.begin_object();
     w.key("collab");
     enc_collab(w, &state.collab);
@@ -743,13 +900,20 @@ fn snapshot_payload(w: &mut JsonWriter, cfg: &FleetConfig, state: &EngineState) 
     w.key("reliability");
     enc_reliability(w, &state.reliability);
     w.key("telemetry");
-    enc_opt(w, state.telemetry.as_ref(), enc_telemetry);
+    let spans_at = match state.telemetry.as_ref() {
+        Some(tel) => Some(enc_telemetry(w, tel)),
+        None => {
+            w.null();
+            None
+        }
+    };
     w.key("vehicles").begin_array();
     for v in &state.vehicles {
         enc_vehicle(w, v);
     }
     w.end_array();
     w.end_object();
+    spans_at
 }
 
 /// Rebuilds a complete [`EngineState`] from a decoded snapshot payload.
@@ -1004,11 +1168,12 @@ fn dec_span(cfg: &FleetConfig, v: &Value) -> Result<RequestSpan, CkptError> {
     })
 }
 
-/// Writes the full telemetry surface: the span log in its current
-/// order (the final `sort_canonical` has unique keys, so order here is
-/// immaterial), every per-epoch series and the histograms their
-/// rolled-up points went to.
-fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
+/// Writes the full telemetry surface: every per-epoch series, the
+/// histograms their rolled-up points went to, and an empty span array,
+/// whose inside offset it returns. The span log goes there in its
+/// current order (the final `sort_canonical` has unique keys, so order
+/// here is immaterial), as [`SpanText`] chunks.
+fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) -> usize {
     w.begin_object();
     w.key("hists").begin_array();
     for h in tel.registry.all_histograms() {
@@ -1046,11 +1211,62 @@ fn enc_telemetry(w: &mut JsonWriter, tel: &FleetTelemetry) {
         .hex(spill.map_or(0, JsonlSpillSink::spilled));
     w.end_object();
     w.key("spans").begin_array();
-    for span in tel.spans.iter() {
-        enc_span(w, span);
-    }
+    let spans_at = w.as_str().len();
     w.end_array();
     w.end_object();
+    spans_at
+}
+
+/// The resident span log's snapshot text, encoded once per span: one
+/// immutable chunk per snapshot that found spans past the ones already
+/// covered, each holding its spans comma-separated. Joined by commas,
+/// the chunks are the contents of the payload's `spans` array. No
+/// snapshot stores the cache, so a restore starts with an empty one;
+/// whatever removes resident spans or reorders them clears it.
+#[derive(Clone, Default)]
+pub(crate) struct SpanText {
+    chunks: Vec<Arc<str>>,
+    /// How many of the log's first spans the chunks hold.
+    covered: usize,
+}
+
+impl SpanText {
+    pub(crate) fn clear(&mut self) {
+        *self = SpanText::default();
+    }
+
+    /// Encodes the spans of `log` past the ones already covered into a
+    /// new chunk, and returns every chunk.
+    fn extend(&mut self, log: &[RequestSpan]) -> &[Arc<str>] {
+        if log.len() > self.covered {
+            self.chunks.push(enc_spans(&log[self.covered..]).into());
+            self.covered = log.len();
+        }
+        debug_assert_eq!(
+            self.chunks.join(","),
+            enc_spans(log),
+            "the cached span text is stale"
+        );
+        &self.chunks
+    }
+}
+
+impl fmt::Debug for SpanText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpanText")
+            .field("chunks", &self.chunks.len())
+            .field("covered", &self.covered)
+            .finish()
+    }
+}
+
+/// Writes `spans` comma-separated: the contents of a span array.
+fn enc_spans(spans: &[RequestSpan]) -> String {
+    let mut w = JsonWriter::new();
+    for span in spans {
+        enc_span(&mut w, span);
+    }
+    w.into_string()
 }
 
 type SpillState = (u64, u32, u64);
@@ -1639,6 +1855,57 @@ mod tests {
             cfg.clone().with_executor_threads(1).with_batch_size(1),
             cfg.clone().with_executor_threads(2).with_batch_size(7),
         ]
+    }
+
+    /// The cached span text must match a fresh encode after the log
+    /// loses spans (the budget's auto-sampling, the spill drain) and
+    /// then grows past the count the cache covered: a cache dropped on a
+    /// length check alone would keep its stale chunk.
+    #[test]
+    fn span_text_is_dropped_when_spans_leave_the_log() {
+        let span = |i: u32| RequestSpan {
+            vehicle: i % 7,
+            seq: i,
+            tenant: 0,
+            region: i % 3,
+            shard: 0,
+            class: WorkloadClass::ALL[i as usize % 3].label(),
+            generated: SimTime::from_nanos(u64::from(i) * 1_000),
+            admitted: i
+                .is_multiple_of(2)
+                .then(|| SimTime::from_nanos(u64::from(i) * 1_000 + 7)),
+            serve_start: None,
+            completed: SimTime::from_nanos(u64::from(i) * 1_000 + 900),
+            outcome: if i.is_multiple_of(5) {
+                SpanOutcome::Rejected
+            } else {
+                SpanOutcome::EdgeServed
+            },
+            retries: i % 2,
+            requeues: 0,
+            handoff: i.is_multiple_of(4),
+        };
+        let spill = std::env::temp_dir().join(format!("vdap-span-text-{}", std::process::id()));
+        // A one-byte budget: the first flush auto-samples the resident
+        // spans down, or drains every one of them to the spill.
+        for spill_dir in [None, Some(spill.clone())] {
+            let mut tel = FleetTelemetry::configured(Some(1), None, spill_dir, 42);
+            for i in 0..40 {
+                tel.absorb(span(i));
+            }
+            let cached = tel.span_text.extend(tel.spans.spans()).len();
+            assert_eq!(cached, 1);
+            tel.barrier_flush(0);
+            assert!(tel.spans.len() < 40, "the flush removed spans");
+            let mut i = 40;
+            while tel.spans.len() <= 40 {
+                tel.spans.push(span(i));
+                i += 1;
+            }
+            let text = tel.span_text.extend(tel.spans.spans()).join(",");
+            assert_eq!(text, enc_spans(tel.spans.spans()));
+        }
+        let _ = std::fs::remove_dir_all(&spill);
     }
 
     #[test]

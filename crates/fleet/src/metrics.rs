@@ -30,6 +30,7 @@ use vdap_obs::{
 use vdap_sim::{ReliabilityStats, SimDuration, SimTime, StreamingHistogram};
 
 use crate::ckpt::SnapshotDiagnostics;
+use crate::engine::SpanText;
 use crate::ingest::IngestMetrics;
 
 /// One request's terminal outcome: everything the barrier records about
@@ -338,6 +339,8 @@ pub struct FleetTelemetry {
     /// Peak post-enforcement resident telemetry bytes observed at any
     /// barrier (the number the telemetry budget bounds).
     pub peak_bytes: u64,
+    /// The snapshot text of the resident spans, kept between snapshots.
+    pub(crate) span_text: SpanText,
 }
 
 /// Keep-one-in-N rate auto-activated when a telemetry budget is crossed
@@ -417,6 +420,7 @@ impl FleetTelemetry {
                 self.sampled_out += self
                     .spans
                     .retain(|s| sampler_keeps(seed, BUDGET_AUTO_SAMPLE, s));
+                self.span_text.clear();
             }
         }
         if self.rolled {
@@ -438,6 +442,7 @@ impl FleetTelemetry {
     fn drain_to_spill(&mut self) {
         let spill = self.spill.as_mut().expect("caller checked spill");
         spill.write(std::mem::take(&mut self.spans));
+        self.span_text.clear();
     }
 }
 
@@ -803,6 +808,7 @@ mod tests {
                 generation: 8,
                 bytes: 4096,
                 write_ms: 0.5,
+                store_ms: 1.5,
                 chaos: Some("torn-write"),
             }],
             load_ms: Some(0.25),

@@ -249,9 +249,14 @@ fn supervised_crash_resume_is_byte_identical_at_every_shard_count() {
         assert_reports_identical(&straight, &resumed);
         // The crash really happened and really resumed …
         assert_eq!(resumed.snapshots.resumes, 1, "layout {layout:?}");
+        // Generations 4 and 8 before the crash at epoch 10, 12 after
+        // the resume from 8, each stored by the writer thread.
+        let writes = &resumed.snapshots.writes;
+        let generations: Vec<u64> = writes.iter().map(|w| w.generation).collect();
+        assert_eq!(generations, [4, 8, 12], "layout {layout:?}");
         assert!(
-            !resumed.snapshots.writes.is_empty(),
-            "no snapshot written in layout {layout:?}"
+            writes.iter().all(|w| w.bytes > 0 && w.store_ms > 0.0),
+            "a write without its store side in layout {layout:?}: {writes:?}"
         );
         // … and the scripted downtime is on the availability ledger of
         // both runs (the resume window flows into MTTR either way).
@@ -310,6 +315,10 @@ fn torn_write_on_newest_snapshot_falls_back_one_generation() {
     torn.dedup();
     assert_eq!(torn, [8], "writes: {:?}", resumed.snapshots.writes);
     assert_reports_identical(&straight, &resumed);
+    // The torn half is refused before it is parsed.
+    let torn = store.get(8).expect("generation 8 retained");
+    let err = Snapshot::decode(&torn).expect_err("torn");
+    assert!(err.to_string().contains("torn envelope"), "{err}");
 }
 
 #[test]
